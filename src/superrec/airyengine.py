@@ -14,14 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .curve import complete_psi
-from .store import CorrTensor, _sort_with_sign, index_bound, iter_partitions
+from .store import LazyTensor, UnsolvedEntry, index_bound, iter_partitions
 
 
 class SingularLeading(Exception):
-    pass
-
-
-class UnsolvedEntry(Exception):
     pass
 
 
@@ -127,13 +123,16 @@ class ConstraintCoeffs:
         return out
 
 
-class AirySolver:
+class AirySolver(LazyTensor):
+    # bound in this class body, not only inherited, so that perfbench can
+    # wrap each engine's lookups, levels and runs on their own
+    flookup = LazyTensor.flookup
+    level_keys = LazyTensor.level_keys
+    run = LazyTensor.run
+
     def __init__(self, curve, chi_max, bosonic_only=False):
+        super().__init__(curve.ring, chi_max, curve.epsilon, bosonic_only)
         self.curve = curve
-        self.ring = curve.ring
-        self.chi_max = chi_max
-        self.bosonic_only = bosonic_only
-        self.epsilon = curve.epsilon
         self.tau = curve.tau
         self.tau_eps = curve.tau.get(self.epsilon)
         if not self.tau_eps:
@@ -142,53 +141,8 @@ class AirySolver:
         bound = index_bound(chi_max, self.epsilon)
         self.coeffs = ConstraintCoeffs(
             curve, (bound + 4 - self.epsilon) // 2 + 2)
-        self.tensor = CorrTensor(self.ring, chi_max, self.epsilon)
-        self._done = set()
-        self._pending = set()
 
-    # --- lookups ---------------------------------------------------------
-
-    def value(self, g, bos, fer):
-        """Canonical tensor entry, computed on demand and memoized."""
-        bos = tuple(sorted(bos))
-        fer_sorted, sign = _sort_with_sign(fer)
-        if sign == 0:
-            return self.ring.zero()
-        key = (g, bos, fer_sorted)
-        if key in self._pending:
-            # a memoized read here would silently return zero for an
-            # entry that is still being solved
-            raise UnsolvedEntry(f"cyclic dependency at {key}")
-        if key not in self._done:
-            self._done.add(key)
-            self._pending.add(key)
-            try:
-                val = self.compute_entry(g, bos, fer_sorted)
-            finally:
-                self._pending.discard(key)
-            self.tensor.set(g, bos, fer_sorted, val)
-        out = self.tensor.get(g, bos, fer_sorted)
-        return out if sign == 1 else -out
-
-    def flookup(self, g, bos, fer):
-        """Tensor entry, zero for out-of-range or unstable arguments."""
-        if g < 0:
-            return self.ring.zero()
-        if any(i < 1 for i in bos) or any(j < 0 for j in fer):
-            return self.ring.zero()
-        if len(fer) % 2:
-            return self.ring.zero()
-        if self.bosonic_only and fer:
-            return self.ring.zero()
-        chi = 2 * g + len(bos) + len(fer)
-        if chi <= 2:
-            return self.ring.zero()
-        if any(i % 2 == 0 for i in bos) or any(j % 2 for j in fer):
-            return self.ring.zero()
-        bound = index_bound(chi, self.epsilon)
-        if any(i > bound for i in bos) or any(j > bound for j in fer):
-            return self.ring.zero()
-        return self.value(g, bos, fer)
+    # --- leading sums ------------------------------------------------------
 
     def xi0_bos_rest(self, g, bos, fer, skip_p):
         """Leading-sum terms tau_p F(2c+p-4, J|K) excluding p = skip_p.
@@ -230,52 +184,34 @@ class AirySolver:
 
     def xi2_bb(self, g, k, l, bos, fer):
         """F_{g-1}(k,l,J|K) + sum of signed products F(k,J1|K1)F(l,J2|K2)."""
-        out = self.flookup(g - 1, (k, l) + bos, fer)
-        for bos1, bos2, _ in iter_partitions(bos):
-            for fer1, fer2, sign in iter_partitions(fer):
-                for g1 in range(g + 1):
-                    if not _stable_pair(g, g1, bos1, fer1, bos2, fer2):
-                        continue
-                    a = self.flookup(g1, (k,) + bos1, fer1)
-                    if not a:
-                        continue
-                    b = self.flookup(g - g1, (l,) + bos2, fer2)
-                    if not b:
-                        continue
-                    term = a * b
-                    out = out + (term if sign == 1 else -term)
-        return out
+        return self._xi2(g, bos, fer, ((k,), ()), ((l,), ()), 1)
 
     def xi2_ff(self, g, k, l, bos, fer):
         """-F_{g-1}(J|k,l,K) + sum of signed products F(J1|k,K1)F(J2|l,K2)."""
-        out = -self.flookup(g - 1, bos, (k, l) + fer)
-        for bos1, bos2, _ in iter_partitions(bos):
-            for fer1, fer2, sign in iter_partitions(fer):
-                for g1 in range(g + 1):
-                    if not _stable_pair(g, g1, bos1, fer1, bos2, fer2):
-                        continue
-                    a = self.flookup(g1, bos1, (k,) + fer1)
-                    if not a:
-                        continue
-                    b = self.flookup(g - g1, bos2, (l,) + fer2)
-                    if not b:
-                        continue
-                    term = a * b
-                    out = out + (term if sign == 1 else -term)
-        return out
+        return self._xi2(g, bos, fer, ((), (k,)), ((), (l,)), -1)
 
     def xi2_bf(self, g, k, l, bos, fer):
         """F_{g-1}(k,J|l,K) + sum of signed products F(k,J1|K1)F(J2|l,K2)."""
-        out = self.flookup(g - 1, (k,) + bos, (l,) + fer)
+        return self._xi2(g, bos, fer, ((k,), ()), ((), (l,)), 1)
+
+    def _xi2(self, g, bos, fer, k_slot, l_slot, lead_sign):
+        """The quadratic sum with k and l in the given (bosonic, fermionic)
+        slot pairs: lead_sign * F_{g-1}(k, l, ...) plus the signed products
+        F_{g1}(k, J1|K1) F_{g-g1}(l, J2|K2) over partitions of J and K."""
+        kb, kf = k_slot
+        lb, lf = l_slot
+        out = self.flookup(g - 1, kb + lb + bos, kf + lf + fer)
+        if lead_sign == -1:
+            out = -out
         for bos1, bos2, _ in iter_partitions(bos):
             for fer1, fer2, sign in iter_partitions(fer):
                 for g1 in range(g + 1):
                     if not _stable_pair(g, g1, bos1, fer1, bos2, fer2):
                         continue
-                    a = self.flookup(g1, (k,) + bos1, fer1)
+                    a = self.flookup(g1, kb + bos1, kf + fer1)
                     if not a:
                         continue
-                    b = self.flookup(g - g1, bos2, (l,) + fer2)
+                    b = self.flookup(g - g1, lb + bos2, lf + fer2)
                     if not b:
                         continue
                     term = a * b
@@ -402,27 +338,6 @@ class AirySolver:
 
     # --- driver ------------------------------------------------------------
 
-    def level_keys(self, chi):
-        """All canonical candidate keys at a level."""
-        bound = index_bound(chi, self.epsilon)
-        odd = [i for i in range(1, bound + 1, 2)]
-        even = [j for j in range(0, bound + 1, 2)]
-        keys = []
-        for g in range(chi // 2 + 1):
-            rem = chi - 2 * g
-            for n in range(rem + 1):
-                two_m = rem - n
-                if two_m % 2:
-                    continue
-                if n == 0 and two_m == 0:
-                    continue  # no slot to solve for
-                if self.bosonic_only and two_m:
-                    continue
-                for bos in _multisets(odd, n):
-                    for fer in _subsets(even, two_m):
-                        keys.append((g, bos, fer))
-        return keys
-
     def compute_entry(self, g, bos, fer):
         """Solve the constraint instance determining the canonical entry."""
         if bos:
@@ -439,35 +354,11 @@ class AirySolver:
             return self.solve_fermionic_entry(g, bos, fer)
         raise UnsolvedEntry(f"no slot to solve for in g={g}")
 
-    def run(self):
-        for chi in range(3, self.chi_max + 1):
-            for g, bos, fer in self.level_keys(chi):
-                self.value(g, bos, fer)
-        return self.tensor
-
 
 def _stable_pair(g, g1, bos1, fer1, bos2, fer2):
     """Both factors of a product partition have a stable index (chi >= 3)."""
     return (2 * g1 + 1 + len(bos1) + len(fer1) > 2
             and 2 * (g - g1) + 1 + len(bos2) + len(fer2) > 2)
-
-
-def _multisets(values, size):
-    if size == 0:
-        yield ()
-        return
-    for idx, v in enumerate(values):
-        for rest in _multisets(values[idx:], size - 1):
-            yield (v,) + rest
-
-
-def _subsets(values, size):
-    if size == 0:
-        yield ()
-        return
-    for idx, v in enumerate(values):
-        for rest in _subsets(values[idx + 1:], size - 1):
-            yield (v,) + rest
 
 
 def run_airy(curve, chi_max):

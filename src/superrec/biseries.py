@@ -1,13 +1,11 @@
 """Bivariate power series truncated by total degree.
 
-Used to expand closed-form bilinear differentials around the origin and
-peel off their fixed singular parts. Exponents are nonnegative; the
-coefficient at (i, j) is unknown when i + j > trunc.
+Used by the curve zoo to expand closed-form bilinear differentials around
+the origin and peel off their fixed singular parts. Exponents are
+nonnegative; the coefficient at (i, j) is unknown when i + j > trunc.
 """
 
 from __future__ import annotations
-
-from .scalars import NotInvertible
 
 
 class BiSeries:
@@ -85,27 +83,6 @@ class BiSeries:
                     coeffs.pop(key, None)
         return BiSeries(self.ring, coeffs, trunc)
 
-    def invert(self):
-        const = self.coeffs.get((0, 0))
-        if const is None:
-            raise NotInvertible("no constant term")
-        inv_const = const.invert()
-        # self = const (1 + u); invert by geometric series in u
-        u = BiSeries(self.ring,
-                     {k: inv_const * v for k, v in self.coeffs.items()
-                      if k != (0, 0)}, self.trunc)
-        acc = BiSeries.constant(self.ring, self.ring.one(), self.trunc)
-        power = acc
-        order = self.trunc
-        step = u.min_total()
-        if u.coeffs:
-            for _ in range(0, order + 1, max(step, 1)):
-                power = power * (-u)
-                if not power.coeffs:
-                    break
-                acc = acc + power
-        return acc.scale(inv_const)
-
     def divide_z1_minus_z2(self):
         """Exact quotient by (z1 - z2); requires a zero diagonal.
 
@@ -138,11 +115,6 @@ class BiSeries:
                 if val:
                     quotient[(i - 1, j)] = val
         return BiSeries(self.ring, quotient, self.trunc - 1)
-
-    def transpose(self):
-        return BiSeries(self.ring,
-                        {(j, i): v for (i, j), v in self.coeffs.items()},
-                        self.trunc)
 
     def coeff(self, i, j):
         return self.coeffs.get((i, j), self.ring.zero())

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -206,14 +207,15 @@ def write_bytes(path, data):
 
 
 def write_csv(path, doc):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["g", "bos", "fer", "value"])
-        for entry in doc["entries"]:
-            writer.writerow([entry["g"],
-                             " ".join(map(str, entry["bos"])),
-                             " ".join(map(str, entry["fer"])),
-                             entry["value"]])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["g", "bos", "fer", "value"])
+    for entry in doc["entries"]:
+        writer.writerow([entry["g"],
+                         " ".join(map(str, entry["bos"])),
+                         " ".join(map(str, entry["fer"])),
+                         entry["value"]])
+    write_bytes(path, text.getvalue().encode("utf-8"))
 
 
 # --- cache ------------------------------------------------------------------
@@ -269,12 +271,6 @@ def cache_store(doc):
 # --- computation ------------------------------------------------------------
 
 
-def _run_engine(curve, chi_max, engine):
-    if engine == "tr":
-        return run_tr(curve, chi_max)
-    return run_airy(curve, chi_max)
-
-
 def _diff_report(doc_tr, doc_airy):
     left = {(e["g"], tuple(e["bos"]), tuple(e["fer"])): e["value"]
             for e in doc_tr["entries"]}
@@ -288,30 +284,33 @@ def _diff_report(doc_tr, doc_airy):
     return lines
 
 
+def engine_document(curve, digest, chi_max, engine):
+    """Result document of one engine, or of both after an entry-for-entry
+    diff ("both"); never touches the cache."""
+    if curve.trunc < required_truncation(curve.epsilon, chi_max):
+        raise TruncationError(
+            f"truncation {curve.trunc} below the required "
+            f"{required_truncation(curve.epsilon, chi_max)} "
+            f"for chi_max={chi_max}")
+    if engine != "both":
+        run = run_tr if engine == "tr" else run_airy
+        return tensor_document(run(curve, chi_max), digest, chi_max, engine)
+    doc_tr = tensor_document(run_tr(curve, chi_max), digest, chi_max, "both")
+    doc_airy = tensor_document(run_airy(curve, chi_max), digest, chi_max,
+                               "both")
+    diff = _diff_report(doc_tr, doc_airy)
+    if diff:
+        raise MismatchError("engine outputs differ:\n" + "\n".join(diff))
+    return doc_tr
+
+
 def compute_document(curve, canonical, chi_max, engine, use_cache=True):
     digest = curve_hash(canonical)
     if use_cache:
         cached = cache_load(digest, chi_max, engine)
         if cached is not None:
             return cached
-    if curve.trunc < required_truncation(curve.epsilon, chi_max):
-        raise TruncationError(
-            f"truncation {curve.trunc} below the required "
-            f"{required_truncation(curve.epsilon, chi_max)} "
-            f"for chi_max={chi_max}")
-    if engine == "both":
-        doc_tr = tensor_document(run_tr(curve, chi_max), digest, chi_max,
-                                 "both")
-        doc_airy = tensor_document(run_airy(curve, chi_max), digest,
-                                   chi_max, "both")
-        diff = _diff_report(doc_tr, doc_airy)
-        if diff:
-            raise MismatchError("engine outputs differ:\n"
-                                + "\n".join(diff))
-        doc = doc_tr
-    else:
-        doc = tensor_document(_run_engine(curve, chi_max, engine), digest,
-                              chi_max, engine)
+    doc = engine_document(curve, digest, chi_max, engine)
     if not use_cache:
         cached = cache_load(digest, chi_max, engine)
         if cached is not None and canonical_bytes(cached) \
@@ -336,6 +335,8 @@ def cmd_compute(args):
     if args.chi_max > CHI_WARN:
         print(f"warning: chi-max {args.chi_max} > {CHI_WARN}; expect "
               "combinatorial growth in run time", file=sys.stderr)
+    if args.csv and not args.out:
+        raise SpecError("--csv requires --out")
     curve, canonical = _resolve_curve(args)
     doc = compute_document(curve, canonical, args.chi_max, args.engine,
                            use_cache=not args.no_cache)
@@ -345,8 +346,6 @@ def cmd_compute(args):
     else:
         sys.stdout.write(data.decode("utf-8"))
     if args.csv:
-        if not args.out:
-            raise SpecError("--csv requires --out")
         write_csv(args.out + ".csv", doc)
     return 0
 
@@ -356,19 +355,8 @@ def cmd_crosscheck(args):
         raise SpecError(f"chi-max must be >= 3 (got {args.chi_max})")
     curve, canonical = _resolve_curve(args)
     digest = curve_hash(canonical)
-    if curve.trunc < required_truncation(curve.epsilon, args.chi_max):
-        raise TruncationError(
-            f"truncation {curve.trunc} insufficient for "
-            f"chi_max={args.chi_max}")
-    doc_tr = tensor_document(run_tr(curve, args.chi_max), digest,
-                             args.chi_max, "both")
-    doc_airy = tensor_document(run_airy(curve, args.chi_max), digest,
-                               args.chi_max, "both")
-    if canonical_bytes(doc_tr) != canonical_bytes(doc_airy):
-        diff = _diff_report(doc_tr, doc_airy)
-        first = diff[0] if diff else "  (serialization divergence)"
-        raise MismatchError("engines diverge; first divergence:\n" + first)
-    print(f"crosscheck ok: {len(doc_tr['entries'])} entries, "
+    doc = engine_document(curve, digest, args.chi_max, "both")
+    print(f"crosscheck ok: {len(doc['entries'])} entries, "
           f"chi_max={args.chi_max}, curve {digest[:12]}")
     return 0
 

@@ -35,13 +35,17 @@ class CurveData:
         self.phi = {}
         for (k, l), v in phi.items():
             if v:
-                assert k <= l, "phi stored as upper triangle"
+                if not 1 <= k <= l:
+                    raise ShapeError(
+                        f"phi stored as upper triangle from 1: {k},{l}")
                 self.phi[(k, l)] = v
         self.psi0 = {k: v for k, v in psi0.items() if v}
         self.psiA = {}
         for (k, l), v in psiA.items():
             if v:
-                assert 1 <= k < l, "psiA stored as strict upper triangle"
+                if not 1 <= k < l:
+                    raise ShapeError(
+                        f"psiA stored as strict upper triangle: {k},{l}")
                 self.psiA[(k, l)] = v
         self.trunc = trunc
         self.validate()

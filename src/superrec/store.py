@@ -4,7 +4,9 @@ An entry F(g; i_1..i_n | j_1..j_2m) is symmetric in the bosonic indices i
 and antisymmetric in the fermionic indices j. Entries are stored under the
 canonical key (bosonic sorted ascending, fermionic strictly ascending) and
 retrieval/storage with permuted index lists applies the sign of the
-fermionic sorting permutation.
+fermionic sorting permutation. `LazyTensor` is the scaffolding both solvers
+share: level enumeration of candidate keys and the memoized, zero-filtered
+lookup that computes an entry on first use.
 """
 
 from __future__ import annotations
@@ -20,6 +22,14 @@ class StabilityError(Exception):
 
 class IndexBoundError(Exception):
     """An index exceeding the level bound B(chi) = epsilon*(chi - 2)."""
+
+
+class MissingDependency(Exception):
+    """A lookup beyond the configured maximum level."""
+
+
+class UnsolvedEntry(Exception):
+    """An entry with no slot to solve for, or needed while being solved."""
 
 
 def index_bound(chi, epsilon=3):
@@ -161,3 +171,108 @@ class CorrTensor:
 
     def nonzero_equal(self, other):
         return self.entries == other.entries
+
+
+class LazyTensor:
+    """A CorrTensor whose entries are computed on first lookup.
+
+    A solver subclasses this and supplies compute_entry(g, bos, fer) for a
+    canonical key; everything else here is shared. With bosonic_only set,
+    every key with a fermionic slot is zero and never enumerated.
+    """
+
+    def __init__(self, ring, chi_max, epsilon, bosonic_only=False):
+        self.ring = ring
+        self.chi_max = chi_max
+        self.epsilon = epsilon
+        self.bosonic_only = bosonic_only
+        self.tensor = CorrTensor(ring, chi_max, epsilon)
+        self._done = set()
+        self._pending = set()
+
+    def value(self, g, bos, fer):
+        """Canonical tensor entry, computed on demand and memoized."""
+        bos = tuple(sorted(bos))
+        fer_sorted, sign = _sort_with_sign(fer)
+        if sign == 0:
+            return self.ring.zero()
+        key = (g, bos, fer_sorted)
+        if key in self._pending:
+            # a memoized read here would silently return zero for an
+            # entry that is still being solved
+            raise UnsolvedEntry(f"cyclic dependency at {key}")
+        if key not in self._done:
+            self._done.add(key)
+            self._pending.add(key)
+            try:
+                val = self.compute_entry(g, bos, fer_sorted)
+            finally:
+                self._pending.discard(key)
+            self.tensor.set(g, bos, fer_sorted, val)
+        out = self.tensor.get(g, bos, fer_sorted)
+        return out if sign == 1 else -out
+
+    def flookup(self, g, bos, fer):
+        """Tensor entry, zero for out-of-range or unstable arguments."""
+        if g < 0:
+            return self.ring.zero()
+        if any(i < 1 for i in bos) or any(j < 0 for j in fer):
+            return self.ring.zero()
+        if len(fer) % 2 or (self.bosonic_only and fer):
+            return self.ring.zero()
+        chi = 2 * g + len(bos) + len(fer)
+        if chi <= 2:
+            return self.ring.zero()
+        if chi > self.chi_max:
+            raise MissingDependency(
+                f"level {chi} beyond configured maximum {self.chi_max}")
+        if any(i % 2 == 0 for i in bos) or any(j % 2 for j in fer):
+            return self.ring.zero()
+        bound = index_bound(chi, self.epsilon)
+        if any(i > bound for i in bos) or any(j > bound for j in fer):
+            return self.ring.zero()
+        return self.value(g, bos, fer)
+
+    def level_keys(self, chi):
+        """All canonical candidate keys at a level."""
+        bound = index_bound(chi, self.epsilon)
+        odd = list(range(1, bound + 1, 2))
+        even = list(range(0, bound + 1, 2))
+        keys = []
+        for g in range(chi // 2 + 1):
+            rem = chi - 2 * g
+            for n in range(rem + 1):
+                two_m = rem - n
+                if two_m % 2 or (n == 0 and two_m == 0):
+                    continue  # odd fermionic count, or no slot to solve for
+                if self.bosonic_only and two_m:
+                    continue
+                for bos in _multisets(odd, n):
+                    for fer in _subsets(even, two_m):
+                        keys.append((g, bos, fer))
+        return keys
+
+    def run(self):
+        """Every entry up to chi_max, level by level; returns the tensor."""
+        for chi in range(3, self.chi_max + 1):
+            for g, bos, fer in self.level_keys(chi):
+                self.value(g, bos, fer)
+        return self.tensor
+
+
+def _multisets(values, size):
+    if size == 0:
+        yield ()
+        return
+    for idx, v in enumerate(values):
+        for rest in _multisets(values[idx:], size - 1):
+            yield (v,) + rest
+
+
+def _subsets(values, size):
+    if size == 0:
+        yield ()
+        return
+    for idx, v in enumerate(values):
+        for rest in _subsets(values[idx + 1:], size - 1):
+            yield (v,) + rest

@@ -20,17 +20,9 @@ from fractions import Fraction
 
 from .curve import CurveBases
 from .series import FormalSeries, TruncationError
-from .store import (CorrTensor, IndexBoundError, _sort_with_sign,
+# MissingDependency is raised by the inherited lookup; re-exported here
+from .store import (IndexBoundError, LazyTensor, MissingDependency,
                     index_bound, iter_partitions)
-
-# A slot series is the coefficient of one basis element in a correlation
-# form, viewed as a Laurent series in the recursion variable occupying one
-# slot (dz-weight 1 for a bosonic slot, odd parity for a fermionic one).
-SlotSeries = FormalSeries
-
-
-class MissingDependency(Exception):
-    """A lookup beyond the configured maximum level."""
 
 
 class NonzeroEvenIndex(Exception):
@@ -90,57 +82,22 @@ class KernelWeights:
         return self._column(q, (1, 1), NonzeroOddIndex, 0, bound)
 
 
-class TrSolver:
+class TrSolver(LazyTensor):
+    # bound in this class body, not only inherited, so that perfbench can
+    # wrap each engine's lookups, levels and runs on their own
+    flookup = LazyTensor.flookup
+    level_keys = LazyTensor.level_keys
+    run = LazyTensor.run
+
     def __init__(self, curve, chi_max):
+        super().__init__(curve.ring, chi_max, curve.epsilon)
         self.curve = curve
-        self.ring = curve.ring
-        self.chi_max = chi_max
-        self.epsilon = curve.epsilon
         self.bases = CurveBases(curve, chi_max)
         self.kernel = KernelWeights(self.bases)
-        self.tensor = CorrTensor(self.ring, chi_max, self.epsilon)
         self._half = self.ring.rational(Fraction(1, 2))
-        self._done = set()
         self._factors = {}
         self._br_columns = {}
         self._fr_columns = {}
-
-    # --- lookups -----------------------------------------------------------
-
-    def value(self, g, bos, fer):
-        """Canonical tensor entry, computed on demand and memoized."""
-        bos = tuple(sorted(bos))
-        fer_sorted, sign = _sort_with_sign(fer)
-        if sign == 0:
-            return self.ring.zero()
-        key = (g, bos, fer_sorted)
-        if key not in self._done:
-            self._done.add(key)
-            val = self.compute_entry(g, bos, fer_sorted)
-            self.tensor.set(g, bos, fer_sorted, val)
-        out = self.tensor.get(g, bos, fer_sorted)
-        return out if sign == 1 else -out
-
-    def flookup(self, g, bos, fer):
-        """Tensor entry, zero for out-of-range or unstable arguments."""
-        if g < 0:
-            return self.ring.zero()
-        if any(i < 1 for i in bos) or any(j < 0 for j in fer):
-            return self.ring.zero()
-        if len(fer) % 2:
-            return self.ring.zero()
-        chi = 2 * g + len(bos) + len(fer)
-        if chi <= 2:
-            return self.ring.zero()
-        if chi > self.chi_max:
-            raise MissingDependency(
-                f"level {chi} beyond configured maximum {self.chi_max}")
-        if any(i % 2 == 0 for i in bos) or any(j % 2 for j in fer):
-            return self.ring.zero()
-        bound = index_bound(chi, self.epsilon)
-        if any(i > bound for i in bos) or any(j > bound for j in fer):
-            return self.ring.zero()
-        return self.value(g, bos, fer)
 
     # --- lower correlation series in the recursion variable -----------------
 
@@ -347,29 +304,6 @@ class TrSolver:
                         f"fermionic route {alt}")
             return val
         return self.fermionic_value(g, bos, fer)
-
-    def level_keys(self, chi):
-        from .airyengine import _multisets, _subsets
-        bound = index_bound(chi, self.epsilon)
-        odd = [i for i in range(1, bound + 1, 2)]
-        even = [j for j in range(0, bound + 1, 2)]
-        keys = []
-        for g in range(chi // 2 + 1):
-            rem = chi - 2 * g
-            for n in range(rem + 1):
-                two_m = rem - n
-                if two_m % 2 or (n == 0 and two_m == 0):
-                    continue
-                for bos in _multisets(odd, n):
-                    for fer in _subsets(even, two_m):
-                        keys.append((g, bos, fer))
-        return keys
-
-    def run(self):
-        for chi in range(3, self.chi_max + 1):
-            for g, bos, fer in self.level_keys(chi):
-                self.value(g, bos, fer)
-        return self.tensor
 
 
 def run_tr(curve, chi_max):

@@ -34,8 +34,11 @@ def rat(value):
 
 
 def report(number, failures, detail):
-    verdict = "PASS" if not failures else "FAIL"
-    print(f"criterion {number}: {verdict} ({detail})")
+    """Print the verdict line: the success detail on PASS, the first
+    failures on FAIL."""
+    first = "; ".join(str(f) for f in failures[:10])
+    verdict = f"FAIL ({first})" if failures else f"PASS ({detail})"
+    print(f"criterion {number}: {verdict}")
     assert not failures, f"criterion {number}: " + "; ".join(
         str(f) for f in failures[:10])
 

@@ -8,9 +8,12 @@ insufficient truncation, and engine mismatch.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import superrec
 from superrec.cli import (EXIT_MISMATCH, EXIT_PARSE, EXIT_TRUNCATION,
                           build_curve, canonical_bytes, document_entries,
                           load_spec_document, main)
@@ -101,6 +104,32 @@ def test_parse_errors(tmp_path, capsys):
     doc["zoo"] = {"name": "airy"}
     assert main(["compute", "--curve", write_spec(tmp_path, doc, "e.json")]) \
         == EXIT_PARSE
+
+
+def test_triangle_shape_errors_under_optimized_python(tmp_path):
+    # the triangle checks must not be asserts, which `python -O` strips
+    src = os.path.dirname(os.path.dirname(os.path.abspath(superrec.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for key, index in (("phi", "2,1"), ("phi", "0,1"), ("psiA", "2,1")):
+        doc = dict(EXPLICIT_SPEC, **{key: {index: "1"}})
+        spec = write_spec(tmp_path, doc, "shape.json")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "superrec.cli", "compute",
+             "--curve", spec, "--chi-max", "3"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_PARSE, (key, index, proc.stderr)
+        assert "triangle" in proc.stderr
+
+
+def test_csv_without_out_is_rejected_before_any_work(tmp_path, monkeypatch,
+                                                     capsys):
+    def boom(curve, chi_max):
+        raise AssertionError("engine must not run")
+    monkeypatch.setattr("superrec.cli.run_tr", boom)
+    assert main(["compute", "--curve", "airy", "--chi-max", "3",
+                 "--csv"]) == EXIT_PARSE
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "cache").exists()
 
 
 def test_truncation_exit_code(tmp_path):

@@ -1,13 +1,18 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from superrec.airyengine import AirySolver
+from superrec.curve import CurveData
 from superrec.scalars import Ring
 from superrec.store import (
-    CorrTensor, IndexBoundError, ParityError, StabilityError,
-    index_bound, iter_partitions, partition_sign)
+    CorrTensor, IndexBoundError, LazyTensor, MissingDependency, ParityError,
+    StabilityError, UnsolvedEntry, index_bound, iter_partitions,
+    partition_sign)
+from superrec.trengine import TrSolver
 
 
 RING = Ring([])
+AIRY = CurveData(RING, 3, {3: RING.one()}, {}, {}, {}, 26)
 
 
 @pytest.fixture
@@ -96,3 +101,34 @@ def test_get_set_sign_roundtrip(perm):
                      if perm[a] > perm[b])
     expected = value if inversions % 2 == 0 else -value
     assert got == expected
+
+
+@pytest.mark.parametrize("solver_cls", [TrSolver, AirySolver])
+def test_lazy_lookup_guards(solver_cls):
+    solver = solver_cls(AIRY, 4)
+    with pytest.raises(MissingDependency):
+        solver.flookup(2, (1,), ())
+    # an entry that needs itself must fail loudly, not read a stale zero
+    solver.compute_entry = lambda g, bos, fer: solver.value(g, bos, fer)
+    with pytest.raises(UnsolvedEntry, match="cyclic dependency"):
+        solver.flookup(0, (1, 1, 1), ())
+
+
+@pytest.mark.parametrize("bosonic_only", [False, True])
+def test_level_keys_are_canonical_candidates(bosonic_only):
+    lazy = LazyTensor(RING, 6, 3, bosonic_only)
+    full = LazyTensor(RING, 6, 3)
+    for chi in range(3, 7):
+        keys = lazy.level_keys(chi)
+        assert len(set(keys)) == len(keys)
+        bound = index_bound(chi)
+        for g, bos, fer in keys:
+            assert 2 * g + len(bos) + len(fer) == chi
+            assert list(bos) == sorted(bos)
+            assert all(i % 2 == 1 and i <= bound for i in bos)
+            assert all(a < b for a, b in zip(fer, fer[1:]))
+            assert all(j % 2 == 0 and j <= bound for j in fer)
+        if bosonic_only:
+            assert keys == [key for key in full.level_keys(chi)
+                            if not key[2]]
+            assert lazy.flookup(0, (1,), (0, 2)).is_zero()
