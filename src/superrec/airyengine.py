@@ -3,8 +3,12 @@
 Builds the coefficient tables of the quadratic constraint operators from
 the curve data, seeds the level chi = 3 entries from the closed-form base
 equations, and then solves each level chi >= 4 equation for its unique
-leading-index unknown. Entries are computed lazily with memoization, so a
-single high-level query only touches the sectors it actually depends on.
+leading-index unknown. Each such equation is one sparse contraction: the
+coefficients are evaluated once per solver into tables of their nonzero
+values, whose (k, l) pairs drive the lookups of lower-level entries, and
+each partition of the remaining indices is enumerated once per entry.
+Entries are computed lazily with memoization, so a single high-level
+query only touches the sectors it actually depends on.
 A bosonic-only mode (fermionic content dropped, halved central constant)
 supports the genus-scaling reduction checks.
 """
@@ -26,7 +30,8 @@ class ConstraintCoeffs:
 
     Conventions: phi[a, b] = 0 unless a, b >= 1; psi[a, b] = 0 unless
     a, b >= 0; the bosonic zero mode is absent, so any table entry whose
-    bosonic argument is 0 vanishes identically.
+    bosonic argument is 0 vanishes identically. `value` and `nonzero`
+    evaluate each coefficient once and keep the nonzero ones per range.
     """
 
     def __init__(self, curve, max_index):
@@ -35,6 +40,27 @@ class ConstraintCoeffs:
         psi_max = max(curve.max_polarization_index(), max_index + 4, 4)
         self.psi = complete_psi(curve, psi_max)
         self._half = self.ring.rational(Fraction(1, 2))
+        self._values = {}
+        self._tables = {}
+
+    def value(self, kind, c, j, k):
+        """C^{kind}(c, j, k) for kind "bb", "ff" or "bf", evaluated once."""
+        key = (kind, c, j, k)
+        out = self._values.get(key)
+        if out is None:
+            out = self._values[key] = getattr(self, "c_" + kind)(c, j, k)
+        return out
+
+    def nonzero(self, kind, c, firsts, seconds):
+        """The nonzero (j, k, C^{kind}(c, j, k)) for j in firsts and k in
+        seconds, in that order; built once per argument ranges."""
+        key = (kind, c, firsts, seconds)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = [
+                (j, k, val) for j in firsts for k in seconds
+                if (val := self.value(kind, c, j, k))]
+        return table
 
     def phi_at(self, a, b):
         if a < 1 or b < 1:
@@ -150,7 +176,7 @@ class AirySolver(LazyTensor):
         bos[0] is the solved-for slot, equal to the index at p = skip_p.
         """
         base = bos[0] - skip_p  # = 2c - 4
-        out = self.ring.zero()
+        out = self.zero
         for p, tau_p in self.tau.items():
             if p == skip_p:
                 continue
@@ -162,7 +188,7 @@ class AirySolver(LazyTensor):
 
     def xi0_fer_rest(self, g, bos, fer, skip_p):
         base = fer[0] - skip_p  # = 2c - 3
-        out = self.ring.zero()
+        out = self.zero
         for p, tau_p in self.tau.items():
             if p == skip_p:
                 continue
@@ -174,33 +200,45 @@ class AirySolver(LazyTensor):
 
     # --- quadratic combinations -------------------------------------------
     #
-    # Partition terms with an unstable factor are skipped before either
-    # lookup. This is not just an optimization: a same-level factor in a
-    # product always comes paired with an unstable one, and looking it up
-    # would recurse into entries whose own dependencies may still be
-    # mid-computation, where the memoized read is not yet valid. With the
-    # guard, the only same-level lookups are the leading-sum terms, whose
-    # solved index strictly increases, so the dependency graph is acyclic.
+    # Each xi2_* sums, over a table of nonzero coefficients (k, l, C), C
+    # times the quadratic term with k and l in their slots. Partition terms
+    # with an unstable factor are skipped before either lookup. This is not
+    # just an optimization: a same-level factor in a product always comes
+    # paired with an unstable one, and looking it up would recurse into
+    # entries whose own dependencies may still be mid-computation, where
+    # the memoized read is not yet valid. With the guard, every product
+    # factor is at level <= chi - 2 and the F_{g-1} term at chi - 1, so the
+    # only same-level lookups are the leading-sum terms, whose solved index
+    # strictly increases, and the dependency graph is acyclic.
 
-    def xi2_bb(self, g, k, l, bos, fer):
-        """F_{g-1}(k,l,J|K) + sum of signed products F(k,J1|K1)F(l,J2|K2)."""
-        return self._xi2(g, bos, fer, ((k,), ()), ((l,), ()), 1)
+    def xi2_bb(self, g, pairs, bos, fer):
+        """Sum of C * [F_{g-1}(k,l,J|K) + signed F(k,J1|K1)F(l,J2|K2)]."""
+        return self._xi2(g, pairs, bos, fer, False, False, 1)
 
-    def xi2_ff(self, g, k, l, bos, fer):
-        """-F_{g-1}(J|k,l,K) + sum of signed products F(J1|k,K1)F(J2|l,K2)."""
-        return self._xi2(g, bos, fer, ((), (k,)), ((), (l,)), -1)
+    def xi2_ff(self, g, pairs, bos, fer):
+        """Sum of C * [-F_{g-1}(J|k,l,K) + signed F(J1|k,K1)F(J2|l,K2)]."""
+        return self._xi2(g, pairs, bos, fer, True, True, -1)
 
-    def xi2_bf(self, g, k, l, bos, fer):
-        """F_{g-1}(k,J|l,K) + sum of signed products F(k,J1|K1)F(J2|l,K2)."""
-        return self._xi2(g, bos, fer, ((k,), ()), ((), (l,)), 1)
+    def xi2_bf(self, g, pairs, bos, fer):
+        """Sum of C * [F_{g-1}(k,J|l,K) + signed F(k,J1|K1)F(J2|l,K2)]."""
+        return self._xi2(g, pairs, bos, fer, False, True, 1)
 
-    def _xi2(self, g, bos, fer, k_slot, l_slot, lead_sign):
-        """The quadratic sum with k and l in the given (bosonic, fermionic)
-        slot pairs: lead_sign * F_{g-1}(k, l, ...) plus the signed products
-        F_{g1}(k, J1|K1) F_{g-g1}(l, J2|K2) over partitions of J and K."""
-        kb, kf = k_slot
-        lb, lf = l_slot
-        out = self.flookup(g - 1, kb + lb + bos, kf + lf + fer)
+    def _xi2(self, g, pairs, bos, fer, k_fermionic, l_fermionic, lead_sign):
+        """The quadratic sum over pairs (k, l, C) with k and l in the given
+        (fermionic or bosonic) slots: C times lead_sign * F_{g-1}(k, l, ...)
+        plus the signed products F_{g1}(k, J1|K1) F_{g-g1}(l, J2|K2) over
+        partitions of J and K. Each partition is enumerated once; a second
+        factor is looked up only for an l paired with a nonzero first."""
+        out = self.zero
+        if not pairs:
+            return out
+        rows = {}
+        for k, l, val in pairs:
+            lead = self.flookup(g - 1, *_place(
+                k, k_fermionic, *_place(l, l_fermionic, bos, fer)))
+            if lead:
+                out = out + val * lead
+            rows.setdefault(k, []).append((l, val))
         if lead_sign == -1:
             out = -out
         for bos1, bos2, _ in iter_partitions(bos):
@@ -208,14 +246,26 @@ class AirySolver(LazyTensor):
                 for g1 in range(g + 1):
                     if not _stable_pair(g, g1, bos1, fer1, bos2, fer2):
                         continue
-                    a = self.flookup(g1, kb + bos1, kf + fer1)
-                    if not a:
-                        continue
-                    b = self.flookup(g - g1, lb + bos2, lf + fer2)
-                    if not b:
-                        continue
-                    term = a * b
-                    out = out + (term if sign == 1 else -term)
+                    seconds = {}
+                    part = self.zero
+                    for k, row in rows.items():
+                        a = self.flookup(
+                            g1, *_place(k, k_fermionic, bos1, fer1))
+                        if not a:
+                            continue
+                        inner = self.zero
+                        for l, val in row:
+                            b = seconds.get(l)
+                            if b is None:
+                                b = seconds[l] = self.flookup(
+                                    g - g1, *_place(l, l_fermionic,
+                                                    bos2, fer2))
+                            if b:
+                                inner = inner + val * b
+                        if inner:
+                            part = part + a * inner
+                    if part:
+                        out = out + (part if sign == 1 else -part)
         return out
 
     # --- level equations ---------------------------------------------------
@@ -231,6 +281,7 @@ class AirySolver(LazyTensor):
         c = (b0 + 4 - eps) // 2
         assert 2 * c + eps - 4 == b0 and c >= 1
         ring = self.ring
+        coeffs = self.coeffs
         rest = bos[1:]
         chi = 2 * g + len(bos) + len(fer)
         acc = self.xi0_bos_rest(g, bos, fer, eps)
@@ -238,14 +289,14 @@ class AirySolver(LazyTensor):
             # base level: the quadratic terms collapse to constants
             if len(bos) == 3:
                 j, k = rest
-                val = self.coeffs.c_bb(c, -j, -k)
+                val = coeffs.value("bb", c, -j, -k)
                 if val:
                     acc = acc + val * ring.rational(j * k)
             elif len(bos) == 1 and len(fer) == 0:
-                acc = acc + self.coeffs.d(c, self.bosonic_only)
+                acc = acc + coeffs.d(c, self.bosonic_only)
             elif len(bos) == 1 and len(fer) == 2:
                 j, k = fer
-                val = self.coeffs.c_ff(c, -j, -k)
+                val = coeffs.value("ff", c, -j, -k)
                 if val:
                     denom = 1 + (1 if j == 0 else 0) + (1 if k == 0 else 0)
                     acc = acc + val * ring.rational(Fraction(1, denom))
@@ -253,39 +304,30 @@ class AirySolver(LazyTensor):
             # the quadratic sums carry the 1/2 prefactor of the bilinear
             # part of the constraint operators (it cancels only in the
             # mixed single-F terms below, by index symmetry)
-            half = ring.rational(Fraction(1, 2))
             kmax = index_bound(chi - 1, eps)
-            for k in range(0, kmax + 1):
-                for l in range(0, kmax + 1):
-                    val = self.coeffs.c_bb(c, k, l)
-                    if val:
-                        term = self.xi2_bb(g, k, l, rest, fer)
-                        if term:
-                            acc = acc + half * val * term
-                    if not self.bosonic_only:
-                        val = self.coeffs.c_ff(c, k, l)
-                        if val:
-                            term = self.xi2_ff(g, k, l, rest, fer)
-                            if term:
-                                acc = acc + half * val * term
-            for k in range(0, kmax + 1):
-                for pos in range(len(rest)):
-                    val = self.coeffs.c_bb(c, -rest[pos], k)
-                    if val:
-                        sub = rest[:pos] + rest[pos + 1:]
-                        term = self.flookup(g, (k,) + sub, fer)
-                        if term:
-                            acc = acc + val * term \
-                                * ring.rational(rest[pos])
-                for pos in range(len(fer)):
-                    val = self.coeffs.c_ff(c, -fer[pos], k)
-                    if val:
-                        sub = fer[:pos] + fer[pos + 1:]
-                        term = self.flookup(g, rest, (k,) + sub)
-                        if term:
-                            denom = 2 if fer[pos] == 0 else 1
-                            sign = Fraction((-1) ** pos, denom)
-                            acc = acc + val * term * ring.rational(sign)
+            odd, even = _bosonic_slots(kmax), _fermionic_slots(kmax)
+            quad = self.xi2_bb(g, coeffs.nonzero("bb", c, odd, odd),
+                               rest, fer)
+            if not self.bosonic_only:
+                quad = quad + self.xi2_ff(
+                    g, coeffs.nonzero("ff", c, even, even), rest, fer)
+            if quad:
+                acc = acc + ring.rational(Fraction(1, 2)) * quad
+            for pos, j in enumerate(rest):
+                sub = rest[:pos] + rest[pos + 1:]
+                weight = ring.rational(j)
+                for _, k, val in coeffs.nonzero("bb", c, (-j,), odd):
+                    term = self.flookup(g, (k,) + sub, fer)
+                    if term:
+                        acc = acc + val * term * weight
+            for pos, j in enumerate(fer):
+                sub = fer[:pos] + fer[pos + 1:]
+                weight = ring.rational(
+                    Fraction((-1) ** pos, 2 if j == 0 else 1))
+                for _, k, val in coeffs.nonzero("ff", c, (-j,), even):
+                    term = self.flookup(g, rest, (k,) + sub)
+                    if term:
+                        acc = acc + val * term * weight
         return -(self.inv_tau_eps * acc)
 
     def solve_fermionic_entry(self, g, bos, fer):
@@ -295,6 +337,7 @@ class AirySolver(LazyTensor):
         c = (f0 + 3 - eps) // 2
         assert 2 * c + eps - 3 == f0 and c >= 1 and f0 >= 2
         ring = self.ring
+        coeffs = self.coeffs
         rest = fer[1:]
         chi = 2 * g + len(bos) + len(fer)
         acc = self.xi0_fer_rest(g, bos, fer, eps)
@@ -303,37 +346,32 @@ class AirySolver(LazyTensor):
             assert len(bos) == 1 and len(fer) == 2
             j = bos[0]
             k = rest[0]
-            val = self.coeffs.c_bf(c, -j, -k)
+            val = coeffs.value("bf", c, -j, -k)
             if val:
                 denom = 2 if k == 0 else 1
                 acc = acc + val * ring.rational(Fraction(j, denom))
         else:
             kmax = index_bound(chi - 1, eps)
-            for k in range(0, kmax + 1):
-                for l in range(0, kmax + 1):
-                    val = self.coeffs.c_bf(c, k, l)
-                    if val:
-                        term = self.xi2_bf(g, k, l, bos, rest)
-                        if term:
-                            acc = acc + val * term
-            for k in range(0, kmax + 1):
-                for pos in range(len(bos)):
-                    val = self.coeffs.c_bf(c, -bos[pos], k)
-                    if val:
-                        sub = bos[:pos] + bos[pos + 1:]
-                        term = self.flookup(g, sub, (k,) + rest)
-                        if term:
-                            acc = acc + val * term \
-                                * ring.rational(bos[pos])
-                for pos in range(len(rest)):
-                    val = self.coeffs.c_bf(c, k, -rest[pos])
-                    if val:
-                        sub = rest[:pos] + rest[pos + 1:]
-                        term = self.flookup(g, (k,) + bos, sub)
-                        if term:
-                            denom = 2 if rest[pos] == 0 else 1
-                            sign = Fraction((-1) ** pos, denom)
-                            acc = acc + val * term * ring.rational(sign)
+            odd, even = _bosonic_slots(kmax), _fermionic_slots(kmax)
+            quad = self.xi2_bf(g, coeffs.nonzero("bf", c, odd, even),
+                               bos, rest)
+            if quad:
+                acc = acc + quad
+            for pos, j in enumerate(bos):
+                sub = bos[:pos] + bos[pos + 1:]
+                weight = ring.rational(j)
+                for _, k, val in coeffs.nonzero("bf", c, (-j,), even):
+                    term = self.flookup(g, sub, (k,) + rest)
+                    if term:
+                        acc = acc + val * term * weight
+            for pos, j in enumerate(rest):
+                sub = rest[:pos] + rest[pos + 1:]
+                weight = ring.rational(
+                    Fraction((-1) ** pos, 2 if j == 0 else 1))
+                for k, _, val in coeffs.nonzero("bf", c, odd, (-j,)):
+                    term = self.flookup(g, (k,) + bos, sub)
+                    if term:
+                        acc = acc + val * term * weight
         return -(self.inv_tau_eps * acc)
 
     # --- driver ------------------------------------------------------------
@@ -353,6 +391,22 @@ class AirySolver(LazyTensor):
                 return -value
             return self.solve_fermionic_entry(g, bos, fer)
         raise UnsolvedEntry(f"no slot to solve for in g={g}")
+
+
+def _bosonic_slots(kmax):
+    """Indices a bosonic slot can hold up to kmax; every other index there
+    gives an identically zero entry."""
+    return range(1, kmax + 1, 2)
+
+
+def _fermionic_slots(kmax):
+    """Indices a fermionic slot can hold up to kmax."""
+    return range(0, kmax + 1, 2)
+
+
+def _place(index, fermionic, bos, fer):
+    """(bos, fer) with index prepended to the slot of the given kind."""
+    return (bos, (index,) + fer) if fermionic else ((index,) + bos, fer)
 
 
 def _stable_pair(g, g1, bos1, fer1, bos2, fer2):

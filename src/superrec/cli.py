@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -227,9 +228,25 @@ def cache_directory():
         os.path.join(os.path.expanduser("~"), ".cache", "superrec"))
 
 
+@functools.cache
+def code_digest():
+    """sha256 over this package's own sources, read once per process: a
+    result cached by other code is never served."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as handle:
+                source = handle.read()
+            digest.update(name.encode("utf-8") + b"\0")
+            digest.update(hashlib.sha256(source).digest())
+    return digest.hexdigest()
+
+
 def _cache_path(digest, chi_max, engine):
-    return os.path.join(cache_directory(),
-                        f"{digest}-{chi_max}-{engine}.json")
+    return os.path.join(
+        cache_directory(),
+        f"{digest}-{chi_max}-{engine}-{code_digest()[:16]}.json")
 
 
 def cache_load(digest, chi_max, engine):
@@ -464,6 +481,8 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="superrec",
         description="exact correlation tensors on local super curves")
+    parser.add_argument("--debug", action="store_true",
+                        help="print the traceback of an internal error")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="run an engine and export the tensor")
@@ -516,7 +535,12 @@ def main(argv=None):
     except MismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        if args.debug:
+            # imported only here: it is the one user of the module, and
+            # loading it adds to the start-up time and memory of every run
+            import traceback
+            traceback.print_exc(file=sys.stderr)
         print(f"internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_INTERNAL

@@ -116,6 +116,9 @@ class CorrTensor:
         self.chi_max = chi_max
         self.epsilon = epsilon
         self.entries = {}
+        # one zero for every read of an absent entry: scalars are never
+        # mutated in place, so sharing it is safe
+        self.zero = ring.zero()
 
     @staticmethod
     def chi(g, bos, fer):
@@ -125,10 +128,10 @@ class CorrTensor:
         bos = tuple(sorted(bos))
         fer, sign = _sort_with_sign(fer)
         if sign == 0:
-            return self.ring.zero()
+            return self.zero
         value = self.entries.get((g, bos, fer))
         if value is None:
-            return self.ring.zero()
+            return self.zero
         return value if sign == 1 else -value
 
     def set(self, g, bos, fer, value):
@@ -187,6 +190,7 @@ class LazyTensor:
         self.epsilon = epsilon
         self.bosonic_only = bosonic_only
         self.tensor = CorrTensor(ring, chi_max, epsilon)
+        self.zero = self.tensor.zero
         self._done = set()
         self._pending = set()
 
@@ -195,7 +199,7 @@ class LazyTensor:
         bos = tuple(sorted(bos))
         fer_sorted, sign = _sort_with_sign(fer)
         if sign == 0:
-            return self.ring.zero()
+            return self.zero
         key = (g, bos, fer_sorted)
         if key in self._pending:
             # a memoized read here would silently return zero for an
@@ -215,22 +219,23 @@ class LazyTensor:
     def flookup(self, g, bos, fer):
         """Tensor entry, zero for out-of-range or unstable arguments."""
         if g < 0:
-            return self.ring.zero()
+            return self.zero
         if any(i < 1 for i in bos) or any(j < 0 for j in fer):
-            return self.ring.zero()
+            return self.zero
         if len(fer) % 2 or (self.bosonic_only and fer):
-            return self.ring.zero()
+            return self.zero
         chi = 2 * g + len(bos) + len(fer)
         if chi <= 2:
-            return self.ring.zero()
+            return self.zero
         if chi > self.chi_max:
             raise MissingDependency(
+                f"entry (g={g}, bos={tuple(bos)}, fer={tuple(fer)}) at "
                 f"level {chi} beyond configured maximum {self.chi_max}")
         if any(i % 2 == 0 for i in bos) or any(j % 2 for j in fer):
-            return self.ring.zero()
+            return self.zero
         bound = index_bound(chi, self.epsilon)
         if any(i > bound for i in bos) or any(j > bound for j in fer):
-            return self.ring.zero()
+            return self.zero
         return self.value(g, bos, fer)
 
     def level_keys(self, chi):

@@ -6,6 +6,7 @@ closed-form low-level values plus alternative-slot consistency (the same
 entry re-derived from a different constraint instance must agree).
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from superrec.airyengine import AirySolver, ConstraintCoeffs, run_airy
 from superrec.curve import CurveBases, CurveData
 from superrec.scalars import Ring
 from superrec.series import FormalSeries
+from superrec.trengine import run_tr
+from superrec.zoo import ZooSpec, zoo_build
 
 RING = Ring([])
 
@@ -132,6 +135,41 @@ def test_trivial_polarization_table_deltas():
                 assert coeffs.c_bf(c, -j, -k) == expect_bf
 
 
+@pytest.mark.parametrize("kind", ["bb", "ff", "bf"])
+def test_nonzero_table_is_the_parity_allowed_dense_grid(kind):
+    # a bosonic slot holds odd indices >= 1, a fermionic slot even ones
+    kmax = 9
+    odd, even = range(1, kmax + 1, 2), range(0, kmax + 1, 2)
+    firsts = even if kind == "ff" else odd
+    seconds = odd if kind == "bb" else even
+    coeffs = ConstraintCoeffs(rich_curve(), 10)
+    dense = getattr(ConstraintCoeffs(rich_curve(), 10), "c_" + kind)
+    sizes = []
+    for c in range(1, 6):
+        expected = [(k, l, dense(c, k, l))
+                    for k in range(kmax + 1) for l in range(kmax + 1)
+                    if k in firsts and l in seconds and dense(c, k, l)]
+        assert coeffs.nonzero(kind, c, firsts, seconds) == expected, c
+        sizes.append(len(expected))
+    assert max(sizes) > 0
+
+
+def test_each_coefficient_is_evaluated_once(monkeypatch):
+    calls = Counter()
+    for kind in ("bb", "ff", "bf"):
+        def counted(self, c, j, k, kind=kind,
+                    original=getattr(ConstraintCoeffs, "c_" + kind)):
+            calls[(kind, c, j, k)] += 1
+            return original(self, c, j, k)
+        monkeypatch.setattr(ConstraintCoeffs, "c_" + kind, counted)
+    curve = zoo_build(ZooSpec("ramond", trunc=28))
+    tensor = run_airy(curve, 5)
+    monkeypatch.undo()
+    assert calls
+    assert [key for key, n in calls.items() if n > 1] == []
+    assert tensor.nonzero_equal(run_tr(curve, 5))
+
+
 def test_d_values():
     assert ConstraintCoeffs(airy_curve(), 6).d(2) == rat("1/4")
     assert ConstraintCoeffs(airy_curve(), 6).d(1) == RING.zero()
@@ -238,7 +276,6 @@ def test_dilaton_table_order_independence():
     # leading-sum dependency was still mid-computation, and the memoized
     # read silently returned zero. All orderings must agree with each
     # other (and they are pinned against the residue engine elsewhere).
-    from superrec.trengine import run_tr
     coeffs = [(3, rat(1)), (5, rat("1/4")), (7, rat("-2/3"))]
     orders = [coeffs, coeffs[::-1], [coeffs[0], coeffs[2], coeffs[1]]]
     reference = None

@@ -14,9 +14,10 @@ import sys
 import pytest
 
 import superrec
-from superrec.cli import (EXIT_MISMATCH, EXIT_PARSE, EXIT_TRUNCATION,
-                          build_curve, canonical_bytes, document_entries,
-                          load_spec_document, main)
+from superrec import cli
+from superrec.cli import (EXIT_INTERNAL, EXIT_MISMATCH, EXIT_PARSE,
+                          EXIT_TRUNCATION, build_curve, canonical_bytes,
+                          document_entries, load_spec_document, main)
 from superrec.trengine import run_tr
 
 EXPLICIT_SPEC = {
@@ -164,6 +165,43 @@ def test_cache_hit_and_corruption(tmp_path, monkeypatch, capsys):
     assert out.read_bytes() == first
     wrapper = json.loads((cache_dir / entry).read_text())
     assert canonical_bytes(wrapper["payload"]) == first
+
+
+def test_cache_entry_from_other_code_is_a_miss(tmp_path, monkeypatch):
+    out = tmp_path / "r.json"
+    args = ["compute", "--curve", "airy", "--chi-max", "4", "--out",
+            str(out)]
+    monkeypatch.setattr(cli, "code_digest", lambda: "0" * 64)
+    assert main(args) == 0
+    first = out.read_bytes()
+    monkeypatch.undo()
+    monkeypatch.setenv("SUPERREC_CACHE_DIR", str(tmp_path / "cache"))
+
+    runs = []
+
+    def counted(curve, chi_max):
+        runs.append(chi_max)
+        return run_tr(curve, chi_max)
+    monkeypatch.setattr("superrec.cli.run_tr", counted)
+    assert main(args) == 0
+    assert runs == [4]
+    assert out.read_bytes() == first
+    assert len(os.listdir(tmp_path / "cache")) == 2
+    assert main(args) == 0
+    assert runs == [4]
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_internal_error_traceback_on_request(monkeypatch, capsys, debug):
+    def broken(_args):
+        raise RuntimeError("deliberate fault")
+    monkeypatch.setattr(cli, "cmd_list_curves", broken)
+    argv = ["--debug"] * debug + ["list-curves"]
+    assert main(argv) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal error: RuntimeError: deliberate fault" in err
+    assert ("Traceback (most recent call last)" in err) == debug
+    assert ("in broken" in err) == debug
 
 
 def test_engine_mismatch_exit_code(tmp_path, monkeypatch, capsys):

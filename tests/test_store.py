@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -106,7 +108,9 @@ def test_get_set_sign_roundtrip(perm):
 @pytest.mark.parametrize("solver_cls", [TrSolver, AirySolver])
 def test_lazy_lookup_guards(solver_cls):
     solver = solver_cls(AIRY, 4)
-    with pytest.raises(MissingDependency):
+    with pytest.raises(MissingDependency, match=re.escape(
+            "entry (g=2, bos=(1,), fer=()) at level 5 beyond configured "
+            "maximum 4")):
         solver.flookup(2, (1,), ())
     # an entry that needs itself must fail loudly, not read a stale zero
     solver.compute_entry = lambda g, bos, fer: solver.value(g, bos, fer)
