@@ -18,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .curve import complete_psi
-from .store import LazyTensor, UnsolvedEntry, index_bound, iter_partitions
+from .store import (LazyTensor, UnsolvedEntry, index_bound, iter_partitions,
+                    slot_ranges)
 
 
 class SingularLeading(Exception):
@@ -305,7 +306,7 @@ class AirySolver(LazyTensor):
             # part of the constraint operators (it cancels only in the
             # mixed single-F terms below, by index symmetry)
             kmax = index_bound(chi - 1, eps)
-            odd, even = _bosonic_slots(kmax), _fermionic_slots(kmax)
+            odd, even = slot_ranges(kmax)
             quad = self.xi2_bb(g, coeffs.nonzero("bb", c, odd, odd),
                                rest, fer)
             if not self.bosonic_only:
@@ -352,7 +353,7 @@ class AirySolver(LazyTensor):
                 acc = acc + val * ring.rational(Fraction(j, denom))
         else:
             kmax = index_bound(chi - 1, eps)
-            odd, even = _bosonic_slots(kmax), _fermionic_slots(kmax)
+            odd, even = slot_ranges(kmax)
             quad = self.xi2_bf(g, coeffs.nonzero("bf", c, odd, even),
                                bos, rest)
             if quad:
@@ -391,17 +392,6 @@ class AirySolver(LazyTensor):
                 return -value
             return self.solve_fermionic_entry(g, bos, fer)
         raise UnsolvedEntry(f"no slot to solve for in g={g}")
-
-
-def _bosonic_slots(kmax):
-    """Indices a bosonic slot can hold up to kmax; every other index there
-    gives an identically zero entry."""
-    return range(1, kmax + 1, 2)
-
-
-def _fermionic_slots(kmax):
-    """Indices a fermionic slot can hold up to kmax."""
-    return range(0, kmax + 1, 2)
 
 
 def _place(index, fermionic, bos, fer):

@@ -231,7 +231,7 @@ def cache_directory():
 @functools.cache
 def code_digest():
     """sha256 over this package's own sources, read once per process: a
-    result cached by other code is never served."""
+    cached result whose wrapper names other code is evicted, not served."""
     package = os.path.dirname(os.path.abspath(__file__))
     digest = hashlib.sha256()
     for name in sorted(os.listdir(package)):
@@ -244,9 +244,8 @@ def code_digest():
 
 
 def _cache_path(digest, chi_max, engine):
-    return os.path.join(
-        cache_directory(),
-        f"{digest}-{chi_max}-{engine}-{code_digest()[:16]}.json")
+    return os.path.join(cache_directory(),
+                        f"{digest}-{chi_max}-{engine}.json")
 
 
 def cache_load(digest, chi_max, engine):
@@ -259,6 +258,8 @@ def cache_load(digest, chi_max, engine):
         if wrapper["sha256"] != hashlib.sha256(
                 canonical_bytes(payload)).hexdigest():
             raise ValueError("digest mismatch")
+        if wrapper["code"] != code_digest():
+            raise ValueError("code mismatch")
         if payload["curve_hash"] != digest \
                 or payload["chi_max"] != chi_max \
                 or payload["engine"] != engine:
@@ -267,7 +268,8 @@ def cache_load(digest, chi_max, engine):
     except OSError:
         return None
     except (ValueError, KeyError, TypeError):
-        # corrupt entries are evicted, never trusted
+        # corrupt entries and entries of other code are evicted, never
+        # trusted
         try:
             os.unlink(path)
         except OSError:
@@ -279,7 +281,8 @@ def cache_store(doc):
     directory = cache_directory()
     os.makedirs(directory, exist_ok=True)
     wrapper = {"payload": doc,
-               "sha256": hashlib.sha256(canonical_bytes(doc)).hexdigest()}
+               "sha256": hashlib.sha256(canonical_bytes(doc)).hexdigest(),
+               "code": code_digest()}
     write_bytes(_cache_path(doc["curve_hash"], doc["chi_max"],
                             doc["engine"]),
                 canonical_bytes(wrapper))
@@ -481,8 +484,6 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="superrec",
         description="exact correlation tensors on local super curves")
-    parser.add_argument("--debug", action="store_true",
-                        help="print the traceback of an internal error")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="run an engine and export the tensor")
@@ -536,11 +537,10 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except Exception as exc:
-        if args.debug:
-            # imported only here: it is the one user of the module, and
-            # loading it adds to the start-up time and memory of every run
-            import traceback
-            traceback.print_exc(file=sys.stderr)
+        # imported only here: it is the one user of the module, and
+        # loading it adds to the start-up time and memory of every run
+        import traceback
+        traceback.print_exc(file=sys.stderr)
         print(f"internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_INTERNAL

@@ -44,6 +44,13 @@ def index_bound(chi, epsilon=3):
     return epsilon * (chi - 2)
 
 
+def slot_ranges(bound):
+    """Indices up to bound that a (bosonic, fermionic) slot can hold: odd
+    indices >= 1 and even indices >= 0. Every other index gives an
+    identically zero entry."""
+    return range(1, bound + 1, 2), range(0, bound + 1, 2)
+
+
 def _sort_with_sign(seq):
     """Sort a sequence, returning (sorted tuple, permutation sign).
 
@@ -240,9 +247,7 @@ class LazyTensor:
 
     def level_keys(self, chi):
         """All canonical candidate keys at a level."""
-        bound = index_bound(chi, self.epsilon)
-        odd = list(range(1, bound + 1, 2))
-        even = list(range(0, bound + 1, 2))
+        odd, even = slot_ranges(index_bound(chi, self.epsilon))
         keys = []
         for g in range(chi // 2 + 1):
             rem = chi - 2 * g
