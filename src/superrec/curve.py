@@ -65,6 +65,15 @@ class CurveData:
             raise ShapeError("tau indices must be >= 1")
         if any(k < 1 for k in self.psi0):
             raise ShapeError("psi0 indices must be >= 1")
+        # index l multiplies z^(l-1), which a series truncated at trunc
+        # holds only for l <= trunc + 1
+        for what, params in (("tau", self.tau), ("phi", self.phi),
+                             ("psi0", self.psi0), ("psiA", self.psiA)):
+            for index in params:
+                top = max(index) if isinstance(index, tuple) else index
+                if top > self.trunc + 1:
+                    raise ShapeError(
+                        f"{what} index {index} past truncation {self.trunc}")
 
     def phi_at(self, k, l):
         if k > l:

@@ -11,6 +11,8 @@ lookup that computes an entry on first use.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 
 class ParityError(Exception):
     """A nonzero entry with an even bosonic or odd fermionic index."""
@@ -94,25 +96,63 @@ def partition_sign(whole, part1, part2):
     return -1 if inversions % 2 else 1
 
 
+def _gather(positions):
+    """A function taking a sequence to the tuple of its items at
+    `positions`, in order."""
+    if not positions:
+        return lambda seq: ()
+    if len(positions) == 1:
+        pos = positions[0]
+        return lambda seq: (seq[pos],)
+    return itemgetter(*positions)
+
+
+# n -> the splits of any length-n sequence in mask order, each as the
+# gathers of part1's and part2's positions and the sign; built once per
+# length and never per sequence, so memory stays at 2^n entries per length
+_SPLITS = {}
+
+
+def _split_table(n):
+    table = _SPLITS.get(n)
+    if table is None:
+        table = []
+        for mask in range(1 << n):
+            positions1 = [pos for pos in range(n) if mask >> pos & 1]
+            positions2 = [pos for pos in range(n) if not mask >> pos & 1]
+            inversions = sum(
+                1 for p1 in positions1 for p2 in positions2 if p1 > p2)
+            table.append((_gather(positions1), _gather(positions2),
+                          -1 if inversions % 2 else 1))
+        table = _SPLITS[n] = tuple(table)
+    return table
+
+
 def iter_partitions(seq):
     """All ways to split seq into two positioned sub-sequences.
 
-    Yields (part1, part2, sign) with sign = partition_sign(seq, p1, p2).
+    Yields (part1, part2, sign) with sign = partition_sign(seq, p1, p2),
+    in the order of the bit mask choosing part1's positions.
     """
-    n = len(seq)
-    for mask in range(1 << n):
-        part1, part2 = [], []
-        positions1, positions2 = [], []
-        for pos in range(n):
-            if mask >> pos & 1:
-                part1.append(seq[pos])
-                positions1.append(pos)
-            else:
-                part2.append(seq[pos])
-                positions2.append(pos)
-        inversions = sum(
-            1 for p1 in positions1 for p2 in positions2 if p1 > p2)
-        yield tuple(part1), tuple(part2), (-1 if inversions % 2 else 1)
+    for gather1, gather2, sign in _split_table(len(seq)):
+        yield gather1(seq), gather2(seq), sign
+
+
+def distinct_splits(splits):
+    """The distinct (part1, part2) among the splits `iter_partitions`
+    yields, each with the number of splits giving it, in order of first
+    occurrence.
+
+    For a multiset whose split sign is never used: a term of a sum over
+    all splits is then formed once per distinct split and weighted by
+    its multiplicity. The caller enumerates the splits, so that every
+    enumeration goes through its own `iter_partitions` name, where
+    perfbench counts it.
+    """
+    counts = {}
+    for part1, part2, _ in splits:
+        counts[part1, part2] = counts.get((part1, part2), 0) + 1
+    return [(part1, part2, mult) for (part1, part2), mult in counts.items()]
 
 
 class CorrTensor:
@@ -220,28 +260,37 @@ class LazyTensor:
             finally:
                 self._pending.discard(key)
             self.tensor.set(g, bos, fer_sorted, val)
-        out = self.tensor.get(g, bos, fer_sorted)
+        out = self.tensor.entries.get(key, self.zero)
         return out if sign == 1 else -out
 
     def flookup(self, g, bos, fer):
-        """Tensor entry, zero for out-of-range or unstable arguments."""
-        if g < 0:
-            return self.zero
-        if any(i < 1 for i in bos) or any(j < 0 for j in fer):
-            return self.zero
-        if len(fer) % 2 or (self.bosonic_only and fer):
-            return self.zero
+        """Tensor entry, zero for out-of-range or unstable arguments.
+
+        A negative genus or index, an odd fermionic count, a fermion on a
+        bosonic-only solver and an unstable key are zero at any level; a
+        wrong parity or an index above the level bound is zero only up to
+        chi_max, above which the lookup raises MissingDependency.
+        """
         chi = 2 * g + len(bos) + len(fer)
-        if chi <= 2:
+        if g < 0 or chi <= 2 or len(fer) % 2 or (self.bosonic_only and fer):
             return self.zero
+        bound = index_bound(chi, self.epsilon)
+        outside = False
+        for i in bos:
+            if i < 1:
+                return self.zero
+            if not i % 2 or i > bound:
+                outside = True
+        for j in fer:
+            if j < 0:
+                return self.zero
+            if j % 2 or j > bound:
+                outside = True
         if chi > self.chi_max:
             raise MissingDependency(
                 f"entry (g={g}, bos={tuple(bos)}, fer={tuple(fer)}) at "
                 f"level {chi} beyond configured maximum {self.chi_max}")
-        if any(i % 2 == 0 for i in bos) or any(j % 2 for j in fer):
-            return self.zero
-        bound = index_bound(chi, self.epsilon)
-        if any(i > bound for i in bos) or any(j > bound for j in fer):
+        if outside:
             return self.zero
         return self.value(g, bos, fer)
 

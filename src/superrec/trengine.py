@@ -22,7 +22,7 @@ from .curve import CurveBases
 from .series import FormalSeries, TruncationError
 # MissingDependency is raised by the inherited lookup; re-exported here
 from .store import (IndexBoundError, LazyTensor, MissingDependency,
-                    index_bound, iter_partitions)
+                    distinct_splits, index_bound, iter_partitions)
 
 
 class NonzeroEvenIndex(Exception):
@@ -101,19 +101,6 @@ class TrSolver(LazyTensor):
 
     # --- lower correlation series in the recursion variable -----------------
 
-    @staticmethod
-    def _bos_ok(g, rest_bos, fer):
-        """The factor with one bosonic z-slot exists and is not excluded."""
-        if len(fer) % 2:
-            return False
-        # the one-point line factor is excluded from the assembled series
-        return (g, len(rest_bos), len(fer)) != (0, 0, 0)
-
-    @staticmethod
-    def _fer_ok(g, bos, rest_fer):
-        """The factor with one fermionic z-slot exists."""
-        return len(rest_fer) % 2 == 1
-
     def eval_lower(self, g, bos, fer, fermionic):
         """Slot series of a lower correlation form with z in one slot.
 
@@ -188,27 +175,37 @@ class TrSolver(LazyTensor):
                             eb = bases.eta_minus(b)
                             prod = da * eb.sigma() + da.sigma() * eb
                             q = q + prod.scale(-(self._half * val))
-        for J1, J2, _ in iter_partitions(J):
-            for K1, K2, rho in iter_partitions(K):
-                for g1 in range(g + 1):
-                    g2 = g - g1
-                    if self._bos_ok(g1, J1, K1) and self._bos_ok(g2, J2, K2):
-                        b1 = self.eval_lower(g1, J1, K1, False)
-                        if not b1.is_zero():
-                            b2 = self.eval_lower(g2, J2, K2, False)
-                            if not b2.is_zero():
-                                prod = b1 * b2.sigma()
-                                q = q + (prod if rho == 1 else -prod)
-                    if self._fer_ok(g1, J1, K1) and self._fer_ok(g2, J2, K2):
-                        f1 = self.eval_lower(g1, J1, K1, True)
-                        if not f1.is_zero():
-                            f2 = self.eval_lower(g2, J2, K2, True)
-                            if not f2.is_zero():
-                                d1 = f1.derive()
-                                prod = d1 * f2.sigma() + d1.sigma() * f2
-                                scale = self._half if rho == 1 \
-                                    else -self._half
-                                q = q + prod.scale(scale)
+        # a z-slot factor needs an even remaining fermion count beside a
+        # bosonic slot and an odd one beside a fermionic slot; K is even,
+        # so K1 and K2 share their parity
+        even, odd = _splits_by_parity(K)
+        for J1, J2, mult in distinct_splits(iter_partitions(J)):
+            for g1 in range(g + 1):
+                g2 = g - g1
+                # with no fermion either, a bosonic factor of genus 0 and
+                # no remaining index is the one-point line factor, which
+                # is excluded from the assembled series
+                line1, line2 = not (g1 or J1), not (g2 or J2)
+                for K1, K2, rho in even:
+                    if (line1 and not K1) or (line2 and not K2):
+                        continue
+                    b1 = self.eval_lower(g1, J1, K1, False)
+                    if b1.is_zero():
+                        continue
+                    b2 = self.eval_lower(g2, J2, K2, False)
+                    if b2.is_zero():
+                        continue
+                    q = q + _weighted(b1 * b2.sigma(), rho * mult)
+                for K1, K2, rho in odd:
+                    f1 = self.eval_lower(g1, J1, K1, True)
+                    if f1.is_zero():
+                        continue
+                    f2 = self.eval_lower(g2, J2, K2, True)
+                    if f2.is_zero():
+                        continue
+                    d1 = f1.derive()
+                    prod = d1 * f2.sigma() + d1.sigma() * f2
+                    q = q + prod.scale(self._half * (rho * mult))
         return q
 
     def assemble_QFB(self, g, J, Kx):
@@ -230,12 +227,14 @@ class TrSolver(LazyTensor):
                         ec = bases.eta_minus(c)
                         prod = xa * ec.sigma() + xa.sigma() * ec
                         q = q + prod.scale(val)
-        for J1, J2, _ in iter_partitions(J):
-            for K1, K2, rho in iter_partitions(Kx):
-                for g1 in range(g + 1):
-                    g2 = g - g1
-                    if not (self._bos_ok(g1, J1, K1)
-                            and self._fer_ok(g2, J2, K2)):
+        # the bosonic factor needs an even share of the odd Kx
+        even, _ = _splits_by_parity(Kx)
+        for J1, J2, mult in distinct_splits(iter_partitions(J)):
+            for g1 in range(g + 1):
+                g2 = g - g1
+                line = not (g1 or J1)  # as in assemble_QBB_FF
+                for K1, K2, rho in even:
+                    if line and not K1:
                         continue
                     b = self.eval_lower(g1, J1, K1, False)
                     if b.is_zero():
@@ -244,7 +243,7 @@ class TrSolver(LazyTensor):
                     if f.is_zero():
                         continue
                     prod = b * f.sigma() + b.sigma() * f
-                    q = q + (prod if rho == 1 else -prod)
+                    q = q + _weighted(prod, rho * mult)
         return q
 
     # --- extraction columns ---------------------------------------------------
@@ -278,9 +277,9 @@ class TrSolver(LazyTensor):
         """
         if fer[0] == 0:
             column = self.fermionic_column(g, J, (0,) + fer[2:])
-            return -column.get(fer[1], self.ring.zero())
+            return -column.get(fer[1], self.zero)
         column = self.fermionic_column(g, J, fer[1:])
-        return column.get(fer[0], self.ring.zero())
+        return column.get(fer[0], self.zero)
 
     def bosonic_value(self, g, bos, fer, pos=None):
         """F(bos | fer) by the bosonic-slot route, extracting slot `pos`."""
@@ -288,7 +287,7 @@ class TrSolver(LazyTensor):
             pos = len(bos) - 1
         rest = bos[:pos] + bos[pos + 1:]
         column = self.bosonic_column(g, rest, fer)
-        return column.get(bos[pos], self.ring.zero())
+        return column.get(bos[pos], self.zero)
 
     # --- driver ----------------------------------------------------------------
 
@@ -304,6 +303,24 @@ class TrSolver(LazyTensor):
                         f"fermionic route {alt}")
             return val
         return self.fermionic_value(g, bos, fer)
+
+
+def _weighted(series, weight):
+    """series times a nonzero integer weight."""
+    if weight == 1:
+        return series
+    if weight == -1:
+        return -series
+    return series.scale(weight)
+
+
+def _splits_by_parity(K):
+    """The signed splits of K, listed once: those with an even first part,
+    then those with an odd one."""
+    even, odd = [], []
+    for split in iter_partitions(K):
+        (odd if len(split[0]) % 2 else even).append(split)
+    return even, odd
 
 
 def run_tr(curve, chi_max):

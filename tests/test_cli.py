@@ -6,6 +6,7 @@ round-trip of result documents, and the failure paths for bad specs,
 insufficient truncation, and engine mismatch.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -120,6 +121,45 @@ def test_triangle_shape_errors_under_optimized_python(tmp_path):
             env=env, capture_output=True, text=True)
         assert proc.returncode == EXIT_PARSE, (key, index, proc.stderr)
         assert "triangle" in proc.stderr
+
+
+def test_index_past_truncation_under_optimized_python(tmp_path):
+    # an index l multiplies z^(l-1), which trunc 24 cannot hold for l > 25;
+    # the check must not be an assert, which `python -O` strips
+    src = os.path.dirname(os.path.dirname(os.path.abspath(superrec.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    base = {"epsilon": 3, "tau": {"3": "1"}, "trunc": 24}
+    for key, params in (("tau", {"3": "1", "40": "1"}), ("phi", {"1,40": "1"}),
+                        ("psi0", {"40": "1"}), ("psiA", {"1,26": "1"})):
+        spec = write_spec(tmp_path, dict(base, **{key: params}), "past.json")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "superrec.cli", "compute",
+             "--curve", spec, "--chi-max", "3", "--no-cache"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_PARSE, (key, proc.stderr)
+        assert f"{key} index" in proc.stderr
+        assert "past truncation 24" in proc.stderr
+
+
+# sha256 of the result documents of phi11(t) at chi_max 5, recorded before
+# the partition-table and distinct-split assembly; a refactor of either
+# engine must leave these bytes unchanged
+PHI11_T_SPEC = {"epsilon": 3, "symbols": [{"name": "t"}], "tau": {"3": "1"},
+                "phi": {"1,1": "t"}, "trunc": 24}
+PHI11_T_CHI5_SHA256 = {
+    "tr": "c4aabe5c7cb82825130f722e0d55a242e6ba4f6ac1265c33c086772b6d72e6ec",
+    "airy": "e3333b439f025ba88e9fada1a86e3d551b1ca546e9e53a3646f91cd92d412538",
+}
+
+
+@pytest.mark.parametrize("engine", sorted(PHI11_T_CHI5_SHA256))
+def test_result_bytes_are_pinned(tmp_path, engine):
+    out = tmp_path / "r.json"
+    assert main(["compute", "--engine", engine, "--chi-max", "5",
+                 "--curve", write_spec(tmp_path, PHI11_T_SPEC),
+                 "--no-cache", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == PHI11_T_CHI5_SHA256[engine]
 
 
 def test_csv_without_out_is_rejected_before_any_work(tmp_path, monkeypatch,

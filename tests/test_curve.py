@@ -42,6 +42,21 @@ def test_admissibility():
     CurveData(RING, 1, {1: rat(1)}, {}, {}, {}, 10)
 
 
+def test_index_past_truncation():
+    # index l multiplies z^(l-1): at trunc 10 the largest index held is 11
+    def params(l):  # (tau, phi, psi0, psiA) with one index l, by name
+        tau, one = {3: rat(1)}, rat(1)
+        return {"tau": ({3: one, l: one}, {}, {}, {}),
+                "phi": (tau, {(1, l): one}, {}, {}),
+                "psi0": (tau, {}, {l: one}, {}),
+                "psiA": (tau, {}, {}, {(2, l): one})}
+    for key in ("tau", "phi", "psi0", "psiA"):
+        CurveData(RING, 3, *params(11)[key], 10)
+        with pytest.raises(ShapeError,
+                           match=f"{key} index .*12.* past truncation 10"):
+            CurveData(RING, 3, *params(12)[key], 10)
+
+
 def test_complete_psi_examples():
     c1 = CurveData(RING, 3, {3: rat(1)}, {}, {2: rat(3)}, {}, 10)
     psi = complete_psi(c1, 3)

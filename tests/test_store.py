@@ -1,4 +1,6 @@
+import inspect
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,8 +10,8 @@ from superrec.curve import CurveData
 from superrec.scalars import Ring
 from superrec.store import (
     CorrTensor, IndexBoundError, LazyTensor, MissingDependency, ParityError,
-    StabilityError, UnsolvedEntry, index_bound, iter_partitions,
-    partition_sign)
+    StabilityError, UnsolvedEntry, distinct_splits, index_bound,
+    iter_partitions, partition_sign)
 from superrec.trengine import TrSolver
 
 
@@ -90,6 +92,42 @@ def test_iter_partitions_signs_match():
     assert len(seen) == 16
 
 
+def _bitmask_partitions(seq):
+    """Reference enumeration: one bit mask per split, choosing part1's
+    positions, with the sign counted from the inversions between the two
+    position lists."""
+    n = len(seq)
+    for mask in range(1 << n):
+        positions1 = [pos for pos in range(n) if mask >> pos & 1]
+        positions2 = [pos for pos in range(n) if not mask >> pos & 1]
+        inversions = sum(
+            1 for p1 in positions1 for p2 in positions2 if p1 > p2)
+        yield (tuple(seq[pos] for pos in positions1),
+               tuple(seq[pos] for pos in positions2),
+               -1 if inversions % 2 else 1)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_iter_partitions_matches_bitmask_enumeration(n):
+    for seq in (tuple("abcdefg"[:n]), (1, 1, 3, 3, 3, 5, 5)[:n]):
+        assert list(iter_partitions(seq)) == list(_bitmask_partitions(seq))
+
+
+def test_iter_partitions_is_a_generator():
+    # callers drive it lazily and wrap it as a generator
+    assert inspect.isgeneratorfunction(iter_partitions)
+
+
+@pytest.mark.parametrize("seq", [(), (1,), (1, 1), (1, 1, 3), (1, 3, 5),
+                                 (1, 1, 1, 3, 3), (1, 3, 3, 5, 5, 5)])
+def test_distinct_splits_count_the_positioned_splits(seq):
+    splits = distinct_splits(iter_partitions(seq))
+    assert len({(p1, p2) for p1, p2, _ in splits}) == len(splits)
+    assert sum(mult for _, _, mult in splits) == 2 ** len(seq)
+    assert {(p1, p2): mult for p1, p2, mult in splits} == Counter(
+        (p1, p2) for p1, p2, _ in iter_partitions(seq))
+
+
 @given(st.permutations(list(range(6))))
 def test_get_set_sign_roundtrip(perm):
     tensor = CorrTensor(RING, 8)
@@ -136,3 +174,54 @@ def test_level_keys_are_canonical_candidates(bosonic_only):
             assert keys == [key for key in full.level_keys(chi)
                             if not key[2]]
             assert lazy.flookup(0, (1,), (0, 2)).is_zero()
+
+
+# (g, bos, fer) looked up on solvers with chi_max 4, by class. The first
+# classes are zero at any level, so above chi_max too; wrong parity and an
+# index above the level bound are zero only up to chi_max.
+ZERO_AT_ANY_LEVEL = {
+    "negative genus": (-1, (1,) * 8, ()),
+    "bosonic index below 1": (2, (-1,), ()),
+    "negative fermionic index": (2, (1,), (-2, 0)),
+    "odd fermionic count": (2, (1,), (0,)),
+    "unstable": (1, (), ()),
+    "unstable, no genus": (0, (1, 1), ()),
+}
+ZERO_UP_TO_CHI_MAX = {
+    "even bosonic index": (0, (2, 1, 1), ()),
+    "odd fermionic index": (0, (1,), (0, 3)),
+    "bosonic index above the bound": (0, (5, 1, 1), ()),
+    "fermionic index above the bound": (0, (1,), (0, 4)),
+}
+MISSING_ABOVE_CHI_MAX = {
+    "even bosonic index": (2, (2,), ()),
+    "bosonic index above the bound": (2, (11,), ()),
+}
+# with fermions, which a bosonic-only solver reads as zero at any level
+FERMIONIC_ABOVE_CHI_MAX = {
+    "fermions": (2, (1,), (0, 2)),
+    "odd fermionic index": (2, (1,), (0, 3)),
+}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TrSolver(AIRY, 4), lambda: AirySolver(AIRY, 4),
+    lambda: AirySolver(AIRY, 4, bosonic_only=True)],
+    ids=["tr", "airy", "airy-bosonic-only"])
+def test_flookup_precedence(make):
+    solver = make()
+
+    def never(g, bos, fer):
+        raise AssertionError(f"zero lookup reached the solver: {g, bos, fer}")
+    solver.compute_entry = never
+    for what, key in {**ZERO_AT_ANY_LEVEL, **ZERO_UP_TO_CHI_MAX}.items():
+        assert solver.flookup(*key) is solver.zero, what
+    for key in MISSING_ABOVE_CHI_MAX.values():
+        with pytest.raises(MissingDependency):
+            solver.flookup(*key)
+    for what, key in FERMIONIC_ABOVE_CHI_MAX.items():
+        if solver.bosonic_only:
+            assert solver.flookup(*key) is solver.zero, what
+        else:
+            with pytest.raises(MissingDependency):
+                solver.flookup(*key)
