@@ -7,7 +7,12 @@ quadratic modes L (even) and G (odd) are evaluated as normal-ordered
 bilinear sums. Dilaton-shift/polarization data turns each negative mode
 into a finite sum of modes (the tilde operators), and the verifier checks
 the algebra relations and the degree-one normalization of the recombined
-(hatted) operators pointwise on sample polynomials.
+(hatted) operators pointwise on sample polynomials. The annihilation
+oracle checks a computed coefficient tensor against the constraints.
+
+Each quadratic mode is a sum over pair labels, of which only those whose
+annihilators find their variable in the polynomial are applied, so its cost
+follows the polynomial's support.
 """
 
 from __future__ import annotations
@@ -40,8 +45,12 @@ class FockPoly:
     def monomial(cls, ring, cap, bos=(), fer=(), hpow=0, coeff=1):
         if isinstance(coeff, (int, Fraction)):
             coeff = ring.rational(coeff)
+        if any(a < 1 for a in bos) or any(a < 0 for a in fer):
+            raise ValueError(f"no variable x^a for a < 1 or theta^a for "
+                             f"a < 0 (got x{tuple(bos)}, theta{tuple(fer)})")
+        if len(set(fer)) != len(fer):
+            raise ValueError(f"repeated theta factor in {tuple(fer)}")
         key = (tuple(sorted(bos)), tuple(sorted(fer)), hpow)
-        assert len(set(fer)) == len(fer), "repeated theta factor"
         return cls(ring, cap, {key: coeff})
 
     @classmethod
@@ -178,11 +187,12 @@ class ModeOp:
     KINDS = ("J", "Gamma", "L", "G")
 
     def __init__(self, kind, index, shift=None):
-        assert kind in self.KINDS
-        if kind == "L":
-            assert index % 2 == 0 and index >= -2
-        if kind == "G":
-            assert index % 2 == 1 and index >= -1
+        if kind not in self.KINDS:
+            raise ValueError(f"unknown mode kind {kind!r}")
+        if kind == "L" and (index % 2 or index < -2):
+            raise ValueError(f"L_{index}: L labels are even and >= -2")
+        if kind == "G" and (index % 2 == 0 or index < -1):
+            raise ValueError(f"G_{index}: G labels are odd and >= -1")
         self.kind = kind
         self.index = index
         self.shift = shift
@@ -249,28 +259,57 @@ def _apply_pair(kind1, i1, kind2, i2, p, shift):
                           shift)
 
 
-def _mode_window(p, n, shift):
-    reach = p.cap + 2 * abs(n) + 3
-    if shift is not None:
-        reach += shift.max_index
-    return range(-reach, reach + 1)
+def _acts(kind, index, support):
+    """False when the mode is zero on every polynomial of this support.
+
+    A positive mode differentiates, so it needs its variable; J_0 is zero;
+    creators and Gamma_0, shifted or not, act on anything.
+    """
+    if index > 0:
+        return index in support[kind]
+    return index < 0 or kind == "Gamma"
+
+
+def _pair_sum(p, shift, total, families):
+    """Sum over (kind1, kind2, weight) of sum_k weight(k) :A_k B_(total-k): p.
+
+    `_apply_pair` applies a positive mode before any creator, so it sees at
+    most the variables of p and theta^0: a label is applied only when both
+    of its modes act on the support of p. Those are the labels whose
+    positive mode holds a variable of p, and the range total <= k <= 0
+    where neither mode is positive.
+    """
+    support = {"J": set(), "Gamma": set()}  # indices of the variables p holds
+    for bos, fer, _ in p.terms:
+        support["J"].update(bos)
+        support["Gamma"].update(fer)
+    ring = p.ring
+    terms = {}
+    for kind1, kind2, weight in families:
+        labels = set(range(total, 1))
+        labels.update(support[kind1])
+        labels.update(total - a for a in support[kind2])
+        for k in sorted(labels):
+            if not (_acts(kind1, k, support)
+                    and _acts(kind2, total - k, support)):
+                continue
+            w = weight(k)
+            if not w:
+                continue
+            w = ring.rational(w)
+            term = _apply_pair(kind1, k, kind2, total - k, p, shift)
+            for key, val in term.terms.items():
+                val = val * w
+                terms[key] = terms[key] + val if key in terms else val
+    return FockPoly(ring, p.cap, terms)
 
 
 def _apply_L(n, p, shift):
     assert n >= -1
-    ring = p.ring
-    half = ring.rational(Fraction(1, 2))
-    out = FockPoly(ring, p.cap)
-    for j in _mode_window(p, n, shift):
-        term = _apply_pair("J", -j, "J", 2 * n + j, p, shift)
-        if not term.is_zero():
-            out = out + term.scale(half if j % 2 else -half)
-        coeff = n + j
-        if coeff:
-            term = _apply_pair("Gamma", -j, "Gamma", j + 2 * n, p, shift)
-            if not term.is_zero():
-                scale = Fraction(coeff, 2) * (1 if j % 2 == 0 else -1)
-                out = out + term.scale(scale)
+    out = _pair_sum(p, shift, 2 * n, [
+        ("J", "J", lambda k: Fraction(1 if k % 2 else -1, 2)),
+        ("Gamma", "Gamma",
+         lambda k: Fraction(n - k if k % 2 == 0 else k - n, 2))])
     if n == 0:
         out = out + p.mul_hbar().scale(Fraction(1, 4))
     return out
@@ -278,12 +317,8 @@ def _apply_L(n, p, shift):
 
 def _apply_G(m, p, shift):
     assert m >= -1
-    out = FockPoly(p.ring, p.cap)
-    for j in _mode_window(p, m, shift):
-        term = _apply_pair("J", -j, "Gamma", j + 2 * m + 1, p, shift)
-        if not term.is_zero():
-            out = out + (term if j % 2 else -term)
-    return out
+    return _pair_sum(p, shift, 2 * m + 1, [
+        ("J", "Gamma", lambda k: 1 if k % 2 else -1)])
 
 
 def apply_mode(op, p):
@@ -304,52 +339,33 @@ def _commutator(a_fn, b_fn, p, anti=False):
     return first + second if anti else first - second
 
 
-def _pair_sum(p, pairs, shift=None):
-    """Sum of normal-ordered two-mode products with scalar weights."""
-    out = FockPoly(p.ring, p.cap)
-    for kind1, i1, kind2, i2, weight in pairs:
-        if not weight:
-            continue
-        term = _apply_pair(kind1, i1, kind2, i2, p, shift)
-        if not term.is_zero():
-            out = out + term.scale(weight)
-    return out
+# The pair sums of the relation right-hand sides run over even labels k of
+# J_k and odd labels k of Gamma_k; a zero weight skips the other labels.
 
 
 def _rhs_LL(n, m, p, shift=None):
     if n == m:
         return FockPoly(p.ring, p.cap)
-    total = 2 * n + 2 * m
-    out = _apply_L(total // 2, p, shift)
-    window = _mode_window(p, abs(n) + abs(m), shift)
-    out = out + _pair_sum(
-        p, [("J", -2 * j, "J", total + 2 * j, 1) for j in window], shift)
-    out = out + _pair_sum(
-        p, [("Gamma", -2 * j - 1, "Gamma", 2 * j + total + 1, n + m + 2 * j + 1)
-            for j in window], shift)
+    out = _apply_L(n + m, p, shift) + _pair_sum(p, shift, 2 * n + 2 * m, [
+        ("J", "J", lambda k: 0 if k % 2 else 1),
+        ("Gamma", "Gamma", lambda k: n + m - k if k % 2 else 0)])
     return out.mul_hbar().scale(2 * (n - m))
 
 
 def _rhs_LG(n, m, p, shift=None):
     if n - 2 * m - 1 == 0:
         return FockPoly(p.ring, p.cap)
-    out = _apply_G(n + m, p, shift)
-    window = _mode_window(p, abs(n) + abs(m), shift)
-    out = out + _pair_sum(
-        p, [("J", -2 * j, "Gamma", 2 * n + 2 * m + 2 * j + 1, 2)
-            for j in window], shift)
+    out = _apply_G(n + m, p, shift) + _pair_sum(
+        p, shift, 2 * n + 2 * m + 1,
+        [("J", "Gamma", lambda k: 0 if k % 2 else 2)])
     return out.mul_hbar().scale(n - 2 * m - 1)
 
 
 def _rhs_GG(n, m, p, shift=None):
-    out = _apply_L(n + m + 1, p, shift)
-    window = _mode_window(p, abs(n) + abs(m) + 1, shift)
-    out = out + _pair_sum(
-        p, [("J", -2 * j, "J", 2 * n + 2 * m + 2 * j + 2, 1)
-            for j in window], shift)
-    out = out + _pair_sum(
-        p, [("Gamma", -2 * j - 1, "Gamma", 2 * j + 2 * n + 2 * m + 3,
-             n + m + 2 * j + 2) for j in window], shift)
+    out = _apply_L(n + m + 1, p, shift) + _pair_sum(
+        p, shift, 2 * n + 2 * m + 2, [
+            ("J", "J", lambda k: 0 if k % 2 else 1),
+            ("Gamma", "Gamma", lambda k: n + m + 1 - k if k % 2 else 0)])
     return out.mul_hbar().scale(2)
 
 
@@ -556,3 +572,80 @@ def check_airy_axioms(shift_or_curve, i_max=3, probe_max=6):
                     failures.append(("closure-GG", (i, j), "mismatch"))
                     break
     return failures
+
+
+# --- partition-function annihilation oracle -----------------------------------
+#
+# The strongest cross-check between the engines and the operator algebra:
+# exponentiate the computed coefficient tensor into a truncated state
+# Z = exp(sum hbar^{g-1} F/(prod mult!) x^J theta^K) and verify that every
+# recombined constraint operator annihilates it. Each summand of F has
+# total degree 2(g-1)+#J+#K = chi-2 (degree := 2*hbar-power + slot count)
+# and, on curves without scalar operator pieces, the operators raise degree
+# by at least one, so all residual components of degree <= chi_max-1 are
+# computed exactly from a tensor complete through chi_max.
+
+
+def _fer_merge_sign(f1, f2):
+    if set(f1) & set(f2):
+        return None, 0
+    inv = sum(1 for a in f1 for b in f2 if a > b)
+    return tuple(sorted(f1 + f2)), (-1 if inv % 2 else 1)
+
+
+def _deg(key):
+    bos, fer, hpow = key
+    return 2 * hpow + len(bos) + len(fer)
+
+
+def _mult_fact(bos):
+    out, seen = 1, {}
+    for b in bos:
+        seen[b] = seen.get(b, 0) + 1
+        out *= seen[b]
+    return out
+
+
+def exp_state(tensor, ring, maxdeg, cap=40):
+    """exp of the generating sum of a coefficient tensor, to total degree."""
+    fterms = {}
+    for (g, bos, fer), val in tensor.entries.items():
+        key = (bos, fer, g - 1)
+        if _deg(key) <= maxdeg:
+            coeff = val * Fraction(1, _mult_fact(bos))
+            fterms[key] = fterms.get(key, ring.zero()) + coeff
+    z = {((), (), 0): ring.one()}
+    power = dict(fterms)
+    k = 1
+    while power:
+        for key, val in power.items():
+            z[key] = z.get(key, ring.zero()) + val
+        k += 1
+        new = {}
+        for (b1, f1, h1), v1 in power.items():
+            for (b2, f2, h2), v2 in fterms.items():
+                if 2 * (h1 + h2) + len(b1) + len(b2) \
+                        + len(f1) + len(f2) > maxdeg:
+                    continue
+                fm, sg = _fer_merge_sign(f1, f2)
+                if sg == 0:
+                    continue
+                kk = (tuple(sorted(b1 + b2)), fm, h1 + h2)
+                new[kk] = new.get(kk, ring.zero()) + v1 * v2 * Fraction(sg, k)
+        power = {kk: v for kk, v in new.items() if v}
+    return FockPoly(ring, cap, {kk: v for kk, v in z.items() if v})
+
+
+def annihilation_report(curve, state, maxdeg, i_max=4):
+    """Nonzero exact residual components of the recombined constraints."""
+    bad = {}
+    for i in range(1, i_max + 1):
+        for kind, idx in (("L", 2 * i - curve.epsilon - 1),
+                          ("G", 2 * i - curve.epsilon)):
+            op = phi_shift(ModeOp(kind, idx), curve)
+            res = apply_mode(op, state)
+            hits = {k: v for k, v in res.terms.items()
+                    if _deg(k) <= maxdeg + 1 and v}
+            if hits:
+                bad[(kind, idx)] = hits
+    return bad

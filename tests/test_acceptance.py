@@ -20,11 +20,11 @@ from superrec.curve import CurveBases, CurveData, pairing_B, pairing_F
 from superrec.scalars import Ring
 from superrec.series import FormalSeries
 from superrec.store import index_bound
-from superrec.svir import (FockPoly, check_airy_axioms, check_commutator,
-                           check_heisenberg_clifford)
+from superrec.svir import (FockPoly, annihilation_report, check_airy_axioms,
+                           check_commutator, check_heisenberg_clifford,
+                           exp_state)
 from superrec.trengine import TrSolver, run_tr
 from superrec.zoo import ZooSpec, zoo_build, zoo_validate
-from test_svir import annihilation_report, exp_state
 
 RING = Ring([])
 
@@ -172,7 +172,7 @@ def test_criterion_2_bosonic_free_coefficient():
                         "coupling")
     if elapsed >= 300:
         failures.append(f"took {elapsed:.0f}s >= 5min")
-    # The annihilation oracle of test_svir.py settles the coefficient
+    # The annihilation oracle of superrec.svir settles the coefficient
     # without either engine: the recombined L and G constraints for
     # i = 1..4 annihilate exp of the engine tensor through degree
     # chi_max - 2. Substituting a coefficient c * t^3 for this entry leaves

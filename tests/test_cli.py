@@ -275,6 +275,17 @@ def test_verify_algebra(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_algebra_corrupt_operator_reports_closure_failures(capsys):
+    # the asymmetric polarization table breaks exactly these closures
+    assert main(["verify-algebra", "--degree", "4", "--mode-range", "2",
+                 "--corrupt-operator"]) == EXIT_MISMATCH
+    details = [line.strip() for line in capsys.readouterr().out.splitlines()
+               if line.startswith("  ")]
+    assert details == ["closure-LG at (1, 1): mismatch",
+                       "closure-LL at (1, 2): mismatch",
+                       "closure-LL at (2, 1): mismatch"]
+
+
 def test_verify_curve(tmp_path, capsys):
     assert main(["verify-curve", "--curve", "ns_plus",
                  "--order", "8"]) == 0

@@ -3,19 +3,27 @@
 Mode actions are pinned by closed-form values, the commutation relations
 are checked pointwise on a spanning set of monomials, and the recombined
 operators' degree-one normalization is verified on curves of both parity
-types, with a corrupted-polarization negative control.
+types, with a corrupted-polarization negative control. The quadratic modes,
+which sum only over the pair labels that act on the polynomial's support,
+are checked against fixed-window reference loops.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+import superrec
+from superrec import svir
 from superrec.curve import CurveData
 from superrec.scalars import Ring
 from superrec.svir import (CapExceeded, FockPoly, ModeOp, ShiftData,
-                           apply_mode, check_airy_axioms, check_commutator,
-                           check_heisenberg_clifford, phi_shift)
+                           annihilation_report, apply_mode, check_airy_axioms,
+                           check_commutator, check_heisenberg_clifford,
+                           exp_state, phi_shift)
 from superrec.trengine import run_tr
 
 RING = Ring([])
@@ -113,6 +121,170 @@ def test_cap_exceeded_only_for_live_creators():
     apply_mode(ModeOp("L", 0), FockPoly.monomial(RING, 2, bos=(2,)))
 
 
+def test_invalid_inputs_raise_under_optimized_python():
+    # these checks guard public inputs, so they must not be asserts, which
+    # `python -O` strips
+    src = os.path.dirname(os.path.dirname(os.path.abspath(superrec.__file__)))
+    code = """
+from superrec.scalars import Ring
+from superrec.svir import FockPoly, ModeOp
+for make in (lambda: ModeOp("L", 3), lambda: ModeOp("G", 2),
+             lambda: ModeOp("Q", 1),
+             lambda: FockPoly.monomial(Ring([]), 4, fer=(1, 1)),
+             lambda: FockPoly.monomial(Ring([]), 4, bos=(0,))):
+    try:
+        make()
+    except ValueError as exc:
+        print("ValueError:", exc)
+    else:
+        print("accepted")
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 5 and all(line.startswith("ValueError: ")
+                                   for line in lines), lines
+
+
+# --- the pair sums act only where the polynomial has support ------------------
+#
+# The fixed-window loops below are the reference: they apply every pair label
+# within cap + 2|n| + 3 (+ the shift's largest index) of zero, whatever the
+# polynomial holds.
+
+
+def _window(p, n, shift):
+    reach = p.cap + 2 * abs(n) + 3
+    if shift is not None:
+        reach += shift.max_index
+    return range(-reach, reach + 1)
+
+
+def _window_sum(p, pairs, shift):
+    out = FockPoly(p.ring, p.cap)
+    for kind1, i1, kind2, i2, weight in pairs:
+        if weight:
+            out = out + svir._apply_pair(kind1, i1, kind2, i2, p,
+                                         shift).scale(weight)
+    return out
+
+
+def window_L(n, p, shift):
+    half = Fraction(1, 2)
+    out = _window_sum(p, [("J", -j, "J", 2 * n + j, half if j % 2 else -half)
+                          for j in _window(p, n, shift)], shift)
+    out = out + _window_sum(
+        p, [("Gamma", -j, "Gamma", j + 2 * n,
+             Fraction(n + j, 2) * (1 if j % 2 == 0 else -1))
+            for j in _window(p, n, shift)], shift)
+    if n == 0:
+        out = out + p.mul_hbar().scale(Fraction(1, 4))
+    return out
+
+
+def window_G(m, p, shift):
+    return _window_sum(p, [("J", -j, "Gamma", j + 2 * m + 1,
+                            1 if j % 2 else -1)
+                           for j in _window(p, m, shift)], shift)
+
+
+def window_rhs_LL(n, m, p, shift):
+    if n == m:
+        return FockPoly(p.ring, p.cap)
+    total = 2 * n + 2 * m
+    window = _window(p, abs(n) + abs(m), shift)
+    out = window_L(total // 2, p, shift)
+    out = out + _window_sum(
+        p, [("J", -2 * j, "J", total + 2 * j, 1) for j in window], shift)
+    out = out + _window_sum(
+        p, [("Gamma", -2 * j - 1, "Gamma", 2 * j + total + 1,
+             n + m + 2 * j + 1) for j in window], shift)
+    return out.mul_hbar().scale(2 * (n - m))
+
+
+def window_rhs_LG(n, m, p, shift):
+    if n - 2 * m - 1 == 0:
+        return FockPoly(p.ring, p.cap)
+    window = _window(p, abs(n) + abs(m), shift)
+    out = window_G(n + m, p, shift) + _window_sum(
+        p, [("J", -2 * j, "Gamma", 2 * n + 2 * m + 2 * j + 1, 2)
+            for j in window], shift)
+    return out.mul_hbar().scale(n - 2 * m - 1)
+
+
+def window_rhs_GG(n, m, p, shift):
+    window = _window(p, abs(n) + abs(m) + 1, shift)
+    out = window_L(n + m + 1, p, shift)
+    out = out + _window_sum(
+        p, [("J", -2 * j, "J", 2 * n + 2 * m + 2 * j + 2, 1)
+            for j in window], shift)
+    out = out + _window_sum(
+        p, [("Gamma", -2 * j - 1, "Gamma", 2 * j + 2 * n + 2 * m + 3,
+             n + m + 2 * j + 2) for j in window], shift)
+    return out.mul_hbar().scale(2)
+
+
+LABELS = range(-1, 4)
+# the reference loops take about 0.3 s per sample on one curve, so the
+# equivalence runs on every 11th sample (all supports of degree <= 6 over
+# x^1..x^3, theta^0..theta^3 in kind) and one polynomial of two terms
+WINDOW_SAMPLES = SAMPLES[::11] + [mono((1, 1), (2,)) + mono((3,), (0, 1))]
+RHS = [(svir._rhs_LL, window_rhs_LL), (svir._rhs_LG, window_rhs_LG),
+       (svir._rhs_GG, window_rhs_GG)]
+
+
+def _mode(kind, n, curve):
+    op = ModeOp(kind, 2 * n if kind == "L" else 2 * n + 1)
+    return op if curve is None else phi_shift(op, curve)
+
+
+@pytest.mark.parametrize(
+    "curve", [None, airy_curve(), rich_curve(), irregular_curve()],
+    ids=["unshifted", "airy", "rich", "irregular"])
+def test_support_sums_equal_window_sums(curve):
+    shift = None if curve is None else ShiftData.from_curve(curve)
+    for p in WINDOW_SAMPLES:
+        for n in LABELS:
+            assert apply_mode(_mode("L", n, curve), p) == \
+                window_L(n, p, shift), ("L", n, p.terms)
+            assert apply_mode(_mode("G", n, curve), p) == \
+                window_G(n, p, shift), ("G", n, p.terms)
+            for m in LABELS:
+                for fast, window in RHS:
+                    assert fast(n, m, p, shift) == window(n, m, p, shift), \
+                        (fast.__name__, n, m, p.terms)
+
+
+def test_pairs_apply_only_annihilators_in_support(monkeypatch):
+    # every positive J_a / Gamma_a a pair sum applies finds x^a / theta^a
+    # in the polynomial, so no label window can come back unnoticed
+    calls = []
+    inner = svir._apply_pair
+
+    def checked(kind1, i1, kind2, i2, p, shift):
+        calls.append(1)
+        held = {"J": {a for key in p.terms for a in key[0]},
+                "Gamma": {a for key in p.terms for a in key[1]}}
+        for kind, index in ((kind1, i1), (kind2, i2)):
+            assert index <= 0 or index in held[kind], \
+                (kind1, i1, kind2, i2, p.terms)
+        return inner(kind1, i1, kind2, i2, p, shift)
+
+    monkeypatch.setattr(svir, "_apply_pair", checked)
+    for curve in (None, rich_curve()):
+        shift = None if curve is None else ShiftData.from_curve(curve)
+        for p in SAMPLES[::7]:
+            for n in LABELS:
+                apply_mode(_mode("L", n, curve), p)
+                apply_mode(_mode("G", n, curve), p)
+                for m in LABELS:
+                    for fast, _ in RHS:
+                        fast(n, m, p, shift)
+    assert calls
+
+
 # --- algebra relations --------------------------------------------------------
 
 
@@ -202,80 +374,6 @@ def test_degree_one_probe_detects_wrong_dilaton():
 
 
 # --- partition-function annihilation oracle -------------------------------------
-#
-# The strongest cross-check between the engines and the operator algebra:
-# exponentiate the computed coefficient tensor into a truncated state
-# Z = exp(sum hbar^{g-1} F/(prod mult!) x^J theta^K) and verify that every
-# recombined constraint operator annihilates it. Each summand of F has
-# total degree 2(g-1)+#J+#K = chi-2 (degree := 2*hbar-power + slot count)
-# and, on curves without scalar operator pieces, the operators raise degree
-# by at least one, so all residual components of degree <= chi_max-1 are
-# computed exactly from a tensor complete through chi_max.
-
-
-def _fer_merge_sign(f1, f2):
-    if set(f1) & set(f2):
-        return None, 0
-    inv = sum(1 for a in f1 for b in f2 if a > b)
-    return tuple(sorted(f1 + f2)), (-1 if inv % 2 else 1)
-
-
-def _deg(key):
-    bos, fer, hpow = key
-    return 2 * hpow + len(bos) + len(fer)
-
-
-def _mult_fact(bos):
-    out, seen = 1, {}
-    for b in bos:
-        seen[b] = seen.get(b, 0) + 1
-        out *= seen[b]
-    return out
-
-
-def exp_state(tensor, ring, maxdeg, cap=40):
-    """exp of the generating sum of a coefficient tensor, to total degree."""
-    fterms = {}
-    for (g, bos, fer), val in tensor.entries.items():
-        key = (bos, fer, g - 1)
-        if _deg(key) <= maxdeg:
-            coeff = val * Fraction(1, _mult_fact(bos))
-            fterms[key] = fterms.get(key, ring.zero()) + coeff
-    z = {((), (), 0): ring.one()}
-    power = dict(fterms)
-    k = 1
-    while power:
-        for key, val in power.items():
-            z[key] = z.get(key, ring.zero()) + val
-        k += 1
-        new = {}
-        for (b1, f1, h1), v1 in power.items():
-            for (b2, f2, h2), v2 in fterms.items():
-                if 2 * (h1 + h2) + len(b1) + len(b2) \
-                        + len(f1) + len(f2) > maxdeg:
-                    continue
-                fm, sg = _fer_merge_sign(f1, f2)
-                if sg == 0:
-                    continue
-                kk = (tuple(sorted(b1 + b2)), fm, h1 + h2)
-                new[kk] = new.get(kk, ring.zero()) + v1 * v2 * Fraction(sg, k)
-        power = {kk: v for kk, v in new.items() if v}
-    return FockPoly(ring, cap, {kk: v for kk, v in z.items() if v})
-
-
-def annihilation_report(curve, state, maxdeg, i_max=4):
-    """Nonzero exact residual components of the recombined constraints."""
-    bad = {}
-    for i in range(1, i_max + 1):
-        for kind, idx in (("L", 2 * i - curve.epsilon - 1),
-                          ("G", 2 * i - curve.epsilon)):
-            op = phi_shift(ModeOp(kind, idx), curve)
-            res = apply_mode(op, state)
-            hits = {k: v for k, v in res.terms.items()
-                    if _deg(k) <= maxdeg + 1 and v}
-            if hits:
-                bad[(kind, idx)] = hits
-    return bad
 
 
 @pytest.mark.parametrize(
