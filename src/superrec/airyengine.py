@@ -171,30 +171,21 @@ class AirySolver(LazyTensor):
 
     # --- leading sums ------------------------------------------------------
 
-    def xi0_bos_rest(self, g, bos, fer, skip_p):
-        """Leading-sum terms tau_p F(2c+p-4, J|K) excluding p = skip_p.
+    def xi0_rest(self, g, bos, fer, fermionic):
+        """Leading-sum terms tau_p F(2c+p-4, J|K) (fermionic: tau_p
+        F(J|2c+p-3, K)) excluding p = epsilon.
 
-        bos[0] is the solved-for slot, equal to the index at p = skip_p.
+        bos[0] (fermionic: fer[0]) is the solved-for slot, equal to the
+        index at p = epsilon.
         """
-        base = bos[0] - skip_p  # = 2c - 4
+        base = (fer if fermionic else bos)[0] - self.epsilon
+        rest = (bos, fer[1:]) if fermionic else (bos[1:], fer)
         out = self.zero
         for p, tau_p in self.tau.items():
-            if p == skip_p:
+            if p == self.epsilon:
                 continue
             sign = 1 if p % 2 else -1
-            val = self.flookup(g, (base + p,) + bos[1:], fer)
-            if val:
-                out = out + tau_p * val * self.ring.rational(sign)
-        return out
-
-    def xi0_fer_rest(self, g, bos, fer, skip_p):
-        base = fer[0] - skip_p  # = 2c - 3
-        out = self.zero
-        for p, tau_p in self.tau.items():
-            if p == skip_p:
-                continue
-            sign = 1 if p % 2 else -1
-            val = self.flookup(g, bos, (base + p,) + fer[1:])
+            val = self.flookup(g, *_place(base + p, fermionic, *rest))
             if val:
                 out = out + tau_p * val * self.ring.rational(sign)
         return out
@@ -285,7 +276,7 @@ class AirySolver(LazyTensor):
         coeffs = self.coeffs
         rest = bos[1:]
         chi = 2 * g + len(bos) + len(fer)
-        acc = self.xi0_bos_rest(g, bos, fer, eps)
+        acc = self.xi0_rest(g, bos, fer, False)
         if chi == 3:
             # base level: the quadratic terms collapse to constants
             if len(bos) == 3:
@@ -341,7 +332,7 @@ class AirySolver(LazyTensor):
         coeffs = self.coeffs
         rest = fer[1:]
         chi = 2 * g + len(bos) + len(fer)
-        acc = self.xi0_fer_rest(g, bos, fer, eps)
+        acc = self.xi0_rest(g, bos, fer, True)
         if chi == 3:
             # base level: one bosonic and one trailing fermionic slot
             assert len(bos) == 1 and len(fer) == 2

@@ -21,7 +21,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .airyengine import run_airy
-from .curve import AdmissibilityError, CurveData, ShapeError
+from .curve import (AdmissibilityError, CurveData, ShapeError,
+                    required_truncation)
 from .scalars import Ring, ScalarParseError
 from .series import TruncationError
 from .store import index_bound
@@ -50,11 +51,6 @@ class MismatchError(Exception):
 
 
 # --- curve-spec files -------------------------------------------------------
-
-
-def required_truncation(epsilon, chi_max):
-    """Smallest series truncation the engines need for this depth."""
-    return index_bound(chi_max, epsilon) + epsilon + 2
 
 
 def zoo_truncation(chi_max):
@@ -307,10 +303,10 @@ def _diff_report(doc_tr, doc_airy):
 def engine_document(curve, digest, chi_max, engine):
     """Result document of one engine, or of both after an entry-for-entry
     diff ("both"); never touches the cache."""
-    if curve.trunc < required_truncation(curve.epsilon, chi_max):
+    needed = required_truncation(curve.epsilon, chi_max)
+    if curve.trunc < needed:
         raise TruncationError(
-            f"truncation {curve.trunc} below the required "
-            f"{required_truncation(curve.epsilon, chi_max)} "
+            f"truncation {curve.trunc} below the required {needed} "
             f"for chi_max={chi_max}")
     if engine != "both":
         run = run_tr if engine == "tr" else run_airy

@@ -111,6 +111,11 @@ def complete_psi(curve, max_index):
     return psi
 
 
+def required_truncation(epsilon, chi_max):
+    """Smallest series truncation the engines need for this depth."""
+    return index_bound(chi_max, epsilon) + epsilon + 2
+
+
 class CurveBases:
     """Basis series and defining forms of a curve, built to truncation."""
 
@@ -120,7 +125,7 @@ class CurveBases:
         self.ring = ring
         epsilon = curve.epsilon
         if chi_max is not None:
-            needed = index_bound(chi_max, epsilon) + epsilon + 2
+            needed = required_truncation(epsilon, chi_max)
             if curve.trunc < needed:
                 raise TruncationError(
                     f"truncation {curve.trunc} below required {needed} "

@@ -40,9 +40,6 @@ class Ring:
                     raise ValueError(f"symbol {name!r} has zero square")
             self.squares[name] = square
 
-    def symbol_names(self):
-        return sorted(self.squares)
-
     def __eq__(self, other):
         return isinstance(other, Ring) and self.squares == other.squares
 
@@ -248,34 +245,25 @@ class Scalar:
 
     # --- formatting ----------------------------------------------------
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
+    def _products(self):
+        """Each term as coeff*name^exp text, in canonical monomial order."""
         parts = []
         for mono in sorted(self.terms, key=lambda m: (len(m), m)):
-            coeff = self.terms[mono]
-            factors = [str(coeff)]
+            factors = [str(self.terms[mono])]
             for name, exp in mono:
                 factors.append(name if exp == 1 else f"{name}^{exp}")
             parts.append("*".join(factors))
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+        return parts
+
+    def __str__(self):
+        return (" + ".join(self._products()) or "0").replace("+ -", "- ")
 
     def __repr__(self):
         return f"Scalar({self})"
 
     def literal(self):
         """Canonical text form parseable by Ring.parse."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, key=lambda m: (len(m), m)):
-            coeff = self.terms[mono]
-            factors = [str(coeff)]
-            for name, exp in mono:
-                factors.append(name if exp == 1 else f"{name}^{exp}")
-            parts.append("*".join(factors))
-        return "+".join(parts).replace("+-", "-")
+        return ("+".join(self._products()) or "0").replace("+-", "-")
 
 
 _TERM_RE = re.compile(

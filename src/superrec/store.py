@@ -11,6 +11,7 @@ lookup that computes an entry on first use.
 
 from __future__ import annotations
 
+from itertools import combinations, combinations_with_replacement
 from operator import itemgetter
 
 
@@ -306,8 +307,8 @@ class LazyTensor:
                     continue  # odd fermionic count, or no slot to solve for
                 if self.bosonic_only and two_m:
                     continue
-                for bos in _multisets(odd, n):
-                    for fer in _subsets(even, two_m):
+                for bos in combinations_with_replacement(odd, n):
+                    for fer in combinations(even, two_m):
                         keys.append((g, bos, fer))
         return keys
 
@@ -317,21 +318,3 @@ class LazyTensor:
             for g, bos, fer in self.level_keys(chi):
                 self.value(g, bos, fer)
         return self.tensor
-
-
-def _multisets(values, size):
-    if size == 0:
-        yield ()
-        return
-    for idx, v in enumerate(values):
-        for rest in _multisets(values[idx:], size - 1):
-            yield (v,) + rest
-
-
-def _subsets(values, size):
-    if size == 0:
-        yield ()
-        return
-    for idx, v in enumerate(values):
-        for rest in _subsets(values[idx + 1:], size - 1):
-            yield (v,) + rest

@@ -18,6 +18,7 @@ follows the polynomial's support.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .curve import complete_psi
 
@@ -339,17 +340,31 @@ def _commutator(a_fn, b_fn, p, anti=False):
     return first + second if anti else first - second
 
 
+def _linear(a_fn, b_fn, p, weight, c_fn=None, anti=False):
+    """True iff [A, B] = weight hbar C on p ({A, B} when anti), where C is
+    the identity when c_fn is None."""
+    if weight:
+        rhs = (p if c_fn is None else c_fn(p)).mul_hbar().scale(weight)
+    else:
+        rhs = FockPoly(p.ring, p.cap)
+    return _commutator(a_fn, b_fn, p, anti) == rhs
+
+
 # The pair sums of the relation right-hand sides run over even labels k of
 # J_k and odd labels k of Gamma_k; a zero weight skips the other labels.
+
+
+def _rhs_tail(t, p, shift):
+    """L_t + sum_k :J_k J_(2t-k): + sum_k (t-k) :Gamma_k Gamma_(2t-k):."""
+    return _apply_L(t, p, shift) + _pair_sum(p, shift, 2 * t, [
+        ("J", "J", lambda k: 0 if k % 2 else 1),
+        ("Gamma", "Gamma", lambda k: t - k if k % 2 else 0)])
 
 
 def _rhs_LL(n, m, p, shift=None):
     if n == m:
         return FockPoly(p.ring, p.cap)
-    out = _apply_L(n + m, p, shift) + _pair_sum(p, shift, 2 * n + 2 * m, [
-        ("J", "J", lambda k: 0 if k % 2 else 1),
-        ("Gamma", "Gamma", lambda k: n + m - k if k % 2 else 0)])
-    return out.mul_hbar().scale(2 * (n - m))
+    return _rhs_tail(n + m, p, shift).mul_hbar().scale(2 * (n - m))
 
 
 def _rhs_LG(n, m, p, shift=None):
@@ -362,11 +377,18 @@ def _rhs_LG(n, m, p, shift=None):
 
 
 def _rhs_GG(n, m, p, shift=None):
-    out = _apply_L(n + m + 1, p, shift) + _pair_sum(
-        p, shift, 2 * n + 2 * m + 2, [
-            ("J", "J", lambda k: 0 if k % 2 else 1),
-            ("Gamma", "Gamma", lambda k: n + m + 1 - k if k % 2 else 0)])
-    return out.mul_hbar().scale(2)
+    return _rhs_tail(n + m + 1, p, shift).mul_hbar().scale(2)
+
+
+def _closes(name, n, m, p, shift=None):
+    """True iff [L_n, L_m], [L_n, G_m] or {G_n, G_m} (name "LL", "LG" or
+    "GG") equals its closure right-hand side on p."""
+    a = _apply_G if name == "GG" else _apply_L
+    b = _apply_L if name == "LL" else _apply_G
+    lhs = _commutator(lambda q: a(n, q, shift), lambda q: b(m, q, shift), p,
+                      anti=name == "GG")
+    rhs = {"LL": _rhs_LL, "LG": _rhs_LG, "GG": _rhs_GG}[name]
+    return lhs == rhs(n, m, p, shift)
 
 
 def check_commutator(relation, a, b, sample):
@@ -381,124 +403,70 @@ def check_commutator(relation, a, b, sample):
     relation 'comm5': {G_{2a+1}, G_{2b+1}} closure
     """
     p = sample
+    closure = {"comm3": "LL", "comm4": "LG", "comm5": "GG"}.get(relation)
+    if closure is not None:
+        return _closes(closure, a, b, p)
+    L = lambda q: _apply_L(a, q, None)
+    G = lambda q: _apply_G(a, q, None)
     if relation == "comm1":
-        lhs = _commutator(lambda q: _apply_L(a, q, None),
-                          lambda q: _apply_plain("J", 2 * b, q), p)
-        rhs = _apply_plain("J", 2 * a + 2 * b, p).mul_hbar().scale(2 * b)
-        if lhs != rhs:
-            return False
-        lhs = _commutator(lambda q: _apply_G(a, q, None),
-                          lambda q: _apply_plain("J", 2 * b, q), p)
-        rhs = _apply_plain("Gamma", 2 * b + 2 * a + 1, p) \
-            .mul_hbar().scale(2 * b)
-        return lhs == rhs
+        J = partial(_apply_plain, "J", 2 * b)
+        return (_linear(L, J, p, 2 * b,
+                        partial(_apply_plain, "J", 2 * a + 2 * b))
+                and _linear(G, J, p, 2 * b,
+                            partial(_apply_plain, "Gamma", 2 * a + 2 * b + 1)))
     if relation == "comm2":
-        lhs = _commutator(lambda q: _apply_L(a, q, None),
-                          lambda q: _apply_plain("Gamma", 2 * b - 1, q), p)
-        rhs = _apply_plain("Gamma", 2 * a + 2 * b - 1, p) \
-            .mul_hbar().scale(a + 2 * b - 1)
-        if lhs != rhs:
-            return False
-        lhs = _commutator(lambda q: _apply_G(a, q, None),
-                          lambda q: _apply_plain("Gamma", 2 * b - 1, q), p,
-                          anti=True)
-        rhs = (-_apply_plain("J", 2 * b + 2 * a, p)).mul_hbar()
-        return lhs == rhs
-    if relation == "comm3":
-        lhs = _commutator(lambda q: _apply_L(a, q, None),
-                          lambda q: _apply_L(b, q, None), p)
-        return lhs == _rhs_LL(a, b, p)
-    if relation == "comm4":
-        lhs = _commutator(lambda q: _apply_L(a, q, None),
-                          lambda q: _apply_G(b, q, None), p)
-        return lhs == _rhs_LG(a, b, p)
-    if relation == "comm5":
-        lhs = _commutator(lambda q: _apply_G(a, q, None),
-                          lambda q: _apply_G(b, q, None), p, anti=True)
-        return lhs == _rhs_GG(a, b, p)
+        gamma = partial(_apply_plain, "Gamma", 2 * b - 1)
+        return (_linear(L, gamma, p, a + 2 * b - 1,
+                        partial(_apply_plain, "Gamma", 2 * a + 2 * b - 1))
+                and _linear(G, gamma, p, -1,
+                            partial(_apply_plain, "J", 2 * a + 2 * b),
+                            anti=True))
     raise ValueError(f"unknown relation {relation}")
 
 
 def check_heisenberg_clifford(a, b, sample):
     """[J_a,J_b] = a hbar delta, {Gamma_a,Gamma_b} = hbar delta, [J,Gamma]=0."""
     p = sample
-    lhs = _commutator(lambda q: _apply_plain("J", a, q),
-                      lambda q: _apply_plain("J", b, q), p)
-    rhs = p.mul_hbar().scale(a) if a + b == 0 else FockPoly(p.ring, p.cap)
-    if lhs != rhs:
-        return False
-    lhs = _commutator(lambda q: _apply_plain("Gamma", a, q),
-                      lambda q: _apply_plain("Gamma", b, q), p, anti=True)
-    rhs = p.mul_hbar() if a + b == 0 else FockPoly(p.ring, p.cap)
-    if lhs != rhs:
-        return False
-    lhs = _commutator(lambda q: _apply_plain("J", a, q),
-                      lambda q: _apply_plain("Gamma", b, q), p)
-    return lhs.is_zero()
+    J_a, J_b = partial(_apply_plain, "J", a), partial(_apply_plain, "J", b)
+    gamma_b = partial(_apply_plain, "Gamma", b)
+    delta = int(a + b == 0)
+    return (_linear(J_a, J_b, p, a * delta)
+            and _linear(partial(_apply_plain, "Gamma", a), gamma_b, p, delta,
+                        anti=True)
+            and _linear(J_a, gamma_b, p, 0))
 
 
 # --- super-Airy-structure axioms ------------------------------------------------
 
 
-def _structure_ops(shift):
-    """The generating operators, as functions on Fock polynomials."""
-    eps = shift.epsilon
+def _hatted(odd, i, p, shift, i_limit):
+    """The recombined operator hat-H_i (hat-F_i when odd is 1) applied to p.
 
-    def h1(i):
-        if i <= 0:
-            return lambda p: FockPoly(p.ring, p.cap)
-        return lambda p: _apply_plain("J", 2 * i, p)
-
-    def f1(i):
-        if i <= 0:
-            return lambda p: FockPoly(p.ring, p.cap)
-        return lambda p: _apply_plain("Gamma", 2 * i - 1, p)
-
-    def h2(i):
-        return lambda p: _apply_L((2 * i - eps - 1) // 2, p, shift)
-
-    def f2(i):
-        return lambda p: _apply_G((2 * i - eps - 1) // 2, p, shift)
-
-    return h1, f1, h2, f2
-
-
-def _hatted_ops(shift, i_limit):
-    """Recombined operators whose degree-one parts are single derivatives.
-
-    Triangular recombination: even dilaton coefficients add plain
-    derivative modes, odd ones (beyond the leading one) subtract the
-    already-recombined operator of higher label, and the leading dilaton
-    coefficient is divided out. Labels above i_limit are truncated to
-    zero; they only affect degree-one coefficients beyond the probe
+    Triangular recombination, which leaves a single derivative as the
+    degree-one part: the shifted L (resp. G) of label (2i - eps - 1) // 2,
+    plus tau_k times the plain mode J_2j (resp. Gamma_(2j-1)) for each even
+    k, minus tau_k times the recombined operator of higher label for each
+    odd k > eps, all divided by tau_eps. Labels above i_limit are truncated
+    to zero; they only affect degree-one coefficients beyond the probe
     window and degree-two content, which the axiom checks do not read.
     """
-    h1, f1, h2, f2 = _structure_ops(shift)
+    if i > i_limit:
+        return FockPoly(p.ring, p.cap)
     eps = shift.epsilon
     off = (3 - eps) // 2
+    label = (2 * i - eps - 1) // 2
+    out = _apply_G(label, p, shift) if odd else _apply_L(label, p, shift)
+    for k, tau in shift.tau.items():
+        if k % 2 == 0:
+            j = i + k // 2 - 2 + off + odd
+            if j > 0:
+                mode = _apply_plain("Gamma" if odd else "J", 2 * j - odd, p)
+                out = out + mode.scale(tau)
+        elif k > eps:
+            out = out - _hatted(odd, i + (k - 1) // 2 - 1 + off, p, shift,
+                                i_limit).scale(tau)
     lead = shift.tau[eps]
-    even_tau = {k // 2: v for k, v in shift.tau.items() if k % 2 == 0}
-    odd_tau = {(k - 1) // 2: v for k, v in shift.tau.items()
-               if k % 2 and k > eps}
-
-    def hatted(base, linear, lin_off, i):
-        def act(p):
-            if i > i_limit:
-                return FockPoly(p.ring, p.cap)
-            out = base(i)(p)
-            for k, v in even_tau.items():
-                out = out + linear(i + k - 2 + lin_off)(p).scale(v)
-            for k, v in odd_tau.items():
-                out = out - hatted(base, linear, lin_off,
-                                   i + k - 1 + off)(p).scale(v)
-            if lead != 1:
-                out = out.scale(lead.invert())
-            return out
-        return act
-
-    hat_h2 = lambda i: hatted(h2, h1, off, i)
-    hat_f2 = lambda i: hatted(f2, f1, 1 + off, i)
-    return hat_h2, hat_f2
+    return out if lead == 1 else out.scale(lead.invert())
 
 
 def check_airy_axioms(shift_or_curve, i_max=3, probe_max=6):
@@ -519,13 +487,13 @@ def check_airy_axioms(shift_or_curve, i_max=3, probe_max=6):
     cap = probe_max + 2 * (i_max + shift.max_index) + shift.epsilon + 5
     one = FockPoly.one(ring, cap)
     i_limit = i_max + (probe_max + shift.max_index) // 2 + 2
-    hat_h2, hat_f2 = _hatted_ops(shift, i_limit)
     failures = []
 
     for i in range(1, i_max + 1):
-        for name, op, target_x, target_t in (
-                ("hatted-even", hat_h2(i), 2 * i - 1, None),
-                ("hatted-odd", hat_f2(i), None, 2 * i)):
+        for odd, name, target_x, target_t in (
+                (0, "hatted-even", 2 * i - 1, None),
+                (1, "hatted-odd", None, 2 * i)):
+            op = partial(_hatted, odd, i, shift=shift, i_limit=i_limit)
             if not op(one).degree_one_terms().is_zero():
                 failures.append((name, i, "degree-one multiplication term"))
             for b in range(1, probe_max + 1):
@@ -555,21 +523,10 @@ def check_airy_axioms(shift_or_curve, i_max=3, probe_max=6):
             n = (2 * i - eps - 1) // 2
             m = (2 * j - eps - 1) // 2
             for p in samples:
-                lhs = _commutator(lambda q: _apply_L(n, q, shift),
-                                  lambda q: _apply_L(m, q, shift), p)
-                if lhs != _rhs_LL(n, m, p, shift):
-                    failures.append(("closure-LL", (i, j), "mismatch"))
-                    break
-                lhs = _commutator(lambda q: _apply_L(n, q, shift),
-                                  lambda q: _apply_G(m, q, shift), p)
-                if lhs != _rhs_LG(n, m, p, shift):
-                    failures.append(("closure-LG", (i, j), "mismatch"))
-                    break
-                lhs = _commutator(lambda q: _apply_G(n, q, shift),
-                                  lambda q: _apply_G(m, q, shift), p,
-                                  anti=True)
-                if lhs != _rhs_GG(n, m, p, shift):
-                    failures.append(("closure-GG", (i, j), "mismatch"))
+                failed = next((name for name in ("LL", "LG", "GG")
+                               if not _closes(name, n, m, p, shift)), None)
+                if failed:
+                    failures.append((f"closure-{failed}", (i, j), "mismatch"))
                     break
     return failures
 

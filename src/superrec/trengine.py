@@ -22,7 +22,8 @@ from .curve import CurveBases
 from .series import FormalSeries, TruncationError
 # MissingDependency is raised by the inherited lookup; re-exported here
 from .store import (IndexBoundError, LazyTensor, MissingDependency,
-                    distinct_splits, index_bound, iter_partitions)
+                    distinct_splits, index_bound, iter_partitions,
+                    slot_ranges)
 
 
 class NonzeroEvenIndex(Exception):
@@ -120,8 +121,9 @@ class TrSolver(LazyTensor):
                     bases.eta_zero.scale(self._half)
             else:
                 chi = 2 * g + len(bos) + len(fer) + 1
+                _, fer_idx = slot_ranges(index_bound(chi, self.epsilon))
                 out = FormalSeries.zero(self.ring, bases.trunc, 0, 1)
-                for c in range(0, index_bound(chi, self.epsilon) + 1, 2):
+                for c in fer_idx:
                     val = self.flookup(g, bos, (c,) + fer)
                     if val:
                         out = out + bases.eta_minus(c).scale(val)
@@ -131,8 +133,9 @@ class TrSolver(LazyTensor):
                 out = bases.dxi_plus(j).scale(j)
             else:
                 chi = 2 * g + len(bos) + len(fer) + 1
+                bos_idx, _ = slot_ranges(index_bound(chi, self.epsilon))
                 out = FormalSeries.zero(self.ring, bases.trunc, 1, 0)
-                for a in range(1, index_bound(chi, self.epsilon) + 1, 2):
+                for a in bos_idx:
                     val = self.flookup(g, (a,) + bos, fer)
                     if val:
                         out = out + bases.dxi_minus(a).scale(val)
@@ -149,15 +152,15 @@ class TrSolver(LazyTensor):
         """
         bases = self.bases
         chi = 2 * g + len(J) + 1 + len(K)
-        prev = index_bound(chi - 1, self.epsilon)
+        bos_idx, fer_idx = slot_ranges(index_bound(chi - 1, self.epsilon))
         q = FormalSeries.zero(self.ring, bases.trunc, 2, 0)
         if g >= 1:
             if (g - 1, len(J) + 2, len(K)) == (0, 2, 0):
                 q = q + bases.omega02.eval_diag("plain")
             else:
-                for a in range(1, prev + 1, 2):
+                for a in bos_idx:
                     xa = bases.dxi_minus(a)
-                    for b in range(1, prev + 1, 2):
+                    for b in bos_idx:
                         val = self.flookup(g - 1, (a, b) + J, K)
                         if val:
                             q = q + (xa * bases.dxi_minus(b).sigma()) \
@@ -167,9 +170,9 @@ class TrSolver(LazyTensor):
                     + bases.omega002.eval_diag("derived_second")
                 q = q + diag.scale(-self._half)
             else:
-                for a in range(0, prev + 1, 2):
+                for a in fer_idx:
                     da = bases.eta_minus(a).derive()
-                    for b in range(0, prev + 1, 2):
+                    for b in fer_idx:
                         val = self.flookup(g - 1, J, (a, b) + K)
                         if val:
                             eb = bases.eta_minus(b)
@@ -216,12 +219,12 @@ class TrSolver(LazyTensor):
         """
         bases = self.bases
         chi = 2 * g + len(J) + len(Kx) + 1
-        prev = index_bound(chi - 1, self.epsilon)
+        bos_idx, fer_idx = slot_ranges(index_bound(chi - 1, self.epsilon))
         q = FormalSeries.zero(self.ring, bases.trunc, 1, 1)
         if g >= 1:
-            for a in range(1, prev + 1, 2):
+            for a in bos_idx:
                 xa = bases.dxi_minus(a)
-                for c in range(0, prev + 1, 2):
+                for c in fer_idx:
                     val = self.flookup(g - 1, (a,) + J, (c,) + Kx)
                     if val:
                         ec = bases.eta_minus(c)

@@ -42,20 +42,20 @@ def airy_curve():
     return CurveData(RING, 3, {3: rat(1)}, {}, {}, {}, 26)
 
 
-def rich_curve():
+def rich_curve(lead=1):
     return CurveData(
         RING, 3,
-        {3: rat(1), 5: rat("2/3"), 4: rat("1/2")},
+        {3: rat(lead), 5: rat("2/3"), 4: rat("1/2")},
         {(1, 1): rat("1/2"), (1, 2): rat(-3), (2, 2): rat("1/5")},
         {1: rat(2), 2: rat("-1/3")},
         {(1, 2): rat("1/7"), (2, 3): rat(4)},
         30)
 
 
-def irregular_curve():
+def irregular_curve(lead=1):
     return CurveData(
         RING, 1,
-        {1: rat(1), 2: rat("1/2"), 3: rat("-1/3")},
+        {1: rat(lead), 2: rat("1/2"), 3: rat("-1/3")},
         {(1, 1): rat(1), (1, 3): rat("2/7")},
         {1: rat("-1/2"), 3: rat(1)},
         {(1, 2): rat(3)},
@@ -315,6 +315,28 @@ def test_quadratic_commutators(relation):
                     (relation, n, m, p.terms)
 
 
+class Routed(Exception):
+    """Raised by the stand-in for a quadratic mode."""
+
+
+def test_checks_look_up_quadratic_modes_when_called(monkeypatch):
+    # the benchmark counts quadratic mode applications by wrapping
+    # svir._apply_L and svir._apply_G, so a check that captured these
+    # functions earlier would go uncounted
+    def stand_in(*_args):
+        raise Routed
+
+    monkeypatch.setattr(svir, "_apply_L", stand_in)
+    monkeypatch.setattr(svir, "_apply_G", stand_in)
+    p = mono(bos=(1,), fer=(0,))
+    for relation in ("comm1", "comm2", "comm3", "comm4", "comm5"):
+        with pytest.raises(Routed):
+            check_commutator(relation, 0, 1, p)
+    assert check_heisenberg_clifford(1, -1, p)
+    with pytest.raises(Routed):
+        check_airy_axioms(airy_curve(), i_max=1, probe_max=2)
+
+
 # --- shifted operators and structure axioms ------------------------------------
 
 
@@ -347,9 +369,12 @@ def test_gamma_zero_mode_shift():
 
 @pytest.mark.parametrize(
     "curve,i_max", [(airy_curve(), 4), (rich_curve(), 3),
-                    (irregular_curve(), 3)],
-    ids=["airy", "rich", "irregular"])
+                    (irregular_curve(), 3), (rich_curve(lead=2), 3),
+                    (irregular_curve(lead="-1/3"), 3)],
+    ids=["airy", "rich", "irregular", "rich-lead-2", "irregular-lead-1/3"])
 def test_airy_axioms_pass(curve, i_max):
+    # the last two have a leading dilaton coefficient tau_eps != 1, which
+    # the recombination divides out
     assert check_airy_axioms(curve, i_max=i_max, probe_max=6) == []
 
 
