@@ -7,8 +7,12 @@ leading-index unknown. Each such equation is one sparse contraction: the
 coefficients are evaluated once per solver into tables of their nonzero
 values, whose (k, l) pairs drive the lookups of lower-level entries, and
 each partition of the remaining indices is enumerated once per entry.
-Entries are computed lazily with memoization, so a single high-level
-query only touches the sectors it actually depends on.
+The lower-level factors of each product are read as slices of the sector
+index (see store.LazyTensor): the nonzero entries with the k or l slot
+open, joined with the coefficient table by index, so no index up to the
+level bound is probed. Entries are computed lazily with memoization; a
+slice is complete only once its level is, so a single high-level query
+first solves every lower level in full.
 A bosonic-only mode (fermionic content dropped, halved central constant)
 supports the genus-scaling reduction checks.
 """
@@ -18,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .curve import complete_psi
-from .store import (LazyTensor, UnsolvedEntry, index_bound, iter_partitions,
-                    slot_ranges)
+from .store import (LazyTensor, UnsolvedEntry, index_bound, insert_index,
+                    iter_partitions, slot_ranges)
 
 
 class SingularLeading(Exception):
@@ -193,69 +197,72 @@ class AirySolver(LazyTensor):
     # --- quadratic combinations -------------------------------------------
     #
     # Each xi2_* sums, over a table of nonzero coefficients (k, l, C), C
-    # times the quadratic term with k and l in their slots. Partition terms
-    # with an unstable factor are skipped before either lookup. This is not
-    # just an optimization: a same-level factor in a product always comes
-    # paired with an unstable one, and looking it up would recurse into
-    # entries whose own dependencies may still be mid-computation, where
-    # the memoized read is not yet valid. With the guard, every product
-    # factor is at level <= chi - 2 and the F_{g-1} term at chi - 1, so the
-    # only same-level lookups are the leading-sum terms, whose solved index
-    # strictly increases, and the dependency graph is acyclic.
+    # times the quadratic term with k and l in their slots. The lower
+    # entries are read as slices, so every factor is a nonzero entry of a
+    # solved level. Partition terms with an unstable factor are never
+    # formed. This is not just an optimization: a same-level factor in a
+    # product always comes paired with an unstable one, and its level is
+    # still being solved. So every product factor is at level <= chi - 2
+    # and the F_{g-1} term at chi - 1; the only same-level lookups are the
+    # leading-sum and single-F terms, whose solved index strictly
+    # increases, and the dependency graph is acyclic.
 
     def xi2_bb(self, g, pairs, bos, fer):
         """Sum of C * [F_{g-1}(k,l,J|K) + signed F(k,J1|K1)F(l,J2|K2)]."""
-        return self._xi2(g, pairs, bos, fer, False, False, 1)
+        return self._xi2(g, pairs, bos, fer, False, False)
 
     def xi2_ff(self, g, pairs, bos, fer):
         """Sum of C * [-F_{g-1}(J|k,l,K) + signed F(J1|k,K1)F(J2|l,K2)]."""
-        return self._xi2(g, pairs, bos, fer, True, True, -1)
+        return self._xi2(g, pairs, bos, fer, True, True)
 
     def xi2_bf(self, g, pairs, bos, fer):
         """Sum of C * [F_{g-1}(k,J|l,K) + signed F(k,J1|K1)F(J2|l,K2)]."""
-        return self._xi2(g, pairs, bos, fer, False, True, 1)
+        return self._xi2(g, pairs, bos, fer, False, True)
 
-    def _xi2(self, g, pairs, bos, fer, k_fermionic, l_fermionic, lead_sign):
+    def _xi2(self, g, pairs, bos, fer, k_fermionic, l_fermionic):
         """The quadratic sum over pairs (k, l, C) with k and l in the given
-        (fermionic or bosonic) slots: C times lead_sign * F_{g-1}(k, l, ...)
-        plus the signed products F_{g1}(k, J1|K1) F_{g-g1}(l, J2|K2) over
-        partitions of J and K. Each partition is enumerated once; a second
-        factor is looked up only for an l paired with a nonzero first."""
+        (fermionic or bosonic) slots: C times the F_{g-1} lead term plus
+        the signed products F_{g1}(k, J1|K1) F_{g-g1}(l, J2|K2) over
+        partitions of J and K, for canonical J = bos and K = fer.
+
+        The lead term is read with l opened in front of k: that is
+        F_{g-1}(k, l, ...) for a bosonic k or l, and F_{g-1}(J|l,k,K) =
+        -F_{g-1}(J|k,l,K) for two fermions, the lead term of xi2_ff."""
         out = self.zero
         if not pairs:
             return out
         rows = {}
         for k, l, val in pairs:
-            lead = self.flookup(g - 1, *_place(
-                k, k_fermionic, *_place(l, l_fermionic, bos, fer)))
-            if lead:
-                out = out + val * lead
             rows.setdefault(k, []).append((l, val))
-        if lead_sign == -1:
-            out = -out
+        if g:
+            for k, row in rows.items():
+                opened, sign = insert_index(k, k_fermionic, bos, fer)
+                if sign:
+                    lead = _contract(row, self.slice(
+                        g - 1, *opened, l_fermionic), self.zero)
+                    if lead:
+                        out = out + (lead if sign == 1 else -lead)
+        fer_splits = list(iter_partitions(fer))
         for bos1, bos2, _ in iter_partitions(bos):
-            for fer1, fer2, sign in iter_partitions(fer):
-                for g1 in range(g + 1):
-                    if not _stable_pair(g, g1, bos1, fer1, bos2, fer2):
+            for fer1, fer2, sign in fer_splits:
+                # a factor is stable (chi >= 3) at genus >= 1 or with two
+                # indices beside its open slot
+                low = 0 if len(bos1) + len(fer1) > 1 else 1
+                high = g if len(bos2) + len(fer2) > 1 else g - 1
+                for g1 in range(low, high + 1):
+                    firsts = self.slice(g1, bos1, fer1, k_fermionic)
+                    if not firsts:
                         continue
-                    seconds = {}
+                    seconds = self.slice(g - g1, bos2, fer2, l_fermionic)
+                    if not seconds:
+                        continue
                     part = self.zero
-                    for k, row in rows.items():
-                        a = self.flookup(
-                            g1, *_place(k, k_fermionic, bos1, fer1))
-                        if not a:
-                            continue
-                        inner = self.zero
-                        for l, val in row:
-                            b = seconds.get(l)
-                            if b is None:
-                                b = seconds[l] = self.flookup(
-                                    g - g1, *_place(l, l_fermionic,
-                                                    bos2, fer2))
-                            if b:
-                                inner = inner + val * b
-                        if inner:
-                            part = part + a * inner
+                    for k, a in firsts.items():
+                        row = rows.get(k)
+                        if row is not None:
+                            inner = _contract(row, seconds, self.zero)
+                            if inner:
+                                part = part + a * inner
                     if part:
                         out = out + (part if sign == 1 else -part)
         return out
@@ -390,10 +397,13 @@ def _place(index, fermionic, bos, fer):
     return (bos, (index,) + fer) if fermionic else ((index,) + bos, fer)
 
 
-def _stable_pair(g, g1, bos1, fer1, bos2, fer2):
-    """Both factors of a product partition have a stable index (chi >= 3)."""
-    return (2 * g1 + 1 + len(bos1) + len(fer1) > 2
-            and 2 * (g - g1) + 1 + len(bos2) + len(fer2) > 2)
+def _contract(row, entries, out):
+    """out plus C * entries[l] over the (l, C) of a coefficient row."""
+    for l, val in row:
+        entry = entries.get(l)
+        if entry is not None:
+            out = out + val * entry
+    return out
 
 
 def run_airy(curve, chi_max):

@@ -5,13 +5,15 @@ and antisymmetric in the fermionic indices j. Entries are stored under the
 canonical key (bosonic sorted ascending, fermionic strictly ascending) and
 retrieval/storage with permuted index lists applies the sign of the
 fermionic sorting permutation. `LazyTensor` is the scaffolding both solvers
-share: level enumeration of candidate keys and the memoized, zero-filtered
-lookup that computes an entry on first use.
+share: level enumeration of candidate keys, the memoized, zero-filtered
+lookup that computes an entry on first use, and the sector index that hands
+a solver every nonzero entry of a lower level with one slot left open.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from bisect import bisect_left
+from itertools import combinations, combinations_with_replacement, groupby
 from operator import itemgetter
 
 
@@ -54,7 +56,7 @@ def slot_ranges(bound):
     return range(1, bound + 1, 2), range(0, bound + 1, 2)
 
 
-def _sort_with_sign(seq):
+def sort_with_sign(seq):
     """Sort a sequence, returning (sorted tuple, permutation sign).
 
     Returns sign 0 if the sequence has a repeated element.
@@ -72,6 +74,19 @@ def _sort_with_sign(seq):
         if a == b:
             return tuple(items), 0
     return tuple(items), sign
+
+
+def insert_index(index, fermionic, bos, fer):
+    """The canonical (bos, fer) with index added to the slot of the given
+    kind, and the sign of sorting it in from the front of that slot (0 for
+    a fermionic index already present)."""
+    if fermionic:
+        pos = bisect_left(fer, index)
+        if pos < len(fer) and fer[pos] == index:
+            return None, 0
+        return (bos, fer[:pos] + (index,) + fer[pos:]), -1 if pos % 2 else 1
+    pos = bisect_left(bos, index)
+    return (bos[:pos] + (index,) + bos[pos:], fer), 1
 
 
 def partition_sign(whole, part1, part2):
@@ -139,21 +154,40 @@ def iter_partitions(seq):
         yield gather1(seq), gather2(seq), sign
 
 
-def distinct_splits(splits):
-    """The distinct (part1, part2) among the splits `iter_partitions`
-    yields, each with the number of splits giving it, in order of first
-    occurrence.
+# multiplicity pattern of a sorted sequence (the sizes of its runs of equal
+# items, e.g. (2, 1, 3)) -> its distinct splits, each as the gathers of
+# part1's and part2's positions and the number of positioned splits giving
+# it; built once per pattern, so memory stays at one table per pattern
+_DISTINCT = {}
+
+
+def distinct_splits(seq):
+    """The distinct (part1, part2) among the splits `iter_partitions` yields
+    for a sorted seq, each with the number of splits giving it, in order of
+    first occurrence.
 
     For a multiset whose split sign is never used: a term of a sum over
     all splits is then formed once per distinct split and weighted by
-    its multiplicity. The caller enumerates the splits, so that every
-    enumeration goes through its own `iter_partitions` name, where
-    perfbench counts it.
+    its multiplicity. Which positioned splits coincide depends only on the
+    run sizes of seq, so the table is shared by every seq of one pattern.
     """
-    counts = {}
-    for part1, part2, _ in splits:
-        counts[part1, part2] = counts.get((part1, part2), 0) + 1
-    return [(part1, part2, mult) for (part1, part2), mult in counts.items()]
+    pattern = tuple(sum(1 for _ in run) for _, run in groupby(seq))
+    table = _DISTINCT.get(pattern)
+    if table is None:
+        # a stand-in sequence with the same runs: its item at a position
+        # determines seq's item there
+        stand_in = tuple(run for run, size in enumerate(pattern)
+                         for _ in range(size))
+        gathers, counts = {}, {}
+        for gather1, gather2, _ in _split_table(len(stand_in)):
+            parts = gather1(stand_in), gather2(stand_in)
+            gathers.setdefault(parts, (gather1, gather2))
+            counts[parts] = counts.get(parts, 0) + 1
+        table = _DISTINCT[pattern] = tuple(
+            (gather1, gather2, counts[parts])
+            for parts, (gather1, gather2) in gathers.items())
+    return [(gather1(seq), gather2(seq), mult)
+            for gather1, gather2, mult in table]
 
 
 class CorrTensor:
@@ -174,7 +208,7 @@ class CorrTensor:
 
     def get(self, g, bos, fer):
         bos = tuple(sorted(bos))
-        fer, sign = _sort_with_sign(fer)
+        fer, sign = sort_with_sign(fer)
         if sign == 0:
             return self.zero
         value = self.entries.get((g, bos, fer))
@@ -182,9 +216,14 @@ class CorrTensor:
             return self.zero
         return value if sign == 1 else -value
 
-    def set(self, g, bos, fer, value):
-        bos_sorted = tuple(sorted(bos))
-        fer_sorted, sign = _sort_with_sign(fer)
+    def set(self, g, bos, fer, value, canonical=False):
+        """Store value at (g, bos, fer), indices in any order; a canonical
+        caller (bos sorted, fer strictly ascending) skips the sorting."""
+        if canonical:
+            bos_sorted, fer_sorted, sign = bos, fer, 1
+        else:
+            bos_sorted = tuple(sorted(bos))
+            fer_sorted, sign = sort_with_sign(fer)
         chi = self.chi(g, bos_sorted, fer_sorted)
         if chi <= 2:
             raise StabilityError(f"unstable key g={g}, {bos}, {fer}")
@@ -224,12 +263,21 @@ class CorrTensor:
         return self.entries == other.entries
 
 
+# the slice of a sector with no nonzero entry; read, never written
+_NO_ENTRIES = {}
+
+
 class LazyTensor:
     """A CorrTensor whose entries are computed on first lookup.
 
     A solver subclasses this and supplies compute_entry(g, bos, fer) for a
     canonical key; everything else here is shared. With bosonic_only set,
     every key with a fermionic slot is zero and never enumerated.
+
+    Every nonzero entry is also filed in a sector index under each way of
+    opening one of its slots, so that a solver reads the nonzero entries
+    F(g; i, bos | fer) or F(g; bos | i, fer) over all i from `slice`
+    instead of looking up every index up to the level bound.
     """
 
     def __init__(self, ring, chi_max, epsilon, bosonic_only=False):
@@ -241,11 +289,15 @@ class LazyTensor:
         self.zero = self.tensor.zero
         self._done = set()
         self._pending = set()
+        # (g, bos, fer, fermionic) -> {i: entry with i in the open slot}
+        self._sectors = {}
+        # every key of every level up to this one is solved
+        self._solved_through = 2
 
     def value(self, g, bos, fer):
         """Canonical tensor entry, computed on demand and memoized."""
         bos = tuple(sorted(bos))
-        fer_sorted, sign = _sort_with_sign(fer)
+        fer_sorted, sign = sort_with_sign(fer)
         if sign == 0:
             return self.zero
         key = (g, bos, fer_sorted)
@@ -260,9 +312,38 @@ class LazyTensor:
                 val = self.compute_entry(g, bos, fer_sorted)
             finally:
                 self._pending.discard(key)
-            self.tensor.set(g, bos, fer_sorted, val)
+            self.tensor.set(g, bos, fer_sorted, val, canonical=True)
+            if val:
+                self._file(g, bos, fer_sorted, val)
         out = self.tensor.entries.get(key, self.zero)
         return out if sign == 1 else -out
+
+    def _file(self, g, bos, fer, val):
+        """Enter a stored nonzero canonical entry in the sector index."""
+        sectors = self._sectors
+        for pos, i in enumerate(bos):
+            if pos and bos[pos - 1] == i:
+                continue  # a repeated index opens the same sector
+            key = (g, bos[:pos] + bos[pos + 1:], fer, False)
+            sectors.setdefault(key, {})[i] = val
+        for pos, j in enumerate(fer):
+            # moving j from position pos to the front takes pos swaps
+            key = (g, bos, fer[:pos] + fer[pos + 1:], True)
+            sectors.setdefault(key, {})[j] = -val if pos % 2 else val
+
+    def slice(self, g, bos, fer, fermionic):
+        """{i: flookup(g, (i,) + bos, fer)} (fermionic: (g, bos, (i,) +
+        fer)) over the nonzero entries, for canonical bos and fer.
+
+        The slice is complete only once its level is solved, so a read
+        above the solved levels first solves the levels it lacks.
+        """
+        if g < 0:
+            return _NO_ENTRIES
+        chi = 2 * g + len(bos) + len(fer) + 1
+        if chi > self._solved_through:
+            self._solve_through(chi)
+        return self._sectors.get((g, bos, fer, fermionic), _NO_ENTRIES)
 
     def flookup(self, g, bos, fer):
         """Tensor entry, zero for out-of-range or unstable arguments.
@@ -312,9 +393,17 @@ class LazyTensor:
                         keys.append((g, bos, fer))
         return keys
 
+    def _solve_through(self, chi):
+        """Solve every key of the unsolved levels up to chi, in order."""
+        if chi > self.chi_max:
+            raise MissingDependency(
+                f"level {chi} beyond configured maximum {self.chi_max}")
+        for level in range(self._solved_through + 1, chi + 1):
+            for g, bos, fer in self.level_keys(level):
+                self.value(g, bos, fer)
+            self._solved_through = level
+
     def run(self):
         """Every entry up to chi_max, level by level; returns the tensor."""
-        for chi in range(3, self.chi_max + 1):
-            for g, bos, fer in self.level_keys(chi):
-                self.value(g, bos, fer)
+        self._solve_through(self.chi_max)
         return self.tensor

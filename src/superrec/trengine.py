@@ -22,8 +22,8 @@ from .curve import CurveBases
 from .series import FormalSeries, TruncationError
 # MissingDependency is raised by the inherited lookup; re-exported here
 from .store import (IndexBoundError, LazyTensor, MissingDependency,
-                    distinct_splits, index_bound, iter_partitions,
-                    slot_ranges)
+                    distinct_splits, index_bound, insert_index,
+                    iter_partitions, slot_ranges, sort_with_sign)
 
 
 class NonzeroEvenIndex(Exception):
@@ -105,10 +105,11 @@ class TrSolver(LazyTensor):
     def eval_lower(self, g, bos, fer, fermionic):
         """Slot series of a lower correlation form with z in one slot.
 
-        bos/fer are the remaining (external) indices; the z-slot is bosonic
-        or fermionic according to `fermionic`. The two-point bilinears are
-        substituted in closed form; stable factors are sums of basis series
-        weighted by lower tensor entries.
+        bos/fer are the remaining (external) canonical indices; the z-slot
+        is bosonic or fermionic according to `fermionic`. The two-point
+        bilinears are substituted in closed form; stable factors are sums
+        of basis series weighted by the lower tensor entries of the slice
+        with that slot open.
         """
         key = (g, bos, fer, fermionic)
         if key in self._factors:
@@ -120,27 +121,26 @@ class TrSolver(LazyTensor):
                 out = bases.eta_plus(k) if k else \
                     bases.eta_zero.scale(self._half)
             else:
-                chi = 2 * g + len(bos) + len(fer) + 1
-                _, fer_idx = slot_ranges(index_bound(chi, self.epsilon))
                 out = FormalSeries.zero(self.ring, bases.trunc, 0, 1)
-                for c in fer_idx:
-                    val = self.flookup(g, bos, (c,) + fer)
-                    if val:
-                        out = out + bases.eta_minus(c).scale(val)
+                for c, val in self.slice(g, bos, fer, True).items():
+                    out = out + bases.eta_minus(c).scale(val)
         else:
             if (g, len(bos), len(fer)) == (0, 1, 0):
                 j = bos[0]
                 out = bases.dxi_plus(j).scale(j)
             else:
-                chi = 2 * g + len(bos) + len(fer) + 1
-                bos_idx, _ = slot_ranges(index_bound(chi, self.epsilon))
                 out = FormalSeries.zero(self.ring, bases.trunc, 1, 0)
-                for a in bos_idx:
-                    val = self.flookup(g, (a,) + bos, fer)
-                    if val:
-                        out = out + bases.dxi_minus(a).scale(val)
+                for a, val in self.slice(g, bos, fer, False).items():
+                    out = out + bases.dxi_minus(a).scale(val)
         self._factors[key] = out
         return out
+
+    def has_lower(self, g, bos, fer, fermionic):
+        """Whether eval_lower can be nonzero: a closed-form factor, or a
+        nonempty slice."""
+        closed = (0, 0, 1) if fermionic else (0, 1, 0)
+        return (g, len(bos), len(fer)) == closed or \
+            bool(self.slice(g, bos, fer, fermionic))
 
     # --- assembly ------------------------------------------------------------
 
@@ -159,10 +159,11 @@ class TrSolver(LazyTensor):
                 q = q + bases.omega02.eval_diag("plain")
             else:
                 for a in bos_idx:
-                    xa = bases.dxi_minus(a)
-                    for b in bos_idx:
-                        val = self.flookup(g - 1, (a, b) + J, K)
-                        if val:
+                    opened, _ = insert_index(a, False, J, K)
+                    row = self.slice(g - 1, *opened, False)
+                    if row:
+                        xa = bases.dxi_minus(a)
+                        for b, val in row.items():
                             q = q + (xa * bases.dxi_minus(b).sigma()) \
                                 .scale(val)
             if (g - 1, len(J), len(K) + 2) == (0, 0, 2):
@@ -171,18 +172,23 @@ class TrSolver(LazyTensor):
                 q = q + diag.scale(-self._half)
             else:
                 for a in fer_idx:
+                    opened, sign = insert_index(a, True, J, K)
+                    row = self.slice(g - 1, *opened, True) if sign else None
+                    if not row:
+                        continue
+                    # the slice holds F(J|b,a,K) = -F(J|a,b,K) up to the
+                    # sign of sorting a into K
+                    weight = self._half if sign == 1 else -self._half
                     da = bases.eta_minus(a).derive()
-                    for b in fer_idx:
-                        val = self.flookup(g - 1, J, (a, b) + K)
-                        if val:
-                            eb = bases.eta_minus(b)
-                            prod = da * eb.sigma() + da.sigma() * eb
-                            q = q + prod.scale(-(self._half * val))
+                    for b, val in row.items():
+                        eb = bases.eta_minus(b)
+                        prod = da * eb.sigma() + da.sigma() * eb
+                        q = q + prod.scale(weight * val)
         # a z-slot factor needs an even remaining fermion count beside a
         # bosonic slot and an odd one beside a fermionic slot; K is even,
         # so K1 and K2 share their parity
         even, odd = _splits_by_parity(K)
-        for J1, J2, mult in distinct_splits(iter_partitions(J)):
+        for J1, J2, mult in distinct_splits(J):
             for g1 in range(g + 1):
                 g2 = g - g1
                 # with no fermion either, a bosonic factor of genus 0 and
@@ -192,20 +198,18 @@ class TrSolver(LazyTensor):
                 for K1, K2, rho in even:
                     if (line1 and not K1) or (line2 and not K2):
                         continue
+                    if not (self.has_lower(g1, J1, K1, False)
+                            and self.has_lower(g2, J2, K2, False)):
+                        continue
                     b1 = self.eval_lower(g1, J1, K1, False)
-                    if b1.is_zero():
-                        continue
                     b2 = self.eval_lower(g2, J2, K2, False)
-                    if b2.is_zero():
-                        continue
                     q = q + _weighted(b1 * b2.sigma(), rho * mult)
                 for K1, K2, rho in odd:
+                    if not (self.has_lower(g1, J1, K1, True)
+                            and self.has_lower(g2, J2, K2, True)):
+                        continue
                     f1 = self.eval_lower(g1, J1, K1, True)
-                    if f1.is_zero():
-                        continue
                     f2 = self.eval_lower(g2, J2, K2, True)
-                    if f2.is_zero():
-                        continue
                     d1 = f1.derive()
                     prod = d1 * f2.sigma() + d1.sigma() * f2
                     q = q + prod.scale(self._half * (rho * mult))
@@ -219,32 +223,32 @@ class TrSolver(LazyTensor):
         """
         bases = self.bases
         chi = 2 * g + len(J) + len(Kx) + 1
-        bos_idx, fer_idx = slot_ranges(index_bound(chi - 1, self.epsilon))
+        bos_idx, _ = slot_ranges(index_bound(chi - 1, self.epsilon))
         q = FormalSeries.zero(self.ring, bases.trunc, 1, 1)
         if g >= 1:
             for a in bos_idx:
-                xa = bases.dxi_minus(a)
-                for c in fer_idx:
-                    val = self.flookup(g - 1, (a,) + J, (c,) + Kx)
-                    if val:
+                opened, _ = insert_index(a, False, J, Kx)
+                row = self.slice(g - 1, *opened, True)
+                if row:
+                    xa = bases.dxi_minus(a)
+                    for c, val in row.items():
                         ec = bases.eta_minus(c)
                         prod = xa * ec.sigma() + xa.sigma() * ec
                         q = q + prod.scale(val)
         # the bosonic factor needs an even share of the odd Kx
         even, _ = _splits_by_parity(Kx)
-        for J1, J2, mult in distinct_splits(iter_partitions(J)):
+        for J1, J2, mult in distinct_splits(J):
             for g1 in range(g + 1):
                 g2 = g - g1
                 line = not (g1 or J1)  # as in assemble_QBB_FF
                 for K1, K2, rho in even:
                     if line and not K1:
                         continue
+                    if not (self.has_lower(g1, J1, K1, False)
+                            and self.has_lower(g2, J2, K2, True)):
+                        continue
                     b = self.eval_lower(g1, J1, K1, False)
-                    if b.is_zero():
-                        continue
                     f = self.eval_lower(g2, J2, K2, True)
-                    if f.is_zero():
-                        continue
                     prod = b * f.sigma() + b.sigma() * f
                     q = q + _weighted(prod, rho * mult)
         return q
@@ -277,20 +281,31 @@ class TrSolver(LazyTensor):
 
         The kernel misses the zero mode in the output slot, so a leading
         zero index is recovered from antisymmetry: F(J|0,a,K) = -F(J|a,0,K).
+        The remaining indices are sorted, with their sign, before assembly.
         """
         if fer[0] == 0:
-            column = self.fermionic_column(g, J, (0,) + fer[2:])
-            return -column.get(fer[1], self.zero)
-        column = self.fermionic_column(g, J, fer[1:])
-        return column.get(fer[0], self.zero)
+            index, Kx, sign = fer[1], (0,) + fer[2:], -1
+        else:
+            index, Kx, sign = fer[0], fer[1:], 1
+        Kx, sort_sign = sort_with_sign(Kx)
+        if not sort_sign:
+            return self.zero
+        column = self.fermionic_column(g, tuple(sorted(J)), Kx)
+        val = column.get(index, self.zero)
+        return val if sign * sort_sign == 1 else -val
 
     def bosonic_value(self, g, bos, fer, pos=None):
-        """F(bos | fer) by the bosonic-slot route, extracting slot `pos`."""
+        """F(bos | fer) by the bosonic-slot route, extracting slot `pos`;
+        the remaining indices are sorted, with their sign, before
+        assembly."""
         if pos is None:
             pos = len(bos) - 1
-        rest = bos[:pos] + bos[pos + 1:]
-        column = self.bosonic_column(g, rest, fer)
-        return column.get(bos[pos], self.zero)
+        rest = tuple(sorted(bos[:pos] + bos[pos + 1:]))
+        fer, sign = sort_with_sign(fer)
+        if not sign:
+            return self.zero
+        val = self.bosonic_column(g, rest, fer).get(bos[pos], self.zero)
+        return val if sign == 1 else -val
 
     # --- driver ----------------------------------------------------------------
 

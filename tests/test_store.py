@@ -1,6 +1,7 @@
 import inspect
 import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,12 +12,41 @@ from superrec.scalars import Ring
 from superrec.store import (
     CorrTensor, IndexBoundError, LazyTensor, MissingDependency, ParityError,
     StabilityError, UnsolvedEntry, distinct_splits, index_bound,
-    iter_partitions, partition_sign)
+    iter_partitions, partition_sign, slot_ranges)
 from superrec.trengine import TrSolver
 
 
 RING = Ring([])
 AIRY = CurveData(RING, 3, {3: RING.one()}, {}, {}, {}, 26)
+
+
+def rat(value):
+    return RING.rational(Fraction(value))
+
+
+RICH = CurveData(
+    RING, 3,
+    {3: rat(1), 5: rat("2/3"), 4: rat("1/2")},
+    {(1, 1): rat("1/2"), (1, 2): rat(-3), (2, 2): rat("1/5")},
+    {1: rat(2), 2: rat("-1/3")},
+    {(1, 2): rat("1/7"), (2, 3): rat(4)},
+    30)
+IRREGULAR = CurveData(
+    RING, 1,
+    {1: rat(1), 2: rat("1/2"), 3: rat("-1/3")},
+    {(1, 1): rat(1), (1, 3): rat("2/7")},
+    {1: rat("-1/2"), 3: rat(1)},
+    {(1, 2): rat(3)},
+    30)
+T_RING = Ring([("t", None)])
+PHI11_T = CurveData(T_RING, 3, {3: T_RING.one()},
+                    {(1, 1): T_RING.symbol("t")}, {}, {}, 24)
+SOLVERS = {
+    "tr": TrSolver,
+    "airy": AirySolver,
+    "airy-bosonic-only": lambda curve, chi_max: AirySolver(
+        curve, chi_max, bosonic_only=True),
+}
 
 
 @pytest.fixture
@@ -121,7 +151,7 @@ def test_iter_partitions_is_a_generator():
 @pytest.mark.parametrize("seq", [(), (1,), (1, 1), (1, 1, 3), (1, 3, 5),
                                  (1, 1, 1, 3, 3), (1, 3, 3, 5, 5, 5)])
 def test_distinct_splits_count_the_positioned_splits(seq):
-    splits = distinct_splits(iter_partitions(seq))
+    splits = distinct_splits(seq)
     assert len({(p1, p2) for p1, p2, _ in splits}) == len(splits)
     assert sum(mult for _, _, mult in splits) == 2 ** len(seq)
     assert {(p1, p2): mult for p1, p2, mult in splits} == Counter(
@@ -225,3 +255,71 @@ def test_flookup_precedence(make):
         else:
             with pytest.raises(MissingDependency):
                 solver.flookup(*key)
+
+
+@pytest.mark.parametrize("curve", [RICH, PHI11_T], ids=["rich", "phi11(t)"])
+@pytest.mark.parametrize("make", SOLVERS.values(), ids=SOLVERS)
+def test_lazy_queries_equal_run(curve, make):
+    """A fresh solver's query of a chi-6 entry reads the lower levels as
+    slices, which are complete only once those levels are solved in
+    full; the query must agree with the level-by-level run."""
+    tensor = make(curve, 6).run()
+    keys = tensor.keys_at_chi(6)
+    sample = keys[::-(-len(keys) // 5)]
+    assert len(sample) == 5
+    for key in sample:
+        assert make(curve, 6).flookup(*key) == tensor.entries[key], key
+
+
+def _sectors(solver, chi):
+    """Every (g, bos, fer, fermionic) whose slice is at level chi: each
+    candidate key of the level with one slot opened."""
+    out = set()
+    for g, bos, fer in LazyTensor.level_keys(solver, chi):
+        for pos in range(len(bos)):
+            out.add((g, bos[:pos] + bos[pos + 1:], fer, False))
+        for pos in range(len(fer)):
+            out.add((g, bos, fer[:pos] + fer[pos + 1:], True))
+    return out
+
+
+@pytest.mark.parametrize("curve", [AIRY, RICH, IRREGULAR],
+                         ids=["airy", "rich", "irregular"])
+@pytest.mark.parametrize("solver_cls", [TrSolver, AirySolver])
+def test_slices_match_a_scan(curve, solver_cls):
+    """After a run, each slice holds exactly the nonzero lookups with its
+    slot open: F(g; i, bos | fer), or F(g; bos | i, fer) with the sign of
+    moving i to the front of the fermions."""
+    solver = solver_cls(curve, 5)
+    solver.run()
+    seen = set()
+    for chi in range(3, 6):
+        odd, even = slot_ranges(index_bound(chi, curve.epsilon))
+        for g, bos, fer, fermionic in _sectors(solver, chi):
+            if fermionic:
+                scan = {j: solver.flookup(g, bos, (j,) + fer) for j in even}
+            else:
+                scan = {i: solver.flookup(g, (i,) + bos, fer) for i in odd}
+            want = {i: val for i, val in scan.items() if val}
+            assert solver.slice(g, bos, fer, fermionic) == want, \
+                (g, bos, fer, fermionic)
+            if want:
+                seen.add((g, bos, fer, fermionic))
+    assert seen == set(solver._sectors)
+    assert any(fermionic and fer for _, _, fer, fermionic in seen)
+
+
+@pytest.mark.parametrize("solver_cls", [TrSolver, AirySolver])
+def test_run_lists_each_level_once_in_order(monkeypatch, solver_cls):
+    """perfbench times one span per level between level_keys calls, so a
+    run must ask for each level's keys once, in order, and no slice read
+    inside it may solve a level again."""
+    levels = []
+    level_keys = solver_cls.level_keys
+
+    def counted(solver, chi):
+        levels.append(chi)
+        return level_keys(solver, chi)
+    monkeypatch.setattr(solver_cls, "level_keys", counted)
+    solver_cls(RICH, 6).run()
+    assert levels == [3, 4, 5, 6]

@@ -8,6 +8,7 @@ are checked directly.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -86,6 +87,29 @@ def test_slot_symmetrization(curve):
             assert alt == want, (g, bos, fer)
             checked += 1
     assert checked > 0
+
+
+def test_permuted_slots_are_sorted_before_assembly():
+    """The routes take indices in any order: the bosonic remainder and the
+    fermions are sorted, with their sign, before the lower entries are
+    read from the sector index."""
+    solver = TrSolver(rich_curve(), 5)
+    tensor = solver.run()
+    permuted = swapped = 0
+    for (g, bos, fer) in tensor.sorted_keys():
+        stored = tensor.get(g, bos, fer)
+        if len(bos) > 2 and len(set(bos)) > 1:
+            # some orders leave an unsorted remainder beside slot 0
+            for perm in permutations(bos):
+                assert solver.bosonic_value(g, perm, fer, 0) == stored, \
+                    (g, perm, fer)
+                permuted += 1
+        if bos and len(fer) == 2:
+            reversed_fer = fer[::-1]
+            assert solver.bosonic_value(g, bos, reversed_fer) == -stored
+            assert solver.fermionic_value(g, bos, reversed_fer) == -stored
+            swapped += 1
+    assert permuted and swapped
 
 
 def test_sector_vanishing():
