@@ -303,8 +303,7 @@ class AirySolver(LazyTensor):
             # the quadratic sums carry the 1/2 prefactor of the bilinear
             # part of the constraint operators (it cancels only in the
             # mixed single-F terms below, by index symmetry)
-            kmax = index_bound(chi - 1, eps)
-            odd, even = slot_ranges(kmax)
+            odd, even = slot_ranges(index_bound(chi - 1, eps))
             quad = self.xi2_bb(g, coeffs.nonzero("bb", c, odd, odd),
                                rest, fer)
             if not self.bosonic_only:
@@ -312,21 +311,10 @@ class AirySolver(LazyTensor):
                     g, coeffs.nonzero("ff", c, even, even), rest, fer)
             if quad:
                 acc = acc + ring.rational(Fraction(1, 2)) * quad
-            for pos, j in enumerate(rest):
-                sub = rest[:pos] + rest[pos + 1:]
-                weight = ring.rational(j)
-                for _, k, val in coeffs.nonzero("bb", c, (-j,), odd):
-                    term = self.flookup(g, (k,) + sub, fer)
-                    if term:
-                        acc = acc + val * term * weight
-            for pos, j in enumerate(fer):
-                sub = fer[:pos] + fer[pos + 1:]
-                weight = ring.rational(
-                    Fraction((-1) ** pos, 2 if j == 0 else 1))
-                for _, k, val in coeffs.nonzero("ff", c, (-j,), even):
-                    term = self.flookup(g, rest, (k,) + sub)
-                    if term:
-                        acc = acc + val * term * weight
+            for kinds in ((False, False), (True, True)):
+                single = self._single_f(g, c, rest, fer, *kinds)
+                if single is not None:
+                    acc = acc + single
         return -(self.inv_tau_eps * acc)
 
     def solve_fermionic_entry(self, g, bos, fer):
@@ -350,28 +338,51 @@ class AirySolver(LazyTensor):
                 denom = 2 if k == 0 else 1
                 acc = acc + val * ring.rational(Fraction(j, denom))
         else:
-            kmax = index_bound(chi - 1, eps)
-            odd, even = slot_ranges(kmax)
+            odd, even = slot_ranges(index_bound(chi - 1, eps))
             quad = self.xi2_bf(g, coeffs.nonzero("bf", c, odd, even),
                                bos, rest)
             if quad:
                 acc = acc + quad
-            for pos, j in enumerate(bos):
-                sub = bos[:pos] + bos[pos + 1:]
-                weight = ring.rational(j)
-                for _, k, val in coeffs.nonzero("bf", c, (-j,), even):
-                    term = self.flookup(g, sub, (k,) + rest)
-                    if term:
-                        acc = acc + val * term * weight
-            for pos, j in enumerate(rest):
-                sub = rest[:pos] + rest[pos + 1:]
-                weight = ring.rational(
-                    Fraction((-1) ** pos, 2 if j == 0 else 1))
-                for k, _, val in coeffs.nonzero("bf", c, odd, (-j,)):
-                    term = self.flookup(g, (k,) + bos, sub)
-                    if term:
-                        acc = acc + val * term * weight
+            for kinds in ((False, True), (True, False)):
+                single = self._single_f(g, c, bos, rest, *kinds)
+                if single is not None:
+                    acc = acc + single
         return -(self.inv_tau_eps * acc)
+
+    def _single_f(self, g, c, bos, fer, removed_fermionic,
+                  added_fermionic):
+        """The single-F terms of operator c beside remaining indices bos
+        and fer, or None if all vanish: each index j of the removed kind
+        replaced by each k of the added kind, times C(c, -j, k) (C^bf reads
+        its bosonic argument first) and j, or the position sign of a
+        fermionic j, halved at j = 0."""
+        removed = fer if removed_fermionic else bos
+        if not removed:
+            return None
+        out = None
+        coeffs = self.coeffs
+        kind = "ff" if removed_fermionic and added_fermionic else \
+            "bf" if removed_fermionic or added_fermionic else "bb"
+        transposed = removed_fermionic and not added_fermionic
+        # k spans the range of the quadratic sums: up to the index bound of
+        # level chi - 1, for the entry at chi = 2g + len(bos) + len(fer) + 1
+        added = slot_ranges(index_bound(2 * g + len(bos) + len(fer),
+                                        self.epsilon))[added_fermionic]
+        for pos, j in enumerate(removed):
+            sub = removed[:pos] + removed[pos + 1:]
+            weight = self.ring.rational(
+                Fraction((-1) ** pos, 2 if j == 0 else 1)
+                if removed_fermionic else j)
+            rest = (bos, sub) if removed_fermionic else (sub, fer)
+            for first, second, val in (
+                    coeffs.nonzero(kind, c, added, (-j,)) if transposed
+                    else coeffs.nonzero(kind, c, (-j,), added)):
+                term = self.flookup(g, *_place(
+                    first if transposed else second, added_fermionic, *rest))
+                if term:
+                    term = val * term * weight
+                    out = term if out is None else out + term
+        return out
 
     # --- driver ------------------------------------------------------------
 

@@ -83,6 +83,22 @@ def load_spec_document(curve_arg, chi_max=CHI_DEFAULT):
     return doc
 
 
+def _field(doc, key, kind, default=None):
+    """doc[key] (default when absent), which must be a JSON object, array
+    or integer (an integer string counts) by kind; any other JSON type is
+    a spec error, never coerced."""
+    value = doc.get(key, default)
+    if kind is int and isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    if not isinstance(value, kind) or isinstance(value, bool):
+        name = {dict: "object", list: "array", int: "integer"}[kind]
+        raise SpecError(f"{key} must be a JSON {name}, got {value!r}")
+    return value
+
+
 def _parse_indexed(ring, mapping, pair, what):
     out = {}
     for key, literal in mapping.items():
@@ -110,11 +126,11 @@ def build_curve(doc):
         zref = doc["zoo"]
         try:
             name = zref["name"]
-            m_coeffs = tuple(Fraction(str(c))
-                             for c in zref.get("M_coeffs", ["1"]))
-            params = {key: Fraction(str(val))
-                      for key, val in zref.get("params", {}).items()}
-            trunc = int(doc["trunc"])
+            m_coeffs = tuple(Fraction(str(c)) for c in
+                             _field(zref, "M_coeffs", list, ["1"]))
+            params = {key: Fraction(str(val)) for key, val in
+                      _field(zref, "params", dict, {}).items()}
+            trunc = _field(doc, "trunc", int)
             spec = ZooSpec(name, M_coeffs=m_coeffs, trunc=trunc,
                            free_params=params)
         except (KeyError, ValueError, TypeError, ZeroDivisionError,
@@ -131,14 +147,14 @@ def build_curve(doc):
         symbols = [(entry["name"],
                     Fraction(str(entry["square"]))
                     if "square" in entry else None)
-                   for entry in doc.get("symbols", [])]
+                   for entry in _field(doc, "symbols", list, [])]
         ring = Ring(symbols)
-        epsilon = int(doc["epsilon"])
-        trunc = int(doc["trunc"])
-        tau = _parse_indexed(ring, doc.get("tau", {}), False, "tau")
-        phi = _parse_indexed(ring, doc.get("phi", {}), True, "phi")
-        psi0 = _parse_indexed(ring, doc.get("psi0", {}), False, "psi0")
-        psiA = _parse_indexed(ring, doc.get("psiA", {}), True, "psiA")
+        epsilon = _field(doc, "epsilon", int)
+        trunc = _field(doc, "trunc", int)
+        tau, phi, psi0, psiA = (
+            _parse_indexed(ring, _field(doc, key, dict, {}), pair, key)
+            for key, pair in (("tau", False), ("phi", True),
+                              ("psi0", False), ("psiA", True)))
         curve = CurveData(ring, epsilon, tau, phi, psi0, psiA, trunc)
     except (KeyError, ValueError, TypeError, AssertionError,
             ScalarParseError, ShapeError, AdmissibilityError) as exc:
@@ -460,7 +476,11 @@ def cmd_export(args):
         doc["entries"]
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise SpecError(f"cannot read result file: {exc}") from exc
-    write_csv(args.out, doc)
+    try:
+        write_csv(args.out, doc)
+    except (KeyError, TypeError) as exc:
+        # the rows are formed before anything is written
+        raise SpecError(f"malformed result entry: {exc!r}") from exc
     return 0
 
 

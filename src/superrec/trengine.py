@@ -97,184 +97,137 @@ class TrSolver(LazyTensor):
         self.kernel = KernelWeights(self.bases)
         self._half = self.ring.rational(Fraction(1, 2))
         self._factors = {}
-        self._br_columns = {}
-        self._fr_columns = {}
+        self._columns = {}
 
     # --- lower correlation series in the recursion variable -----------------
 
     def eval_lower(self, g, bos, fer, fermionic):
-        """Slot series of a lower correlation form with z in one slot.
-
-        bos/fer are the remaining (external) canonical indices; the z-slot
-        is bosonic or fermionic according to `fermionic`. The two-point
-        bilinears are substituted in closed form; stable factors are sums
-        of basis series weighted by the lower tensor entries of the slice
-        with that slot open.
-        """
+        """Slot series of a lower correlation form with z in one (bosonic
+        or fermionic) slot beside the canonical indices bos/fer, or None
+        when it is zero: a two-point bilinear in closed form, else the
+        basis series weighted by the entries of the slice with that slot
+        open."""
+        closed = not g and (len(bos), len(fer)) == \
+            ((0, 1) if fermionic else (1, 0))
+        row = None if closed else self.slice(g, bos, fer, fermionic)
+        if not (closed or row):
+            return None
         key = (g, bos, fer, fermionic)
-        if key in self._factors:
-            return self._factors[key]
+        out = self._factors.get(key)
+        if out is not None:
+            return out
         bases = self.bases
-        if fermionic:
-            if (g, len(bos), len(fer)) == (0, 0, 1):
-                k = fer[0]
-                out = bases.eta_plus(k) if k else \
-                    bases.eta_zero.scale(self._half)
-            else:
-                out = FormalSeries.zero(self.ring, bases.trunc, 0, 1)
-                for c, val in self.slice(g, bos, fer, True).items():
-                    out = out + bases.eta_minus(c).scale(val)
+        if not closed:
+            basis = (bases.dxi_minus, bases.eta_minus)[fermionic]
+            out = FormalSeries.zero(self.ring, bases.trunc,
+                                    int(not fermionic), int(fermionic))
+            for c, val in row.items():
+                out = out + basis(c).scale(val)
+        elif fermionic:
+            k = fer[0]
+            out = bases.eta_plus(k) if k else bases.eta_zero.scale(self._half)
         else:
-            if (g, len(bos), len(fer)) == (0, 1, 0):
-                j = bos[0]
-                out = bases.dxi_plus(j).scale(j)
-            else:
-                out = FormalSeries.zero(self.ring, bases.trunc, 1, 0)
-                for a, val in self.slice(g, bos, fer, False).items():
-                    out = out + bases.dxi_minus(a).scale(val)
+            out = bases.dxi_plus(bos[0]).scale(bos[0])
         self._factors[key] = out
         return out
-
-    def has_lower(self, g, bos, fer, fermionic):
-        """Whether eval_lower can be nonzero: a closed-form factor, or a
-        nonempty slice."""
-        closed = (0, 0, 1) if fermionic else (0, 1, 0)
-        return (g, len(bos), len(fer)) == closed or \
-            bool(self.slice(g, bos, fer, fermionic))
 
     # --- assembly ------------------------------------------------------------
 
     def assemble_QBB_FF(self, g, J, K):
-        """Quadratic series with two bosonic or two fermionic z-slots.
-
-        Target entry F(l, J | K); the output is a weight-(dz^2) series in z
-        whose kernel extraction yields the column over l.
+        """Quadratic series with two bosonic or two fermionic z-slots: the
+        weight-(dz^2) series whose extraction is the column l -> F(l, J|K).
         """
-        bases = self.bases
-        chi = 2 * g + len(J) + 1 + len(K)
-        bos_idx, fer_idx = slot_ranges(index_bound(chi - 1, self.epsilon))
-        q = FormalSeries.zero(self.ring, bases.trunc, 2, 0)
-        if g >= 1:
-            if (g - 1, len(J) + 2, len(K)) == (0, 2, 0):
-                q = q + bases.omega02.eval_diag("plain")
-            else:
-                for a in bos_idx:
-                    opened, _ = insert_index(a, False, J, K)
-                    row = self.slice(g - 1, *opened, False)
-                    if row:
-                        xa = bases.dxi_minus(a)
-                        for b, val in row.items():
-                            q = q + (xa * bases.dxi_minus(b).sigma()) \
-                                .scale(val)
-            if (g - 1, len(J), len(K) + 2) == (0, 0, 2):
-                diag = bases.omega002.eval_diag("derived_first") \
-                    + bases.omega002.eval_diag("derived_second")
-                q = q + diag.scale(-self._half)
-            else:
-                for a in fer_idx:
-                    opened, sign = insert_index(a, True, J, K)
-                    row = self.slice(g - 1, *opened, True) if sign else None
-                    if not row:
-                        continue
-                    # the slice holds F(J|b,a,K) = -F(J|a,b,K) up to the
-                    # sign of sorting a into K
-                    weight = self._half if sign == 1 else -self._half
-                    da = bases.eta_minus(a).derive()
-                    for b, val in row.items():
-                        eb = bases.eta_minus(b)
-                        prod = da * eb.sigma() + da.sigma() * eb
-                        q = q + prod.scale(weight * val)
-        # a z-slot factor needs an even remaining fermion count beside a
-        # bosonic slot and an odd one beside a fermionic slot; K is even,
-        # so K1 and K2 share their parity
-        even, odd = _splits_by_parity(K)
-        for J1, J2, mult in distinct_splits(J):
-            for g1 in range(g + 1):
-                g2 = g - g1
-                # with no fermion either, a bosonic factor of genus 0 and
-                # no remaining index is the one-point line factor, which
-                # is excluded from the assembled series
-                line1, line2 = not (g1 or J1), not (g2 or J2)
-                for K1, K2, rho in even:
-                    if (line1 and not K1) or (line2 and not K2):
-                        continue
-                    if not (self.has_lower(g1, J1, K1, False)
-                            and self.has_lower(g2, J2, K2, False)):
-                        continue
-                    b1 = self.eval_lower(g1, J1, K1, False)
-                    b2 = self.eval_lower(g2, J2, K2, False)
-                    q = q + _weighted(b1 * b2.sigma(), rho * mult)
-                for K1, K2, rho in odd:
-                    if not (self.has_lower(g1, J1, K1, True)
-                            and self.has_lower(g2, J2, K2, True)):
-                        continue
-                    f1 = self.eval_lower(g1, J1, K1, True)
-                    f2 = self.eval_lower(g2, J2, K2, True)
-                    d1 = f1.derive()
-                    prod = d1 * f2.sigma() + d1.sigma() * f2
-                    q = q + prod.scale(self._half * (rho * mult))
-        return q
+        return self._assemble(g, J, K, False)
 
     def assemble_QFB(self, g, J, Kx):
-        """Quadratic series with one bosonic and one fermionic z-slot.
+        """Quadratic series with one bosonic and one fermionic z-slot: the
+        weight-(dz, odd) series whose extraction is l -> F(J | l, Kx)."""
+        return self._assemble(g, J, Kx, True)
 
-        Target entry F(J | l, Kx); the output is a weight-(dz, odd) series
-        in z whose kernel extraction yields the column over l.
-        """
-        bases = self.bases
-        chi = 2 * g + len(J) + len(Kx) + 1
-        bos_idx, _ = slot_ranges(index_bound(chi - 1, self.epsilon))
-        q = FormalSeries.zero(self.ring, bases.trunc, 1, 1)
-        if g >= 1:
-            for a in bos_idx:
-                opened, _ = insert_index(a, False, J, Kx)
-                row = self.slice(g - 1, *opened, True)
-                if row:
-                    xa = bases.dxi_minus(a)
-                    for c, val in row.items():
-                        ec = bases.eta_minus(c)
-                        prod = xa * ec.sigma() + xa.sigma() * ec
-                        q = q + prod.scale(val)
-        # the bosonic factor needs an even share of the odd Kx
-        even, _ = _splits_by_parity(Kx)
+    def _assemble(self, g, J, K, fermionic):
+        """The quadratic series for a fermionic (else bosonic) output slot:
+        one product form per pair of z-slot kinds, (B, B) and (F, F) for a
+        bosonic output and (B, F) for a fermionic one. Factors x and y give
+        x.sigma(y) for (B, B), x.sigma(y) + sigma(x).y for (B, F), and
+        (1/2)(x'.sigma(y) + sigma(x').y) for (F, F)."""
+        pairs = ((False, True),) if fermionic else \
+            ((False, False), (True, True))
+        q = FormalSeries.zero(self.ring, self.bases.trunc,
+                              1 if fermionic else 2, int(fermionic))
+        if g == 1 and not J and not K:
+            # (bosonic output only) the F_0 terms of both pairs are the
+            # two-point bilinears: their diagonals, in closed form
+            omega002 = self.bases.omega002
+            q = q + self.bases.omega02.eval_diag("plain") \
+                + (omega002.eval_diag("derived_first")
+                   + omega002.eval_diag("derived_second")).scale(-self._half)
+        for first, second, x, y, weight in self._factor_pairs(g, J, K, pairs):
+            if first and second:
+                prod = _product(x.derive(), y, True).scale(self._half * weight)
+            else:
+                prod = _weighted(_product(x, y, second), weight)
+            q = q + prod
+        return q
+
+    def _factor_pairs(self, g, J, K, pairs):
+        """Each term as (first, second, x, y, weight): the slot kinds, the
+        factors with z in each slot and an integer weight. First the
+        F_{g-1} terms with both slots open (but not the two-point ones),
+        weighted by the sign of opening the first; then the products over
+        the splits of g, J and K, weighted by sign and multiplicity."""
+        if g > 1 or g == 1 and (J or K):
+            ranges = slot_ranges(index_bound(2 * g + len(J) + len(K),
+                                             self.epsilon))
+            for first, second in pairs:
+                basis = (self.bases.dxi_minus, self.bases.eta_minus)[first]
+                for a in ranges[first]:
+                    # for (F, F) the slice holds F(J|b,a,K) = -F(J|a,b,K) up
+                    # to the sign of sorting a into K
+                    opened, sign = insert_index(a, first, J, K)
+                    if sign:
+                        y = self.eval_lower(g - 1, *opened, second)
+                        if y is not None:
+                            yield first, second, basis(a), y, sign
+        # a z-slot factor needs an even remaining fermion count beside a
+        # bosonic slot and an odd one beside a fermionic slot
+        splits = _splits_by_parity(K)
         for J1, J2, mult in distinct_splits(J):
             for g1 in range(g + 1):
                 g2 = g - g1
-                line = not (g1 or J1)  # as in assemble_QBB_FF
-                for K1, K2, rho in even:
-                    if line and not K1:
-                        continue
-                    if not (self.has_lower(g1, J1, K1, False)
-                            and self.has_lower(g2, J2, K2, True)):
-                        continue
-                    b = self.eval_lower(g1, J1, K1, False)
-                    f = self.eval_lower(g2, J2, K2, True)
-                    prod = b * f.sigma() + b.sigma() * f
-                    q = q + _weighted(prod, rho * mult)
-        return q
+                for first, second in pairs:
+                    for K1, K2, rho in splits[first]:
+                        # a bosonic factor of genus 0 and no remaining
+                        # index is the one-point line factor, excluded from
+                        # the series; the other factor is then the entry
+                        # being solved, so neither slice may be read
+                        if not (first or g1 or J1 or K1) or \
+                                not (second or g2 or J2 or K2):
+                            continue
+                        x = self.eval_lower(g1, J1, K1, first)
+                        if x is None:
+                            continue
+                        y = self.eval_lower(g2, J2, K2, second)
+                        if y is not None:
+                            yield first, second, x, y, rho * mult
 
     # --- extraction columns ---------------------------------------------------
 
-    def bosonic_column(self, g, J, K):
-        """Column l -> F(l, J | K) from the bosonic-slot recursion."""
-        key = (g, J, K)
-        if key not in self._br_columns:
-            chi = 2 * g + len(J) + 1 + len(K)
-            q = self.assemble_QBB_FF(g, J, K)
-            self._br_columns[key] = self.kernel.extract_bosonic(
-                q, index_bound(chi, self.epsilon))
-        return self._br_columns[key]
-
-    def fermionic_column(self, g, J, Kx):
-        """Column l -> F(J | l, Kx), l >= 2, from the fermionic-slot
-        recursion (the zero-mode row is completed by antisymmetry)."""
-        key = (g, J, Kx)
-        if key not in self._fr_columns:
-            chi = 2 * g + len(J) + len(Kx) + 1
-            q = self.assemble_QFB(g, J, Kx)
-            self._fr_columns[key] = self.kernel.extract_fermionic(
-                q, index_bound(chi, self.epsilon))
-        return self._fr_columns[key]
+    def _column(self, g, J, K, fermionic):
+        """Column l -> F(l, J | K) from the bosonic-slot recursion, or
+        F(J | l, K), l >= 2, from the fermionic-slot one (whose zero-mode
+        row is completed by antisymmetry)."""
+        key = (g, J, K, fermionic)
+        column = self._columns.get(key)
+        if column is None:
+            bound = index_bound(2 * g + len(J) + len(K) + 1, self.epsilon)
+            if fermionic:
+                column = self.kernel.extract_fermionic(
+                    self.assemble_QFB(g, J, K), bound)
+            else:
+                column = self.kernel.extract_bosonic(
+                    self.assemble_QBB_FF(g, J, K), bound)
+            self._columns[key] = column
+        return column
 
     def fermionic_value(self, g, J, fer):
         """F(J | fer) by the fermionic-slot route.
@@ -290,7 +243,7 @@ class TrSolver(LazyTensor):
         Kx, sort_sign = sort_with_sign(Kx)
         if not sort_sign:
             return self.zero
-        column = self.fermionic_column(g, tuple(sorted(J)), Kx)
+        column = self._column(g, tuple(sorted(J)), Kx, True)
         val = column.get(index, self.zero)
         return val if sign * sort_sign == 1 else -val
 
@@ -304,7 +257,7 @@ class TrSolver(LazyTensor):
         fer, sign = sort_with_sign(fer)
         if not sign:
             return self.zero
-        val = self.bosonic_column(g, rest, fer).get(bos[pos], self.zero)
+        val = self._column(g, rest, fer, False).get(bos[pos], self.zero)
         return val if sign == 1 else -val
 
     # --- driver ----------------------------------------------------------------
@@ -321,6 +274,13 @@ class TrSolver(LazyTensor):
                         f"fermionic route {alt}")
             return val
         return self.fermionic_value(g, bos, fer)
+
+
+def _product(x, y, mirrored):
+    """x.sigma(y), plus sigma(x).y when the pair is mirrored (a fermionic
+    second slot)."""
+    prod = x * y.sigma()
+    return prod + x.sigma() * y if mirrored else prod
 
 
 def _weighted(series, weight):

@@ -22,6 +22,10 @@ from .series import FormalSeries
 ZOO_NAMES = ("airy", "bessel", "phi11", "super_jt",
              "ns_plus", "ns_minus", "ramond")
 
+# The least truncation of each curve: tau_epsilon multiplies z^(epsilon - 1),
+# and super_jt keeps the odd indices up to the truncation itself.
+_LEAST_TRUNC = dict.fromkeys(ZOO_NAMES, 2) | {"bessel": 0, "super_jt": 1}
+
 
 class ExpansionError(Exception):
     """A defining form is not expressible in the scalar ring."""
@@ -37,6 +41,10 @@ class ZooSpec:
     def __post_init__(self):
         if self.name not in ZOO_NAMES:
             raise ExpansionError(f"unknown curve name {self.name!r}")
+        if self.trunc < _LEAST_TRUNC[self.name]:
+            raise ExpansionError(
+                f"curve {self.name} needs trunc >= {_LEAST_TRUNC[self.name]}"
+                f" to hold its leading dilaton coefficient, not {self.trunc}")
         self.M_coeffs = tuple(Fraction(c) for c in self.M_coeffs)
         if self.name in ("ns_plus", "ns_minus", "ramond") \
                 and not any(self.M_coeffs):

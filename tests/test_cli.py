@@ -106,6 +106,71 @@ def test_parse_errors(tmp_path, capsys):
     doc["zoo"] = {"name": "airy"}
     assert main(["compute", "--curve", write_spec(tmp_path, doc, "e.json")]) \
         == EXIT_PARSE
+    # wrong JSON types: never coerced, never an internal error
+    wrong = [dict(EXPLICIT_SPEC, **{key: []})
+             for key in ("tau", "phi", "psi0", "psiA", "symbols")]
+    wrong += [dict(EXPLICIT_SPEC, trunc=12.7),
+              dict(EXPLICIT_SPEC, epsilon=3.9),
+              dict(EXPLICIT_SPEC, epsilon=True),
+              dict(EXPLICIT_SPEC, trunc="20.0"),
+              {"zoo": {"name": "airy", "params": []}, "trunc": 12},
+              {"zoo": {"name": "ramond", "M_coeffs": "12"}, "trunc": 12},
+              {"zoo": {"name": "airy"}, "trunc": 12.7}]
+    for doc in wrong:
+        spec = write_spec(tmp_path, doc, "w.json")
+        assert main(["compute", "--curve", spec, "--chi-max", "3",
+                     "--no-cache"]) == EXIT_PARSE, doc
+    # JSON integers and integer strings are both accepted
+    doc = dict(EXPLICIT_SPEC, epsilon="3", trunc="20")
+    assert main(["compute", "--curve", write_spec(tmp_path, doc, "i.json"),
+                 "--chi-max", "3", "--no-cache"]) == 0
+    # a result file whose entries lack fields
+    result = tmp_path / "r.json"
+    result.write_text(json.dumps({"entries": [{"g": 1}]}))
+    assert main(["export", "--result", str(result), "--out",
+                 str(tmp_path / "r.csv")]) == EXIT_PARSE
+    assert not (tmp_path / "r.csv").exists()
+
+
+# each zoo curve at every truncation too small to hold its leading dilaton
+# coefficient, down to -1
+ZOO_TOO_SHALLOW = [(name, trunc) for name, least in (
+    ("airy", 2), ("bessel", 0), ("phi11", 2), ("super_jt", 1),
+    ("ns_plus", 2), ("ns_minus", 2), ("ramond", 2))
+    for trunc in range(-1, least)]
+
+
+def test_zoo_truncation_too_shallow(tmp_path):
+    for name, trunc in ZOO_TOO_SHALLOW:
+        spec = write_spec(tmp_path, {"zoo": {"name": name}, "trunc": trunc})
+        for command in (["verify-curve"], ["compute", "--chi-max", "3"]):
+            assert main(command + ["--curve", spec]) == EXIT_PARSE, \
+                (name, trunc, command)
+    spec = write_spec(tmp_path, {"zoo": {"name": "super_jt"}, "trunc": 1})
+    with pytest.warns(UserWarning, match="cosine one-form"):
+        assert main(["verify-curve", "--curve", spec]) == 0
+
+
+def test_spec_errors_under_optimized_python(tmp_path):
+    # the fitted curves fail an assert below trunc 0, which `python -O`
+    # strips; every case must be rejected before it is reached
+    src = os.path.dirname(os.path.dirname(os.path.abspath(superrec.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    docs = [{"zoo": {"name": name}, "trunc": trunc}
+            for name, trunc in ZOO_TOO_SHALLOW
+            if trunc == -1 or name == "ramond"]
+    docs += [dict(EXPLICIT_SPEC, trunc=12.7), dict(EXPLICIT_SPEC, tau=[])]
+    commands = [["verify-curve", "--curve", write_spec(tmp_path, doc,
+                                                       f"o{i}.json")]
+                for i, doc in enumerate(docs)]
+    result = write_spec(tmp_path, {"entries": [{"g": 1}]}, "r.json")
+    commands.append(["export", "--result", result, "--out",
+                     str(tmp_path / "r.csv")])
+    for command in commands:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "superrec.cli"] + command,
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_PARSE, (command, proc.stderr)
 
 
 def test_triangle_shape_errors_under_optimized_python(tmp_path):
@@ -141,25 +206,39 @@ def test_index_past_truncation_under_optimized_python(tmp_path):
         assert "past truncation 24" in proc.stderr
 
 
-# sha256 of the result documents of phi11(t) at chi_max 5, recorded before
-# the partition-table and distinct-split assembly; a refactor of either
-# engine must leave these bytes unchanged
+# sha256 of the result documents at chi_max 5, recorded before the
+# partition-table and distinct-split assembly (phi11(t)) and before the
+# assemblies were written once over their slot-kind pairs (the psi curve);
+# a refactor of either engine must leave these bytes unchanged. phi11(t)
+# has no fermionic polarization, so the psi curve is the one that
+# exercises the regular parts of the odd basis series.
 PHI11_T_SPEC = {"epsilon": 3, "symbols": [{"name": "t"}], "tau": {"3": "1"},
                 "phi": {"1,1": "t"}, "trunc": 24}
-PHI11_T_CHI5_SHA256 = {
-    "tr": "c4aabe5c7cb82825130f722e0d55a242e6ba4f6ac1265c33c086772b6d72e6ec",
-    "airy": "e3333b439f025ba88e9fada1a86e3d551b1ca546e9e53a3646f91cd92d412538",
-}
+PSI_SPEC = {"epsilon": 3, "tau": {"3": "1", "4": "1/2", "5": "2/3"},
+            "phi": {"1,1": "1/2", "1,2": "-3", "2,2": "1/5"},
+            "psi0": {"1": "2", "2": "-1/3"},
+            "psiA": {"1,2": "1/7", "2,3": "4"}, "trunc": 30}
+PINNED_CHI5_SHA256 = [
+    ("tr", PHI11_T_SPEC,
+     "c4aabe5c7cb82825130f722e0d55a242e6ba4f6ac1265c33c086772b6d72e6ec"),
+    ("airy", PHI11_T_SPEC,
+     "e3333b439f025ba88e9fada1a86e3d551b1ca546e9e53a3646f91cd92d412538"),
+    ("tr", PSI_SPEC,
+     "a85f2b8511d0d6c94595f0c11f38cbeadc8bdbe695f97500ffed36025653e350"),
+    ("airy", PSI_SPEC,
+     "a3e1b9167701d60c6638fab81bb7b29783fd2268cc043c64c25662bff0c3011f"),
+]
 
 
-@pytest.mark.parametrize("engine", sorted(PHI11_T_CHI5_SHA256))
-def test_result_bytes_are_pinned(tmp_path, engine):
+@pytest.mark.parametrize(
+    "engine, spec, sha256", PINNED_CHI5_SHA256,
+    ids=["tr", "airy", "psi-tr", "psi-airy"])
+def test_result_bytes_are_pinned(tmp_path, engine, spec, sha256):
     out = tmp_path / "r.json"
     assert main(["compute", "--engine", engine, "--chi-max", "5",
-                 "--curve", write_spec(tmp_path, PHI11_T_SPEC),
+                 "--curve", write_spec(tmp_path, spec),
                  "--no-cache", "--out", str(out)]) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == PHI11_T_CHI5_SHA256[engine]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_csv_without_out_is_rejected_before_any_work(tmp_path, monkeypatch,

@@ -125,10 +125,11 @@ def test_sector_vanishing():
 def test_extraction_columns_have_correct_parity():
     solver = TrSolver(rich_curve(), 5)
     solver.run()
-    for column in solver._br_columns.values():
-        assert all(l % 2 == 1 for l in column)
-    for column in solver._fr_columns.values():
-        assert all(l % 2 == 0 and l >= 2 for l in column)
+    for (_, _, _, fermionic), column in solver._columns.items():
+        if fermionic:
+            assert all(l % 2 == 0 and l >= 2 for l in column)
+        else:
+            assert all(l % 2 == 1 for l in column)
 
 
 def test_missing_dependency_guard():
