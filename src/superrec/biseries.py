@@ -7,6 +7,8 @@ nonnegative; the coefficient at (i, j) is unknown when i + j > trunc.
 
 from __future__ import annotations
 
+from .scalars import accumulate
+
 
 class BiSeries:
     """sum c_{ij} z1^i z2^j with c_{ij} unknown for i + j > trunc."""
@@ -48,11 +50,7 @@ class BiSeries:
         for key, val in other.coeffs.items():
             if key[0] + key[1] > trunc:
                 continue
-            new = coeffs.get(key, self.ring.zero()) + val
-            if new:
-                coeffs[key] = new
-            else:
-                coeffs.pop(key, None)
+            accumulate(coeffs, key, val)
         return BiSeries(self.ring, coeffs, trunc)
 
     def __neg__(self):
@@ -76,11 +74,7 @@ class BiSeries:
                 key = (i1 + i2, j1 + j2)
                 if key[0] + key[1] > trunc:
                     continue
-                new = coeffs.get(key, self.ring.zero()) + c1 * c2
-                if new:
-                    coeffs[key] = new
-                else:
-                    coeffs.pop(key, None)
+                accumulate(coeffs, key, c1 * c2)
         return BiSeries(self.ring, coeffs, trunc)
 
     def divide_z1_minus_z2(self):
@@ -101,11 +95,7 @@ class BiSeries:
             # q_{i-1} = p_i + z2 * q_i ; here carry holds q_i
             term = dict(by_z1.get(i, {}))
             for j, val in carry.items():
-                new = term.get(j + 1, self.ring.zero()) + val
-                if new:
-                    term[j + 1] = new
-                else:
-                    term.pop(j + 1, None)
+                accumulate(term, j + 1, val)
             if i == 0:
                 # remainder = p(z2, z2) must vanish: term is the remainder
                 assert not term, "not divisible by (z1 - z2)"
@@ -117,4 +107,5 @@ class BiSeries:
         return BiSeries(self.ring, quotient, self.trunc - 1)
 
     def coeff(self, i, j):
-        return self.coeffs.get((i, j), self.ring.zero())
+        c = self.coeffs.get((i, j))
+        return self.ring.zero() if c is None else c

@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -99,6 +100,23 @@ def _field(doc, key, kind, default=None):
     return value
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def _rational(value, what):
+    """An exact rational from a JSON integer or an "a" or "a/b" string;
+    decimals, JSON floats and a zero denominator are spec errors."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL.fullmatch(value.strip()):
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            pass
+    raise SpecError(f"{what} must be an integer or an a/b rational with "
+                    f"b != 0, got {value!r}")
+
+
 def _parse_indexed(ring, mapping, pair, what):
     out = {}
     for key, literal in mapping.items():
@@ -126,9 +144,9 @@ def build_curve(doc):
         zref = doc["zoo"]
         try:
             name = zref["name"]
-            m_coeffs = tuple(Fraction(str(c)) for c in
+            m_coeffs = tuple(_rational(c, "M_coeffs entry") for c in
                              _field(zref, "M_coeffs", list, ["1"]))
-            params = {key: Fraction(str(val)) for key, val in
+            params = {key: _rational(val, f"param {key}") for key, val in
                       _field(zref, "params", dict, {}).items()}
             trunc = _field(doc, "trunc", int)
             spec = ZooSpec(name, M_coeffs=m_coeffs, trunc=trunc,
@@ -145,7 +163,7 @@ def build_curve(doc):
         return curve, canonical
     try:
         symbols = [(entry["name"],
-                    Fraction(str(entry["square"]))
+                    _rational(entry["square"], f"square of {entry['name']}")
                     if "square" in entry else None)
                    for entry in _field(doc, "symbols", list, [])]
         ring = Ring(symbols)

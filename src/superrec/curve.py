@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .scalars import accumulate
 from .series import BiForm, FormalSeries, TruncationError
 from .store import index_bound
 
@@ -181,7 +182,7 @@ class CurveBases:
             for m in range(1, self.curve.max_polarization_index() + 1):
                 val = self.curve.phi_at(l, m) * inv_l
                 if val:
-                    coeffs[m - 1] = coeffs.get(m - 1, self.ring.zero()) + val
+                    accumulate(coeffs, m - 1, val)
             self._dxi_minus[l] = FormalSeries(
                 self.ring, coeffs, self.trunc, 1, 0, min_exp=-l - 1)
         return self._dxi_minus[l]
@@ -201,7 +202,7 @@ class CurveBases:
             for k in range(0, self.curve.max_polarization_index() + 1):
                 val = self.psi_at(l, k)
                 if val:
-                    coeffs[k - 1] = coeffs.get(k - 1, self.ring.zero()) + val
+                    accumulate(coeffs, k - 1, val)
             self._eta_minus[l] = FormalSeries(
                 self.ring, coeffs, self.trunc, 0, 1, min_exp=-l - 1)
         return self._eta_minus[l]

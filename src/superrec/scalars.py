@@ -39,6 +39,8 @@ class Ring:
                 if square == 0:
                     raise ValueError(f"symbol {name!r} has zero square")
             self.squares[name] = square
+        # (monomial, monomial) -> their reduced product and rational factor
+        self._products = {}
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.squares == other.squares
@@ -53,21 +55,20 @@ class Ring:
     # --- constructors -------------------------------------------------
 
     def zero(self):
-        return Scalar(self, {})
+        return _scalar(self, {})
 
     def one(self):
         return self.rational(1)
 
     def rational(self, value):
-        value = Fraction(value)
-        if value == 0:
-            return Scalar(self, {})
-        return Scalar(self, {(): value})
+        if value.__class__ is not Fraction:
+            value = Fraction(value)
+        return _scalar(self, {(): value} if value else {})
 
     def symbol(self, name):
         if name not in self.squares:
             raise KeyError(f"unknown symbol {name!r}")
-        return Scalar(self, {((name, 1),): Fraction(1)})
+        return _scalar(self, {((name, 1),): Fraction(1)})
 
     def parse(self, text):
         return _parse_scalar(self, text)
@@ -91,8 +92,47 @@ def _reduce_monomial(ring, mono, coeff):
     return tuple(sorted(out)), coeff
 
 
+def _monomial_product(ring, m1, m2):
+    """(monomial, factor): m1 * m2 = factor * monomial, reduced by the
+    square relations; memoized per ring, factor None when it is 1."""
+    out = ring._products.get((m1, m2))
+    if out is None:
+        merged = dict(m1)
+        for name, exp in m2:
+            merged[name] = merged.get(name, 0) + exp
+        mono, factor = _reduce_monomial(ring, tuple(merged.items()),
+                                        Fraction(1))
+        out = ring._products[m1, m2] = mono, (None if factor == 1 else factor)
+    return out
+
+
+def _scalar(ring, terms):
+    """A Scalar that adopts `terms`, a canonical dict no one else holds."""
+    out = object.__new__(Scalar)
+    out.ring = ring
+    out.terms = terms
+    return out
+
+
+def accumulate(terms, key, value):
+    """Add value to terms[key] in place; a zero result leaves no entry."""
+    old = terms.get(key)
+    if old is not None:
+        value = old + value
+    if value:
+        terms[key] = value
+    elif old is not None:
+        del terms[key]
+
+
 class Scalar:
-    """An element of the ring: Fraction-linear combination of monomials."""
+    """An element of the ring: Fraction-linear combination of monomials.
+
+    Operands that carry no symbols take a rational fast path: a product of
+    two rationals is one Fraction product, and a product with a rational
+    reuses the other operand's monomials; monomials are merged and reduced
+    only when both factors carry symbols.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -120,23 +160,33 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.ring.rational(other)
+            terms = self.terms
+            if not terms:
+                return other == 0
+            return len(terms) == 1 and terms.get(()) == other
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return ((self.ring is other.ring or self.ring == other.ring)
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a rational (or zero) hashes like its Fraction, as == says it equals
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and () in terms:
+            return hash(terms[()])
+        return hash(frozenset(terms.items()))
 
     # --- arithmetic ----------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.ring.rational(other)
-        if isinstance(other, Scalar):
-            if other.ring != self.ring:
+        if other.__class__ is Scalar:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatch("scalars from different rings")
             return other
+        if isinstance(other, (int, Fraction)):
+            return self.ring.rational(other)
         return None
 
     def __add__(self, other):
@@ -145,17 +195,13 @@ class Scalar:
             return NotImplemented
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            new = terms.get(mono, Fraction(0)) + coeff
-            if new:
-                terms[mono] = new
-            else:
-                terms.pop(mono, None)
-        return Scalar(self.ring, terms)
+            accumulate(terms, mono, coeff)
+        return _scalar(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.ring, {m: -c for m, c in self.terms.items()})
+        return _scalar(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -170,26 +216,36 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other):
+        ring = self.ring
+        if other.__class__ is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
+                return _scalar(ring, {})
+            return _scalar(ring, {m: c * other for m, c in self.terms.items()})
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        left, right = self.terms, other.terms
+        if len(left) == 1 and () in left:
+            if len(right) == 1 and () in right:
+                return _scalar(ring, {(): left[()] * right[()]})
+            c1 = left[()]
+            return _scalar(ring, {m: c1 * c for m, c in right.items()})
+        if len(right) == 1 and () in right:
+            c2 = right[()]
+            return _scalar(ring, {m: c * c2 for m, c in left.items()})
         terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                merged = {}
-                for name, exp in m1:
-                    merged[name] = merged.get(name, 0) + exp
-                for name, exp in m2:
-                    merged[name] = merged.get(name, 0) + exp
-                mono, coeff = _reduce_monomial(
-                    self.ring, tuple(merged.items()), c1 * c2)
-                if coeff:
-                    new = terms.get(mono, Fraction(0)) + coeff
-                    if new:
-                        terms[mono] = new
-                    else:
-                        del terms[mono]
-        return Scalar(self.ring, terms)
+        for m1, c1 in left.items():
+            for m2, c2 in right.items():
+                if not m1:
+                    accumulate(terms, m2, c1 * c2)
+                elif not m2:
+                    accumulate(terms, m1, c1 * c2)
+                else:
+                    mono, factor = _monomial_product(ring, m1, m2)
+                    coeff = c1 * c2
+                    accumulate(terms, mono,
+                               coeff if factor is None else coeff * factor)
+        return _scalar(ring, terms)
 
     __rmul__ = __mul__
 
@@ -222,7 +278,7 @@ class Scalar:
             if square is None:
                 raise NotInvertible(f"free symbol in {self}")
             # 1/(c*M) = M/(c*M^2)
-            return Scalar(ring, {mono: 1 / (coeff * square)})
+            return _scalar(ring, {mono: 1 / (coeff * square)})
         if len(self.terms) == 2 and () in self.terms:
             u = self.terms[()]
             mono = next(m for m in self.terms if m != ())
@@ -234,7 +290,7 @@ class Scalar:
             if norm == 0:
                 raise NotInvertible(f"zero norm: {self}")
             # (u + vM)(u - vM) = u^2 - v^2 M^2
-            return Scalar(ring, {(): u / norm, mono: -v / norm})
+            return _scalar(ring, {(): u / norm, mono: -v / norm})
         raise NotInvertible(f"shape not invertible: {self}")
 
     def __truediv__(self, other):
@@ -324,5 +380,5 @@ def _parse_scalar(ring, text):
         reduced, value = _reduce_monomial(
             ring, tuple(mono.items()), sign * coeff)
         if value:
-            result = result + Scalar(ring, {reduced: value})
+            result = result + _scalar(ring, {reduced: value})
     return result

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import NotInvertible, Ring, Scalar
+from .scalars import NotInvertible, Ring, Scalar, accumulate
 
 
 class TruncationError(Exception):
@@ -22,6 +22,22 @@ class WeightError(Exception):
     pass
 
 
+def _series(ring, coeffs, trunc, dz_weight, theta, min_exp):
+    """A FormalSeries that adopts `coeffs` unchecked.
+
+    For results of the series operations only: every coefficient is
+    nonzero and its exponent lies in [min_exp, trunc].
+    """
+    out = object.__new__(FormalSeries)
+    out.ring = ring
+    out.coeffs = coeffs
+    out.trunc = trunc
+    out.dz_weight = dz_weight
+    out.theta = theta
+    out.min_exp = min_exp
+    return out
+
+
 class FormalSeries:
     """Sum of c_k * z^k * dz^w * T^t for k in [min_exp, trunc]."""
 
@@ -29,7 +45,8 @@ class FormalSeries:
 
     def __init__(self, ring, coeffs, trunc, dz_weight=0, theta=0,
                  min_exp=None):
-        assert theta in (0, 1)
+        if theta not in (0, 1):
+            raise WeightError(f"parity must be 0 or 1, got {theta!r}")
         self.ring = ring
         self.coeffs = {k: c for k, c in coeffs.items() if c}
         self.trunc = trunc
@@ -39,8 +56,11 @@ class FormalSeries:
             min_exp = min(self.coeffs) if self.coeffs else trunc + 1
         self.min_exp = min(min_exp,
                            min(self.coeffs) if self.coeffs else min_exp)
-        assert all(self.min_exp <= k <= trunc for k in self.coeffs), \
-            (self.min_exp, trunc, sorted(self.coeffs))
+        # min_exp is at most the lowest exponent, so only trunc can fail
+        if self.coeffs and max(self.coeffs) > trunc:
+            raise TruncationError(
+                f"coefficient at exponent {max(self.coeffs)} beyond "
+                f"truncation {trunc}")
 
     # --- constructors --------------------------------------------------
 
@@ -63,7 +83,8 @@ class FormalSeries:
             raise TruncationError(
                 f"coefficient at exponent {exp} beyond truncation "
                 f"{self.trunc}")
-        return self.coeffs.get(exp, self.ring.zero())
+        c = self.coeffs.get(exp)
+        return self.ring.zero() if c is None else c
 
     # --- ring operations -----------------------------------------------
 
@@ -73,38 +94,31 @@ class FormalSeries:
         if (self.dz_weight, self.theta) != (other.dz_weight, other.theta):
             raise WeightError("adding series of different weight/parity")
         trunc = min(self.trunc, other.trunc)
-        coeffs = {}
-        for k, c in self.coeffs.items():
-            if k <= trunc:
-                coeffs[k] = c
+        coeffs = {k: c for k, c in self.coeffs.items() if k <= trunc}
         for k, c in other.coeffs.items():
             if k <= trunc:
-                new = coeffs.get(k, self.ring.zero()) + c
-                if new:
-                    coeffs[k] = new
-                else:
-                    coeffs.pop(k, None)
-        return FormalSeries(self.ring, coeffs, trunc, self.dz_weight,
-                            self.theta,
-                            min_exp=min(self.min_exp, other.min_exp))
+                accumulate(coeffs, k, c)
+        return _series(self.ring, coeffs, trunc, self.dz_weight, self.theta,
+                       min(self.min_exp, other.min_exp))
 
     def __neg__(self):
-        return FormalSeries(self.ring, {k: -c for k, c in self.coeffs.items()},
-                            self.trunc, self.dz_weight, self.theta,
-                            self.min_exp)
+        return _series(self.ring, {k: -c for k, c in self.coeffs.items()},
+                       self.trunc, self.dz_weight, self.theta, self.min_exp)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            scalar = self.ring.rational(scalar)
+        """Multiply by a Scalar, or by an int or Fraction taken as is."""
         if not scalar:
             return FormalSeries.zero(self.ring, self.trunc, self.dz_weight,
                                      self.theta)
-        return FormalSeries(
-            self.ring, {k: scalar * c for k, c in self.coeffs.items()},
-            self.trunc, self.dz_weight, self.theta, self.min_exp)
+        coeffs = {}
+        for k, c in self.coeffs.items():
+            # s^2 = 4 makes (s - 2)(s + 2) = 0: a product can vanish
+            accumulate(coeffs, k, c * scalar)
+        return _series(self.ring, coeffs, self.trunc, self.dz_weight,
+                       self.theta, self.min_exp)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -118,30 +132,26 @@ class FormalSeries:
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
                 if k <= trunc:
-                    new = coeffs.get(k, self.ring.zero()) + c1 * c2
-                    if new:
-                        coeffs[k] = new
-                    else:
-                        coeffs.pop(k, None)
+                    accumulate(coeffs, k, c1 * c2)
         if self.theta and other.theta:
             # T*T = z dz: shift every exponent up by one
             coeffs = {k + 1: c for k, c in coeffs.items()}
-            return FormalSeries(self.ring, coeffs, trunc + 1,
-                                self.dz_weight + other.dz_weight + 1, 0,
-                                min_exp + 1)
-        return FormalSeries(self.ring, coeffs, trunc,
-                            self.dz_weight + other.dz_weight,
-                            self.theta + other.theta, min_exp)
+            return _series(self.ring, coeffs, trunc + 1,
+                           self.dz_weight + other.dz_weight + 1, 0,
+                           min_exp + 1)
+        return _series(self.ring, coeffs, trunc,
+                       self.dz_weight + other.dz_weight,
+                       self.theta + other.theta, min_exp)
 
     __rmul__ = __mul__
 
     def sigma(self):
         """Substitute z -> -z (each z and each dz flips sign; T invariant)."""
-        flip = (-1) ** (self.dz_weight % 2)
-        coeffs = {k: c * (flip * (-1) ** (k % 2))
+        flip = self.dz_weight % 2
+        coeffs = {k: -c if (k + flip) % 2 else c
                   for k, c in self.coeffs.items()}
-        return FormalSeries(self.ring, coeffs, self.trunc, self.dz_weight,
-                            self.theta, self.min_exp)
+        return _series(self.ring, coeffs, self.trunc, self.dz_weight,
+                       self.theta, self.min_exp)
 
     def derive(self):
         """d/dz on the function part; picks up one dz."""
@@ -149,8 +159,8 @@ class FormalSeries:
         for k, c in self.coeffs.items():
             if k != 0:
                 coeffs[k - 1] = c * k
-        return FormalSeries(self.ring, coeffs, self.trunc - 1,
-                            self.dz_weight + 1, self.theta, self.min_exp - 1)
+        return _series(self.ring, coeffs, self.trunc - 1,
+                       self.dz_weight + 1, self.theta, self.min_exp - 1)
 
     def integrate(self):
         """Antiderivative with zero constant term; removes one dz."""
@@ -189,20 +199,12 @@ class FormalSeries:
                 for k2, c2 in u.items():
                     k = k1 + k2
                     if k <= rel_order:
-                        new = new_power.get(k, self.ring.zero()) - c1 * c2
-                        if new:
-                            new_power[k] = new
-                        else:
-                            new_power.pop(k, None)
+                        accumulate(new_power, k, -(c1 * c2))
             power = new_power
             if not power:
                 break
             for k, c in power.items():
-                new = acc.get(k, self.ring.zero()) + c
-                if new:
-                    acc[k] = new
-                else:
-                    acc.pop(k, None)
+                accumulate(acc, k, c)
         coeffs = {k - lead: inv_lead * c for k, c in acc.items()
                   if k - lead <= trunc}
         return FormalSeries(self.ring, coeffs, trunc, -self.dz_weight, 0,
@@ -216,9 +218,8 @@ class FormalSeries:
                 f"{self.dz_weight}, {self.theta}")
         if -1 > self.trunc:
             raise TruncationError("residue coefficient not resolved")
-        if -1 < self.min_exp:
-            return self.ring.zero()
-        return self.coeffs.get(-1, self.ring.zero())
+        c = self.coeffs.get(-1)
+        return self.ring.zero() if c is None else c
 
     # --- misc ------------------------------------------------------------
 
@@ -233,10 +234,9 @@ class FormalSeries:
         if (self.dz_weight, self.theta) != (other.dz_weight, other.theta):
             return False
         trunc = min(self.trunc, other.trunc)
-        keys = {k for k in self.coeffs if k <= trunc}
-        keys |= {k for k in other.coeffs if k <= trunc}
-        return all(self.coeffs.get(k, self.ring.zero())
-                   == other.coeffs.get(k, self.ring.zero()) for k in keys)
+        mine = {k: c for k, c in self.coeffs.items() if k <= trunc}
+        theirs = {k: c for k, c in other.coeffs.items() if k <= trunc}
+        return mine == theirs
 
     def __repr__(self):
         parts = []
@@ -303,11 +303,7 @@ class BiForm:
                 if exp > self.trunc:
                     continue
                 sign = (-1) ** (l % 2)
-                new = coeffs.get(exp, ring.zero()) + val * sign
-                if new:
-                    coeffs[exp] = new
-                else:
-                    coeffs.pop(exp, None)
+                accumulate(coeffs, exp, val * sign)
             return FormalSeries(ring, coeffs, self.trunc, 2, 0, -2)
         assert mode in ("derived_first", "derived_second")
         # function part h(z1,z2) multiplying T1 T2:
@@ -327,9 +323,5 @@ class BiForm:
             else:
                 # -z * (k-2) (-z)^(k-3) z^(l-2) = (k-2)(-1)^k z^(k+l-4)
                 sign = (k - 2) * ((-1) ** (k % 2))
-            new = coeffs.get(exp, ring.zero()) + val * sign
-            if new:
-                coeffs[exp] = new
-            else:
-                coeffs.pop(exp, None)
+            accumulate(coeffs, exp, val * sign)
         return FormalSeries(ring, coeffs, self.trunc, 2, 0, -2)

@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import partial
 
 from .curve import complete_psi
+from .scalars import accumulate
 
 
 class CapExceeded(Exception):
@@ -64,11 +65,7 @@ class FockPoly:
     def __add__(self, other):
         terms = dict(self.terms)
         for key, val in other.terms.items():
-            new = terms.get(key, self.ring.zero()) + val
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
+            accumulate(terms, key, val)
         return FockPoly(self.ring, self.cap, terms)
 
     def __neg__(self):
@@ -79,12 +76,11 @@ class FockPoly:
         return self + (-other)
 
     def scale(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            scalar = self.ring.rational(scalar)
+        """Multiply by a Scalar, or by an int or Fraction taken as is."""
         if not scalar:
             return FockPoly(self.ring, self.cap)
         return FockPoly(self.ring, self.cap,
-                        {k: scalar * v for k, v in self.terms.items()})
+                        {k: v * scalar for k, v in self.terms.items()})
 
     def mul_hbar(self):
         return FockPoly(self.ring, self.cap,
@@ -96,7 +92,8 @@ class FockPoly:
 
     def component(self, bos=(), fer=(), hpow=0):
         key = (tuple(sorted(bos)), tuple(sorted(fer)), hpow)
-        return self.terms.get(key, self.ring.zero())
+        c = self.terms.get(key)
+        return self.ring.zero() if c is None else c
 
     def degree_one_terms(self):
         """Sub-polynomial of grading degree one (one variable, no hbar)."""
@@ -125,9 +122,7 @@ class FockPoly:
             reduced = list(bos)
             reduced.remove(a)
             key = (tuple(reduced), fer, h + 1)
-            new = terms.get(key, self.ring.zero()) + val * mult
-            if new:
-                terms[key] = new
+            accumulate(terms, key, val * mult)
         return FockPoly(self.ring, self.cap, terms)
 
     def mul_theta(self, a):
@@ -297,7 +292,6 @@ def _pair_sum(p, shift, total, families):
             w = weight(k)
             if not w:
                 continue
-            w = ring.rational(w)
             term = _apply_pair(kind1, k, kind2, total - k, p, shift)
             for key, val in term.terms.items():
                 val = val * w
@@ -570,13 +564,13 @@ def exp_state(tensor, ring, maxdeg, cap=40):
         key = (bos, fer, g - 1)
         if _deg(key) <= maxdeg:
             coeff = val * Fraction(1, _mult_fact(bos))
-            fterms[key] = fterms.get(key, ring.zero()) + coeff
+            accumulate(fterms, key, coeff)
     z = {((), (), 0): ring.one()}
     power = dict(fterms)
     k = 1
     while power:
         for key, val in power.items():
-            z[key] = z.get(key, ring.zero()) + val
+            accumulate(z, key, val)
         k += 1
         new = {}
         for (b1, f1, h1), v1 in power.items():
@@ -588,9 +582,9 @@ def exp_state(tensor, ring, maxdeg, cap=40):
                 if sg == 0:
                     continue
                 kk = (tuple(sorted(b1 + b2)), fm, h1 + h2)
-                new[kk] = new.get(kk, ring.zero()) + v1 * v2 * Fraction(sg, k)
-        power = {kk: v for kk, v in new.items() if v}
-    return FockPoly(ring, cap, {kk: v for kk, v in z.items() if v})
+                accumulate(new, kk, v1 * v2 * Fraction(sg, k))
+        power = new
+    return FockPoly(ring, cap, z)
 
 
 def annihilation_report(curve, state, maxdeg, i_max=4):

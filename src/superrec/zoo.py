@@ -16,7 +16,7 @@ from math import factorial
 
 from .biseries import BiSeries
 from .curve import CurveBases, CurveData, fit_parameters
-from .scalars import Ring
+from .scalars import Ring, accumulate
 from .series import FormalSeries
 
 ZOO_NAMES = ("airy", "bessel", "phi11", "super_jt",
@@ -232,7 +232,7 @@ def _sigma_sum_fermionic(curve, order):
     for (l, k), val in regular.items():
         if l % 2 == 0:  # only these survive the involution sum (doubled)
             key = (l - 1, k - 1)
-            coeffs[key] = coeffs.get(key, ring.zero()) + 2 * val
+            accumulate(coeffs, key, 2 * val)
     d = BiSeries(ring, coeffs, order)
     z1sq = BiSeries(ring, {(2, 0): ring.one()}, order)
     z2sq = BiSeries(ring, {(0, 2): ring.one()}, order)

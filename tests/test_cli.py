@@ -91,6 +91,17 @@ def test_explicit_spec_and_csv_export(tmp_path, capsys):
     assert flat.read_text() == (tmp_path / "res.json.csv").read_text()
 
 
+# exact rationals only: a decimal or a zero denominator in a symbol square,
+# a zoo weight or a zoo parameter, as a string or a JSON number
+DECIMAL_SPECS = (
+    [dict(EXPLICIT_SPEC, symbols=[{"name": "s", "square": square}])
+     for square in ("0.5", 1e-1, "1/0")]
+    + [{"zoo": {"name": "ramond", "M_coeffs": [coeff]}, "trunc": 12}
+       for coeff in ("0.5", 1.5, "1e-1")]
+    + [{"zoo": {"name": "super_jt", "params": {"t": value}}, "trunc": 12}
+       for value in ("0.5", 1.5)])
+
+
 def test_parse_errors(tmp_path, capsys):
     assert main(["compute", "--curve", "airy", "--chi-max", "2"]) \
         == EXIT_PARSE
@@ -116,6 +127,7 @@ def test_parse_errors(tmp_path, capsys):
               {"zoo": {"name": "airy", "params": []}, "trunc": 12},
               {"zoo": {"name": "ramond", "M_coeffs": "12"}, "trunc": 12},
               {"zoo": {"name": "airy"}, "trunc": 12.7}]
+    wrong += DECIMAL_SPECS
     for doc in wrong:
         spec = write_spec(tmp_path, doc, "w.json")
         assert main(["compute", "--curve", spec, "--chi-max", "3",
@@ -160,6 +172,7 @@ def test_spec_errors_under_optimized_python(tmp_path):
             for name, trunc in ZOO_TOO_SHALLOW
             if trunc == -1 or name == "ramond"]
     docs += [dict(EXPLICIT_SPEC, trunc=12.7), dict(EXPLICIT_SPEC, tau=[])]
+    docs += DECIMAL_SPECS
     commands = [["verify-curve", "--curve", write_spec(tmp_path, doc,
                                                        f"o{i}.json")]
                 for i, doc in enumerate(docs)]

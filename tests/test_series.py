@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import superrec
 from superrec.scalars import NotInvertible, Ring
 from superrec.series import BiForm, FormalSeries, TruncationError, WeightError
 
@@ -108,6 +112,55 @@ def test_truncation_error_on_unknown_coeff():
     with pytest.raises(TruncationError):
         a.coeff(4)
     assert a.coeff(3).is_zero()
+
+
+def test_constructor_rejects_bad_parity_and_range():
+    with pytest.raises(WeightError):
+        make({0: 1}, 3, theta=2)
+    with pytest.raises(TruncationError):
+        make({4: 1}, 3)
+    # min_exp only ever lowers to the lowest exponent held
+    assert make({-2: 1}, 3).min_exp == -2
+    assert FormalSeries(RING, {1: RING.one()}, 3, min_exp=2).min_exp == 1
+
+
+def test_constructor_errors_under_optimized_python():
+    # these checks guard public inputs, so they must not be asserts, which
+    # `python -O` strips
+    src = os.path.dirname(os.path.dirname(os.path.abspath(superrec.__file__)))
+    code = """
+from superrec.scalars import Ring
+from superrec.series import FormalSeries, TruncationError, WeightError
+ring = Ring([])
+for make in (lambda: FormalSeries(ring, {0: ring.one()}, 3, theta=2),
+             lambda: FormalSeries(ring, {4: ring.one()}, 3)):
+    try:
+        make()
+    except (TruncationError, WeightError) as exc:
+        print(type(exc).__name__)
+    else:
+        print("accepted")
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["WeightError", "TruncationError"]
+
+
+def test_results_are_canonical():
+    """Internal results skip the constructor's checks, so they must hold
+    what it guarantees: nonzero coefficients in [min_exp, trunc]."""
+    ring = Ring([("s", 4)])  # (s - 2)(s + 2) = 0
+    s = ring.symbol("s")
+    a = FormalSeries(ring, {-1: s + 2, 0: s, 2: ring.one()}, 5, 1)
+    b = FormalSeries(ring, {1: s - 2, 3: s}, 6, 0, 1)
+    for out in (a + a, -a, a.scale(s - 2), a * b, b * b, a.sigma(),
+                a.derive(), a - a):
+        assert all(out.coeffs.values())
+        assert all(out.min_exp <= k <= out.trunc for k in out.coeffs)
+    assert a.scale(s - 2).coeffs == {0: s * (s - 2), 2: s - 2}
+    assert (a - a).is_zero() and (a - a).min_exp == -1
 
 
 def test_mul_truncation_rule():

@@ -15,6 +15,8 @@ import pytest
 from superrec.airyengine import run_airy
 from superrec.curve import CurveData
 from superrec.scalars import Ring
+from superrec.series import FormalSeries
+from superrec.store import LazyTensor, index_bound, insert_index, slot_ranges
 from superrec.trengine import MissingDependency, TrSolver, run_tr
 
 RING = Ring([])
@@ -136,3 +138,71 @@ def test_missing_dependency_guard():
     solver = TrSolver(airy_curve(), 4)
     with pytest.raises(MissingDependency):
         solver.flookup(2, (1,), ())
+
+
+def _code(g, bos, fer):
+    """A distinct nonzero rational for each canonical key."""
+    return RING.rational(int("9" + "".join(f"{i:02d}" for i in bos)
+                             + "8" + "".join(f"{j:02d}" for j in fer)
+                             + str(g)))
+
+
+class HandFilled(LazyTensor):
+    """Every canonical entry is its own _code; no recursion runs."""
+
+    def compute_entry(self, g, bos, fer):
+        return _code(g, bos, fer)
+
+
+class HandFilledTr(TrSolver):
+    compute_entry = HandFilled.compute_entry
+
+
+# (g, J, K) of an F_{g-1} term, with an even index opened in front of K
+FF_CASES = [(0, (), (2, 6)), (0, (1,), (2, 6)), (0, (1,), (0, 4))]
+
+
+def test_ff_lead_slice_sign():
+    """sign * slice[b] is F(J | b, a, K) whether a sorts into an odd or an
+    even position of K: the convention the (F, F) F_{g-1} term relies on."""
+    tensor = HandFilled(RING, 6, 3)
+    positions = set()
+    for g, J, K in FF_CASES:
+        evens = slot_ranges(index_bound(2 * g + len(J) + len(K)))[1]
+        for a in evens:
+            opened, sign = insert_index(a, True, J, K)
+            if not sign:
+                continue
+            bos, fer = opened
+            assert bos == J
+            positions.add(fer.index(a) % 2)
+            row = tensor.slice(g, J, fer, True)
+            for b in evens:
+                want = tensor.value(g, J, (b, a) + K)
+                assert sign * row.get(b, tensor.zero) == want, (a, b, K)
+                assert b in (a,) + K or want, (a, b, K)
+    assert positions == {0, 1}
+
+
+def test_ff_lead_term_of_the_assembly():
+    """Each (F, F) F_{g-1} term that trengine assembles, weight times
+    factor, is sum_b F(J | b, a, K) eta_b, with both slots open."""
+    solver = HandFilledTr(airy_curve(), 6)
+    eta = solver.bases.eta_minus
+    odd_seen = 0
+    for g, J, K in FF_CASES:
+        g += 1
+        evens = slot_ranges(index_bound(2 * g + len(J) + len(K)))[1]
+        lead = {id(eta(a)): a for a in evens}
+        for _, _, x, y, weight in solver._factor_pairs(
+                g, J, K, [(1, 1)]):
+            a = lead.get(id(x))
+            if a is None:
+                continue  # a split product, not an F_{g-1} term
+            want = FormalSeries.zero(RING, solver.bases.trunc, 0, 1)
+            for b in evens:
+                entry = solver.flookup(g - 1, J, (b, a) + K)
+                want = want + eta(b).scale(entry)
+            assert y.scale(weight) == want, (g, J, K, a)
+            odd_seen += weight < 0
+    assert odd_seen
