@@ -22,6 +22,7 @@ from functools import partial
 
 from .curve import complete_psi
 from .scalars import accumulate
+from .store import insert_index, sort_with_sign
 
 
 class CapExceeded(Exception):
@@ -45,15 +46,17 @@ class FockPoly:
 
     @classmethod
     def monomial(cls, ring, cap, bos=(), fer=(), hpow=0, coeff=1):
+        """coeff x^bos theta^fer hbar^hpow, theta factors in given order."""
         if isinstance(coeff, (int, Fraction)):
             coeff = ring.rational(coeff)
         if any(a < 1 for a in bos) or any(a < 0 for a in fer):
             raise ValueError(f"no variable x^a for a < 1 or theta^a for "
                              f"a < 0 (got x{tuple(bos)}, theta{tuple(fer)})")
-        if len(set(fer)) != len(fer):
+        fer_sorted, sign = sort_with_sign(fer)
+        if not sign:
             raise ValueError(f"repeated theta factor in {tuple(fer)}")
-        key = (tuple(sorted(bos)), tuple(sorted(fer)), hpow)
-        return cls(ring, cap, {key: coeff})
+        return cls(ring, cap, {(tuple(sorted(bos)), fer_sorted, hpow):
+                               coeff * sign})
 
     @classmethod
     def one(cls, ring, cap):
@@ -91,9 +94,11 @@ class FockPoly:
         return isinstance(other, FockPoly) and self.terms == other.terms
 
     def component(self, bos=(), fer=(), hpow=0):
-        key = (tuple(sorted(bos)), tuple(sorted(fer)), hpow)
-        c = self.terms.get(key)
-        return self.ring.zero() if c is None else c
+        """Coefficient of x^bos theta^fer hbar^hpow, theta factors in the
+        given order."""
+        fer, sign = sort_with_sign(fer)
+        c = self.terms.get((tuple(sorted(bos)), fer, hpow))
+        return self.ring.zero() if c is None else c * sign
 
     def degree_one_terms(self):
         """Sub-polynomial of grading degree one (one variable, no hbar)."""
@@ -109,7 +114,8 @@ class FockPoly:
             raise CapExceeded(f"x^{a} beyond cap {self.cap}")
         terms = {}
         for (bos, fer, h), val in self.terms.items():
-            terms[(tuple(sorted(bos + (a,))), fer, h)] = val
+            slots, _ = insert_index(a, False, bos, fer)
+            terms[slots + (h,)] = val
         return FockPoly(self.ring, self.cap, terms)
 
     def diff_x(self, a):
@@ -131,11 +137,9 @@ class FockPoly:
             raise CapExceeded(f"theta^{a} beyond cap {self.cap}")
         terms = {}
         for (bos, fer, h), val in self.terms.items():
-            if a in fer:
-                continue
-            pos = sum(1 for f in fer if f < a)
-            new_fer = tuple(sorted(fer + (a,)))
-            terms[(bos, new_fer, h)] = val if pos % 2 == 0 else -val
+            slots, sign = insert_index(a, True, bos, fer)
+            if sign:
+                terms[slots + (h,)] = val if sign == 1 else -val
         return FockPoly(self.ring, self.cap, terms)
 
     def diff_theta(self, a):
@@ -167,36 +171,10 @@ class ShiftData:
     def from_curve(cls, curve):
         top = max(curve.max_polarization_index(),
                   max(curve.tau, default=0))
-        psi = complete_psi(curve, top)
-        phi = {}
-        for i in range(1, top + 1):
-            for k in range(1, top + 1):
-                val = curve.phi_at(i, k)
-                if val:
-                    phi[(i, k)] = val
-        return cls(curve.ring, curve.epsilon, dict(curve.tau), phi, psi)
-
-
-class ModeOp:
-    """A mode operator, optionally carrying conjugation shift data."""
-
-    KINDS = ("J", "Gamma", "L", "G")
-
-    def __init__(self, kind, index, shift=None):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown mode kind {kind!r}")
-        if kind == "L" and (index % 2 or index < -2):
-            raise ValueError(f"L_{index}: L labels are even and >= -2")
-        if kind == "G" and (index % 2 == 0 or index < -1):
-            raise ValueError(f"G_{index}: G labels are odd and >= -1")
-        self.kind = kind
-        self.index = index
-        self.shift = shift
-
-
-def phi_shift(op, curve):
-    """The conjugated (tilde) version of a mode operator."""
-    return ModeOp(op.kind, op.index, ShiftData.from_curve(curve))
+        span = range(1, top + 1)
+        phi = {(i, k): curve.phi_at(i, k) for i in span for k in span}
+        return cls(curve.ring, curve.epsilon, dict(curve.tau), phi,
+                   complete_psi(curve, top))
 
 
 def _apply_plain(kind, index, p):
@@ -316,13 +294,20 @@ def _apply_G(m, p, shift):
         ("J", "Gamma", lambda k: 1 if k % 2 else -1)])
 
 
-def apply_mode(op, p):
-    """Exact action of a mode operator on a Fock polynomial."""
-    if op.kind == "L":
-        return _apply_L(op.index // 2, p, op.shift)
-    if op.kind == "G":
-        return _apply_G((op.index - 1) // 2, p, op.shift)
-    return _apply_shifted(op.kind, op.index, p, op.shift)
+def apply_mode(kind, label, p, shift=None):
+    """Exact action of the mode J, Gamma, L or G of this label on a Fock
+    polynomial; with shift data, the conjugated (tilde) mode."""
+    if kind == "L":
+        if label % 2 or label < -2:
+            raise ValueError(f"L_{label}: L labels are even and >= -2")
+        return _apply_L(label // 2, p, shift)
+    if kind == "G":
+        if label % 2 == 0 or label < -1:
+            raise ValueError(f"G_{label}: G labels are odd and >= -1")
+        return _apply_G((label - 1) // 2, p, shift)
+    if kind not in ("J", "Gamma"):
+        raise ValueError(f"unknown mode kind {kind!r}")
+    return _apply_shifted(kind, label, p, shift)
 
 
 # --- relation checks ----------------------------------------------------------
@@ -463,8 +448,8 @@ def _hatted(odd, i, p, shift, i_limit):
     return out if lead == 1 else out.scale(lead.invert())
 
 
-def check_airy_axioms(shift_or_curve, i_max=3, probe_max=6):
-    """Report of failed axiom checks (empty report = all pass).
+def check_airy_axioms(shift, i_max=3, probe_max=6):
+    """Report of failed axiom checks on a ShiftData (empty = all pass).
 
     Verifies (a) that the degree-one part of each recombined operator is
     exactly hbar d/dx^(2i-1) resp. hbar d/dtheta^(2i) — in particular,
@@ -473,10 +458,6 @@ def check_airy_axioms(shift_or_curve, i_max=3, probe_max=6):
     shifted relation right-hand sides (which fails when the polarization
     tables are inconsistent).
     """
-    if not isinstance(shift_or_curve, ShiftData):
-        shift = ShiftData.from_curve(shift_or_curve)
-    else:
-        shift = shift_or_curve
     ring = shift.ring
     cap = probe_max + 2 * (i_max + shift.max_index) + shift.epsilon + 5
     one = FockPoly.one(ring, cap)
@@ -537,13 +518,6 @@ def check_airy_axioms(shift_or_curve, i_max=3, probe_max=6):
 # computed exactly from a tensor complete through chi_max.
 
 
-def _fer_merge_sign(f1, f2):
-    if set(f1) & set(f2):
-        return None, 0
-    inv = sum(1 for a in f1 for b in f2 if a > b)
-    return tuple(sorted(f1 + f2)), (-1 if inv % 2 else 1)
-
-
 def _deg(key):
     bos, fer, hpow = key
     return 2 * hpow + len(bos) + len(fer)
@@ -557,15 +531,15 @@ def _mult_fact(bos):
     return out
 
 
-def exp_state(tensor, ring, maxdeg, cap=40):
-    """exp of the generating sum of a coefficient tensor, to total degree."""
+def exp_state(tensor):
+    """exp of the generating sum of a coefficient tensor, to the total
+    degree chi_max - 2 of its entries, over the tensor's ring."""
+    maxdeg = tensor.chi_max - 2
     fterms = {}
     for (g, bos, fer), val in tensor.entries.items():
-        key = (bos, fer, g - 1)
-        if _deg(key) <= maxdeg:
-            coeff = val * Fraction(1, _mult_fact(bos))
-            accumulate(fterms, key, coeff)
-    z = {((), (), 0): ring.one()}
+        accumulate(fterms, (bos, fer, g - 1),
+                   val * Fraction(1, _mult_fact(bos)))
+    z = {((), (), 0): tensor.ring.one()}
     power = dict(fterms)
     k = 1
     while power:
@@ -578,25 +552,29 @@ def exp_state(tensor, ring, maxdeg, cap=40):
                 if 2 * (h1 + h2) + len(b1) + len(b2) \
                         + len(f1) + len(f2) > maxdeg:
                     continue
-                fm, sg = _fer_merge_sign(f1, f2)
+                fm, sg = sort_with_sign(f1 + f2)
                 if sg == 0:
                     continue
                 kk = (tuple(sorted(b1 + b2)), fm, h1 + h2)
                 accumulate(new, kk, v1 * v2 * Fraction(sg, k))
         power = new
-    return FockPoly(ring, cap, z)
+    # a constraint that would create a variable of index above 40 on the
+    # state raises CapExceeded
+    return FockPoly(tensor.ring, 40, z)
 
 
-def annihilation_report(curve, state, maxdeg, i_max=4):
-    """Nonzero exact residual components of the recombined constraints."""
+def annihilation_report(curve, tensor, i_max=4):
+    """Nonzero exact residual components, through degree chi_max - 1, of
+    the recombined constraints for i = 1..i_max on exp of the tensor."""
+    shift = ShiftData.from_curve(curve)
+    state = exp_state(tensor)
     bad = {}
     for i in range(1, i_max + 1):
-        for kind, idx in (("L", 2 * i - curve.epsilon - 1),
-                          ("G", 2 * i - curve.epsilon)):
-            op = phi_shift(ModeOp(kind, idx), curve)
-            res = apply_mode(op, state)
+        for kind, label in (("L", 2 * i - curve.epsilon - 1),
+                            ("G", 2 * i - curve.epsilon)):
+            res = apply_mode(kind, label, state, shift)
             hits = {k: v for k, v in res.terms.items()
-                    if _deg(k) <= maxdeg + 1 and v}
+                    if _deg(k) < tensor.chi_max}
             if hits:
-                bad[(kind, idx)] = hits
+                bad[(kind, label)] = hits
     return bad

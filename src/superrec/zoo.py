@@ -23,8 +23,8 @@ ZOO_NAMES = ("airy", "bessel", "phi11", "super_jt",
              "ns_plus", "ns_minus", "ramond")
 
 # The least truncation of each curve: tau_epsilon multiplies z^(epsilon - 1),
-# and super_jt keeps the odd indices up to the truncation itself.
-_LEAST_TRUNC = dict.fromkeys(ZOO_NAMES, 2) | {"bessel": 0, "super_jt": 1}
+# so the epsilon-1 curves bessel and super_jt need no more than z^0.
+_LEAST_TRUNC = dict.fromkeys(ZOO_NAMES, 2) | {"bessel": 0, "super_jt": 0}
 
 
 class ExpansionError(Exception):
@@ -122,7 +122,8 @@ def _build_super_jt(spec):
     tau = {}
     k = 0
     pi2_pow = ring.one()
-    while 2 * k + 1 <= spec.trunc:
+    # index l multiplies z^(l - 1), so the expansion holds l <= trunc + 1
+    while 2 * k + 1 <= spec.trunc + 1:
         coeff = sqrt2 * pi2_pow * ring.rational(
             Fraction((-1) ** k, factorial(2 * k)))
         tau[2 * k + 1] = coeff
@@ -130,7 +131,7 @@ def _build_super_jt(spec):
         k += 1
     warnings.warn(
         "the cosine one-form has infinitely many dilaton coefficients; "
-        f"keeping indices up to the truncation {spec.trunc}",
+        f"keeping indices up to trunc + 1 = {spec.trunc + 1}",
         stacklevel=3)
     return _simple_curve(ring, 1, tau, {}, spec.trunc)
 

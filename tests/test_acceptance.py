@@ -20,9 +20,9 @@ from superrec.curve import CurveBases, CurveData, pairing_B, pairing_F
 from superrec.scalars import Ring
 from superrec.series import FormalSeries
 from superrec.store import index_bound
-from superrec.svir import (FockPoly, annihilation_report, check_airy_axioms,
-                           check_commutator, check_heisenberg_clifford,
-                           exp_state)
+from superrec.svir import (FockPoly, ShiftData, annihilation_report,
+                           check_airy_axioms, check_commutator,
+                           check_heisenberg_clifford)
 from superrec.trengine import TrSolver, run_tr
 from superrec.zoo import ZooSpec, zoo_build, zoo_validate
 
@@ -183,9 +183,7 @@ def test_criterion_2_bosonic_free_coefficient():
     # false, with residuals of 7/8 * t^3. PAPER.md holds only the abstract;
     # whether the paper states 1 under another normalisation of the
     # fermionic modes cannot be settled from this repository.
-    maxdeg = tensor.chi_max - 2
-    residuals = annihilation_report(curve, exp_state(tensor, ring, maxdeg),
-                                    maxdeg)
+    residuals = annihilation_report(curve, tensor)
     if residuals:
         failures.append(f"constraints leave residuals {residuals} on the "
                         "engine state")
@@ -194,8 +192,7 @@ def test_criterion_2_bosonic_free_coefficient():
     expected = {("G", -1): {((), (0, 4, 6), 2): residual},
                 ("G", 1): {((), (0, 2, 6), 2): -residual},
                 ("G", 3): {((), (0, 2, 4), 2): residual}}
-    residuals = annihilation_report(curve, exp_state(tensor, ring, maxdeg),
-                                    maxdeg)
+    residuals = annihilation_report(curve, tensor)
     if residuals != expected:
         failures.append(f"unit coefficient leaves residuals {residuals}, "
                         "expected exactly +-7/8*t^3 on G_-1, G_1 and G_3")
@@ -310,7 +307,8 @@ def test_criterion_7_operator_algebra():
                 if not all(check_commutator(relation, n, m, p)
                            for p in samples):
                     failures.append(f"{relation} at {(n, m)}")
-    structure = check_airy_axioms(airy_curve(), i_max=4, probe_max=6)
+    structure = check_airy_axioms(ShiftData.from_curve(airy_curve()),
+                                  i_max=4, probe_max=6)
     failures.extend(f"structure {name} at {where}"
                     for name, where, _ in structure)
     elapsed = time.monotonic() - start

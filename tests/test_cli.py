@@ -147,7 +147,7 @@ def test_parse_errors(tmp_path, capsys):
 # each zoo curve at every truncation too small to hold its leading dilaton
 # coefficient, down to -1
 ZOO_TOO_SHALLOW = [(name, trunc) for name, least in (
-    ("airy", 2), ("bessel", 0), ("phi11", 2), ("super_jt", 1),
+    ("airy", 2), ("bessel", 0), ("phi11", 2), ("super_jt", 0),
     ("ns_plus", 2), ("ns_minus", 2), ("ramond", 2))
     for trunc in range(-1, least)]
 
@@ -158,7 +158,7 @@ def test_zoo_truncation_too_shallow(tmp_path):
         for command in (["verify-curve"], ["compute", "--chi-max", "3"]):
             assert main(command + ["--curve", spec]) == EXIT_PARSE, \
                 (name, trunc, command)
-    spec = write_spec(tmp_path, {"zoo": {"name": "super_jt"}, "trunc": 1})
+    spec = write_spec(tmp_path, {"zoo": {"name": "super_jt"}, "trunc": 0})
     with pytest.warns(UserWarning, match="cosine one-form"):
         assert main(["verify-curve", "--curve", spec]) == 0
 

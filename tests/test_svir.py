@@ -12,7 +12,8 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import (combinations, combinations_with_replacement,
+                       permutations)
 
 import pytest
 
@@ -20,10 +21,9 @@ import superrec
 from superrec import svir
 from superrec.curve import CurveData
 from superrec.scalars import Ring
-from superrec.svir import (CapExceeded, FockPoly, ModeOp, ShiftData,
+from superrec.svir import (CapExceeded, FockPoly, ShiftData,
                            annihilation_report, apply_mode, check_airy_axioms,
-                           check_commutator, check_heisenberg_clifford,
-                           exp_state, phi_shift)
+                           check_commutator, check_heisenberg_clifford)
 from superrec.trengine import run_tr
 
 RING = Ring([])
@@ -85,20 +85,18 @@ SAMPLES = monomials()
 
 def test_pinned_mode_values():
     one = FockPoly.one(RING, CAP)
-    assert apply_mode(ModeOp("Gamma", 0), one) == mono(fer=(0,),
-                                                       coeff=Fraction(1, 2))
-    assert apply_mode(ModeOp("L", 0), one) == mono(hpow=1,
-                                                   coeff=Fraction(1, 4))
-    assert apply_mode(ModeOp("J", 0), one).is_zero()
-    assert apply_mode(ModeOp("J", -2), one) == mono(bos=(2,), coeff=2)
-    assert apply_mode(ModeOp("Gamma", -3), one) == mono(fer=(3,))
-    assert apply_mode(ModeOp("J", 2), mono(bos=(2, 2))) == \
+    assert apply_mode("Gamma", 0, one) == mono(fer=(0,), coeff=Fraction(1, 2))
+    assert apply_mode("L", 0, one) == mono(hpow=1, coeff=Fraction(1, 4))
+    assert apply_mode("J", 0, one).is_zero()
+    assert apply_mode("J", -2, one) == mono(bos=(2,), coeff=2)
+    assert apply_mode("Gamma", -3, one) == mono(fer=(3,))
+    assert apply_mode("J", 2, mono(bos=(2, 2))) == \
         mono(bos=(2,), hpow=1, coeff=2)
     # left Grassmann derivative: sign from the position of the factor
-    assert apply_mode(ModeOp("Gamma", 2), mono(fer=(0, 2))) == \
+    assert apply_mode("Gamma", 2, mono(fer=(0, 2))) == \
         mono(fer=(0,), hpow=1, coeff=-1)
     # annihilation beyond the monomial support vanishes
-    assert apply_mode(ModeOp("J", 7), mono(bos=(1,))).is_zero()
+    assert apply_mode("J", 7, mono(bos=(1,))).is_zero()
 
 
 def test_theta_ordering_signs():
@@ -110,15 +108,36 @@ def test_theta_ordering_signs():
     assert mono(fer=(1,)).mul_theta(1).is_zero()
 
 
+def test_theta_order_is_read_the_same_everywhere():
+    # monomial and component take the theta factors in the order written,
+    # as chained mul_theta builds them: theta^2 theta^0 = -theta^0 theta^2
+    assert mono(fer=(2, 0)) == -mono(fer=(0, 2))
+    for size in range(5):
+        for fer in permutations((0, 1, 3, 4), size):
+            written = FockPoly.one(RING, CAP)
+            for a in reversed(fer):
+                written = written.mul_theta(a)
+            inversions = sum(a > b for i, a in enumerate(fer)
+                             for b in fer[i + 1:])
+            sign = (-1) ** inversions
+            assert mono(fer=fer) == written, fer
+            assert written == mono(fer=sorted(fer), coeff=sign), fer
+            assert written.component(fer=fer) == RING.one(), fer
+            assert written.component(fer=sorted(fer)) == rat(sign), fer
+    for fer in ((1, 1), (0, 2, 0), (3, 1, 4, 1)):
+        with pytest.raises(ValueError, match="repeated theta"):
+            mono(fer=fer)
+
+
 def test_cap_exceeded_only_for_live_creators():
     small = FockPoly.monomial(RING, 2, bos=(1,))
     with pytest.raises(CapExceeded):
         small.mul_x(3)
     # L_{-2} on a cap-2 polynomial needs creators of index <= 2 only
-    assert not apply_mode(ModeOp("L", -2), FockPoly.one(RING, 2)).is_zero()
+    assert not apply_mode("L", -2, FockPoly.one(RING, 2)).is_zero()
     # a creator paired with a vanishing annihilator is never built: this
     # would overflow the cap-2 space only if some J_{k>2} acted nonzero
-    apply_mode(ModeOp("L", 0), FockPoly.monomial(RING, 2, bos=(2,)))
+    apply_mode("L", 0, FockPoly.monomial(RING, 2, bos=(2,)))
 
 
 def test_invalid_inputs_raise_under_optimized_python():
@@ -127,9 +146,10 @@ def test_invalid_inputs_raise_under_optimized_python():
     src = os.path.dirname(os.path.dirname(os.path.abspath(superrec.__file__)))
     code = """
 from superrec.scalars import Ring
-from superrec.svir import FockPoly, ModeOp
-for make in (lambda: ModeOp("L", 3), lambda: ModeOp("G", 2),
-             lambda: ModeOp("Q", 1),
+from superrec.svir import FockPoly, apply_mode
+one = FockPoly.one(Ring([]), 4)
+for make in (lambda: apply_mode("L", 3, one), lambda: apply_mode("G", 2, one),
+             lambda: apply_mode("Q", 1, one),
              lambda: FockPoly.monomial(Ring([]), 4, fer=(1, 1)),
              lambda: FockPoly.monomial(Ring([]), 4, bos=(0,))):
     try:
@@ -235,11 +255,6 @@ RHS = [(svir._rhs_LL, window_rhs_LL), (svir._rhs_LG, window_rhs_LG),
        (svir._rhs_GG, window_rhs_GG)]
 
 
-def _mode(kind, n, curve):
-    op = ModeOp(kind, 2 * n if kind == "L" else 2 * n + 1)
-    return op if curve is None else phi_shift(op, curve)
-
-
 @pytest.mark.parametrize(
     "curve", [None, airy_curve(), rich_curve(), irregular_curve()],
     ids=["unshifted", "airy", "rich", "irregular"])
@@ -247,9 +262,9 @@ def test_support_sums_equal_window_sums(curve):
     shift = None if curve is None else ShiftData.from_curve(curve)
     for p in WINDOW_SAMPLES:
         for n in LABELS:
-            assert apply_mode(_mode("L", n, curve), p) == \
+            assert apply_mode("L", 2 * n, p, shift) == \
                 window_L(n, p, shift), ("L", n, p.terms)
-            assert apply_mode(_mode("G", n, curve), p) == \
+            assert apply_mode("G", 2 * n + 1, p, shift) == \
                 window_G(n, p, shift), ("G", n, p.terms)
             for m in LABELS:
                 for fast, window in RHS:
@@ -277,8 +292,8 @@ def test_pairs_apply_only_annihilators_in_support(monkeypatch):
         shift = None if curve is None else ShiftData.from_curve(curve)
         for p in SAMPLES[::7]:
             for n in LABELS:
-                apply_mode(_mode("L", n, curve), p)
-                apply_mode(_mode("G", n, curve), p)
+                apply_mode("L", 2 * n, p, shift)
+                apply_mode("G", 2 * n + 1, p, shift)
                 for m in LABELS:
                     for fast, _ in RHS:
                         fast(n, m, p, shift)
@@ -334,34 +349,30 @@ def test_checks_look_up_quadratic_modes_when_called(monkeypatch):
             check_commutator(relation, 0, 1, p)
     assert check_heisenberg_clifford(1, -1, p)
     with pytest.raises(Routed):
-        check_airy_axioms(airy_curve(), i_max=1, probe_max=2)
+        check_airy_axioms(ShiftData.from_curve(airy_curve()), i_max=1,
+                          probe_max=2)
 
 
 # --- shifted operators and structure axioms ------------------------------------
 
 
 def test_phi_shift_expands_negative_modes():
-    curve = rich_curve()
+    shift = ShiftData.from_curve(rich_curve())
     one = FockPoly.one(RING, CAP)
-    tilde = phi_shift(ModeOp("J", -3), curve)
     # J_{-3} + tau_3 + sum_k phi_{3k}/k J_k ; phi_3k = 0 here
-    assert apply_mode(tilde, one) == mono(bos=(3,), coeff=3) + one
-    tilde = phi_shift(ModeOp("J", -1), curve)
-    got = apply_mode(tilde, mono(bos=(2,)))
+    assert apply_mode("J", -3, one, shift) == mono(bos=(3,), coeff=3) + one
+    got = apply_mode("J", -1, mono(bos=(2,)), shift)
     want = mono(bos=(1, 2)) \
         + mono(hpow=1, coeff=Fraction(-3, 2))  # phi_{12}/2 * hbar d/dx^2
     assert got == want
     # positive modes are never shifted
-    tilde = phi_shift(ModeOp("J", 2), curve)
-    assert apply_mode(tilde, mono(bos=(2,))) == mono(hpow=1)
+    assert apply_mode("J", 2, mono(bos=(2,)), shift) == mono(hpow=1)
 
 
 def test_gamma_zero_mode_shift():
-    curve = rich_curve()
-    one = FockPoly.one(RING, CAP)
-    tilde = phi_shift(ModeOp("Gamma", 0), curve)
+    shift = ShiftData.from_curve(rich_curve())
     # Gamma_0 + sum_k psi_{k0} Gamma_k, with psi_{k0} = -psi0_k
-    got = apply_mode(tilde, mono(fer=(1,)))
+    got = apply_mode("Gamma", 0, mono(fer=(1,)), shift)
     want = mono(fer=(0, 1), coeff=Fraction(1, 2)) \
         + mono(hpow=1, coeff=-2)  # psi_{10} Gamma_1 = -2 * hbar d/theta^1
     assert got == want
@@ -375,7 +386,8 @@ def test_gamma_zero_mode_shift():
 def test_airy_axioms_pass(curve, i_max):
     # the last two have a leading dilaton coefficient tau_eps != 1, which
     # the recombination divides out
-    assert check_airy_axioms(curve, i_max=i_max, probe_max=6) == []
+    assert check_airy_axioms(ShiftData.from_curve(curve), i_max=i_max,
+                             probe_max=6) == []
 
 
 def test_airy_axioms_negative_control():
@@ -406,9 +418,7 @@ def test_degree_one_probe_detects_wrong_dilaton():
                       (irregular_curve(), 5)],
     ids=["airy", "rich", "irregular"])
 def test_constraints_annihilate_engine_state(curve, chi_max):
-    tensor = run_tr(curve, chi_max)
-    state = exp_state(tensor, curve.ring, chi_max - 2)
-    assert annihilation_report(curve, state, chi_max - 2) == {}
+    assert annihilation_report(curve, run_tr(curve, chi_max)) == {}
 
 
 def test_annihilation_detects_corrupted_entry():
@@ -416,5 +426,4 @@ def test_annihilation_detects_corrupted_entry():
     tensor = run_tr(curve, 6)
     key = (0, (1, 1, 1), ())
     tensor.entries[key] = tensor.entries[key] + RING.one()
-    state = exp_state(tensor, curve.ring, 4)
-    assert annihilation_report(curve, state, 4) != {}
+    assert annihilation_report(curve, tensor) != {}

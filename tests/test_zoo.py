@@ -8,6 +8,7 @@ corrupted data.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -65,6 +66,21 @@ def test_super_jt_truncation_warns():
     assert curve.tau[3] == sqrt2 * pi2 * ring.rational(Fraction(-1, 2))
     assert curve.tau[5] == sqrt2 * pi2 * pi2 * ring.rational(Fraction(1, 24))
     assert max(curve.tau) <= 9
+
+
+@pytest.mark.parametrize("trunc", [0, 24])
+def test_super_jt_keeps_indices_through_trunc_plus_one(trunc):
+    # tau_l multiplies z^(l - 1), which a truncation-trunc expansion holds
+    # for l <= trunc + 1
+    with pytest.warns(UserWarning, match=f"up to trunc \\+ 1 = {trunc + 1}"):
+        curve = build("super_jt", trunc=trunc)
+    ring = curve.ring
+    assert max(curve.tau) == trunc + 1
+    top = ring.symbol("sqrt2") * ring.rational(
+        Fraction((-1) ** (trunc // 2), factorial(trunc)))
+    for _ in range(trunc // 2):
+        top = top * ring.symbol("pi2")
+    assert curve.tau[trunc + 1] == top
 
 
 # --- fitted curves ---------------------------------------------------------------
