@@ -303,7 +303,11 @@ class AirySolver(LazyTensor):
             # the quadratic sums carry the 1/2 prefactor of the bilinear
             # part of the constraint operators (it cancels only in the
             # mixed single-F terms below, by index symmetry)
-            odd, even = slot_ranges(index_bound(chi - 1, eps))
+            # k and l take what the other indices leave of the bound of
+            # level chi - 1, which every factor of the quadratic terms
+            # keeps (see store.index_bound)
+            odd, even = slot_ranges(
+                index_bound(chi - 1, eps) - sum(rest) - sum(fer))
             quad = self.xi2_bb(g, coeffs.nonzero("bb", c, odd, odd),
                                rest, fer)
             if not self.bosonic_only:
@@ -338,7 +342,8 @@ class AirySolver(LazyTensor):
                 denom = 2 if k == 0 else 1
                 acc = acc + val * ring.rational(Fraction(j, denom))
         else:
-            odd, even = slot_ranges(index_bound(chi - 1, eps))
+            odd, even = slot_ranges(
+                index_bound(chi - 1, eps) - sum(bos) - sum(rest))
             quad = self.xi2_bf(g, coeffs.nonzero("bf", c, odd, even),
                                bos, rest)
             if quad:
@@ -364,12 +369,14 @@ class AirySolver(LazyTensor):
         kind = "ff" if removed_fermionic and added_fermionic else \
             "bf" if removed_fermionic or added_fermionic else "bb"
         transposed = removed_fermionic and not added_fermionic
-        # k spans the range of the quadratic sums: up to the index bound of
-        # level chi - 1, for the entry at chi = 2g + len(bos) + len(fer) + 1
-        added = slot_ranges(index_bound(2 * g + len(bos) + len(fer),
-                                        self.epsilon))[added_fermionic]
+        # the entry read has level chi - 1, for the entry at chi = 2g +
+        # len(bos) + len(fer) + 1, and k takes what the indices beside it
+        # leave of that level's bound
+        budget = index_bound(2 * g + len(bos) + len(fer), self.epsilon) \
+            - sum(bos) - sum(fer)
         for pos, j in enumerate(removed):
             sub = removed[:pos] + removed[pos + 1:]
+            added = slot_ranges(budget + j)[added_fermionic]
             weight = self.ring.rational(
                 Fraction((-1) ** pos, 2 if j == 0 else 1)
                 if removed_fermionic else j)

@@ -5,15 +5,16 @@ and antisymmetric in the fermionic indices j. Entries are stored under the
 canonical key (bosonic sorted ascending, fermionic strictly ascending) and
 retrieval/storage with permuted index lists applies the sign of the
 fermionic sorting permutation. `LazyTensor` is the scaffolding both solvers
-share: level enumeration of candidate keys, the memoized, zero-filtered
-lookup that computes an entry on first use, and the sector index that hands
-a solver every nonzero entry of a lower level with one slot left open.
+share: the enumeration of each level's candidate keys over the index simplex
+(see `index_bound`), the memoized, zero-filtered lookup that computes an
+entry on first use, and the sector index that hands a solver every nonzero
+entry of a lower level with one slot left open.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import groupby
 from operator import itemgetter
 
 
@@ -26,7 +27,7 @@ class StabilityError(Exception):
 
 
 class IndexBoundError(Exception):
-    """An index exceeding the level bound B(chi) = epsilon*(chi - 2)."""
+    """Indices summing past the level bound B(chi) = epsilon*(chi - 2)."""
 
 
 class MissingDependency(Exception):
@@ -38,13 +39,26 @@ class UnsolvedEntry(Exception):
 
 
 def index_bound(chi, epsilon=3):
-    """Largest index that can appear in an entry at level chi.
+    """Largest index sum sum(bos) + sum(fer) of a nonzero entry at level chi.
 
-    Each level step can raise the reachable index by at most the leading
-    exponent epsilon (seeded by index epsilon at level 3); the bound is
-    attained, e.g. by the genus-two one-point coefficient at index 9,
-    level 5, and by the genus-one two-fermion coefficient at index 6,
-    level 4, both on the cubic one-parameter curve.
+    Call D = B(chi) - S the deficit of an entry whose indices sum to S. The
+    constraint that solves an entry has the leading term tau_epsilon F(b0,
+    ...), which has the entry's deficit D. Every other term reads entries
+    of deficit D or lower:
+    - the delta parts of C^bb, C^ff and C^bf, in the quadratic and in the
+      single-F terms, read entries of the same deficit;
+    - every tau_p with p > epsilon, and every phi_{a,b} and psi term, reads
+      entries of strictly lower deficit;
+    - a tau_p of the other parity reads an entry of the wrong parity, which
+      is zero, and tau_1 is not allowed at epsilon 3.
+    The constant terms of the level chi = 3 equations sit at D >= 0. So by
+    induction on the level and, within a level, on the deficit, an entry
+    with D < 0 is zero, and each entry is weighted-homogeneous of degree D
+    in the curve data. `CorrTensor.set` checks the rule on every nonzero
+    entry it stores. The bound is attained, e.g. by the genus-two one-point
+    coefficient at index 9, level 5, and by the genus-one two-fermion
+    coefficient at indices (0, 6), level 4, both on the cubic one-parameter
+    curve.
     """
     return epsilon * (chi - 2)
 
@@ -54,6 +68,24 @@ def slot_ranges(bound):
     indices >= 1 and even indices >= 0. Every other index gives an
     identically zero entry."""
     return range(1, bound + 1, 2), range(0, bound + 1, 2)
+
+
+def _simplex_tuples(n, low, budget, strict):
+    """The ascending n-tuples of indices low, low + 2, ... whose sum is at
+    most budget, in lexicographic order: non-decreasing, or strictly
+    ascending if strict. A prefix is extended only while the least sum of
+    its completion fits, so no tuple above the budget is formed."""
+    if n == 0:
+        yield ()
+        return
+    step = 2 if strict else 0
+    first = low
+    # n indices from `first` on sum to at least n*first + step*n(n-1)/2
+    while n * first + step * n * (n - 1) // 2 <= budget:
+        for rest in _simplex_tuples(n - 1, first + step, budget - first,
+                                    strict):
+            yield (first,) + rest
+        first += 2
 
 
 def sort_with_sign(seq):
@@ -240,10 +272,9 @@ class CorrTensor:
             if any(j % 2 for j in fer_sorted):
                 raise ParityError(f"odd fermionic index in {fer}")
             bound = index_bound(chi, self.epsilon)
-            if any(i > bound for i in bos_sorted) or \
-                    any(j > bound for j in fer_sorted):
+            if sum(bos_sorted) + sum(fer_sorted) > bound:
                 raise IndexBoundError(
-                    f"index beyond bound {bound} at level {chi}: "
+                    f"index sum beyond bound {bound} at level {chi}: "
                     f"{bos}, {fer}")
         key = (g, bos_sorted, fer_sorted)
         stored = value if sign == 1 else -value
@@ -350,35 +381,27 @@ class LazyTensor:
 
         A negative genus or index, an odd fermionic count, a fermion on a
         bosonic-only solver and an unstable key are zero at any level; a
-        wrong parity or an index above the level bound is zero only up to
-        chi_max, above which the lookup raises MissingDependency.
+        wrong parity or an index sum above the level bound is zero only up
+        to chi_max, above which the lookup raises MissingDependency.
         """
         chi = 2 * g + len(bos) + len(fer)
-        if g < 0 or chi <= 2 or len(fer) % 2 or (self.bosonic_only and fer):
+        if g < 0 or chi <= 2 or len(fer) % 2 or (self.bosonic_only and fer) \
+                or bos and min(bos) < 1 or fer and min(fer) < 0:
             return self.zero
-        bound = index_bound(chi, self.epsilon)
-        outside = False
-        for i in bos:
-            if i < 1:
-                return self.zero
-            if not i % 2 or i > bound:
-                outside = True
-        for j in fer:
-            if j < 0:
-                return self.zero
-            if j % 2 or j > bound:
-                outside = True
         if chi > self.chi_max:
             raise MissingDependency(
                 f"entry (g={g}, bos={tuple(bos)}, fer={tuple(fer)}) at "
                 f"level {chi} beyond configured maximum {self.chi_max}")
-        if outside:
+        if sum(bos) + sum(fer) > index_bound(chi, self.epsilon) \
+                or not all(i % 2 for i in bos) or any(j % 2 for j in fer):
             return self.zero
         return self.value(g, bos, fer)
 
     def level_keys(self, chi):
-        """All canonical candidate keys at a level."""
-        odd, even = slot_ranges(index_bound(chi, self.epsilon))
+        """All canonical candidate keys at a level: those in the simplex
+        sum(bos) + sum(fer) <= B(chi), the bosonic part pruned by its sum
+        before the fermionic part is formed."""
+        bound = index_bound(chi, self.epsilon)
         keys = []
         for g in range(chi // 2 + 1):
             rem = chi - 2 * g
@@ -388,8 +411,9 @@ class LazyTensor:
                     continue  # odd fermionic count, or no slot to solve for
                 if self.bosonic_only and two_m:
                     continue
-                for bos in combinations_with_replacement(odd, n):
-                    for fer in combinations(even, two_m):
+                for bos in _simplex_tuples(n, 1, bound, False):
+                    for fer in _simplex_tuples(two_m, 0, bound - sum(bos),
+                                               True):
                         keys.append((g, bos, fer))
         return keys
 

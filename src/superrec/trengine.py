@@ -51,6 +51,9 @@ class KernelWeights:
         self.inv_delta = bases.delta_omega.invert()
 
     def _column(self, q, expected_dz, kind_error, parity, bound):
+        """Column l -> coefficient, for l >= 1 of the given parity; bound is
+        the largest index the entries of the column may take, so a nonzero
+        coefficient above it raises IndexBoundError."""
         if (q.dz_weight, q.theta) != expected_dz:
             raise TruncationError(
                 f"assembled series has weight {(q.dz_weight, q.theta)}, "
@@ -176,8 +179,10 @@ class TrSolver(LazyTensor):
         weighted by the sign of opening the first; then the products over
         the splits of g, J and K, weighted by sign and multiplicity."""
         if g > 1 or g == 1 and (J or K):
+            # the F_{g-1} entries have level 2g + |J| + |K|, and their
+            # indices beside J and K share what J and K leave of its bound
             ranges = slot_ranges(index_bound(2 * g + len(J) + len(K),
-                                             self.epsilon))
+                                             self.epsilon) - sum(J) - sum(K))
             for first, second in pairs:
                 basis = (self.bases.dxi_minus, self.bases.eta_minus)[first]
                 for a in ranges[first]:
@@ -219,7 +224,10 @@ class TrSolver(LazyTensor):
         key = (g, J, K, fermionic)
         column = self._columns.get(key)
         if column is None:
-            bound = index_bound(2 * g + len(J) + len(K) + 1, self.epsilon)
+            # the output index l of F(l, J | K) may take what J and K leave
+            # of the level bound
+            bound = index_bound(2 * g + len(J) + len(K) + 1,
+                                self.epsilon) - sum(J) - sum(K)
             if fermionic:
                 column = self.kernel.extract_fermionic(
                     self.assemble_QFB(g, J, K), bound)

@@ -388,9 +388,28 @@ def test_criterion_8_structural_invariants():
             sym_checked += 1
     if sym_checked == 0:
         failures.append("no permuted slots exercised")
+
+    # weighted homogeneity: with t of weight 2 and tau_3 of weight 0, every
+    # entry of phi11(t) is c * t^(D/2) in its deficit D = B(chi) - sum of
+    # its indices (see store.index_bound)
+    ring = Ring([("t", None)])
+    phi11 = CurveData(ring, 3, {3: ring.one()}, {(1, 1): ring.symbol("t")},
+                      {}, {}, 24)
+    homogeneous = 0
+    for run in (run_tr, run_airy):
+        for (g, bos, fer), value in run(phi11, 8).entries.items():
+            deficit = index_bound(2 * g + len(bos) + len(fer)) \
+                - sum(bos) - sum(fer)
+            power = (("t", deficit // 2),) if deficit else ()
+            if deficit % 2 or list(value.terms) != [power]:
+                failures.append(f"phi11(t) entry {(g, bos, fer)} = {value} "
+                                f"is not c*t^({deficit}/2)")
+            homogeneous += 1
     report(8, failures,
-           f"pairings to index {bound}, projections, parity, and "
-           f"{sym_checked} slot permutations all exact")
+           f"pairings to index {bound}, projections, parity, "
+           f"{sym_checked} slot permutations all exact, and "
+           f"{homogeneous} phi11(t) entries of both engines through chi 8 "
+           "weighted-homogeneous of degree D")
 
 
 def test_criterion_9_curve_zoo_identities():

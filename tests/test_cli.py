@@ -358,6 +358,15 @@ def test_crosscheck_passes(capsys):
     assert "crosscheck ok" in capsys.readouterr().out
 
 
+def test_crosscheck_reaches_chi_8_on_a_fitted_curve(tmp_path, capsys):
+    """Both engines agree through chi 8 on the fitted ramond curve: the
+    index simplex keeps this depth within a tier-1 run."""
+    spec = write_spec(tmp_path, {"zoo": {"name": "ramond", "M_coeffs": ["1"],
+                                         "params": {}}, "trunc": 27})
+    assert main(["crosscheck", "--chi-max", "8", "--curve", spec]) == 0
+    assert capsys.readouterr().out.startswith("crosscheck ok: 741 entries,")
+
+
 def test_verify_algebra(capsys):
     assert main(["verify-algebra", "--degree", "2", "--mode-range", "1"]) \
         == 0

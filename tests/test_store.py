@@ -2,6 +2,7 @@ import inspect
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,8 @@ from superrec.store import (
     StabilityError, UnsolvedEntry, distinct_splits, index_bound,
     iter_partitions, partition_sign, slot_ranges)
 from superrec.trengine import TrSolver
+from test_acceptance import (airy_curve, irregular_curve, random_curve,
+                             rich_curve)
 
 
 RING = Ring([])
@@ -55,9 +58,9 @@ def tensor():
 
 
 def test_symmetric_bosonic_lookup(tensor):
-    tensor.set(0, (1, 1, 3), (), RING.rational(7))
-    assert tensor.get(0, (3, 1, 1), ()) == RING.rational(7)
-    assert tensor.get(0, (1, 3, 1), ()) == RING.rational(7)
+    tensor.set(1, (1, 1, 3), (), RING.rational(7))
+    assert tensor.get(1, (3, 1, 1), ()) == RING.rational(7)
+    assert tensor.get(1, (1, 3, 1), ()) == RING.rational(7)
 
 
 def test_antisymmetric_fermionic_lookup(tensor):
@@ -97,9 +100,11 @@ def test_stability(tensor):
 
 def test_index_bound(tensor):
     assert index_bound(3) == 3
-    with pytest.raises(IndexBoundError):
-        tensor.set(0, (5, 1, 1), (), RING.one())
-    tensor.set(0, (3, 1, 1), (), RING.one())
+    # the bound limits the index sum, not only each index
+    for bos in ((5, 1, 1), (3, 1, 1)):
+        with pytest.raises(IndexBoundError):
+            tensor.set(0, bos, (), RING.one())
+    tensor.set(0, (1, 1, 1), (), RING.one())
 
 
 def test_partition_sign_examples():
@@ -160,12 +165,12 @@ def test_distinct_splits_count_the_positioned_splits(seq):
 
 @given(st.permutations(list(range(6))))
 def test_get_set_sign_roundtrip(perm):
-    tensor = CorrTensor(RING, 8)
+    tensor = CorrTensor(RING, 12)
     fer = (0, 2, 4, 6, 8, 10)
     value = RING.rational(3)
-    tensor.set(2, (), fer, value)
+    tensor.set(3, (), fer, value)
     permuted = tuple(fer[i] for i in perm)
-    got = tensor.get(2, (), permuted)
+    got = tensor.get(3, (), permuted)
     # sign of perm equals parity of inversion count
     inversions = sum(1 for a in range(6) for b in range(a + 1, 6)
                      if perm[a] > perm[b])
@@ -186,24 +191,91 @@ def test_lazy_lookup_guards(solver_cls):
         solver.flookup(0, (1, 1, 1), ())
 
 
+def _box_keys(chi, epsilon, bosonic_only=False):
+    """Reference enumeration: every canonical key of a level (bosonic
+    indices odd and sorted, fermionic ones even and strictly ascending)
+    whose indices are each at most the level bound, in the order the
+    simplex keys are listed."""
+    odd, even = slot_ranges(index_bound(chi, epsilon))
+    for g in range(chi // 2 + 1):
+        rem = chi - 2 * g
+        for n in range(rem + 1):
+            two_m = rem - n
+            if two_m % 2 or (n == 0 and two_m == 0) or \
+                    (bosonic_only and two_m):
+                continue
+            for bos in combinations_with_replacement(odd, n):
+                for fer in combinations(even, two_m):
+                    yield g, bos, fer
+
+
+def _in_simplex(chi, epsilon, bos, fer):
+    return sum(bos) + sum(fer) <= index_bound(chi, epsilon)
+
+
 @pytest.mark.parametrize("bosonic_only", [False, True])
 def test_level_keys_are_canonical_candidates(bosonic_only):
-    lazy = LazyTensor(RING, 6, 3, bosonic_only)
-    full = LazyTensor(RING, 6, 3)
-    for chi in range(3, 7):
-        keys = lazy.level_keys(chi)
-        assert len(set(keys)) == len(keys)
-        bound = index_bound(chi)
-        for g, bos, fer in keys:
-            assert 2 * g + len(bos) + len(fer) == chi
-            assert list(bos) == sorted(bos)
-            assert all(i % 2 == 1 and i <= bound for i in bos)
-            assert all(a < b for a, b in zip(fer, fer[1:]))
-            assert all(j % 2 == 0 and j <= bound for j in fer)
-        if bosonic_only:
-            assert keys == [key for key in full.level_keys(chi)
-                            if not key[2]]
-            assert lazy.flookup(0, (1,), (0, 2)).is_zero()
+    for epsilon in (1, 3):
+        lazy = LazyTensor(RING, 7, epsilon, bosonic_only)
+        full = LazyTensor(RING, 7, epsilon)
+        for chi in range(3, 8):
+            keys = lazy.level_keys(chi)
+            assert keys == [
+                (g, bos, fer)
+                for g, bos, fer in _box_keys(chi, epsilon, bosonic_only)
+                if _in_simplex(chi, epsilon, bos, fer)]
+            if bosonic_only:
+                assert keys == [key for key in full.level_keys(chi)
+                                if not key[2]]
+                assert lazy.flookup(0, (1,), (0, 2)).is_zero()
+    # keys through chi 6 and 7 at epsilon 3: 145 of 5,157 and 353 of 44,453
+    # of the box lie in the simplex
+    if not bosonic_only:
+        for chi_max, simplex, box in ((6, 145, 5157), (7, 353, 44453)):
+            levels = range(3, chi_max + 1)
+            assert sum(len(LazyTensor(RING, 7, 3).level_keys(chi))
+                       for chi in levels) == simplex
+            assert sum(len(list(_box_keys(chi, 3))) for chi in levels) \
+                == box
+
+
+# The curves on which no entry outside the simplex may be nonzero: every
+# seed of the shared random curves (both epsilons), the named test curves,
+# the Bessel curve, and an epsilon-3 curve with the even dilaton shifts
+# tau_2, tau_4 and tau_6 beside every polarization.
+SIMPLEX_CURVES = {
+    **{f"random{seed}": random_curve(seed) for seed in range(20)},
+    "rich": rich_curve(),
+    "irregular": irregular_curve(),
+    "airy": airy_curve(),
+    "bessel": CurveData(RING, 1, {1: rat(1)}, {}, {}, {}, 12),
+    "tau2-4-6": CurveData(
+        RING, 3,
+        {2: rat("1/2"), 3: rat(1), 4: rat(-2), 6: rat("2/3")},
+        {(1, 1): rat("1/3"), (1, 2): rat(1), (2, 3): rat("-1/2")},
+        {1: rat(2), 3: rat("-1/5")},
+        {(1, 2): rat("3/4"), (2, 3): rat(-1)},
+        24),
+}
+
+
+@pytest.mark.parametrize("solver_cls", [TrSolver, AirySolver])
+def test_no_nonzero_entry_outside_the_simplex(solver_cls):
+    """Solve every key of the index box at levels up to 6 that lies outside
+    the simplex sum(bos) + sum(fer) <= B(chi), on a solved tensor, and
+    find it zero: the enumeration and the lookups skip nothing nonzero."""
+    solved = 0
+    for label, curve in SIMPLEX_CURVES.items():
+        solver = solver_cls(curve, 6)
+        solver.run()
+        for chi in range(3, 7):
+            for g, bos, fer in _box_keys(chi, curve.epsilon):
+                if not _in_simplex(chi, curve.epsilon, bos, fer):
+                    assert not solver.compute_entry(g, bos, fer), \
+                        (label, g, bos, fer)
+                    solved += 1
+    # the box keys outside the simplex at levels 3 to 6, over the curves
+    assert solved == 65792
 
 
 # (g, bos, fer) looked up on solvers with chi_max 4, by class. The first
@@ -222,10 +294,12 @@ ZERO_UP_TO_CHI_MAX = {
     "odd fermionic index": (0, (1,), (0, 3)),
     "bosonic index above the bound": (0, (5, 1, 1), ()),
     "fermionic index above the bound": (0, (1,), (0, 4)),
+    "index sum above the bound": (0, (3, 1, 1), ()),
 }
 MISSING_ABOVE_CHI_MAX = {
     "even bosonic index": (2, (2,), ()),
     "bosonic index above the bound": (2, (11,), ()),
+    "index sum above the bound": (1, (3, 3, 5), ()),
 }
 # with fermions, which a bosonic-only solver reads as zero at any level
 FERMIONIC_ABOVE_CHI_MAX = {

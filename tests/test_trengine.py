@@ -141,14 +141,18 @@ def test_missing_dependency_guard():
 
 
 def _code(g, bos, fer):
-    """A distinct nonzero rational for each canonical key."""
+    """A distinct nonzero rational for each canonical key in the simplex
+    sum(bos) + sum(fer) <= B(chi), and zero above it."""
+    if sum(bos) + sum(fer) > index_bound(2 * g + len(bos) + len(fer)):
+        return RING.zero()
     return RING.rational(int("9" + "".join(f"{i:02d}" for i in bos)
                              + "8" + "".join(f"{j:02d}" for j in fer)
                              + str(g)))
 
 
 class HandFilled(LazyTensor):
-    """Every canonical entry is its own _code; no recursion runs."""
+    """Every canonical entry in the simplex is its own _code; no recursion
+    runs."""
 
     def compute_entry(self, g, bos, fer):
         return _code(g, bos, fer)
@@ -158,18 +162,26 @@ class HandFilledTr(TrSolver):
     compute_entry = HandFilled.compute_entry
 
 
-# (g, J, K) of an F_{g-1} term, with an even index opened in front of K
-FF_CASES = [(0, (), (2, 6)), (0, (1,), (2, 6)), (0, (1,), (0, 4))]
+# (g, J, K) of an F_{g-1} term, with an even index opened in front of K.
+# At genus one the simplex leaves room for nonzero entries with the opened
+# index at an odd and at an even position of K, e.g. a = 2 and a = 6 into
+# K = (0, 4).
+FF_CASES = [(1, (), (0, 4)), (1, (), (2, 6)), (1, (1,), (0, 4))]
+
+
+def _budget(g, J, K):
+    """What J and K leave to b + a of the level bound of F_g(J | b, a, K)."""
+    return index_bound(2 * g + len(J) + len(K) + 2) - sum(J) - sum(K)
 
 
 def test_ff_lead_slice_sign():
     """sign * slice[b] is F(J | b, a, K) whether a sorts into an odd or an
     even position of K: the convention the (F, F) F_{g-1} term relies on."""
-    tensor = HandFilled(RING, 6, 3)
+    tensor = HandFilled(RING, 7, 3)
     positions = set()
     for g, J, K in FF_CASES:
-        evens = slot_ranges(index_bound(2 * g + len(J) + len(K)))[1]
-        for a in evens:
+        budget = _budget(g, J, K)
+        for a in slot_ranges(budget)[1]:
             opened, sign = insert_index(a, True, J, K)
             if not sign:
                 continue
@@ -177,7 +189,7 @@ def test_ff_lead_slice_sign():
             assert bos == J
             positions.add(fer.index(a) % 2)
             row = tensor.slice(g, J, fer, True)
-            for b in evens:
+            for b in slot_ranges(budget - a)[1]:
                 want = tensor.value(g, J, (b, a) + K)
                 assert sign * row.get(b, tensor.zero) == want, (a, b, K)
                 assert b in (a,) + K or want, (a, b, K)
@@ -187,20 +199,20 @@ def test_ff_lead_slice_sign():
 def test_ff_lead_term_of_the_assembly():
     """Each (F, F) F_{g-1} term that trengine assembles, weight times
     factor, is sum_b F(J | b, a, K) eta_b, with both slots open."""
-    solver = HandFilledTr(airy_curve(), 6)
+    solver = HandFilledTr(airy_curve(), 7)
     eta = solver.bases.eta_minus
     odd_seen = 0
     for g, J, K in FF_CASES:
+        budget = _budget(g, J, K)
         g += 1
-        evens = slot_ranges(index_bound(2 * g + len(J) + len(K)))[1]
-        lead = {id(eta(a)): a for a in evens}
+        lead = {id(eta(a)): a for a in slot_ranges(budget)[1]}
         for _, _, x, y, weight in solver._factor_pairs(
                 g, J, K, [(1, 1)]):
             a = lead.get(id(x))
             if a is None:
                 continue  # a split product, not an F_{g-1} term
             want = FormalSeries.zero(RING, solver.bases.trunc, 0, 1)
-            for b in evens:
+            for b in slot_ranges(budget - a)[1]:
                 entry = solver.flookup(g - 1, J, (b, a) + K)
                 want = want + eta(b).scale(entry)
             assert y.scale(weight) == want, (g, J, K, a)
