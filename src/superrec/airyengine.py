@@ -164,7 +164,11 @@ class AirySolver(LazyTensor):
     def __init__(self, curve, chi_max, bosonic_only=False):
         super().__init__(curve.ring, chi_max, curve.epsilon, bosonic_only)
         self.curve = curve
-        self.tau = curve.tau
+        # (p, +-tau_p) for p != epsilon, in increasing p: xi0_rest stops at
+        # the first p whose lookup falls above the index simplex
+        self.dilaton = sorted(
+            (p, tau_p if p % 2 else -tau_p)
+            for p, tau_p in curve.tau.items() if p != self.epsilon)
         self.tau_eps = curve.tau.get(self.epsilon)
         if not self.tau_eps:
             raise SingularLeading("leading dilaton-shift coefficient is zero")
@@ -180,18 +184,21 @@ class AirySolver(LazyTensor):
         F(J|2c+p-3, K)) excluding p = epsilon.
 
         bos[0] (fermionic: fer[0]) is the solved-for slot, equal to the
-        index at p = epsilon.
+        index at p = epsilon. The term of p reads an entry of the same level
+        whose deficit is D + epsilon - p, D the deficit of this entry, so it
+        is zero for every p > D + epsilon (see store.index_bound).
         """
         base = (fer if fermionic else bos)[0] - self.epsilon
         rest = (bos, fer[1:]) if fermionic else (bos[1:], fer)
+        last = self.epsilon + index_bound(2 * g + len(bos) + len(fer),
+                                          self.epsilon) - sum(bos) - sum(fer)
         out = self.zero
-        for p, tau_p in self.tau.items():
-            if p == self.epsilon:
-                continue
-            sign = 1 if p % 2 else -1
+        for p, signed_tau in self.dilaton:
+            if p > last:
+                break
             val = self.flookup(g, *_place(base + p, fermionic, *rest))
             if val:
-                out = out + tau_p * val * self.ring.rational(sign)
+                out = out + signed_tau * val
         return out
 
     # --- quadratic combinations -------------------------------------------

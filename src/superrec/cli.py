@@ -410,38 +410,36 @@ def cmd_crosscheck(args):
 def _algebra_monomials(ring, degree, index_range):
     from itertools import combinations, combinations_with_replacement
     cap = 4 * (index_range + 2)
-    out = []
     for nb in range(degree + 1):
         for bos in combinations_with_replacement(
                 range(1, index_range + 1), nb):
             for nf in range(degree - nb + 1):
                 for fer in combinations(range(0, index_range + 1), nf):
-                    out.append(FockPoly.monomial(ring, cap, bos, fer))
-    return out
+                    yield FockPoly.monomial(ring, cap, bos, fer)
 
 
 def cmd_verify_algebra(args):
     if args.degree < 1 or args.mode_range < 1:
         raise SpecError("--degree and --mode-range must be >= 1")
     ring = Ring([])
-    samples = _algebra_monomials(ring, args.degree, args.mode_range)
     full_span = range(-args.mode_range, args.mode_range + 1)
     # the quadratic modes are only defined down to label -1
     low_span = range(-1, args.mode_range + 1)
-    failed = []
-
-    def run_family(name, checker, span):
-        ok = all(checker(a, b, p) for a in span for b in span
-                 for p in samples)
-        print(f"{name:24s} {'pass' if ok else 'FAIL'}")
-        if not ok:
-            failed.append(name)
-
-    run_family("heisenberg-clifford", check_heisenberg_clifford, full_span)
+    families = {"heisenberg-clifford": (check_heisenberg_clifford, full_span)}
     for relation in ("comm1", "comm2", "comm3", "comm4", "comm5"):
-        run_family(relation,
-                   lambda a, b, p, r=relation: check_commutator(r, a, b, p),
-                   low_span)
+        families[relation] = (functools.partial(check_commutator, relation),
+                             low_span)
+    # One sample at a time, so that the L/G images it keeps (see
+    # svir.FockPoly.images) are shared by every family and dropped with it.
+    passed = dict.fromkeys(families, True)
+    for p in _algebra_monomials(ring, args.degree, args.mode_range):
+        for name, (checker, span) in families.items():
+            if passed[name]:
+                passed[name] = all(checker(a, b, p)
+                                   for a in span for b in span)
+    failed = [name for name, ok in passed.items() if not ok]
+    for name, ok in passed.items():
+        print(f"{name:24s} {'pass' if ok else 'FAIL'}")
     if args.corrupt_operator:
         shift = ShiftData(ring, 3, {3: ring.one()},
                           {(1, 2): ring.one()}, {})

@@ -12,7 +12,10 @@ oracle checks a computed coefficient tensor against the constraints.
 
 Each quadratic mode is a sum over pair labels, of which only those whose
 annihilators find their variable in the polynomial are applied, so its cost
-follows the polynomial's support.
+follows the polynomial's support. A polynomial keeps each L or G image of
+itself that is computed (`FockPoly.images`), so applying the same mode with
+the same shift data to it again returns that image, which keeps its own
+images in turn.
 """
 
 from __future__ import annotations
@@ -35,14 +38,20 @@ class FockPoly:
     Keys are (bosonic indices sorted ascending with multiplicity,
     fermionic indices strictly ascending, hbar power); the coefficient is
     relative to the theta factors written in increasing order.
+
+    A polynomial is never changed after construction, which is what lets
+    `images` (None until the first one is stored) map (kind, label, shift)
+    to the L or G image of this polynomial and hand the same object to
+    every caller.
     """
 
-    __slots__ = ("ring", "cap", "terms")
+    __slots__ = ("ring", "cap", "terms", "images")
 
     def __init__(self, ring, cap, terms=None):
         self.ring = ring
         self.cap = cap
         self.terms = {k: v for k, v in (terms or {}).items() if v}
+        self.images = None
 
     @classmethod
     def monomial(cls, ring, cap, bos=(), fer=(), hpow=0, coeff=1):
@@ -277,8 +286,20 @@ def _pair_sum(p, shift, total, families):
     return FockPoly(ring, p.cap, terms)
 
 
-def _apply_L(n, p, shift):
-    assert n >= -1
+def _image(kind, label, p, shift, compute):
+    """The image of p under the quadratic mode (kind, label), with this
+    shift data, computed by compute(label, p, shift) at most once per
+    polynomial; the key holds the ShiftData object itself."""
+    key = (kind, label, shift)
+    if p.images is None:
+        p.images = {}
+    elif key in p.images:
+        return p.images[key]
+    out = p.images[key] = compute(label, p, shift)
+    return out
+
+
+def _sum_L(n, p, shift):
     out = _pair_sum(p, shift, 2 * n, [
         ("J", "J", lambda k: Fraction(1 if k % 2 else -1, 2)),
         ("Gamma", "Gamma",
@@ -288,10 +309,19 @@ def _apply_L(n, p, shift):
     return out
 
 
-def _apply_G(m, p, shift):
-    assert m >= -1
+def _sum_G(m, p, shift):
     return _pair_sum(p, shift, 2 * m + 1, [
         ("J", "Gamma", lambda k: 1 if k % 2 else -1)])
+
+
+def _apply_L(n, p, shift):
+    assert n >= -1
+    return _image("L", n, p, shift, _sum_L)
+
+
+def _apply_G(m, p, shift):
+    assert m >= -1
+    return _image("G", m, p, shift, _sum_G)
 
 
 def apply_mode(kind, label, p, shift=None):

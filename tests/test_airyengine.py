@@ -15,6 +15,7 @@ from superrec.airyengine import AirySolver, ConstraintCoeffs, run_airy
 from superrec.curve import CurveBases, CurveData
 from superrec.scalars import Ring
 from superrec.series import FormalSeries
+from superrec.store import index_bound
 from superrec.trengine import run_tr
 from superrec.zoo import ZooSpec, zoo_build
 
@@ -261,7 +262,6 @@ def test_base_level_fermionic_route_agrees():
 
 def test_index_parity_and_bounds_respected():
     tensor = run_airy(rich_curve(), 5)
-    from superrec.store import index_bound
     for (g, bos, fer) in tensor.sorted_keys():
         chi = 2 * g + len(bos) + len(fer)
         bound = index_bound(chi)
@@ -287,3 +287,25 @@ def test_dilaton_table_order_independence():
             assert run_tr(curve, 5).nonzero_equal(tensor)
         else:
             assert tensor.nonzero_equal(reference), [p for p, _ in order]
+
+
+@pytest.mark.parametrize("curve", [
+    rich_curve(), irregular_curve(),
+    CurveData(RING, 3, {3: rat(1), 5: rat("1/4"), 7: rat("-2/3"),
+                        9: rat("1/3"), 11: rat(2)}, {}, {}, {}, 24)],
+    ids=["rich", "irregular", "tau-3-to-11"])
+def test_no_lookup_above_the_index_simplex(monkeypatch, curve):
+    # every term of a constraint reads entries inside the simplex: the
+    # leading sum stops at the first tau_p whose entry would lie above it
+    above = []
+    inner = AirySolver.flookup
+
+    def flookup(solver, g, bos, fer):
+        chi = 2 * g + len(bos) + len(fer)
+        if chi > 2 and sum(bos) + sum(fer) > index_bound(chi, curve.epsilon):
+            above.append((g, bos, fer))
+        return inner(solver, g, bos, fer)
+
+    monkeypatch.setattr(AirySolver, "flookup", flookup)
+    assert run_airy(curve, 6).entries
+    assert above == []

@@ -11,14 +11,16 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import superrec
-from superrec import cli
+from superrec import cli, svir
 from superrec.cli import (EXIT_INTERNAL, EXIT_MISMATCH, EXIT_PARSE,
                           EXIT_TRUNCATION, build_curve, canonical_bytes,
                           document_entries, load_spec_document, main)
+from superrec.svir import FockPoly
 from superrec.trengine import run_tr
 
 EXPLICIT_SPEC = {
@@ -385,6 +387,87 @@ def test_verify_algebra_corrupt_operator_reports_closure_failures(capsys):
     assert details == ["closure-LG at (1, 1): mismatch",
                        "closure-LL at (1, 2): mismatch",
                        "closure-LL at (2, 1): mismatch"]
+
+
+def test_verify_algebra_computes_each_image_once(monkeypatch, capsys):
+    # a pair sum run inside _apply_L/_apply_G computes the image of one
+    # polynomial under one mode; every sample, every image of a sample and
+    # every probe of the structure checks gets each of its images once
+    work = Counter()
+    held = []  # keeps each polynomial alive, so that its id stays its own
+    inside = [None]
+
+    def traced(kind, apply_mode):
+        def apply(label, p, shift):
+            outer, inside[0] = inside[0], (kind, label, shift)
+            try:
+                return apply_mode(label, p, shift)
+            finally:
+                inside[0] = outer
+        return apply
+
+    def pair_sum(p, shift, total, families, inner=svir._pair_sum):
+        if inside[0] is not None:
+            held.append(p)
+            work[(id(p),) + inside[0]] += 1
+        return inner(p, shift, total, families)
+
+    monkeypatch.setattr(svir, "_apply_L", traced("L", svir._apply_L))
+    monkeypatch.setattr(svir, "_apply_G", traced("G", svir._apply_G))
+    monkeypatch.setattr(svir, "_pair_sum", pair_sum)
+    assert main(["verify-algebra", "--degree", "2", "--mode-range", "1"]) \
+        == 0
+    assert capsys.readouterr().out.count("pass") == 7
+    assert len(work) > 100
+    assert set(work.values()) == {1}
+
+
+# what verify-algebra prints when every [L_n, L_m] closure is broken, as
+# recorded when each family ran over all samples before the next family
+# started; comm3 now fails on the first sample and is skipped after it
+FAILED_LL_CLOSURE = """\
+heisenberg-clifford      pass
+comm1                    pass
+comm2                    pass
+comm3                    FAIL
+comm4                    pass
+comm5                    pass
+structure-recombination  FAIL
+  closure-LL at (1, 2): mismatch
+  closure-LL at (1, 3): mismatch
+  closure-LL at (1, 4): mismatch
+  closure-LL at (2, 1): mismatch
+  closure-LL at (2, 3): mismatch
+  closure-LL at (3, 1): mismatch
+  closure-LL at (3, 2): mismatch
+  closure-LL at (4, 1): mismatch
+"""
+
+
+def test_verify_algebra_reports_each_failing_family(monkeypatch, capsys):
+    monkeypatch.setattr(svir, "_rhs_LL",
+                        lambda n, m, p, shift=None: FockPoly(p.ring, p.cap))
+    assert main(["verify-algebra", "--degree", "2", "--mode-range", "1"]) \
+        == EXIT_MISMATCH
+    out, err = capsys.readouterr()
+    assert out == FAILED_LL_CLOSURE
+    assert err == "error: failing families: comm3, structure-recombination\n"
+
+
+def test_verify_algebra_under_optimized_python():
+    # the asserts in svir must not decide anything a run prints
+    src = os.path.dirname(os.path.dirname(os.path.abspath(superrec.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for extra in ([], ["--corrupt-operator"]):
+        runs = [subprocess.run(
+            [sys.executable] + flags + ["-m", "superrec.cli", "verify-algebra",
+                                        "--degree", "2", "--mode-range", "1"]
+            + extra, env=env, capture_output=True)
+            for flags in ([], ["-O"])]
+        plain, optimized = ((run.returncode, run.stdout, run.stderr)
+                            for run in runs)
+        assert plain == optimized, extra
+        assert plain[0] == (EXIT_MISMATCH if extra else 0), plain
 
 
 def test_verify_curve(tmp_path, capsys):

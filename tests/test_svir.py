@@ -80,6 +80,11 @@ def monomials(max_degree=6, max_index=3, max_bos=3, max_fer=3):
 SAMPLES = monomials()
 
 
+def _fresh(p):
+    """An equal polynomial that holds no images yet."""
+    return FockPoly(p.ring, p.cap, p.terms)
+
+
 # --- elementary actions -------------------------------------------------------
 
 
@@ -290,7 +295,9 @@ def test_pairs_apply_only_annihilators_in_support(monkeypatch):
     monkeypatch.setattr(svir, "_apply_pair", checked)
     for curve in (None, rich_curve()):
         shift = None if curve is None else ShiftData.from_curve(curve)
-        for p in SAMPLES[::7]:
+        # fresh copies: a sample holds the images earlier tests computed,
+        # and a stored image is returned without a pair sum
+        for p in map(_fresh, SAMPLES[::7]):
             for n in LABELS:
                 apply_mode("L", 2 * n, p, shift)
                 apply_mode("G", 2 * n + 1, p, shift)
@@ -298,6 +305,49 @@ def test_pairs_apply_only_annihilators_in_support(monkeypatch):
                     for fast, _ in RHS:
                         fast(n, m, p, shift)
     assert calls
+
+
+# --- each L/G image of a polynomial is computed once --------------------------
+
+MODES = [(kind, 2 * n + (kind == "G")) for n in LABELS for kind in "LG"]
+
+
+def test_mode_images_are_keyed_by_shift():
+    # two different shift objects, both with phi and psi, whose images
+    # differ from each other and from the unshifted ones: an image stored
+    # without its shift would be handed back for the wrong one
+    shifts = [None, ShiftData.from_curve(rich_curve()),
+              ShiftData.from_curve(irregular_curve())]
+    p = mono((1, 2), (0, 1)) + mono((3,), (2,))
+    for shift in shifts + [None]:
+        for kind, label in MODES:
+            got = apply_mode(kind, label, p, shift)
+            assert got == apply_mode(kind, label, _fresh(p), shift), \
+                (kind, label, shift)
+            assert apply_mode(kind, label, p, shift) is got
+    distinct = [(kind, label) for kind, label in MODES
+                if len({frozenset(apply_mode(kind, label, _fresh(p),
+                                             shift).terms.items())
+                        for shift in shifts}) == 3]
+    assert distinct
+
+
+def test_shared_images_are_not_changed_by_their_users():
+    shift = ShiftData.from_curve(rich_curve())
+    p = mono((1, 2), (0, 1)) + mono((3,), (2,))
+    for kind, label in MODES:
+        image = apply_mode(kind, label, p, shift)
+        want = apply_mode(kind, label, _fresh(p), shift)
+        image + p
+        image - image
+        image.scale(3)
+        image.mul_hbar()
+        second = apply_mode("L", 0, image, shift)
+        assert second == apply_mode("L", 0, _fresh(want), shift)
+        assert apply_mode("L", 0, image, shift) is second
+        apply_mode(kind, label, image, shift).scale(-1)
+        assert apply_mode(kind, label, p, shift) is image
+        assert image == want, (kind, label)
 
 
 # --- algebra relations --------------------------------------------------------
