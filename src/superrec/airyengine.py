@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .curve import complete_psi
-from .store import (LazyTensor, UnsolvedEntry, index_bound, insert_index,
+from .store import (LazyTensor, UnsolvedEntry, deficit, insert_index,
                     iter_partitions, slot_ranges)
 
 
@@ -33,17 +32,16 @@ class SingularLeading(Exception):
 class ConstraintCoeffs:
     """Tables C^{bb}, C^{ff}, C^{bf}, D derived from curve parameters.
 
-    Conventions: phi[a, b] = 0 unless a, b >= 1; psi[a, b] = 0 unless
-    a, b >= 0; the bosonic zero mode is absent, so any table entry whose
-    bosonic argument is 0 vanishes identically. `value` and `nonzero`
-    evaluate each coefficient once and keep the nonzero ones per range.
+    phi and psi are read from the curve (`CurveData.phi_at`/`psi_at`),
+    which is zero at an index below 1 (phi) or 0 (psi); the bosonic zero
+    mode is absent, so any table entry whose bosonic argument is 0
+    vanishes identically. `value` and `nonzero` evaluate each coefficient
+    once and keep the nonzero ones per range.
     """
 
-    def __init__(self, curve, max_index):
+    def __init__(self, curve):
         self.curve = curve
         self.ring = curve.ring
-        psi_max = max(curve.max_polarization_index(), max_index + 4, 4)
-        self.psi = complete_psi(curve, psi_max)
         self._half = self.ring.rational(Fraction(1, 2))
         self._values = {}
         self._tables = {}
@@ -67,53 +65,42 @@ class ConstraintCoeffs:
                 if (val := self.value(kind, c, j, k))]
         return table
 
-    def phi_at(self, a, b):
-        if a < 1 or b < 1:
-            return self.ring.zero()
-        return self.curve.phi_at(a, b)
-
-    def psi_at(self, a, b):
-        if a < 0 or b < 0:
-            return self.ring.zero()
-        return self.psi.get((a, b), self.ring.zero())
-
     def c_bb(self, c, j, k):
         """Coefficient of the ordered bosonic pair (j, k) in operator c."""
         if j == 0 or k == 0:
             return self.ring.zero()
-        ring = self.ring
+        ring, phi = self.ring, self.curve.phi_at
         out = ring.zero()
         sign_j = 1 if j % 2 else -1  # (-1)^(j-1)
         sign_k = 1 if k % 2 else -1
         if j + k == 2 * c - 4:
             out = out + ring.rational(sign_j)
-        val = self.phi_at(j - 2 * c + 4, k)
+        val = phi(j - 2 * c + 4, k)
         if val:
             out = out + val * ring.rational(Fraction(sign_j, k))
-        val = self.phi_at(j, k - 2 * c + 4)
+        val = phi(j, k - 2 * c + 4)
         if val:
             out = out + val * ring.rational(Fraction(sign_k, j))
         if c == 1:
-            val = self.phi_at(1, j) * self.phi_at(1, k)
+            val = phi(1, j) * phi(1, k)
             if val:
                 out = out + val * ring.rational(Fraction(1, j * k))
         return out
 
     def c_ff(self, c, j, k):
         """Coefficient of the ordered fermionic pair (j, k) in operator c."""
-        ring = self.ring
+        ring, psi = self.ring, self.curve.psi_at
         out = ring.zero()
         sign_j = (-1) ** (j % 2)  # (-1)^j
         sign_k = (-1) ** (k % 2)
         if j + k == 2 * c - 4:
             out = out + ring.rational(Fraction(sign_j * (k - j), 2))
         if c == 1:
-            out = out + (self.psi_at(j, 2) * self.psi_at(k, 0)
-                         - self.psi_at(j, 0) * self.psi_at(k, 2))
-        val = self.psi_at(j, k - 2 * c + 4)
+            out = out + (psi(j, 2) * psi(k, 0) - psi(j, 0) * psi(k, 2))
+        val = psi(j, k - 2 * c + 4)
         if val:
             out = out + val * ring.rational(sign_k * (k - c + 2))
-        val = self.psi_at(k, j - 2 * c + 4)
+        val = psi(k, j - 2 * c + 4)
         if val:
             out = out - val * ring.rational(sign_j * (j - c + 2))
         return out
@@ -122,20 +109,20 @@ class ConstraintCoeffs:
         """Coefficient of the bosonic/fermionic pair (j, k) in operator c."""
         if j == 0:
             return self.ring.zero()
-        ring = self.ring
+        ring, phi, psi = self.ring, self.curve.phi_at, self.curve.psi_at
         out = ring.zero()
         sign_j = (-1) ** (j % 2)
         sign_k = (-1) ** (k % 2)
         if j + k == 2 * c - 3:
             out = out + ring.rational(sign_k)
-        val = self.phi_at(j, k - 2 * c + 3)
+        val = phi(j, k - 2 * c + 3)
         if val:
             out = out + val * ring.rational(Fraction(sign_k, j))
-        val = self.psi_at(k, j - 2 * c + 3)
+        val = psi(k, j - 2 * c + 3)
         if val:
             out = out - val * ring.rational(sign_j)
         if c == 1:
-            val = self.phi_at(j, 1) * self.psi_at(k, 0)
+            val = phi(j, 1) * psi(k, 0)
             if val:
                 out = out + val * ring.rational(Fraction(1, j))
         return out
@@ -148,9 +135,9 @@ class ConstraintCoeffs:
             out = out + ring.rational(
                 Fraction(1, 8) if bosonic_only else Fraction(1, 4))
         if c == 1:
-            out = out + self._half * self.phi_at(1, 1)
+            out = out + self._half * self.curve.phi_at(1, 1)
             if not bosonic_only:
-                out = out + self._half * self.psi_at(0, 2)
+                out = out + self._half * self.curve.psi_at(0, 2)
         return out
 
 
@@ -173,9 +160,7 @@ class AirySolver(LazyTensor):
         if not self.tau_eps:
             raise SingularLeading("leading dilaton-shift coefficient is zero")
         self.inv_tau_eps = self.tau_eps.invert()
-        bound = index_bound(chi_max, self.epsilon)
-        self.coeffs = ConstraintCoeffs(
-            curve, (bound + 4 - self.epsilon) // 2 + 2)
+        self.coeffs = ConstraintCoeffs(curve)
 
     # --- leading sums ------------------------------------------------------
 
@@ -190,8 +175,7 @@ class AirySolver(LazyTensor):
         """
         base = (fer if fermionic else bos)[0] - self.epsilon
         rest = (bos, fer[1:]) if fermionic else (bos[1:], fer)
-        last = self.epsilon + index_bound(2 * g + len(bos) + len(fer),
-                                          self.epsilon) - sum(bos) - sum(fer)
+        last = self.epsilon + deficit(g, bos, fer, self.epsilon)
         out = self.zero
         for p, signed_tau in self.dilaton:
             if p > last:
@@ -313,8 +297,7 @@ class AirySolver(LazyTensor):
             # k and l take what the other indices leave of the bound of
             # level chi - 1, which every factor of the quadratic terms
             # keeps (see store.index_bound)
-            odd, even = slot_ranges(
-                index_bound(chi - 1, eps) - sum(rest) - sum(fer))
+            odd, even = slot_ranges(deficit(g, rest, fer, eps))
             quad = self.xi2_bb(g, coeffs.nonzero("bb", c, odd, odd),
                                rest, fer)
             if not self.bosonic_only:
@@ -349,8 +332,7 @@ class AirySolver(LazyTensor):
                 denom = 2 if k == 0 else 1
                 acc = acc + val * ring.rational(Fraction(j, denom))
         else:
-            odd, even = slot_ranges(
-                index_bound(chi - 1, eps) - sum(bos) - sum(rest))
+            odd, even = slot_ranges(deficit(g, bos, rest, eps))
             quad = self.xi2_bf(g, coeffs.nonzero("bf", c, odd, even),
                                bos, rest)
             if quad:
@@ -379,8 +361,7 @@ class AirySolver(LazyTensor):
         # the entry read has level chi - 1, for the entry at chi = 2g +
         # len(bos) + len(fer) + 1, and k takes what the indices beside it
         # leave of that level's bound
-        budget = index_bound(2 * g + len(bos) + len(fer), self.epsilon) \
-            - sum(bos) - sum(fer)
+        budget = deficit(g, bos, fer, self.epsilon)
         for pos, j in enumerate(removed):
             sub = removed[:pos] + removed[pos + 1:]
             added = slot_ranges(budget + j)[added_fermionic]

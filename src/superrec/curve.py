@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import accumulate
-from .series import BiForm, FormalSeries, TruncationError
+from .series import BiForm, FormalSeries, TruncationError, WeightError
 from .store import index_bound
 
 
@@ -77,9 +77,39 @@ class CurveData:
                         f"{what} index {index} past truncation {self.trunc}")
 
     def phi_at(self, k, l):
+        """phi_kl, zero unless k, l >= 1 and within the curve's data."""
         if k > l:
             k, l = l, k
         return self.phi.get((k, l), self.ring.zero())
+
+    def psi_at(self, k, l):
+        """psi_kl, zero at a negative index and past the curve's data.
+
+        The pairing constraints fix every entry from psi0 and psiA:
+        psi_00 = 0, psi_0k = -psi_k0 = psi0_k, psi_kk = -psi0_k^2 / 2, and
+        for 1 <= k < l, psi_kl = psiA_kl and psi_lk = -psiA_kl - psi0_k
+        psi0_l.
+        """
+        zero = self.ring.zero()
+        if k < 0 or l < 0:
+            return zero
+        psi0 = self.psi0
+        if not k or not l:
+            val = psi0.get(k or l)
+            if val is None:
+                return zero
+            return -val if l == 0 else val
+        if k == l:
+            val = psi0.get(k)
+            if val is None:
+                return zero
+            return -self.ring.rational(Fraction(1, 2)) * val * val
+        if k < l:
+            return self.psiA.get((k, l), zero)
+        out = -self.psiA.get((l, k), zero)
+        if k in psi0 and l in psi0:
+            out = out - psi0[l] * psi0[k]
+        return out
 
     def max_polarization_index(self):
         out = 0
@@ -90,26 +120,6 @@ class CurveData:
         for k, l in self.psiA:
             out = max(out, l)
         return out
-
-
-def complete_psi(curve, max_index):
-    """Full table psi[k, l] for 0 <= k, l <= max_index."""
-    ring = curve.ring
-    zero = ring.zero()
-    psi = {}
-    psi0 = {k: curve.psi0.get(k, zero) for k in range(1, max_index + 1)}
-    psi[(0, 0)] = zero
-    for k in range(1, max_index + 1):
-        psi[(0, k)] = psi0[k]
-        psi[(k, 0)] = -psi0[k]
-        half = ring.rational(Fraction(1, 2))
-        psi[(k, k)] = -half * psi0[k] * psi0[k]
-    for k in range(1, max_index + 1):
-        for l in range(k + 1, max_index + 1):
-            upper = curve.psiA.get((k, l), zero)
-            psi[(k, l)] = upper
-            psi[(l, k)] = -upper - psi0[k] * psi0[l]
-    return psi
 
 
 def required_truncation(epsilon, chi_max):
@@ -133,7 +143,6 @@ class CurveBases:
                     f"for chi_max={chi_max}")
         self.trunc = curve.trunc
         max_pol = curve.max_polarization_index()
-        self.psi = complete_psi(curve, max(max_pol, 0))
         self._dxi_minus = {}
         self._eta_minus = {}
 
@@ -159,14 +168,11 @@ class CurveBases:
             if l == k:
                 continue
             dkl = 1 if (k - 1) * (l - 1) == 0 else 0
-            num = self.psi_at(k - 1, l - 1) - self.psi_at(l - 1, k - 1)
+            num = curve.psi_at(k - 1, l - 1) - curve.psi_at(l - 1, k - 1)
             val = -num * ring.rational(Fraction(1, 2 * (1 + dkl)))
             if val:
                 psi_reg[(l, k)] = val
         self.omega002 = BiForm(ring, "fermionic_002", psi_reg, self.trunc)
-
-    def psi_at(self, k, l):
-        return self.psi.get((k, l), self.ring.zero())
 
     # --- basis series ----------------------------------------------------
 
@@ -200,7 +206,7 @@ class CurveBases:
         if l not in self._eta_minus:
             coeffs = {-l - 1: self.ring.one()}
             for k in range(0, self.curve.max_polarization_index() + 1):
-                val = self.psi_at(l, k)
+                val = self.curve.psi_at(l, k)
                 if val:
                     accumulate(coeffs, k - 1, val)
             self._eta_minus[l] = FormalSeries(
@@ -222,7 +228,6 @@ def pairing_B(a, b):
 
 def pairing_F(a, b):
     """Res a * b for odd-parity weight-0 series a, b."""
-    from .series import WeightError
     if a.theta != 1 or b.theta != 1 or a.dz_weight or b.dz_weight:
         raise WeightError("fermionic pairing needs two odd half-forms")
     return (a * b).residue()

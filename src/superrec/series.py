@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import NotInvertible, Ring, Scalar, accumulate
+from .scalars import NotInvertible, Scalar, accumulate
 
 
 class TruncationError(Exception):

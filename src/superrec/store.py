@@ -2,13 +2,13 @@
 
 An entry F(g; i_1..i_n | j_1..j_2m) is symmetric in the bosonic indices i
 and antisymmetric in the fermionic indices j. Entries are stored under the
-canonical key (bosonic sorted ascending, fermionic strictly ascending) and
-retrieval/storage with permuted index lists applies the sign of the
-fermionic sorting permutation. `LazyTensor` is the scaffolding both solvers
-share: the enumeration of each level's candidate keys over the index simplex
-(see `index_bound`), the memoized, zero-filtered lookup that computes an
-entry on first use, and the sector index that hands a solver every nonzero
-entry of a lower level with one slot left open.
+canonical key (bosonic sorted ascending, fermionic strictly ascending; see
+`canonical`), and retrieval/storage with permuted index lists applies the
+sign of the fermionic sorting permutation. `LazyTensor` is the scaffolding
+both solvers share: the enumeration of each level's candidate keys over the
+index simplex (see `index_bound`), the memoized, zero-filtered lookup that
+computes an entry on first use, and the sector index that hands a solver
+every nonzero entry of a lower level with one slot left open.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ class UnsolvedEntry(Exception):
 def index_bound(chi, epsilon=3):
     """Largest index sum sum(bos) + sum(fer) of a nonzero entry at level chi.
 
-    Call D = B(chi) - S the deficit of an entry whose indices sum to S. The
-    constraint that solves an entry has the leading term tau_epsilon F(b0,
-    ...), which has the entry's deficit D. Every other term reads entries
-    of deficit D or lower:
+    Call D = B(chi) - S the deficit of an entry whose indices sum to S (see
+    `deficit`). The constraint that solves an entry has the leading term
+    tau_epsilon F(b0, ...), which has the entry's deficit D. Every other
+    term reads entries of deficit D or lower:
     - the delta parts of C^bb, C^ff and C^bf, in the quadratic and in the
       single-F terms, read entries of the same deficit;
     - every tau_p with p > epsilon, and every phi_{a,b} and psi term, reads
@@ -61,6 +61,14 @@ def index_bound(chi, epsilon=3):
     curve.
     """
     return epsilon * (chi - 2)
+
+
+def deficit(g, bos, fer, epsilon=3):
+    """D = B(chi) - sum(bos) - sum(fer) of the entry F(g; bos | fer) at
+    level chi = 2g + len(bos) + len(fer); the entry is zero if D < 0 (see
+    `index_bound`)."""
+    return index_bound(2 * g + len(bos) + len(fer), epsilon) \
+        - sum(bos) - sum(fer)
 
 
 def slot_ranges(bound):
@@ -88,12 +96,11 @@ def _simplex_tuples(n, low, budget, strict):
         first += 2
 
 
-def sort_with_sign(seq):
-    """Sort a sequence, returning (sorted tuple, permutation sign).
-
-    Returns sign 0 if the sequence has a repeated element.
-    """
-    items = list(seq)
+def canonical(bos, fer):
+    """The canonical key of indices in any order: (bos sorted ascending,
+    fer strictly ascending, sign of sorting fer), the sign 0 when fer
+    repeats an index."""
+    items = list(fer)
     sign = 1
     # insertion sort; fine at these sizes and counts inversions exactly
     for i in range(1, len(items)):
@@ -104,8 +111,9 @@ def sort_with_sign(seq):
             j -= 1
     for a, b in zip(items, items[1:]):
         if a == b:
-            return tuple(items), 0
-    return tuple(items), sign
+            sign = 0
+            break
+    return tuple(sorted(bos)), tuple(items), sign
 
 
 def insert_index(index, fermionic, bos, fer):
@@ -239,8 +247,7 @@ class CorrTensor:
         return 2 * g + len(bos) + len(fer)
 
     def get(self, g, bos, fer):
-        bos = tuple(sorted(bos))
-        fer, sign = sort_with_sign(fer)
+        bos, fer, sign = canonical(bos, fer)
         if sign == 0:
             return self.zero
         value = self.entries.get((g, bos, fer))
@@ -248,14 +255,9 @@ class CorrTensor:
             return self.zero
         return value if sign == 1 else -value
 
-    def set(self, g, bos, fer, value, canonical=False):
-        """Store value at (g, bos, fer), indices in any order; a canonical
-        caller (bos sorted, fer strictly ascending) skips the sorting."""
-        if canonical:
-            bos_sorted, fer_sorted, sign = bos, fer, 1
-        else:
-            bos_sorted = tuple(sorted(bos))
-            fer_sorted, sign = sort_with_sign(fer)
+    def set(self, g, bos, fer, value):
+        """Store value at (g, bos, fer), indices in any order."""
+        bos_sorted, fer_sorted, sign = canonical(bos, fer)
         chi = self.chi(g, bos_sorted, fer_sorted)
         if chi <= 2:
             raise StabilityError(f"unstable key g={g}, {bos}, {fer}")
@@ -271,8 +273,8 @@ class CorrTensor:
                 raise ParityError(f"even bosonic index in {bos}")
             if any(j % 2 for j in fer_sorted):
                 raise ParityError(f"odd fermionic index in {fer}")
-            bound = index_bound(chi, self.epsilon)
-            if sum(bos_sorted) + sum(fer_sorted) > bound:
+            if deficit(g, bos_sorted, fer_sorted, self.epsilon) < 0:
+                bound = index_bound(chi, self.epsilon)
                 raise IndexBoundError(
                     f"index sum beyond bound {bound} at level {chi}: "
                     f"{bos}, {fer}")
@@ -327,8 +329,7 @@ class LazyTensor:
 
     def value(self, g, bos, fer):
         """Canonical tensor entry, computed on demand and memoized."""
-        bos = tuple(sorted(bos))
-        fer_sorted, sign = sort_with_sign(fer)
+        bos, fer_sorted, sign = canonical(bos, fer)
         if sign == 0:
             return self.zero
         key = (g, bos, fer_sorted)
@@ -343,7 +344,7 @@ class LazyTensor:
                 val = self.compute_entry(g, bos, fer_sorted)
             finally:
                 self._pending.discard(key)
-            self.tensor.set(g, bos, fer_sorted, val, canonical=True)
+            self.tensor.set(g, bos, fer_sorted, val)
             if val:
                 self._file(g, bos, fer_sorted, val)
         out = self.tensor.entries.get(key, self.zero)
@@ -392,7 +393,7 @@ class LazyTensor:
             raise MissingDependency(
                 f"entry (g={g}, bos={tuple(bos)}, fer={tuple(fer)}) at "
                 f"level {chi} beyond configured maximum {self.chi_max}")
-        if sum(bos) + sum(fer) > index_bound(chi, self.epsilon) \
+        if deficit(g, bos, fer, self.epsilon) < 0 \
                 or not all(i % 2 for i in bos) or any(j % 2 for j in fer):
             return self.zero
         return self.value(g, bos, fer)

@@ -23,9 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .curve import complete_psi
 from .scalars import accumulate
-from .store import insert_index, sort_with_sign
+from .store import canonical, insert_index
 
 
 class CapExceeded(Exception):
@@ -61,11 +60,10 @@ class FockPoly:
         if any(a < 1 for a in bos) or any(a < 0 for a in fer):
             raise ValueError(f"no variable x^a for a < 1 or theta^a for "
                              f"a < 0 (got x{tuple(bos)}, theta{tuple(fer)})")
-        fer_sorted, sign = sort_with_sign(fer)
+        bos, fer_sorted, sign = canonical(bos, fer)
         if not sign:
             raise ValueError(f"repeated theta factor in {tuple(fer)}")
-        return cls(ring, cap, {(tuple(sorted(bos)), fer_sorted, hpow):
-                               coeff * sign})
+        return cls(ring, cap, {(bos, fer_sorted, hpow): coeff * sign})
 
     @classmethod
     def one(cls, ring, cap):
@@ -105,8 +103,8 @@ class FockPoly:
     def component(self, bos=(), fer=(), hpow=0):
         """Coefficient of x^bos theta^fer hbar^hpow, theta factors in the
         given order."""
-        fer, sign = sort_with_sign(fer)
-        c = self.terms.get((tuple(sorted(bos)), fer, hpow))
+        bos, fer, sign = canonical(bos, fer)
+        c = self.terms.get((bos, fer, hpow))
         return self.ring.zero() if c is None else c * sign
 
     def degree_one_terms(self):
@@ -178,12 +176,10 @@ class ShiftData:
 
     @classmethod
     def from_curve(cls, curve):
-        top = max(curve.max_polarization_index(),
-                  max(curve.tau, default=0))
-        span = range(1, top + 1)
+        span = range(curve.max_polarization_index() + 1)
         phi = {(i, k): curve.phi_at(i, k) for i in span for k in span}
-        return cls(curve.ring, curve.epsilon, dict(curve.tau), phi,
-                   complete_psi(curve, top))
+        psi = {(k, i): curve.psi_at(k, i) for k in span for i in span}
+        return cls(curve.ring, curve.epsilon, dict(curve.tau), phi, psi)
 
 
 def _apply_plain(kind, index, p):
@@ -582,10 +578,10 @@ def exp_state(tensor):
                 if 2 * (h1 + h2) + len(b1) + len(b2) \
                         + len(f1) + len(f2) > maxdeg:
                     continue
-                fm, sg = sort_with_sign(f1 + f2)
+                bm, fm, sg = canonical(b1 + b2, f1 + f2)
                 if sg == 0:
                     continue
-                kk = (tuple(sorted(b1 + b2)), fm, h1 + h2)
+                kk = (bm, fm, h1 + h2)
                 accumulate(new, kk, v1 * v2 * Fraction(sg, k))
         power = new
     # a constraint that would create a variable of index above 40 on the

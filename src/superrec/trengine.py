@@ -20,10 +20,9 @@ from fractions import Fraction
 
 from .curve import CurveBases
 from .series import FormalSeries, TruncationError
-# MissingDependency is raised by the inherited lookup; re-exported here
-from .store import (IndexBoundError, LazyTensor, MissingDependency,
-                    distinct_splits, index_bound, insert_index,
-                    iter_partitions, slot_ranges, sort_with_sign)
+from .store import (IndexBoundError, LazyTensor, canonical, deficit,
+                    distinct_splits, insert_index, iter_partitions,
+                    slot_ranges)
 
 
 class NonzeroEvenIndex(Exception):
@@ -181,8 +180,7 @@ class TrSolver(LazyTensor):
         if g > 1 or g == 1 and (J or K):
             # the F_{g-1} entries have level 2g + |J| + |K|, and their
             # indices beside J and K share what J and K leave of its bound
-            ranges = slot_ranges(index_bound(2 * g + len(J) + len(K),
-                                             self.epsilon) - sum(J) - sum(K))
+            ranges = slot_ranges(deficit(g, J, K, self.epsilon))
             for first, second in pairs:
                 basis = (self.bases.dxi_minus, self.bases.eta_minus)[first]
                 for a in ranges[first]:
@@ -225,9 +223,9 @@ class TrSolver(LazyTensor):
         column = self._columns.get(key)
         if column is None:
             # the output index l of F(l, J | K) may take what J and K leave
-            # of the level bound
-            bound = index_bound(2 * g + len(J) + len(K) + 1,
-                                self.epsilon) - sum(J) - sum(K)
+            # of the level bound; that entry's level is one above the
+            # level of (g, J, K), whose bound is epsilon lower
+            bound = deficit(g, J, K, self.epsilon) + self.epsilon
             if fermionic:
                 column = self.kernel.extract_fermionic(
                     self.assemble_QFB(g, J, K), bound)
@@ -248,10 +246,10 @@ class TrSolver(LazyTensor):
             index, Kx, sign = fer[1], (0,) + fer[2:], -1
         else:
             index, Kx, sign = fer[0], fer[1:], 1
-        Kx, sort_sign = sort_with_sign(Kx)
+        J, Kx, sort_sign = canonical(J, Kx)
         if not sort_sign:
             return self.zero
-        column = self._column(g, tuple(sorted(J)), Kx, True)
+        column = self._column(g, J, Kx, True)
         val = column.get(index, self.zero)
         return val if sign * sort_sign == 1 else -val
 
@@ -261,8 +259,7 @@ class TrSolver(LazyTensor):
         assembly."""
         if pos is None:
             pos = len(bos) - 1
-        rest = tuple(sorted(bos[:pos] + bos[pos + 1:]))
-        fer, sign = sort_with_sign(fer)
+        rest, fer, sign = canonical(bos[:pos] + bos[pos + 1:], fer)
         if not sign:
             return self.zero
         val = self._column(g, rest, fer, False).get(bos[pos], self.zero)

@@ -106,7 +106,7 @@ def hat_d(bases, c):
     ids=["airy", "rich", "irregular"])
 def test_coefficient_tables_match_residue_oracles(curve):
     bases = CurveBases(curve)
-    coeffs = ConstraintCoeffs(curve, 10)
+    coeffs = ConstraintCoeffs(curve)
     for c in range(1, 6):
         assert coeffs.d(c) == hat_d(bases, c), ("d", c)
         for j in range(-6, 7):
@@ -120,7 +120,7 @@ def test_coefficient_tables_match_residue_oracles(curve):
 
 
 def test_trivial_polarization_table_deltas():
-    coeffs = ConstraintCoeffs(airy_curve(), 10)
+    coeffs = ConstraintCoeffs(airy_curve())
     for c in range(1, 5):
         for j in range(0, 6):
             for k in range(0, 6):
@@ -143,8 +143,8 @@ def test_nonzero_table_is_the_parity_allowed_dense_grid(kind):
     odd, even = range(1, kmax + 1, 2), range(0, kmax + 1, 2)
     firsts = even if kind == "ff" else odd
     seconds = odd if kind == "bb" else even
-    coeffs = ConstraintCoeffs(rich_curve(), 10)
-    dense = getattr(ConstraintCoeffs(rich_curve(), 10), "c_" + kind)
+    coeffs = ConstraintCoeffs(rich_curve())
+    dense = getattr(ConstraintCoeffs(rich_curve()), "c_" + kind)
     sizes = []
     for c in range(1, 6):
         expected = [(k, l, dense(c, k, l))
@@ -172,10 +172,10 @@ def test_each_coefficient_is_evaluated_once(monkeypatch):
 
 
 def test_d_values():
-    assert ConstraintCoeffs(airy_curve(), 6).d(2) == rat("1/4")
-    assert ConstraintCoeffs(airy_curve(), 6).d(1) == RING.zero()
-    rich = ConstraintCoeffs(rich_curve(), 6)
-    # d(1) = phi_11/2 + psi_02/2 with psi_02 taken from the completed table
+    assert ConstraintCoeffs(airy_curve()).d(2) == rat("1/4")
+    assert ConstraintCoeffs(airy_curve()).d(1) == RING.zero()
+    rich = ConstraintCoeffs(rich_curve())
+    # d(1) = phi_11/2 + psi_02/2 with psi_02 = psi0_2 read from the curve
     assert rich.d(1) == rat("1/2") * rat("1/2") + rat("1/2") * rat("-1/3")
 
 

@@ -4,10 +4,11 @@ import pytest
 
 from superrec.curve import (
     AdmissibilityError, CurveBases, CurveData, InconsistentPolarization,
-    ShapeError, complete_psi, fit_parameters, pairing_B, pairing_F)
+    ShapeError, fit_parameters, pairing_B, pairing_F)
 from superrec.scalars import Ring
 from superrec.series import FormalSeries, TruncationError
 from superrec.store import index_bound
+from test_acceptance import irregular_curve
 
 
 RING = Ring([])
@@ -57,24 +58,41 @@ def test_index_past_truncation():
             CurveData(RING, 3, *params(12)[key], 10)
 
 
+HAND_PSI_CURVES = [
+    CurveData(RING, 3, {3: rat(1)}, {}, {2: rat(3)}, {}, 10),
+    CurveData(RING, 3, {3: rat(1)}, {}, {}, {(1, 2): rat(5)}, 10),
+    CurveData(RING, 3, {3: rat(1)}, {}, {1: rat(1), 2: rat(1)}, {}, 10)]
+
+
 def test_complete_psi_examples():
-    c1 = CurveData(RING, 3, {3: rat(1)}, {}, {2: rat(3)}, {}, 10)
-    psi = complete_psi(c1, 3)
-    assert psi[(2, 2)] == rat("-9/2")
-    assert psi[(0, 0)].is_zero()
-    c2 = CurveData(RING, 3, {3: rat(1)}, {}, {}, {(1, 2): rat(5)}, 10)
-    psi = complete_psi(c2, 2)
-    assert psi[(2, 1)] == rat(-5)
-    c3 = CurveData(RING, 3, {3: rat(1)}, {}, {1: rat(1), 2: rat(1)}, {}, 10)
-    psi = complete_psi(c3, 2)
-    assert psi[(2, 1)] == rat(-1)
-    # defining constraint holds across the table
-    for curve in (c1, c2, c3, rich_curve()):
-        psi = complete_psi(curve, 4)
-        for k in range(5):
-            for l in range(5):
-                assert psi[(k, l)] + psi[(l, k)] \
-                    + psi[(0, k)] * psi[(0, l)] == RING.zero(), (k, l)
+    c1, c2, c3 = HAND_PSI_CURVES
+    assert c1.psi_at(2, 2) == rat("-9/2")
+    assert c1.psi_at(0, 0).is_zero()
+    assert c2.psi_at(2, 1) == rat(-5)
+    assert c3.psi_at(2, 1) == rat(-1)
+
+
+@pytest.mark.parametrize(
+    "curve", [rich_curve(), irregular_curve()] + HAND_PSI_CURVES,
+    ids=["rich", "irregular", "hand1", "hand2", "hand3"])
+def test_psi_at_solves_pairing_constraints(curve):
+    top = curve.max_polarization_index()
+    indices = range(-1, top + 4)
+    zero = RING.zero()
+    assert curve.psi_at(0, 0) == zero
+    for k in indices:
+        for l in indices:
+            val = curve.psi_at(k, l)
+            if min(k, l) < 0 or max(k, l) > top:
+                assert val == zero, (k, l)
+                continue
+            # the free data is read back as given
+            if k == 0 < l:
+                assert val == curve.psi0.get(l, zero), (k, l)
+            if 1 <= k < l:
+                assert val == curve.psiA.get((k, l), zero), (k, l)
+            assert val + curve.psi_at(l, k) \
+                + curve.psi_at(0, k) * curve.psi_at(0, l) == zero, (k, l)
 
 
 def test_delta_omega():

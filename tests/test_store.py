@@ -12,7 +12,7 @@ from superrec.curve import CurveData
 from superrec.scalars import Ring
 from superrec.store import (
     CorrTensor, IndexBoundError, LazyTensor, MissingDependency, ParityError,
-    StabilityError, UnsolvedEntry, distinct_splits, index_bound,
+    StabilityError, UnsolvedEntry, deficit, distinct_splits, index_bound,
     iter_partitions, partition_sign, slot_ranges)
 from superrec.trengine import TrSolver
 from test_acceptance import (airy_curve, irregular_curve, random_curve,
@@ -224,6 +224,11 @@ def test_level_keys_are_canonical_candidates(bosonic_only):
                 (g, bos, fer)
                 for g, bos, fer in _box_keys(chi, epsilon, bosonic_only)
                 if _in_simplex(chi, epsilon, bos, fer)]
+            # the simplex is where the deficit is not negative
+            listed = set(keys)
+            for g, bos, fer in _box_keys(chi, epsilon, bosonic_only):
+                assert ((g, bos, fer) in listed) \
+                    == (deficit(g, bos, fer, epsilon) >= 0), (g, bos, fer)
             if bosonic_only:
                 assert keys == [key for key in full.level_keys(chi)
                                 if not key[2]]

@@ -77,9 +77,6 @@ def monomials(max_degree=6, max_index=3, max_bos=3, max_fer=3):
     return out
 
 
-SAMPLES = monomials()
-
-
 def _fresh(p):
     """An equal polynomial that holds no images yet."""
     return FockPoly(p.ring, p.cap, p.terms)
@@ -252,10 +249,15 @@ def window_rhs_GG(n, m, p, shift):
 
 
 LABELS = range(-1, 4)
-# the reference loops take about 0.3 s per sample on one curve, so the
-# equivalence runs on every 11th sample (all supports of degree <= 6 over
-# x^1..x^3, theta^0..theta^3 in kind) and one polynomial of two terms
-WINDOW_SAMPLES = SAMPLES[::11] + [mono((1, 1), (2,)) + mono((3,), (0, 1))]
+
+
+def window_samples():
+    """The reference loops take about 0.3 s per sample on one curve, so the
+    equivalence runs on every 11th sample (all supports of degree <= 6 over
+    x^1..x^3, theta^0..theta^3 in kind) and one polynomial of two terms."""
+    return monomials()[::11] + [mono((1, 1), (2,)) + mono((3,), (0, 1))]
+
+
 RHS = [(svir._rhs_LL, window_rhs_LL), (svir._rhs_LG, window_rhs_LG),
        (svir._rhs_GG, window_rhs_GG)]
 
@@ -265,7 +267,7 @@ RHS = [(svir._rhs_LL, window_rhs_LL), (svir._rhs_LG, window_rhs_LG),
     ids=["unshifted", "airy", "rich", "irregular"])
 def test_support_sums_equal_window_sums(curve):
     shift = None if curve is None else ShiftData.from_curve(curve)
-    for p in WINDOW_SAMPLES:
+    for p in window_samples():
         for n in LABELS:
             assert apply_mode("L", 2 * n, p, shift) == \
                 window_L(n, p, shift), ("L", n, p.terms)
@@ -295,9 +297,7 @@ def test_pairs_apply_only_annihilators_in_support(monkeypatch):
     monkeypatch.setattr(svir, "_apply_pair", checked)
     for curve in (None, rich_curve()):
         shift = None if curve is None else ShiftData.from_curve(curve)
-        # fresh copies: a sample holds the images earlier tests computed,
-        # and a stored image is returned without a pair sum
-        for p in map(_fresh, SAMPLES[::7]):
+        for p in monomials()[::7]:
             for n in LABELS:
                 apply_mode("L", 2 * n, p, shift)
                 apply_mode("G", 2 * n + 1, p, shift)
@@ -356,26 +356,29 @@ def test_shared_images_are_not_changed_by_their_users():
 @pytest.mark.parametrize("a", range(-3, 4))
 @pytest.mark.parametrize("b", range(-3, 4))
 def test_heisenberg_clifford(a, b):
-    for p in SAMPLES:
+    for p in monomials():
         assert check_heisenberg_clifford(a, b, p), (a, b, p.terms)
 
 
 @pytest.mark.parametrize("relation", ["comm1", "comm2"])
 def test_linear_commutators(relation):
-    for n in range(-1, 4):
-        for i in range(1, 4):
-            for p in SAMPLES:
+    # one sample at a time, so that the L/G images it keeps are shared by
+    # every label and dropped with it
+    for p in monomials():
+        for n in range(-1, 4):
+            for i in range(1, 4):
                 assert check_commutator(relation, n, i, p), \
                     (relation, n, i, p.terms)
 
 
 @pytest.mark.parametrize("relation", ["comm3", "comm4", "comm5"])
 def test_quadratic_commutators(relation):
-    for n in range(-1, 4):
-        for m in range(-1, 4):
-            if relation != "comm4" and m < n:
-                continue  # (anti)symmetric in (n, m)
-            for p in SAMPLES:
+    # one sample at a time, as in test_linear_commutators
+    for p in monomials():
+        for n in range(-1, 4):
+            for m in range(-1, 4):
+                if relation != "comm4" and m < n:
+                    continue  # (anti)symmetric in (n, m)
                 assert check_commutator(relation, n, m, p), \
                     (relation, n, m, p.terms)
 
@@ -404,6 +407,26 @@ def test_checks_look_up_quadratic_modes_when_called(monkeypatch):
 
 
 # --- shifted operators and structure axioms ------------------------------------
+
+
+@pytest.mark.parametrize("curve, phi, psi, max_index", [
+    (rich_curve(),
+     {(1, 1): "1/2", (1, 2): "-3", (2, 1): "-3", (2, 2): "1/5"},
+     {(0, 1): "2", (0, 2): "-1/3", (1, 0): "-2", (1, 1): "-2", (1, 2): "1/7",
+      (2, 0): "1/3", (2, 1): "11/21", (2, 2): "-1/18", (2, 3): "4",
+      (3, 2): "-4"},
+     5),
+    (irregular_curve(),
+     {(1, 1): "1", (1, 3): "2/7", (3, 1): "2/7"},
+     {(0, 1): "-1/2", (0, 3): "1", (1, 0): "1/2", (1, 1): "-1/8",
+      (1, 2): "3", (2, 1): "-3", (3, 0): "-1", (3, 1): "1/2", (3, 3): "-1/2"},
+     3)], ids=["rich", "irregular"])
+def test_shift_tables_are_pinned(curve, phi, psi, max_index):
+    # max_index is the largest index of tau, phi and psi
+    shift = ShiftData.from_curve(curve)
+    assert shift.phi == {key: rat(v) for key, v in phi.items()}
+    assert shift.psi == {key: rat(v) for key, v in psi.items()}
+    assert shift.max_index == max_index
 
 
 def test_phi_shift_expands_negative_modes():

@@ -16,8 +16,9 @@ from superrec.airyengine import run_airy
 from superrec.curve import CurveData
 from superrec.scalars import Ring
 from superrec.series import FormalSeries
-from superrec.store import LazyTensor, index_bound, insert_index, slot_ranges
-from superrec.trengine import MissingDependency, TrSolver, run_tr
+from superrec.store import (LazyTensor, MissingDependency, index_bound,
+                            insert_index, slot_ranges)
+from superrec.trengine import TrSolver, run_tr
 
 RING = Ring([])
 
