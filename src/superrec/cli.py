@@ -19,7 +19,6 @@ import re
 import sys
 import tempfile
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .airyengine import run_airy
 from .curve import (AdmissibilityError, CurveData, ShapeError,
@@ -31,7 +30,8 @@ from .svir import (ShiftData, check_airy_axioms, check_commutator,
                    check_heisenberg_clifford)
 from .svir import FockPoly
 from .trengine import run_tr
-from .zoo import ZOO_NAMES, ExpansionError, ZooSpec, zoo_build, zoo_validate
+from .zoo import (FITTED_NAMES, ZOO_NAMES, ExpansionError, ZooSpec, zoo_build,
+                  zoo_validate)
 
 EXIT_PARSE = 2
 EXIT_TRUNCATION = 3
@@ -55,7 +55,8 @@ class MismatchError(Exception):
 
 
 def zoo_truncation(chi_max):
-    """Default expansion depth for zoo curves: covers the engine needs and
+    """Default expansion depth for zoo curves, and the least that compute
+    and crosscheck accept for a fitted one: covers the engine needs and
     leaves the fitted curves a polarization rectangle wide enough for the
     largest index reachable at chi_max (the fit recovers polarization
     indices up to (trunc-1)//2 - 1)."""
@@ -371,8 +372,18 @@ def compute_document(curve, canonical, chi_max, engine, use_cache=True):
 
 
 def _resolve_curve(args):
+    """(curve, canonical document) for compute and crosscheck; a fitted zoo
+    curve shallower than zoo_truncation(chi_max) misses polarization
+    entries the engines read, so both would agree on a wrong tensor."""
     doc = load_spec_document(args.curve, args.chi_max)
-    return build_curve(doc)
+    curve, canonical = build_curve(doc)
+    name = canonical.get("zoo", {}).get("name")
+    needed = zoo_truncation(args.chi_max)
+    if name in FITTED_NAMES and curve.trunc < needed:
+        raise TruncationError(
+            f"fitted curve {name} needs trunc >= {needed} for "
+            f"chi_max={args.chi_max}, got trunc {curve.trunc}")
+    return curve, canonical
 
 
 def cmd_compute(args):
@@ -459,13 +470,12 @@ def cmd_verify_algebra(args):
 
 
 def cmd_verify_curve(args):
+    if args.order is not None and args.order < 0:
+        raise SpecError(f"--order must be >= 0 (got {args.order})")
     doc = load_spec_document(args.curve, CHI_DEFAULT)
     curve, canonical = build_curve(doc)
-    if "zoo" in canonical:
-        spec = ZooSpec(canonical["zoo"]["name"], trunc=canonical["trunc"])
-    else:
-        spec = SimpleNamespace(name="custom", trunc=canonical["trunc"])
-    report = zoo_validate(curve, spec, order=args.order)
+    report = zoo_validate(curve, canonical.get("zoo", {}).get("name"),
+                          order=args.order)
     if report:
         for name, where, detail in report:
             print(f"FAIL {name} at {where}: {detail}")

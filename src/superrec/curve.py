@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import accumulate
-from .series import BiForm, FormalSeries, TruncationError, WeightError
+from .series import FormalSeries, TruncationError, WeightError
 from .store import index_bound
 
 
@@ -128,7 +128,8 @@ def required_truncation(epsilon, chi_max):
 
 
 class CurveBases:
-    """Basis series and defining forms of a curve, built to truncation."""
+    """Basis series, defining one-forms and the F_0 diagonal of a curve,
+    built to truncation."""
 
     def __init__(self, curve, chi_max=None):
         ring = curve.ring
@@ -142,7 +143,6 @@ class CurveBases:
                     f"truncation {curve.trunc} below required {needed} "
                     f"for chi_max={chi_max}")
         self.trunc = curve.trunc
-        max_pol = curve.max_polarization_index()
         self._dxi_minus = {}
         self._eta_minus = {}
 
@@ -155,24 +155,21 @@ class CurveBases:
         lead = self.delta_omega.coeffs.get(epsilon - 1)
         assert lead and lead == 2 * curve.tau[epsilon]
 
-        phi_reg = {}
-        for (k, l), v in curve.phi.items():
-            phi_reg[(k, l)] = v
-            if k != l:
-                phi_reg[(l, k)] = v
-        self.omega02 = BiForm(ring, "bosonic_02", phi_reg, self.trunc)
-
-        psi_reg = {}
-        for (l, k) in [(a, b) for a in range(1, max_pol + 2)
-                       for b in range(1, max_pol + 2)]:
-            if l == k:
-                continue
-            dkl = 1 if (k - 1) * (l - 1) == 0 else 0
-            num = curve.psi_at(k - 1, l - 1) - curve.psi_at(l - 1, k - 1)
-            val = -num * ring.rational(Fraction(1, 2 * (1 + dkl)))
-            if val:
-                psi_reg[(l, k)] = val
-        self.omega002 = BiForm(ring, "fermionic_002", psi_reg, self.trunc)
+        # The F_0 terms of F_1's residue assembly, on the diagonal
+        # z2 = -z1 = -z: omega_{0,2}(z, -z) (with dz2 = -dz) minus half of
+        # z (d1 h(z, -z) - d1 h(-z, z)) dz^2, where h multiplies T1 T2 in
+        # omega_{0,0|2}. Each singular part gives -1/4 z^-2 dz^2; a bosonic
+        # regular z1^(k-1) z2^(l-1) gives (-1)^l, and a fermionic regular
+        # z1^(k-2) z2^(l-2) gives -(k-2)((-1)^k + (-1)^l)/2.
+        coeffs = {-2: ring.rational(Fraction(-1, 2))}
+        for (k, l), val in phi_regular(curve).items():
+            if k + l - 2 <= self.trunc:
+                accumulate(coeffs, k + l - 2, -val if l % 2 else val)
+        for (k, l), val in psi_regular(curve).items():
+            weight = (k - 2) * (-1) ** (k + 1) if (k - l) % 2 == 0 else 0
+            if weight and k + l - 4 <= self.trunc:
+                accumulate(coeffs, k + l - 4, val * weight)
+        self.f0_diagonal = FormalSeries(ring, coeffs, self.trunc, 2, 0, -2)
 
     # --- basis series ----------------------------------------------------
 
@@ -233,6 +230,35 @@ def pairing_F(a, b):
     return (a * b).residue()
 
 
+def phi_regular(curve):
+    """Regular part of omega_{0,2}: (k, l) -> phi_kl, the coefficient of
+    z1^(k-1) z2^(l-1) dz1 dz2 once the double pole dz1 dz2/(z1-z2)^2 is
+    removed (symmetric)."""
+    out = {}
+    for (k, l), v in curve.phi.items():
+        out[(k, l)] = out[(l, k)] = v
+    return out
+
+
+def psi_regular(curve):
+    """Regular part of omega_{0,0|2}: (l, k) -> the coefficient of
+    z1^(l-1) z2^(k-1) T1 T2/(z1 z2) once the singular part
+    -1/2 (z1+z2)/(z1-z2) T1 T2/(z1 z2) is removed (antisymmetric):
+    -(psi_{k-1,l-1} - psi_{l-1,k-1}) / (2 (1 + delta_{(k-1)(l-1),0}))."""
+    top = curve.max_polarization_index() + 1
+    out = {}
+    for l in range(1, top + 1):
+        for k in range(1, top + 1):
+            if k == l:
+                continue
+            num = curve.psi_at(k - 1, l - 1) - curve.psi_at(l - 1, k - 1)
+            val = -num * curve.ring.rational(
+                Fraction(1, 4 if k == 1 or l == 1 else 2))
+            if val:
+                out[(l, k)] = val
+    return out
+
+
 def fit_parameters(ring, epsilon, omega01, omega02_regular, omega002_regular,
                    trunc):
     """Recover CurveData from raw form data.
@@ -259,8 +285,7 @@ def fit_parameters(ring, epsilon, omega01, omega02_regular, omega002_regular,
         if k <= l and v:
             phi[(k, l)] = v
 
-    # regular fermionic part: r[l, k] = -(psi_{k-1,l-1} - psi_{l-1,k-1})
-    #                                    / (2 (1 + delta_{(k-1)(l-1),0}))
+    # the fermionic part inverts psi_regular entry by entry
     reg = dict(omega002_regular)
     for (l, k), v in reg.items():
         if l < 1 or k < 1:
@@ -289,10 +314,7 @@ def fit_parameters(ring, epsilon, omega01, omega02_regular, omega002_regular,
                 psiA[(p, q)] = val
     curve = CurveData(ring, epsilon, tau, phi, psi0, psiA, trunc)
     # round-trip consistency of the fermionic extraction
-    bases = CurveBases(curve)
-    rebuilt = bases.omega002.regular
-    orig = {key: v for key, v in reg.items() if v}
-    if rebuilt != orig:
+    if psi_regular(curve) != {key: v for key, v in reg.items() if v}:
         raise InconsistentPolarization(
             "fermionic regular part inconsistent with pairing constraints")
     return curve

@@ -250,78 +250,3 @@ class FormalSeries:
             tags.append("T")
         return f"<{body} {' '.join(tags)} +O(z^{self.trunc + 1})>"
 
-
-class BiForm:
-    """Bivariate bilinear differential: fixed singular part + regular part.
-
-    kind 'bosonic_02': singular part dz1 dz2/(z1-z2)^2; regular part
-    sum_{k,l>=1} reg[k,l] z1^(k-1) z2^(l-1) dz1 dz2 with reg symmetric.
-
-    kind 'fermionic_002': singular part
-    -1/2 (z1+z2)/(z1-z2) T1 T2/(z1 z2); regular part
-    sum_{k,l>=1} reg[k,l] z1^(k-1) z2^(l-1) T1 T2/(z1 z2) with reg
-    antisymmetric (the function multiplying the ordered product T1 T2).
-    """
-
-    def __init__(self, ring, kind, regular, trunc):
-        assert kind in ("bosonic_02", "fermionic_002")
-        self.ring = ring
-        self.kind = kind
-        self.regular = {key: val for key, val in regular.items() if val}
-        self.trunc = trunc
-        for (k, l), val in self.regular.items():
-            assert k >= 1 and l >= 1
-            mirror = self.regular.get((l, k), ring.zero())
-            if kind == "bosonic_02":
-                assert mirror == val, f"regular part not symmetric at {k},{l}"
-            else:
-                assert mirror == -val, \
-                    f"regular part not antisymmetric at {k},{l}"
-
-    def eval_diag(self, mode):
-        """Closed-form diagonal z2 = -z1 as a series in z = z1.
-
-        mode 'plain' (bosonic_02): the value at (z, -z); the singular part
-        contributes -dz^2/(4 z^2) since dz d(-z)/(z-(-z))^2 = -dz^2/(4z^2).
-
-        mode 'derived_first' (fermionic_002): d/dz1 of the function part,
-        times dz1, then z2 = -z1 (T1 T2 -> T^2 = z dz). The singular part's
-        derivative has a removable numerator zero on the diagonal and
-        evaluates to +dz^2/(4 z^2).
-
-        mode 'derived_second' (fermionic_002): derivative on the first slot
-        of the swapped form, evaluated back on the diagonal; singular part
-        again +dz^2/(4 z^2) but the regular contribution differs.
-        """
-        ring = self.ring
-        quarter = ring.rational(Fraction(1, 4))
-        if self.kind == "bosonic_02":
-            assert mode == "plain"
-            coeffs = {-2: -quarter}
-            for (k, l), val in self.regular.items():
-                exp = k + l - 2
-                if exp > self.trunc:
-                    continue
-                sign = (-1) ** (l % 2)
-                accumulate(coeffs, exp, val * sign)
-            return FormalSeries(ring, coeffs, self.trunc, 2, 0, -2)
-        assert mode in ("derived_first", "derived_second")
-        # function part h(z1,z2) multiplying T1 T2:
-        #   h = h_sing + sum reg[k,l] z1^(k-2) z2^(l-2)
-        # derived_first: z * d1 h(z, -z) * dz^2
-        # derived_second: -z * d1 h(-z, z) * dz^2
-        coeffs = {-2: quarter}
-        for (k, l), val in self.regular.items():
-            exp = k + l - 4  # (k-3) + (l-2) ... plus the z prefactor
-            if k == 2:
-                continue  # d/dz1 of z1^0 vanishes
-            if exp > self.trunc:
-                continue
-            if mode == "derived_first":
-                # z * (k-2) z^(k-3) (-z)^(l-2) = (k-2)(-1)^l z^(k+l-4)
-                sign = (k - 2) * ((-1) ** (l % 2))
-            else:
-                # -z * (k-2) (-z)^(k-3) z^(l-2) = (k-2)(-1)^k z^(k+l-4)
-                sign = (k - 2) * ((-1) ** (k % 2))
-            accumulate(coeffs, exp, val * sign)
-        return FormalSeries(ring, coeffs, self.trunc, 2, 0, -2)

@@ -158,11 +158,8 @@ class TrSolver(LazyTensor):
                               1 if fermionic else 2, int(fermionic))
         if g == 1 and not J and not K:
             # (bosonic output only) the F_0 terms of both pairs are the
-            # two-point bilinears: their diagonals, in closed form
-            omega002 = self.bases.omega002
-            q = q + self.bases.omega02.eval_diag("plain") \
-                + (omega002.eval_diag("derived_first")
-                   + omega002.eval_diag("derived_second")).scale(-self._half)
+            # two-point bilinears on the diagonal, in closed form
+            q = q + self.bases.f0_diagonal
         for first, second, x, y, weight in self._factor_pairs(g, J, K, pairs):
             if first and second:
                 prod = _product(x.derive(), y, True).scale(self._half * weight)

@@ -15,12 +15,15 @@ from fractions import Fraction
 from math import factorial
 
 from .biseries import BiSeries
-from .curve import CurveBases, CurveData, fit_parameters
+from .curve import CurveData, fit_parameters, psi_regular
 from .scalars import Ring, accumulate
-from .series import FormalSeries
+from .series import FormalSeries, TruncationError
 
 ZOO_NAMES = ("airy", "bessel", "phi11", "super_jt",
              "ns_plus", "ns_minus", "ramond")
+# The curves whose data is fitted from a truncated expansion: their
+# polarization is known only inside the rectangle `_fitted_rect` keeps.
+FITTED_NAMES = ("ns_plus", "ns_minus", "ramond")
 
 # The least truncation of each curve: tau_epsilon multiplies z^(epsilon - 1),
 # so the epsilon-1 curves bessel and super_jt need no more than z^0.
@@ -46,8 +49,7 @@ class ZooSpec:
                 f"curve {self.name} needs trunc >= {_LEAST_TRUNC[self.name]}"
                 f" to hold its leading dilaton coefficient, not {self.trunc}")
         self.M_coeffs = tuple(Fraction(c) for c in self.M_coeffs)
-        if self.name in ("ns_plus", "ns_minus", "ramond") \
-                and not any(self.M_coeffs):
+        if self.name in FITTED_NAMES and not any(self.M_coeffs):
             raise ExpansionError("polynomial weight M must be nonzero")
 
 
@@ -187,7 +189,7 @@ def _build_fitted(spec):
     else:
         reg002 = ((one - p).divide_z1_minus_z2()
                   * _z1_plus_z2(ring, p.trunc)).scale(half)
-    rect = (min(reg02.trunc, reg002.trunc) + 2) // 2
+    rect = _fitted_rect(trunc)
     phi_reg = {(i + 1, j + 1): v for (i, j), v in reg02.coeffs.items()
                if i < rect and j < rect}
     psi_reg = {(i + 1, j + 1): v for (i, j), v in reg002.coeffs.items()
@@ -197,6 +199,13 @@ def _build_fitted(spec):
         spec.trunc, 1, 0)
     return fit_parameters(ring, 3, omega01_form, phi_reg, psi_reg,
                           spec.trunc)
+
+
+def _fitted_rect(trunc):
+    """The fitted regular tables keep the coefficients of z1^i z2^j with
+    i, j below this, all of total degree at most trunc - 3: the bosonic
+    table is known to that degree and the fermionic one at least as far."""
+    return (trunc - 1) // 2
 
 
 def zoo_build(spec):
@@ -228,9 +237,8 @@ def zoo_build(spec):
 def _sigma_sum_fermionic(curve, order):
     """(z1^2-z2^2) * regular part of the kernel sigma-sum, as a biseries."""
     ring = curve.ring
-    regular = CurveBases(curve).omega002.regular
     coeffs = {}
-    for (l, k), val in regular.items():
+    for (l, k), val in psi_regular(curve).items():
         if l % 2 == 0:  # only these survive the involution sum (doubled)
             key = (l - 1, k - 1)
             accumulate(coeffs, key, 2 * val)
@@ -258,11 +266,21 @@ def _ramond_rhs_excess(curve, order):
     return shape * w1 * w2 + two_z1z2
 
 
-def zoo_validate(curve, spec, order=None):
-    """Report of failed involution identities (empty report = all pass)."""
+def zoo_validate(curve, name, order=None):
+    """Report of failed involution identities (empty report = all pass).
+
+    The fermionic sigma-sum at total degree n reads the regular table up
+    to index n - 1, so on a fitted curve an order above one past its
+    rectangle raises TruncationError.
+    """
     if order is None:
         pol = curve.max_polarization_index()
-        order = pol - 1 if pol else max(spec.trunc - 2, 0)
+        order = pol - 1 if pol else max(curve.trunc - 2, 0)
+    top = _fitted_rect(curve.trunc) + 1
+    if name in FITTED_NAMES and order > top:
+        raise TruncationError(
+            f"order {order} past what the fitted tables of {name} resolve "
+            f"at trunc {curve.trunc} (at most {top})")
     report = []
     for l, val in curve.tau.items():
         if l % 2 == 0 and val:
@@ -272,7 +290,7 @@ def zoo_validate(curve, spec, order=None):
             report.append(("bosonic sigma-sum", (k, l), "even index"))
     lhs = BiSeries(curve.ring, _sigma_sum_fermionic(curve, order).coeffs,
                    order)
-    rhs = _ramond_rhs_excess(curve, order) if spec.name == "ramond" \
+    rhs = _ramond_rhs_excess(curve, order) if name == "ramond" \
         else BiSeries.zero(curve.ring, order)
     rhs = BiSeries(curve.ring, rhs.coeffs, order)
     if lhs.coeffs != rhs.coeffs:

@@ -430,16 +430,16 @@ def test_criterion_9_curve_zoo_identities():
         if order < 20:
             failures.append(f"{name}: validation order {order} < 20")
         failures.extend(f"{name}: {entry}"
-                        for entry in zoo_validate(curve, spec))
+                        for entry in zoo_validate(curve, spec.name))
     for name in ("airy", "bessel", "phi11"):
         spec = ZooSpec(name, trunc=24)
         failures.extend(f"{name}: {entry}"
-                        for entry in zoo_validate(zoo_build(spec), spec))
+                        for entry in zoo_validate(zoo_build(spec), spec.name))
     spec = ZooSpec("super_jt", trunc=24)
     with pytest.warns(UserWarning):
         curve = zoo_build(spec)
     failures.extend(f"super_jt: {entry}"
-                    for entry in zoo_validate(curve, spec))
+                    for entry in zoo_validate(curve, spec.name))
     report(9, failures,
            "involution identities hold for all named curves; fitted "
            f"curves validated to orders {orders}")

@@ -94,11 +94,8 @@ def hat_c_bf(bases, c, j, k):
 
 
 def hat_d(bases, c):
-    half = RING.rational(Fraction(1, 2))
-    diag = bases.omega02.eval_diag("plain") + (
-        bases.omega002.eval_diag("derived_first")
-        + bases.omega002.eval_diag("derived_second")).scale(-half)
-    return -(kernel(bases, c, 0) * diag).residue() * half
+    return -(kernel(bases, c, 0) * bases.f0_diagonal).residue() \
+        * RING.rational(Fraction(1, 2))
 
 
 @pytest.mark.parametrize(

@@ -360,13 +360,51 @@ def test_crosscheck_passes(capsys):
     assert "crosscheck ok" in capsys.readouterr().out
 
 
-def test_crosscheck_reaches_chi_8_on_a_fitted_curve(tmp_path, capsys):
+def test_crosscheck_reaches_chi_8_on_a_fitted_curve(tmp_path, monkeypatch,
+                                                    capsys):
     """Both engines agree through chi 8 on the fitted ramond curve: the
-    index simplex keeps this depth within a tier-1 run."""
+    index simplex keeps this depth within a tier-1 run. Trunc 39 is
+    zoo_truncation(8); the tensor is the same at trunc 31, 35, 39 and 45."""
+    tensors = []
+
+    def kept(curve, chi_max):
+        tensors.append(run_tr(curve, chi_max))
+        return tensors[-1]
+    monkeypatch.setattr(cli, "run_tr", kept)
     spec = write_spec(tmp_path, {"zoo": {"name": "ramond", "M_coeffs": ["1"],
-                                         "params": {}}, "trunc": 27})
+                                         "params": {}}, "trunc": 39})
     assert main(["crosscheck", "--chi-max", "8", "--curve", spec]) == 0
-    assert capsys.readouterr().out.startswith("crosscheck ok: 741 entries,")
+    assert capsys.readouterr().out.startswith("crosscheck ok: 740 entries,")
+    [tensor] = tensors
+    assert tensor.get(3, (1, 1), ()).literal() == "3635593/67108864"
+    assert tensor.get(3, (), (0, 2)).is_zero()
+
+
+def exits_plain_and_optimized(command):
+    """(exit code, last stderr line) of a command run plain and under
+    `python -O`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(superrec.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [subprocess.run(
+        [sys.executable] + flags + ["-m", "superrec.cli"] + command,
+        env=env, capture_output=True, text=True) for flags in ([], ["-O"])]
+    return [(run.returncode, run.stderr.strip().splitlines()[-1:])
+            for run in runs]
+
+
+@pytest.mark.parametrize("name,trunc,chi_max,needed", [
+    ("ramond", 17, 6, 27), ("ns_plus", 30, 7, 33), ("ramond", 27, 8, 39)])
+def test_fitted_curve_too_shallow_for_chi_max(tmp_path, name, trunc,
+                                              chi_max, needed):
+    # such a fit misses polarization entries both engines read alike, so
+    # they would agree on a wrong tensor
+    spec = write_spec(tmp_path, {"zoo": {"name": name}, "trunc": trunc})
+    message = [f"error: fitted curve {name} needs trunc >= {needed} for "
+               f"chi_max={chi_max}, got trunc {trunc}"]
+    for command in ("compute", "crosscheck"):
+        assert exits_plain_and_optimized(
+            [command, "--chi-max", str(chi_max), "--curve", spec]) \
+            == [(EXIT_TRUNCATION, message)] * 2, command
 
 
 def test_verify_algebra(capsys):
@@ -477,3 +515,28 @@ def test_verify_curve(tmp_path, capsys):
     spec = write_spec(tmp_path, doc)
     assert main(["verify-curve", "--curve", spec]) == EXIT_MISMATCH
     assert "one-form sigma-sum" in capsys.readouterr().out
+
+
+def test_verify_curve_order_is_checked(tmp_path):
+    # at trunc 27 the fit keeps indices below 13, so the sigma-sum is
+    # resolved to order 14; an exact curve takes any order
+    spec = write_spec(tmp_path, {"zoo": {"name": "ramond"}, "trunc": 27})
+    assert main(["verify-curve", "--curve", spec, "--order", "14"]) == 0
+    for order, code in (("-2", EXIT_PARSE), ("-1", EXIT_PARSE),
+                        ("15", EXIT_TRUNCATION), ("16", EXIT_TRUNCATION)):
+        assert main(["verify-curve", "--curve", spec, "--order", order]) \
+            == code, order
+    assert [code for code, _ in exits_plain_and_optimized(
+        ["verify-curve", "--curve", spec, "--order", "-2"])] \
+        == [EXIT_PARSE] * 2
+    assert exits_plain_and_optimized(
+        ["verify-curve", "--curve", spec, "--order", "16"]) \
+        == [(EXIT_TRUNCATION, ["error: order 16 past what the fitted tables "
+                               "of ramond resolve at trunc 27 (at most "
+                               "14)"])] * 2
+    exact = write_spec(tmp_path, {"epsilon": 3, "tau": {"3": "1"},
+                                  "phi": {"1,1": "1/2"}, "trunc": 20},
+                       "exact.json")
+    for order in ("0", "30"):
+        assert main(["verify-curve", "--curve", exact, "--order", order]) \
+            == 0, order

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from superrec.curve import (
     AdmissibilityError, CurveBases, CurveData, InconsistentPolarization,
-    ShapeError, fit_parameters, pairing_B, pairing_F)
+    ShapeError, fit_parameters, pairing_B, pairing_F, phi_regular,
+    psi_regular)
 from superrec.scalars import Ring
 from superrec.series import FormalSeries, TruncationError
 from superrec.store import index_bound
@@ -120,6 +122,60 @@ def test_eta_zero_with_psi0():
     assert eta0.coeff(0) == rat(7)
 
 
+def literals(table):
+    return {key: val.literal() for key, val in table.items()}
+
+
+def test_regular_tables_are_pinned():
+    assert literals(phi_regular(rich_curve())) == {
+        (1, 1): "1/2", (1, 2): "-3", (2, 1): "-3", (2, 2): "1/5"}
+    assert literals(psi_regular(rich_curve())) == {
+        (1, 2): "1", (1, 3): "-1/6", (2, 1): "-1", (2, 3): "-4/21",
+        (3, 1): "1/6", (3, 2): "4/21", (3, 4): "4", (4, 3): "-4"}
+    assert literals(phi_regular(irregular_curve())) == {
+        (1, 1): "1", (1, 3): "2/7", (3, 1): "2/7"}
+    assert literals(psi_regular(irregular_curve())) == {
+        (1, 2): "-1/4", (1, 4): "1/2", (2, 1): "1/4", (2, 3): "3",
+        (2, 4): "-1/4", (3, 2): "-3", (4, 1): "-1/2", (4, 2): "1/4"}
+
+
+def f0_diagonal_oracle(curve):
+    """exponent -> coefficient of omega_{0,2}(z, -z), with dz2 = -dz1,
+    minus 1/2 (z d1 h(z, -z) - z d1 h(-z, z)), where h is the function
+    multiplying T1 T2 in omega_{0,0|2}; by symbolic differentiation."""
+    z, z1, z2 = sympy.symbols("z z1 z2")
+
+    def rational(val):
+        q = val.as_rational()
+        return sympy.Rational(q.numerator, q.denominator)
+    w = 1 / (z1 - z2) ** 2 + sum(
+        rational(v) * z1 ** (k - 1) * z2 ** (l - 1)
+        for (k, l), v in phi_regular(curve).items())
+    h = -(z1 + z2) / (2 * z1 * z2 * (z1 - z2)) + sum(
+        rational(v) * z1 ** (k - 2) * z2 ** (l - 2)
+        for (k, l), v in psi_regular(curve).items())
+    d1 = sympy.diff(h, z1)
+    diag = -w.subs({z1: z, z2: -z}) - (z * d1.subs({z1: z, z2: -z})
+                                       - z * d1.subs({z1: -z, z2: z})) / 2
+    poly = sympy.Poly(sympy.cancel(diag * z ** 2), z)
+    return {m - 2: Fraction(str(c)) for (m,), c in poly.terms()}
+
+
+@pytest.mark.parametrize(
+    "curve", [airy_curve(), rich_curve(), irregular_curve()],
+    ids=["airy", "rich", "irregular"])
+def test_f0_diagonal_matches_sympy_oracle(curve):
+    diag = CurveBases(curve).f0_diagonal
+    assert (diag.dz_weight, diag.theta, diag.trunc, diag.min_exp) \
+        == (2, 0, curve.trunc, -2)
+    want = f0_diagonal_oracle(curve)
+    # the two singular parts give -1/4 z^-2 dz^2 each
+    assert diag.coeff(-2) == rat("-1/2")
+    assert min(want) == -2
+    for k in range(-2, curve.trunc + 1):
+        assert diag.coeff(k) == rat(want.get(k, 0)), k
+
+
 def test_truncation_guard():
     with pytest.raises(TruncationError):
         CurveBases(airy_curve(trunc=5), chi_max=6)
@@ -186,9 +242,8 @@ def test_fermionic_projection_property():
 
 def test_fit_roundtrip_on_curve_data():
     curve = rich_curve()
-    bases = CurveBases(curve)
-    fitted = fit_parameters(RING, curve.epsilon, bases.omega01,
-                            bases.omega02.regular, bases.omega002.regular,
+    fitted = fit_parameters(RING, curve.epsilon, CurveBases(curve).omega01,
+                            phi_regular(curve), psi_regular(curve),
                             curve.trunc)
     assert fitted.tau == curve.tau
     assert fitted.phi == curve.phi

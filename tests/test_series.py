@@ -4,12 +4,11 @@ import sys
 from fractions import Fraction
 
 import pytest
-import sympy
 from hypothesis import given, settings, strategies as st
 
 import superrec
 from superrec.scalars import NotInvertible, Ring
-from superrec.series import BiForm, FormalSeries, TruncationError, WeightError
+from superrec.series import FormalSeries, TruncationError, WeightError
 
 
 RING = Ring([("s", 2)])
@@ -221,63 +220,3 @@ def test_invert_mul_is_one(coeffs):
     assert prod.coeff(0) == RING.one()
     for k in range(1, prod.trunc + 1):
         assert prod.coeff(k).is_zero()
-
-
-# --- diagonal closed forms, rederived with an independent symbolic oracle ---
-
-
-def test_bosonic_diag_singular_oracle():
-    # dz1 dz2/(z1-z2)^2 at z2=-z1 with dz2 -> -dz1: -1/(2z)^2 dz^2
-    z1, z2 = sympy.symbols("z1 z2")
-    value = (1 / (z1 - z2) ** 2).subs(z2, -z1) * (-1)
-    assert sympy.simplify(value - (-1) / (4 * z1 ** 2)) == 0
-    biform = BiForm(RING, "bosonic_02", {}, 10)
-    diag = biform.eval_diag("plain")
-    assert diag.coeff(-2) == RING.rational(Fraction(-1, 4))
-    assert all(diag.coeff(k).is_zero() for k in range(-1, 11))
-
-
-def test_fermionic_diag_singular_oracle():
-    # h = -(z1+z2)/(2 z1 z2 (z1-z2)); z*d1(h) at z2=-z1 must be 1/(4 z^2),
-    # and -z*d1(h) at (z1,z2)=(-z,z) the same.
-    z1, z2, z = sympy.symbols("z1 z2 z")
-    h = -(z1 + z2) / (2 * z1 * z2 * (z1 - z2))
-    d1 = sympy.diff(h, z1)
-    first = sympy.simplify(z * d1.subs([(z1, z), (z2, -z)]))
-    second = sympy.simplify(-z * d1.subs([(z1, -z), (z2, z)]))
-    assert sympy.simplify(first - 1 / (4 * z ** 2)) == 0
-    assert sympy.simplify(second - 1 / (4 * z ** 2)) == 0
-    biform = BiForm(RING, "fermionic_002", {}, 10)
-    for mode in ("derived_first", "derived_second"):
-        diag = biform.eval_diag(mode)
-        assert diag.coeff(-2) == RING.rational(Fraction(1, 4))
-        assert all(diag.coeff(k).is_zero() for k in range(-1, 11))
-
-
-def test_bosonic_diag_with_constant_regular_part():
-    phi = RING.rational(Fraction(5, 1))
-    biform = BiForm(RING, "bosonic_02", {(1, 1): phi}, 10)
-    diag = biform.eval_diag("plain")
-    assert diag.coeff(-2) == RING.rational(Fraction(-1, 4))
-    assert diag.coeff(0) == -phi  # dxi_1(z) dxi_1(-z) = -dz^2
-
-
-def test_fermionic_diag_regular_oracle():
-    # generic small regular part checked against symbolic differentiation
-    z1, z2, z = sympy.symbols("z1 z2 z")
-    r13 = Fraction(3, 7)
-    reg = {(1, 3): RING.rational(r13), (3, 1): RING.rational(-r13)}
-    biform = BiForm(RING, "fermionic_002", reg, 10)
-    h_reg = sympy.Rational(3, 7) * (z1 ** -1 * z2 ** 1 - z1 ** 1 * z2 ** -1)
-    d1 = sympy.diff(h_reg, z1)
-    first = sympy.expand(z * d1.subs([(z1, z), (z2, -z)]))
-    second = sympy.expand(-z * d1.subs([(z1, -z), (z2, z)]))
-    for mode, expr in (("derived_first", first), ("derived_second", second)):
-        diag = biform.eval_diag(mode)
-        poly = sympy.Poly(sympy.expand(expr * z ** 4), z)
-        for k in range(-4, 5):
-            want = Fraction(str(
-                poly.coeff_monomial(z ** (k + 4)) if k + 4 >= 0 else 0))
-            if k == -2:
-                want += Fraction(1, 4)  # singular-part contribution
-            assert diag.coeff(k) == RING.rational(want), (mode, k)

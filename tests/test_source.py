@@ -28,3 +28,28 @@ def test_every_import_is_used():
     unused = {path.name: names for path in MODULES
               if (names := unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def private_definitions(tree):
+    """Names of the functions and classes a module defines with a leading
+    underscore (dunder methods aside)."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")]
+
+
+def read_names(tree):
+    """Every name a module reads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_private_definition_is_read():
+    # code that nothing in the package calls is deleted, not kept
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    read = set().union(*map(read_names, trees))
+    defined = [name for tree in trees for name in private_definitions(tree)]
+    assert defined
+    assert [name for name in defined if name not in read] == []

@@ -140,21 +140,21 @@ def test_ns_sign_flip_law():
 @pytest.mark.parametrize("name", [n for n in ZOO_NAMES if n != "super_jt"])
 def test_involution_identities(name):
     spec = ZooSpec(name, trunc=24)
-    assert zoo_validate(zoo_build(spec), spec) == []
+    assert zoo_validate(zoo_build(spec), spec.name) == []
 
 
 def test_involution_identities_super_jt():
     spec = ZooSpec("super_jt", trunc=15)
     with pytest.warns(UserWarning):
         curve = zoo_build(spec)
-    assert zoo_validate(curve, spec) == []
+    assert zoo_validate(curve, spec.name) == []
 
 
 def test_validator_detects_even_dilaton_index():
     spec = ZooSpec("airy", trunc=12)
     curve = zoo_build(spec)
     curve.tau[2] = curve.ring.one()
-    report = zoo_validate(curve, spec)
+    report = zoo_validate(curve, spec.name)
     assert ("one-form sigma-sum", 2, "even dilaton index") in report
 
 
@@ -162,7 +162,7 @@ def test_validator_detects_even_bosonic_index():
     spec = ZooSpec("phi11", trunc=12, free_params={"t": 1})
     curve = zoo_build(spec)
     curve.phi[(2, 2)] = curve.ring.one()
-    report = zoo_validate(curve, spec)
+    report = zoo_validate(curve, spec.name)
     assert any(name == "bosonic sigma-sum" for name, _, _ in report)
 
 
@@ -173,7 +173,7 @@ def test_validator_detects_corrupted_polarization():
     spec = ZooSpec("ns_plus", trunc=16)
     curve = zoo_build(spec)
     curve.psi0[3] = curve.ring.one()
-    report = zoo_validate(curve, spec)
+    report = zoo_validate(curve, spec.name)
     assert any(name == "fermionic sigma-sum" for name, _, _ in report)
 
 
