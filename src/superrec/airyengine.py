@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .store import (LazyTensor, UnsolvedEntry, deficit, insert_index,
-                    iter_partitions, slot_ranges)
+from .store import (LazyTensor, UnsolvedEntry, deficit, distinct_splits,
+                    insert_index, iter_partitions, slot_ranges)
 
 
 class SingularLeading(Exception):
@@ -149,8 +149,8 @@ class AirySolver(LazyTensor):
     run = LazyTensor.run
 
     def __init__(self, curve, chi_max, bosonic_only=False):
+        curve.check_depth(chi_max)
         super().__init__(curve.ring, chi_max, curve.epsilon, bosonic_only)
-        self.curve = curve
         # (p, +-tau_p) for p != epsilon, in increasing p: xi0_rest stops at
         # the first p whose lookup falls above the index simplex
         self.dilaton = sorted(
@@ -233,8 +233,10 @@ class AirySolver(LazyTensor):
                         g - 1, *opened, l_fermionic), self.zero)
                     if lead:
                         out = out + (lead if sign == 1 else -lead)
+        # the bosonic split sign is never used: each distinct split is
+        # formed once and weighted by its multiplicity
         fer_splits = list(iter_partitions(fer))
-        for bos1, bos2, _ in iter_partitions(bos):
+        for bos1, bos2, mult in distinct_splits(bos):
             for fer1, fer2, sign in fer_splits:
                 # a factor is stable (chi >= 3) at genus >= 1 or with two
                 # indices beside its open slot
@@ -255,7 +257,7 @@ class AirySolver(LazyTensor):
                             if inner:
                                 part = part + a * inner
                     if part:
-                        out = out + (part if sign == 1 else -part)
+                        out = out + part * (sign * mult)
         return out
 
     # --- level equations ---------------------------------------------------

@@ -21,17 +21,15 @@ import tempfile
 from fractions import Fraction
 
 from .airyengine import run_airy
-from .curve import (AdmissibilityError, CurveData, ShapeError,
-                    required_truncation)
+from .curve import AdmissibilityError, CurveData, ShapeError
 from .scalars import Ring, ScalarParseError
 from .series import TruncationError
-from .store import index_bound
 from .svir import (ShiftData, check_airy_axioms, check_commutator,
                    check_heisenberg_clifford)
 from .svir import FockPoly
 from .trengine import run_tr
-from .zoo import (FITTED_NAMES, ZOO_NAMES, ExpansionError, ZooSpec, zoo_build,
-                  zoo_validate)
+from .zoo import (ZOO_NAMES, ExpansionError, ZooSpec, zoo_build,
+                  zoo_truncation, zoo_validate)
 
 EXIT_PARSE = 2
 EXIT_TRUNCATION = 3
@@ -52,16 +50,6 @@ class MismatchError(Exception):
 
 
 # --- curve-spec files -------------------------------------------------------
-
-
-def zoo_truncation(chi_max):
-    """Default expansion depth for zoo curves, and the least that compute
-    and crosscheck accept for a fitted one: covers the engine needs and
-    leaves the fitted curves a polarization rectangle wide enough for the
-    largest index reachable at chi_max (the fit recovers polarization
-    indices up to (trunc-1)//2 - 1)."""
-    return max(2 * index_bound(chi_max, 3) + 3,
-               required_truncation(3, chi_max), 12)
 
 
 def _zoo_document(name, chi_max):
@@ -336,11 +324,6 @@ def _diff_report(tensor_tr, tensor_airy):
 def engine_document(curve, digest, chi_max, engine):
     """Result document of one engine, or of both after an entry-for-entry
     diff ("both"); never touches the cache."""
-    needed = required_truncation(curve.epsilon, chi_max)
-    if curve.trunc < needed:
-        raise TruncationError(
-            f"truncation {curve.trunc} below the required {needed} "
-            f"for chi_max={chi_max}")
     if engine != "both":
         run = run_tr if engine == "tr" else run_airy
         return tensor_document(run(curve, chi_max), digest, chi_max, engine)
@@ -371,21 +354,6 @@ def compute_document(curve, canonical, chi_max, engine, use_cache=True):
 # --- commands ---------------------------------------------------------------
 
 
-def _resolve_curve(args):
-    """(curve, canonical document) for compute and crosscheck; a fitted zoo
-    curve shallower than zoo_truncation(chi_max) misses polarization
-    entries the engines read, so both would agree on a wrong tensor."""
-    doc = load_spec_document(args.curve, args.chi_max)
-    curve, canonical = build_curve(doc)
-    name = canonical.get("zoo", {}).get("name")
-    needed = zoo_truncation(args.chi_max)
-    if name in FITTED_NAMES and curve.trunc < needed:
-        raise TruncationError(
-            f"fitted curve {name} needs trunc >= {needed} for "
-            f"chi_max={args.chi_max}, got trunc {curve.trunc}")
-    return curve, canonical
-
-
 def cmd_compute(args):
     if args.chi_max < 3:
         raise SpecError(f"chi-max must be >= 3 (got {args.chi_max})")
@@ -394,7 +362,8 @@ def cmd_compute(args):
               "combinatorial growth in run time", file=sys.stderr)
     if args.csv and not args.out:
         raise SpecError("--csv requires --out")
-    curve, canonical = _resolve_curve(args)
+    curve, canonical = build_curve(
+        load_spec_document(args.curve, args.chi_max))
     doc = compute_document(curve, canonical, args.chi_max, args.engine,
                            use_cache=not args.no_cache)
     data = canonical_bytes(doc)
@@ -410,7 +379,8 @@ def cmd_compute(args):
 def cmd_crosscheck(args):
     if args.chi_max < 3:
         raise SpecError(f"chi-max must be >= 3 (got {args.chi_max})")
-    curve, canonical = _resolve_curve(args)
+    curve, canonical = build_curve(
+        load_spec_document(args.curve, args.chi_max))
     digest = curve_hash(canonical)
     doc = engine_document(curve, digest, args.chi_max, "both")
     print(f"crosscheck ok: {len(doc['entries'])} entries, "

@@ -29,7 +29,12 @@ class AdmissibilityError(Exception):
 
 
 class CurveData:
-    def __init__(self, ring, epsilon, tau, phi, psi0, psiA, trunc):
+    """Curve parameters to truncation trunc. Data fitted from a truncated
+    expansion is exact only through polarization index `resolved`; exact
+    data has resolved None."""
+
+    def __init__(self, ring, epsilon, tau, phi, psi0, psiA, trunc,
+                 resolved=None):
         self.ring = ring
         self.epsilon = epsilon
         self.tau = {l: v for l, v in tau.items() if v}
@@ -49,6 +54,7 @@ class CurveData:
                         f"psiA stored as strict upper triangle: {k},{l}")
                 self.psiA[(k, l)] = v
         self.trunc = trunc
+        self.resolved = resolved
         self.validate()
 
     def validate(self):
@@ -75,6 +81,23 @@ class CurveData:
                 if top > self.trunc + 1:
                     raise ShapeError(
                         f"{what} index {index} past truncation {self.trunc}")
+
+    def check_depth(self, chi_max):
+        """Raise TruncationError unless the data is deep enough for every
+        entry through level chi_max: the engines' series need trunc >=
+        required_truncation, and the entries read polarization indices up
+        to index_bound(chi_max), which the data must resolve."""
+        needed = required_truncation(self.epsilon, chi_max)
+        if self.trunc < needed:
+            raise TruncationError(
+                f"truncation {self.trunc} below required {needed} "
+                f"for chi_max={chi_max}")
+        read = index_bound(chi_max, self.epsilon)
+        if self.resolved is not None and self.resolved < read:
+            raise TruncationError(
+                f"chi_max={chi_max} reads polarization indices up to {read}, "
+                f"but the curve data at trunc {self.trunc} resolves them "
+                f"only through {self.resolved}")
 
     def phi_at(self, k, l):
         """phi_kl, zero unless k, l >= 1 and within the curve's data."""
@@ -137,11 +160,7 @@ class CurveBases:
         self.ring = ring
         epsilon = curve.epsilon
         if chi_max is not None:
-            needed = required_truncation(epsilon, chi_max)
-            if curve.trunc < needed:
-                raise TruncationError(
-                    f"truncation {curve.trunc} below required {needed} "
-                    f"for chi_max={chi_max}")
+            curve.check_depth(chi_max)
         self.trunc = curve.trunc
         self._dxi_minus = {}
         self._eta_minus = {}
@@ -260,8 +279,9 @@ def psi_regular(curve):
 
 
 def fit_parameters(ring, epsilon, omega01, omega02_regular, omega002_regular,
-                   trunc):
-    """Recover CurveData from raw form data.
+                   trunc, resolved=None):
+    """Recover CurveData from raw form data, exact through polarization
+    index resolved (None: exact).
 
     omega01: FormalSeries (one-form). omega02_regular: dict (k,l) -> Scalar,
     the coefficient of z1^(k-1) z2^(l-1) dz1 dz2 after removing the double
@@ -312,7 +332,7 @@ def fit_parameters(ring, epsilon, omega01, omega02_regular, omega002_regular,
             val = (-p0q0 + 2 * r) * half
             if val:
                 psiA[(p, q)] = val
-    curve = CurveData(ring, epsilon, tau, phi, psi0, psiA, trunc)
+    curve = CurveData(ring, epsilon, tau, phi, psi0, psiA, trunc, resolved)
     # round-trip consistency of the fermionic extraction
     if psi_regular(curve) != {key: v for key, v in reg.items() if v}:
         raise InconsistentPolarization(

@@ -46,7 +46,6 @@ class KernelWeights:
     """
 
     def __init__(self, bases):
-        self.ring = bases.ring
         self.inv_delta = bases.delta_omega.invert()
 
     def _column(self, q, expected_dz, kind_error, parity, bound):
@@ -94,7 +93,6 @@ class TrSolver(LazyTensor):
 
     def __init__(self, curve, chi_max):
         super().__init__(curve.ring, chi_max, curve.epsilon)
-        self.curve = curve
         self.bases = CurveBases(curve, chi_max)
         self.kernel = KernelWeights(self.bases)
         self._half = self.ring.rational(Fraction(1, 2))

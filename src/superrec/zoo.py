@@ -18,6 +18,7 @@ from .biseries import BiSeries
 from .curve import CurveData, fit_parameters, psi_regular
 from .scalars import Ring, accumulate
 from .series import FormalSeries, TruncationError
+from .store import index_bound
 
 ZOO_NAMES = ("airy", "bessel", "phi11", "super_jt",
              "ns_plus", "ns_minus", "ramond")
@@ -197,8 +198,10 @@ def _build_fitted(spec):
     omega01_form = FormalSeries(
         ring, {k: v for k, v in omega01.coeffs.items() if k <= spec.trunc},
         spec.trunc, 1, 0)
+    # psi_{k,l} sits at z1^l z2^k of the fermionic table, so the fit is
+    # exact through polarization index rect - 1
     return fit_parameters(ring, 3, omega01_form, phi_reg, psi_reg,
-                          spec.trunc)
+                          spec.trunc, rect - 1)
 
 
 def _fitted_rect(trunc):
@@ -206,6 +209,13 @@ def _fitted_rect(trunc):
     i, j below this, all of total degree at most trunc - 3: the bosonic
     table is known to that degree and the fermionic one at least as far."""
     return (trunc - 1) // 2
+
+
+def zoo_truncation(chi_max):
+    """Default truncation of a zoo name at chi_max, at least 12: the least
+    trunc whose fitted rectangle resolves index_bound(chi_max), the
+    inverse of _fitted_rect (see CurveData.check_depth)."""
+    return max(2 * index_bound(chi_max) + 3, 12)
 
 
 def zoo_build(spec):
@@ -270,17 +280,16 @@ def zoo_validate(curve, name, order=None):
     """Report of failed involution identities (empty report = all pass).
 
     The fermionic sigma-sum at total degree n reads the regular table up
-    to index n - 1, so on a fitted curve an order above one past its
-    rectangle raises TruncationError.
+    to index n - 1, so an order above curve.resolved + 2 raises
+    TruncationError.
     """
     if order is None:
         pol = curve.max_polarization_index()
         order = pol - 1 if pol else max(curve.trunc - 2, 0)
-    top = _fitted_rect(curve.trunc) + 1
-    if name in FITTED_NAMES and order > top:
+    if curve.resolved is not None and order > curve.resolved + 2:
         raise TruncationError(
             f"order {order} past what the fitted tables of {name} resolve "
-            f"at trunc {curve.trunc} (at most {top})")
+            f"at trunc {curve.trunc} (at most {curve.resolved + 2})")
     report = []
     for l, val in curve.tau.items():
         if l % 2 == 0 and val:

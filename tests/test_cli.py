@@ -20,6 +20,7 @@ from superrec import cli, svir
 from superrec.cli import (EXIT_INTERNAL, EXIT_MISMATCH, EXIT_PARSE,
                           EXIT_TRUNCATION, build_curve, canonical_bytes,
                           document_entries, load_spec_document, main)
+from superrec.series import TruncationError
 from superrec.svir import FockPoly
 from superrec.trengine import run_tr
 
@@ -380,6 +381,30 @@ def test_crosscheck_reaches_chi_8_on_a_fitted_curve(tmp_path, monkeypatch,
     assert tensor.get(3, (), (0, 2)).is_zero()
 
 
+def test_crosscheck_reaches_chi_10_at_the_required_truncation(tmp_path,
+                                                               capsys):
+    # trunc 29 is required_truncation(3, 10); at this depth many entries
+    # repeat a bosonic index, so each split multiplicity is exercised
+    spec = write_spec(tmp_path, {"zoo": {"name": "phi11"}, "trunc": 29})
+    assert main(["crosscheck", "--chi-max", "10", "--curve", spec]) == 0
+    assert capsys.readouterr().out.startswith("crosscheck ok: 3176 entries,")
+
+
+@pytest.mark.filterwarnings("ignore:the cosine one-form")
+def test_depth_refusals_match_the_python_api(tmp_path, capsys):
+    # compute and crosscheck print the message the engines raise
+    for name, trunc, chi_max in (("super_jt", 3, 7), ("ns_plus", 22, 6)):
+        doc = {"zoo": {"name": name}, "trunc": trunc}
+        curve, _ = build_curve(doc)
+        with pytest.raises(TruncationError) as raised:
+            run_tr(curve, chi_max)
+        spec = write_spec(tmp_path, doc)
+        for command in ("compute", "crosscheck"):
+            assert main([command, "--chi-max", str(chi_max), "--curve",
+                         spec]) == EXIT_TRUNCATION
+            assert capsys.readouterr().err == f"error: {raised.value}\n"
+
+
 def exits_plain_and_optimized(command):
     """(exit code, last stderr line) of a command run plain and under
     `python -O`."""
@@ -397,10 +422,14 @@ def exits_plain_and_optimized(command):
 def test_fitted_curve_too_shallow_for_chi_max(tmp_path, name, trunc,
                                               chi_max, needed):
     # such a fit misses polarization entries both engines read alike, so
-    # they would agree on a wrong tensor
+    # they would agree on a wrong tensor. A fit at trunc resolves indices
+    # through (trunc - 1) // 2 - 1, so needed = 2 * read + 3 is the least
+    # trunc that resolves the largest index read at chi_max.
     spec = write_spec(tmp_path, {"zoo": {"name": name}, "trunc": trunc})
-    message = [f"error: fitted curve {name} needs trunc >= {needed} for "
-               f"chi_max={chi_max}, got trunc {trunc}"]
+    read = (needed - 3) // 2
+    message = [f"error: chi_max={chi_max} reads polarization indices up to "
+               f"{read}, but the curve data at trunc {trunc} resolves them "
+               f"only through {(trunc - 1) // 2 - 1}"]
     for command in ("compute", "crosscheck"):
         assert exits_plain_and_optimized(
             [command, "--chi-max", str(chi_max), "--curve", spec]) \

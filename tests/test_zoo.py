@@ -7,15 +7,25 @@ cross-checked on the fitted curves, and the validator is shown to detect
 corrupted data.
 """
 
+import functools
+import os
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from superrec.airyengine import run_airy
+import superrec
+from superrec.airyengine import run_airy, run_bosonic
+from superrec.curve import CurveData
+from superrec.scalars import Ring
+from superrec.series import TruncationError
+from superrec.store import index_bound
 from superrec.trengine import run_tr
 from superrec.zoo import (ZOO_NAMES, ExpansionError, ZooSpec, zoo_build,
-                          zoo_validate)
+                          zoo_truncation, zoo_validate)
 
 
 def build(name, trunc=24, **kw):
@@ -196,3 +206,87 @@ def test_pinned_correlation_values():
     rtensor = run_tr(ram, 4)
     half_sqrt2 = ram.ring.symbol("sqrt2") * ram.ring.rational(Fraction(1, 2))
     assert rtensor.get(0, (1,), (0, 2)) == half_sqrt2
+
+
+# --- the depth rule ------------------------------------------------------------
+
+# (name, trunc, chi_max) too shallow for chi_max: the fitted curves do not
+# resolve the polarization indices the entries read, and super_jt's
+# truncation is below the engines' need. Each gave a wrong tensor before
+# the engines checked the depth.
+TOO_SHALLOW = [("ramond", 17, 6), ("super_jt", 1, 6), ("ns_plus", 22, 6),
+               ("ns_minus", 30, 7), ("ramond", 26, 7), ("super_jt", 3, 7)]
+ENGINES = {"tr": run_tr, "airy": run_airy, "bosonic": run_bosonic}
+
+
+@functools.cache
+def quiet_build(name, trunc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # super_jt's truncated dilaton
+        return build(name, trunc=trunc)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name,trunc,chi_max", TOO_SHALLOW)
+def test_engines_refuse_data_too_shallow_for_chi_max(name, trunc, chi_max,
+                                                      engine):
+    with pytest.raises(TruncationError, match=f"chi_max={chi_max}"):
+        ENGINES[engine](quiet_build(name, trunc), chi_max)
+
+
+def test_engines_refuse_data_too_shallow_under_optimized_python():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(superrec.__file__)))
+    script = (
+        "import warnings\n"
+        "from superrec.airyengine import run_airy, run_bosonic\n"
+        "from superrec.series import TruncationError\n"
+        "from superrec.trengine import run_tr\n"
+        "from superrec.zoo import ZooSpec, zoo_build\n"
+        "warnings.simplefilter('ignore')\n"
+        f"for name, trunc, chi_max in {TOO_SHALLOW[:2]!r}:\n"
+        "    curve = zoo_build(ZooSpec(name, trunc=trunc))\n"
+        "    for run in (run_tr, run_airy, run_bosonic):\n"
+        "        try:\n"
+        "            run(curve, chi_max)\n"
+        "        except TruncationError:\n"
+        "            print('refused')\n")
+    for flags in ([], ["-O"]):
+        run = subprocess.run([sys.executable] + flags + ["-c", script],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (0, "refused\n" * 6), flags
+
+
+@pytest.mark.parametrize("name", ["ns_plus", "ns_minus", "ramond"])
+def test_fitted_curves_resolve_their_rectangle(name):
+    # the fit keeps z1^i z2^j for i, j < (trunc - 1) // 2, and psi_kl sits
+    # at z1^l z2^k
+    for trunc in (9, 12, 17):
+        assert quiet_build(name, trunc).resolved == (trunc - 1) // 2 - 1
+    assert quiet_build("phi11", 12).resolved is None
+
+
+@pytest.mark.parametrize("chi_max", range(4, 9))
+def test_depth_rule_refuses_exactly_below_zoo_truncation(chi_max):
+    # what a fit at each trunc resolves, on a stand-in curve that needs no
+    # fit; the rule reads nothing else of the data
+    ring = Ring([])
+    needed = zoo_truncation(chi_max)
+    for trunc in range(needed - 12, needed + 4):
+        curve = CurveData(ring, 3, {3: ring.one()}, {}, {}, {}, trunc,
+                          resolved=(trunc - 1) // 2 - 1)
+        if trunc < needed:
+            with pytest.raises(TruncationError):
+                curve.check_depth(chi_max)
+        else:
+            curve.check_depth(chi_max)
+    # the least trunc accepted resolves exactly the index read
+    assert (needed - 1) // 2 - 1 == index_bound(chi_max)
+
+
+@pytest.mark.parametrize("name", ["ns_plus", "ns_minus", "ramond"])
+def test_fitted_trunc_9_is_exact_at_chi_3(name):
+    # the rule accepts trunc 9 at chi 3, below zoo_truncation(3) = 12
+    shallow, deep = quiet_build(name, 9), quiet_build(name, 12)
+    for run in (run_tr, run_airy):
+        assert run(shallow, 3).entries == run(deep, 3).entries
