@@ -77,6 +77,32 @@ class BiSeries:
                 accumulate(coeffs, key, c1 * c2)
         return BiSeries(self.ring, coeffs, trunc)
 
+    def __truediv__(self, other):
+        """Exact quotient q = self / other for an invertible constant term
+        b_00 of other, degree by degree: q_n = b_00^-1 (a_n - sum_{k>=1}
+        b_k q_(n-k)). Known through the degree a product q * other would
+        be known through."""
+        inv = other.coeff(0, 0).invert()  # may raise NotInvertible
+        low = self.min_total()
+        trunc = min(self.trunc, other.trunc + low)
+        # the terms -b_k / b_00 of degree k >= 1, by degree
+        rest = _by_degree({key: -(val * inv)
+                           for key, val in other.coeffs.items() if any(key)})
+        a = _by_degree(self.coeffs)
+        q = {}  # degree -> the quotient's terms of that degree
+        for n in range(low, trunc + 1):
+            term = {key: val * inv for key, val in a.get(n, {}).items()}
+            for k, b_k in rest.items():
+                q_rest = q.get(n - k)
+                if not q_rest:
+                    continue
+                for (i1, j1), c1 in b_k.items():
+                    for (i2, j2), c2 in q_rest.items():
+                        accumulate(term, (i1 + i2, j1 + j2), c1 * c2)
+            q[n] = term
+        return BiSeries(self.ring, {key: val for part in q.values()
+                                    for key, val in part.items()}, trunc)
+
     def divide_z1_minus_z2(self):
         """Exact quotient by (z1 - z2); requires a zero diagonal.
 
@@ -109,3 +135,11 @@ class BiSeries:
     def coeff(self, i, j):
         c = self.coeffs.get((i, j))
         return self.ring.zero() if c is None else c
+
+
+def _by_degree(coeffs):
+    """Total degree -> {(i, j): coefficient} of that degree."""
+    out = {}
+    for (i, j), val in coeffs.items():
+        out.setdefault(i + j, {})[(i, j)] = val
+    return out

@@ -40,8 +40,9 @@ class FockPoly:
 
     A polynomial is never changed after construction, which is what lets
     `images` (None until the first one is stored) map (kind, label, shift)
-    to the L or G image of this polynomial and hand the same object to
-    every caller.
+    to the L or G image of this polynomial, or to the tail of the L-L and
+    G-G closure right-hand sides, and hand the same object to every
+    caller.
     """
 
     __slots__ = ("ring", "cap", "terms", "images")
@@ -283,9 +284,10 @@ def _pair_sum(p, shift, total, families):
 
 
 def _image(kind, label, p, shift, compute):
-    """The image of p under the quadratic mode (kind, label), with this
-    shift data, computed by compute(label, p, shift) at most once per
-    polynomial; the key holds the ShiftData object itself."""
+    """The image of p under the quadratic mode (kind, label) ("L" or "G",
+    or the closure "tail"), with this shift data, computed by
+    compute(label, p, shift) at most once per polynomial; the key holds
+    the ShiftData object itself."""
     key = (kind, label, shift)
     if p.images is None:
         p.images = {}
@@ -360,7 +362,12 @@ def _linear(a_fn, b_fn, p, weight, c_fn=None, anti=False):
 
 
 def _rhs_tail(t, p, shift):
-    """L_t + sum_k :J_k J_(2t-k): + sum_k (t-k) :Gamma_k Gamma_(2t-k):."""
+    """L_t + sum_k :J_k J_(2t-k): + sum_k (t-k) :Gamma_k Gamma_(2t-k):,
+    kept among p's images: [L_n, L_m] and [L_m, L_n] both read it."""
+    return _image("tail", t, p, shift, _sum_tail)
+
+
+def _sum_tail(t, p, shift):
     return _apply_L(t, p, shift) + _pair_sum(p, shift, 2 * t, [
         ("J", "J", lambda k: 0 if k % 2 else 1),
         ("Gamma", "Gamma", lambda k: t - k if k % 2 else 0)])

@@ -42,11 +42,13 @@ class KernelWeights:
 
     Extraction is the residue pairing of the assembled quadratic series
     against these weights; a column of coefficients (one per output index
-    l) is read off from a single series division.
+    l) is read off from a single series division. It reads the quotient
+    only at exponents <= -2, so the quadratic series only through `top`.
     """
 
     def __init__(self, bases):
         self.inv_delta = bases.delta_omega.invert()
+        self.top = -2 - self.inv_delta.min_exp
 
     def _column(self, q, expected_dz, kind_error, parity, bound):
         """Column l -> coefficient, for l >= 1 of the given parity; bound is
@@ -152,7 +154,8 @@ class TrSolver(LazyTensor):
         (1/2)(x'.sigma(y) + sigma(x').y) for (F, F)."""
         pairs = ((False, True),) if fermionic else \
             ((False, False), (True, True))
-        q = FormalSeries.zero(self.ring, self.bases.trunc,
+        top = self.kernel.top
+        q = FormalSeries.zero(self.ring, min(self.bases.trunc, top),
                               1 if fermionic else 2, int(fermionic))
         if g == 1 and not J and not K:
             # (bosonic output only) the F_0 terms of both pairs are the
@@ -160,9 +163,10 @@ class TrSolver(LazyTensor):
             q = q + self.bases.f0_diagonal
         for first, second, x, y, weight in self._factor_pairs(g, J, K, pairs):
             if first and second:
-                prod = _product(x.derive(), y, True).scale(self._half * weight)
+                prod = _product(x.derive(), y, True, top) \
+                    .scale(self._half * weight)
             else:
-                prod = _weighted(_product(x, y, second), weight)
+                prod = _weighted(_product(x, y, second, top), weight)
             q = q + prod
         return q
 
@@ -276,9 +280,12 @@ class TrSolver(LazyTensor):
         return self.fermionic_value(g, bos, fer)
 
 
-def _product(x, y, mirrored):
+def _product(x, y, mirrored, top):
     """x.sigma(y), plus sigma(x).y when the pair is mirrored (a fermionic
-    second slot)."""
+    second slot), through exponent top: each factor is cut where the other
+    one's lowest exponent lifts it past top (T.T adds one more)."""
+    odd = x.theta and y.theta
+    x, y = x.cut(top - odd - y.min_exp), y.cut(top - odd - x.min_exp)
     prod = x * y.sigma()
     return prod + x.sigma() * y if mirrored else prod
 

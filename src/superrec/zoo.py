@@ -91,21 +91,6 @@ def _embed(fs, var, trunc):
     return BiSeries.from_univariate(fs, var, trunc)
 
 
-def _bi_invert(b):
-    """Reciprocal of a biseries with invertible constant term (Newton)."""
-    ring = b.ring
-    target = b.trunc
-    x = BiSeries.constant(ring, b.coeff(0, 0).invert(), 0)
-    order = 0
-    while order < target:
-        order = min(2 * order + 1, target)
-        bt = BiSeries(ring, b.coeffs, order)
-        xt = BiSeries(ring, x.coeffs, order)
-        one = BiSeries.constant(ring, ring.one(), order)
-        x = xt + xt * (one - bt * xt)
-    return BiSeries(ring, x.coeffs, target)
-
-
 def _z1_plus_z2(ring, trunc):
     one = ring.one()
     return BiSeries(ring, {(1, 0): one, (0, 1): one}, trunc)
@@ -178,15 +163,14 @@ def _build_fitted(spec):
     du = _d_dz(u)
     du1, du2 = _embed(du, 1, trunc), _embed(du, 2, trunc)
     s = (u1 - u2).divide_z1_minus_z2()
-    s_inv = _bi_invert(s)
-    p = du1 * du2 * s_inv * s_inv
+    p = du1 * du2 / s / s
     one = BiSeries.constant(ring, ring.one(), p.trunc)
     reg02 = (p - one).divide_z1_minus_z2().divide_z1_minus_z2()
     half = ring.rational(Fraction(1, 2))
     if spec.name == "ramond":
         num = _z1_plus_z2(ring, s.trunc) * s \
             - (u1 + u2) * (one - u1 * u2)
-        reg002 = (num.divide_z1_minus_z2() * s_inv).scale(half)
+        reg002 = (num.divide_z1_minus_z2() / s).scale(half)
     else:
         reg002 = ((one - p).divide_z1_minus_z2()
                   * _z1_plus_z2(ring, p.trunc)).scale(half)

@@ -234,6 +234,8 @@ PSI_SPEC = {"epsilon": 3, "tau": {"3": "1", "4": "1/2", "5": "2/3"},
             "phi": {"1,1": "1/2", "1,2": "-3", "2,2": "1/5"},
             "psi0": {"1": "2", "2": "-1/3"},
             "psiA": {"1,2": "1/7", "2,3": "4"}, "trunc": 30}
+RAMOND_SPEC = {"zoo": {"name": "ramond", "M_coeffs": ["1"], "params": {}},
+               "trunc": 27}
 PINNED_CHI5_SHA256 = [
     ("tr", PHI11_T_SPEC,
      "c4aabe5c7cb82825130f722e0d55a242e6ba4f6ac1265c33c086772b6d72e6ec"),
@@ -243,12 +245,18 @@ PINNED_CHI5_SHA256 = [
      "a85f2b8511d0d6c94595f0c11f38cbeadc8bdbe695f97500ffed36025653e350"),
     ("airy", PSI_SPEC,
      "a3e1b9167701d60c6638fab81bb7b29783fd2268cc043c64c25662bff0c3011f"),
+    # recorded before the residue assembly was cut at the kernel's top
+    # exponent and before the zoo fitted by exact division
+    ("tr", RAMOND_SPEC,
+     "ae4eefb4b4fe7782c213dba3df6a503d17c62252e5ca9c76c28f758fd82a5fd7"),
+    ("airy", RAMOND_SPEC,
+     "ca54a924d69fa9184b6a710b08000002f7d38555fe7516ffa6f32eb92c5134ff"),
 ]
 
 
 @pytest.mark.parametrize(
     "engine, spec, sha256", PINNED_CHI5_SHA256,
-    ids=["tr", "airy", "psi-tr", "psi-airy"])
+    ids=["tr", "airy", "psi-tr", "psi-airy", "ramond-tr", "ramond-airy"])
 def test_result_bytes_are_pinned(tmp_path, engine, spec, sha256):
     out = tmp_path / "r.json"
     assert main(["compute", "--engine", engine, "--chi-max", "5",
@@ -381,6 +389,27 @@ def test_crosscheck_reaches_chi_8_on_a_fitted_curve(tmp_path, monkeypatch,
     assert tensor.get(3, (), (0, 2)).is_zero()
 
 
+def test_crosscheck_reaches_chi_9_on_a_fitted_curve(tmp_path, monkeypatch,
+                                                    capsys):
+    """Trunc 45 is zoo_truncation(9); the sha256 of the residue engine's
+    sorted entries was recorded before the assembly cut and the fit by
+    exact division."""
+    tensors = []
+
+    def kept(curve, chi_max):
+        tensors.append(run_tr(curve, chi_max))
+        return tensors[-1]
+    monkeypatch.setattr(cli, "run_tr", kept)
+    spec = write_spec(tmp_path, dict(RAMOND_SPEC, trunc=45))
+    assert main(["crosscheck", "--chi-max", "9", "--curve", spec]) == 0
+    assert capsys.readouterr().out.startswith("crosscheck ok: 1575 entries,")
+    [tensor] = tensors
+    entries = sorted((key, val.literal())
+                     for key, val in tensor.entries.items())
+    assert hashlib.sha256(repr(entries).encode()).hexdigest() == \
+        "924283401a2e2cfc2347651af2d32fab0161de5408535662d59147b7166a4acf"
+
+
 def test_crosscheck_reaches_chi_10_at_the_required_truncation(tmp_path,
                                                                capsys):
     # trunc 29 is required_truncation(3, 10); at this depth many entries
@@ -487,6 +516,25 @@ def test_verify_algebra_computes_each_image_once(monkeypatch, capsys):
     assert capsys.readouterr().out.count("pass") == 7
     assert len(work) > 100
     assert set(work.values()) == {1}
+
+
+def test_verify_algebra_computes_each_closure_tail_once(monkeypatch, capsys):
+    # [L_n, L_m] and [L_m, L_n] (and {G_n, G_m}, {G_m, G_n}) read the same
+    # right-hand side tail, which each polynomial keeps among its images
+    calls = Counter()
+    held = []
+
+    def sum_tail(t, p, shift, inner=svir._sum_tail):
+        held.append(p)
+        calls[(id(p), t, shift)] += 1
+        return inner(t, p, shift)
+
+    monkeypatch.setattr(svir, "_sum_tail", sum_tail)
+    assert main(["verify-algebra", "--degree", "2", "--mode-range", "1"]) \
+        == 0
+    assert capsys.readouterr().out.count("pass") == 7
+    assert len(calls) > 10
+    assert set(calls.values()) == {1}
 
 
 # what verify-algebra prints when every [L_n, L_m] closure is broken, as

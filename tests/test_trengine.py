@@ -13,12 +13,13 @@ from itertools import permutations
 import pytest
 
 from superrec.airyengine import run_airy
-from superrec.curve import CurveData
+from superrec.curve import CurveBases, CurveData
 from superrec.scalars import Ring
-from superrec.series import FormalSeries
-from superrec.store import (LazyTensor, MissingDependency, index_bound,
-                            insert_index, slot_ranges)
-from superrec.trengine import TrSolver, run_tr
+from superrec.series import FormalSeries, TruncationError
+from superrec.store import (IndexBoundError, LazyTensor, MissingDependency,
+                            index_bound, insert_index, slot_ranges)
+from superrec.trengine import KernelWeights, TrSolver, run_tr
+from superrec.zoo import ZooSpec, zoo_build
 
 RING = Ring([])
 
@@ -219,3 +220,60 @@ def test_ff_lead_term_of_the_assembly():
             assert y.scale(weight) == want, (g, J, K, a)
             odd_seen += weight < 0
     assert odd_seen
+
+
+# (curve, chi_max) on which the assembly cut must not change a column: the
+# psi curve, the fitted ramond curve, phi11(t) and an epsilon-1 curve
+CUT_CASES = [
+    (lambda: rich_curve(), 5),
+    (lambda: zoo_build(ZooSpec("ramond", trunc=27)), 6),
+    (lambda: zoo_build(ZooSpec("phi11", trunc=24)), 6),
+    (lambda: zoo_build(ZooSpec("bessel", trunc=20)), 7),
+]
+
+
+@pytest.mark.parametrize("make, chi_max", CUT_CASES,
+                         ids=["psi", "ramond", "phi11_t", "bessel"])
+def test_assembly_cut_keeps_every_column(monkeypatch, make, chi_max):
+    """The quadratic series is assembled only through the kernel's top
+    exponent; every extraction column equals the one from uncut factors."""
+    curve = make()
+    cut = TrSolver(curve, chi_max)
+    cut.run()
+    assert cut.kernel.top < cut.bases.trunc
+    monkeypatch.setattr(FormalSeries, "cut", lambda series, top: series)
+    whole = TrSolver(curve, chi_max)
+    whole.run()
+    assert cut._columns == whole._columns
+    assert sum(map(len, cut._columns.values())) > 20
+
+
+def test_assembly_stops_at_the_kernel_top():
+    solver = TrSolver(rich_curve(), 5)
+    solver.run()
+    top = solver.kernel.top
+    assert top == 0  # -2 plus the epsilon - 1 pole order of 1/delta-omega
+    for g, J, K, fermionic in ((1, (), (), False), (0, (1,), (0,), True)):
+        q = solver._assemble(g, J, K, fermionic)
+        assert q.trunc == top and q.coeffs
+
+
+def airy_kernel():
+    return KernelWeights(CurveBases(airy_curve(), 5))
+
+
+def test_extraction_refuses_a_series_cut_below_the_top():
+    kernel = airy_kernel()
+    low = FormalSeries(RING, {-2: rat(1)}, kernel.top - 1, 2, 0)
+    with pytest.raises(TruncationError):
+        kernel.extract_bosonic(low, 5)
+    # the same series known through top is read
+    at_top = FormalSeries(RING, {-2: rat(1)}, kernel.top, 2, 0)
+    assert kernel.extract_bosonic(at_top, 5) == {3: rat("1/2")}
+
+
+def test_extraction_refuses_an_index_past_the_bound():
+    kernel = airy_kernel()
+    q = FormalSeries(RING, {-2: rat(1)}, kernel.top, 2, 0)
+    with pytest.raises(IndexBoundError):
+        kernel.extract_bosonic(q, 1)

@@ -8,6 +8,7 @@ corrupted data.
 """
 
 import functools
+import hashlib
 import os
 import subprocess
 import sys
@@ -206,6 +207,47 @@ def test_pinned_correlation_values():
     rtensor = run_tr(ram, 4)
     half_sqrt2 = ram.ring.symbol("sqrt2") * ram.ring.rational(Fraction(1, 2))
     assert rtensor.get(0, (1,), (0, 2)) == half_sqrt2
+
+
+# sha256 of the fitted curve data, recorded when the zoo inverted s by
+# Newton iteration and multiplied by the inverse; the fit by exact division
+# must leave every parameter, the truncation and the resolved index as
+# they were
+FITTED_DATA_SHA256 = {
+    ("ns_plus", 12):
+        "9dc1150d9b02d2b3ac58760bfaa77c8dcaa537ff6f9140c5d9473bd41ddec965",
+    ("ns_plus", 27):
+        "2a6856a2f2433160755c09b5bdda9c7ec3b90321fb62df0cb80df1dfb5f2b4c9",
+    ("ns_plus", 45):
+        "977a0fb6ee86e89fb172c7815e8750186a6d8ec92deebabe2b729192c6f61102",
+    ("ns_minus", 12):
+        "10b7edc946bfc56e8b96eeea0e089ef07befdb3e457e839dba24dbc1c5678acc",
+    ("ns_minus", 27):
+        "c39a6dd68be1516d5c0026a77135759a99985f2c035ba82d15e097b2f255710a",
+    ("ns_minus", 45):
+        "3f04eb24e2c3e350ec3b324ea6da350c6a028de32db22cf420695ebbb3eab514",
+    ("ramond", 12):
+        "d028d13ed0220c146bff490363cea1dd159e6fc7a61c4e67ccff198901a9e807",
+    ("ramond", 27):
+        "1556d99fd61907b482e3d401b8c50a6d183fff48dccb02fbdbd7d11249be591c",
+    ("ramond", 45):
+        "a162546d68e5915ae10c6bc330387ec207587e353daecb8946a16b9dc4d60179",
+}
+
+
+def curve_data_sha256(curve):
+    def literals(params):
+        return sorted((k, v.literal()) for k, v in params.items())
+    data = [("tau", literals(curve.tau)), ("phi", literals(curve.phi)),
+            ("psi0", literals(curve.psi0)), ("psiA", literals(curve.psiA)),
+            ("trunc", curve.trunc), ("resolved", curve.resolved)]
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,trunc", FITTED_DATA_SHA256)
+def test_fitted_curve_data_is_pinned(name, trunc):
+    assert curve_data_sha256(build(name, trunc=trunc)) == \
+        FITTED_DATA_SHA256[name, trunc]
 
 
 # --- the depth rule ------------------------------------------------------------
