@@ -186,38 +186,35 @@ class FormalSeries:
                             self.dz_weight - 1, self.theta, self.min_exp + 1)
 
     def invert(self):
-        """Multiplicative inverse up to truncation; weight negated."""
+        """Multiplicative inverse up to truncation; weight negated.
+
+        With self = z^lead (a_0 + a_1 z + ...), the inverse is z^-lead
+        (b_0 + b_1 z + ...), degree by degree: b_0 = 1/a_0 and b_n = -b_0
+        sum_{k>=1} a_k b_(n-k)."""
         if self.theta:
             raise NotInvertible("cannot invert an odd-parity series")
         if not self.coeffs:
             raise NotInvertible("zero series")
         lead = min(self.coeffs)
-        lead_coeff = self.coeffs[lead]
-        inv_lead = lead_coeff.invert()  # may raise NotInvertible
-        trunc = self.trunc - 2 * lead
-        # a = c z^lead (1 + u); 1/a = z^(-lead)/c * sum (-u)^j
-        rel_order = self.trunc - lead  # u known modulo z^(rel_order+1)
-        u = {k - lead: inv_lead * c for k, c in self.coeffs.items()
-             if k != lead}
-        # accumulate geometric series in the 'relative' variable
-        acc = {0: self.ring.one()}
-        power = {0: self.ring.one()}
-        for _ in range(rel_order if u else 0):
-            new_power = {}
-            for k1, c1 in power.items():
-                for k2, c2 in u.items():
-                    k = k1 + k2
-                    if k <= rel_order:
-                        accumulate(new_power, k, -(c1 * c2))
-            power = new_power
-            if not power:
-                break
-            for k, c in power.items():
-                accumulate(acc, k, c)
-        coeffs = {k - lead: inv_lead * c for k, c in acc.items()
-                  if k - lead <= trunc}
-        return FormalSeries(self.ring, coeffs, trunc, -self.dz_weight, 0,
-                            -lead)
+        inv_lead = self.coeffs[lead].invert()  # may raise NotInvertible
+        rest = sorted((k - lead, c) for k, c in self.coeffs.items()
+                      if k != lead)
+        # a is known to relative degree trunc - lead, and so is b
+        b = {0: inv_lead}
+        for n in range(1, self.trunc - lead + 1):
+            total = None
+            for k, a_k in rest:
+                if k > n:
+                    break
+                b_rest = b.get(n - k)
+                if b_rest is not None:
+                    term = a_k * b_rest
+                    total = term if total is None else total + term
+            # b_0 is a unit, so b_n is zero only when the sum is
+            if total:
+                b[n] = -(inv_lead * total)
+        return _series(self.ring, {n - lead: c for n, c in b.items()},
+                       self.trunc - 2 * lead, -self.dz_weight, 0, -lead)
 
     def residue(self):
         """Coefficient of z^-1 dz; requires a plain one-form."""

@@ -9,9 +9,11 @@ fermionic slots are computed through both routes and cross-checked.
 
 Sign conventions: products of coefficients carry the fermionic
 interleaving sign of the slot partition (as in the constraint solver's
-quadratic combinations); the two sigma-mirrored copies of each quadratic
-term are generated explicitly because the odd basis series do not mirror
-uniformly.
+quadratic combinations). The local involution sigma: z -> -z fixes T, so
+it respects T^2 = z dz and is a ring automorphism of the series: the
+mirrored copy sigma(x).y of a term x.sigma(y) is the sigma-image of that
+term, and the mirrored half of an assembly is added as one sigma-image of
+the other half.
 """
 
 from __future__ import annotations
@@ -151,24 +153,26 @@ class TrSolver(LazyTensor):
         one product form per pair of z-slot kinds, (B, B) and (F, F) for a
         bosonic output and (B, F) for a fermionic one. Factors x and y give
         x.sigma(y) for (B, B), x.sigma(y) + sigma(x).y for (B, F), and
-        (1/2)(x'.sigma(y) + sigma(x').y) for (F, F)."""
+        (1/2)(x'.sigma(y) + sigma(x').y) for (F, F): the (B, F) and (F, F)
+        terms are summed once, in m, and their mirrors added as sigma(m)."""
         pairs = ((False, True),) if fermionic else \
             ((False, False), (True, True))
         top = self.kernel.top
-        q = FormalSeries.zero(self.ring, min(self.bases.trunc, top),
-                              1 if fermionic else 2, int(fermionic))
+        q = m = FormalSeries.zero(self.ring, min(self.bases.trunc, top),
+                                  1 if fermionic else 2, int(fermionic))
         if g == 1 and not J and not K:
             # (bosonic output only) the F_0 terms of both pairs are the
             # two-point bilinears on the diagonal, in closed form
             q = q + self.bases.f0_diagonal
         for first, second, x, y, weight in self._factor_pairs(g, J, K, pairs):
-            if first and second:
-                prod = _product(x.derive(), y, True, top) \
+            if first:
+                m = m + _product(x.derive(), y, top) \
                     .scale(self._half * weight)
+            elif second:
+                m = m + _weighted(_product(x, y, top), weight)
             else:
-                prod = _weighted(_product(x, y, second, top), weight)
-            q = q + prod
-        return q
+                q = q + _weighted(_product(x, y, top), weight)
+        return q + m + m.sigma()
 
     def _factor_pairs(self, g, J, K, pairs):
         """Each term as (first, second, x, y, weight): the slot kinds, the
@@ -280,14 +284,12 @@ class TrSolver(LazyTensor):
         return self.fermionic_value(g, bos, fer)
 
 
-def _product(x, y, mirrored, top):
-    """x.sigma(y), plus sigma(x).y when the pair is mirrored (a fermionic
-    second slot), through exponent top: each factor is cut where the other
+def _product(x, y, top):
+    """x.sigma(y) through exponent top: each factor is cut where the other
     one's lowest exponent lifts it past top (T.T adds one more)."""
     odd = x.theta and y.theta
     x, y = x.cut(top - odd - y.min_exp), y.cut(top - odd - x.min_exp)
-    prod = x * y.sigma()
-    return prod + x.sigma() * y if mirrored else prod
+    return x * y.sigma()
 
 
 def _weighted(series, weight):

@@ -29,6 +29,8 @@ FITTED_NAMES = ("ns_plus", "ns_minus", "ramond")
 # The least truncation of each curve: tau_epsilon multiplies z^(epsilon - 1),
 # so the epsilon-1 curves bessel and super_jt need no more than z^0.
 _LEAST_TRUNC = dict.fromkeys(ZOO_NAMES, 2) | {"bessel": 0, "super_jt": 0}
+# The free parameters each curve reads: phi11 its coupling t, the others none.
+_PARAMS = dict.fromkeys(ZOO_NAMES, ()) | {"phi11": ("t",)}
 
 
 class ExpansionError(Exception):
@@ -49,16 +51,16 @@ class ZooSpec:
             raise ExpansionError(
                 f"curve {self.name} needs trunc >= {_LEAST_TRUNC[self.name]}"
                 f" to hold its leading dilaton coefficient, not {self.trunc}")
+        for key in self.free_params:
+            if key not in _PARAMS[self.name]:
+                raise ExpansionError(
+                    f"curve {self.name} reads no parameter {key!r}")
         self.M_coeffs = tuple(Fraction(c) for c in self.M_coeffs)
         if self.name in FITTED_NAMES and not any(self.M_coeffs):
             raise ExpansionError("polynomial weight M must be nonzero")
 
 
 # --- univariate series helpers -----------------------------------------------
-
-
-def _uni(ring, coeffs, trunc):
-    return FormalSeries(ring, coeffs, trunc, 0, 0)
 
 
 def _binomial_power(ring, alpha, c, p, trunc):
@@ -72,23 +74,19 @@ def _binomial_power(ring, alpha, c, p, trunc):
             coeffs[p * k] = ring.rational(val)
         binom = binom * (alpha - k) / (k + 1)
         k += 1
-    return _uni(ring, coeffs, trunc)
+    return FormalSeries(ring, coeffs, trunc)
 
 
 def _poly_at(ring, m_coeffs, x, trunc):
-    acc = _uni(ring, {}, trunc)
+    acc = FormalSeries(ring, {}, trunc)
     for c in reversed(m_coeffs):
-        acc = acc * x + _uni(ring, {0: ring.rational(c)}, trunc)
+        acc = acc * x + FormalSeries(ring, {0: ring.rational(c)}, trunc)
     return acc
 
 
 def _d_dz(fs):
     coeffs = {k - 1: k * c for k, c in fs.coeffs.items() if k}
-    return _uni(fs.ring, coeffs, fs.trunc - 1)
-
-
-def _embed(fs, var, trunc):
-    return BiSeries.from_univariate(fs, var, trunc)
+    return FormalSeries(fs.ring, coeffs, fs.trunc - 1)
 
 
 def _z1_plus_z2(ring, trunc):
@@ -97,10 +95,6 @@ def _z1_plus_z2(ring, trunc):
 
 
 # --- generators ----------------------------------------------------------------
-
-
-def _simple_curve(ring, epsilon, tau, phi, trunc):
-    return CurveData(ring, epsilon, tau, phi, {}, {}, trunc)
 
 
 def _build_super_jt(spec):
@@ -121,11 +115,11 @@ def _build_super_jt(spec):
         "the cosine one-form has infinitely many dilaton coefficients; "
         f"keeping indices up to trunc + 1 = {spec.trunc + 1}",
         stacklevel=3)
-    return _simple_curve(ring, 1, tau, {}, spec.trunc)
+    return CurveData(ring, 1, tau, {}, {}, {}, spec.trunc)
 
 
 def _expansion_data(spec):
-    """(ring, u, omega01, extra) univariate data for the fitted curves."""
+    """(ring, u, omega01): the univariate data of a fitted curve."""
     trunc = spec.trunc + 2
     if spec.name == "ns_plus":
         ring = Ring([])
@@ -139,17 +133,17 @@ def _expansion_data(spec):
         sign = -1
     else:  # ramond
         ring = Ring([("sqrt2", 2)])
-    z = _uni(ring, {1: ring.one()}, trunc)
-    zz_half = _uni(ring, {2: ring.rational(Fraction(1, 2))}, trunc)
+    z = FormalSeries(ring, {1: ring.one()}, trunc)
+    zz_half = FormalSeries(ring, {2: ring.rational(Fraction(1, 2))}, trunc)
     if spec.name == "ramond":
         w = _binomial_power(ring, Fraction(-1, 2), Fraction(1, 2), 2, trunc)
         inv_sqrt2 = ring.symbol("sqrt2") * ring.rational(Fraction(1, 2))
         u = (z * w).scale(inv_sqrt2)
-        x = _uni(ring, {0: ring.one()}, trunc) + zz_half
+        x = FormalSeries(ring, {0: ring.one()}, trunc) + zz_half
         m_at = _poly_at(ring, spec.M_coeffs, x, trunc)
         omega01 = (m_at * z * z * w).scale(inv_sqrt2)
         return ring, u, omega01
-    const = _uni(ring, {0: ring.rational(sign)}, trunc)
+    const = FormalSeries(ring, {0: ring.rational(sign)}, trunc)
     u = const + zz_half + z * root
     m_at = _poly_at(ring, spec.M_coeffs, const + zz_half, trunc)
     omega01 = (m_at * root * z * z).scale(ring.rational(Fraction(-1, 2)))
@@ -159,9 +153,9 @@ def _expansion_data(spec):
 def _build_fitted(spec):
     ring, u, omega01 = _expansion_data(spec)
     trunc = spec.trunc
-    u1, u2 = _embed(u, 1, trunc), _embed(u, 2, trunc)
+    u1, u2 = (BiSeries.from_univariate(u, var, trunc) for var in (1, 2))
     du = _d_dz(u)
-    du1, du2 = _embed(du, 1, trunc), _embed(du, 2, trunc)
+    du1, du2 = (BiSeries.from_univariate(du, var, trunc) for var in (1, 2))
     s = (u1 - u2).divide_z1_minus_z2()
     p = du1 * du2 / s / s
     one = BiSeries.constant(ring, ring.one(), p.trunc)
@@ -206,10 +200,10 @@ def zoo_build(spec):
     """Curve data for a named example, expanded to the spec's truncation."""
     if spec.name == "airy":
         ring = Ring([])
-        return _simple_curve(ring, 3, {3: ring.one()}, {}, spec.trunc)
+        return CurveData(ring, 3, {3: ring.one()}, {}, {}, {}, spec.trunc)
     if spec.name == "bessel":
         ring = Ring([])
-        return _simple_curve(ring, 1, {1: ring.one()}, {}, spec.trunc)
+        return CurveData(ring, 1, {1: ring.one()}, {}, {}, {}, spec.trunc)
     if spec.name == "phi11":
         t = spec.free_params.get("t")
         if t is None:
@@ -219,7 +213,7 @@ def zoo_build(spec):
             ring = Ring([])
             t_val = ring.rational(Fraction(t))
         phi = {(1, 1): t_val} if t_val else {}
-        return _simple_curve(ring, 3, {3: ring.one()}, phi, spec.trunc)
+        return CurveData(ring, 3, {3: ring.one()}, phi, {}, {}, spec.trunc)
     if spec.name == "super_jt":
         return _build_super_jt(spec)
     return _build_fitted(spec)
@@ -251,7 +245,7 @@ def _ramond_rhs_excess(curve, order):
     """
     ring = curve.ring
     w = _binomial_power(ring, Fraction(-1, 2), Fraction(1, 2), 2, order)
-    w1, w2 = _embed(w, 1, order), _embed(w, 2, order)
+    w1, w2 = (BiSeries.from_univariate(w, var, order) for var in (1, 2))
     shape = BiSeries(ring, {
         (1, 1): ring.rational(-2),
         (3, 1): ring.rational(Fraction(-1, 2)),

@@ -189,6 +189,31 @@ def test_spec_errors_under_optimized_python(tmp_path):
         assert proc.returncode == EXIT_PARSE, (command, proc.stderr)
 
 
+# a zoo parameter the curve does not read: phi11 reads only t, and the other
+# names read none
+UNREAD_PARAM_SPECS = [({"zoo": {"name": "phi11", "params": {"tt": "5"}},
+                        "trunc": 12}, "'tt'"),
+                      ({"zoo": {"name": "airy", "params": {"t": "5"}},
+                        "trunc": 12}, "'t'")]
+
+
+def test_unread_zoo_params_rejected(tmp_path, capsys):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(superrec.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for doc, key in UNREAD_PARAM_SPECS:
+        spec = write_spec(tmp_path, doc)
+        command = ["compute", "--curve", spec, "--chi-max", "4",
+                   "--no-cache"]
+        assert main(command) == EXIT_PARSE, doc
+        assert f"reads no parameter {key}" in capsys.readouterr().err
+        # the check must not be an assert, which `python -O` strips
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "superrec.cli"] + command,
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_PARSE, (doc, proc.stderr)
+        assert f"reads no parameter {key}" in proc.stderr
+
+
 def test_triangle_shape_errors_under_optimized_python(tmp_path):
     # the triangle checks must not be asserts, which `python -O` strips
     src = os.path.dirname(os.path.dirname(os.path.abspath(superrec.__file__)))

@@ -20,6 +20,7 @@ from superrec.airyengine import run_airy, run_bosonic
 from superrec.curve import CurveData, required_truncation
 from superrec.scalars import Ring
 from superrec.trengine import run_tr
+from superrec.zoo import ZooSpec, zoo_build, zoo_truncation
 
 RING = Ring([])
 
@@ -162,3 +163,20 @@ def test_bosonic_bessel_is_the_theta_class():
 def test_fermion_free_airy_sectors_are_witten_kontsevich(run):
     expected = expected_entries(witten_kontsevich(), 10)
     assert fermion_free(run(airy_curve(29), 10), True) == expected
+
+
+@pytest.mark.filterwarnings("ignore:the cosine one-form")
+@pytest.mark.parametrize("trunc", [zoo_truncation(8),
+                                   required_truncation(1, 8)])
+def test_fermion_free_super_jt_sectors_are_twice_the_bosonic_ones(trunc):
+    """On super JT both full engines give the same tensor, and its
+    fermion-free sector is 2^g times the bosonic-only one, through chi 8."""
+    curve = zoo_build(ZooSpec("super_jt", trunc=trunc))
+    tensor = run_tr(curve, 8)
+    assert tensor.entries == run_airy(curve, 8).entries
+    ring = curve.ring
+    bosonic = {key: val * ring.rational(2 ** key[0])
+               for key, val in run_bosonic(curve, 8).entries.items()}
+    assert len(bosonic) == 21
+    assert {key: val for key, val in tensor.entries.items()
+            if not key[2]} == bosonic

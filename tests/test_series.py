@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -86,6 +87,10 @@ def test_invert_errors():
         make({}, 5).invert()
     with pytest.raises(NotInvertible):
         make({0: 1}, 5, theta=1).invert()
+    # a lead coefficient that is not a unit of the ring
+    ring = Ring([("t", None)])
+    with pytest.raises(NotInvertible):
+        FormalSeries(ring, {1: ring.symbol("t"), 2: ring.one()}, 5).invert()
 
 
 def test_sigma_examples():
@@ -220,3 +225,65 @@ def test_invert_mul_is_one(coeffs):
     assert prod.coeff(0) == RING.one()
     for k in range(1, prod.trunc + 1):
         assert prod.coeff(k).is_zero()
+
+
+# seeded random series over Q, a ring with a square relation and a ring with
+# a free symbol
+RANDOM_RINGS = (Ring([]), Ring([("sqrt2", 2)]), Ring([("t", None)]))
+
+
+def random_scalar(rng, ring, rational=False):
+    value = ring.rational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    if not rational:
+        for name in ring.squares:
+            value = value + ring.symbol(name) * ring.rational(
+                rng.randint(-3, 3))
+    return value
+
+
+def random_series(rng, ring, lead, trunc, dz, theta):
+    """A series with a nonzero rational coefficient at z^lead and up to five
+    random ones above it, through trunc."""
+    coeffs = {lead: ring.rational(rng.choice([-3, -1, 1, 2, Fraction(1, 3)]))}
+    for _ in range(rng.randint(0, 5)):
+        coeffs[rng.randint(lead + 1, max(trunc, lead + 1))] = \
+            random_scalar(rng, ring)
+    return FormalSeries(ring, {k: c for k, c in coeffs.items() if k <= trunc},
+                        trunc, dz, theta)
+
+
+def test_sigma_is_a_ring_homomorphism_on_every_weight_and_parity():
+    """sigma(a.b) = sigma(a).sigma(b) with the same trunc and min_exp, for
+    every parity (T.T = z dz) and dz weight: the residue assembly adds the
+    mirrored half of its terms as one sigma-image on this identity."""
+    rng = random.Random(0)
+    parities = set()
+    for _ in range(500):
+        ring = rng.choice(RANDOM_RINGS)
+        a, b = (random_series(rng, ring, lead, lead + rng.randint(0, 8),
+                              rng.randint(-1, 2), rng.randint(0, 1))
+                for lead in (rng.randint(-4, 4), rng.randint(-4, 4)))
+        prod = a * b
+        mirrored, image = prod.sigma(), a.sigma() * b.sigma()
+        assert mirrored == image
+        assert (mirrored.trunc, mirrored.min_exp) == \
+            (image.trunc, image.min_exp) == (prod.trunc, prod.min_exp)
+        parities.add((a.theta, b.theta))
+    assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def test_invert_is_the_inverse_on_random_series():
+    """a.invert() is z^-lead times the degree-by-degree quotient, known
+    through trunc - 2 lead; a times it is the unit through trunc - lead."""
+    rng = random.Random(1)
+    for i in range(300):
+        ring = RANDOM_RINGS[i % 3]
+        lead, dz = rng.randint(-3, 4), rng.randint(0, 2)
+        trunc = lead + rng.randint(0, 10)
+        a = random_series(rng, ring, lead, trunc, dz, 0)
+        inv = a.invert()
+        assert (inv.trunc, inv.min_exp, inv.dz_weight, inv.theta) == \
+            (trunc - 2 * lead, -lead, -dz, 0)
+        prod = a * inv
+        assert prod.trunc == trunc - lead
+        assert prod == FormalSeries.monomial(ring, 1, 0, prod.trunc)

@@ -248,6 +248,41 @@ def test_assembly_cut_keeps_every_column(monkeypatch, make, chi_max):
     assert sum(map(len, cut._columns.values())) > 20
 
 
+@pytest.mark.parametrize("make, chi_max", CUT_CASES,
+                         ids=["psi", "ramond", "phi11_t", "bessel"])
+def test_each_assembly_is_the_sum_of_its_mirrored_terms(make, chi_max):
+    """Every quadratic series equals the sum, term by term, of x.sigma(y)
+    for (B, B), x.sigma(y) + sigma(x).y for (B, F) and (1/2)(x'.sigma(y) +
+    sigma(x').y) for (F, F), from uncut factors: adding the mirrored half
+    as one sigma-image changes no assembly."""
+    solver = TrSolver(make(), chi_max)
+    solver.run()
+    ring = solver.ring
+    half = ring.rational(Fraction(1, 2))
+    kinds = set()
+    for g, J, K, fermionic in solver._columns:
+        pairs = ((False, True),) if fermionic else ((False, False),
+                                                    (True, True))
+        want = FormalSeries.zero(ring, min(solver.bases.trunc,
+                                           solver.kernel.top),
+                                 1 if fermionic else 2, int(fermionic))
+        if g == 1 and not J and not K and not fermionic:
+            want = want + solver.bases.f0_diagonal
+        for first, second, x, y, weight in solver._factor_pairs(g, J, K,
+                                                                pairs):
+            if first:
+                x, weight = x.derive(), half * weight
+            term = x * y.sigma()
+            if second:
+                term = term + x.sigma() * y
+            want = want + term.scale(weight)
+        got = solver._assemble(g, J, K, fermionic)
+        assert got == want, (g, J, K, fermionic)
+        assert (got.trunc, got.min_exp) == (want.trunc, want.min_exp)
+        kinds.add(fermionic)
+    assert kinds == {False, True}
+
+
 def test_assembly_stops_at_the_kernel_top():
     solver = TrSolver(rich_curve(), 5)
     solver.run()

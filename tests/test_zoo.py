@@ -50,6 +50,17 @@ def test_zero_weight_rejected_for_fitted_curves():
     ZooSpec("airy", M_coeffs=(0,))
 
 
+def test_unread_params_rejected():
+    # phi11 reads only its coupling t, and the other curves no parameter
+    with pytest.raises(ExpansionError, match="'tt'"):
+        ZooSpec("phi11", free_params={"tt": 5})
+    for name in ZOO_NAMES:
+        if name != "phi11":
+            with pytest.raises(ExpansionError, match="'t'"):
+                ZooSpec(name, free_params={"t": 5})
+    ZooSpec("phi11", free_params={"t": 5})
+
+
 # --- simple curves ---------------------------------------------------------------
 
 
