@@ -7,7 +7,7 @@ nonnegative; the coefficient at (i, j) is unknown when i + j > trunc.
 
 from __future__ import annotations
 
-from .scalars import accumulate
+from .scalars import NotInvertible, accumulate
 
 
 class BiSeries:
@@ -81,30 +81,48 @@ class BiSeries:
         """Exact quotient q = self / other for an invertible constant term
         b_00 of other, degree by degree: q_n = b_00^-1 (a_n - sum_{k>=1}
         b_k q_(n-k)). Known through the degree a product q * other would
-        be known through."""
+        be known through.
+
+        For a mirror-symmetric other (b_ij = b_ji) and a mirror-symmetric
+        or antisymmetric self, q has self's symmetry: only its coefficients
+        z1^i z2^j with i <= j are summed, and the others mirrored."""
         inv = other.coeff(0, 0).invert()  # may raise NotInvertible
         low = self.min_total()
         trunc = min(self.trunc, other.trunc + low)
-        # the terms -b_k / b_00 of degree k >= 1, by degree
+        sign = _mirror_sign(self) if _mirror_sign(other) == 1 else 0
+        # degree n -> {i: coefficient of z1^i z2^(n-i)}, i ascending: the
+        # terms -b_k / b_00 of degree k >= 1, the dividend and the quotient
         rest = _by_degree({key: -(val * inv)
                            for key, val in other.coeffs.items() if any(key)})
         a = _by_degree(self.coeffs)
-        q = {}  # degree -> the quotient's terms of that degree
+        q = {}
         for n in range(low, trunc + 1):
-            term = {key: val * inv for key, val in a.get(n, {}).items()}
+            top = n // 2 if sign else n  # the largest i summed
+            term = {i: val * inv for i, val in a.get(n, {}).items()
+                    if i <= top}
             for k, b_k in rest.items():
                 q_rest = q.get(n - k)
                 if not q_rest:
                     continue
-                for (i1, j1), c1 in b_k.items():
-                    for (i2, j2), c2 in q_rest.items():
-                        accumulate(term, (i1 + i2, j1 + j2), c1 * c2)
-            q[n] = term
-        return BiSeries(self.ring, {key: val for part in q.values()
-                                    for key, val in part.items()}, trunc)
+                for i1, c1 in b_k.items():
+                    if i1 > top:
+                        break
+                    for i2, c2 in q_rest.items():
+                        if i2 > top - i1:
+                            break
+                        accumulate(term, i1 + i2, c1 * c2)
+            part = q[n] = {i: term[i] for i in sorted(term)}
+            if sign:
+                part.update({n - i: val if sign == 1 else -val
+                             for i, val in reversed(part.items())
+                             if 2 * i < n})
+        return BiSeries(self.ring, {(i, n - i): val
+                                    for n, part in q.items()
+                                    for i, val in part.items()}, trunc)
 
     def divide_z1_minus_z2(self):
-        """Exact quotient by (z1 - z2); requires a zero diagonal.
+        """Exact quotient by (z1 - z2); raises NotInvertible unless the
+        remainder p(z2, z2) vanishes.
 
         Truncation drops by one (unknown top coefficients would leak into
         every total degree >= trunc of the quotient).
@@ -124,7 +142,8 @@ class BiSeries:
                 accumulate(term, j + 1, val)
             if i == 0:
                 # remainder = p(z2, z2) must vanish: term is the remainder
-                assert not term, "not divisible by (z1 - z2)"
+                if term:
+                    raise NotInvertible("not divisible by (z1 - z2)")
                 break
             carry = term
             for j, val in carry.items():
@@ -138,8 +157,20 @@ class BiSeries:
 
 
 def _by_degree(coeffs):
-    """Total degree -> {(i, j): coefficient} of that degree."""
+    """Total degree n -> {i: coefficient of z1^i z2^(n-i)}, i ascending."""
     out = {}
-    for (i, j), val in coeffs.items():
-        out.setdefault(i + j, {})[(i, j)] = val
+    for i, j in sorted(coeffs):
+        out.setdefault(i + j, {})[i] = coeffs[(i, j)]
     return out
+
+
+def _mirror_sign(series):
+    """1 if series is mirror-symmetric (c_ij = c_ji), -1 if antisymmetric
+    (c_ij = -c_ji), else 0; the zero series counts as symmetric."""
+    coeffs = series.coeffs
+    if all(coeffs.get((j, i)) == val for (i, j), val in coeffs.items()):
+        return 1
+    if all(i != j and coeffs.get((j, i)) == -val
+           for (i, j), val in coeffs.items()):
+        return -1
+    return 0

@@ -13,7 +13,7 @@ quadratic combinations). The local involution sigma: z -> -z fixes T, so
 it respects T^2 = z dz and is a ring automorphism of the series: the
 mirrored copy sigma(x).y of a term x.sigma(y) is the sigma-image of that
 term, and the mirrored half of an assembly is added as one sigma-image of
-the other half.
+the other half. A (B, B) split and its swap are such a pair too.
 """
 
 from __future__ import annotations
@@ -153,8 +153,9 @@ class TrSolver(LazyTensor):
         one product form per pair of z-slot kinds, (B, B) and (F, F) for a
         bosonic output and (B, F) for a fermionic one. Factors x and y give
         x.sigma(y) for (B, B), x.sigma(y) + sigma(x).y for (B, F), and
-        (1/2)(x'.sigma(y) + sigma(x').y) for (F, F): the (B, F) and (F, F)
-        terms are summed once, in m, and their mirrors added as sigma(m)."""
+        (1/2)(x'.sigma(y) + sigma(x').y) for (F, F): the mirrored terms,
+        (B, F), (F, F) and the lower of each swapped pair of (B, B) splits,
+        are summed once, in m, and their mirrors added as sigma(m)."""
         pairs = ((False, True),) if fermionic else \
             ((False, False), (True, True))
         top = self.kernel.top
@@ -164,22 +165,27 @@ class TrSolver(LazyTensor):
             # (bosonic output only) the F_0 terms of both pairs are the
             # two-point bilinears on the diagonal, in closed form
             q = q + self.bases.f0_diagonal
-        for first, second, x, y, weight in self._factor_pairs(g, J, K, pairs):
+        for first, mirrored, x, y, weight in self._factor_pairs(g, J, K,
+                                                                pairs):
             if first:
                 m = m + _product(x.derive(), y, top) \
                     .scale(self._half * weight)
-            elif second:
+            elif mirrored:
                 m = m + _weighted(_product(x, y, top), weight)
             else:
                 q = q + _weighted(_product(x, y, top), weight)
         return q + m + m.sigma()
 
     def _factor_pairs(self, g, J, K, pairs):
-        """Each term as (first, second, x, y, weight): the slot kinds, the
-        factors with z in each slot and an integer weight. First the
+        """Each term as (first, mirrored, x, y, weight): whether the first
+        z-slot is fermionic, whether the term's mirror is added by sigma,
+        the factors with z in each slot and an integer weight. First the
         F_{g-1} terms with both slots open (but not the two-point ones),
         weighted by the sign of opening the first; then the products over
-        the splits of g, J and K, weighted by sign and multiplicity."""
+        the splits of g, J and K, weighted by sign and multiplicity. A
+        (B, B) split and its swap give x.sigma(y) and its sigma-image with
+        one weight when both K parts are even, so only the lower of the two
+        is listed, as mirrored, and a split that is its own swap once."""
         if g > 1 or g == 1 and (J or K):
             # the F_{g-1} entries have level 2g + |J| + |K|, and their
             # indices beside J and K share what J and K leave of its bound
@@ -193,7 +199,7 @@ class TrSolver(LazyTensor):
                     if sign:
                         y = self.eval_lower(g - 1, *opened, second)
                         if y is not None:
-                            yield first, second, basis(a), y, sign
+                            yield first, first or second, basis(a), y, sign
         # a z-slot factor needs an even remaining fermion count beside a
         # bosonic slot and an odd one beside a fermionic slot
         splits = _splits_by_parity(K)
@@ -209,12 +215,18 @@ class TrSolver(LazyTensor):
                         if not (first or g1 or J1 or K1) or \
                                 not (second or g2 or J2 or K2):
                             continue
+                        mirrored = first or second
+                        if not mirrored and not (len(K1) % 2 or len(K2) % 2):
+                            side, swap = (g1, J1, K1), (g2, J2, K2)
+                            if side > swap:
+                                continue
+                            mirrored = side < swap
                         x = self.eval_lower(g1, J1, K1, first)
                         if x is None:
                             continue
                         y = self.eval_lower(g2, J2, K2, second)
                         if y is not None:
-                            yield first, second, x, y, rho * mult
+                            yield first, mirrored, x, y, rho * mult
 
     # --- extraction columns ---------------------------------------------------
 

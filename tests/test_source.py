@@ -53,3 +53,12 @@ def test_every_private_definition_is_read():
     defined = [name for tree in trees for name in private_definitions(tree)]
     assert defined
     assert [name for name in defined if name not in read] == []
+
+
+def test_asserts_do_not_grow():
+    # `python -O` strips asserts, so a check a spec can reach is a typed
+    # error; this bound only ever goes down
+    asserts = sum(isinstance(node, ast.Assert)
+                  for path in MODULES
+                  for node in ast.walk(ast.parse(path.read_text())))
+    assert asserts <= 15

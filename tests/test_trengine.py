@@ -7,6 +7,7 @@ of output slot yields the same entry), and the sector vanishing statements
 are checked directly.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -17,7 +18,8 @@ from superrec.curve import CurveBases, CurveData
 from superrec.scalars import Ring
 from superrec.series import FormalSeries, TruncationError
 from superrec.store import (IndexBoundError, LazyTensor, MissingDependency,
-                            index_bound, insert_index, slot_ranges)
+                            distinct_splits, index_bound, insert_index,
+                            iter_partitions, slot_ranges)
 from superrec.trengine import KernelWeights, TrSolver, run_tr
 from superrec.zoo import ZooSpec, zoo_build
 
@@ -248,19 +250,44 @@ def test_assembly_cut_keeps_every_column(monkeypatch, make, chi_max):
     assert sum(map(len, cut._columns.values())) > 20
 
 
+def ordered_bb_splits(solver, g, J, K):
+    """Every (B, B) split term of the assembly of F(l, J | K), in both
+    orders, as (g1, J1, K1, g2, J2, K2, weight): each distinct split of J,
+    each genus and each positioned split of K with an even first part, both
+    factors nonzero and neither the one-point line factor."""
+    for J1, J2, mult in distinct_splits(J):
+        for g1 in range(g + 1):
+            g2 = g - g1
+            for K1, K2, rho in iter_partitions(K):
+                if len(K1) % 2 or not (g1 or J1 or K1) or \
+                        not (g2 or J2 or K2):
+                    continue
+                if solver.eval_lower(g1, J1, K1, False) is None or \
+                        solver.eval_lower(g2, J2, K2, False) is None:
+                    continue
+                yield g1, J1, K1, g2, J2, K2, rho * mult
+
+
+def factor_keys(solver):
+    """id of each memoized lower factor -> its (g, bos, fer)."""
+    return {id(series): key[:3] for key, series in solver._factors.items()}
+
+
 @pytest.mark.parametrize("make, chi_max", CUT_CASES,
                          ids=["psi", "ramond", "phi11_t", "bessel"])
 def test_each_assembly_is_the_sum_of_its_mirrored_terms(make, chi_max):
     """Every quadratic series equals the sum, term by term, of x.sigma(y)
-    for (B, B), x.sigma(y) + sigma(x).y for (B, F) and (1/2)(x'.sigma(y) +
-    sigma(x').y) for (F, F), from uncut factors: adding the mirrored half
-    as one sigma-image changes no assembly."""
+    for (B, B), over both orders of each split, x.sigma(y) + sigma(x).y for
+    (B, F) and (1/2)(x'.sigma(y) + sigma(x').y) for (F, F), from uncut
+    factors: adding the mirrored half as one sigma-image changes no
+    assembly."""
     solver = TrSolver(make(), chi_max)
     solver.run()
     ring = solver.ring
     half = ring.rational(Fraction(1, 2))
+    keys = factor_keys(solver)
     kinds = set()
-    for g, J, K, fermionic in solver._columns:
+    for g, J, K, fermionic in list(solver._columns):
         pairs = ((False, True),) if fermionic else ((False, False),
                                                     (True, True))
         want = FormalSeries.zero(ring, min(solver.bases.trunc,
@@ -268,19 +295,60 @@ def test_each_assembly_is_the_sum_of_its_mirrored_terms(make, chi_max):
                                  1 if fermionic else 2, int(fermionic))
         if g == 1 and not J and not K and not fermionic:
             want = want + solver.bases.f0_diagonal
-        for first, second, x, y, weight in solver._factor_pairs(g, J, K,
-                                                                pairs):
-            if first:
-                x, weight = x.derive(), half * weight
-            term = x * y.sigma()
-            if second:
-                term = term + x.sigma() * y
-            want = want + term.scale(weight)
+        for pair in pairs:
+            for first, _, x, y, weight in solver._factor_pairs(g, J, K,
+                                                               (pair,)):
+                if pair == (False, False) and id(x) in keys:
+                    continue  # a (B, B) split: summed in both orders below
+                if first:
+                    x, weight = x.derive(), half * weight
+                term = x * y.sigma()
+                if pair != (False, False):
+                    term = term + x.sigma() * y
+                want = want + term.scale(weight)
+        if not fermionic:
+            for g1, J1, K1, g2, J2, K2, weight in ordered_bb_splits(
+                    solver, g, J, K):
+                x = solver.eval_lower(g1, J1, K1, False)
+                y = solver.eval_lower(g2, J2, K2, False)
+                want = want + (x * y.sigma()).scale(weight)
         got = solver._assemble(g, J, K, fermionic)
         assert got == want, (g, J, K, fermionic)
         assert (got.trunc, got.min_exp) == (want.trunc, want.min_exp)
         kinds.add(fermionic)
     assert kinds == {False, True}
+
+
+@pytest.mark.parametrize("make, chi_max", CUT_CASES,
+                         ids=["psi", "ramond", "phi11_t", "bessel"])
+def test_bb_splits_are_listed_once_per_swap(make, chi_max):
+    """The (B, B) split terms of each assembly, a mirrored one together
+    with its swap, are exactly the ordered splits, weights included, and
+    at least one split is listed once for two."""
+    solver = TrSolver(make(), chi_max)
+    solver.run()
+    keys = factor_keys(solver)
+    halved = 0
+    for g, J, K, fermionic in list(solver._columns):
+        if fermionic:
+            continue
+        listed = Counter()
+        for _, mirrored, x, y, weight in solver._factor_pairs(
+                g, J, K, ((False, False),)):
+            if id(x) not in keys:
+                assert not mirrored
+                continue  # an F_{g-1} term
+            first, second = keys[id(x)], keys[id(y)]
+            listed[first + second + (weight,)] += 1
+            if mirrored:
+                assert first < second
+                listed[second + first + (weight,)] += 1
+                halved += 1
+            else:
+                assert first == second
+        assert listed == Counter(ordered_bb_splits(solver, g, J, K)), \
+            (g, J, K)
+    assert halved
 
 
 def test_assembly_stops_at_the_kernel_top():
