@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .scalars import finish, mul_into
 from .store import (LazyTensor, UnsolvedEntry, deficit, distinct_splits,
                     insert_index, iter_partitions, slot_ranges)
 
@@ -219,9 +220,10 @@ class AirySolver(LazyTensor):
         The lead term is read with l opened in front of k: that is
         F_{g-1}(k, l, ...) for a bosonic k or l, and F_{g-1}(J|l,k,K) =
         -F_{g-1}(J|k,l,K) for two fermions, the lead term of xi2_ff."""
-        out = self.zero
         if not pairs:
-            return out
+            return self.zero
+        ring = self.ring
+        out = {}  # the raw sum of every term
         rows = {}
         for k, l, val in pairs:
             rows.setdefault(k, []).append((l, val))
@@ -229,10 +231,8 @@ class AirySolver(LazyTensor):
             for k, row in rows.items():
                 opened, sign = insert_index(k, k_fermionic, bos, fer)
                 if sign:
-                    lead = _contract(row, self.slice(
-                        g - 1, *opened, l_fermionic), self.zero)
-                    if lead:
-                        out = out + (lead if sign == 1 else -lead)
+                    _contract(ring, row, self.slice(
+                        g - 1, *opened, l_fermionic), out, sign)
         # the bosonic split sign is never used: each distinct split is
         # formed once and weighted by its multiplicity
         fer_splits = list(iter_partitions(fer))
@@ -249,16 +249,14 @@ class AirySolver(LazyTensor):
                     seconds = self.slice(g - g1, bos2, fer2, l_fermionic)
                     if not seconds:
                         continue
-                    part = self.zero
+                    weight = sign * mult
                     for k, a in firsts.items():
                         row = rows.get(k)
                         if row is not None:
-                            inner = _contract(row, seconds, self.zero)
-                            if inner:
-                                part = part + a * inner
-                    if part:
-                        out = out + part * (sign * mult)
-        return out
+                            inner = {}
+                            _contract(ring, row, seconds, inner)
+                            mul_into(ring, out, a.terms, inner, weight)
+        return finish(ring, out) or self.zero
 
     # --- level equations ---------------------------------------------------
 
@@ -405,13 +403,13 @@ def _place(index, fermionic, bos, fer):
     return (bos, (index,) + fer) if fermionic else ((index,) + bos, fer)
 
 
-def _contract(row, entries, out):
-    """out plus C * entries[l] over the (l, C) of a coefficient row."""
+def _contract(ring, row, entries, acc, weight=1):
+    """Add weight * C * entries[l] over the (l, C) of a coefficient row into
+    the raw sum acc (see scalars.mul_into)."""
     for l, val in row:
         entry = entries.get(l)
         if entry is not None:
-            out = out + val * entry
-    return out
+            mul_into(ring, acc, val.terms, entry.terms, weight)
 
 
 def run_airy(curve, chi_max):

@@ -7,7 +7,7 @@ nonnegative; the coefficient at (i, j) is unknown when i + j > trunc.
 
 from __future__ import annotations
 
-from .scalars import NotInvertible, accumulate
+from .scalars import NotInvertible, accumulate, finish_each, mul_into
 
 
 class BiSeries:
@@ -66,16 +66,21 @@ class BiSeries:
                         self.trunc)
 
     def __mul__(self, other):
+        ring = self.ring
         trunc = min(self.trunc + other.min_total(),
                     other.trunc + self.min_total())
-        coeffs = {}
+        sums = {}  # (i, j) -> raw sum of its products
         for (i1, j1), c1 in self.coeffs.items():
+            left = c1.terms
             for (i2, j2), c2 in other.coeffs.items():
                 key = (i1 + i2, j1 + j2)
                 if key[0] + key[1] > trunc:
                     continue
-                accumulate(coeffs, key, c1 * c2)
-        return BiSeries(self.ring, coeffs, trunc)
+                acc = sums.get(key)
+                if acc is None:
+                    acc = sums[key] = {}
+                mul_into(ring, acc, left, c2.terms)
+        return BiSeries(ring, finish_each(ring, sums), trunc)
 
     def __truediv__(self, other):
         """Exact quotient q = self / other for an invertible constant term
@@ -95,11 +100,13 @@ class BiSeries:
         rest = _by_degree({key: -(val * inv)
                            for key, val in other.coeffs.items() if any(key)})
         a = _by_degree(self.coeffs)
+        ring = self.ring
         q = {}
         for n in range(low, trunc + 1):
             top = n // 2 if sign else n  # the largest i summed
-            term = {i: val * inv for i, val in a.get(n, {}).items()
-                    if i <= top}
+            # i -> raw sum of the coefficient of z1^i z2^(n-i)
+            term = {i: dict((val * inv).terms)
+                    for i, val in a.get(n, {}).items() if i <= top}
             for k, b_k in rest.items():
                 q_rest = q.get(n - k)
                 if not q_rest:
@@ -107,10 +114,15 @@ class BiSeries:
                 for i1, c1 in b_k.items():
                     if i1 > top:
                         break
+                    left = c1.terms
                     for i2, c2 in q_rest.items():
                         if i2 > top - i1:
                             break
-                        accumulate(term, i1 + i2, c1 * c2)
+                        acc = term.get(i1 + i2)
+                        if acc is None:
+                            acc = term[i1 + i2] = {}
+                        mul_into(ring, acc, left, c2.terms)
+            term = finish_each(ring, term)
             part = q[n] = {i: term[i] for i in sorted(term)}
             if sign:
                 part.update({n - i: val if sign == 1 else -val

@@ -114,6 +114,55 @@ def _scalar(ring, terms):
     return out
 
 
+def mul_into(ring, acc, left, right, weight=1):
+    """Add the product of two term dicts (monomial -> Fraction), times a
+    rational weight, into the raw sum acc, monomial by monomial.
+
+    acc may hold zero coefficients until `finish` adopts it; so may left
+    and right, whose zeros add only zeros."""
+    for m1, c1 in left.items():
+        if weight != 1:
+            c1 = c1 * weight
+        for m2, c2 in right.items():
+            if not m1:
+                mono, coeff = m2, c1 * c2
+            elif not m2:
+                mono, coeff = m1, c1 * c2
+            else:
+                mono, factor = _monomial_product(ring, m1, m2)
+                coeff = c1 * c2 if factor is None else c1 * c2 * factor
+            old = acc.get(mono)
+            acc[mono] = coeff if old is None else old + coeff
+
+
+def add_into(acc, terms, weight=1):
+    """Add a term dict times a rational weight into the raw sum acc."""
+    for mono, coeff in terms.items():
+        if weight != 1:
+            coeff = coeff * weight
+        old = acc.get(mono)
+        acc[mono] = coeff if old is None else old + coeff
+
+
+def finish(ring, acc):
+    """The Scalar that adopts the raw sum acc with its zero coefficients
+    removed, or None when it is zero; acc must be held by no one else."""
+    for mono in [mono for mono, coeff in acc.items() if not coeff]:
+        del acc[mono]
+    return _scalar(ring, acc) if acc else None
+
+
+def finish_each(ring, sums):
+    """key -> Scalar for each raw sum of sums that is not zero (see
+    `finish`)."""
+    out = {}
+    for key, acc in sums.items():
+        value = finish(ring, acc)
+        if value is not None:
+            out[key] = value
+    return out
+
+
 def accumulate(terms, key, value):
     """Add value to terms[key] in place; a zero result leaves no entry."""
     old = terms.get(key)
@@ -234,18 +283,8 @@ class Scalar:
             c2 = right[()]
             return _scalar(ring, {m: c * c2 for m, c in left.items()})
         terms = {}
-        for m1, c1 in left.items():
-            for m2, c2 in right.items():
-                if not m1:
-                    accumulate(terms, m2, c1 * c2)
-                elif not m2:
-                    accumulate(terms, m1, c1 * c2)
-                else:
-                    mono, factor = _monomial_product(ring, m1, m2)
-                    coeff = c1 * c2
-                    accumulate(terms, mono,
-                               coeff if factor is None else coeff * factor)
-        return _scalar(ring, terms)
+        mul_into(ring, terms, left, right)
+        return finish(ring, terms) or _scalar(ring, {})
 
     __rmul__ = __mul__
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import NotInvertible, Scalar, accumulate
+from .scalars import (NotInvertible, Scalar, accumulate, finish,
+                      finish_each, mul_into)
 
 
 class TruncationError(Exception):
@@ -125,14 +126,20 @@ class FormalSeries:
             return self.scale(other)
         if not isinstance(other, FormalSeries):
             return NotImplemented
+        ring = self.ring
         trunc = min(self.trunc + other.min_exp, other.trunc + self.min_exp)
         min_exp = self.min_exp + other.min_exp
-        coeffs = {}
+        sums = {}  # exponent -> raw sum of its products
         for k1, c1 in self.coeffs.items():
+            left = c1.terms
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
                 if k <= trunc:
-                    accumulate(coeffs, k, c1 * c2)
+                    acc = sums.get(k)
+                    if acc is None:
+                        acc = sums[k] = {}
+                    mul_into(ring, acc, left, c2.terms)
+        coeffs = finish_each(ring, sums)
         if self.theta and other.theta:
             # T*T = z dz: shift every exponent up by one
             coeffs = {k + 1: c for k, c in coeffs.items()}
@@ -200,18 +207,19 @@ class FormalSeries:
         rest = sorted((k - lead, c) for k, c in self.coeffs.items()
                       if k != lead)
         # a is known to relative degree trunc - lead, and so is b
+        ring = self.ring
         b = {0: inv_lead}
         for n in range(1, self.trunc - lead + 1):
-            total = None
+            acc = {}
             for k, a_k in rest:
                 if k > n:
                     break
                 b_rest = b.get(n - k)
                 if b_rest is not None:
-                    term = a_k * b_rest
-                    total = term if total is None else total + term
+                    mul_into(ring, acc, a_k.terms, b_rest.terms)
             # b_0 is a unit, so b_n is zero only when the sum is
-            if total:
+            total = finish(ring, acc)
+            if total is not None:
                 b[n] = -(inv_lead * total)
         return _series(self.ring, {n - lead: c for n, c in b.items()},
                        self.trunc - 2 * lead, -self.dz_weight, 0, -lead)

@@ -10,12 +10,15 @@ the algebra relations and the degree-one normalization of the recombined
 (hatted) operators pointwise on sample polynomials. The annihilation
 oracle checks a computed coefficient tensor against the constraints.
 
-Each quadratic mode is a sum over pair labels, of which only those whose
-annihilators find their variable in the polynomial are applied, so its cost
-follows the polynomial's support. A polynomial keeps each L or G image of
-itself that is computed (`FockPoly.images`), so applying the same mode with
-the same shift data to it again returns that image, which keeps its own
-images in turn.
+Every mode acts one monomial at a time: a J or Gamma mode sends a monomial
+to (monomial, factor) pairs, and a pair of them is the composition of two
+such calls. A quadratic mode is a sum over pair labels, of which only those
+whose annihilators find their variable in the monomial are applied to it,
+so its cost follows the support; its terms are added as raw coefficients,
+and each coefficient of the image becomes one Scalar. A polynomial keeps
+each L or G image of itself that is computed (`FockPoly.images`), so
+applying the same mode with the same shift data to it again returns that
+image, which keeps its own images in turn.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .scalars import accumulate
+from .scalars import Scalar, accumulate, add_into, finish_each, mul_into
 from .store import canonical, insert_index
 
 
@@ -84,7 +87,10 @@ class FockPoly:
                         {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        terms = dict(self.terms)
+        for key, val in other.terms.items():
+            accumulate(terms, key, -val)
+        return FockPoly(self.ring, self.cap, terms)
 
     def scale(self, scalar):
         """Multiply by a Scalar, or by an int or Fraction taken as is."""
@@ -114,53 +120,6 @@ class FockPoly:
                  if len(k[0]) + len(k[1]) == 1 and k[2] == 0}
         return FockPoly(self.ring, self.cap, terms)
 
-    # --- elementary actions -------------------------------------------------
-
-    def mul_x(self, a):
-        assert a >= 1
-        if a > self.cap and self.terms:
-            raise CapExceeded(f"x^{a} beyond cap {self.cap}")
-        terms = {}
-        for (bos, fer, h), val in self.terms.items():
-            slots, _ = insert_index(a, False, bos, fer)
-            terms[slots + (h,)] = val
-        return FockPoly(self.ring, self.cap, terms)
-
-    def diff_x(self, a):
-        """hbar * d/dx^a."""
-        terms = {}
-        for (bos, fer, h), val in self.terms.items():
-            mult = bos.count(a)
-            if not mult:
-                continue
-            reduced = list(bos)
-            reduced.remove(a)
-            key = (tuple(reduced), fer, h + 1)
-            accumulate(terms, key, val * mult)
-        return FockPoly(self.ring, self.cap, terms)
-
-    def mul_theta(self, a):
-        assert a >= 0
-        if a > self.cap and self.terms:
-            raise CapExceeded(f"theta^{a} beyond cap {self.cap}")
-        terms = {}
-        for (bos, fer, h), val in self.terms.items():
-            slots, sign = insert_index(a, True, bos, fer)
-            if sign:
-                terms[slots + (h,)] = val if sign == 1 else -val
-        return FockPoly(self.ring, self.cap, terms)
-
-    def diff_theta(self, a):
-        """hbar * (left derivative) d/dtheta^a."""
-        terms = {}
-        for (bos, fer, h), val in self.terms.items():
-            if a not in fer:
-                continue
-            pos = fer.index(a)
-            new_fer = fer[:pos] + fer[pos + 1:]
-            terms[(bos, new_fer, h + 1)] = val if pos % 2 == 0 else -val
-        return FockPoly(self.ring, self.cap, terms)
-
 
 class ShiftData:
     """Dilaton-shift and polarization tables for mode conjugation."""
@@ -174,6 +133,17 @@ class ShiftData:
         self.max_index = max(
             [0] + [k for k in self.tau]
             + [max(p) for p in self.phi] + [max(p) for p in self.psi])
+        # i -> the (k, phi_ik / k) of the terms phi_ik / k J_k of J_-i, and
+        # the (k, psi_ki) of the terms psi_ki Gamma_k of Gamma_-i
+        self.phi_rows = {}
+        for (i, k), val in sorted(self.phi.items()):
+            if k >= 1:
+                self.phi_rows.setdefault(i, []).append(
+                    (k, val * Fraction(1, k)))
+        self.psi_columns = {}
+        for (k, i), val in sorted(self.psi.items()):
+            if k >= 0:
+                self.psi_columns.setdefault(i, []).append((k, val))
 
     @classmethod
     def from_curve(cls, curve):
@@ -183,60 +153,130 @@ class ShiftData:
         return cls(curve.ring, curve.epsilon, dict(curve.tau), phi, psi)
 
 
-def _apply_plain(kind, index, p):
-    if kind == "J":
-        if index > 0:
-            return p.diff_x(index)
-        if index == 0:
-            return FockPoly(p.ring, p.cap)
-        return p.mul_x(-index).scale(-index)
-    assert kind == "Gamma"
+# --- modes on one monomial ---------------------------------------------------
+#
+# A mode sends the monomial of a key (bos, fer, h), taken with coefficient 1,
+# to a list of (key, factor) pairs. A factor is an int or a Fraction, or a
+# tau, phi or psi Scalar for a term of the shift data.
+
+
+def _lowered(index, fermionic, key):
+    """hbar d/dx^index (hbar times the left derivative d/dtheta^index when
+    fermionic) on the monomial key, as one (key, factor) pair, or None
+    when the monomial does not hold the variable."""
+    bos, fer, h = key
+    if fermionic:
+        if index not in fer:
+            return None
+        pos = fer.index(index)
+        return (bos, fer[:pos] + fer[pos + 1:], h + 1), -1 if pos % 2 else 1
+    mult = bos.count(index)
+    if not mult:
+        return None
+    pos = bos.index(index)
+    return (bos[:pos] + bos[pos + 1:], fer, h + 1), mult
+
+
+def _raised(index, fermionic, key, cap):
+    """x^index (theta^index when fermionic, multiplied from the left) times
+    the monomial key, as one (key, sign) pair, or None when theta^index is
+    already there; CapExceeded for an index above the cap."""
+    if index > cap:
+        raise CapExceeded(
+            f"{'theta' if fermionic else 'x'}^{index} beyond cap {cap}")
+    bos, fer, h = key
+    slots, sign = insert_index(index, fermionic, bos, fer)
+    return (slots + (h,), sign) if sign else None
+
+
+def _plain_terms(kind, index, key, cap):
+    """The plain mode J or Gamma of this index on the monomial key."""
+    fermionic = kind == "Gamma"
     if index > 0:
-        return p.diff_theta(index)
-    if index == 0:
-        half = p.ring.rational(Fraction(1, 2))
-        return p.mul_theta(0).scale(half) + p.diff_theta(0)
-    return p.mul_theta(-index)
-
-
-def _apply_shifted(kind, index, p, shift):
-    """One mode, with negative (and Gamma-zero) modes shift-expanded."""
-    out = _apply_plain(kind, index, p)
-    if shift is None:
-        return out
-    if kind == "J" and index < 0:
-        i = -index
-        tau = shift.tau.get(i)
-        if tau:
-            out = out + p.scale(tau)
-        for k in range(1, shift.max_index + 1):
-            val = shift.phi.get((i, k))
-            if val:
-                out = out + p.diff_x(k).scale(val * Fraction(1, k))
-    elif kind == "Gamma" and index <= 0:
-        i = -index
-        for k in range(0, shift.max_index + 1):
-            val = shift.psi.get((k, i))
-            if val:
-                out = out + _apply_plain("Gamma", k, p).scale(val)
+        term = _lowered(index, fermionic, key)
+        return [term] if term else []
+    if index < 0:
+        term = _raised(-index, fermionic, key, cap)
+        if term is None:
+            return []
+        return [term if fermionic else (term[0], -index)]
+    if not fermionic:
+        return []  # J_0
+    # Gamma_0 = theta^0 / 2 + hbar d/dtheta^0
+    out = []
+    term = _raised(0, True, key, cap)
+    if term:
+        out.append((term[0], Fraction(term[1], 2)))
+    term = _lowered(0, True, key)
+    if term:
+        out.append(term)
     return out
 
 
-def _apply_pair(kind1, i1, kind2, i2, p, shift):
-    """Normal-ordered product of two modes applied to p.
+def _mode_terms(kind, index, key, cap, shift=None):
+    """The mode J or Gamma of this index on the monomial key; with shift
+    data, a negative mode (and Gamma_0) is expanded into the tilde mode:
+    J_-i + tau_i + sum_k phi_ik / k J_k, or Gamma_-i + sum_k psi_ki
+    Gamma_k."""
+    out = _plain_terms(kind, index, key, cap)
+    if shift is None or index > 0:
+        return out
+    i = -index
+    if kind == "J":
+        if i:
+            tau = shift.tau.get(i)
+            if tau:
+                out.append((key, tau))
+            for k, val in shift.phi_rows.get(i, ()):
+                term = _lowered(k, False, key)
+                if term:
+                    out.append((term[0], val * term[1]))
+    else:
+        for k, val in shift.psi_columns.get(i, ()):
+            out.extend((new, val * factor)
+                       for new, factor in _plain_terms("Gamma", k, key, cap))
+    return out
+
+
+def _pair_terms(kind1, i1, kind2, i2, key, cap, shift):
+    """The normal-ordered product :A_i1 B_i2: of two modes on the monomial
+    key.
 
     The annihilator-left/creator-right case is reordered (with a sign for
     two odd modes); in every other case the written order already equals
     the normal-ordered operator.
     """
     if i1 > 0 and i2 < 0:
-        out = _apply_shifted(kind2, i2, _apply_shifted(kind1, i1, p, shift),
-                             shift)
-        if kind1 == "Gamma" and kind2 == "Gamma":
-            out = -out
-        return out
-    return _apply_shifted(kind1, i1, _apply_shifted(kind2, i2, p, shift),
-                          shift)
+        first, then = (kind1, i1), (kind2, i2)
+        sign = -1 if kind1 == kind2 == "Gamma" else 1
+    else:
+        first, then = (kind2, i2), (kind1, i1)
+        sign = 1
+    return [(end, sign * f1 * f2)
+            for mid, f1 in _mode_terms(*first, key, cap, shift)
+            for end, f2 in _mode_terms(*then, mid, cap, shift)]
+
+
+def _add_term(ring, sums, key, c, factor, weight=1):
+    """Add the Scalar c times a factor (an int, Fraction or Scalar) and a
+    rational weight into the raw sum sums[key]."""
+    acc = sums.get(key)
+    if acc is None:
+        acc = sums[key] = {}
+    if factor.__class__ is Scalar:
+        mul_into(ring, acc, c.terms, factor.terms, weight)
+    else:
+        add_into(acc, c.terms, factor * weight)
+
+
+def _apply(kind, index, p, shift=None):
+    """The mode J or Gamma of this index on p; with shift data, the tilde
+    mode."""
+    ring, cap, sums = p.ring, p.cap, {}
+    for key, c in p.terms.items():
+        for new, factor in _mode_terms(kind, index, key, cap, shift):
+            _add_term(ring, sums, new, c, factor)
+    return FockPoly(ring, cap, finish_each(ring, sums))
 
 
 def _acts(kind, index, support):
@@ -253,34 +293,32 @@ def _acts(kind, index, support):
 def _pair_sum(p, shift, total, families):
     """Sum over (kind1, kind2, weight) of sum_k weight(k) :A_k B_(total-k): p.
 
-    `_apply_pair` applies a positive mode before any creator, so it sees at
-    most the variables of p and theta^0: a label is applied only when both
-    of its modes act on the support of p. Those are the labels whose
-    positive mode holds a variable of p, and the range total <= k <= 0
-    where neither mode is positive.
+    `_pair_terms` applies a positive mode before any creator, so on a
+    monomial it sees at most the monomial's variables and theta^0: a label
+    is applied to a monomial only when both of its modes act on the
+    monomial's support. Those are the labels whose positive mode holds one
+    of its variables, and the range total <= k <= 0 where neither mode is
+    positive.
     """
-    support = {"J": set(), "Gamma": set()}  # indices of the variables p holds
-    for bos, fer, _ in p.terms:
-        support["J"].update(bos)
-        support["Gamma"].update(fer)
-    ring = p.ring
-    terms = {}
-    for kind1, kind2, weight in families:
-        labels = set(range(total, 1))
-        labels.update(support[kind1])
-        labels.update(total - a for a in support[kind2])
-        for k in sorted(labels):
-            if not (_acts(kind1, k, support)
-                    and _acts(kind2, total - k, support)):
-                continue
-            w = weight(k)
-            if not w:
-                continue
-            term = _apply_pair(kind1, k, kind2, total - k, p, shift)
-            for key, val in term.terms.items():
-                val = val * w
-                terms[key] = terms[key] + val if key in terms else val
-    return FockPoly(ring, p.cap, terms)
+    ring, cap = p.ring, p.cap
+    sums = {}  # key -> raw sum of its terms
+    for key, c in p.terms.items():
+        held = {"J": key[0], "Gamma": key[1]}  # the variables it holds
+        for kind1, kind2, weight in families:
+            labels = set(range(total, 1))
+            labels.update(held[kind1])
+            labels.update(total - a for a in held[kind2])
+            for k in sorted(labels):
+                if not (_acts(kind1, k, held)
+                        and _acts(kind2, total - k, held)):
+                    continue
+                w = weight(k)
+                if not w:
+                    continue
+                for new, factor in _pair_terms(kind1, k, kind2, total - k,
+                                               key, cap, shift):
+                    _add_term(ring, sums, new, c, factor, w)
+    return FockPoly(ring, cap, finish_each(ring, sums))
 
 
 def _image(kind, label, p, shift, compute):
@@ -313,12 +351,16 @@ def _sum_G(m, p, shift):
 
 
 def _apply_L(n, p, shift):
-    assert n >= -1
+    """L_2n on p, for n >= -1."""
+    if n < -1:
+        raise ValueError(f"L_{2 * n}: L labels are even and >= -2")
     return _image("L", n, p, shift, _sum_L)
 
 
 def _apply_G(m, p, shift):
-    assert m >= -1
+    """G_(2m+1) on p, for m >= -1."""
+    if m < -1:
+        raise ValueError(f"G_{2 * m + 1}: G labels are odd and >= -1")
     return _image("G", m, p, shift, _sum_G)
 
 
@@ -326,16 +368,16 @@ def apply_mode(kind, label, p, shift=None):
     """Exact action of the mode J, Gamma, L or G of this label on a Fock
     polynomial; with shift data, the conjugated (tilde) mode."""
     if kind == "L":
-        if label % 2 or label < -2:
+        if label % 2:
             raise ValueError(f"L_{label}: L labels are even and >= -2")
         return _apply_L(label // 2, p, shift)
     if kind == "G":
-        if label % 2 == 0 or label < -1:
+        if label % 2 == 0:
             raise ValueError(f"G_{label}: G labels are odd and >= -1")
         return _apply_G((label - 1) // 2, p, shift)
     if kind not in ("J", "Gamma"):
         raise ValueError(f"unknown mode kind {kind!r}")
-    return _apply_shifted(kind, label, p, shift)
+    return _apply(kind, label, p, shift)
 
 
 # --- relation checks ----------------------------------------------------------
@@ -421,17 +463,17 @@ def check_commutator(relation, a, b, sample):
     L = lambda q: _apply_L(a, q, None)
     G = lambda q: _apply_G(a, q, None)
     if relation == "comm1":
-        J = partial(_apply_plain, "J", 2 * b)
+        J = partial(_apply, "J", 2 * b)
         return (_linear(L, J, p, 2 * b,
-                        partial(_apply_plain, "J", 2 * a + 2 * b))
+                        partial(_apply, "J", 2 * a + 2 * b))
                 and _linear(G, J, p, 2 * b,
-                            partial(_apply_plain, "Gamma", 2 * a + 2 * b + 1)))
+                            partial(_apply, "Gamma", 2 * a + 2 * b + 1)))
     if relation == "comm2":
-        gamma = partial(_apply_plain, "Gamma", 2 * b - 1)
+        gamma = partial(_apply, "Gamma", 2 * b - 1)
         return (_linear(L, gamma, p, a + 2 * b - 1,
-                        partial(_apply_plain, "Gamma", 2 * a + 2 * b - 1))
+                        partial(_apply, "Gamma", 2 * a + 2 * b - 1))
                 and _linear(G, gamma, p, -1,
-                            partial(_apply_plain, "J", 2 * a + 2 * b),
+                            partial(_apply, "J", 2 * a + 2 * b),
                             anti=True))
     raise ValueError(f"unknown relation {relation}")
 
@@ -439,11 +481,11 @@ def check_commutator(relation, a, b, sample):
 def check_heisenberg_clifford(a, b, sample):
     """[J_a,J_b] = a hbar delta, {Gamma_a,Gamma_b} = hbar delta, [J,Gamma]=0."""
     p = sample
-    J_a, J_b = partial(_apply_plain, "J", a), partial(_apply_plain, "J", b)
-    gamma_b = partial(_apply_plain, "Gamma", b)
+    J_a, J_b = partial(_apply, "J", a), partial(_apply, "J", b)
+    gamma_b = partial(_apply, "Gamma", b)
     delta = int(a + b == 0)
     return (_linear(J_a, J_b, p, a * delta)
-            and _linear(partial(_apply_plain, "Gamma", a), gamma_b, p, delta,
+            and _linear(partial(_apply, "Gamma", a), gamma_b, p, delta,
                         anti=True)
             and _linear(J_a, gamma_b, p, 0))
 
@@ -472,7 +514,7 @@ def _hatted(odd, i, p, shift, i_limit):
         if k % 2 == 0:
             j = i + k // 2 - 2 + off + odd
             if j > 0:
-                mode = _apply_plain("Gamma" if odd else "J", 2 * j - odd, p)
+                mode = _apply("Gamma" if odd else "J", 2 * j - odd, p)
                 out = out + mode.scale(tau)
         elif k > eps:
             out = out - _hatted(odd, i + (k - 1) // 2 - 1 + off, p, shift,

@@ -21,10 +21,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .curve import CurveBases
+from .scalars import finish_each, mul_into
 from .series import FormalSeries, TruncationError
 from .store import (IndexBoundError, LazyTensor, canonical, deficit,
-                    distinct_splits, insert_index, iter_partitions,
-                    slot_ranges)
+                    distinct_splits, index_bound, insert_index,
+                    iter_partitions, slot_ranges)
 
 
 class NonzeroEvenIndex(Exception):
@@ -99,6 +100,14 @@ class TrSolver(LazyTensor):
         super().__init__(curve.ring, chi_max, curve.epsilon)
         self.bases = CurveBases(curve, chi_max)
         self.kernel = KernelWeights(self.bases)
+        # _product reads a factor through kernel.top minus the lowest
+        # exponent of its partner. A slot basis series of index c starts at
+        # -c - 1, and c is at most the index bound B of chi_max, so a
+        # factor is read through kernel.top + B + 1 at most (a derived
+        # partner starts one lower, but beside two T factors, whose product
+        # lifts the cut by one): each row sum stops there.
+        self._row_top = self.kernel.top + index_bound(chi_max,
+                                                      self.epsilon) + 1
         self._half = self.ring.rational(Fraction(1, 2))
         self._factors = {}
         self._columns = {}
@@ -123,10 +132,19 @@ class TrSolver(LazyTensor):
         bases = self.bases
         if not closed:
             basis = (bases.dxi_minus, bases.eta_minus)[fermionic]
-            out = FormalSeries.zero(self.ring, bases.trunc,
-                                    int(not fermionic), int(fermionic))
+            ring = self.ring
+            sums = {}  # exponent -> raw sum of the weighted basis terms
+            trunc, min_exp = bases.trunc, bases.trunc + 1
             for c, val in row.items():
-                out = out + basis(c).scale(val)
+                series = basis(c).cut(self._row_top)
+                trunc, min_exp = series.trunc, min(min_exp, series.min_exp)
+                for k, coeff in series.coeffs.items():
+                    acc = sums.get(k)
+                    if acc is None:
+                        acc = sums[k] = {}
+                    mul_into(ring, acc, coeff.terms, val.terms)
+            out = FormalSeries(ring, finish_each(ring, sums), trunc,
+                               int(not fermionic), int(fermionic), min_exp)
         elif fermionic:
             k = fer[0]
             out = bases.eta_plus(k) if k else bases.eta_zero.scale(self._half)

@@ -3,8 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superrec.biseries import BiSeries
 from superrec.scalars import (
-    NotInvertible, Ring, RingMismatch, Scalar, ScalarParseError)
+    NotInvertible, Ring, RingMismatch, Scalar, ScalarParseError, finish,
+    mul_into)
+from superrec.series import FormalSeries
 
 
 @pytest.fixture
@@ -265,3 +268,108 @@ def test_fast_path_keeps_ring_checks():
     assert (s1 - 2) * (s2 + 2) == 0
     assert first.rational(3) * second.rational(5) == 15
     assert first.one() + second.one() == 2
+
+
+# --- raw accumulation: one Scalar per sum of products ------------------------
+
+
+def _pool(ring):
+    """Elements of the ring whose sums and products cancel: opposite
+    rationals and symbols, and (s - 2)(s + 2) = 0 when s^2 = 4."""
+    out = [ring.rational(v) for v in (1, -1, Fraction(1, 2), Fraction(-3, 2))]
+    for name in ring.squares:
+        sym = ring.symbol(name)
+        out += [sym, -sym, sym - 2, sym + 2, sym * Fraction(1, 3) - 1]
+    return out
+
+
+@st.composite
+def ring_and_products(draw):
+    """A ring of FAST_PATH_RINGS and (a, b, weight) triples whose products
+    often cancel, each term sometimes repeated with the opposite weight."""
+    ring = Ring(FAST_PATH_RINGS[draw(st.sampled_from(
+        sorted(FAST_PATH_RINGS)))])
+    pool = _pool(ring)
+    elements = st.one_of(st.sampled_from(pool), st.builds(
+        lambda a, b: a + b, st.sampled_from(pool), st.sampled_from(pool)))
+    triples = []
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(elements), draw(elements)
+        weight = draw(st.sampled_from([1, -1, 2, Fraction(-1, 2)]))
+        triples.append((a, b, weight))
+        if draw(st.booleans()):
+            triples.append((b, a, -weight))
+    return ring, triples
+
+
+@settings(derandomize=True, max_examples=200)
+@given(ring_and_products())
+def test_raw_accumulation_equals_the_sum_of_scalar_products(drawn):
+    ring, triples = drawn
+    acc, want = {}, ring.zero()
+    for a, b, weight in triples:
+        mul_into(ring, acc, a.terms, b.terms, weight)
+        want = want + a * b * weight
+    got = finish(ring, acc)
+    if want:
+        assert got.terms == want.terms and _canonical(got), triples
+        assert got.ring is ring
+    else:
+        assert got is None, triples
+
+
+def test_raw_accumulation_drops_a_product_that_vanishes():
+    ring = Ring([("s", 4)])
+    s = ring.symbol("s")
+    acc = {}
+    mul_into(ring, acc, (s - 2).terms, (s + 2).terms)
+    assert finish(ring, acc) is None
+    assert ((s - 2) * (s + 2)).terms == {}
+
+
+def _series_elements(ring):
+    return st.dictionaries(st.integers(0, 4), st.sampled_from(_pool(ring)),
+                           max_size=4)
+
+
+@st.composite
+def ring_and_series(draw):
+    ring = Ring(FAST_PATH_RINGS[draw(st.sampled_from(
+        sorted(FAST_PATH_RINGS)))])
+    return ring, draw(_series_elements(ring)), draw(_series_elements(ring))
+
+
+@settings(derandomize=True, max_examples=100)
+@given(ring_and_series())
+def test_products_store_no_zero_coefficient(drawn):
+    # the coefficients of FormalSeries and BiSeries products, and of a
+    # BiSeries quotient, are the Scalar sums of their terms, and a sum that
+    # cancels is not stored
+    ring, first, second = drawn
+    x = FormalSeries(ring, first, 6)
+    y = FormalSeries(ring, second, 6)
+    trunc = min(x.trunc + y.min_exp, y.trunc + x.min_exp)
+    want = {}
+    for k1, c1 in first.items():
+        for k2, c2 in second.items():
+            if k1 + k2 <= trunc:
+                want[k1 + k2] = want.get(k1 + k2, ring.zero()) + c1 * c2
+    assert (x * y).coeffs == {k: c for k, c in want.items() if c}
+    assert all((x * y).coeffs.values())
+    a = BiSeries(ring, {(k, 4 - k): c for k, c in first.items()}, 8)
+    b = BiSeries(ring, {(k % 3, k // 3): c for k, c in second.items()}, 8)
+    want = {}
+    for (i1, j1), c1 in a.coeffs.items():
+        for (i2, j2), c2 in b.coeffs.items():
+            key = (i1 + i2, j1 + j2)
+            want[key] = want.get(key, ring.zero()) + c1 * c2
+    trunc = min(a.trunc + b.min_total(), b.trunc + a.min_total())
+    assert (a * b).coeffs == {key: c for key, c in want.items()
+                              if c and sum(key) <= trunc}
+    quotient = a / (b + BiSeries.constant(ring, 1, 8)
+                    - BiSeries.constant(ring, b.coeff(0, 0), 8))
+    assert all(quotient.coeffs.values())
+    assert all(value.terms and all(value.terms.values())
+               for value in list((x * y).coeffs.values())
+               + list((a * b).coeffs.values())
+               + list(quotient.coeffs.values()))

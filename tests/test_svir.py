@@ -101,24 +101,33 @@ def test_pinned_mode_values():
     assert apply_mode("J", 7, mono(bos=(1,))).is_zero()
 
 
+def theta_times(p, a):
+    """theta^a p, multiplied from the left, through the modes: Gamma_-a, or
+    2 Gamma_0 on a p without theta^0 (where hbar d/dtheta^0 vanishes)."""
+    if a:
+        return apply_mode("Gamma", -a, p)
+    assert all(0 not in fer for _, fer, _ in p.terms)
+    return apply_mode("Gamma", 0, p).scale(2)
+
+
 def test_theta_ordering_signs():
-    # theta^2 * theta^0 = -theta^0 theta^2
-    p = mono(fer=(2,)).mul_theta(0)
+    # theta^0 * theta^2 = theta^0 theta^2, theta^2 * theta^0 = -theta^0 theta^2
+    p = theta_times(mono(fer=(2,)), 0)
     assert p == mono(fer=(0, 2))
-    q = mono(fer=(0,)).mul_theta(2)
+    q = theta_times(mono(fer=(0,)), 2)
     assert q == mono(fer=(0, 2), coeff=-1)
-    assert mono(fer=(1,)).mul_theta(1).is_zero()
+    assert theta_times(mono(fer=(1,)), 1).is_zero()
 
 
 def test_theta_order_is_read_the_same_everywhere():
     # monomial and component take the theta factors in the order written,
-    # as chained mul_theta builds them: theta^2 theta^0 = -theta^0 theta^2
+    # as chained creators build them: theta^2 theta^0 = -theta^0 theta^2
     assert mono(fer=(2, 0)) == -mono(fer=(0, 2))
     for size in range(5):
         for fer in permutations((0, 1, 3, 4), size):
             written = FockPoly.one(RING, CAP)
             for a in reversed(fer):
-                written = written.mul_theta(a)
+                written = theta_times(written, a)
             inversions = sum(a > b for i, a in enumerate(fer)
                              for b in fer[i + 1:])
             sign = (-1) ** inversions
@@ -134,7 +143,7 @@ def test_theta_order_is_read_the_same_everywhere():
 def test_cap_exceeded_only_for_live_creators():
     small = FockPoly.monomial(RING, 2, bos=(1,))
     with pytest.raises(CapExceeded):
-        small.mul_x(3)
+        apply_mode("J", -3, small)
     # L_{-2} on a cap-2 polynomial needs creators of index <= 2 only
     assert not apply_mode("L", -2, FockPoly.one(RING, 2)).is_zero()
     # a creator paired with a vanishing annihilator is never built: this
@@ -148,10 +157,14 @@ def test_invalid_inputs_raise_under_optimized_python():
     src = os.path.dirname(os.path.dirname(os.path.abspath(superrec.__file__)))
     code = """
 from superrec.scalars import Ring
-from superrec.svir import FockPoly, apply_mode
+from superrec.svir import FockPoly, apply_mode, check_commutator
 one = FockPoly.one(Ring([]), 4)
 for make in (lambda: apply_mode("L", 3, one), lambda: apply_mode("G", 2, one),
+             lambda: apply_mode("L", -4, one),
+             lambda: apply_mode("G", -3, one),
              lambda: apply_mode("Q", 1, one),
+             lambda: check_commutator("comm3", -2, 0, one),
+             lambda: check_commutator("comm5", 0, -2, one),
              lambda: FockPoly.monomial(Ring([]), 4, fer=(1, 1)),
              lambda: FockPoly.monomial(Ring([]), 4, bos=(0,))):
     try:
@@ -166,8 +179,117 @@ for make in (lambda: apply_mode("L", 3, one), lambda: apply_mode("G", 2, one),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 5 and all(line.startswith("ValueError: ")
+    assert len(lines) == 9 and all(line.startswith("ValueError: ")
                                    for line in lines), lines
+
+
+# --- the reference: modes composed on whole polynomials ----------------------
+#
+# svir applies every mode one monomial at a time. The reference below shares
+# none of that code: it multiplies and differentiates whole polynomials, and
+# composes two modes by applying one to the polynomial the other returned.
+
+
+def ref_mul_x(p, a):
+    if a > p.cap and p.terms:
+        raise CapExceeded(f"x^{a} beyond cap {p.cap}")
+    terms = {}
+    for (bos, fer, h), val in p.terms.items():
+        terms[(tuple(sorted(bos + (a,))), fer, h)] = val
+    return FockPoly(p.ring, p.cap, terms)
+
+
+def ref_diff_x(p, a):
+    """hbar * d/dx^a."""
+    terms = {}
+    for (bos, fer, h), val in p.terms.items():
+        if a in bos:
+            reduced = list(bos)
+            reduced.remove(a)
+            terms[(tuple(reduced), fer, h + 1)] = val * bos.count(a)
+    return FockPoly(p.ring, p.cap, terms)
+
+
+def ref_mul_theta(p, a):
+    """theta^a multiplied from the left."""
+    if a > p.cap and p.terms:
+        raise CapExceeded(f"theta^{a} beyond cap {p.cap}")
+    terms = {}
+    for (bos, fer, h), val in p.terms.items():
+        if a not in fer:
+            below = sum(b < a for b in fer)
+            key = (bos, tuple(sorted(fer + (a,))), h)
+            terms[key] = -val if below % 2 else val
+    return FockPoly(p.ring, p.cap, terms)
+
+
+def ref_diff_theta(p, a):
+    """hbar * (left derivative) d/dtheta^a."""
+    terms = {}
+    for (bos, fer, h), val in p.terms.items():
+        if a in fer:
+            pos = fer.index(a)
+            terms[(bos, fer[:pos] + fer[pos + 1:], h + 1)] = \
+                -val if pos % 2 else val
+    return FockPoly(p.ring, p.cap, terms)
+
+
+def ref_plain(kind, index, p):
+    if kind == "J":
+        if index > 0:
+            return ref_diff_x(p, index)
+        if index == 0:
+            return FockPoly(p.ring, p.cap)
+        return ref_mul_x(p, -index).scale(-index)
+    if index > 0:
+        return ref_diff_theta(p, index)
+    if index == 0:
+        return ref_mul_theta(p, 0).scale(Fraction(1, 2)) \
+            + ref_diff_theta(p, 0)
+    return ref_mul_theta(p, -index)
+
+
+def ref_shifted(kind, index, p, shift):
+    """One mode, with negative (and Gamma-zero) modes shift-expanded."""
+    out = ref_plain(kind, index, p)
+    if shift is None:
+        return out
+    if kind == "J" and index < 0:
+        i = -index
+        tau = shift.tau.get(i)
+        if tau:
+            out = out + p.scale(tau)
+        for k in range(1, shift.max_index + 1):
+            val = shift.phi.get((i, k))
+            if val:
+                out = out + ref_diff_x(p, k).scale(val * Fraction(1, k))
+    elif kind == "Gamma" and index <= 0:
+        i = -index
+        for k in range(0, shift.max_index + 1):
+            val = shift.psi.get((k, i))
+            if val:
+                out = out + ref_plain("Gamma", k, p).scale(val)
+    return out
+
+
+def ref_pair(kind1, i1, kind2, i2, p, shift):
+    """Normal-ordered product of two modes applied to p: an annihilator
+    written left of a creator is applied first (with a sign for two odd
+    modes)."""
+    if i1 > 0 and i2 < 0:
+        out = ref_shifted(kind2, i2, ref_shifted(kind1, i1, p, shift), shift)
+        if kind1 == "Gamma" and kind2 == "Gamma":
+            out = -out
+        return out
+    return ref_shifted(kind1, i1, ref_shifted(kind2, i2, p, shift), shift)
+
+
+def test_reference_theta_signs_match_monomial():
+    for fer in permutations((0, 1, 3), 3):
+        written = FockPoly.one(RING, CAP)
+        for a in reversed(fer):
+            written = ref_mul_theta(written, a)
+        assert written == mono(fer=fer), fer
 
 
 # --- the pair sums act only where the polynomial has support ------------------
@@ -184,32 +306,47 @@ def _window(p, n, shift):
     return range(-reach, reach + 1)
 
 
-def _window_sum(p, pairs, shift):
+def _acts_on(kind, index, held):
+    """Whether a mode can act on a polynomial holding these variables: a
+    positive mode needs its variable, and J_0 is zero."""
+    if index > 0:
+        return index in held[kind]
+    return index < 0 or kind == "Gamma"
+
+
+def _window_sum(p, pairs, shift, supported=False):
+    """The weighted pairs applied to p; when supported, only the pairs
+    whose two modes can act on the variables p holds."""
+    held = {"J": {a for key in p.terms for a in key[0]},
+            "Gamma": {a for key in p.terms for a in key[1]}}
     out = FockPoly(p.ring, p.cap)
     for kind1, i1, kind2, i2, weight in pairs:
+        if supported and not (_acts_on(kind1, i1, held)
+                              and _acts_on(kind2, i2, held)):
+            continue
         if weight:
-            out = out + svir._apply_pair(kind1, i1, kind2, i2, p,
-                                         shift).scale(weight)
+            out = out + ref_pair(kind1, i1, kind2, i2, p,
+                                 shift).scale(weight)
     return out
 
 
-def window_L(n, p, shift):
+def window_L(n, p, shift, supported=False):
     half = Fraction(1, 2)
     out = _window_sum(p, [("J", -j, "J", 2 * n + j, half if j % 2 else -half)
-                          for j in _window(p, n, shift)], shift)
+                          for j in _window(p, n, shift)], shift, supported)
     out = out + _window_sum(
         p, [("Gamma", -j, "Gamma", j + 2 * n,
              Fraction(n + j, 2) * (1 if j % 2 == 0 else -1))
-            for j in _window(p, n, shift)], shift)
+            for j in _window(p, n, shift)], shift, supported)
     if n == 0:
         out = out + p.mul_hbar().scale(Fraction(1, 4))
     return out
 
 
-def window_G(m, p, shift):
+def window_G(m, p, shift, supported=False):
     return _window_sum(p, [("J", -j, "Gamma", j + 2 * m + 1,
                             1 if j % 2 else -1)
-                           for j in _window(p, m, shift)], shift)
+                           for j in _window(p, m, shift)], shift, supported)
 
 
 def window_rhs_LL(n, m, p, shift):
@@ -281,20 +418,19 @@ def test_support_sums_equal_window_sums(curve):
 
 def test_pairs_apply_only_annihilators_in_support(monkeypatch):
     # every positive J_a / Gamma_a a pair sum applies finds x^a / theta^a
-    # in the polynomial, so no label window can come back unnoticed
+    # in the monomial, so no label window can come back unnoticed
     calls = []
-    inner = svir._apply_pair
+    inner = svir._pair_terms
 
-    def checked(kind1, i1, kind2, i2, p, shift):
+    def checked(kind1, i1, kind2, i2, key, cap, shift):
         calls.append(1)
-        held = {"J": {a for key in p.terms for a in key[0]},
-                "Gamma": {a for key in p.terms for a in key[1]}}
+        held = {"J": set(key[0]), "Gamma": set(key[1])}
         for kind, index in ((kind1, i1), (kind2, i2)):
             assert index <= 0 or index in held[kind], \
-                (kind1, i1, kind2, i2, p.terms)
-        return inner(kind1, i1, kind2, i2, p, shift)
+                (kind1, i1, kind2, i2, key)
+        return inner(kind1, i1, kind2, i2, key, cap, shift)
 
-    monkeypatch.setattr(svir, "_apply_pair", checked)
+    monkeypatch.setattr(svir, "_pair_terms", checked)
     for curve in (None, rich_curve()):
         shift = None if curve is None else ShiftData.from_curve(curve)
         for p in monomials()[::7]:
@@ -305,6 +441,55 @@ def test_pairs_apply_only_annihilators_in_support(monkeypatch):
                     for fast, _ in RHS:
                         fast(n, m, p, shift)
     assert calls
+
+
+def raises_cap(compute):
+    try:
+        compute()
+    except CapExceeded:
+        return True
+    return False
+
+
+def cap_samples():
+    """Polynomials on caps 1 and 2 that hold variables at, below and above
+    the cap, and theta^0."""
+    out = []
+    for cap in (1, 2):
+        for bos, fer in (((), ()), ((1,), ()), ((), (0,)), ((2,), (1,)),
+                         ((1, 3), (0, 2)), ((), (1, 3))):
+            out.append(FockPoly.monomial(RING, cap, bos, fer))
+        out.append(FockPoly.monomial(RING, cap, (1,), (0,))
+                   + FockPoly.monomial(RING, cap, (), (2,), 1, 3))
+    return out
+
+
+@pytest.mark.parametrize("curve", [None, airy_curve(), rich_curve()],
+                         ids=["unshifted", "airy", "rich"])
+def test_cap_exceeded_on_the_same_inputs_as_whole_polynomial_modes(curve):
+    # a creator above the cap raises CapExceeded exactly when the reference
+    # raises it: when the polynomial it would act on, the input or the one
+    # returned by the mode applied first, is not zero; each quadratic mode
+    # against its pair labels that act on the support of the polynomial
+    shift = None if curve is None else ShiftData.from_curve(curve)
+    seen = set()
+    for p in cap_samples():
+        for kind in ("J", "Gamma"):
+            for index in range(-4, 4):
+                want = raises_cap(lambda: ref_shifted(kind, index, p, shift))
+                assert raises_cap(lambda: apply_mode(
+                    kind, index, _fresh(p), shift)) == want, \
+                    (kind, index, p.cap, p.terms)
+                seen.add(want)
+        for n in LABELS:
+            for kind, label, ref in (("L", 2 * n, window_L),
+                                     ("G", 2 * n + 1, window_G)):
+                want = raises_cap(lambda: ref(n, p, shift, supported=True))
+                assert raises_cap(lambda: apply_mode(
+                    kind, label, _fresh(p), shift)) == want, \
+                    (kind, label, p.cap, p.terms)
+                seen.add(want)
+    assert seen == {True, False}
 
 
 # --- each L/G image of a polynomial is computed once --------------------------
