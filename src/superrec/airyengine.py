@@ -255,7 +255,10 @@ class AirySolver(LazyTensor):
                         if row is not None:
                             inner = {}
                             _contract(ring, row, seconds, inner)
-                            mul_into(ring, out, a.terms, inner, weight)
+                            inner = finish(ring, inner)
+                            if inner is not None:
+                                mul_into(ring, out, a.terms, inner.terms,
+                                         weight)
         return finish(ring, out) or self.zero
 
     # --- level equations ---------------------------------------------------

@@ -8,6 +8,7 @@ nonnegative; the coefficient at (i, j) is unknown when i + j > trunc.
 from __future__ import annotations
 
 from .scalars import NotInvertible, accumulate, finish_each, mul_into
+from .series import WeightError
 
 
 class BiSeries:
@@ -19,7 +20,8 @@ class BiSeries:
         self.ring = ring
         self.coeffs = {key: val for key, val in coeffs.items()
                        if val and key[0] + key[1] <= trunc}
-        assert all(i >= 0 and j >= 0 for i, j in self.coeffs)
+        if any(i < 0 or j < 0 for i, j in self.coeffs):
+            raise ValueError("bivariate series with a negative exponent")
         self.trunc = trunc
 
     @classmethod
@@ -34,7 +36,14 @@ class BiSeries:
     @classmethod
     def from_univariate(cls, fs, var, trunc):
         """Place a dz^0, theta-free series with exponents >= 0 in slot var."""
-        assert fs.dz_weight == 0 and fs.theta == 0 and fs.min_exp >= 0
+        if fs.dz_weight or fs.theta:
+            raise WeightError(
+                f"placing a series of weight {fs.dz_weight} and parity "
+                f"{fs.theta} in a bivariate series")
+        if fs.min_exp < 0:
+            raise ValueError(
+                f"placing a series from exponent {fs.min_exp} in a "
+                f"bivariate series")
         coeffs = {}
         for k, c in fs.coeffs.items():
             key = (k, 0) if var == 1 else (0, k)
@@ -105,8 +114,11 @@ class BiSeries:
         for n in range(low, trunc + 1):
             top = n // 2 if sign else n  # the largest i summed
             # i -> raw sum of the coefficient of z1^i z2^(n-i)
-            term = {i: dict((val * inv).terms)
-                    for i, val in a.get(n, {}).items() if i <= top}
+            term = {}
+            for i, val in a.get(n, {}).items():
+                if i <= top:
+                    mul_into(ring, term.setdefault(i, {}), val.terms,
+                             inv.terms)
             for k, b_k in rest.items():
                 q_rest = q.get(n - k)
                 if not q_rest:

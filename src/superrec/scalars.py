@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 
 class RingMismatch(Exception):
@@ -94,7 +95,8 @@ def _reduce_monomial(ring, mono, coeff):
 
 def _monomial_product(ring, m1, m2):
     """(monomial, factor): m1 * m2 = factor * monomial, reduced by the
-    square relations; memoized per ring, factor None when it is 1."""
+    square relations; memoized per ring, factor None when it is 1, else
+    its (numerator, denominator)."""
     out = ring._products.get((m1, m2))
     if out is None:
         merged = dict(m1)
@@ -102,7 +104,8 @@ def _monomial_product(ring, m1, m2):
             merged[name] = merged.get(name, 0) + exp
         mono, factor = _reduce_monomial(ring, tuple(merged.items()),
                                         Fraction(1))
-        out = ring._products[m1, m2] = mono, (None if factor == 1 else factor)
+        out = ring._products[m1, m2] = mono, (
+            None if factor == 1 else (factor.numerator, factor.denominator))
     return out
 
 
@@ -114,42 +117,64 @@ def _scalar(ring, terms):
     return out
 
 
-def mul_into(ring, acc, left, right, weight=1):
-    """Add the product of two term dicts (monomial -> Fraction), times a
-    rational weight, into the raw sum acc, monomial by monomial.
+# A raw sum maps each monomial to {denominator: numerator} of plain ints:
+# a term n/d is added to bucket d with no gcd, and `finish` makes one
+# Fraction per monomial. Only mul_into, add_into, finish and finish_each
+# read or write one.
 
-    acc may hold zero coefficients until `finish` adopts it; so may left
-    and right, whose zeros add only zeros."""
+
+def mul_into(ring, acc, left, right, weight=1):
+    """Add the product of two term dicts (monomial -> Fraction), times an
+    int or Fraction weight, into the raw sum acc, monomial by monomial.
+
+    acc may hold zero sums until `finish` adopts it; left and right may
+    hold zero coefficients, which add only zeros."""
+    wn, wd = weight.numerator, weight.denominator
     for m1, c1 in left.items():
-        if weight != 1:
-            c1 = c1 * weight
+        n1, d1 = c1.numerator * wn, c1.denominator * wd
         for m2, c2 in right.items():
+            n, d = n1 * c2.numerator, d1 * c2.denominator
             if not m1:
-                mono, coeff = m2, c1 * c2
+                mono = m2
             elif not m2:
-                mono, coeff = m1, c1 * c2
+                mono = m1
             else:
                 mono, factor = _monomial_product(ring, m1, m2)
-                coeff = c1 * c2 if factor is None else c1 * c2 * factor
-            old = acc.get(mono)
-            acc[mono] = coeff if old is None else old + coeff
+                if factor is not None:
+                    n, d = n * factor[0], d * factor[1]
+            buckets = acc.get(mono)
+            if buckets is None:
+                acc[mono] = {d: n}
+            else:
+                buckets[d] = buckets.get(d, 0) + n
 
 
 def add_into(acc, terms, weight=1):
-    """Add a term dict times a rational weight into the raw sum acc."""
+    """Add a term dict times an int or Fraction weight into the raw sum
+    acc."""
+    wn, wd = weight.numerator, weight.denominator
     for mono, coeff in terms.items():
-        if weight != 1:
-            coeff = coeff * weight
-        old = acc.get(mono)
-        acc[mono] = coeff if old is None else old + coeff
+        n, d = coeff.numerator * wn, coeff.denominator * wd
+        buckets = acc.get(mono)
+        if buckets is None:
+            acc[mono] = {d: n}
+        else:
+            buckets[d] = buckets.get(d, 0) + n
 
 
 def finish(ring, acc):
-    """The Scalar that adopts the raw sum acc with its zero coefficients
-    removed, or None when it is zero; acc must be held by no one else."""
-    for mono in [mono for mono, coeff in acc.items() if not coeff]:
-        del acc[mono]
-    return _scalar(ring, acc) if acc else None
+    """The Scalar of the raw sum acc, one Fraction per monomial with the
+    zero sums dropped, or None when it is zero."""
+    terms = {}
+    for mono, buckets in acc.items():
+        if len(buckets) == 1:
+            (d, n), = buckets.items()
+        else:
+            d = lcm(*buckets)
+            n = sum(num * (d // den) for den, num in buckets.items())
+        if n:
+            terms[mono] = Fraction(n, d)
+    return _scalar(ring, terms) if terms else None
 
 
 def finish_each(ring, sums):

@@ -96,6 +96,27 @@ def _simplex_tuples(n, low, budget, strict):
         first += 2
 
 
+def simplex_keys(chi, epsilon=3, bosonic_only=False):
+    """All canonical keys at level chi with a slot: odd bosonic and even
+    fermionic indices in the simplex sum(bos) + sum(fer) <= B(chi), the
+    bosonic part pruned by its sum before the fermionic part is formed;
+    without fermionic slots if bosonic_only."""
+    bound = index_bound(chi, epsilon)
+    keys = []
+    for g in range(chi // 2 + 1):
+        rem = chi - 2 * g
+        for n in range(rem + 1):
+            two_m = rem - n
+            if two_m % 2 or (n == 0 and two_m == 0):
+                continue  # odd fermionic count, or no slot to solve for
+            if bosonic_only and two_m:
+                continue
+            for bos in _simplex_tuples(n, 1, bound, False):
+                for fer in _simplex_tuples(two_m, 0, bound - sum(bos), True):
+                    keys.append((g, bos, fer))
+    return keys
+
+
 def canonical(bos, fer):
     """The canonical key of indices in any order: (bos sorted ascending,
     fer strictly ascending, sign of sorting fer), the sign 0 when fer
@@ -399,24 +420,8 @@ class LazyTensor:
         return self.value(g, bos, fer)
 
     def level_keys(self, chi):
-        """All canonical candidate keys at a level: those in the simplex
-        sum(bos) + sum(fer) <= B(chi), the bosonic part pruned by its sum
-        before the fermionic part is formed."""
-        bound = index_bound(chi, self.epsilon)
-        keys = []
-        for g in range(chi // 2 + 1):
-            rem = chi - 2 * g
-            for n in range(rem + 1):
-                two_m = rem - n
-                if two_m % 2 or (n == 0 and two_m == 0):
-                    continue  # odd fermionic count, or no slot to solve for
-                if self.bosonic_only and two_m:
-                    continue
-                for bos in _simplex_tuples(n, 1, bound, False):
-                    for fer in _simplex_tuples(two_m, 0, bound - sum(bos),
-                                               True):
-                        keys.append((g, bos, fer))
-        return keys
+        """All canonical candidate keys at a level (see `simplex_keys`)."""
+        return simplex_keys(chi, self.epsilon, self.bosonic_only)
 
     def _solve_through(self, chi):
         """Solve every key of the unsolved levels up to chi, in order."""

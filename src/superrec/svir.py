@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import partial
 
 from .scalars import Scalar, accumulate, add_into, finish_each, mul_into
-from .store import canonical, insert_index
+from .store import canonical, insert_index, simplex_keys
 
 
 class CapExceeded(Exception):
@@ -652,4 +652,30 @@ def annihilation_report(curve, tensor, i_max=4):
                     if _deg(k) < tensor.chi_max}
             if hits:
                 bad[(kind, label)] = hits
+    return bad
+
+
+def dilaton_report(curve, tensor):
+    """The keys (g, bos, fer) at levels 3 through chi_max - 1 on which
+
+        sum_p (tau_p / p) F_g(bos, p | fer) = -(2g - 2 + n + m) F_g(bos | fer),
+
+    n = len(bos) and m = len(fer), fails, each with (left, right) side.
+    Every key of the index simplex is checked, zero entries included; a
+    key outside it has two zero sides.
+
+    This super dilaton equation, in which each fermion counts as one
+    boundary, held on every curve it was tried on; it was found by
+    computation and is not derived here."""
+    bad = {}
+    for chi in range(3, tensor.chi_max):
+        for g, bos, fer in simplex_keys(chi, tensor.epsilon):
+            left = tensor.zero
+            for p, tau in curve.tau.items():
+                left = left + tau * Fraction(1, p) * tensor.get(
+                    g, bos + (p,), fer)
+            right = tensor.get(g, bos, fer) * -(2 * g - 2 + len(bos)
+                                                + len(fer))
+            if left != right:
+                bad[g, bos, fer] = (left, right)
     return bad

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .curve import CurveBases
-from .scalars import finish_each, mul_into
+from .scalars import add_into, finish_each, mul_into
 from .series import FormalSeries, TruncationError
 from .store import (IndexBoundError, LazyTensor, canonical, deficit,
                     distinct_splits, index_bound, insert_index,
@@ -100,7 +100,7 @@ class TrSolver(LazyTensor):
         super().__init__(curve.ring, chi_max, curve.epsilon)
         self.bases = CurveBases(curve, chi_max)
         self.kernel = KernelWeights(self.bases)
-        # _product reads a factor through kernel.top minus the lowest
+        # _assemble reads a factor through kernel.top minus the lowest
         # exponent of its partner. A slot basis series of index c starts at
         # -c - 1, and c is at most the index bound B of chi_max, so a
         # factor is read through kernel.top + B + 1 at most (a derived
@@ -171,28 +171,73 @@ class TrSolver(LazyTensor):
         one product form per pair of z-slot kinds, (B, B) and (F, F) for a
         bosonic output and (B, F) for a fermionic one. Factors x and y give
         x.sigma(y) for (B, B), x.sigma(y) + sigma(x).y for (B, F), and
-        (1/2)(x'.sigma(y) + sigma(x').y) for (F, F): the mirrored terms,
-        (B, F), (F, F) and the lower of each swapped pair of (B, B) splits,
-        are summed once, in m, and their mirrors added as sigma(m)."""
+        (1/2)(x'.sigma(y) + sigma(x').y) for (F, F).
+
+        Every term is summed into one raw sum per exponent. A mirrored
+        term, (B, F), (F, F) or the lower of a swapped pair of (B, B)
+        splits, is m + sigma(m) for m = x.sigma(y) (x' for (F, F)): that is
+        2m at the exponents k = dz_weight (mod 2) and zero at the others,
+        so it is summed at those exponents only, with twice its weight
+        (the 1/2 of (F, F) cancels). The series is known through the
+        kernel's top exponent, or less where a product is known less far,
+        and each product is summed only that far."""
         pairs = ((False, True),) if fermionic else \
             ((False, False), (True, True))
+        ring = self.ring
         top = self.kernel.top
-        q = m = FormalSeries.zero(self.ring, min(self.bases.trunc, top),
-                                  1 if fermionic else 2, int(fermionic))
+        dz_weight = 1 if fermionic else 2
+        trunc = min(self.bases.trunc, top)
+        min_exp = trunc + 1
+        terms = []
+        for first, mirrored, x, y, weight in self._factor_pairs(g, J, K,
+                                                                pairs):
+            odd = x.theta and y.theta
+            # the product x.sigma(y) (x' for a first fermionic slot) is
+            # known through the lower of its factors' truncations, each
+            # lifted by the other's lowest exponent
+            x_trunc, x_low = x.trunc - first, x.min_exp - first
+            trunc = min(trunc, x_trunc + y.min_exp + odd,
+                        y.trunc + x_low + odd)
+            min_exp = min(min_exp, x_low + y.min_exp + odd)
+            if mirrored and not first:
+                weight *= 2  # for (F, F) the 1/2 cancels the 2
+            terms.append((x, y, odd, weight, first, mirrored))
+        sums = {}  # exponent -> raw sum of its terms
         if g == 1 and not J and not K:
             # (bosonic output only) the F_0 terms of both pairs are the
             # two-point bilinears on the diagonal, in closed form
-            q = q + self.bases.f0_diagonal
-        for first, mirrored, x, y, weight in self._factor_pairs(g, J, K,
-                                                                pairs):
-            if first:
-                m = m + _product(x.derive(), y, top) \
-                    .scale(self._half * weight)
-            elif mirrored:
-                m = m + _weighted(_product(x, y, top), weight)
-            else:
-                q = q + _weighted(_product(x, y, top), weight)
-        return q + m + m.sigma()
+            diagonal = self.bases.f0_diagonal
+            trunc = min(trunc, diagonal.trunc)
+            min_exp = min(min_exp, diagonal.min_exp)
+            for k, val in diagonal.coeffs.items():
+                if k <= trunc:
+                    add_into(sums.setdefault(k, {}), val.terms)
+        for x, y, odd, weight, derived, mirrored in terms:
+            # y's coefficients by the parity of k2 + odd, on which the
+            # sign sigma gives them depends
+            seconds = ([], [])
+            for k2 in sorted(y.coeffs):
+                seconds[(k2 + odd) % 2].append((k2 + odd, y.coeffs[k2].terms))
+            flip = (y.dz_weight + odd) % 2
+            for k1, c1 in x.coeffs.items():
+                w = weight
+                if derived:  # x' has k1 c at k1 - 1
+                    if not k1:
+                        continue
+                    w, k1 = weight * k1, k1 - 1
+                left = c1.terms
+                for parity in ((dz_weight - k1) % 2,) if mirrored else (0, 1):
+                    signed = -w if (parity + flip) % 2 else w
+                    for k2, right in seconds[parity]:
+                        k = k1 + k2
+                        if k > trunc:
+                            break
+                        acc = sums.get(k)
+                        if acc is None:
+                            acc = sums[k] = {}
+                        mul_into(ring, acc, left, right, signed)
+        return FormalSeries(ring, finish_each(ring, sums), trunc, dz_weight,
+                            int(fermionic), min_exp)
 
     def _factor_pairs(self, g, J, K, pairs):
         """Each term as (first, mirrored, x, y, weight): whether the first
@@ -312,23 +357,6 @@ class TrSolver(LazyTensor):
                         f"fermionic route {alt}")
             return val
         return self.fermionic_value(g, bos, fer)
-
-
-def _product(x, y, top):
-    """x.sigma(y) through exponent top: each factor is cut where the other
-    one's lowest exponent lifts it past top (T.T adds one more)."""
-    odd = x.theta and y.theta
-    x, y = x.cut(top - odd - y.min_exp), y.cut(top - odd - x.min_exp)
-    return x * y.sigma()
-
-
-def _weighted(series, weight):
-    """series times a nonzero integer weight."""
-    if weight == 1:
-        return series
-    if weight == -1:
-        return -series
-    return series.scale(weight)
 
 
 def _splits_by_parity(K):

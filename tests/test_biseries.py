@@ -157,3 +157,42 @@ def test_non_divisible_by_z1_minus_z2_under_optimized_python():
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# Each invalid placement, as a statement that raises and the error it must
+# raise: a negative exponent, and a univariate series with a dz weight, an
+# odd parity or a negative lowest exponent.
+INVALID_SERIES = {
+    "negative_exponent": (
+        "BiSeries(ring, {(-1, 2): ring.one()}, 4)", "ValueError"),
+    "dz_weight": (
+        "BiSeries.from_univariate(FormalSeries(ring, {0: ring.one()}, 4, 1),"
+        " 1, 4)", "WeightError"),
+    "parity": (
+        "BiSeries.from_univariate(FormalSeries(ring, {0: ring.one()}, 4, 0,"
+        " 1), 2, 4)", "WeightError"),
+    "min_exp": (
+        "BiSeries.from_univariate(FormalSeries(ring, {-1: ring.one()}, 4),"
+        " 1, 4)", "ValueError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_SERIES))
+def test_invalid_series_raise_under_optimized_python(case):
+    # typed errors, not asserts, which `python -O` strips
+    statement, error = INVALID_SERIES[case]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        biseries.__file__)))
+    script = ("from superrec.biseries import BiSeries\n"
+              "from superrec.scalars import Ring\n"
+              "from superrec.series import FormalSeries, WeightError\n"
+              "ring = Ring([])\n"
+              "try:\n"
+              f"    {statement}\n"
+              f"except {error}:\n"
+              "    raise SystemExit(0)\n"
+              "raise SystemExit(1)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,12 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from superrec.biseries import BiSeries
 from superrec.scalars import (
-    NotInvertible, Ring, RingMismatch, Scalar, ScalarParseError, finish,
-    mul_into)
+    NotInvertible, Ring, RingMismatch, Scalar, ScalarParseError, add_into,
+    finish, mul_into)
 from superrec.series import FormalSeries
 
 
@@ -273,10 +274,22 @@ def test_fast_path_keeps_ring_checks():
 # --- raw accumulation: one Scalar per sum of products ------------------------
 
 
-def _pool(ring):
+# Rationals of two kinds: dyadic ones, whose sums need no lcm beyond the
+# largest denominator, and ones with many distinct odd denominators.
+DYADIC = (1, -1, Fraction(1, 2), Fraction(-3, 2), Fraction(3, 8))
+NON_DYADIC = (Fraction(1, 3), Fraction(2, 7), Fraction(-5, 11),
+              Fraction(1, 9), Fraction(-1, 2))
+
+# The rings of the raw sums: FAST_PATH_RINGS and sqrt2^2 = 2, alone and
+# beside a free symbol.
+RAW_RINGS = dict(FAST_PATH_RINGS, sqrt2=[("sqrt2", 2)],
+                 mixed=[("sqrt2", 2), ("t", None)])
+
+
+def _pool(ring, values=DYADIC[:4]):
     """Elements of the ring whose sums and products cancel: opposite
     rationals and symbols, and (s - 2)(s + 2) = 0 when s^2 = 4."""
-    out = [ring.rational(v) for v in (1, -1, Fraction(1, 2), Fraction(-3, 2))]
+    out = [ring.rational(v) for v in values]
     for name in ring.squares:
         sym = ring.symbol(name)
         out += [sym, -sym, sym - 2, sym + 2, sym * Fraction(1, 3) - 1]
@@ -284,38 +297,60 @@ def _pool(ring):
 
 
 @st.composite
-def ring_and_products(draw):
-    """A ring of FAST_PATH_RINGS and (a, b, weight) triples whose products
-    often cancel, each term sometimes repeated with the opposite weight."""
-    ring = Ring(FAST_PATH_RINGS[draw(st.sampled_from(
-        sorted(FAST_PATH_RINGS)))])
-    pool = _pool(ring)
+def ring_and_raw_terms(draw):
+    """A ring of RAW_RINGS and the terms of one raw sum, each either
+    ("mul", a, b, weight) or ("add", a, None, weight), whose operands are
+    dyadic or have many distinct denominators, with an int or Fraction
+    weight; a term is sometimes repeated with the opposite weight (and its
+    factors swapped), so that sums often cancel."""
+    ring = Ring(RAW_RINGS[draw(st.sampled_from(sorted(RAW_RINGS)))])
+    values = draw(st.sampled_from([DYADIC, NON_DYADIC]))
+    pool = _pool(ring, values)
+    for name, square in ring.squares.items():
+        sym = ring.symbol(name)
+        pool.append(sym * values[-2] + values[1])
+        if square:
+            pool.append(sym * sym - square)  # zero
     elements = st.one_of(st.sampled_from(pool), st.builds(
         lambda a, b: a + b, st.sampled_from(pool), st.sampled_from(pool)))
-    triples = []
-    for _ in range(draw(st.integers(0, 4))):
-        a, b = draw(elements), draw(elements)
-        weight = draw(st.sampled_from([1, -1, 2, Fraction(-1, 2)]))
-        triples.append((a, b, weight))
+    weights = st.sampled_from([1, -1, 2, -3, Fraction(-1, 2), Fraction(2, 7),
+                               Fraction(5, 9)])
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["mul", "add"]))
+        a = draw(elements)
+        b = draw(elements) if kind == "mul" else None
+        weight = draw(weights)
+        terms.append((kind, a, b, weight))
         if draw(st.booleans()):
-            triples.append((b, a, -weight))
-    return ring, triples
+            terms.append((kind, b, a, -weight) if b is not None
+                         else (kind, a, b, -weight))
+    return ring, terms
 
 
-@settings(derandomize=True, max_examples=200)
-@given(ring_and_products())
+@settings(derandomize=True, max_examples=300)
+@given(ring_and_raw_terms())
 def test_raw_accumulation_equals_the_sum_of_scalar_products(drawn):
-    ring, triples = drawn
+    ring, terms = drawn
     acc, want = {}, ring.zero()
-    for a, b, weight in triples:
-        mul_into(ring, acc, a.terms, b.terms, weight)
-        want = want + a * b * weight
+    for kind, a, b, weight in terms:
+        if kind == "mul":
+            mul_into(ring, acc, a.terms, b.terms, weight)
+            want = want + a * b * weight
+        else:
+            add_into(acc, a.terms, weight)
+            want = want + a * weight
     got = finish(ring, acc)
     if want:
-        assert got.terms == want.terms and _canonical(got), triples
+        assert got.terms == want.terms and _canonical(got), terms
         assert got.ring is ring
+        # one Fraction per monomial, nonzero and in lowest terms
+        assert all(coeff.__class__ is Fraction and coeff
+                   and gcd(coeff.numerator, coeff.denominator) == 1
+                   and coeff.denominator > 0
+                   for coeff in got.terms.values()), terms
     else:
-        assert got is None, triples
+        assert got is None, terms
 
 
 def test_raw_accumulation_drops_a_product_that_vanishes():

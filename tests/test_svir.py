@@ -20,11 +20,15 @@ import pytest
 import superrec
 from superrec import svir
 from superrec.curve import CurveData
+from superrec.airyengine import run_airy
 from superrec.scalars import Ring
 from superrec.svir import (CapExceeded, FockPoly, ShiftData,
                            annihilation_report, apply_mode, check_airy_axioms,
-                           check_commutator, check_heisenberg_clifford)
+                           check_commutator, check_heisenberg_clifford,
+                           dilaton_report)
 from superrec.trengine import run_tr
+from superrec.zoo import ZOO_NAMES, ZooSpec, zoo_build, zoo_truncation
+from test_acceptance import random_curve
 
 RING = Ring([])
 CAP = 20
@@ -156,6 +160,7 @@ def test_invalid_inputs_raise_under_optimized_python():
     # `python -O` strips
     src = os.path.dirname(os.path.dirname(os.path.abspath(superrec.__file__)))
     code = """
+from superrec.airyengine import run_airy
 from superrec.scalars import Ring
 from superrec.svir import FockPoly, apply_mode, check_commutator
 one = FockPoly.one(Ring([]), 4)
@@ -685,3 +690,53 @@ def test_annihilation_detects_corrupted_entry():
     key = (0, (1, 1, 1), ())
     tensor.entries[key] = tensor.entries[key] + RING.one()
     assert annihilation_report(curve, tensor) != {}
+
+
+# --- the super dilaton equation ------------------------------------------------
+#
+# sum_p (tau_p / p) F_g(b, p | f) = -(2g - 2 + n + m) F_g(b | f) is an
+# identity found by computation, not one proved here: it held on every
+# curve below, for every key of both engines' tensors, fermionic sectors
+# included.
+
+
+# label -> (curve, chi_max): the zoo curves at chi 8 (phi11 with its
+# coupling t a symbol, super_jt and ramond with sqrt2), the explicit curves
+# with phi and psi, with a leading tau of 1 and not, and random curves at
+# chi 7
+DILATON_CURVES = {
+    **{name: (lambda name=name: zoo_build(
+        ZooSpec(name, trunc=zoo_truncation(8))), 8) for name in ZOO_NAMES},
+    "rich": (rich_curve, 7),
+    "irregular": (irregular_curve, 8),
+    "rich-lead-2": (lambda: rich_curve(lead=2), 7),
+    "irregular-lead-1/3": (lambda: irregular_curve(lead="-1/3"), 8),
+    **{f"random{seed}": (lambda seed=seed: random_curve(seed, chi=7), 7)
+       for seed in range(12)},
+}
+
+
+@pytest.mark.filterwarnings("ignore:the cosine one-form")
+@pytest.mark.parametrize("label", sorted(DILATON_CURVES))
+@pytest.mark.parametrize("run", [run_tr, run_airy], ids=["tr", "airy"])
+def test_engine_tensors_satisfy_the_dilaton_equation(label, run):
+    make, chi_max = DILATON_CURVES[label]
+    curve = make()
+    tensor = run(curve, chi_max)
+    assert tensor.entries
+    assert dilaton_report(curve, tensor) == {}
+
+
+def test_dilaton_report_detects_a_wrong_entry():
+    # the unit coefficient in place of 15/8 t^3 at F_2(|0,2,4,6) (see
+    # criterion 2) breaks the equation at the keys it is opened from
+    curve = zoo_build(ZooSpec("phi11", trunc=zoo_truncation(9)))
+    tensor = run_tr(curve, 9)
+    assert dilaton_report(curve, tensor) == {}
+    t = curve.ring.symbol("t")
+    assert tensor.get(2, (), (0, 2, 4, 6)) == t * t * t * Fraction(15, 8)
+    tensor.set(2, (), (0, 2, 4, 6), t * t * t)
+    bad = dilaton_report(curve, tensor)
+    assert (2, (), (0, 2, 4, 6)) in bad
+    left, right = bad[2, (), (0, 2, 4, 6)]
+    assert left != right == -6 * t * t * t

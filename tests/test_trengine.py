@@ -13,6 +13,7 @@ from itertools import permutations
 
 import pytest
 
+from superrec import trengine
 from superrec.airyengine import run_airy
 from superrec.curve import CurveBases, CurveData
 from superrec.scalars import Ring
@@ -349,6 +350,52 @@ def test_bb_splits_are_listed_once_per_swap(make, chi_max):
         assert listed == Counter(ordered_bb_splits(solver, g, J, K)), \
             (g, J, K)
     assert halved
+
+
+def test_mirrored_terms_are_summed_at_one_parity(monkeypatch):
+    """A mirrored term m + sigma(m), for (B, F), (F, F) and the lower of
+    a swapped pair of (B, B) splits, vanishes at the exponents of the
+    other parity than the assembly's dz weight: each assembly makes one
+    `mul_into` call per coefficient pair of a plain term, and per pair of
+    a mirrored term at that parity only, below its truncation."""
+    solver = TrSolver(rich_curve(), 5)
+    solver.run()
+    calls = [0]
+    counted = trengine.mul_into
+
+    def counting(*args):
+        calls[0] += 1
+        counted(*args)
+
+    monkeypatch.setattr(trengine, "mul_into", counting)
+    kept = skipped = 0
+    for g, J, K, fermionic in list(solver._columns):
+        pairs = ((False, True),) if fermionic else ((False, False),
+                                                    (True, True))
+        dz_weight = 1 if fermionic else 2
+        calls[0] = 0
+        trunc = solver._assemble(g, J, K, fermionic).trunc
+        made = calls[0]
+        want = 0
+        for first, mirrored, x, y, _ in solver._factor_pairs(g, J, K,
+                                                             pairs):
+            if first:
+                x = x.derive()
+            odd = x.theta and y.theta
+            for k1 in x.coeffs:
+                for k2 in y.coeffs:
+                    k = k1 + k2 + odd
+                    if k > trunc:
+                        continue
+                    if not (first or mirrored):
+                        want += 1
+                    elif (k - dz_weight) % 2:
+                        skipped += 1
+                    else:
+                        want += 1
+                        kept += 1
+        assert made == want, (g, J, K, fermionic)
+    assert kept and skipped
 
 
 def test_assembly_stops_at_the_kernel_top():
