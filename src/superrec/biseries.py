@@ -7,8 +7,8 @@ nonnegative; the coefficient at (i, j) is unknown when i + j > trunc.
 
 from __future__ import annotations
 
-from .scalars import NotInvertible, accumulate, finish_each, mul_into
-from .series import WeightError
+from .scalars import NotInvertible, accumulate, finish, finish_each, mul_into
+from .series import TruncationError, WeightError
 
 
 class BiSeries:
@@ -27,11 +27,6 @@ class BiSeries:
     @classmethod
     def zero(cls, ring, trunc):
         return cls(ring, {}, trunc)
-
-    @classmethod
-    def constant(cls, ring, value, trunc):
-        return cls(ring, {(0, 0): ring.rational(value)
-                          if not hasattr(value, "ring") else value}, trunc)
 
     @classmethod
     def from_univariate(cls, fs, var, trunc):
@@ -91,58 +86,51 @@ class BiSeries:
                 mul_into(ring, acc, left, c2.terms)
         return BiSeries(ring, finish_each(ring, sums), trunc)
 
-    def __truediv__(self, other):
-        """Exact quotient q = self / other for an invertible constant term
-        b_00 of other, degree by degree: q_n = b_00^-1 (a_n - sum_{k>=1}
-        b_k q_(n-k)). Known through the degree a product q * other would
-        be known through.
+    def quotient_on_square(self, other, rect):
+        """The exact quotient q = self / other on the square i, j < rect,
+        as {(i, j): Scalar} with no zero stored, for an invertible constant
+        term b_00 of other.
 
-        For a mirror-symmetric other (b_ij = b_ji) and a mirror-symmetric
-        or antisymmetric self, q has self's symmetry: only its coefficients
-        z1^i z2^j with i <= j are summed, and the others mirrored."""
+        q_ij = b_00^-1 (a_ij - sum b_kl q_(i-k, j-l)) reads only indices at
+        or below (i, j) in both coordinates, so the square is exact once
+        both series are known through total degree 2 (rect - 1). For a
+        mirror-symmetric other (b_ij = b_ji) and a mirror-symmetric or
+        antisymmetric self, q has self's symmetry: only its coefficients
+        with i <= j are summed, and the others mirrored."""
         inv = other.coeff(0, 0).invert()  # may raise NotInvertible
-        low = self.min_total()
-        trunc = min(self.trunc, other.trunc + low)
-        sign = _mirror_sign(self) if _mirror_sign(other) == 1 else 0
-        # degree n -> {i: coefficient of z1^i z2^(n-i)}, i ascending: the
-        # terms -b_k / b_00 of degree k >= 1, the dividend and the quotient
-        rest = _by_degree({key: -(val * inv)
-                           for key, val in other.coeffs.items() if any(key)})
-        a = _by_degree(self.coeffs)
+        known = min(self.trunc, other.trunc)
+        if 2 * (rect - 1) > known:
+            raise TruncationError(
+                f"the square i, j < {rect} is past truncation {known}")
+        a, b = ({key: val for key, val in series.coeffs.items()
+                 if max(key) < rect} for series in (self, other))
+        sign = _mirror_sign(a) if _mirror_sign(b) == 1 else 0
         ring = self.ring
-        q = {}
-        for n in range(low, trunc + 1):
-            top = n // 2 if sign else n  # the largest i summed
-            # i -> raw sum of the coefficient of z1^i z2^(n-i)
-            term = {}
-            for i, val in a.get(n, {}).items():
-                if i <= top:
-                    mul_into(ring, term.setdefault(i, {}), val.terms,
-                             inv.terms)
-            for k, b_k in rest.items():
-                q_rest = q.get(n - k)
-                if not q_rest:
-                    continue
-                for i1, c1 in b_k.items():
-                    if i1 > top:
-                        break
-                    left = c1.terms
-                    for i2, c2 in q_rest.items():
-                        if i2 > top - i1:
+        # row k -> [(l, terms of -b_kl / b_00)] for (k, l) != (0, 0) in the
+        # square, l ascending
+        rest = [[] for _ in range(rect)]
+        for (k, l), val in sorted(b.items()):
+            if k or l:
+                rest[k].append((l, (-(val * inv)).terms))
+        q = [[None] * rect for _ in range(rect)]
+        # column by column, so every q_(i-k, j-l) is known when read
+        for j in range(rect):
+            for i in range(j + 1 if sign else rect):
+                acc = {}
+                if (i, j) in a:
+                    mul_into(ring, acc, a[i, j].terms, inv.terms)
+                for k in range(i + 1):
+                    row = q[i - k]
+                    for l, left in rest[k]:
+                        if l > j:
                             break
-                        acc = term.get(i1 + i2)
-                        if acc is None:
-                            acc = term[i1 + i2] = {}
-                        mul_into(ring, acc, left, c2.terms)
-            term = finish_each(ring, term)
-            part = q[n] = {i: term[i] for i in sorted(term)}
-            if sign:
-                part.update({n - i: val if sign == 1 else -val
-                             for i, val in reversed(part.items())
-                             if 2 * i < n})
-        return BiSeries(self.ring, {(i, n - i): val
-                                    for n, part in q.items()
-                                    for i, val in part.items()}, trunc)
+                        if row[j - l] is not None:
+                            mul_into(ring, acc, left, row[j - l].terms)
+                val = q[i][j] = finish(ring, acc)
+                if sign and i != j and val is not None:
+                    q[j][i] = val if sign == 1 else -val
+        return {(i, j): val for i, row in enumerate(q)
+                for j, val in enumerate(row) if val is not None}
 
     def divide_z1_minus_z2(self):
         """Exact quotient by (z1 - z2); raises NotInvertible unless the
@@ -180,18 +168,10 @@ class BiSeries:
         return self.ring.zero() if c is None else c
 
 
-def _by_degree(coeffs):
-    """Total degree n -> {i: coefficient of z1^i z2^(n-i)}, i ascending."""
-    out = {}
-    for i, j in sorted(coeffs):
-        out.setdefault(i + j, {})[i] = coeffs[(i, j)]
-    return out
-
-
-def _mirror_sign(series):
-    """1 if series is mirror-symmetric (c_ij = c_ji), -1 if antisymmetric
-    (c_ij = -c_ji), else 0; the zero series counts as symmetric."""
-    coeffs = series.coeffs
+def _mirror_sign(coeffs):
+    """1 if the coefficients (i, j) -> c_ij are mirror-symmetric (c_ij =
+    c_ji), -1 if antisymmetric (c_ij = -c_ji), else 0; no coefficient
+    counts as symmetric."""
     if all(coeffs.get((j, i)) == val for (i, j), val in coeffs.items()):
         return 1
     if all(i != j and coeffs.get((j, i)) == -val

@@ -16,7 +16,7 @@ such calls. A quadratic mode is a sum over pair labels, of which only those
 whose annihilators find their variable in the monomial are applied to it,
 so its cost follows the support; its terms are added as raw coefficients,
 and each coefficient of the image becomes one Scalar. A polynomial keeps
-each L or G image of itself that is computed (`FockPoly.images`), so
+every mode image of itself that is computed (`FockPoly.images`), so
 applying the same mode with the same shift data to it again returns that
 image, which keeps its own images in turn.
 """
@@ -43,9 +43,9 @@ class FockPoly:
 
     A polynomial is never changed after construction, which is what lets
     `images` (None until the first one is stored) map (kind, label, shift)
-    to the L or G image of this polynomial, or to the tail of the L-L and
-    G-G closure right-hand sides, and hand the same object to every
-    caller.
+    to the J, Gamma, L or G image of this polynomial, or to the tail of
+    the L-L and G-G closure right-hand sides, and hand the same object
+    to every caller.
     """
 
     __slots__ = ("ring", "cap", "terms", "images")
@@ -271,7 +271,11 @@ def _add_term(ring, sums, key, c, factor, weight=1):
 
 def _apply(kind, index, p, shift=None):
     """The mode J or Gamma of this index on p; with shift data, the tilde
-    mode."""
+    mode. Kept among p's images, as the L and G images are."""
+    return _image(kind, index, p, shift, partial(_sum_mode, kind))
+
+
+def _sum_mode(kind, index, p, shift):
     ring, cap, sums = p.ring, p.cap, {}
     for key, c in p.terms.items():
         for new, factor in _mode_terms(kind, index, key, cap, shift):
@@ -322,8 +326,8 @@ def _pair_sum(p, shift, total, families):
 
 
 def _image(kind, label, p, shift, compute):
-    """The image of p under the quadratic mode (kind, label) ("L" or "G",
-    or the closure "tail"), with this shift data, computed by
+    """The image of p under the mode (kind, label) ("J", "Gamma", "L" or
+    "G", or the closure "tail"), with this shift data, computed by
     compute(label, p, shift) at most once per polynomial; the key holds
     the ShiftData object itself."""
     key = (kind, label, shift)

@@ -89,11 +89,6 @@ def _d_dz(fs):
     return FormalSeries(fs.ring, coeffs, fs.trunc - 1)
 
 
-def _z1_plus_z2(ring, trunc):
-    one = ring.one()
-    return BiSeries(ring, {(1, 0): one, (0, 1): one}, trunc)
-
-
 # --- generators ----------------------------------------------------------------
 
 
@@ -153,24 +148,34 @@ def _expansion_data(spec):
 def _build_fitted(spec):
     ring, u, omega01 = _expansion_data(spec)
     trunc = spec.trunc
-    u1, u2 = (BiSeries.from_univariate(u, var, trunc) for var in (1, 2))
-    du = _d_dz(u)
-    du1, du2 = (BiSeries.from_univariate(du, var, trunc) for var in (1, 2))
-    s = (u1 - u2).divide_z1_minus_z2()
-    p = du1 * du2 / s / s
-    one = BiSeries.constant(ring, ring.one(), p.trunc)
-    reg02 = (p - one).divide_z1_minus_z2().divide_z1_minus_z2()
+    rect = _fitted_rect(trunc)
+    # u is known to z^(trunc + 2) and u' to z^(trunc + 1); placed to trunc
+    # + 1, the tables below are known to trunc - 3 after their divisions
+    # by (z1 - z2), as far as the kept square reaches
+    u1, u2, du1, du2, uu1, uu2 = (
+        BiSeries.from_univariate(fs, var, trunc + 1)
+        for fs in (u, _d_dz(u), u * u) for var in (1, 2))
+    # s^2 = (u1 - u2)^2 / (z1 - z2)^2 with s = (u1 - u2) / (z1 - z2)
+    s2 = (uu1 + uu2 + u1.scale(ring.rational(-2)) * u2) \
+        .divide_z1_minus_z2().divide_z1_minus_z2()
+    # u1' u2' / s^2 = 1 + (z1 - z2)^2 reg02
+    reg02 = (du1 * du2 - s2).divide_z1_minus_z2().divide_z1_minus_z2() \
+        .quotient_on_square(s2, rect)
     half = ring.rational(Fraction(1, 2))
     if spec.name == "ramond":
-        num = _z1_plus_z2(ring, s.trunc) * s \
-            - (u1 + u2) * (one - u1 * u2)
-        reg002 = (num.divide_z1_minus_z2() / s).scale(half)
+        s = (u1 - u2).divide_z1_minus_z2()
+        z1_plus_z2 = BiSeries(ring, {(1, 0): ring.one(), (0, 1): ring.one()},
+                              trunc)
+        # (z1 + z2) s - (u1 + u2 - u1^2 u2 - u1 u2^2)
+        num = z1_plus_z2 * s - u1 - u2 + uu1 * u2 + u1 * uu2
+        reg002 = BiSeries(ring, num.divide_z1_minus_z2()
+                          .quotient_on_square(s, rect), trunc).scale(half)
     else:
-        reg002 = ((one - p).divide_z1_minus_z2()
-                  * _z1_plus_z2(ring, p.trunc)).scale(half)
-    rect = _fitted_rect(trunc)
-    phi_reg = {(i + 1, j + 1): v for (i, j), v in reg02.coeffs.items()
-               if i < rect and j < rect}
+        # (1 - u1' u2' / s^2) (z1 + z2) / (z1 - z2) / 2
+        # = (z2^2 - z1^2) reg02 / 2
+        reg002 = BiSeries(ring, reg02, trunc) \
+            * BiSeries(ring, {(0, 2): half, (2, 0): -half}, trunc)
+    phi_reg = {(i + 1, j + 1): v for (i, j), v in reg02.items()}
     psi_reg = {(i + 1, j + 1): v for (i, j), v in reg002.coeffs.items()
                if i < rect and j < rect}
     omega01_form = FormalSeries(

@@ -1,4 +1,4 @@
-"""Bivariate series tests: the exact division the zoo fits curves with."""
+"""Bivariate series tests: the exact quotients the zoo fits curves with."""
 
 import os
 import random
@@ -11,6 +11,7 @@ import pytest
 from superrec import biseries
 from superrec.biseries import BiSeries
 from superrec.scalars import NotInvertible, Ring
+from superrec.series import TruncationError
 
 RATIONAL = Ring([])
 SQRT2 = Ring([("sqrt2", 2)])
@@ -33,9 +34,29 @@ def random_biseries(ring, rng, trunc, low=0):
     return BiSeries(ring, coeffs, trunc)
 
 
+def constant(ring, value, trunc):
+    return BiSeries(ring, {(0, 0): ring.rational(value)}, trunc)
+
+
 def known(series, trunc):
     return {key: val for key, val in series.coeffs.items()
             if key[0] + key[1] <= trunc}
+
+
+def square(series, rect):
+    """The coefficients of series on the square i, j < rect."""
+    return {key: val for key, val in series.coeffs.items()
+            if key[0] < rect and key[1] < rect}
+
+
+def times_on_square(q, b, rect):
+    """The product of the square quotient q and b, on the square."""
+    return square(BiSeries(b.ring, q, 2 * (rect - 1)) * b, rect)
+
+
+def widest_square(a, b):
+    """The largest rect whose square both series know."""
+    return min(a.trunc, b.trunc) // 2 + 1
 
 
 @pytest.mark.parametrize("ring", [RATIONAL, SQRT2], ids=["Q", "sqrt2"])
@@ -45,13 +66,17 @@ def test_quotient_times_divisor_is_the_dividend(ring, seed):
     low = seed % 3
     a = random_biseries(ring, rng, rng.randint(4, 9), low)
     b = random_biseries(ring, rng, rng.randint(4, 9))
-    b = b + BiSeries.constant(ring, 1 + seed, b.trunc)  # a unit b_00
-    q = a / b
-    assert q.trunc == min(a.trunc, b.trunc + a.min_total())
-    assert q.min_total() == a.min_total()
-    back = q * b
-    assert back.trunc == q.trunc
-    assert known(back, q.trunc) == known(a, q.trunc)
+    b = b + constant(ring, 1 + seed, b.trunc)  # a unit b_00
+    widest = widest_square(a, b)
+    for rect in range(widest + 1):
+        q = a.quotient_on_square(b, rect)
+        assert all(i < rect and j < rect for i, j in q)
+        assert all(q.values())
+        assert times_on_square(q, b, rect) == square(a, rect)
+    assert q and min(i + j for i, j in q) == a.min_total()
+    # a wider square reads degrees neither series knows
+    with pytest.raises(TruncationError):
+        a.quotient_on_square(b, widest + 1)
 
 
 @pytest.mark.parametrize("ring", [RATIONAL, SQRT2], ids=["Q", "sqrt2"])
@@ -59,8 +84,9 @@ def test_zero_constant_term_is_not_invertible(ring):
     rng = random.Random(3)
     a = random_biseries(ring, rng, 6)
     b = random_biseries(ring, rng, 6, low=1)
-    with pytest.raises(NotInvertible):
-        a / b
+    for rect in (1, 4):
+        with pytest.raises(NotInvertible):
+            a.quotient_on_square(b, rect)
 
 
 def mirrored(series, sign):
@@ -73,9 +99,9 @@ def mirrored(series, sign):
     return BiSeries(series.ring, coeffs, series.trunc)
 
 
-def is_mirrored(series, sign):
-    return all(series.coeff(j, i) == (val if sign == 1 else -val)
-               for (i, j), val in series.coeffs.items())
+def is_mirrored(coeffs, sign):
+    return all(coeffs.get((j, i)) == (val if sign == 1 else -val)
+               for (i, j), val in coeffs.items())
 
 
 @pytest.mark.parametrize("ring", [RATIONAL, SQRT2], ids=["Q", "sqrt2"])
@@ -83,32 +109,34 @@ def is_mirrored(series, sign):
 @pytest.mark.parametrize("seed", range(4))
 def test_mirrored_quotient(ring, sign, seed):
     """A mirrored dividend over a symmetric divisor: the quotient times the
-    divisor is the dividend, and the quotient has the dividend's
-    symmetry, with a zero diagonal when antisymmetric."""
+    divisor is the dividend on the square, and the quotient has the
+    dividend's symmetry, with a zero diagonal when antisymmetric."""
     rng = random.Random(seed)
     low = seed % 3
     a = mirrored(random_biseries(ring, rng, rng.randint(5, 10), low), sign)
     b = mirrored(random_biseries(ring, rng, rng.randint(5, 10)), 1)
-    b = b + BiSeries.constant(ring, 1 + seed, b.trunc)
-    assert a.coeffs and is_mirrored(a, sign) and is_mirrored(b, 1)
-    q = a / b
-    assert q.trunc == min(a.trunc, b.trunc + a.min_total())
-    assert known(q * b, q.trunc) == known(a, q.trunc)
+    b = b + constant(ring, 1 + seed, b.trunc)
+    assert a.coeffs and is_mirrored(a.coeffs, sign) \
+        and is_mirrored(b.coeffs, 1)
+    rect = widest_square(a, b)
+    q = a.quotient_on_square(b, rect)
+    assert q and all(q.values())
+    assert times_on_square(q, b, rect) == square(a, rect)
     assert is_mirrored(q, sign)
     if sign == -1:
-        assert not any(i == j for i, j in q.coeffs)
+        assert not any(i == j for i, j in q)
 
 
 def test_mirrored_division_sums_half_the_terms(monkeypatch):
     """A mirrored division makes at most 60% of the coefficient products
     (`mul_into` calls) of the same division with the dividend's mirror
-    symmetry broken."""
+    symmetry broken, and the same quotient on the mirrored half."""
     rng = random.Random(7)
-    a = mirrored(random_biseries(RATIONAL, rng, 14), 1)
-    b = mirrored(random_biseries(RATIONAL, rng, 14), 1)
-    b = b + BiSeries.constant(RATIONAL, 2, b.trunc)
+    a = mirrored(random_biseries(RATIONAL, rng, 18), 1)
+    b = mirrored(random_biseries(RATIONAL, rng, 18), 1)
+    b = b + constant(RATIONAL, 2, b.trunc)
     broken = dict(a.coeffs)
-    broken[(1, 2)] = a.coeff(1, 2) + RATIONAL.one()
+    broken[(9, 8)] = a.coeff(9, 8) + RATIONAL.one()
     broken = BiSeries(RATIONAL, broken, a.trunc)
     calls = [0]
     counted = biseries.mul_into
@@ -118,12 +146,18 @@ def test_mirrored_division_sums_half_the_terms(monkeypatch):
         counted(*args)
 
     monkeypatch.setattr(biseries, "mul_into", counting)
-    counts = []
+    counts, quotients = [], []
     for dividend in (a, broken):
         calls[0] = 0
-        dividend / b
+        quotients.append(dividend.quotient_on_square(b, 10))
         counts.append(calls[0])
     assert 0 < counts[0] <= 0.6 * counts[1], counts
+    # the broken coefficient moves q only at (9, 8) and (9, 9)
+    moved = [(9, 8), (9, 9)]
+    kept = [{key: val for key, val in q.items() if key not in moved}
+            for q in quotients]
+    assert kept[0] == kept[1]
+    assert quotients[1][9, 8] != quotients[0][9, 8]
 
 
 @pytest.mark.parametrize("ring", [RATIONAL, SQRT2], ids=["Q", "sqrt2"])
@@ -136,7 +170,7 @@ def test_division_by_z1_minus_z2(ring):
     assert known(product.divide_z1_minus_z2(), 7) == known(p, 7)
     # p(z2, z2) = 1 is a nonzero remainder
     with pytest.raises(NotInvertible, match="not divisible by"):
-        (product + BiSeries.constant(ring, 1, product.trunc)) \
+        (product + constant(ring, 1, product.trunc)) \
             .divide_z1_minus_z2()
 
 

@@ -220,30 +220,114 @@ def test_pinned_correlation_values():
     assert rtensor.get(0, (1,), (0, 2)) == half_sqrt2
 
 
-# sha256 of the fitted curve data, recorded when the zoo inverted s by
-# Newton iteration and multiplied by the inverse; the fit by exact division
-# must leave every parameter, the truncation and the resolved index as
-# they were
+# sha256 of the fitted curve data, by (name, trunc) at M = 1 and by (name,
+# trunc, weight) at the weights of WEIGHTS. The entries at trunc 12, 27 and
+# 45 were recorded when the zoo inverted s by Newton iteration and
+# multiplied by the inverse, the others when it divided on the whole
+# triangle i + j <= trunc; a fit on the kept square must leave every
+# parameter, the truncation and the resolved index as they were. Trunc 2-8,
+# 13 and 28 put the fitted rectangle at 0-3, 6 and 13.
 FITTED_DATA_SHA256 = {
+    ("ns_plus", 2):
+        "67d783855a404020b9b8f137624cd521d02d63ab8d3b055c98876a0072301812",
+    ("ns_plus", 3):
+        "8f765741080c97c36993a9213b716f16f31977ff67c5fe0547bb37172670c5ff",
+    ("ns_plus", 4):
+        "f4c1120fd9eb9eea77ca71ca9ba7a54a472c4a7bf8299d1f0f1891ceecc7f716",
+    ("ns_plus", 5):
+        "4372cea3e0f0258a52a208e1392e2f2e9eaff4f74c260c839fd94aed07ab876c",
+    ("ns_plus", 6):
+        "c993d672d29340fbc6b9ab46cef96e95403428beb2aaa5547cd746618bc46ce0",
+    ("ns_plus", 7):
+        "dc9dd290cd8dee85efacbf5bb7e624aadce26c4c041653a8393d608270ed2792",
+    ("ns_plus", 8):
+        "3f25ea56c28f47d3b0e76b860edf5a6d65c504621ffffd8ce63fb686d435a30f",
     ("ns_plus", 12):
         "9dc1150d9b02d2b3ac58760bfaa77c8dcaa537ff6f9140c5d9473bd41ddec965",
+    ("ns_plus", 13):
+        "8ea422a6d552f06c977a7c14b717e6e671036ec1cca35fd7ca167f7983daf118",
     ("ns_plus", 27):
         "2a6856a2f2433160755c09b5bdda9c7ec3b90321fb62df0cb80df1dfb5f2b4c9",
+    ("ns_plus", 28):
+        "38baa2f487f217f71097ebcda57f9178e1790ee3f0a339449ee71cd1abcc4d9b",
     ("ns_plus", 45):
         "977a0fb6ee86e89fb172c7815e8750186a6d8ec92deebabe2b729192c6f61102",
+    ("ns_plus", 12, "two_thirds"):
+        "089194b759e9e728d2742d751b552d7feb2f2abc69afc89cc9a6ca5ff5909cf3",
+    ("ns_plus", 27, "two_thirds"):
+        "13d1902dd2dd151afd19c84447871cc3ceb1fd6e6cfb9b701b405c6878d97c33",
+    ("ns_plus", 12, "cubic"):
+        "ecbeac0f39ca384be6317f557c27fb8377594ff1f5fff7a719134f7559d0a9d2",
+    ("ns_plus", 27, "cubic"):
+        "e2484546839962e1c1d1a14b26b20055c5d6bb42c25882965351efbf6522d925",
+    ("ns_minus", 2):
+        "b920e5cdc1e629df03f9deaddeb37546bbacc502ee34e5d8103dfdd9c8a58350",
+    ("ns_minus", 3):
+        "c71a98e60a849ae5dbad6d4e4648f35532c8f7eab94565af922468750ab34307",
+    ("ns_minus", 4):
+        "61771a6f284f5773563e71376ff38f6ac8533b204ee04c744620efdb2db64608",
+    ("ns_minus", 5):
+        "ea3adcaf8c33064e0485e0875c5038ab7beb0b7f8b4c0ca5c6665c76ce76984b",
+    ("ns_minus", 6):
+        "33685a779f2336b3724a83f2ebedb8e8c9f1ec0348cc048b96e3292bb8d39060",
+    ("ns_minus", 7):
+        "fabe9e6f4a7eda95e85e4a96d8b32c7fee6067a8b8b81cefcd959d7eea1c2193",
+    ("ns_minus", 8):
+        "5f8400fa38f41853b8a4941c1f1af4eacab16ae72571b6cb6ca54cd98211de9d",
     ("ns_minus", 12):
         "10b7edc946bfc56e8b96eeea0e089ef07befdb3e457e839dba24dbc1c5678acc",
+    ("ns_minus", 13):
+        "73a9092d9bba4c3eaf460b0dec6c7acea66459a5de88b4b31f97b11138aa1162",
     ("ns_minus", 27):
         "c39a6dd68be1516d5c0026a77135759a99985f2c035ba82d15e097b2f255710a",
+    ("ns_minus", 28):
+        "8d76bcfef18d491196139965446d17f2ccc0f4cdc13c280ec6970ca8349f9f3b",
     ("ns_minus", 45):
         "3f04eb24e2c3e350ec3b324ea6da350c6a028de32db22cf420695ebbb3eab514",
+    ("ns_minus", 12, "two_thirds"):
+        "3bf406ea5b4e03f89ed38d96d5906f2980296bb402ac3ea9c745a3f3c50aff56",
+    ("ns_minus", 27, "two_thirds"):
+        "02a4ca665ed51c3803dd7cb4cba8edec89881dd168d6ca84e59a8fa6eea152f0",
+    ("ns_minus", 12, "cubic"):
+        "b9524d305e70e9c04c645499bf2d5aff9c1718fa26a70427458e11ab373da9aa",
+    ("ns_minus", 27, "cubic"):
+        "747254d53778c6d0a71032defba487da60bbe91c8241596001faa5c384f0c39a",
+    ("ramond", 2):
+        "f1a98c67817bff9a41c8c3ce1887ced281ab1eed6f7c6b4b1b5e560c3cb64338",
+    ("ramond", 3):
+        "d92b03c19473697ff9cc36f679fcfb9394b95c5c1d1797f5ac47d071b10144de",
+    ("ramond", 4):
+        "6cd6c2ccdbe47478bad5b5fdbf53cf29d957cf1d4bf1cb5ae8ea4d440ae85915",
+    ("ramond", 5):
+        "9e227c69e6ba54f9bcfedd78a9740d159db8e4927f01a7fa7a19b1ee8f802468",
+    ("ramond", 6):
+        "826f027aeca0be44e7b74e408ef6bd61850f43cd1ce2442429c044a165e457bb",
+    ("ramond", 7):
+        "9c22eb179db7f94870b107ba3c454fb41dc91d6905630edbdc4d905dba639ba5",
+    ("ramond", 8):
+        "b33708869982415e466b93ca6e6d93ad3b7522e70aa456d731a7dccbbba6ead2",
     ("ramond", 12):
         "d028d13ed0220c146bff490363cea1dd159e6fc7a61c4e67ccff198901a9e807",
+    ("ramond", 13):
+        "08be158b563202667b64391d9af62de5931819833b7bb18c3b304b88d73d2673",
     ("ramond", 27):
         "1556d99fd61907b482e3d401b8c50a6d183fff48dccb02fbdbd7d11249be591c",
+    ("ramond", 28):
+        "dcc51748d0282d6fb57e9de47868729639610c5417428d6337370fd030fb2fe8",
     ("ramond", 45):
         "a162546d68e5915ae10c6bc330387ec207587e353daecb8946a16b9dc4d60179",
+    ("ramond", 12, "two_thirds"):
+        "701911bc46e195bde94115abc5acf78ef4138e0d4d991e6bab38b47f208db890",
+    ("ramond", 27, "two_thirds"):
+        "9ef415e239f0175c301ce088fd97e9c340b0922fe9135229a4bffd71482c6628",
+    ("ramond", 12, "cubic"):
+        "d789e12744f80507c099e9a9f13f4ef8d1e1bca3e6a4fda3dfd83eea00ee387b",
+    ("ramond", 27, "cubic"):
+        "e46bc056e91405a6b6593bae0fc2eedf8b10e0e33e95581f03a802f413f9348d",
 }
+
+# The weights M the pins read besides M = 1, by the name in the pin's key.
+WEIGHTS = {"two_thirds": ("2/3",), "cubic": (2, -1, "1/3")}
 
 
 def curve_data_sha256(curve):
@@ -255,10 +339,14 @@ def curve_data_sha256(curve):
     return hashlib.sha256(repr(data).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name,trunc", FITTED_DATA_SHA256)
-def test_fitted_curve_data_is_pinned(name, trunc):
-    assert curve_data_sha256(build(name, trunc=trunc)) == \
-        FITTED_DATA_SHA256[name, trunc]
+@pytest.mark.parametrize("case", [
+    pytest.param(case, id="-".join(map(str, case)))
+    for case in FITTED_DATA_SHA256])
+def test_fitted_curve_data_is_pinned(case):
+    name, trunc, *weight = case
+    kw = {"M_coeffs": WEIGHTS[weight[0]]} if weight else {}
+    assert curve_data_sha256(build(name, trunc=trunc, **kw)) == \
+        FITTED_DATA_SHA256[case]
 
 
 # --- the depth rule ------------------------------------------------------------
