@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import finish, mul_into
+from .scalars import add_into, finish, mul_into
 from .store import (LazyTensor, UnsolvedEntry, deficit, distinct_splits,
                     insert_index, iter_partitions, slot_ranges)
 
@@ -152,7 +152,7 @@ class AirySolver(LazyTensor):
     def __init__(self, curve, chi_max, bosonic_only=False):
         curve.check_depth(chi_max)
         super().__init__(curve.ring, chi_max, curve.epsilon, bosonic_only)
-        # (p, +-tau_p) for p != epsilon, in increasing p: xi0_rest stops at
+        # (p, +-tau_p) for p != epsilon, in increasing p: _solve stops at
         # the first p whose lookup falls above the index simplex
         self.dilaton = sorted(
             (p, tau_p if p % 2 else -tau_p)
@@ -162,29 +162,6 @@ class AirySolver(LazyTensor):
             raise SingularLeading("leading dilaton-shift coefficient is zero")
         self.inv_tau_eps = self.tau_eps.invert()
         self.coeffs = ConstraintCoeffs(curve)
-
-    # --- leading sums ------------------------------------------------------
-
-    def xi0_rest(self, g, bos, fer, fermionic):
-        """Leading-sum terms tau_p F(2c+p-4, J|K) (fermionic: tau_p
-        F(J|2c+p-3, K)) excluding p = epsilon.
-
-        bos[0] (fermionic: fer[0]) is the solved-for slot, equal to the
-        index at p = epsilon. The term of p reads an entry of the same level
-        whose deficit is D + epsilon - p, D the deficit of this entry, so it
-        is zero for every p > D + epsilon (see store.index_bound).
-        """
-        base = (fer if fermionic else bos)[0] - self.epsilon
-        rest = (bos, fer[1:]) if fermionic else (bos[1:], fer)
-        last = self.epsilon + deficit(g, bos, fer, self.epsilon)
-        out = self.zero
-        for p, signed_tau in self.dilaton:
-            if p > last:
-                break
-            val = self.flookup(g, *_place(base + p, fermionic, *rest))
-            if val:
-                out = out + signed_tau * val
-        return out
 
     # --- quadratic combinations -------------------------------------------
     #
@@ -199,31 +176,32 @@ class AirySolver(LazyTensor):
     # leading-sum and single-F terms, whose solved index strictly
     # increases, and the dependency graph is acyclic.
 
-    def xi2_bb(self, g, pairs, bos, fer):
+    def xi2_bb(self, acc, g, pairs, bos, fer, weight):
         """Sum of C * [F_{g-1}(k,l,J|K) + signed F(k,J1|K1)F(l,J2|K2)]."""
-        return self._xi2(g, pairs, bos, fer, False, False)
+        self._xi2(acc, g, pairs, bos, fer, weight, False, False)
 
-    def xi2_ff(self, g, pairs, bos, fer):
+    def xi2_ff(self, acc, g, pairs, bos, fer, weight):
         """Sum of C * [-F_{g-1}(J|k,l,K) + signed F(J1|k,K1)F(J2|l,K2)]."""
-        return self._xi2(g, pairs, bos, fer, True, True)
+        self._xi2(acc, g, pairs, bos, fer, weight, True, True)
 
-    def xi2_bf(self, g, pairs, bos, fer):
+    def xi2_bf(self, acc, g, pairs, bos, fer, weight):
         """Sum of C * [F_{g-1}(k,J|l,K) + signed F(k,J1|K1)F(J2|l,K2)]."""
-        return self._xi2(g, pairs, bos, fer, False, True)
+        self._xi2(acc, g, pairs, bos, fer, weight, False, True)
 
-    def _xi2(self, g, pairs, bos, fer, k_fermionic, l_fermionic):
-        """The quadratic sum over pairs (k, l, C) with k and l in the given
-        (fermionic or bosonic) slots: C times the F_{g-1} lead term plus
-        the signed products F_{g1}(k, J1|K1) F_{g-g1}(l, J2|K2) over
-        partitions of J and K, for canonical J = bos and K = fer.
+    def _xi2(self, acc, g, pairs, bos, fer, weight, k_fermionic,
+             l_fermionic):
+        """Add into the raw sum acc weight times the quadratic sum over
+        pairs (k, l, C) with k and l in the given (fermionic or bosonic)
+        slots: C times the F_{g-1} lead term plus the signed products
+        F_{g1}(k, J1|K1) F_{g-g1}(l, J2|K2) over partitions of J and K, for
+        canonical J = bos and K = fer.
 
         The lead term is read with l opened in front of k: that is
         F_{g-1}(k, l, ...) for a bosonic k or l, and F_{g-1}(J|l,k,K) =
         -F_{g-1}(J|k,l,K) for two fermions, the lead term of xi2_ff."""
         if not pairs:
-            return self.zero
+            return
         ring = self.ring
-        out = {}  # the raw sum of every term
         rows = {}
         for k, l, val in pairs:
             rows.setdefault(k, []).append((l, val))
@@ -232,7 +210,7 @@ class AirySolver(LazyTensor):
                 opened, sign = insert_index(k, k_fermionic, bos, fer)
                 if sign:
                     _contract(ring, row, self.slice(
-                        g - 1, *opened, l_fermionic), out, sign)
+                        g - 1, *opened, l_fermionic), acc, sign * weight)
         # the bosonic split sign is never used: each distinct split is
         # formed once and weighted by its multiplicity
         fer_splits = list(iter_partitions(fer))
@@ -242,6 +220,7 @@ class AirySolver(LazyTensor):
                 # indices beside its open slot
                 low = 0 if len(bos1) + len(fer1) > 1 else 1
                 high = g if len(bos2) + len(fer2) > 1 else g - 1
+                split_weight = sign * mult * weight
                 for g1 in range(low, high + 1):
                     firsts = self.slice(g1, bos1, fer1, k_fermionic)
                     if not firsts:
@@ -249,7 +228,6 @@ class AirySolver(LazyTensor):
                     seconds = self.slice(g - g1, bos2, fer2, l_fermionic)
                     if not seconds:
                         continue
-                    weight = sign * mult
                     for k, a in firsts.items():
                         row = rows.get(k)
                         if row is not None:
@@ -257,106 +235,92 @@ class AirySolver(LazyTensor):
                             _contract(ring, row, seconds, inner)
                             inner = finish(ring, inner)
                             if inner is not None:
-                                mul_into(ring, out, a.terms, inner.terms,
-                                         weight)
-        return finish(ring, out) or self.zero
+                                mul_into(ring, acc, a.terms, inner.terms,
+                                         split_weight)
 
     # --- level equations ---------------------------------------------------
 
     def solve_bosonic_entry(self, g, bos, fer):
-        """Value of F(bos[0], bos[1:] | fer) from the bosonic constraint.
-
-        bos[0] is the unknown (multiplied by tau_epsilon); everything else
-        is looked up (and computed recursively if needed).
-        """
-        eps = self.epsilon
-        b0 = bos[0]
-        c = (b0 + 4 - eps) // 2
-        assert 2 * c + eps - 4 == b0 and c >= 1
-        ring = self.ring
-        coeffs = self.coeffs
-        rest = bos[1:]
-        chi = 2 * g + len(bos) + len(fer)
-        acc = self.xi0_rest(g, bos, fer, False)
-        if chi == 3:
-            # base level: the quadratic terms collapse to constants
-            if len(bos) == 3:
-                j, k = rest
-                val = coeffs.value("bb", c, -j, -k)
-                if val:
-                    acc = acc + val * ring.rational(j * k)
-            elif len(bos) == 1 and len(fer) == 0:
-                acc = acc + coeffs.d(c, self.bosonic_only)
-            elif len(bos) == 1 and len(fer) == 2:
-                j, k = fer
-                val = coeffs.value("ff", c, -j, -k)
-                if val:
-                    denom = 1 + (1 if j == 0 else 0) + (1 if k == 0 else 0)
-                    acc = acc + val * ring.rational(Fraction(1, denom))
-        else:
-            # the quadratic sums carry the 1/2 prefactor of the bilinear
-            # part of the constraint operators (it cancels only in the
-            # mixed single-F terms below, by index symmetry)
-            # k and l take what the other indices leave of the bound of
-            # level chi - 1, which every factor of the quadratic terms
-            # keeps (see store.index_bound)
-            odd, even = slot_ranges(deficit(g, rest, fer, eps))
-            quad = self.xi2_bb(g, coeffs.nonzero("bb", c, odd, odd),
-                               rest, fer)
-            if not self.bosonic_only:
-                quad = quad + self.xi2_ff(
-                    g, coeffs.nonzero("ff", c, even, even), rest, fer)
-            if quad:
-                acc = acc + ring.rational(Fraction(1, 2)) * quad
-            for kinds in ((False, False), (True, True)):
-                single = self._single_f(g, c, rest, fer, *kinds)
-                if single is not None:
-                    acc = acc + single
-        return -(self.inv_tau_eps * acc)
+        """Value of F(bos[0], bos[1:] | fer) from the bosonic constraint."""
+        return self._solve(g, bos, fer, False)
 
     def solve_fermionic_entry(self, g, bos, fer):
         """Value of F(bos | fer[0], fer[1:]) from the fermionic constraint."""
-        eps = self.epsilon
-        f0 = fer[0]
-        c = (f0 + 3 - eps) // 2
-        assert 2 * c + eps - 3 == f0 and c >= 1 and f0 >= 2
-        ring = self.ring
-        coeffs = self.coeffs
-        rest = fer[1:]
-        chi = 2 * g + len(bos) + len(fer)
-        acc = self.xi0_rest(g, bos, fer, True)
-        if chi == 3:
-            # base level: one bosonic and one trailing fermionic slot
-            assert len(bos) == 1 and len(fer) == 2
-            j = bos[0]
-            k = rest[0]
-            val = coeffs.value("bf", c, -j, -k)
-            if val:
-                denom = 2 if k == 0 else 1
-                acc = acc + val * ring.rational(Fraction(j, denom))
-        else:
-            odd, even = slot_ranges(deficit(g, bos, rest, eps))
-            quad = self.xi2_bf(g, coeffs.nonzero("bf", c, odd, even),
-                               bos, rest)
-            if quad:
-                acc = acc + quad
-            for kinds in ((False, True), (True, False)):
-                single = self._single_f(g, c, bos, rest, *kinds)
-                if single is not None:
-                    acc = acc + single
-        return -(self.inv_tau_eps * acc)
+        return self._solve(g, bos, fer, True)
 
-    def _single_f(self, g, c, bos, fer, removed_fermionic,
+    def _solve(self, g, bos, fer, fermionic):
+        """Value of the entry from the constraint whose unknown, times
+        tau_epsilon, is bos[0] (fermionic: fer[0]); every other term is
+        looked up (and computed recursively if needed) into one raw sum."""
+        eps = self.epsilon
+        lead = (fer if fermionic else bos)[0]
+        c = (lead + 4 - fermionic - eps) // 2
+        if (lead + eps + fermionic) % 2 or c < 1 or (fermionic and lead < 2):
+            raise UnsolvedEntry(f"no constraint leads with index {lead} in "
+                                f"{'fer' if fermionic else 'bos'}[0]")
+        ring, coeffs = self.ring, self.coeffs
+        rest = (bos, fer[1:]) if fermionic else (bos[1:], fer)
+        acc = {}  # the raw sum of every term
+        # the leading sum: tau_p F(2c+p-4, J|K) (fermionic: tau_p
+        # F(J|2c+p-3, K)) over p != epsilon. The term of p reads an entry of
+        # the same level whose deficit is D + epsilon - p, D the deficit of
+        # this entry, so it is zero for every p > D + epsilon (see
+        # store.index_bound).
+        last = eps + deficit(g, bos, fer, eps)
+        for p, signed_tau in self.dilaton:
+            if p > last:
+                break
+            val = self.flookup(g, *_place(lead - eps + p, fermionic, *rest))
+            if val:
+                mul_into(ring, acc, signed_tau.terms, val.terms)
+        if 2 * g + len(bos) + len(fer) == 3:
+            # base level: the quadratic terms collapse to constants
+            if fermionic:
+                # one bosonic and one trailing fermionic slot
+                (j,), (k,) = rest
+                add_into(acc, coeffs.value("bf", c, -j, -k).terms,
+                         Fraction(j, 2 if k == 0 else 1))
+            elif len(bos) == 3:
+                j, k = rest[0]
+                add_into(acc, coeffs.value("bb", c, -j, -k).terms, j * k)
+            elif fer:
+                j, k = fer
+                add_into(acc, coeffs.value("ff", c, -j, -k).terms,
+                         Fraction(1, 1 + (j == 0) + (k == 0)))
+            else:
+                add_into(acc, coeffs.d(c, self.bosonic_only).terms)
+        else:
+            # k and l take what the other indices leave of the bound of
+            # level chi - 1, which every factor of the quadratic terms
+            # keeps (see store.index_bound)
+            odd, even = slot_ranges(deficit(g, *rest, eps))
+            if fermionic:
+                self.xi2_bf(acc, g, coeffs.nonzero("bf", c, odd, even),
+                            *rest, 1)
+                kind_pairs = ((False, True), (True, False))
+            else:
+                # the 1/2 prefactor of the bilinear part of the constraint
+                # operators (it cancels only in the mixed single-F terms,
+                # by index symmetry)
+                self.xi2_bb(acc, g, coeffs.nonzero("bb", c, odd, odd),
+                            *rest, Fraction(1, 2))
+                if not self.bosonic_only:
+                    self.xi2_ff(acc, g, coeffs.nonzero("ff", c, even, even),
+                                *rest, Fraction(1, 2))
+                kind_pairs = ((False, False), (True, True))
+            for kinds in kind_pairs:
+                self._single_f(acc, g, c, *rest, *kinds)
+        total = finish(ring, acc)
+        return self.zero if total is None else -(self.inv_tau_eps * total)
+
+    def _single_f(self, acc, g, c, bos, fer, removed_fermionic,
                   added_fermionic):
-        """The single-F terms of operator c beside remaining indices bos
-        and fer, or None if all vanish: each index j of the removed kind
+        """Add into the raw sum acc the single-F terms of operator c beside
+        remaining indices bos and fer: each index j of the removed kind
         replaced by each k of the added kind, times C(c, -j, k) (C^bf reads
         its bosonic argument first) and j, or the position sign of a
         fermionic j, halved at j = 0."""
         removed = fer if removed_fermionic else bos
-        if not removed:
-            return None
-        out = None
         coeffs = self.coeffs
         kind = "ff" if removed_fermionic and added_fermionic else \
             "bf" if removed_fermionic or added_fermionic else "bb"
@@ -368,9 +332,8 @@ class AirySolver(LazyTensor):
         for pos, j in enumerate(removed):
             sub = removed[:pos] + removed[pos + 1:]
             added = slot_ranges(budget + j)[added_fermionic]
-            weight = self.ring.rational(
-                Fraction((-1) ** pos, 2 if j == 0 else 1)
-                if removed_fermionic else j)
+            weight = Fraction((-1) ** pos, 2 if j == 0 else 1) \
+                if removed_fermionic else j
             rest = (bos, sub) if removed_fermionic else (sub, fer)
             for first, second, val in (
                     coeffs.nonzero(kind, c, added, (-j,)) if transposed
@@ -378,9 +341,7 @@ class AirySolver(LazyTensor):
                 term = self.flookup(g, *_place(
                     first if transposed else second, added_fermionic, *rest))
                 if term:
-                    term = val * term * weight
-                    out = term if out is None else out + term
-        return out
+                    mul_into(self.ring, acc, val.terms, term.terms, weight)
 
     # --- driver ------------------------------------------------------------
 

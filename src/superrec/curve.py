@@ -171,6 +171,9 @@ class CurveBases:
         self.delta_omega = FormalSeries(
             ring, {l - 1: 2 * v for l, v in curve.tau.items() if l % 2},
             self.trunc, 1, 0, min_exp=epsilon - 1)
+        # no spec fails this: CurveData.validate keeps tau_epsilon nonzero
+        # and within the truncation, and delta_omega's lead is 2 tau_epsilon
+        # by construction
         lead = self.delta_omega.coeffs.get(epsilon - 1)
         assert lead and lead == 2 * curve.tau[epsilon]
 
@@ -193,11 +196,11 @@ class CurveBases:
     # --- basis series ----------------------------------------------------
 
     def dxi_plus(self, l):
-        assert l >= 1
+        _check_index("dxi_plus", l, 1)
         return FormalSeries.monomial(self.ring, 1, l - 1, self.trunc, 1, 0)
 
     def dxi_minus(self, l):
-        assert l >= 1
+        _check_index("dxi_minus", l, 1)
         if l not in self._dxi_minus:
             coeffs = {-l - 1: self.ring.one()}
             inv_l = self.ring.rational(Fraction(1, l))
@@ -213,12 +216,12 @@ class CurveBases:
         return self.dxi_plus(l) if l > 0 else self.dxi_minus(-l)
 
     def eta_plus(self, l):
-        assert l >= 1
+        _check_index("eta_plus", l, 1)
         return FormalSeries.monomial(self.ring, 1, l - 1, self.trunc, 0, 1)
 
     def eta_minus(self, l):
         """eta with a pole of order l+1; l = 0 gives the zero mode."""
-        assert l >= 0
+        _check_index("eta_minus", l, 0)
         if l not in self._eta_minus:
             coeffs = {-l - 1: self.ring.one()}
             for k in range(0, self.curve.max_polarization_index() + 1):
@@ -235,6 +238,11 @@ class CurveBases:
 
     def eta(self, l):
         return self.eta_plus(l) if l > 0 else self.eta_minus(-l)
+
+
+def _check_index(name, l, least):
+    if l < least:
+        raise ValueError(f"{name} needs an index >= {least}, got {l}")
 
 
 def pairing_B(a, b):

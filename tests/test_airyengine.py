@@ -6,16 +6,20 @@ closed-form low-level values plus alternative-slot consistency (the same
 entry re-derived from a different constraint instance must agree).
 """
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import superrec
 from superrec.airyengine import AirySolver, ConstraintCoeffs, run_airy
 from superrec.curve import CurveBases, CurveData
 from superrec.scalars import Ring
 from superrec.series import FormalSeries
-from superrec.store import index_bound
+from superrec.store import UnsolvedEntry, index_bound
 from superrec.trengine import run_tr
 from superrec.zoo import ZooSpec, zoo_build
 
@@ -255,6 +259,46 @@ def test_base_level_fermionic_route_agrees():
                         continue
                     alt = solver.solve_fermionic_entry(0, (j,), (f, k))
                     assert alt == tensor.get(0, (j,), (f, k)), (j, f, k)
+
+
+# Entries whose lead index no constraint has, as (epsilon, method, g, bos,
+# fer): an even bosonic lead, a fermionic lead of c = 0, an odd fermionic
+# lead, and at epsilon 1 a fermionic lead of c = 1 below 2.
+UNSOLVABLE = [(3, "solve_bosonic_entry", 0, (2, 1, 1), ()),
+              (3, "solve_fermionic_entry", 0, (1,), (0, 2)),
+              (3, "solve_fermionic_entry", 0, (1,), (1, 2)),
+              (1, "solve_fermionic_entry", 0, (1,), (0, 2))]
+
+
+def test_unsolvable_instances_are_refused():
+    for epsilon, method, g, bos, fer in UNSOLVABLE:
+        solver = AirySolver(
+            CurveData(RING, epsilon, {epsilon: rat(1)}, {}, {}, {}, 12), 3)
+        with pytest.raises(UnsolvedEntry, match="no constraint leads"):
+            getattr(solver, method)(g, bos, fer)
+
+
+def test_unsolvable_instances_are_refused_under_optimized_python():
+    # the check must not be an assert, which `python -O` strips
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        superrec.__file__)))
+    script = ("from superrec.airyengine import AirySolver\n"
+              "from superrec.curve import CurveData\n"
+              "from superrec.scalars import Ring\n"
+              "from superrec.store import UnsolvedEntry\n"
+              "ring = Ring([])\n"
+              f"for epsilon, method, g, bos, fer in {UNSOLVABLE!r}:\n"
+              "    solver = AirySolver(CurveData(ring, epsilon, {epsilon: "
+              "ring.one()}, {}, {}, {}, 12), 3)\n"
+              "    try:\n"
+              "        getattr(solver, method)(g, bos, fer)\n"
+              "    except UnsolvedEntry:\n"
+              "        continue\n"
+              "    raise SystemExit(f'{method}{(g, bos, fer)} solved')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_index_parity_and_bounds_respected():

@@ -17,6 +17,7 @@ import pytest
 
 import superrec
 from superrec import cli, svir
+from superrec.airyengine import run_bosonic
 from superrec.cli import (EXIT_INTERNAL, EXIT_MISMATCH, EXIT_PARSE,
                           EXIT_TRUNCATION, build_curve, canonical_bytes,
                           document_entries, load_spec_document, main)
@@ -288,6 +289,26 @@ def test_result_bytes_are_pinned(tmp_path, engine, spec, sha256):
                  "--curve", write_spec(tmp_path, spec),
                  "--no-cache", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+# sha256 of the canonical bytes of the bosonic-only result documents at
+# chi_max 7, recorded before the two constraint solves were written as one;
+# this path alone halves the central constant and drops the C^ff sums
+PINNED_BOSONIC_CHI7_SHA256 = [
+    (PHI11_T_SPEC,
+     "300ff8fed5df742c9d8a32a7e8bf98d684ca43ec58e66ad36626cad1df4d6c7a"),
+    (PSI_SPEC,
+     "fd25aa1827cd899efead84f7d6207b1cbc3462bae258c108b74eb44fe7667b85"),
+]
+
+
+@pytest.mark.parametrize("spec, sha256", PINNED_BOSONIC_CHI7_SHA256,
+                         ids=["bosonic", "psi-bosonic"])
+def test_bosonic_result_bytes_are_pinned(spec, sha256):
+    curve, canonical = build_curve(spec)
+    doc = cli.tensor_document(run_bosonic(curve, 7), cli.curve_hash(canonical),
+                              7, "bosonic")
+    assert hashlib.sha256(canonical_bytes(doc)).hexdigest() == sha256
 
 
 def test_csv_without_out_is_rejected_before_any_work(tmp_path, monkeypatch,

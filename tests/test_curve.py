@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy
 
+import superrec
 from superrec.curve import (
     AdmissibilityError, CurveBases, CurveData, InconsistentPolarization,
     ShapeError, fit_parameters, pairing_B, pairing_F, phi_regular,
@@ -111,6 +115,40 @@ def test_dxi_minus_trivial():
     dxi2 = bases.dxi_minus(2)
     assert dxi2.coeff(-3) == RING.one()
     assert all(dxi2.coeff(k).is_zero() for k in range(-2, 10))
+
+
+# Basis getters called below their least index: dxi_plus and eta_plus
+# start at 1, dxi_minus at 1 and eta_minus at 0 (the zero mode)
+BAD_BASIS_INDICES = [("dxi_plus", 0), ("dxi_minus", 0), ("dxi_minus", -3),
+                     ("eta_plus", 0), ("eta_minus", -1), ("dxi", 0)]
+
+
+def test_basis_index_below_range_is_refused():
+    bases = CurveBases(airy_curve(12))
+    for name, l in BAD_BASIS_INDICES:
+        with pytest.raises(ValueError, match="needs an index >="):
+            getattr(bases, name)(l)
+
+
+def test_basis_index_below_range_is_refused_under_optimized_python():
+    # the checks must not be asserts, which `python -O` strips
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        superrec.__file__)))
+    script = ("from superrec.curve import CurveBases, CurveData\n"
+              "from superrec.scalars import Ring\n"
+              "ring = Ring([])\n"
+              "bases = CurveBases(CurveData(ring, 3, {3: ring.one()}, {}, "
+              "{}, {}, 12))\n"
+              f"for name, l in {BAD_BASIS_INDICES!r}:\n"
+              "    try:\n"
+              "        getattr(bases, name)(l)\n"
+              "    except ValueError:\n"
+              "        continue\n"
+              "    raise SystemExit(f'{name}({l}) returned a series')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_eta_zero_with_psi0():

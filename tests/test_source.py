@@ -57,8 +57,11 @@ def test_every_private_definition_is_read():
 
 def test_asserts_do_not_grow():
     # `python -O` strips asserts, so a check a spec can reach is a typed
-    # error; this bound only ever goes down
+    # error; this bound only ever goes down. The one left is the
+    # leading-term invariant in CurveBases.__init__, which no spec reaches:
+    # CurveData.validate keeps tau_epsilon nonzero, and the lead of
+    # delta_omega is 2 tau_epsilon by construction.
     asserts = sum(isinstance(node, ast.Assert)
                   for path in MODULES
                   for node in ast.walk(ast.parse(path.read_text())))
-    assert asserts <= 8
+    assert asserts <= 1
