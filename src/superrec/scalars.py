@@ -202,10 +202,8 @@ def accumulate(terms, key, value):
 class Scalar:
     """An element of the ring: Fraction-linear combination of monomials.
 
-    Operands that carry no symbols take a rational fast path: a product of
-    two rationals is one Fraction product, and a product with a rational
-    reuses the other operand's monomials; monomials are merged and reduced
-    only when both factors carry symbols.
+    A product of two Scalars is one raw sum (`mul_into`) and one `finish`;
+    monomials are merged and reduced only when both factors carry symbols.
     """
 
     __slots__ = ("ring", "terms")
@@ -298,17 +296,8 @@ class Scalar:
                 return _scalar(ring, {})
             return _scalar(ring, {m: c * other for m, c in self.terms.items()})
         other = self._coerce(other)
-        left, right = self.terms, other.terms
-        if len(left) == 1 and () in left:
-            if len(right) == 1 and () in right:
-                return _scalar(ring, {(): left[()] * right[()]})
-            c1 = left[()]
-            return _scalar(ring, {m: c1 * c for m, c in right.items()})
-        if len(right) == 1 and () in right:
-            c2 = right[()]
-            return _scalar(ring, {m: c * c2 for m, c in left.items()})
         terms = {}
-        mul_into(ring, terms, left, right)
+        mul_into(ring, terms, self.terms, other.terms)
         return finish(ring, terms) or _scalar(ring, {})
 
     __rmul__ = __mul__

@@ -26,7 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .scalars import Scalar, accumulate, add_into, finish_each, mul_into
+from .scalars import (Scalar, accumulate, add_into, finish, finish_each,
+                      mul_into)
 from .store import canonical, insert_index, simplex_keys
 
 
@@ -114,12 +115,6 @@ class FockPoly:
         c = self.terms.get((bos, fer, hpow))
         return self.ring.zero() if c is None else c * sign
 
-    def degree_one_terms(self):
-        """Sub-polynomial of grading degree one (one variable, no hbar)."""
-        terms = {k: v for k, v in self.terms.items()
-                 if len(k[0]) + len(k[1]) == 1 and k[2] == 0}
-        return FockPoly(self.ring, self.cap, terms)
-
 
 class ShiftData:
     """Dilaton-shift and polarization tables for mode conjugation."""
@@ -133,17 +128,16 @@ class ShiftData:
         self.max_index = max(
             [0] + [k for k in self.tau]
             + [max(p) for p in self.phi] + [max(p) for p in self.psi])
-        # i -> the (k, phi_ik / k) of the terms phi_ik / k J_k of J_-i, and
-        # the (k, psi_ki) of the terms psi_ki Gamma_k of Gamma_-i
-        self.phi_rows = {}
+        # kind -> i -> the (k, factor) of the terms factor J_k of J_-i
+        # (phi_ik / k) and factor Gamma_k of Gamma_-i (psi_ki)
+        self.tilde = {"J": {}, "Gamma": {}}
         for (i, k), val in sorted(self.phi.items()):
-            if k >= 1:
-                self.phi_rows.setdefault(i, []).append(
+            if i >= 1 and k >= 1:
+                self.tilde["J"].setdefault(i, []).append(
                     (k, val * Fraction(1, k)))
-        self.psi_columns = {}
         for (k, i), val in sorted(self.psi.items()):
             if k >= 0:
-                self.psi_columns.setdefault(i, []).append((k, val))
+                self.tilde["Gamma"].setdefault(i, []).append((k, val))
 
     @classmethod
     def from_curve(cls, curve):
@@ -217,24 +211,16 @@ def _mode_terms(kind, index, key, cap, shift=None):
     """The mode J or Gamma of this index on the monomial key; with shift
     data, a negative mode (and Gamma_0) is expanded into the tilde mode:
     J_-i + tau_i + sum_k phi_ik / k J_k, or Gamma_-i + sum_k psi_ki
-    Gamma_k."""
+    Gamma_k. J_0 stays unshifted: tau indices are >= 1, and the tilde
+    table holds no J row 0."""
     out = _plain_terms(kind, index, key, cap)
     if shift is None or index > 0:
         return out
-    i = -index
-    if kind == "J":
-        if i:
-            tau = shift.tau.get(i)
-            if tau:
-                out.append((key, tau))
-            for k, val in shift.phi_rows.get(i, ()):
-                term = _lowered(k, False, key)
-                if term:
-                    out.append((term[0], val * term[1]))
-    else:
-        for k, val in shift.psi_columns.get(i, ()):
-            out.extend((new, val * factor)
-                       for new, factor in _plain_terms("Gamma", k, key, cap))
+    if kind == "J" and -index in shift.tau:
+        out.append((key, shift.tau[-index]))
+    for k, val in shift.tilde[kind].get(-index, ()):
+        out.extend((new, val * factor)
+                   for new, factor in _plain_terms(kind, k, key, cap))
     return out
 
 
@@ -387,55 +373,53 @@ def apply_mode(kind, label, p, shift=None):
 # --- relation checks ----------------------------------------------------------
 
 
-def _commutator(a_fn, b_fn, p, anti=False):
-    first = a_fn(b_fn(p))
-    second = b_fn(a_fn(p))
-    return first + second if anti else first - second
+def _holds(p, a_fn, b_fn, anti=False, rhs=(), weight=0):
+    """True iff [A, B] ({A, B} when anti) equals weight hbar times the sum
+    of the polynomials rhs on p: every term of A(B(p)), -+B(A(p)) and
+    -weight hbar q goes into one raw sum per key, and each must cancel."""
+    ring, sums = p.ring, {}
+    parts = [(a_fn(b_fn(p)), 1, 0), (b_fn(a_fn(p)), 1 if anti else -1, 0)]
+    for q, w, dh in parts + [(q, -weight, 1) for q in rhs]:
+        for (bos, fer, h), c in q.terms.items():
+            _add_term(ring, sums, (bos, fer, h + dh), c, w)
+    return all(finish(ring, acc) is None for acc in sums.values())
 
 
-def _linear(a_fn, b_fn, p, weight, c_fn=None, anti=False):
-    """True iff [A, B] = weight hbar C on p ({A, B} when anti), where C is
-    the identity when c_fn is None."""
-    if weight:
-        rhs = (p if c_fn is None else c_fn(p)).mul_hbar().scale(weight)
-    else:
-        rhs = FockPoly(p.ring, p.cap)
-    return _commutator(a_fn, b_fn, p, anti) == rhs
-
-
-# The pair sums of the relation right-hand sides run over even labels k of
-# J_k and odd labels k of Gamma_k; a zero weight skips the other labels.
+# A closure right-hand side is (polynomials, weight), weight hbar times the
+# sum of the polynomials, and ((), 0) when the weight is zero. Its pair sums
+# run over even labels k of J_k and odd labels k of Gamma_k; a zero weight
+# skips the other labels.
 
 
 def _rhs_tail(t, p, shift):
-    """L_t + sum_k :J_k J_(2t-k): + sum_k (t-k) :Gamma_k Gamma_(2t-k):,
+    """L_t, and sum_k :J_k J_(2t-k): + sum_k (t-k) :Gamma_k Gamma_(2t-k):
     kept among p's images: [L_n, L_m] and [L_m, L_n] both read it."""
-    return _image("tail", t, p, shift, _sum_tail)
+    return _apply_L(t, p, shift), _image("tail", t, p, shift, _sum_tail)
 
 
 def _sum_tail(t, p, shift):
-    return _apply_L(t, p, shift) + _pair_sum(p, shift, 2 * t, [
+    return _pair_sum(p, shift, 2 * t, [
         ("J", "J", lambda k: 0 if k % 2 else 1),
         ("Gamma", "Gamma", lambda k: t - k if k % 2 else 0)])
 
 
 def _rhs_LL(n, m, p, shift=None):
     if n == m:
-        return FockPoly(p.ring, p.cap)
-    return _rhs_tail(n + m, p, shift).mul_hbar().scale(2 * (n - m))
+        return (), 0
+    return _rhs_tail(n + m, p, shift), 2 * (n - m)
 
 
 def _rhs_LG(n, m, p, shift=None):
-    if n - 2 * m - 1 == 0:
-        return FockPoly(p.ring, p.cap)
-    out = _apply_G(n + m, p, shift) + _pair_sum(
-        p, shift, 2 * n + 2 * m + 1,
-        [("J", "Gamma", lambda k: 0 if k % 2 else 2)])
-    return out.mul_hbar().scale(n - 2 * m - 1)
+    weight = n - 2 * m - 1
+    if not weight:
+        return (), 0
+    image = _apply_G(n + m, p, shift)
+    return (image, _pair_sum(p, shift, 2 * n + 2 * m + 1, [
+        ("J", "Gamma", lambda k: 0 if k % 2 else 2)])), weight
 
 
 def _rhs_GG(n, m, p, shift=None):
-    return _rhs_tail(n + m + 1, p, shift).mul_hbar().scale(2)
+    return _rhs_tail(n + m + 1, p, shift), 2
 
 
 def _closes(name, n, m, p, shift=None):
@@ -443,10 +427,9 @@ def _closes(name, n, m, p, shift=None):
     "GG") equals its closure right-hand side on p."""
     a = _apply_G if name == "GG" else _apply_L
     b = _apply_L if name == "LL" else _apply_G
-    lhs = _commutator(lambda q: a(n, q, shift), lambda q: b(m, q, shift), p,
-                      anti=name == "GG")
     rhs = {"LL": _rhs_LL, "LG": _rhs_LG, "GG": _rhs_GG}[name]
-    return lhs == rhs(n, m, p, shift)
+    return _holds(p, lambda q: a(n, q, shift), lambda q: b(m, q, shift),
+                  name == "GG", *rhs(n, m, p, shift))
 
 
 def check_commutator(relation, a, b, sample):
@@ -468,17 +451,17 @@ def check_commutator(relation, a, b, sample):
     G = lambda q: _apply_G(a, q, None)
     if relation == "comm1":
         J = partial(_apply, "J", 2 * b)
-        return (_linear(L, J, p, 2 * b,
-                        partial(_apply, "J", 2 * a + 2 * b))
-                and _linear(G, J, p, 2 * b,
-                            partial(_apply, "Gamma", 2 * a + 2 * b + 1)))
+        return (_holds(p, L, J, False, [_apply("J", 2 * a + 2 * b, p)],
+                       2 * b)
+                and _holds(p, G, J, False,
+                           [_apply("Gamma", 2 * a + 2 * b + 1, p)], 2 * b))
     if relation == "comm2":
         gamma = partial(_apply, "Gamma", 2 * b - 1)
-        return (_linear(L, gamma, p, a + 2 * b - 1,
-                        partial(_apply, "Gamma", 2 * a + 2 * b - 1))
-                and _linear(G, gamma, p, -1,
-                            partial(_apply, "J", 2 * a + 2 * b),
-                            anti=True))
+        return (_holds(p, L, gamma, False,
+                       [_apply("Gamma", 2 * a + 2 * b - 1, p)],
+                       a + 2 * b - 1)
+                and _holds(p, G, gamma, True, [_apply("J", 2 * a + 2 * b, p)],
+                           -1))
     raise ValueError(f"unknown relation {relation}")
 
 
@@ -488,10 +471,10 @@ def check_heisenberg_clifford(a, b, sample):
     J_a, J_b = partial(_apply, "J", a), partial(_apply, "J", b)
     gamma_b = partial(_apply, "Gamma", b)
     delta = int(a + b == 0)
-    return (_linear(J_a, J_b, p, a * delta)
-            and _linear(partial(_apply, "Gamma", a), gamma_b, p, delta,
-                        anti=True)
-            and _linear(J_a, gamma_b, p, 0))
+    return (_holds(p, J_a, J_b, False, [p], a * delta)
+            and _holds(p, partial(_apply, "Gamma", a), gamma_b, True, [p],
+                       delta)
+            and _holds(p, J_a, gamma_b))
 
 
 # --- super-Airy-structure axioms ------------------------------------------------
@@ -548,21 +531,18 @@ def check_airy_axioms(shift, i_max=3, probe_max=6):
                 (0, "hatted-even", 2 * i - 1, None),
                 (1, "hatted-odd", None, 2 * i)):
             op = partial(_hatted, odd, i, shift=shift, i_limit=i_limit)
-            if not op(one).degree_one_terms().is_zero():
+            if any(len(bos) + len(fer) == 1 and not h
+                   for bos, fer, h in op(one).terms):
                 failures.append((name, i, "degree-one multiplication term"))
-            for b in range(1, probe_max + 1):
-                got = op(FockPoly.monomial(ring, cap, bos=(b,))).component(
-                    hpow=1)
-                want = ring.one() if target_x == b else ring.zero()
-                if got != want:
-                    failures.append((name, i, f"d/dx^{b} coefficient {got}"))
-            for b in range(0, probe_max + 1):
-                got = op(FockPoly.monomial(ring, cap, fer=(b,))).component(
-                    hpow=1)
-                want = ring.one() if target_t == b else ring.zero()
-                if got != want:
-                    failures.append(
-                        (name, i, f"d/theta^{b} coefficient {got}"))
+            for var, slot, low, target in (("dx", "bos", 1, target_x),
+                                           ("theta", "fer", 0, target_t)):
+                for b in range(low, probe_max + 1):
+                    got = op(FockPoly.monomial(
+                        ring, cap, **{slot: (b,)})).component(hpow=1)
+                    want = ring.one() if target == b else ring.zero()
+                    if got != want:
+                        failures.append(
+                            (name, i, f"d/{var}^{b} coefficient {got}"))
 
     # closure of the shifted quadratic operators (conjugated relations)
     eps = shift.epsilon

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import (combinations, combinations_with_replacement,
                        permutations)
 
@@ -417,7 +418,11 @@ def test_support_sums_equal_window_sums(curve):
                 window_G(n, p, shift), ("G", n, p.terms)
             for m in LABELS:
                 for fast, window in RHS:
-                    assert fast(n, m, p, shift) == window(n, m, p, shift), \
+                    parts, weight = fast(n, m, p, shift)
+                    got = FockPoly(p.ring, p.cap)
+                    for q in parts:
+                        got = got + q.mul_hbar().scale(weight)
+                    assert got == window(n, m, p, shift), \
                         (fast.__name__, n, m, p.terms)
 
 
@@ -571,6 +576,24 @@ def test_quadratic_commutators(relation):
                     continue  # (anti)symmetric in (n, m)
                 assert check_commutator(relation, n, m, p), \
                     (relation, n, m, p.terms)
+
+
+def test_linear_relations_fail_with_a_wrong_right_hand_side():
+    # each sample makes the right-hand side nonzero, so a wrong weight or
+    # sign must be seen: [J_1, J_-1] = hbar, [L_0, J_2] = 2 hbar J_2 and
+    # {G_1, Gamma_1} = -hbar J_2
+    one, x2 = mono(), mono(bos=(2,))
+    J = lambda i: partial(svir._apply, "J", i)
+    L0 = lambda q: svir._apply_L(0, q, None)
+    G1 = lambda q: svir._apply_G(0, q, None)
+    J2x2 = [svir._apply("J", 2, x2)]
+    for weight, holds in ((1, True), (2, False)):
+        assert svir._holds(one, J(1), J(-1), False, [one], weight) == holds
+    for weight, holds in ((2, True), (3, False)):
+        assert svir._holds(x2, L0, J(2), False, J2x2, weight) == holds
+    for weight, holds in ((-1, True), (1, False)):
+        assert svir._holds(x2, G1, partial(svir._apply, "Gamma", 1), True,
+                           J2x2, weight) == holds
 
 
 class Routed(Exception):
