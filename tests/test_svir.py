@@ -8,6 +8,7 @@ which sum only over the pair labels that act on the polynomial's support,
 are checked against fixed-window reference loops.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ import pytest
 
 import superrec
 from superrec import svir
+from superrec.cli import _algebra_monomials
 from superrec.curve import CurveData
 from superrec.airyengine import run_airy
 from superrec.scalars import Ring
@@ -525,6 +527,41 @@ def test_mode_images_are_keyed_by_shift():
                                              shift).terms.items())
                         for shift in shifts}) == 3]
     assert distinct
+
+
+def _image_lines(name, p, image):
+    return [f"{name} {key} {bos} {fer} {h} {c}" for key in p.terms
+            for (bos, fer, h), c in image.terms.items()]
+
+
+# sha256 of the sorted text of every J/Gamma image (labels -2..2), L/G
+# image and closure tail (labels -1..2) of each verify-algebra sample of
+# degree <= 4 over x^1, x^2, theta^0..theta^2, unshifted and with the rich
+# curve's shift data
+IMAGES_SHA256 = {
+    "rich":
+        "6dd887288fb94487b5788f1d6654f4db374e990c88152438f23538b43809a84e",
+    "unshifted":
+        "39c04ff675799de5dab5c48d9ecec3510ca332d0618f45e1b52859a16553aee4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMAGES_SHA256))
+def test_mode_images_are_pinned(name):
+    shift = None if name == "unshifted" else ShiftData.from_curve(rich_curve())
+    lines = []
+    for p in _algebra_monomials(RING, 4, 2):
+        for label in range(-2, 3):
+            for kind in ("J", "Gamma"):
+                lines += _image_lines(
+                    f"{kind}{label}", p, apply_mode(kind, label, p, shift))
+        for n in range(-1, 3):
+            for mode, image in (("L", svir._apply_L(n, p, shift)),
+                                ("G", svir._apply_G(n, p, shift)),
+                                ("tail", svir._sum_tail(n, p, shift))):
+                lines += _image_lines(f"{mode}{n}", p, image)
+    text = "\n".join(sorted(lines))
+    assert hashlib.sha256(text.encode()).hexdigest() == IMAGES_SHA256[name]
 
 
 def test_shared_images_are_not_changed_by_their_users():
