@@ -100,11 +100,6 @@ class FockPoly:
         return FockPoly(self.ring, self.cap,
                         {k: v * scalar for k, v in self.terms.items()})
 
-    def mul_hbar(self):
-        return FockPoly(self.ring, self.cap,
-                        {(b, f, h + 1): v for (b, f, h), v
-                         in self.terms.items()})
-
     def __eq__(self, other):
         return isinstance(other, FockPoly) and self.terms == other.terms
 
@@ -123,6 +118,8 @@ class ShiftData:
         self.ring = ring
         self.epsilon = epsilon
         self.tau = {k: v for k, v in tau.items() if v}
+        if epsilon not in (1, 3) or epsilon not in self.tau:
+            raise ValueError(f"epsilon {epsilon}: need 1 or 3, tau_eps != 0")
         self.phi = {k: v for k, v in phi.items() if v}   # (i, k) -> phi_ik
         self.psi = {k: v for k, v in psi.items() if v}   # (k, i) -> psi_ki
         self.max_index = max(
@@ -150,8 +147,10 @@ class ShiftData:
 # --- modes on one monomial ---------------------------------------------------
 #
 # A mode sends the monomial of a key (bos, fer, h), taken with coefficient 1,
-# to a list of (key, factor) pairs. A factor is an int or a Fraction, or a
-# tau, phi or psi Scalar for a term of the shift data.
+# to a list of (key, factor) pairs. A factor is an int, HALF (of Gamma_0),
+# or a tau, phi or psi Scalar for a term of the shift data.
+
+HALF = Fraction(1, 2)
 
 
 def _lowered(index, fermionic, key):
@@ -196,11 +195,11 @@ def _plain_terms(kind, index, key, cap):
         return [term if fermionic else (term[0], -index)]
     if not fermionic:
         return []  # J_0
-    # Gamma_0 = theta^0 / 2 + hbar d/dtheta^0
+    # Gamma_0 = theta^0 / 2 + hbar d/dtheta^0; theta^0 goes first, sign 1
     out = []
     term = _raised(0, True, key, cap)
     if term:
-        out.append((term[0], Fraction(term[1], 2)))
+        out.append((term[0], HALF))
     term = _lowered(0, True, key)
     if term:
         out.append(term)
@@ -244,15 +243,15 @@ def _pair_terms(kind1, i1, kind2, i2, key, cap, shift):
 
 
 def _add_term(ring, sums, key, c, factor, weight=1):
-    """Add the Scalar c times a factor (an int, Fraction or Scalar) and a
-    rational weight into the raw sum sums[key]."""
+    """Add the terms c of a Scalar times a factor (an int, Fraction or
+    Scalar) and a rational weight into the raw sum sums[key]."""
     acc = sums.get(key)
     if acc is None:
         acc = sums[key] = {}
     if factor.__class__ is Scalar:
-        mul_into(ring, acc, c.terms, factor.terms, weight)
+        mul_into(ring, acc, c, factor.terms, weight)
     else:
-        add_into(acc, c.terms, factor * weight)
+        add_into(acc, c, factor * weight)
 
 
 def _apply(kind, index, p, shift=None):
@@ -265,49 +264,48 @@ def _sum_mode(kind, index, p, shift):
     ring, cap, sums = p.ring, p.cap, {}
     for key, c in p.terms.items():
         for new, factor in _mode_terms(kind, index, key, cap, shift):
-            _add_term(ring, sums, new, c, factor)
+            _add_term(ring, sums, new, c.terms, factor)
     return FockPoly(ring, cap, finish_each(ring, sums))
 
 
-def _acts(kind, index, support):
-    """False when the mode is zero on every polynomial of this support.
-
-    A positive mode differentiates, so it needs its variable; J_0 is zero;
-    creators and Gamma_0, shifted or not, act on anything.
-    """
-    if index > 0:
-        return index in support[kind]
-    return index < 0 or kind == "Gamma"
-
-
-def _pair_sum(p, shift, total, families):
-    """Sum over (kind1, kind2, weight) of sum_k weight(k) :A_k B_(total-k): p.
+def _pair_sum(p, shift, total, families, half=False, hbar=0):
+    """Sum over (kind1, kind2, weight) of sum_k weight(k) :A_k B_(total-k): p,
+    and hbar p times the weight hbar (L_0's constant), all halved if half.
 
     `_pair_terms` applies a positive mode before any creator, so on a
     monomial it sees at most the monomial's variables and theta^0: a label
     is applied to a monomial only when both of its modes act on the
     monomial's support. Those are the labels whose positive mode holds one
     of its variables, and the range total <= k <= 0 where neither mode is
-    positive.
+    positive. The weights are ints, so a monomial's coefficient is halved
+    once, and only when it gets a term.
     """
     ring, cap = p.ring, p.cap
     sums = {}  # key -> raw sum of its terms
     for key, c in p.terms.items():
-        held = {"J": key[0], "Gamma": key[1]}  # the variables it holds
+        bos, fer, h = key
+        held = {"J": bos, "Gamma": fer}  # the variables it holds
+        terms = []
         for kind1, kind2, weight in families:
-            labels = set(range(total, 1))
-            labels.update(held[kind1])
-            labels.update(total - a for a in held[kind2])
-            for k in sorted(labels):
-                if not (_acts(kind1, k, held)
-                        and _acts(kind2, total - k, held)):
-                    continue
-                w = weight(k)
-                if not w:
-                    continue
-                for new, factor in _pair_terms(kind1, k, kind2, total - k,
-                                               key, cap, shift):
-                    _add_term(ring, sums, new, c, factor, w)
+            held1, held2 = held[kind1], held[kind2]
+            for k in sorted({*range(total, 1), *held1,
+                             *(total - a for a in held2)}):
+                # a positive mode needs its variable, J_0 is zero, and
+                # creators and Gamma_0 act on anything
+                k2 = total - k
+                if ((k in held1 if k > 0 else k or kind1 == "Gamma")
+                        and (k2 in held2 if k2 > 0 else k2 or kind2 == "Gamma")
+                        and (w := weight(k))):
+                    terms.extend((new, factor, w) for new, factor
+                                 in _pair_terms(kind1, k, kind2, k2, key,
+                                                cap, shift))
+        if hbar:
+            terms.append(((bos, fer, h + 1), hbar, 1))
+        if terms:
+            coeff = {m: v * HALF for m, v in c.terms.items()} if half \
+                else c.terms
+            for new, factor, w in terms:
+                _add_term(ring, sums, new, coeff, factor, w)
     return FockPoly(ring, cap, finish_each(ring, sums))
 
 
@@ -315,7 +313,10 @@ def _image(kind, label, p, shift, compute):
     """The image of p under the mode (kind, label) ("J", "Gamma", "L" or
     "G", or the closure "tail"), with this shift data, computed by
     compute(label, p, shift) at most once per polynomial; the key holds
-    the ShiftData object itself."""
+    the ShiftData object itself. Every mode is linear, so the zero
+    polynomial is its own image, and it stores none."""
+    if not p.terms:
+        return p
     key = (kind, label, shift)
     if p.images is None:
         p.images = {}
@@ -326,13 +327,11 @@ def _image(kind, label, p, shift, compute):
 
 
 def _sum_L(n, p, shift):
-    out = _pair_sum(p, shift, 2 * n, [
-        ("J", "J", lambda k: Fraction(1 if k % 2 else -1, 2)),
-        ("Gamma", "Gamma",
-         lambda k: Fraction(n - k if k % 2 == 0 else k - n, 2))])
-    if n == 0:
-        out = out + p.mul_hbar().scale(Fraction(1, 4))
-    return out
+    # half of the integer-weighted pairs, and of hbar/2 when n is 0
+    return _pair_sum(p, shift, 2 * n, [
+        ("J", "J", lambda k: 1 if k % 2 else -1),
+        ("Gamma", "Gamma", lambda k: n - k if k % 2 == 0 else k - n)],
+        half=True, hbar=HALF if n == 0 else 0)
 
 
 def _sum_G(m, p, shift):
@@ -381,7 +380,7 @@ def _holds(p, a_fn, b_fn, anti=False, rhs=(), weight=0):
     parts = [(a_fn(b_fn(p)), 1, 0), (b_fn(a_fn(p)), 1 if anti else -1, 0)]
     for q, w, dh in parts + [(q, -weight, 1) for q in rhs]:
         for (bos, fer, h), c in q.terms.items():
-            _add_term(ring, sums, (bos, fer, h + dh), c, w)
+            _add_term(ring, sums, (bos, fer, h + dh), c.terms, w)
     return all(finish(ring, acc) is None for acc in sums.values())
 
 
@@ -535,7 +534,7 @@ def check_airy_axioms(shift, i_max=3, probe_max=6):
                    for bos, fer, h in op(one).terms):
                 failures.append((name, i, "degree-one multiplication term"))
             for var, slot, low, target in (("dx", "bos", 1, target_x),
-                                           ("theta", "fer", 0, target_t)):
+                                           ("dtheta", "fer", 0, target_t)):
                 for b in range(low, probe_max + 1):
                     got = op(FockPoly.monomial(
                         ring, cap, **{slot: (b,)})).component(hpow=1)
@@ -546,16 +545,12 @@ def check_airy_axioms(shift, i_max=3, probe_max=6):
 
     # closure of the shifted quadratic operators (conjugated relations)
     eps = shift.epsilon
-    samples = [one,
-               FockPoly.monomial(ring, cap, bos=(1,)),
-               FockPoly.monomial(ring, cap, bos=(2,)),
-               FockPoly.monomial(ring, cap, bos=(1, 2)),
-               FockPoly.monomial(ring, cap, fer=(0, 2)),
-               FockPoly.monomial(ring, cap, bos=(1,), fer=(1,))]
+    samples = [one] + [FockPoly.monomial(ring, cap, bos, fer) for bos, fer
+                       in (((1,), ()), ((2,), ()), ((1, 2), ()), ((), (0, 2)),
+                           ((1,), (1,)))]
     for i in range(1, i_max + 1):
         for j in range(1, i_max + 1):
-            n = (2 * i - eps - 1) // 2
-            m = (2 * j - eps - 1) // 2
+            n, m = (2 * i - eps - 1) // 2, (2 * j - eps - 1) // 2
             for p in samples:
                 failed = next((name for name in ("LL", "LG", "GG")
                                if not _closes(name, n, m, p, shift)), None)

@@ -547,11 +547,11 @@ def test_verify_algebra_computes_each_image_once(monkeypatch, capsys):
                 inside[0] = outer
         return apply
 
-    def pair_sum(p, shift, total, families, inner=svir._pair_sum):
+    def pair_sum(p, *args, inner=svir._pair_sum, **kwargs):
         if inside[0] is not None:
             held.append(p)
             work[(id(p),) + inside[0]] += 1
-        return inner(p, shift, total, families)
+        return inner(p, *args, **kwargs)
 
     monkeypatch.setattr(svir, "_apply_L", traced("L", svir._apply_L))
     monkeypatch.setattr(svir, "_apply_G", traced("G", svir._apply_G))

@@ -165,8 +165,9 @@ def test_invalid_inputs_raise_under_optimized_python():
     code = """
 from superrec.airyengine import run_airy
 from superrec.scalars import Ring
-from superrec.svir import FockPoly, apply_mode, check_commutator
+from superrec.svir import FockPoly, ShiftData, apply_mode, check_commutator
 one = FockPoly.one(Ring([]), 4)
+unit = Ring([]).one()
 for make in (lambda: apply_mode("L", 3, one), lambda: apply_mode("G", 2, one),
              lambda: apply_mode("L", -4, one),
              lambda: apply_mode("G", -3, one),
@@ -174,7 +175,10 @@ for make in (lambda: apply_mode("L", 3, one), lambda: apply_mode("G", 2, one),
              lambda: check_commutator("comm3", -2, 0, one),
              lambda: check_commutator("comm5", 0, -2, one),
              lambda: FockPoly.monomial(Ring([]), 4, fer=(1, 1)),
-             lambda: FockPoly.monomial(Ring([]), 4, bos=(0,))):
+             lambda: FockPoly.monomial(Ring([]), 4, bos=(0,)),
+             lambda: ShiftData(Ring([]), 2, {3: unit}, {}, {}),
+             lambda: ShiftData(Ring([]), 3, {}, {}, {}),
+             lambda: ShiftData(Ring([]), 1, {1: unit - unit}, {}, {})):
     try:
         make()
     except ValueError as exc:
@@ -187,7 +191,7 @@ for make in (lambda: apply_mode("L", 3, one), lambda: apply_mode("G", 2, one),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 9 and all(line.startswith("ValueError: ")
+    assert len(lines) == 12 and all(line.startswith("ValueError: ")
                                    for line in lines), lines
 
 
@@ -240,6 +244,11 @@ def ref_diff_theta(p, a):
             terms[(bos, fer[:pos] + fer[pos + 1:], h + 1)] = \
                 -val if pos % 2 else val
     return FockPoly(p.ring, p.cap, terms)
+
+
+def ref_times_hbar(p):
+    return FockPoly(p.ring, p.cap, {(bos, fer, h + 1): val
+                                    for (bos, fer, h), val in p.terms.items()})
 
 
 def ref_plain(kind, index, p):
@@ -347,7 +356,7 @@ def window_L(n, p, shift, supported=False):
              Fraction(n + j, 2) * (1 if j % 2 == 0 else -1))
             for j in _window(p, n, shift)], shift, supported)
     if n == 0:
-        out = out + p.mul_hbar().scale(Fraction(1, 4))
+        out = out + ref_times_hbar(p).scale(Fraction(1, 4))
     return out
 
 
@@ -368,7 +377,7 @@ def window_rhs_LL(n, m, p, shift):
     out = out + _window_sum(
         p, [("Gamma", -2 * j - 1, "Gamma", 2 * j + total + 1,
              n + m + 2 * j + 1) for j in window], shift)
-    return out.mul_hbar().scale(2 * (n - m))
+    return ref_times_hbar(out).scale(2 * (n - m))
 
 
 def window_rhs_LG(n, m, p, shift):
@@ -378,7 +387,7 @@ def window_rhs_LG(n, m, p, shift):
     out = window_G(n + m, p, shift) + _window_sum(
         p, [("J", -2 * j, "Gamma", 2 * n + 2 * m + 2 * j + 1, 2)
             for j in window], shift)
-    return out.mul_hbar().scale(n - 2 * m - 1)
+    return ref_times_hbar(out).scale(n - 2 * m - 1)
 
 
 def window_rhs_GG(n, m, p, shift):
@@ -390,7 +399,7 @@ def window_rhs_GG(n, m, p, shift):
     out = out + _window_sum(
         p, [("Gamma", -2 * j - 1, "Gamma", 2 * j + 2 * n + 2 * m + 3,
              n + m + 2 * j + 2) for j in window], shift)
-    return out.mul_hbar().scale(2)
+    return ref_times_hbar(out).scale(2)
 
 
 LABELS = range(-1, 4)
@@ -423,7 +432,7 @@ def test_support_sums_equal_window_sums(curve):
                     parts, weight = fast(n, m, p, shift)
                     got = FockPoly(p.ring, p.cap)
                     for q in parts:
-                        got = got + q.mul_hbar().scale(weight)
+                        got = got + ref_times_hbar(q).scale(weight)
                     assert got == window(n, m, p, shift), \
                         (fast.__name__, n, m, p.terms)
 
@@ -453,6 +462,26 @@ def test_pairs_apply_only_annihilators_in_support(monkeypatch):
                     for fast, _ in RHS:
                         fast(n, m, p, shift)
     assert calls
+
+
+@pytest.mark.parametrize("curve", [None, rich_curve()],
+                         ids=["unshifted", "rich"])
+def test_closure_right_hand_sides_are_mirrored(curve):
+    # verify-algebra checks [L_n, L_m] on n < m and {G_n, G_m} on n <= m
+    # only: the residual of [L_m, L_n] is minus that of [L_n, L_m] because
+    # _rhs_LL hands back the same polynomials with the negated weight (and
+    # none on n == m), and {G_n, G_m} is symmetric like _rhs_GG
+    shift = None if curve is None else ShiftData.from_curve(curve)
+    for p in monomials()[::7]:
+        for n in LABELS:
+            assert svir._rhs_LL(n, n, p, shift) == ((), 0)
+            for m in LABELS:
+                for rhs, sign in ((svir._rhs_LL, -1), (svir._rhs_GG, 1)):
+                    parts, weight = rhs(n, m, p, shift)
+                    mirror, mirror_weight = rhs(m, n, p, shift)
+                    assert mirror_weight == sign * weight, (rhs, n, m)
+                    assert len(mirror) == len(parts) and all(
+                        a is b for a, b in zip(parts, mirror)), (rhs, n, m)
 
 
 def raises_cap(compute):
@@ -564,6 +593,21 @@ def test_mode_images_are_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == IMAGES_SHA256[name]
 
 
+def test_the_zero_polynomial_is_its_own_image():
+    zero = FockPoly(RING, CAP)
+    plain = [(kind, label) for kind in ("J", "Gamma")
+             for label in range(-3, 4)]
+    for shift in (None, ShiftData.from_curve(rich_curve())):
+        for kind, label in plain + MODES:
+            assert apply_mode(kind, label, zero, shift) is zero, (kind, label)
+        assert svir._rhs_tail(1, zero, shift) == (zero, zero)
+    assert zero.images is None
+    # the labels are still checked first
+    for kind, label in (("L", -4), ("G", -3), ("L", 1), ("G", 2), ("Q", 0)):
+        with pytest.raises(ValueError):
+            apply_mode(kind, label, zero)
+
+
 def test_shared_images_are_not_changed_by_their_users():
     shift = ShiftData.from_curve(rich_curve())
     p = mono((1, 2), (0, 1)) + mono((3,), (2,))
@@ -573,7 +617,6 @@ def test_shared_images_are_not_changed_by_their_users():
         image + p
         image - image
         image.scale(3)
-        image.mul_hbar()
         second = apply_mode("L", 0, image, shift)
         assert second == apply_mode("L", 0, _fresh(want), shift)
         assert apply_mode("L", 0, image, shift) is second
@@ -719,6 +762,32 @@ def test_airy_axioms_negative_control():
     bad = ShiftData(RING, 3, {3: rat(1)}, {(1, 2): rat(1)}, {})
     report = check_airy_axioms(bad, i_max=2, probe_max=4)
     assert any(name.startswith("closure") for name, _, _ in report)
+
+
+@pytest.mark.parametrize("epsilon, tau", [
+    (2, {3: 1}), (2, {2: 1}), (3, {}), (3, {3: 0, 5: 1}), (1, {3: 1})])
+def test_shift_data_needs_epsilon_1_or_3_and_its_dilaton(epsilon, tau):
+    # epsilon 2 would recurse without end in the recombination, and a
+    # missing tau_epsilon is what the recombination divides by
+    with pytest.raises(ValueError, match="need 1 or 3, tau_eps != 0"):
+        ShiftData(RING, epsilon, {k: rat(v) for k, v in tau.items()}, {}, {})
+    for good in (1, 3):
+        assert ShiftData(RING, good, {good: rat(-2)}, {}, {}).tau
+
+
+def test_theta_probe_failures_name_the_derivative(monkeypatch):
+    # no shift data at hand fails a theta probe, so a wrong hbar d/dtheta^2
+    # term is added to hat-H_1 by hand
+    inner = svir._hatted
+
+    def wrong(odd, i, p, shift, i_limit):
+        out = inner(odd, i, p, shift, i_limit)
+        return out + svir._apply("Gamma", 2, p) if (odd, i) == (0, 1) else out
+
+    monkeypatch.setattr(svir, "_hatted", wrong)
+    report = check_airy_axioms(ShiftData.from_curve(airy_curve()), i_max=1,
+                               probe_max=2)
+    assert report == [("hatted-even", 1, "d/dtheta^2 coefficient 1")]
 
 
 def test_degree_one_probe_detects_wrong_dilaton():
