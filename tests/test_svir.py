@@ -756,6 +756,49 @@ def test_airy_axioms_pass(curve, i_max):
                              probe_max=6) == []
 
 
+HATTED_CURVES = {"airy": airy_curve, "rich": rich_curve,
+                 "irregular": irregular_curve,
+                 "rich-lead-2": lambda: rich_curve(lead=2),
+                 "irregular-lead-1/3": lambda: irregular_curve(lead="-1/3")}
+
+# sha256 of the sorted text of hat-H_i and hat-F_i (i = 1..3) on 1, x^1..x^6,
+# theta^0..theta^6 and the closure samples of check_airy_axioms, with the
+# cap and label limit check_airy_axioms uses at i_max 3, probe_max 6
+HATTED_SHA256 = {
+    "airy":
+        "fdb2511a4cb13c83ded5760148676eb0a68af2b66c199aaf6dcbf605397fab4b",
+    "irregular":
+        "240d4c5d413785cda21c94dd620959ecb9deca6f53d79a7fc4d5bc83de6a378d",
+    "irregular-lead-1/3":
+        "3539e264c02f94a44d48f16a2f8886d24bdd8df3ac2daeed0e587360136b789b",
+    "rich":
+        "f78ce845fd99303858039bffc5fbe7df077e6c52697e0ffd7ccfba334c681c9d",
+    "rich-lead-2":
+        "d7420ce2d30ca1ee8924a78951b4cae9c505b50a90cab8e1395cfe378d455301",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HATTED_SHA256))
+def test_recombined_operators_are_pinned(name):
+    shift = ShiftData.from_curve(HATTED_CURVES[name]())
+    i_max, probe_max = 3, 6
+    cap = probe_max + 2 * (i_max + shift.max_index) + shift.epsilon + 5
+    i_limit = i_max + (probe_max + shift.max_index) // 2 + 2
+    samples = [FockPoly.monomial(RING, cap, bos, fer) for bos, fer in (
+        [((), ())] + [((b,), ()) for b in range(1, 7)]
+        + [((), (b,)) for b in range(7)]
+        + [((), ()), ((1,), ()), ((2,), ()), ((1, 2), ()), ((), (0, 2)),
+           ((1,), (1,))])]
+    lines = []
+    for index, p in enumerate(samples):
+        for odd in (0, 1):
+            for i in range(1, i_max + 1):
+                lines += _image_lines(f"{index} {odd} {i}", p, svir._hatted(
+                    odd, i, p, shift, i_limit))
+    text = "\n".join(sorted(lines))
+    assert hashlib.sha256(text.encode()).hexdigest() == HATTED_SHA256[name]
+
+
 def test_airy_axioms_negative_control():
     # an asymmetric polarization table is not a valid conjugation and must
     # be reported as a closure failure
