@@ -407,14 +407,17 @@ def cmd_verify_algebra(args):
     # the quadratic modes are only defined down to label -1
     low = [(a, b) for a in range(-1, args.mode_range + 1)
            for b in range(-1, args.mode_range + 1)]
+    # [J_a, J_b] and its right-hand side are antisymmetric in (a, b) and
+    # {Gamma_a, Gamma_b} and its right-hand side symmetric, and
+    # check_heisenberg_clifford checks both [J_a, Gamma_b] and [J_b, Gamma_a]:
+    # the family runs over a <= b. The residual of [L_b, L_a] is minus that
+    # of [L_a, L_b] (svir._rhs_LL returns the same polynomials with weight
+    # 2(a - b), ((), 0) when a == b, where the commutator cancels
+    # identically), and {G_a, G_b} and svir._rhs_GG are symmetric in (a, b):
+    # comm3 and comm5 check each unordered pair once.
     families = {"heisenberg-clifford": (
         check_heisenberg_clifford, [(a, b) for a in full_span
-                                    for b in full_span])}
-    # The residual of [L_b, L_a] is minus that of [L_a, L_b] (svir._rhs_LL
-    # returns the same polynomials with weight 2(a - b), ((), 0) when
-    # a == b, where the commutator cancels identically), and {G_a, G_b} and
-    # svir._rhs_GG are symmetric in (a, b): comm3 and comm5 check each
-    # unordered pair once.
+                                    for b in full_span if a <= b])}
     for relation, pairs in (("comm1", low), ("comm2", low),
                             ("comm3", [(a, b) for a, b in low if a < b]),
                             ("comm4", low),

@@ -12,13 +12,13 @@ oracle checks a computed coefficient tensor against the constraints.
 
 Every mode acts one monomial at a time: a J or Gamma mode sends a monomial
 to (monomial, factor) pairs, and a pair of them is the composition of two
-such calls. A quadratic mode is a sum over pair labels, of which only those
-whose annihilators find their variable in the monomial are applied to it,
-so its cost follows the support; its terms are added as raw coefficients,
-and each coefficient of the image becomes one Scalar. A polynomial keeps
-every mode image of itself that is computed (`FockPoly.images`), so
-applying the same mode with the same shift data to it again returns that
-image, which keeps its own images in turn.
+such calls. A quadratic mode sums only the pair labels whose annihilators
+find their variable in the monomial, so its cost follows the support. Each
+mode image, relation residual and recombined operator adds all of its
+terms into one raw sum per Fock key (`_add_term`) and finishes each sum
+once; `FockPoly` has no arithmetic. A polynomial keeps every mode image of
+itself that is computed (`FockPoly.images`), which keeps its own in turn.
+Heisenberg-Clifford holds on all (a, b) once it holds on every a <= b.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import partial
 
 from .scalars import (Scalar, accumulate, add_into, finish, finish_each,
                       mul_into)
-from .store import canonical, insert_index, simplex_keys
+from .store import canonical, index_bound, insert_index, simplex_keys
 
 
 class CapExceeded(Exception):
@@ -73,35 +73,6 @@ class FockPoly:
     @classmethod
     def one(cls, ring, cap):
         return cls.monomial(ring, cap)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for key, val in other.terms.items():
-            accumulate(terms, key, val)
-        return FockPoly(self.ring, self.cap, terms)
-
-    def __neg__(self):
-        return FockPoly(self.ring, self.cap,
-                        {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        terms = dict(self.terms)
-        for key, val in other.terms.items():
-            accumulate(terms, key, -val)
-        return FockPoly(self.ring, self.cap, terms)
-
-    def scale(self, scalar):
-        """Multiply by a Scalar, or by an int or Fraction taken as is."""
-        if not scalar:
-            return FockPoly(self.ring, self.cap)
-        return FockPoly(self.ring, self.cap,
-                        {k: v * scalar for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, FockPoly) and self.terms == other.terms
 
     def component(self, bos=(), fer=(), hpow=0):
         """Coefficient of x^bos theta^fer hbar^hpow, theta factors in the
@@ -465,15 +436,16 @@ def check_commutator(relation, a, b, sample):
 
 
 def check_heisenberg_clifford(a, b, sample):
-    """[J_a,J_b] = a hbar delta, {Gamma_a,Gamma_b} = hbar delta, [J,Gamma]=0."""
+    """[J_a,J_b] = a hbar delta, {Gamma_a,Gamma_b} = hbar delta and
+    [J_a,Gamma_b] = [J_b,Gamma_a] = 0: the pairs a <= b cover every (a, b)."""
     p = sample
-    J_a, J_b = partial(_apply, "J", a), partial(_apply, "J", b)
-    gamma_b = partial(_apply, "Gamma", b)
+    J_a, J_b = (partial(_apply, "J", c) for c in (a, b))
+    gamma_a, gamma_b = (partial(_apply, "Gamma", c) for c in (a, b))
     delta = int(a + b == 0)
     return (_holds(p, J_a, J_b, False, [p], a * delta)
-            and _holds(p, partial(_apply, "Gamma", a), gamma_b, True, [p],
-                       delta)
-            and _holds(p, J_a, gamma_b))
+            and _holds(p, gamma_a, gamma_b, True, [p], delta)
+            and _holds(p, J_a, gamma_b)
+            and (a == b or _holds(p, J_b, gamma_a)))
 
 
 # --- super-Airy-structure axioms ------------------------------------------------
@@ -490,23 +462,32 @@ def _hatted(odd, i, p, shift, i_limit):
     to zero; they only affect degree-one coefficients beyond the probe
     window and degree-two content, which the axiom checks do not read.
     """
-    if i > i_limit:
-        return FockPoly(p.ring, p.cap)
-    eps = shift.epsilon
-    off = (3 - eps) // 2
-    label = (2 * i - eps - 1) // 2
-    out = _apply_G(label, p, shift) if odd else _apply_L(label, p, shift)
-    for k, tau in shift.tau.items():
-        if k % 2 == 0:
-            j = i + k // 2 - 2 + off + odd
-            if j > 0:
-                mode = _apply("Gamma" if odd else "J", 2 * j - odd, p)
-                out = out + mode.scale(tau)
-        elif k > eps:
-            out = out - _hatted(odd, i + (k - 1) // 2 - 1 + off, p, shift,
-                                i_limit).scale(tau)
-    lead = shift.tau[eps]
-    return out if lead == 1 else out.scale(lead.invert())
+    eps, ring, sums = shift.epsilon, p.ring, {}
+    off, inverse = (3 - eps) // 2, shift.tau[eps].invert()
+
+    def parts(i, factor):
+        # the (image, factor) parts of factor times hat-H_i (hat-F_i) on p;
+        # each factor is a product of taus and of 1/tau_eps once per level
+        if i > i_limit:
+            return []
+        factor = factor * inverse
+        label = (2 * i - eps - 1) // 2
+        out = [(_apply_G(label, p, shift) if odd
+                else _apply_L(label, p, shift), factor)]
+        for k, tau in shift.tau.items():
+            if k % 2 == 0:
+                j = i + k // 2 - 2 + off + odd
+                if j > 0:
+                    out.append((_apply("Gamma" if odd else "J", 2 * j - odd,
+                                       p), factor * tau))
+            elif k > eps:
+                out += parts(i + (k - 1) // 2 - 1 + off, -(factor * tau))
+        return out
+
+    for q, factor in parts(i, ring.one()):
+        for key, c in q.terms.items():
+            _add_term(ring, sums, key, c.terms, factor)
+    return FockPoly(ring, p.cap, finish_each(ring, sums))
 
 
 def check_airy_axioms(shift, i_max=3, probe_max=6):
@@ -585,9 +566,10 @@ def _mult_fact(bos):
     return out
 
 
-def exp_state(tensor):
+def exp_state(tensor, cap):
     """exp of the generating sum of a coefficient tensor, to the total
-    degree chi_max - 2 of its entries, over the tensor's ring."""
+    degree chi_max - 2 of its entries, over the tensor's ring, as a
+    polynomial on this index cap."""
     maxdeg = tensor.chi_max - 2
     fterms = {}
     for (g, bos, fer), val in tensor.entries.items():
@@ -612,16 +594,18 @@ def exp_state(tensor):
                 kk = (bm, fm, h1 + h2)
                 accumulate(new, kk, v1 * v2 * Fraction(sg, k))
         power = new
-    # a constraint that would create a variable of index above 40 on the
-    # state raises CapExceeded
-    return FockPoly(tensor.ring, 40, z)
+    return FockPoly(tensor.ring, cap, z)
 
 
 def annihilation_report(curve, tensor, i_max=4):
     """Nonzero exact residual components, through degree chi_max - 1, of
     the recombined constraints for i = 1..i_max on exp of the tensor."""
     shift = ShiftData.from_curve(curve)
-    state = exp_state(tensor)
+    # index_bound(chi_max) bounds every index of the state, and a mode of
+    # label l creates at most index a - l where it lowers an index a, or -l;
+    # the lowest labels checked are L_(1 - eps) and G_(2 - eps)
+    state = exp_state(tensor, index_bound(tensor.chi_max, tensor.epsilon)
+                      + shift.epsilon - 1)
     bad = {}
     for i in range(1, i_max + 1):
         for kind, label in (("L", 2 * i - curve.epsilon - 1),

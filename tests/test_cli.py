@@ -6,6 +6,7 @@ round-trip of result documents, and the failure paths for bad specs,
 insufficient truncation, and engine mismatch.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -21,6 +22,7 @@ from superrec.airyengine import run_bosonic
 from superrec.cli import (EXIT_INTERNAL, EXIT_MISMATCH, EXIT_PARSE,
                           EXIT_TRUNCATION, build_curve, canonical_bytes,
                           document_entries, load_spec_document, main)
+from superrec.scalars import Ring
 from superrec.series import TruncationError
 from superrec.trengine import run_tr
 
@@ -611,6 +613,23 @@ def test_verify_algebra_reports_each_failing_family(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == FAILED_LL_CLOSURE
     assert err == "error: failing families: comm3, structure-recombination\n"
+
+
+def test_verify_algebra_fails_a_wrong_heisenberg_weight(monkeypatch, capsys):
+    # the family runs over a <= b only; a weight of |a| hbar delta for
+    # [J_a, J_b] is right on every pair a > b and must still fail
+    def wrong(a, b, p):
+        J_a, J_b = (functools.partial(svir._apply, "J", c) for c in (a, b))
+        return svir._holds(p, J_a, J_b, False, [p], abs(a) * (a + b == 0))
+
+    samples = list(cli._algebra_monomials(Ring([]), 2, 1))
+    assert all(wrong(a, b, p) for a in (-1, 0, 1) for b in (-1, 0, 1)
+               if a > b for p in samples)
+    monkeypatch.setattr(cli, "check_heisenberg_clifford", wrong)
+    assert main(["verify-algebra", "--degree", "2", "--mode-range", "1"]) \
+        == EXIT_MISMATCH
+    assert capsys.readouterr().out.splitlines()[0] == \
+        "heisenberg-clifford      FAIL"
 
 
 def test_verify_algebra_under_optimized_python():

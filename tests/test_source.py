@@ -65,3 +65,65 @@ def test_asserts_do_not_grow():
                   for path in MODULES
                   for node in ast.walk(ast.parse(path.read_text())))
     assert asserts <= 1
+
+
+# The public functions and classes that nothing in the package reads, each
+# with why it stays: API (an entry point for users of the package),
+# perfbench (the benchmark wraps or calls it) or test oracle (the tests use
+# it to check the package). A public definition is read in the package or
+# listed here, and a listed one that the package reads or no longer defines
+# leaves the list.
+UNREAD_PUBLIC = {
+    "airyengine.run_bosonic":
+        "API: the fermion-free solve, checked against known values",
+    "airyengine.ConstraintCoeffs.c_bb":
+        "perfbench: counted as airyengine.coeff_calls",
+    "airyengine.ConstraintCoeffs.c_ff":
+        "perfbench: counted as airyengine.coeff_calls",
+    "airyengine.ConstraintCoeffs.c_bf":
+        "perfbench: counted as airyengine.coeff_calls",
+    "cli.document_entries":
+        "perfbench: reads the entries of a result document back",
+    "curve.pairing_B": "test oracle: the bosonic bilinear pairing",
+    "curve.pairing_F": "test oracle: the fermionic bilinear pairing",
+    "curve.CurveBases.dxi": "test oracle: the pairing's bosonic basis",
+    "curve.CurveBases.eta": "test oracle: the pairing's fermionic basis",
+    "scalars.Scalar.is_zero": "test oracle",
+    "scalars.Scalar.as_rational": "test oracle: known values as Fractions",
+    "series.FormalSeries.is_zero": "test oracle",
+    "series.FormalSeries.sigma":
+        "perfbench: counted as series.sigma_calls",
+    "series.FormalSeries.derive":
+        "perfbench: counted as series.derive_calls",
+    "store.partition_sign": "test oracle: the sign of a fermionic split",
+    "store.CorrTensor.keys_at_chi": "test oracle: the keys of one level",
+    "store.CorrTensor.nonzero_equal": "test oracle: tensor equality",
+    "svir.annihilation_report":
+        "API: the partition-function annihilation oracle",
+    "svir.dilaton_report": "API: the super dilaton equation on a tensor",
+}
+
+
+def public_definitions(module, tree):
+    """module.name and module.Class.name of the public functions and
+    classes a module defines at its top level and in its classes."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            out.append(f"{module}.{node.name}")
+        if isinstance(node, ast.ClassDef):
+            out += [f"{module}.{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")]
+    return out
+
+
+def test_every_public_definition_is_read_or_listed():
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    read = set().union(*map(read_names, trees.values()))
+    public = [name for module, tree in trees.items()
+              for name in public_definitions(module, tree)]
+    assert len(public) > len(UNREAD_PUBLIC)
+    unread = {name for name in public if name.rsplit(".", 1)[1] not in read}
+    assert unread == set(UNREAD_PUBLIC)

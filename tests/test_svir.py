@@ -25,6 +25,7 @@ from superrec.cli import _algebra_monomials
 from superrec.curve import CurveData
 from superrec.airyengine import run_airy
 from superrec.scalars import Ring
+from superrec.store import CorrTensor
 from superrec.svir import (CapExceeded, FockPoly, ShiftData,
                            annihilation_report, apply_mode, check_airy_axioms,
                            check_commutator, check_heisenberg_clifford,
@@ -89,23 +90,44 @@ def _fresh(p):
     return FockPoly(p.ring, p.cap, p.terms)
 
 
+# FockPoly has no arithmetic: the tests add and scale polynomials here, and
+# compare them by their terms
+
+
+def ref_add(*polys):
+    """The sum of the polynomials, on the ring and cap of the first."""
+    terms = {}
+    for q in polys:
+        for key, val in q.terms.items():
+            terms[key] = terms[key] + val if key in terms else val
+    return FockPoly(polys[0].ring, polys[0].cap, terms)
+
+
+def ref_scale(p, factor):
+    """p times a Scalar, int or Fraction."""
+    return FockPoly(p.ring, p.cap,
+                    {key: val * factor for key, val in p.terms.items()})
+
+
 # --- elementary actions -------------------------------------------------------
 
 
 def test_pinned_mode_values():
     one = FockPoly.one(RING, CAP)
-    assert apply_mode("Gamma", 0, one) == mono(fer=(0,), coeff=Fraction(1, 2))
-    assert apply_mode("L", 0, one) == mono(hpow=1, coeff=Fraction(1, 4))
-    assert apply_mode("J", 0, one).is_zero()
-    assert apply_mode("J", -2, one) == mono(bos=(2,), coeff=2)
-    assert apply_mode("Gamma", -3, one) == mono(fer=(3,))
-    assert apply_mode("J", 2, mono(bos=(2, 2))) == \
-        mono(bos=(2,), hpow=1, coeff=2)
+    assert apply_mode("Gamma", 0, one).terms == \
+        mono(fer=(0,), coeff=Fraction(1, 2)).terms
+    assert apply_mode("L", 0, one).terms == \
+        mono(hpow=1, coeff=Fraction(1, 4)).terms
+    assert apply_mode("J", 0, one).terms == {}
+    assert apply_mode("J", -2, one).terms == mono(bos=(2,), coeff=2).terms
+    assert apply_mode("Gamma", -3, one).terms == mono(fer=(3,)).terms
+    assert apply_mode("J", 2, mono(bos=(2, 2))).terms == \
+        mono(bos=(2,), hpow=1, coeff=2).terms
     # left Grassmann derivative: sign from the position of the factor
-    assert apply_mode("Gamma", 2, mono(fer=(0, 2))) == \
-        mono(fer=(0,), hpow=1, coeff=-1)
+    assert apply_mode("Gamma", 2, mono(fer=(0, 2))).terms == \
+        mono(fer=(0,), hpow=1, coeff=-1).terms
     # annihilation beyond the monomial support vanishes
-    assert apply_mode("J", 7, mono(bos=(1,))).is_zero()
+    assert apply_mode("J", 7, mono(bos=(1,))).terms == {}
 
 
 def theta_times(p, a):
@@ -114,22 +136,22 @@ def theta_times(p, a):
     if a:
         return apply_mode("Gamma", -a, p)
     assert all(0 not in fer for _, fer, _ in p.terms)
-    return apply_mode("Gamma", 0, p).scale(2)
+    return ref_scale(apply_mode("Gamma", 0, p), 2)
 
 
 def test_theta_ordering_signs():
     # theta^0 * theta^2 = theta^0 theta^2, theta^2 * theta^0 = -theta^0 theta^2
     p = theta_times(mono(fer=(2,)), 0)
-    assert p == mono(fer=(0, 2))
+    assert p.terms == mono(fer=(0, 2)).terms
     q = theta_times(mono(fer=(0,)), 2)
-    assert q == mono(fer=(0, 2), coeff=-1)
-    assert theta_times(mono(fer=(1,)), 1).is_zero()
+    assert q.terms == mono(fer=(0, 2), coeff=-1).terms
+    assert theta_times(mono(fer=(1,)), 1).terms == {}
 
 
 def test_theta_order_is_read_the_same_everywhere():
     # monomial and component take the theta factors in the order written,
     # as chained creators build them: theta^2 theta^0 = -theta^0 theta^2
-    assert mono(fer=(2, 0)) == -mono(fer=(0, 2))
+    assert mono(fer=(2, 0)).terms == mono(fer=(0, 2), coeff=-1).terms
     for size in range(5):
         for fer in permutations((0, 1, 3, 4), size):
             written = FockPoly.one(RING, CAP)
@@ -138,8 +160,9 @@ def test_theta_order_is_read_the_same_everywhere():
             inversions = sum(a > b for i, a in enumerate(fer)
                              for b in fer[i + 1:])
             sign = (-1) ** inversions
-            assert mono(fer=fer) == written, fer
-            assert written == mono(fer=sorted(fer), coeff=sign), fer
+            assert mono(fer=fer).terms == written.terms, fer
+            assert written.terms == mono(fer=sorted(fer), coeff=sign).terms, \
+                fer
             assert written.component(fer=fer) == RING.one(), fer
             assert written.component(fer=sorted(fer)) == rat(sign), fer
     for fer in ((1, 1), (0, 2, 0), (3, 1, 4, 1)):
@@ -152,7 +175,7 @@ def test_cap_exceeded_only_for_live_creators():
     with pytest.raises(CapExceeded):
         apply_mode("J", -3, small)
     # L_{-2} on a cap-2 polynomial needs creators of index <= 2 only
-    assert not apply_mode("L", -2, FockPoly.one(RING, 2)).is_zero()
+    assert apply_mode("L", -2, FockPoly.one(RING, 2)).terms
     # a creator paired with a vanishing annihilator is never built: this
     # would overflow the cap-2 space only if some J_{k>2} acted nonzero
     apply_mode("L", 0, FockPoly.monomial(RING, 2, bos=(2,)))
@@ -257,12 +280,12 @@ def ref_plain(kind, index, p):
             return ref_diff_x(p, index)
         if index == 0:
             return FockPoly(p.ring, p.cap)
-        return ref_mul_x(p, -index).scale(-index)
+        return ref_scale(ref_mul_x(p, -index), -index)
     if index > 0:
         return ref_diff_theta(p, index)
     if index == 0:
-        return ref_mul_theta(p, 0).scale(Fraction(1, 2)) \
-            + ref_diff_theta(p, 0)
+        return ref_add(ref_scale(ref_mul_theta(p, 0), Fraction(1, 2)),
+                       ref_diff_theta(p, 0))
     return ref_mul_theta(p, -index)
 
 
@@ -275,17 +298,18 @@ def ref_shifted(kind, index, p, shift):
         i = -index
         tau = shift.tau.get(i)
         if tau:
-            out = out + p.scale(tau)
+            out = ref_add(out, ref_scale(p, tau))
         for k in range(1, shift.max_index + 1):
             val = shift.phi.get((i, k))
             if val:
-                out = out + ref_diff_x(p, k).scale(val * Fraction(1, k))
+                out = ref_add(out, ref_scale(ref_diff_x(p, k),
+                                             val * Fraction(1, k)))
     elif kind == "Gamma" and index <= 0:
         i = -index
         for k in range(0, shift.max_index + 1):
             val = shift.psi.get((k, i))
             if val:
-                out = out + ref_plain("Gamma", k, p).scale(val)
+                out = ref_add(out, ref_scale(ref_plain("Gamma", k, p), val))
     return out
 
 
@@ -296,7 +320,7 @@ def ref_pair(kind1, i1, kind2, i2, p, shift):
     if i1 > 0 and i2 < 0:
         out = ref_shifted(kind2, i2, ref_shifted(kind1, i1, p, shift), shift)
         if kind1 == "Gamma" and kind2 == "Gamma":
-            out = -out
+            out = ref_scale(out, -1)
         return out
     return ref_shifted(kind1, i1, ref_shifted(kind2, i2, p, shift), shift)
 
@@ -306,7 +330,7 @@ def test_reference_theta_signs_match_monomial():
         written = FockPoly.one(RING, CAP)
         for a in reversed(fer):
             written = ref_mul_theta(written, a)
-        assert written == mono(fer=fer), fer
+        assert written.terms == mono(fer=fer).terms, fer
 
 
 # --- the pair sums act only where the polynomial has support ------------------
@@ -342,8 +366,8 @@ def _window_sum(p, pairs, shift, supported=False):
                               and _acts_on(kind2, i2, held)):
             continue
         if weight:
-            out = out + ref_pair(kind1, i1, kind2, i2, p,
-                                 shift).scale(weight)
+            out = ref_add(out, ref_scale(ref_pair(kind1, i1, kind2, i2, p,
+                                                  shift), weight))
     return out
 
 
@@ -351,12 +375,12 @@ def window_L(n, p, shift, supported=False):
     half = Fraction(1, 2)
     out = _window_sum(p, [("J", -j, "J", 2 * n + j, half if j % 2 else -half)
                           for j in _window(p, n, shift)], shift, supported)
-    out = out + _window_sum(
+    out = ref_add(out, _window_sum(
         p, [("Gamma", -j, "Gamma", j + 2 * n,
              Fraction(n + j, 2) * (1 if j % 2 == 0 else -1))
-            for j in _window(p, n, shift)], shift, supported)
+            for j in _window(p, n, shift)], shift, supported))
     if n == 0:
-        out = out + ref_times_hbar(p).scale(Fraction(1, 4))
+        out = ref_add(out, ref_scale(ref_times_hbar(p), Fraction(1, 4)))
     return out
 
 
@@ -371,35 +395,35 @@ def window_rhs_LL(n, m, p, shift):
         return FockPoly(p.ring, p.cap)
     total = 2 * n + 2 * m
     window = _window(p, abs(n) + abs(m), shift)
-    out = window_L(total // 2, p, shift)
-    out = out + _window_sum(
-        p, [("J", -2 * j, "J", total + 2 * j, 1) for j in window], shift)
-    out = out + _window_sum(
-        p, [("Gamma", -2 * j - 1, "Gamma", 2 * j + total + 1,
-             n + m + 2 * j + 1) for j in window], shift)
-    return ref_times_hbar(out).scale(2 * (n - m))
+    out = ref_add(
+        window_L(total // 2, p, shift),
+        _window_sum(p, [("J", -2 * j, "J", total + 2 * j, 1)
+                        for j in window], shift),
+        _window_sum(p, [("Gamma", -2 * j - 1, "Gamma", 2 * j + total + 1,
+                         n + m + 2 * j + 1) for j in window], shift))
+    return ref_scale(ref_times_hbar(out), 2 * (n - m))
 
 
 def window_rhs_LG(n, m, p, shift):
     if n - 2 * m - 1 == 0:
         return FockPoly(p.ring, p.cap)
     window = _window(p, abs(n) + abs(m), shift)
-    out = window_G(n + m, p, shift) + _window_sum(
+    out = ref_add(window_G(n + m, p, shift), _window_sum(
         p, [("J", -2 * j, "Gamma", 2 * n + 2 * m + 2 * j + 1, 2)
-            for j in window], shift)
-    return ref_times_hbar(out).scale(n - 2 * m - 1)
+            for j in window], shift))
+    return ref_scale(ref_times_hbar(out), n - 2 * m - 1)
 
 
 def window_rhs_GG(n, m, p, shift):
     window = _window(p, abs(n) + abs(m) + 1, shift)
-    out = window_L(n + m + 1, p, shift)
-    out = out + _window_sum(
-        p, [("J", -2 * j, "J", 2 * n + 2 * m + 2 * j + 2, 1)
-            for j in window], shift)
-    out = out + _window_sum(
-        p, [("Gamma", -2 * j - 1, "Gamma", 2 * j + 2 * n + 2 * m + 3,
-             n + m + 2 * j + 2) for j in window], shift)
-    return ref_times_hbar(out).scale(2)
+    out = ref_add(
+        window_L(n + m + 1, p, shift),
+        _window_sum(p, [("J", -2 * j, "J", 2 * n + 2 * m + 2 * j + 2, 1)
+                        for j in window], shift),
+        _window_sum(p, [("Gamma", -2 * j - 1, "Gamma",
+                         2 * j + 2 * n + 2 * m + 3, n + m + 2 * j + 2)
+                        for j in window], shift))
+    return ref_scale(ref_times_hbar(out), 2)
 
 
 LABELS = range(-1, 4)
@@ -409,7 +433,8 @@ def window_samples():
     """The reference loops take about 0.3 s per sample on one curve, so the
     equivalence runs on every 11th sample (all supports of degree <= 6 over
     x^1..x^3, theta^0..theta^3 in kind) and one polynomial of two terms."""
-    return monomials()[::11] + [mono((1, 1), (2,)) + mono((3,), (0, 1))]
+    return monomials()[::11] + [ref_add(mono((1, 1), (2,)),
+                                        mono((3,), (0, 1)))]
 
 
 RHS = [(svir._rhs_LL, window_rhs_LL), (svir._rhs_LG, window_rhs_LG),
@@ -423,17 +448,16 @@ def test_support_sums_equal_window_sums(curve):
     shift = None if curve is None else ShiftData.from_curve(curve)
     for p in window_samples():
         for n in LABELS:
-            assert apply_mode("L", 2 * n, p, shift) == \
-                window_L(n, p, shift), ("L", n, p.terms)
-            assert apply_mode("G", 2 * n + 1, p, shift) == \
-                window_G(n, p, shift), ("G", n, p.terms)
+            assert apply_mode("L", 2 * n, p, shift).terms == \
+                window_L(n, p, shift).terms, ("L", n, p.terms)
+            assert apply_mode("G", 2 * n + 1, p, shift).terms == \
+                window_G(n, p, shift).terms, ("G", n, p.terms)
             for m in LABELS:
                 for fast, window in RHS:
                     parts, weight = fast(n, m, p, shift)
-                    got = FockPoly(p.ring, p.cap)
-                    for q in parts:
-                        got = got + ref_times_hbar(q).scale(weight)
-                    assert got == window(n, m, p, shift), \
+                    got = ref_add(FockPoly(p.ring, p.cap), *(
+                        ref_scale(ref_times_hbar(q), weight) for q in parts))
+                    assert got.terms == window(n, m, p, shift).terms, \
                         (fast.__name__, n, m, p.terms)
 
 
@@ -500,8 +524,8 @@ def cap_samples():
         for bos, fer in (((), ()), ((1,), ()), ((), (0,)), ((2,), (1,)),
                          ((1, 3), (0, 2)), ((), (1, 3))):
             out.append(FockPoly.monomial(RING, cap, bos, fer))
-        out.append(FockPoly.monomial(RING, cap, (1,), (0,))
-                   + FockPoly.monomial(RING, cap, (), (2,), 1, 3))
+        out.append(ref_add(FockPoly.monomial(RING, cap, (1,), (0,)),
+                           FockPoly.monomial(RING, cap, (), (2,), 1, 3)))
     return out
 
 
@@ -544,12 +568,12 @@ def test_mode_images_are_keyed_by_shift():
     # without its shift would be handed back for the wrong one
     shifts = [None, ShiftData.from_curve(rich_curve()),
               ShiftData.from_curve(irregular_curve())]
-    p = mono((1, 2), (0, 1)) + mono((3,), (2,))
+    p = ref_add(mono((1, 2), (0, 1)), mono((3,), (2,)))
     for shift in shifts + [None]:
         for kind, label in MODES:
             got = apply_mode(kind, label, p, shift)
-            assert got == apply_mode(kind, label, _fresh(p), shift), \
-                (kind, label, shift)
+            assert got.terms == apply_mode(kind, label, _fresh(p),
+                                           shift).terms, (kind, label, shift)
             assert apply_mode(kind, label, p, shift) is got
     distinct = [(kind, label) for kind, label in MODES
                 if len({frozenset(apply_mode(kind, label, _fresh(p),
@@ -600,7 +624,7 @@ def test_the_zero_polynomial_is_its_own_image():
     for shift in (None, ShiftData.from_curve(rich_curve())):
         for kind, label in plain + MODES:
             assert apply_mode(kind, label, zero, shift) is zero, (kind, label)
-        assert svir._rhs_tail(1, zero, shift) == (zero, zero)
+        assert all(q is zero for q in svir._rhs_tail(1, zero, shift))
     assert zero.images is None
     # the labels are still checked first
     for kind, label in (("L", -4), ("G", -3), ("L", 1), ("G", 2), ("Q", 0)):
@@ -608,21 +632,38 @@ def test_the_zero_polynomial_is_its_own_image():
             apply_mode(kind, label, zero)
 
 
+FRESH = {"J": partial(svir._apply, "J"),
+         "Gamma": partial(svir._apply, "Gamma"),
+         "L": svir._apply_L, "G": svir._apply_G, "tail": svir._sum_tail}
+
+
 def test_shared_images_are_not_changed_by_their_users():
+    # every caller of a mode gets the one image the polynomial keeps, so
+    # the functions that read images, the relation checks (_holds, through
+    # _closes) and the recombined operators (_hatted), must leave them as
+    # they are: afterwards each image kept by p, and by its images, equals
+    # a fresh one
     shift = ShiftData.from_curve(rich_curve())
-    p = mono((1, 2), (0, 1)) + mono((3,), (2,))
-    for kind, label in MODES:
-        image = apply_mode(kind, label, p, shift)
-        want = apply_mode(kind, label, _fresh(p), shift)
-        image + p
-        image - image
-        image.scale(3)
-        second = apply_mode("L", 0, image, shift)
-        assert second == apply_mode("L", 0, _fresh(want), shift)
-        assert apply_mode("L", 0, image, shift) is second
-        apply_mode(kind, label, image, shift).scale(-1)
-        assert apply_mode(kind, label, p, shift) is image
-        assert image == want, (kind, label)
+    p = ref_add(mono((1, 2), (0, 1)), mono((3,), (2,)))
+    before = dict(p.terms)
+    for n in LABELS:
+        for m in LABELS:
+            for name in ("LL", "LG", "GG"):
+                svir._closes(name, n, m, p, shift)
+    for odd in (0, 1):
+        for i in range(1, 4):
+            svir._hatted(odd, i, p, shift, 6)
+    assert p.terms == before
+
+    def same_as_fresh(q, depth):
+        for (kind, label, key_shift), image in q.images.items():
+            want = FRESH[kind](label, _fresh(q), key_shift)
+            assert image.terms == want.terms, (kind, label, depth)
+            if depth and image.images:
+                same_as_fresh(image, depth - 1)
+
+    assert {kind for kind, _, _ in p.images} == set(FRESH)
+    same_as_fresh(p, 1)
 
 
 # --- algebra relations --------------------------------------------------------
@@ -633,6 +674,30 @@ def test_shared_images_are_not_changed_by_their_users():
 def test_heisenberg_clifford(a, b):
     for p in monomials():
         assert check_heisenberg_clifford(a, b, p), (a, b, p.terms)
+
+
+@pytest.mark.parametrize("a", range(-3, 4))
+def test_heisenberg_clifford_pairs_are_mirrored(a):
+    # verify-algebra checks a <= b only: with a right or a wrong weight w,
+    # [J_b, J_a] against -w and {Gamma_b, Gamma_a} against w give the
+    # verdict of [J_a, J_b] and {Gamma_a, Gamma_b} against w
+    J = lambda i: partial(svir._apply, "J", i)
+    gamma = lambda i: partial(svir._apply, "Gamma", i)
+    verdicts = set()
+    for b in range(-3, 4):
+        delta = int(a + b == 0)
+        for p in monomials()[::3]:
+            for w in (a * delta, a * delta + 1):
+                got = svir._holds(p, J(a), J(b), False, [p], w)
+                assert svir._holds(p, J(b), J(a), False, [p], -w) == got, \
+                    (a, b, w, p.terms)
+                verdicts.add(got)
+            for w in (delta, delta - 1):
+                got = svir._holds(p, gamma(a), gamma(b), True, [p], w)
+                assert svir._holds(p, gamma(b), gamma(a), True, [p], w) \
+                    == got, (a, b, w, p.terms)
+                verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("relation", ["comm1", "comm2"])
@@ -726,22 +791,25 @@ def test_phi_shift_expands_negative_modes():
     shift = ShiftData.from_curve(rich_curve())
     one = FockPoly.one(RING, CAP)
     # J_{-3} + tau_3 + sum_k phi_{3k}/k J_k ; phi_3k = 0 here
-    assert apply_mode("J", -3, one, shift) == mono(bos=(3,), coeff=3) + one
+    assert apply_mode("J", -3, one, shift).terms == \
+        ref_add(mono(bos=(3,), coeff=3), one).terms
     got = apply_mode("J", -1, mono(bos=(2,)), shift)
-    want = mono(bos=(1, 2)) \
-        + mono(hpow=1, coeff=Fraction(-3, 2))  # phi_{12}/2 * hbar d/dx^2
-    assert got == want
+    want = ref_add(mono(bos=(1, 2)),
+                   mono(hpow=1, coeff=Fraction(-3, 2)))  # phi_12/2 hbar d/dx^2
+    assert got.terms == want.terms
     # positive modes are never shifted
-    assert apply_mode("J", 2, mono(bos=(2,)), shift) == mono(hpow=1)
+    assert apply_mode("J", 2, mono(bos=(2,)), shift).terms == \
+        mono(hpow=1).terms
 
 
 def test_gamma_zero_mode_shift():
     shift = ShiftData.from_curve(rich_curve())
     # Gamma_0 + sum_k psi_{k0} Gamma_k, with psi_{k0} = -psi0_k
     got = apply_mode("Gamma", 0, mono(fer=(1,)), shift)
-    want = mono(fer=(0, 1), coeff=Fraction(1, 2)) \
-        + mono(hpow=1, coeff=-2)  # psi_{10} Gamma_1 = -2 * hbar d/theta^1
-    assert got == want
+    # psi_10 Gamma_1 = -2 hbar d/dtheta^1
+    want = ref_add(mono(fer=(0, 1), coeff=Fraction(1, 2)),
+                   mono(hpow=1, coeff=-2))
+    assert got.terms == want.terms
 
 
 @pytest.mark.parametrize(
@@ -825,7 +893,9 @@ def test_theta_probe_failures_name_the_derivative(monkeypatch):
 
     def wrong(odd, i, p, shift, i_limit):
         out = inner(odd, i, p, shift, i_limit)
-        return out + svir._apply("Gamma", 2, p) if (odd, i) == (0, 1) else out
+        if (odd, i) == (0, 1):
+            return ref_add(out, svir._apply("Gamma", 2, p))
+        return out
 
     monkeypatch.setattr(svir, "_hatted", wrong)
     report = check_airy_axioms(ShiftData.from_curve(airy_curve()), i_max=1,
@@ -854,6 +924,14 @@ def test_degree_one_probe_detects_wrong_dilaton():
     ids=["airy", "rich", "irregular"])
 def test_constraints_annihilate_engine_state(curve, chi_max):
     assert annihilation_report(curve, run_tr(curve, chi_max)) == {}
+
+
+def test_annihilation_state_holds_every_index_the_store_accepts():
+    # index_bound(15, 3) is 39, and L_-2 raises x^39 to x^41: the cap of
+    # the exp state follows chi_max, epsilon and the lowest label checked
+    tensor = CorrTensor(RING, 15, 3)
+    tensor.set(7, (39,), (), RING.one())
+    assert annihilation_report(airy_curve(), tensor)
 
 
 def test_annihilation_detects_corrupted_entry():
