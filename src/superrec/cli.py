@@ -426,6 +426,8 @@ def cmd_verify_algebra(args):
                               pairs)
     # One sample at a time, so that the L/G images it keeps (see
     # svir.FockPoly.images) are shared by every family and dropped with it.
+    # Each relation applies its outer mode to a kept image straight into
+    # its residual (svir._holds), so no image keeps images of its own.
     passed = dict.fromkeys(families, True)
     for p in _algebra_monomials(ring, args.degree, args.mode_range):
         for name, (checker, pairs) in families.items():

@@ -123,13 +123,14 @@ def _scalar(ring, terms):
 # read or write one.
 
 
-def mul_into(ring, acc, left, right, weight=1):
+def mul_into(ring, acc, left, right, weight=1, den=1):
     """Add the product of two term dicts (monomial -> Fraction), times an
-    int or Fraction weight, into the raw sum acc, monomial by monomial.
+    int or Fraction weight and over an int denominator, into the raw sum
+    acc, monomial by monomial.
 
     acc may hold zero sums until `finish` adopts it; left and right may
     hold zero coefficients, which add only zeros."""
-    wn, wd = weight.numerator, weight.denominator
+    wn, wd = weight.numerator, weight.denominator * den
     for m1, c1 in left.items():
         n1, d1 = c1.numerator * wn, c1.denominator * wd
         for m2, c2 in right.items():
@@ -149,10 +150,10 @@ def mul_into(ring, acc, left, right, weight=1):
                 buckets[d] = buckets.get(d, 0) + n
 
 
-def add_into(acc, terms, weight=1):
-    """Add a term dict times an int or Fraction weight into the raw sum
-    acc."""
-    wn, wd = weight.numerator, weight.denominator
+def add_into(acc, terms, weight=1, den=1):
+    """Add a term dict times an int or Fraction weight, over an int
+    denominator, into the raw sum acc."""
+    wn, wd = weight.numerator, weight.denominator * den
     for mono, coeff in terms.items():
         n, d = coeff.numerator * wn, coeff.denominator * wd
         buckets = acc.get(mono)

@@ -11,18 +11,21 @@ the algebra relations and the degree-one normalization of the recombined
 oracle checks a computed coefficient tensor against the constraints.
 
 Every mode acts one monomial at a time: a J or Gamma mode sends a monomial
-to (monomial, factor) pairs, and a pair of them is the composition of two
-such calls. A quadratic mode sums only the pair labels whose annihilators
-find their variable in the monomial, so its cost follows the support. Each
-mode image, relation residual and recombined operator adds all of its
-terms into one raw sum per Fock key (`_add_term`) and finishes each sum
-once; `FockPoly` has no arithmetic. A polynomial keeps every mode image of
-itself that is computed (`FockPoly.images`), which keeps its own in turn.
+to (monomial, factor, denominator) terms, and a pair of them is the
+composition of two such calls. A quadratic mode sums only the pair labels
+whose annihilators find their variable in the monomial, so its cost
+follows the support. `_add_mode` adds a mode on a polynomial into a
+caller's raw sums, one per Fock key, and each sum is finished once: a mode
+image is those sums alone, and a relation residual applies its outer mode
+to the kept inner image straight into its own. `FockPoly` has no
+arithmetic. A polynomial keeps every mode image of itself that is computed
+(`FockPoly.images`); no image is asked for one of its own.
 Heisenberg-Clifford holds on all (a, b) once it holds on every a <= b.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
 
@@ -46,7 +49,7 @@ class FockPoly:
     `images` (None until the first one is stored) map (kind, label, shift)
     to the J, Gamma, L or G image of this polynomial, or to the tail of
     the L-L and G-G closure right-hand sides, and hand the same object
-    to every caller.
+    to every caller. Only the polynomials a check starts from keep any.
     """
 
     __slots__ = ("ring", "cap", "terms", "images")
@@ -118,27 +121,26 @@ class ShiftData:
 # --- modes on one monomial ---------------------------------------------------
 #
 # A mode sends the monomial of a key (bos, fer, h), taken with coefficient 1,
-# to a list of (key, factor) pairs. A factor is an int, HALF (of Gamma_0),
-# or a tau, phi or psi Scalar for a term of the shift data.
-
-HALF = Fraction(1, 2)
+# to a list of (key, factor, den) terms: factor / den times the monomial of
+# the key. A factor is an int, or a tau, phi or psi Scalar for a term of the
+# shift data; den is 2 for Gamma_0's theta^0 / 2 and 1 otherwise.
 
 
 def _lowered(index, fermionic, key):
     """hbar d/dx^index (hbar times the left derivative d/dtheta^index when
-    fermionic) on the monomial key, as one (key, factor) pair, or None
-    when the monomial does not hold the variable."""
+    fermionic) on the monomial key, as one term, or None when the monomial
+    does not hold the variable."""
     bos, fer, h = key
     if fermionic:
         if index not in fer:
             return None
         pos = fer.index(index)
-        return (bos, fer[:pos] + fer[pos + 1:], h + 1), -1 if pos % 2 else 1
+        return (bos, fer[:pos] + fer[pos + 1:], h + 1), -1 if pos % 2 else 1, 1
     mult = bos.count(index)
     if not mult:
         return None
     pos = bos.index(index)
-    return (bos[:pos] + bos[pos + 1:], fer, h + 1), mult
+    return (bos[:pos] + bos[pos + 1:], fer, h + 1), mult, 1
 
 
 def _raised(index, fermionic, key, cap):
@@ -161,16 +163,14 @@ def _plain_terms(kind, index, key, cap):
         return [term] if term else []
     if index < 0:
         term = _raised(-index, fermionic, key, cap)
-        if term is None:
-            return []
-        return [term if fermionic else (term[0], -index)]
+        return [(term[0], term[1] if fermionic else -index, 1)] if term else []
     if not fermionic:
         return []  # J_0
     # Gamma_0 = theta^0 / 2 + hbar d/dtheta^0; theta^0 goes first, sign 1
     out = []
     term = _raised(0, True, key, cap)
     if term:
-        out.append((term[0], HALF))
+        out.append((term[0], 1, 2))
     term = _lowered(0, True, key)
     if term:
         out.append(term)
@@ -187,10 +187,10 @@ def _mode_terms(kind, index, key, cap, shift=None):
     if shift is None or index > 0:
         return out
     if kind == "J" and -index in shift.tau:
-        out.append((key, shift.tau[-index]))
+        out.append((key, shift.tau[-index], 1))
     for k, val in shift.tilde[kind].get(-index, ()):
-        out.extend((new, val * factor)
-                   for new, factor in _plain_terms(kind, k, key, cap))
+        out.extend((new, val * factor, den)
+                   for new, factor, den in _plain_terms(kind, k, key, cap))
     return out
 
 
@@ -208,56 +208,59 @@ def _pair_terms(kind1, i1, kind2, i2, key, cap, shift):
     else:
         first, then = (kind2, i2), (kind1, i1)
         sign = 1
-    return [(end, sign * f1 * f2)
-            for mid, f1 in _mode_terms(*first, key, cap, shift)
-            for end, f2 in _mode_terms(*then, mid, cap, shift)]
+    return [(end, sign * f1 * f2, d1 * d2)
+            for mid, f1, d1 in _mode_terms(*first, key, cap, shift)
+            for end, f2, d2 in _mode_terms(*then, mid, cap, shift)]
 
 
-def _add_term(ring, sums, key, c, factor, weight=1):
-    """Add the terms c of a Scalar times a factor (an int, Fraction or
-    Scalar) and a rational weight into the raw sum sums[key]."""
+# A quadratic mode of label l is 1 / den times the sum over its families
+# (kind1, kind2, weight) of sum_k weight(l, k) :A_k B_(2l + odd - k):, and
+# L_0 adds hbar / 4. "tail" is the pair sum of the L-L and G-G closure
+# right-hand sides after their L_t, "odd tail" that of the L-G one after
+# its G_s; both run over even labels k of J_k and odd labels of Gamma_k.
+_PAIRS = {  # kind -> (odd, den, families)
+    "L": (0, 2, (("J", "J", lambda n, k: 1 if k % 2 else -1),
+                 ("Gamma", "Gamma",
+                  lambda n, k: k - n if k % 2 else n - k))),
+    "G": (1, 1, (("J", "Gamma", lambda m, k: 1 if k % 2 else -1),)),
+    "tail": (0, 1, (("J", "J", lambda t, k: 0 if k % 2 else 1),
+                    ("Gamma", "Gamma", lambda t, k: t - k if k % 2 else 0))),
+    "odd tail": (1, 1, (("J", "Gamma", lambda s, k: 0 if k % 2 else 2),)),
+}
+
+
+def _add_term(ring, sums, key, c, factor, weight=1, den=1):
+    """Add the terms c of a Scalar times a factor (an int or Scalar) and an
+    int weight, over an int denominator, into the raw sum sums[key]."""
     acc = sums.get(key)
     if acc is None:
         acc = sums[key] = {}
     if factor.__class__ is Scalar:
-        mul_into(ring, acc, c, factor.terms, weight)
+        mul_into(ring, acc, c, factor.terms, weight, den)
     else:
-        add_into(acc, c, factor * weight)
+        add_into(acc, c, factor * weight, den)
 
 
-def _apply(kind, index, p, shift=None):
-    """The mode J or Gamma of this index on p; with shift data, the tilde
-    mode. Kept among p's images, as the L and G images are."""
-    return _image(kind, index, p, shift, partial(_sum_mode, kind))
-
-
-def _sum_mode(kind, index, p, shift):
-    ring, cap, sums = p.ring, p.cap, {}
-    for key, c in p.terms.items():
-        for new, factor in _mode_terms(kind, index, key, cap, shift):
-            _add_term(ring, sums, new, c.terms, factor)
-    return FockPoly(ring, cap, finish_each(ring, sums))
-
-
-def _pair_sum(p, shift, total, families, half=False, hbar=0):
-    """Sum over (kind1, kind2, weight) of sum_k weight(k) :A_k B_(total-k): p,
-    and hbar p times the weight hbar (L_0's constant), all halved if half.
-
-    `_pair_terms` applies a positive mode before any creator, so on a
-    monomial it sees at most the monomial's variables and theta^0: a label
-    is applied to a monomial only when both of its modes act on the
-    monomial's support. Those are the labels whose positive mode holds one
-    of its variables, and the range total <= k <= 0 where neither mode is
-    positive. The weights are ints, so a monomial's coefficient is halved
-    once, and only when it gets a term.
-    """
+def _add_mode(sums, kind, label, p, shift, weight=1):
+    """Add an int weight times the mode (kind, label) on p, with this shift
+    data, into the caller's raw sums (key -> raw sum), one monomial of p at
+    a time, and return them. A quadratic mode ("L", "G" or a tail; L_2n and
+    G_(2m+1) have labels n and m) sums only the pair labels that act on the
+    monomial: `_pair_terms` applies a positive mode before any creator, so
+    those are the labels whose positive mode holds one of the monomial's
+    variables, and total <= k <= 0, where neither mode is positive."""
     ring, cap = p.ring, p.cap
-    sums = {}  # key -> raw sum of its terms
+    if kind in ("J", "Gamma"):
+        for key, c in p.terms.items():
+            for new, factor, den in _mode_terms(kind, label, key, cap, shift):
+                _add_term(ring, sums, new, c.terms, factor, weight, den)
+        return sums
+    odd, den, families = _PAIRS[kind]
+    total = 2 * label + odd
     for key, c in p.terms.items():
         bos, fer, h = key
         held = {"J": bos, "Gamma": fer}  # the variables it holds
-        terms = []
-        for kind1, kind2, weight in families:
+        for kind1, kind2, weigh in families:
             held1, held2 = held[kind1], held[kind2]
             for k in sorted({*range(total, 1), *held1,
                              *(total - a for a in held2)}):
@@ -266,26 +269,26 @@ def _pair_sum(p, shift, total, families, half=False, hbar=0):
                 k2 = total - k
                 if ((k in held1 if k > 0 else k or kind1 == "Gamma")
                         and (k2 in held2 if k2 > 0 else k2 or kind2 == "Gamma")
-                        and (w := weight(k))):
-                    terms.extend((new, factor, w) for new, factor
-                                 in _pair_terms(kind1, k, kind2, k2, key,
-                                                cap, shift))
-        if hbar:
-            terms.append(((bos, fer, h + 1), hbar, 1))
-        if terms:
-            coeff = {m: v * HALF for m, v in c.terms.items()} if half \
-                else c.terms
-            for new, factor, w in terms:
-                _add_term(ring, sums, new, coeff, factor, w)
-    return FockPoly(ring, cap, finish_each(ring, sums))
+                        and (w := weigh(label, k) * weight)):
+                    for new, factor, d in _pair_terms(kind1, k, kind2, k2,
+                                                      key, cap, shift):
+                        _add_term(ring, sums, new, c.terms, factor, w, d * den)
+        if kind == "L" and label == 0:
+            _add_term(ring, sums, (bos, fer, h + 1), c.terms, weight, 1, 4)
+    return sums
 
 
-def _image(kind, label, p, shift, compute):
-    """The image of p under the mode (kind, label) ("J", "Gamma", "L" or
-    "G", or the closure "tail"), with this shift data, computed by
-    compute(label, p, shift) at most once per polynomial; the key holds
-    the ShiftData object itself. Every mode is linear, so the zero
-    polynomial is its own image, and it stores none."""
+def _compute(kind, label, p, shift):
+    """The image of p under the mode (kind, label), computed afresh."""
+    return FockPoly(p.ring, p.cap,
+                    finish_each(p.ring, _add_mode({}, kind, label, p, shift)))
+
+
+def _image(kind, label, p, shift):
+    """The image of p under the mode (kind, label) with this shift data,
+    kept by p (keyed by the ShiftData object itself) and computed at most
+    once. Every mode is linear, so the zero polynomial is its own image,
+    and it stores none."""
     if not p.terms:
         return p
     key = (kind, label, shift)
@@ -293,49 +296,44 @@ def _image(kind, label, p, shift, compute):
         p.images = {}
     elif key in p.images:
         return p.images[key]
-    out = p.images[key] = compute(label, p, shift)
+    out = p.images[key] = _compute(kind, label, p, shift)
     return out
 
 
-def _sum_L(n, p, shift):
-    # half of the integer-weighted pairs, and of hbar/2 when n is 0
-    return _pair_sum(p, shift, 2 * n, [
-        ("J", "J", lambda k: 1 if k % 2 else -1),
-        ("Gamma", "Gamma", lambda k: n - k if k % 2 == 0 else k - n)],
-        half=True, hbar=HALF if n == 0 else 0)
-
-
-def _sum_G(m, p, shift):
-    return _pair_sum(p, shift, 2 * m + 1, [
-        ("J", "Gamma", lambda k: 1 if k % 2 else -1)])
+def _apply(kind, label, p, shift=None):
+    """The kept image of p under the mode (kind, label); an L or G image
+    through `_apply_L` or `_apply_G`, looked up when called."""
+    if kind == "L":
+        return _apply_L(label, p, shift)
+    if kind == "G":
+        return _apply_G(label, p, shift)
+    return _image(kind, label, p, shift)
 
 
 def _apply_L(n, p, shift):
     """L_2n on p, for n >= -1."""
     if n < -1:
         raise ValueError(f"L_{2 * n}: L labels are even and >= -2")
-    return _image("L", n, p, shift, _sum_L)
+    return _image("L", n, p, shift)
 
 
 def _apply_G(m, p, shift):
     """G_(2m+1) on p, for m >= -1."""
     if m < -1:
         raise ValueError(f"G_{2 * m + 1}: G labels are odd and >= -1")
-    return _image("G", m, p, shift, _sum_G)
+    return _image("G", m, p, shift)
 
 
 def apply_mode(kind, label, p, shift=None):
     """Exact action of the mode J, Gamma, L or G of this label on a Fock
     polynomial; with shift data, the conjugated (tilde) mode."""
-    if kind == "L":
-        if label % 2:
-            raise ValueError(f"L_{label}: L labels are even and >= -2")
-        return _apply_L(label // 2, p, shift)
-    if kind == "G":
-        if label % 2 == 0:
-            raise ValueError(f"G_{label}: G labels are odd and >= -1")
-        return _apply_G((label - 1) // 2, p, shift)
-    if kind not in ("J", "Gamma"):
+    odd = {"L": 0, "G": 1}.get(kind)
+    if odd is not None:
+        if label % 2 != odd:
+            raise ValueError(f"{kind}_{label}: {kind} labels are "
+                             f"{'odd and >= -1' if odd else 'even and >= -2'}")
+        label //= 2  # L_2n and G_(2m+1) have labels n and m
+    elif kind not in ("J", "Gamma"):
         raise ValueError(f"unknown mode kind {kind!r}")
     return _apply(kind, label, p, shift)
 
@@ -343,34 +341,37 @@ def apply_mode(kind, label, p, shift=None):
 # --- relation checks ----------------------------------------------------------
 
 
-def _holds(p, a_fn, b_fn, anti=False, rhs=(), weight=0):
-    """True iff [A, B] ({A, B} when anti) equals weight hbar times the sum
-    of the polynomials rhs on p: every term of A(B(p)), -+B(A(p)) and
-    -weight hbar q goes into one raw sum per key, and each must cancel."""
+def _residual(p, a, b, anti=False, rhs=(), weight=0):
+    """The raw sums per key of [A, B] ({A, B} when anti) minus weight hbar
+    times the polynomials rhs on p, for the modes a and b given as (kind,
+    label, shift): A goes into them from each monomial of the kept image
+    B(p), and -+B from each of A(p)."""
     ring, sums = p.ring, {}
-    parts = [(a_fn(b_fn(p)), 1, 0), (b_fn(a_fn(p)), 1 if anti else -1, 0)]
-    for q, w, dh in parts + [(q, -weight, 1) for q in rhs]:
+    (kind_a, label_a, shift_a), (kind_b, label_b, shift_b) = a, b
+    _add_mode(sums, kind_a, label_a, _apply(kind_b, label_b, p, shift_b),
+              shift_a)
+    _add_mode(sums, kind_b, label_b, _apply(kind_a, label_a, p, shift_a),
+              shift_b, 1 if anti else -1)
+    for q in rhs:
         for (bos, fer, h), c in q.terms.items():
-            _add_term(ring, sums, (bos, fer, h + dh), c.terms, w)
-    return all(finish(ring, acc) is None for acc in sums.values())
+            _add_term(ring, sums, (bos, fer, h + 1), c.terms, -weight)
+    return sums
+
+
+def _holds(p, *relation):
+    """True iff the relation's residual cancels on p (see `_residual`)."""
+    return all(finish(p.ring, acc) is None
+               for acc in _residual(p, *relation).values())
 
 
 # A closure right-hand side is (polynomials, weight), weight hbar times the
-# sum of the polynomials, and ((), 0) when the weight is zero. Its pair sums
-# run over even labels k of J_k and odd labels k of Gamma_k; a zero weight
-# skips the other labels.
+# sum of the polynomials, and ((), 0) when the weight is zero.
 
 
 def _rhs_tail(t, p, shift):
     """L_t, and sum_k :J_k J_(2t-k): + sum_k (t-k) :Gamma_k Gamma_(2t-k):
     kept among p's images: [L_n, L_m] and [L_m, L_n] both read it."""
-    return _apply_L(t, p, shift), _image("tail", t, p, shift, _sum_tail)
-
-
-def _sum_tail(t, p, shift):
-    return _pair_sum(p, shift, 2 * t, [
-        ("J", "J", lambda k: 0 if k % 2 else 1),
-        ("Gamma", "Gamma", lambda k: t - k if k % 2 else 0)])
+    return _apply_L(t, p, shift), _image("tail", t, p, shift)
 
 
 def _rhs_LL(n, m, p, shift=None):
@@ -383,9 +384,8 @@ def _rhs_LG(n, m, p, shift=None):
     weight = n - 2 * m - 1
     if not weight:
         return (), 0
-    image = _apply_G(n + m, p, shift)
-    return (image, _pair_sum(p, shift, 2 * n + 2 * m + 1, [
-        ("J", "Gamma", lambda k: 0 if k % 2 else 2)])), weight
+    return (_apply_G(n + m, p, shift),
+            _compute("odd tail", n + m, p, shift)), weight
 
 
 def _rhs_GG(n, m, p, shift=None):
@@ -395,11 +395,10 @@ def _rhs_GG(n, m, p, shift=None):
 def _closes(name, n, m, p, shift=None):
     """True iff [L_n, L_m], [L_n, G_m] or {G_n, G_m} (name "LL", "LG" or
     "GG") equals its closure right-hand side on p."""
-    a = _apply_G if name == "GG" else _apply_L
-    b = _apply_L if name == "LL" else _apply_G
+    a = ("G" if name == "GG" else "L", n, shift)
+    b = ("L" if name == "LL" else "G", m, shift)
     rhs = {"LL": _rhs_LL, "LG": _rhs_LG, "GG": _rhs_GG}[name]
-    return _holds(p, lambda q: a(n, q, shift), lambda q: b(m, q, shift),
-                  name == "GG", *rhs(n, m, p, shift))
+    return _holds(p, a, b, name == "GG", *rhs(n, m, p, shift))
 
 
 def check_commutator(relation, a, b, sample):
@@ -417,16 +416,15 @@ def check_commutator(relation, a, b, sample):
     closure = {"comm3": "LL", "comm4": "LG", "comm5": "GG"}.get(relation)
     if closure is not None:
         return _closes(closure, a, b, p)
-    L = lambda q: _apply_L(a, q, None)
-    G = lambda q: _apply_G(a, q, None)
+    L, G = ("L", a, None), ("G", a, None)
     if relation == "comm1":
-        J = partial(_apply, "J", 2 * b)
+        J = ("J", 2 * b, None)
         return (_holds(p, L, J, False, [_apply("J", 2 * a + 2 * b, p)],
                        2 * b)
                 and _holds(p, G, J, False,
                            [_apply("Gamma", 2 * a + 2 * b + 1, p)], 2 * b))
     if relation == "comm2":
-        gamma = partial(_apply, "Gamma", 2 * b - 1)
+        gamma = ("Gamma", 2 * b - 1, None)
         return (_holds(p, L, gamma, False,
                        [_apply("Gamma", 2 * a + 2 * b - 1, p)],
                        a + 2 * b - 1)
@@ -439,8 +437,8 @@ def check_heisenberg_clifford(a, b, sample):
     """[J_a,J_b] = a hbar delta, {Gamma_a,Gamma_b} = hbar delta and
     [J_a,Gamma_b] = [J_b,Gamma_a] = 0: the pairs a <= b cover every (a, b)."""
     p = sample
-    J_a, J_b = (partial(_apply, "J", c) for c in (a, b))
-    gamma_a, gamma_b = (partial(_apply, "Gamma", c) for c in (a, b))
+    J_a, J_b = ("J", a, None), ("J", b, None)
+    gamma_a, gamma_b = ("Gamma", a, None), ("Gamma", b, None)
     delta = int(a + b == 0)
     return (_holds(p, J_a, J_b, False, [p], a * delta)
             and _holds(p, gamma_a, gamma_b, True, [p], delta)
@@ -570,31 +568,32 @@ def exp_state(tensor, cap):
     """exp of the generating sum of a coefficient tensor, to the total
     degree chi_max - 2 of its entries, over the tensor's ring, as a
     polynomial on this index cap."""
-    maxdeg = tensor.chi_max - 2
+    maxdeg, ring = tensor.chi_max - 2, tensor.ring
     fterms = {}
     for (g, bos, fer), val in tensor.entries.items():
         accumulate(fterms, (bos, fer, g - 1),
                    val * Fraction(1, _mult_fact(bos)))
-    z = {((), (), 0): tensor.ring.one()}
+    # the F terms by degree: a power term of degree d meets the prefix of
+    # degree <= maxdeg - d; each power is one raw sum per key
+    ordered = sorted(fterms.items(), key=lambda item: _deg(item[0]))
+    degrees = [_deg(key) for key, _ in ordered]
+    z = {((), (), 0): ring.one()}
     power = dict(fterms)
     k = 1
     while power:
         for key, val in power.items():
             accumulate(z, key, val)
         k += 1
-        new = {}
+        sums = {}
         for (b1, f1, h1), v1 in power.items():
-            for (b2, f2, h2), v2 in fterms.items():
-                if 2 * (h1 + h2) + len(b1) + len(b2) \
-                        + len(f1) + len(f2) > maxdeg:
-                    continue
+            fit = bisect_right(degrees, maxdeg - _deg((b1, f1, h1)))
+            for (b2, f2, h2), v2 in ordered[:fit]:
                 bm, fm, sg = canonical(b1 + b2, f1 + f2)
-                if sg == 0:
-                    continue
-                kk = (bm, fm, h1 + h2)
-                accumulate(new, kk, v1 * v2 * Fraction(sg, k))
-        power = new
-    return FockPoly(tensor.ring, cap, z)
+                if sg:
+                    acc = sums.setdefault((bm, fm, h1 + h2), {})
+                    mul_into(ring, acc, v1.terms, v2.terms, sg, k)
+        power = finish_each(ring, sums)
+    return FockPoly(ring, cap, z)
 
 
 def annihilation_report(curve, tensor, i_max=4):

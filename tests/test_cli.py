@@ -6,7 +6,6 @@ round-trip of result documents, and the failure paths for bad specs,
 insufficient truncation, and engine mismatch.
 """
 
-import functools
 import hashlib
 import json
 import os
@@ -533,31 +532,19 @@ def test_verify_algebra_corrupt_operator_reports_closure_failures(capsys):
 
 
 def test_verify_algebra_computes_each_image_once(monkeypatch, capsys):
-    # a pair sum run inside _apply_L/_apply_G computes the image of one
-    # polynomial under one mode; every sample, every image of a sample and
-    # every probe of the structure checks gets each of its images once
+    # svir._compute computes the image of one polynomial under one mode;
+    # every sample and every probe of the structure checks gets each of
+    # its L and G images once
     work = Counter()
     held = []  # keeps each polynomial alive, so that its id stays its own
-    inside = [None]
 
-    def traced(kind, apply_mode):
-        def apply(label, p, shift):
-            outer, inside[0] = inside[0], (kind, label, shift)
-            try:
-                return apply_mode(label, p, shift)
-            finally:
-                inside[0] = outer
-        return apply
-
-    def pair_sum(p, *args, inner=svir._pair_sum, **kwargs):
-        if inside[0] is not None:
+    def compute(kind, label, p, shift, inner=svir._compute):
+        if kind in ("L", "G"):
             held.append(p)
-            work[(id(p),) + inside[0]] += 1
-        return inner(p, *args, **kwargs)
+            work[(id(p), kind, label, shift)] += 1
+        return inner(kind, label, p, shift)
 
-    monkeypatch.setattr(svir, "_apply_L", traced("L", svir._apply_L))
-    monkeypatch.setattr(svir, "_apply_G", traced("G", svir._apply_G))
-    monkeypatch.setattr(svir, "_pair_sum", pair_sum)
+    monkeypatch.setattr(svir, "_compute", compute)
     assert main(["verify-algebra", "--degree", "2", "--mode-range", "1"]) \
         == 0
     assert capsys.readouterr().out.count("pass") == 7
@@ -571,12 +558,13 @@ def test_verify_algebra_computes_each_closure_tail_once(monkeypatch, capsys):
     calls = Counter()
     held = []
 
-    def sum_tail(t, p, shift, inner=svir._sum_tail):
-        held.append(p)
-        calls[(id(p), t, shift)] += 1
-        return inner(t, p, shift)
+    def compute(kind, t, p, shift, inner=svir._compute):
+        if kind == "tail":
+            held.append(p)
+            calls[(id(p), t, shift)] += 1
+        return inner(kind, t, p, shift)
 
-    monkeypatch.setattr(svir, "_sum_tail", sum_tail)
+    monkeypatch.setattr(svir, "_compute", compute)
     assert main(["verify-algebra", "--degree", "2", "--mode-range", "1"]) \
         == 0
     assert capsys.readouterr().out.count("pass") == 7
@@ -619,8 +607,8 @@ def test_verify_algebra_fails_a_wrong_heisenberg_weight(monkeypatch, capsys):
     # the family runs over a <= b only; a weight of |a| hbar delta for
     # [J_a, J_b] is right on every pair a > b and must still fail
     def wrong(a, b, p):
-        J_a, J_b = (functools.partial(svir._apply, "J", c) for c in (a, b))
-        return svir._holds(p, J_a, J_b, False, [p], abs(a) * (a + b == 0))
+        return svir._holds(p, ("J", a, None), ("J", b, None), False, [p],
+                           abs(a) * (a + b == 0))
 
     samples = list(cli._algebra_monomials(Ring([]), 2, 1))
     assert all(wrong(a, b, p) for a in (-1, 0, 1) for b in (-1, 0, 1)

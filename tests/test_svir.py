@@ -13,9 +13,9 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from functools import partial
 from itertools import (combinations, combinations_with_replacement,
-                       permutations)
+                       permutations, product)
+from math import factorial, prod
 
 import pytest
 
@@ -24,8 +24,8 @@ from superrec import svir
 from superrec.cli import _algebra_monomials
 from superrec.curve import CurveData
 from superrec.airyengine import run_airy
-from superrec.scalars import Ring
-from superrec.store import CorrTensor
+from superrec.scalars import Ring, finish_each
+from superrec.store import CorrTensor, canonical
 from superrec.svir import (CapExceeded, FockPoly, ShiftData,
                            annihilation_report, apply_mode, check_airy_axioms,
                            check_commutator, check_heisenberg_clifford,
@@ -611,7 +611,7 @@ def test_mode_images_are_pinned(name):
         for n in range(-1, 3):
             for mode, image in (("L", svir._apply_L(n, p, shift)),
                                 ("G", svir._apply_G(n, p, shift)),
-                                ("tail", svir._sum_tail(n, p, shift))):
+                                ("tail", svir._compute("tail", n, p, shift))):
                 lines += _image_lines(f"{mode}{n}", p, image)
     text = "\n".join(sorted(lines))
     assert hashlib.sha256(text.encode()).hexdigest() == IMAGES_SHA256[name]
@@ -632,17 +632,12 @@ def test_the_zero_polynomial_is_its_own_image():
             apply_mode(kind, label, zero)
 
 
-FRESH = {"J": partial(svir._apply, "J"),
-         "Gamma": partial(svir._apply, "Gamma"),
-         "L": svir._apply_L, "G": svir._apply_G, "tail": svir._sum_tail}
-
-
 def test_shared_images_are_not_changed_by_their_users():
     # every caller of a mode gets the one image the polynomial keeps, so
     # the functions that read images, the relation checks (_holds, through
     # _closes) and the recombined operators (_hatted), must leave them as
-    # they are: afterwards each image kept by p, and by its images, equals
-    # a fresh one
+    # they are: afterwards each image kept by p equals a fresh one, and
+    # none of them keeps images of its own
     shift = ShiftData.from_curve(rich_curve())
     p = ref_add(mono((1, 2), (0, 1)), mono((3,), (2,)))
     before = dict(p.terms)
@@ -655,15 +650,83 @@ def test_shared_images_are_not_changed_by_their_users():
             svir._hatted(odd, i, p, shift, 6)
     assert p.terms == before
 
-    def same_as_fresh(q, depth):
-        for (kind, label, key_shift), image in q.images.items():
-            want = FRESH[kind](label, _fresh(q), key_shift)
-            assert image.terms == want.terms, (kind, label, depth)
-            if depth and image.images:
-                same_as_fresh(image, depth - 1)
+    assert {kind for kind, _, _ in p.images} == \
+        {"J", "Gamma", "L", "G", "tail"}
+    for (kind, label, key_shift), image in p.images.items():
+        want = svir._compute(kind, label, _fresh(p), key_shift)
+        assert image.terms == want.terms, (kind, label)
+        assert image.images is None, (kind, label)
 
-    assert {kind for kind, _, _ in p.images} == set(FRESH)
-    same_as_fresh(p, 1)
+
+# the closure samples of check_airy_axioms
+CLOSURE_SAMPLES = [((), ()), ((1,), ()), ((2,), ()), ((1, 2), ()),
+                   ((), (0, 2)), ((1,), (1,))]
+
+# modes (kind, label) as svir's relations name them: L_2n and G_(2m+1) have
+# labels n and m
+COMPOSED_MODES = [("J", -1), ("J", 2), ("Gamma", 0), ("Gamma", 1),
+                  ("L", -1), ("L", 0), ("L", 1), ("G", -1), ("G", 0)]
+
+
+def ref_image(kind, label, q, shift):
+    """apply_mode on each monomial of q alone, summed."""
+    if kind in ("L", "G"):
+        label = 2 * label + (kind == "G")
+    return ref_add(FockPoly(q.ring, q.cap), *(
+        apply_mode(kind, label, FockPoly(q.ring, q.cap, {key: c}), shift)
+        for key, c in q.terms.items()))
+
+
+@pytest.mark.parametrize("curve", [None, rich_curve()],
+                         ids=["unshifted", "rich"])
+def test_composed_residuals_equal_images_of_images(curve):
+    # a relation applies its outer mode to each monomial of the kept inner
+    # image straight into its residual; here A(B(p)) and B(A(p)) are
+    # whole polynomials, built from apply_mode on one monomial at a time
+    shift = None if curve is None else ShiftData.from_curve(curve)
+    samples = list(_algebra_monomials(RING, 2, 2)) + [
+        mono(bos, fer) for bos, fer in CLOSURE_SAMPLES]
+    nonzero = 0
+    for p in samples:
+        for a, b in product(COMPOSED_MODES, repeat=2):
+            anti = a[0] in ("Gamma", "G") and b[0] in ("Gamma", "G")
+            sums = svir._residual(p, (*a, shift), (*b, shift), anti, [p], 3)
+            want = ref_add(
+                ref_image(*a, ref_image(*b, p, shift), shift),
+                ref_scale(ref_image(*b, ref_image(*a, p, shift), shift),
+                          1 if anti else -1),
+                ref_scale(ref_times_hbar(p), -3))
+            assert finish_each(RING, sums) == want.terms, (a, b, p.terms)
+            nonzero += bool(want.terms)
+    assert nonzero
+
+
+def test_samples_keep_no_images_of_images():
+    # every family verify-algebra runs, on each degree-2 sample, and every
+    # closure and recombined operator of the structure checks, on their
+    # samples: each sample keeps images, and none of them keeps its own
+    shift = ShiftData.from_curve(airy_curve())
+    span, low = range(-2, 3), range(-1, 3)
+    samples = []
+    for p in _algebra_monomials(RING, 2, 2):
+        assert all(check_heisenberg_clifford(a, b, p)
+                   for a in span for b in span if a <= b)
+        for relation in ("comm1", "comm2", "comm3", "comm4", "comm5"):
+            assert all(check_commutator(relation, a, b, p)
+                       for a in low for b in low)
+        samples.append(p)
+    for bos, fer in CLOSURE_SAMPLES:
+        p = mono(bos, fer)
+        for n, m in product(range(-1, 2), repeat=2):
+            assert all(svir._closes(name, n, m, p, shift)
+                       for name in ("LL", "LG", "GG"))
+        for odd, i in product((0, 1), range(1, 4)):
+            svir._hatted(odd, i, p, shift, 6)
+        samples.append(p)
+    for p in samples:
+        assert p.images, p.terms
+        for key, image in p.images.items():
+            assert image.images is None, (key, p.terms)
 
 
 # --- algebra relations --------------------------------------------------------
@@ -681,20 +744,20 @@ def test_heisenberg_clifford_pairs_are_mirrored(a):
     # verify-algebra checks a <= b only: with a right or a wrong weight w,
     # [J_b, J_a] against -w and {Gamma_b, Gamma_a} against w give the
     # verdict of [J_a, J_b] and {Gamma_a, Gamma_b} against w
-    J = lambda i: partial(svir._apply, "J", i)
-    gamma = lambda i: partial(svir._apply, "Gamma", i)
     verdicts = set()
     for b in range(-3, 4):
         delta = int(a + b == 0)
+        J_a, J_b = ("J", a, None), ("J", b, None)
+        gamma_a, gamma_b = ("Gamma", a, None), ("Gamma", b, None)
         for p in monomials()[::3]:
             for w in (a * delta, a * delta + 1):
-                got = svir._holds(p, J(a), J(b), False, [p], w)
-                assert svir._holds(p, J(b), J(a), False, [p], -w) == got, \
+                got = svir._holds(p, J_a, J_b, False, [p], w)
+                assert svir._holds(p, J_b, J_a, False, [p], -w) == got, \
                     (a, b, w, p.terms)
                 verdicts.add(got)
             for w in (delta, delta - 1):
-                got = svir._holds(p, gamma(a), gamma(b), True, [p], w)
-                assert svir._holds(p, gamma(b), gamma(a), True, [p], w) \
+                got = svir._holds(p, gamma_a, gamma_b, True, [p], w)
+                assert svir._holds(p, gamma_b, gamma_a, True, [p], w) \
                     == got, (a, b, w, p.terms)
                 verdicts.add(got)
     assert verdicts == {True, False}
@@ -728,17 +791,17 @@ def test_linear_relations_fail_with_a_wrong_right_hand_side():
     # sign must be seen: [J_1, J_-1] = hbar, [L_0, J_2] = 2 hbar J_2 and
     # {G_1, Gamma_1} = -hbar J_2
     one, x2 = mono(), mono(bos=(2,))
-    J = lambda i: partial(svir._apply, "J", i)
-    L0 = lambda q: svir._apply_L(0, q, None)
-    G1 = lambda q: svir._apply_G(0, q, None)
+    L0, G1 = ("L", 0, None), ("G", 0, None)
     J2x2 = [svir._apply("J", 2, x2)]
     for weight, holds in ((1, True), (2, False)):
-        assert svir._holds(one, J(1), J(-1), False, [one], weight) == holds
+        assert svir._holds(one, ("J", 1, None), ("J", -1, None), False,
+                           [one], weight) == holds
     for weight, holds in ((2, True), (3, False)):
-        assert svir._holds(x2, L0, J(2), False, J2x2, weight) == holds
+        assert svir._holds(x2, L0, ("J", 2, None), False, J2x2,
+                           weight) == holds
     for weight, holds in ((-1, True), (1, False)):
-        assert svir._holds(x2, G1, partial(svir._apply, "Gamma", 1), True,
-                           J2x2, weight) == holds
+        assert svir._holds(x2, G1, ("Gamma", 1, None), True, J2x2,
+                           weight) == holds
 
 
 class Routed(Exception):
@@ -748,20 +811,58 @@ class Routed(Exception):
 def test_checks_look_up_quadratic_modes_when_called(monkeypatch):
     # the benchmark counts quadratic mode applications by wrapping
     # svir._apply_L and svir._apply_G, so a check that captured these
-    # functions earlier would go uncounted
+    # functions earlier would go uncounted, and so would an L or G image
+    # computed past them
     def stand_in(*_args):
         raise Routed
 
-    monkeypatch.setattr(svir, "_apply_L", stand_in)
-    monkeypatch.setattr(svir, "_apply_G", stand_in)
+    shift = ShiftData.from_curve(airy_curve())
     p = mono(bos=(1,), fer=(0,))
-    for relation in ("comm1", "comm2", "comm3", "comm4", "comm5"):
+    with monkeypatch.context() as patch:
+        patch.setattr(svir, "_apply_L", stand_in)
+        patch.setattr(svir, "_apply_G", stand_in)
+        for relation in ("comm1", "comm2", "comm3", "comm4", "comm5"):
+            with pytest.raises(Routed):
+                check_commutator(relation, 0, 1, p)
+        assert check_heisenberg_clifford(1, -1, p)
+        for name in ("LL", "LG", "GG"):
+            with pytest.raises(Routed):
+                svir._closes(name, 0, 1, p, shift)
+        for odd in (0, 1):
+            with pytest.raises(Routed):
+                svir._hatted(odd, 1, p, shift, 4)
         with pytest.raises(Routed):
-            check_commutator(relation, 0, 1, p)
-    assert check_heisenberg_clifford(1, -1, p)
-    with pytest.raises(Routed):
-        check_airy_axioms(ShiftData.from_curve(airy_curve()), i_max=1,
-                          probe_max=2)
+            check_airy_axioms(shift, i_max=1, probe_max=2)
+
+    # every L and G image is computed inside a call of its wrapped function
+    inside, computed = [None], []
+
+    def wrapped(kind, apply):
+        def wrapper(label, q, key_shift):
+            outer, inside[0] = inside[0], (kind, label, q, key_shift)
+            try:
+                return apply(label, q, key_shift)
+            finally:
+                inside[0] = outer
+        return wrapper
+
+    def compute(kind, label, q, key_shift, inner=svir._compute):
+        if kind in ("L", "G"):
+            computed.append(kind)
+            assert inside[0] == (kind, label, q, key_shift), (kind, label)
+        return inner(kind, label, q, key_shift)
+
+    monkeypatch.setattr(svir, "_apply_L", wrapped("L", svir._apply_L))
+    monkeypatch.setattr(svir, "_apply_G", wrapped("G", svir._apply_G))
+    monkeypatch.setattr(svir, "_compute", compute)
+    for a, b in product(range(-2, 3), repeat=2):
+        assert check_heisenberg_clifford(a, b, p)
+    assert not computed
+    for relation in ("comm1", "comm2", "comm3", "comm4", "comm5"):
+        assert all(check_commutator(relation, a, b, p)
+                   for a, b in product(range(-1, 3), repeat=2))
+    assert check_airy_axioms(shift, i_max=2, probe_max=3) == []
+    assert set(computed) == {"L", "G"}
 
 
 # --- shifted operators and structure axioms ------------------------------------
@@ -932,6 +1033,41 @@ def test_annihilation_state_holds_every_index_the_store_accepts():
     tensor = CorrTensor(RING, 15, 3)
     tensor.set(7, (39,), (), RING.one())
     assert annihilation_report(airy_curve(), tensor)
+
+
+def ref_exp_state(tensor):
+    """sum_k F^k / k! of the tensor's generating sum F, every product of
+    two terms formed and the ones above degree chi_max - 2 dropped."""
+    def degree(key):
+        return 2 * key[2] + len(key[0]) + len(key[1])
+
+    one = tensor.ring.one()
+    fterms = {(bos, fer, g - 1): val * Fraction(1, prod(
+        factorial(bos.count(b)) for b in set(bos)))
+        for (g, bos, fer), val in tensor.entries.items()}
+    state, power, k = {((), (), 0): one}, {((), (), 0): one}, 0
+    while power:
+        k += 1
+        new = {}
+        for (b1, f1, h1), v1 in power.items():
+            for (b2, f2, h2), v2 in fterms.items():
+                bos, fer, sign = canonical(b1 + b2, f1 + f2)
+                key = (bos, fer, h1 + h2)
+                if sign and degree(key) <= tensor.chi_max - 2:
+                    new[key] = new.get(key, 0) + v1 * v2 * Fraction(sign, k)
+        power = {key: val for key, val in new.items() if val}
+        for key, val in power.items():
+            state[key] = state.get(key, 0) + val
+    return {key: val for key, val in state.items() if val}
+
+
+@pytest.mark.parametrize("curve,chi_max", [
+    (airy_curve(), 7), (rich_curve(), 5), (irregular_curve(), 5)],
+    ids=["airy", "rich", "irregular"])
+def test_exp_state_equals_its_definition(curve, chi_max):
+    # exp_state visits only the F terms whose degree fits under chi_max - 2
+    tensor = run_tr(curve, chi_max)
+    assert svir.exp_state(tensor, 40).terms == ref_exp_state(tensor)
 
 
 def test_annihilation_detects_corrupted_entry():
