@@ -10,7 +10,7 @@ import pytest
 
 from superrec import biseries
 from superrec.biseries import BiSeries
-from superrec.scalars import NotInvertible, Ring
+from superrec.scalars import NotInvertible, Ring, Scalar
 from superrec.series import TruncationError
 
 RATIONAL = Ring([])
@@ -172,6 +172,29 @@ def test_division_by_z1_minus_z2(ring):
     with pytest.raises(NotInvertible, match="not divisible by"):
         (product + constant(ring, 1, product.trunc)) \
             .divide_z1_minus_z2()
+
+
+def test_division_by_z1_minus_z2_sums_raw(monkeypatch):
+    """The division adds no two Scalars: each anti-diagonal is one raw
+    running sum, so no Scalar sum, difference or negation is made."""
+    rng = random.Random(11)
+    p = random_biseries(SQRT2, rng, 10)
+    z1_minus_z2 = BiSeries(SQRT2, {(1, 0): SQRT2.one(),
+                                   (0, 1): -SQRT2.one()}, 11)
+    product = p * z1_minus_z2
+    calls = []
+    for attr in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__"):
+        counted = getattr(Scalar, attr)
+
+        def counting(*args, counted=counted, attr=attr):
+            calls.append(attr)
+            return counted(*args)
+
+        monkeypatch.setattr(Scalar, attr, counting)
+    quotient = product.divide_z1_minus_z2()
+    assert calls == []
+    monkeypatch.undo()
+    assert known(quotient, 10) == known(p, 10)
 
 
 def test_non_divisible_by_z1_minus_z2_under_optimized_python():
