@@ -7,7 +7,11 @@ nonnegative; the coefficient at (i, j) is unknown when i + j > trunc.
 
 from __future__ import annotations
 
-from .scalars import NotInvertible, accumulate, finish, finish_each, mul_into
+import itertools
+from math import lcm
+
+from .scalars import (NotInvertible, accumulate, add_into, finish,
+                      finish_each, mul_into)
 from .series import TruncationError, WeightError
 
 
@@ -102,79 +106,120 @@ class BiSeries:
         if 2 * (rect - 1) > known:
             raise TruncationError(
                 f"the square i, j < {rect} is past truncation {known}")
-        a, b = ({key: val for key, val in series.coeffs.items()
-                 if max(key) < rect} for series in (self, other))
-        sign = _mirror_sign(a) if _mirror_sign(b) == 1 else 0
+        a = self.coeffs
+        sign = _mirror_sign(a, rect) if _mirror_sign(other.coeffs, rect) == 1 \
+            else 0
         ring = self.ring
-        # row k -> [(l, terms of -b_kl / b_00)] for (k, l) != (0, 0) in the
-        # square, l ascending
+        # row k -> [(l, terms of b_kl)] for (k, l) != (0, 0) in the square,
+        # l ascending
         rest = [[] for _ in range(rect)]
-        for (k, l), val in sorted(b.items()):
-            if k or l:
-                rest[k].append((l, (-(val * inv)).terms))
+        for (k, l), val in sorted(other.coeffs.items()):
+            if (k or l) and k < rect and l < rect:
+                rest[k].append((l, val.terms))
         q = [[None] * rect for _ in range(rect)]
         # column by column, so every q_(i-k, j-l) is known when read
         for j in range(rect):
             for i in range(j + 1 if sign else rect):
                 acc = {}
                 if (i, j) in a:
-                    mul_into(ring, acc, a[i, j].terms, inv.terms)
+                    add_into(acc, a[i, j].terms)
                 for k in range(i + 1):
                     row = q[i - k]
                     for l, left in rest[k]:
                         if l > j:
                             break
                         if row[j - l] is not None:
-                            mul_into(ring, acc, left, row[j - l].terms)
-                val = q[i][j] = finish(ring, acc)
-                if sign and i != j and val is not None:
-                    q[j][i] = val if sign == 1 else -val
+                            mul_into(ring, acc, left, row[j - l].terms, -1)
+                val = finish(ring, acc)
+                if val is not None:
+                    val = q[i][j] = val * inv
+                    if sign and i != j:
+                        q[j][i] = val if sign == 1 else -val
         return {(i, j): val for i, row in enumerate(q)
                 for j, val in enumerate(row) if val is not None}
 
-    def divide_z1_minus_z2(self):
-        """Exact quotient by (z1 - z2); raises NotInvertible unless the
-        remainder p(z2, z2) vanishes.
+    def divide_z1_minus_z2(self, times=1):
+        """Exact quotient by (z1 - z2)^times; raises NotInvertible unless
+        each of the times divisions leaves no remainder.
 
-        Truncation drops by one (unknown top coefficients would leak into
+        p = (z1 - z2) q reads p_ij = q_(i-1, j) - q_(i, j-1), so q_ab =
+        sum_(i > a) p_(i, a+b+1-i): a running sum down each anti-diagonal of
+        p from its z1^n end, whose full sum (down to i = 0) is the remainder
+        p(z2, z2) at degree n and must vanish. The next division runs the
+        same sum over this one. Each anti-diagonal is summed monomial by
+        monomial in ints over the lcm of its denominators, and only the last
+        quotient is finished.
+
+        Truncation drops by times (unknown top coefficients would leak into
         every total degree >= trunc of the quotient).
         """
-        # collect as polynomials in z1 over z2
-        by_z1 = {}
+        # degree n -> monomial -> {i: the Fraction at z1^i z2^(n-i)}
+        diagonals = {}
         for (i, j), val in self.coeffs.items():
-            by_z1.setdefault(i, {})[j] = val
-        max_i = max(by_z1, default=-1)
-        quotient = {}
-        carry = {}  # current q_i as dict j -> Scalar, built downwards
-        for i in range(max_i, -1, -1):
-            # q_{i-1} relation: p_i = q_{i-1} - z2 * q_i  =>
-            # q_{i-1} = p_i + z2 * q_i ; here carry holds q_i
-            term = dict(by_z1.get(i, {}))
-            for j, val in carry.items():
-                accumulate(term, j + 1, val)
-            if i == 0:
-                # remainder = p(z2, z2) must vanish: term is the remainder
-                if term:
-                    raise NotInvertible("not divisible by (z1 - z2)")
-                break
-            carry = term
-            for j, val in carry.items():
+            by_mono = diagonals.setdefault(i + j, {})
+            for mono, coeff in val.terms.items():
+                by_mono.setdefault(mono, {})[i] = coeff
+        columns = []  # (n, monomial, denominator, ints from z1^n to z2^n)
+        for n, by_mono in diagonals.items():
+            for mono, column in by_mono.items():
+                den = lcm(*(c.denominator for c in column.values()))
+                ints = [0] * (n + 1)
+                for i, c in column.items():
+                    ints[n - i] = c.numerator * (den // c.denominator)
+                columns.append((n, mono, den, ints))
+        # (z1 - z2)^times is mirror-symmetric for an even times, and so is
+        # the quotient of a mirror-symmetric p: only its coefficients with
+        # b <= a are finished, and the others mirrored
+        mirror = times % 2 == 0 and all(
+            ints == ints[::-1] for *_, ints in columns)
+        quotient = {}  # (a, b) -> raw sum of one bucket per monomial
+        for n, mono, den, sums in columns:
+            for t in range(times):
+                sums = list(itertools.accumulate(sums))
+                # the sum down to i = 0 is the remainder
+                if sums and sums.pop():
+                    raise NotInvertible(
+                        f"not divisible by (z1 - z2)^{t + 1}")
+            # sums[b] is the quotient at z1^(n - times - b) z2^b
+            if mirror:
+                del sums[(len(sums) + 1) // 2:]
+            for b, val in enumerate(sums):
                 if val:
-                    quotient[(i - 1, j)] = val
-        return BiSeries(self.ring, quotient, self.trunc - 1)
+                    key = (n - times - b, b)
+                    acc = quotient.get(key)
+                    if acc is None:
+                        acc = quotient[key] = {}
+                    acc[mono] = {den: val}
+        coeffs = finish_each(self.ring, quotient)
+        if mirror:
+            for (a, b), val in list(coeffs.items()):
+                coeffs[b, a] = val
+        return BiSeries(self.ring, coeffs, self.trunc - times)
 
     def coeff(self, i, j):
         c = self.coeffs.get((i, j))
         return self.ring.zero() if c is None else c
 
 
-def _mirror_sign(coeffs):
-    """1 if the coefficients (i, j) -> c_ij are mirror-symmetric (c_ij =
-    c_ji), -1 if antisymmetric (c_ij = -c_ji), else 0; no coefficient
-    counts as symmetric."""
-    if all(coeffs.get((j, i)) == val for (i, j), val in coeffs.items()):
-        return 1
-    if all(i != j and coeffs.get((j, i)) == -val
-           for (i, j), val in coeffs.items()):
-        return -1
-    return 0
+def _mirror_sign(coeffs, rect):
+    """1 if the coefficients (i, j) -> c_ij on the square i, j < rect are
+    mirror-symmetric (c_ij = c_ji), -1 if antisymmetric (c_ij = -c_ji),
+    else 0; no coefficient counts as symmetric. Each pair is compared
+    once, term by term."""
+    symmetric = antisymmetric = True
+    for (i, j), val in coeffs.items():
+        if i >= rect or j >= rect:
+            continue
+        mirror = coeffs.get((j, i))
+        if mirror is None:
+            return 0
+        if i > j:
+            continue  # compared as the mirror of (j, i)
+        terms, mirror = val.terms, mirror.terms
+        symmetric = symmetric and terms == mirror
+        antisymmetric = antisymmetric and i != j \
+            and len(terms) == len(mirror) and all(
+                mirror.get(mono) == -coeff for mono, coeff in terms.items())
+        if not (symmetric or antisymmetric):
+            return 0
+    return 1 if symmetric else -1

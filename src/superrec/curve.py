@@ -273,16 +273,16 @@ def psi_regular(curve):
     -1/2 (z1+z2)/(z1-z2) T1 T2/(z1 z2) is removed (antisymmetric):
     -(psi_{k-1,l-1} - psi_{l-1,k-1}) / (2 (1 + delta_{(k-1)(l-1),0}))."""
     top = curve.max_polarization_index() + 1
+    psi_at = curve.psi_at
+    quarter, half = (curve.ring.rational(Fraction(-1, d)) for d in (4, 2))
     out = {}
-    for l in range(1, top + 1):
-        for k in range(1, top + 1):
-            if k == l:
-                continue
-            num = curve.psi_at(k - 1, l - 1) - curve.psi_at(l - 1, k - 1)
-            val = -num * curve.ring.rational(
-                Fraction(1, 4 if k == 1 or l == 1 else 2))
+    for l in range(1, top):
+        weight = quarter if l == 1 else half
+        for k in range(l + 1, top + 1):
+            val = (psi_at(k - 1, l - 1) - psi_at(l - 1, k - 1)) * weight
             if val:
                 out[(l, k)] = val
+                out[(k, l)] = -val
     return out
 
 
@@ -302,12 +302,12 @@ def fit_parameters(ring, epsilon, omega01, omega02_regular, omega002_regular,
         raise ShapeError("omega01 must be holomorphic (positive basis only)")
     tau = {k + 1: v for k, v in omega01.coeffs.items()}
 
+    zero = ring.zero()
     phi = {}
     for (k, l), v in omega02_regular.items():
         if k < 1 or l < 1:
             raise ShapeError(f"bad bosonic regular index {(k, l)}")
-        mirror = omega02_regular.get((l, k), ring.zero())
-        if mirror != v:
+        if omega02_regular.get((l, k), zero) != v:
             raise InconsistentPolarization(
                 f"bosonic polarization not symmetric at {(k, l)}")
         if k <= l and v:
@@ -318,7 +318,7 @@ def fit_parameters(ring, epsilon, omega01, omega02_regular, omega002_regular,
     for (l, k), v in reg.items():
         if l < 1 or k < 1:
             raise ShapeError(f"bad fermionic regular index {(l, k)}")
-        if reg.get((k, l), ring.zero()) != -v:
+        if reg.get((k, l), zero) != -v:
             raise InconsistentPolarization(
                 f"fermionic regular part not antisymmetric at {(l, k)}")
     psi0 = {}
@@ -327,10 +327,9 @@ def fit_parameters(ring, epsilon, omega01, omega02_regular, omega002_regular,
     max_idx = max((max(l, k) for l, k in reg), default=0)
     for m in range(1, max_idx):
         # (l, k) = (m+1, 1): r = -(psi_{0,m} - psi_{m,0})/4 = -psi_{0m}/2
-        val = reg.get((m + 1, 1), ring.zero())
+        val = reg.get((m + 1, 1), zero)
         if val:
             psi0[m] = -2 * val
-    zero = ring.zero()
     for p in range(1, max_idx):
         for q in range(p + 1, max_idx):
             # (l, k) = (p+1, q+1): r = -(psi_{qp} - psi_{pq})/2

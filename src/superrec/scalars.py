@@ -120,7 +120,9 @@ def _scalar(ring, terms):
 # A raw sum maps each monomial to {denominator: numerator} of plain ints:
 # a term n/d is added to bucket d with no gcd, and `finish` makes one
 # Fraction per monomial. Only mul_into, add_into, finish and finish_each
-# read or write one.
+# read one; besides mul_into and add_into, only BiSeries.divide_z1_minus_z2
+# writes one, a single bucket per monomial over its running sum's common
+# denominator.
 
 
 def mul_into(ring, acc, left, right, weight=1, den=1):

@@ -5,6 +5,14 @@ as truncated (bi)series over an exact symbol ring, peels off the fixed
 singular parts and recovers curve data through fit_parameters. The
 validation report checks the sign-involution identities of the defining
 forms against their closed right-hand sides to truncation order.
+
+A fitted curve (ns_plus, ns_minus, ramond) multiplies no two bivariate
+series. Each numerator of its bilinears is summed from the univariate
+coefficients of u, u' and u^2 as outer products, one raw sum per
+coefficient, e.g. (u1 - u2)^2 = u^2 (x) 1 + 1 (x) u^2 - 2 u (x) u; it is
+divided by (z1 - z2)^2 as a running sum down each anti-diagonal
+(BiSeries.divide_z1_minus_z2), then by s^2 or s on the square the fit
+keeps (BiSeries.quotient_on_square).
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ from math import factorial
 
 from .biseries import BiSeries
 from .curve import CurveData, fit_parameters, psi_regular
-from .scalars import Ring, accumulate
+from .scalars import (Ring, accumulate, add_into, finish, finish_each,
+                      mul_into)
 from .series import FormalSeries, TruncationError
 from .store import index_bound
 
@@ -146,38 +155,60 @@ def _expansion_data(spec):
 
 
 def _build_fitted(spec):
-    ring, u, omega01 = _expansion_data(spec)
-    trunc = spec.trunc
-    rect = _fitted_rect(trunc)
-    # u is known to z^(trunc + 2) and u' to z^(trunc + 1); placed to trunc
-    # + 1, the tables below are known to trunc - 3 after their divisions
-    # by (z1 - z2), as far as the kept square reaches
-    u1, u2, du1, du2, uu1, uu2 = (
-        BiSeries.from_univariate(fs, var, trunc + 1)
-        for fs in (u, _d_dz(u), u * u) for var in (1, 2))
+    ring, u_series, omega01 = _expansion_data(spec)
+    rect = _fitted_rect(spec.trunc)
+    # the kept square reads each quotient through total degree
+    # 2 (rect - 1), and each division by (z1 - z2) reads its dividend one
+    # degree further; u is known to z^(trunc + 2) and u' to z^(trunc + 1),
+    # and 2 rect + 2 <= trunc + 1
+    top = 2 * rect
+    # exponent -> terms of each univariate coefficient
+    u, du, uu = ({k: c.terms for k, c in fs.coeffs.items()}
+                 for fs in (u_series, _d_dz(u_series), u_series * u_series))
+    one = {0: ring.one().terms}
     # s^2 = (u1 - u2)^2 / (z1 - z2)^2 with s = (u1 - u2) / (z1 - z2)
-    s2 = (uu1 + uu2 + u1.scale(ring.rational(-2)) * u2) \
-        .divide_z1_minus_z2().divide_z1_minus_z2()
+    s2 = _fitted_numerator(ring, top + 2, (
+        (1, uu, one, 0, 0), (1, one, uu, 0, 0), (-2, u, u, 0, 0)),
+        symmetric=True).divide_z1_minus_z2(2)
     # u1' u2' / s^2 = 1 + (z1 - z2)^2 reg02
-    reg02 = (du1 * du2 - s2).divide_z1_minus_z2().divide_z1_minus_z2() \
-        .quotient_on_square(s2, rect)
-    half = ring.rational(Fraction(1, 2))
+    sums = {}
+    for (i, j), val in s2.coeffs.items():
+        if i >= j:
+            add_into(sums.setdefault((i, j), {}), val.terms, -1)
+    reg02 = _fitted_numerator(ring, top, ((1, du, du, 0, 0),), sums,
+                              symmetric=True) \
+        .divide_z1_minus_z2(2).quotient_on_square(s2, rect)
     if spec.name == "ramond":
-        s = (u1 - u2).divide_z1_minus_z2()
-        z1_plus_z2 = BiSeries(ring, {(1, 0): ring.one(), (0, 1): ring.one()},
-                              trunc)
-        # (z1 + z2) s - (u1 + u2 - u1^2 u2 - u1 u2^2)
-        num = z1_plus_z2 * s - u1 - u2 + uu1 * u2 + u1 * uu2
-        reg002 = BiSeries(ring, num.divide_z1_minus_z2()
-                          .quotient_on_square(s, rect), trunc).scale(half)
+        half = Fraction(1, 2)
+        # (z1 - z2) times the numerator (z1 + z2) s - (u1 + u2)(1 - u1 u2),
+        # halved: z2 u1 - z1 u2 + (z1 - z2)(u1^2 u2 + u1 u2^2) / 2
+        num = _fitted_numerator(ring, top, (
+            (1, u, one, 0, 1), (-1, one, u, 1, 0),
+            (half, uu, u, 1, 0), (half, u, uu, 1, 0),
+            (-half, uu, u, 0, 1), (-half, u, uu, 0, 1)))
+        # s_ij = u_(i+j+1), as (z1^n - z2^n) / (z1 - z2) = sum_(i+j=n-1)
+        # z1^i z2^j; on the square, and s_00 when the square is empty
+        side = range(max(rect, 1))
+        s = BiSeries(ring, {(i, j): u_series.coeffs[i + j + 1] for i in side
+                            for j in side if i + j + 1 in u}, top)
+        reg002 = num.divide_z1_minus_z2(2).quotient_on_square(s, rect)
     else:
         # (1 - u1' u2' / s^2) (z1 + z2) / (z1 - z2) / 2
-        # = (z2^2 - z1^2) reg02 / 2
-        reg002 = BiSeries(ring, reg02, trunc) \
-            * BiSeries(ring, {(0, 2): half, (2, 0): -half}, trunc)
+        # = (z2^2 - z1^2) reg02 / 2, by shifting reg02 on the square;
+        # antisymmetric, as reg02 is symmetric
+        reg002 = {}
+        for i in range(rect):
+            for j in range(i + 1, rect):
+                acc = {}
+                for key, weight in (((i, j - 2), 1), ((i - 2, j), -1)):
+                    if key in reg02:
+                        add_into(acc, reg02[key].terms, weight, 2)
+                val = finish(ring, acc)
+                if val is not None:
+                    reg002[i, j] = val
+                    reg002[j, i] = -val
     phi_reg = {(i + 1, j + 1): v for (i, j), v in reg02.items()}
-    psi_reg = {(i + 1, j + 1): v for (i, j), v in reg002.coeffs.items()
-               if i < rect and j < rect}
+    psi_reg = {(i + 1, j + 1): v for (i, j), v in reg002.items()}
     omega01_form = FormalSeries(
         ring, {k: v for k, v in omega01.coeffs.items() if k <= spec.trunc},
         spec.trunc, 1, 0)
@@ -185,6 +216,32 @@ def _build_fitted(spec):
     # exact through polarization index rect - 1
     return fit_parameters(ring, 3, omega01_form, phi_reg, psi_reg,
                           spec.trunc, rect - 1)
+
+
+def _fitted_numerator(ring, top, products, sums=None, symmetric=False):
+    """The BiSeries through total degree top of the raw sums (i, j) -> {...}
+    given plus the outer products (weight, x, y, di, dj): each adds
+    weight x_i y_j at z1^(i+di) z2^(j+dj), x and y mapping an exponent to
+    the terms of a univariate coefficient. Each key is one raw sum,
+    finished once. A symmetric sum is mirror-symmetric: only its keys with
+    i >= j are summed, and the others mirrored."""
+    sums = {} if sums is None else sums
+    for weight, x, y, di, dj in products:
+        for i, left in x.items():
+            i += di
+            for j, right in y.items():
+                j += dj
+                if i + j > top or symmetric and j > i:
+                    continue
+                acc = sums.get((i, j))
+                if acc is None:
+                    acc = sums[i, j] = {}
+                mul_into(ring, acc, left, right, weight)
+    coeffs = finish_each(ring, sums)
+    if symmetric:
+        for (i, j), val in list(coeffs.items()):
+            coeffs[j, i] = val
+    return BiSeries(ring, coeffs, top)
 
 
 def _fitted_rect(trunc):

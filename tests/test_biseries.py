@@ -174,6 +174,44 @@ def test_division_by_z1_minus_z2(ring):
             .divide_z1_minus_z2()
 
 
+def z1_minus_z2(ring, trunc):
+    return BiSeries(ring, {(1, 0): ring.one(), (0, 1): -ring.one()}, trunc)
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, SQRT2], ids=["Q", "sqrt2"])
+@pytest.mark.parametrize("sign", [0, 1, -1],
+                         ids=["plain", "symmetric", "antisymmetric"])
+def test_double_division_by_z1_minus_z2(ring, sign):
+    """p (z1 - z2)^2 divides back to p by two divisions and by one double
+    division, on the triangle known; a symmetric p takes the double
+    division's mirrored path."""
+    rng = random.Random(13)
+    p = random_biseries(ring, rng, 8)
+    if sign:
+        p = mirrored(p, sign)
+    twice = p * z1_minus_z2(ring, 10) * z1_minus_z2(ring, 10)
+    assert twice.trunc == 10
+    assert known(twice.divide_z1_minus_z2().divide_z1_minus_z2(), 8) \
+        == known(twice.divide_z1_minus_z2(2), 8) == known(p, 8)
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, SQRT2], ids=["Q", "sqrt2"])
+def test_divisible_once_but_not_twice(ring):
+    """p (z1 - z2) with p(z2, z2) != 0 divides once, and its quotient p
+    raises NotInvertible at the next division, as does the double
+    division of p (z1 - z2)."""
+    rng = random.Random(17)
+    p = random_biseries(ring, rng, 8)
+    p = BiSeries(ring, p.coeffs | {(0, 0): ring.one()}, p.trunc)
+    once = p * z1_minus_z2(ring, 10)
+    quotient = once.divide_z1_minus_z2()
+    assert known(quotient, 8) == known(p, 8)
+    with pytest.raises(NotInvertible, match="not divisible by"):
+        quotient.divide_z1_minus_z2()
+    with pytest.raises(NotInvertible, match="not divisible by"):
+        once.divide_z1_minus_z2(2)
+
+
 def test_division_by_z1_minus_z2_sums_raw(monkeypatch):
     """The division adds no two Scalars: each anti-diagonal is one raw
     running sum, so no Scalar sum, difference or negation is made."""
@@ -205,11 +243,17 @@ def test_non_divisible_by_z1_minus_z2_under_optimized_python():
               "from superrec.scalars import NotInvertible, Ring\n"
               "ring = Ring([])\n"
               "p = BiSeries(ring, {(1, 1): ring.one()}, 4)\n"
-              "try:\n"
-              "    p.divide_z1_minus_z2()\n"
-              "except NotInvertible:\n"
-              "    raise SystemExit(0)\n"
-              "raise SystemExit(1)\n")
+              "once = BiSeries(ring, {(1, 0): ring.one(), "
+              "(0, 1): -ring.one()}, 4)\n"
+              "quotient = once.divide_z1_minus_z2()\n"
+              "for divide in (p.divide_z1_minus_z2, "
+              "quotient.divide_z1_minus_z2,\n"
+              "               lambda: once.divide_z1_minus_z2(2)):\n"
+              "    try:\n"
+              "        divide()\n"
+              "    except NotInvertible:\n"
+              "        continue\n"
+              "    raise SystemExit(1)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True)

@@ -307,6 +307,16 @@ def test_fit_shape_errors():
     with pytest.raises(InconsistentPolarization):
         fit_parameters(RING, 3, omega01, {},
                        {(2, 1): rat(1), (1, 2): rat(1)}, 10)
+    # antisymmetry broken at the fermionic entry of psiA_12
+    with pytest.raises(InconsistentPolarization,
+                       match=r"not antisymmetric at \(2, 3\)"):
+        fit_parameters(RING, 3, omega01, {},
+                       {(2, 3): rat(1), (3, 2): rat(1)}, 10)
+    # symmetry broken at a bosonic entry off the diagonal
+    with pytest.raises(InconsistentPolarization,
+                       match=r"not symmetric at \(2, 3\)"):
+        fit_parameters(RING, 3, omega01, {(2, 3): rat(1), (3, 2): rat(2)},
+                       {}, 10)
 
 
 def test_sigma_parity_of_omega01():
