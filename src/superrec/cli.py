@@ -390,13 +390,12 @@ def cmd_crosscheck(args):
 
 def _algebra_monomials(ring, degree, index_range):
     from itertools import combinations, combinations_with_replacement
-    cap = 4 * (index_range + 2)
     for nb in range(degree + 1):
         for bos in combinations_with_replacement(
                 range(1, index_range + 1), nb):
             for nf in range(degree - nb + 1):
                 for fer in combinations(range(0, index_range + 1), nf):
-                    yield FockPoly.monomial(ring, cap, bos, fer)
+                    yield FockPoly.monomial(ring, bos, fer)
 
 
 def cmd_verify_algebra(args):
@@ -411,9 +410,9 @@ def cmd_verify_algebra(args):
     # {Gamma_a, Gamma_b} and its right-hand side symmetric, and
     # check_heisenberg_clifford checks both [J_a, Gamma_b] and [J_b, Gamma_a]:
     # the family runs over a <= b. The residual of [L_b, L_a] is minus that
-    # of [L_a, L_b] (svir._rhs_LL returns the same polynomials with weight
+    # of [L_a, L_b] (svir._rhs returns the same polynomials with weight
     # 2(a - b), ((), 0) when a == b, where the commutator cancels
-    # identically), and {G_a, G_b} and svir._rhs_GG are symmetric in (a, b):
+    # identically), and {G_a, G_b} and its svir._rhs are symmetric in (a, b):
     # comm3 and comm5 check each unordered pair once.
     families = {"heisenberg-clifford": (
         check_heisenberg_clifford, [(a, b) for a in full_span

@@ -217,9 +217,6 @@ class Scalar:
 
     # --- basic queries -------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def is_rational(self):
         return not self.terms or (len(self.terms) == 1 and () in self.terms)
 

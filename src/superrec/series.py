@@ -75,9 +75,6 @@ class FormalSeries:
             coeff = ring.rational(coeff)
         return cls(ring, {exp: coeff}, trunc, dz_weight, theta)
 
-    def is_zero(self):
-        return not self.coeffs
-
     def coeff(self, exp):
         """Coefficient at z^exp; TruncationError if unknown."""
         if exp > self.trunc:

@@ -1,7 +1,8 @@
 """Mode operators on a polynomial super-Fock space and relation checks.
 
-The Fock space is spanned by monomials in bosonic variables x^1..x^D,
-Grassmann variables theta^0..theta^D and powers of hbar. Heisenberg modes
+The Fock space is spanned by monomials in bosonic variables x^1, x^2, ...,
+Grassmann variables theta^0, theta^1, ... and powers of hbar; a polynomial
+is a sparse dict of its terms, so no index is bounded. Heisenberg modes
 J_a and Clifford modes Gamma_a act as multiplications and derivatives;
 quadratic modes L (even) and G (odd) are evaluated as normal-ordered
 bilinear sums. Dilaton-shift/polarization data turns each negative mode
@@ -31,11 +32,7 @@ from functools import partial
 
 from .scalars import (Scalar, accumulate, add_into, finish, finish_each,
                       mul_into)
-from .store import canonical, index_bound, insert_index, simplex_keys
-
-
-class CapExceeded(Exception):
-    """A creation operator would exceed the variable-index cap."""
+from .store import canonical, insert_index, simplex_keys
 
 
 class FockPoly:
@@ -52,16 +49,15 @@ class FockPoly:
     to every caller. Only the polynomials a check starts from keep any.
     """
 
-    __slots__ = ("ring", "cap", "terms", "images")
+    __slots__ = ("ring", "terms", "images")
 
-    def __init__(self, ring, cap, terms=None):
+    def __init__(self, ring, terms=None):
         self.ring = ring
-        self.cap = cap
         self.terms = {k: v for k, v in (terms or {}).items() if v}
         self.images = None
 
     @classmethod
-    def monomial(cls, ring, cap, bos=(), fer=(), hpow=0, coeff=1):
+    def monomial(cls, ring, bos=(), fer=(), hpow=0, coeff=1):
         """coeff x^bos theta^fer hbar^hpow, theta factors in given order."""
         if isinstance(coeff, (int, Fraction)):
             coeff = ring.rational(coeff)
@@ -71,11 +67,11 @@ class FockPoly:
         bos, fer_sorted, sign = canonical(bos, fer)
         if not sign:
             raise ValueError(f"repeated theta factor in {tuple(fer)}")
-        return cls(ring, cap, {(bos, fer_sorted, hpow): coeff * sign})
+        return cls(ring, {(bos, fer_sorted, hpow): coeff * sign})
 
     @classmethod
-    def one(cls, ring, cap):
-        return cls.monomial(ring, cap)
+    def one(cls, ring):
+        return cls.monomial(ring)
 
     def component(self, bos=(), fer=(), hpow=0):
         """Coefficient of x^bos theta^fer hbar^hpow, theta factors in the
@@ -143,58 +139,51 @@ def _lowered(index, fermionic, key):
     return (bos[:pos] + bos[pos + 1:], fer, h + 1), mult, 1
 
 
-def _raised(index, fermionic, key, cap):
+def _raised(index, fermionic, key):
     """x^index (theta^index when fermionic, multiplied from the left) times
     the monomial key, as one (key, sign) pair, or None when theta^index is
-    already there; CapExceeded for an index above the cap."""
-    if index > cap:
-        raise CapExceeded(
-            f"{'theta' if fermionic else 'x'}^{index} beyond cap {cap}")
+    already there."""
     bos, fer, h = key
     slots, sign = insert_index(index, fermionic, bos, fer)
     return (slots + (h,), sign) if sign else None
 
 
-def _plain_terms(kind, index, key, cap):
+def _plain_terms(kind, index, key):
     """The plain mode J or Gamma of this index on the monomial key."""
     fermionic = kind == "Gamma"
     if index > 0:
         term = _lowered(index, fermionic, key)
         return [term] if term else []
     if index < 0:
-        term = _raised(-index, fermionic, key, cap)
+        term = _raised(-index, fermionic, key)
         return [(term[0], term[1] if fermionic else -index, 1)] if term else []
     if not fermionic:
         return []  # J_0
-    # Gamma_0 = theta^0 / 2 + hbar d/dtheta^0; theta^0 goes first, sign 1
-    out = []
-    term = _raised(0, True, key, cap)
-    if term:
-        out.append((term[0], 1, 2))
-    term = _lowered(0, True, key)
-    if term:
-        out.append(term)
-    return out
+    # Gamma_0 = theta^0 / 2 + hbar d/dtheta^0, and exactly one of the two
+    # acts: the first where theta^0 is absent (it goes first, sign 1), the
+    # second where it is there
+    term = _raised(0, True, key)
+    return [(term[0], 1, 2)] if term else [_lowered(0, True, key)]
 
 
-def _mode_terms(kind, index, key, cap, shift=None):
+def _mode_terms(kind, index, key, shift=None):
     """The mode J or Gamma of this index on the monomial key; with shift
     data, a negative mode (and Gamma_0) is expanded into the tilde mode:
     J_-i + tau_i + sum_k phi_ik / k J_k, or Gamma_-i + sum_k psi_ki
     Gamma_k. J_0 stays unshifted: tau indices are >= 1, and the tilde
     table holds no J row 0."""
-    out = _plain_terms(kind, index, key, cap)
+    out = _plain_terms(kind, index, key)
     if shift is None or index > 0:
         return out
     if kind == "J" and -index in shift.tau:
         out.append((key, shift.tau[-index], 1))
     for k, val in shift.tilde[kind].get(-index, ()):
         out.extend((new, val * factor, den)
-                   for new, factor, den in _plain_terms(kind, k, key, cap))
+                   for new, factor, den in _plain_terms(kind, k, key))
     return out
 
 
-def _pair_terms(kind1, i1, kind2, i2, key, cap, shift):
+def _pair_terms(kind1, i1, kind2, i2, key, shift):
     """The normal-ordered product :A_i1 B_i2: of two modes on the monomial
     key.
 
@@ -209,8 +198,8 @@ def _pair_terms(kind1, i1, kind2, i2, key, cap, shift):
         first, then = (kind2, i2), (kind1, i1)
         sign = 1
     return [(end, sign * f1 * f2, d1 * d2)
-            for mid, f1, d1 in _mode_terms(*first, key, cap, shift)
-            for end, f2, d2 in _mode_terms(*then, mid, cap, shift)]
+            for mid, f1, d1 in _mode_terms(*first, key, shift)
+            for end, f2, d2 in _mode_terms(*then, mid, shift)]
 
 
 # A quadratic mode of label l is 1 / den times the sum over its families
@@ -249,10 +238,10 @@ def _add_mode(sums, kind, label, p, shift, weight=1):
     monomial: `_pair_terms` applies a positive mode before any creator, so
     those are the labels whose positive mode holds one of the monomial's
     variables, and total <= k <= 0, where neither mode is positive."""
-    ring, cap = p.ring, p.cap
+    ring = p.ring
     if kind in ("J", "Gamma"):
         for key, c in p.terms.items():
-            for new, factor, den in _mode_terms(kind, label, key, cap, shift):
+            for new, factor, den in _mode_terms(kind, label, key, shift):
                 _add_term(ring, sums, new, c.terms, factor, weight, den)
         return sums
     odd, den, families = _PAIRS[kind]
@@ -271,7 +260,7 @@ def _add_mode(sums, kind, label, p, shift, weight=1):
                         and (k2 in held2 if k2 > 0 else k2 or kind2 == "Gamma")
                         and (w := weigh(label, k) * weight)):
                     for new, factor, d in _pair_terms(kind1, k, kind2, k2,
-                                                      key, cap, shift):
+                                                      key, shift):
                         _add_term(ring, sums, new, c.terms, factor, w, d * den)
         if kind == "L" and label == 0:
             _add_term(ring, sums, (bos, fer, h + 1), c.terms, weight, 1, 4)
@@ -280,7 +269,7 @@ def _add_mode(sums, kind, label, p, shift, weight=1):
 
 def _compute(kind, label, p, shift):
     """The image of p under the mode (kind, label), computed afresh."""
-    return FockPoly(p.ring, p.cap,
+    return FockPoly(p.ring,
                     finish_each(p.ring, _add_mode({}, kind, label, p, shift)))
 
 
@@ -364,32 +353,21 @@ def _holds(p, *relation):
                for acc in _residual(p, *relation).values())
 
 
-# A closure right-hand side is (polynomials, weight), weight hbar times the
-# sum of the polynomials, and ((), 0) when the weight is zero.
-
-
-def _rhs_tail(t, p, shift):
-    """L_t, and sum_k :J_k J_(2t-k): + sum_k (t-k) :Gamma_k Gamma_(2t-k):
-    kept among p's images: [L_n, L_m] and [L_m, L_n] both read it."""
-    return _apply_L(t, p, shift), _image("tail", t, p, shift)
-
-
-def _rhs_LL(n, m, p, shift=None):
-    if n == m:
-        return (), 0
-    return _rhs_tail(n + m, p, shift), 2 * (n - m)
-
-
-def _rhs_LG(n, m, p, shift=None):
-    weight = n - 2 * m - 1
+def _rhs(name, n, m, p, shift=None):
+    """The closure right-hand side of [L_n, L_m], [L_n, G_m] or {G_n, G_m}
+    (name "LL", "LG" or "GG") on p, as (polynomials, weight): weight hbar
+    times their sum, and ((), 0) when the weight is zero. The L-L and G-G
+    sides are L_t and sum_k :J_k J_(2t-k): + sum_k (t-k) :Gamma_k
+    Gamma_(2t-k):, both kept among p's images, so [L_n, L_m] and [L_m, L_n]
+    read the same objects."""
+    weight = {"LL": 2 * (n - m), "LG": n - 2 * m - 1, "GG": 2}[name]
     if not weight:
         return (), 0
-    return (_apply_G(n + m, p, shift),
-            _compute("odd tail", n + m, p, shift)), weight
-
-
-def _rhs_GG(n, m, p, shift=None):
-    return _rhs_tail(n + m + 1, p, shift), 2
+    if name == "LG":
+        return (_apply_G(n + m, p, shift),
+                _compute("odd tail", n + m, p, shift)), weight
+    t = n + m + (name == "GG")
+    return (_apply_L(t, p, shift), _image("tail", t, p, shift)), weight
 
 
 def _closes(name, n, m, p, shift=None):
@@ -397,8 +375,7 @@ def _closes(name, n, m, p, shift=None):
     "GG") equals its closure right-hand side on p."""
     a = ("G" if name == "GG" else "L", n, shift)
     b = ("L" if name == "LL" else "G", m, shift)
-    rhs = {"LL": _rhs_LL, "LG": _rhs_LG, "GG": _rhs_GG}[name]
-    return _holds(p, a, b, name == "GG", *rhs(n, m, p, shift))
+    return _holds(p, a, b, name == "GG", *_rhs(name, n, m, p, shift))
 
 
 def check_commutator(relation, a, b, sample):
@@ -416,21 +393,18 @@ def check_commutator(relation, a, b, sample):
     closure = {"comm3": "LL", "comm4": "LG", "comm5": "GG"}.get(relation)
     if closure is not None:
         return _closes(closure, a, b, p)
-    L, G = ("L", a, None), ("G", a, None)
-    if relation == "comm1":
-        J = ("J", 2 * b, None)
-        return (_holds(p, L, J, False, [_apply("J", 2 * a + 2 * b, p)],
-                       2 * b)
-                and _holds(p, G, J, False,
-                           [_apply("Gamma", 2 * a + 2 * b + 1, p)], 2 * b))
-    if relation == "comm2":
-        gamma = ("Gamma", 2 * b - 1, None)
-        return (_holds(p, L, gamma, False,
-                       [_apply("Gamma", 2 * a + 2 * b - 1, p)],
-                       a + 2 * b - 1)
-                and _holds(p, G, gamma, True, [_apply("J", 2 * a + 2 * b, p)],
-                           -1))
-    raise ValueError(f"unknown relation {relation}")
+    J, gamma = ("J", 2 * b), ("Gamma", 2 * b - 1)
+    # (L or G, linear mode, anti, right-hand-side mode, weight) of each half
+    halves = {"comm1": (("L", J, False, ("J", 2 * a + 2 * b), 2 * b),
+                        ("G", J, False, ("Gamma", 2 * a + 2 * b + 1), 2 * b)),
+              "comm2": (("L", gamma, False, ("Gamma", 2 * a + 2 * b - 1),
+                         a + 2 * b - 1),
+                        ("G", gamma, True, ("J", 2 * a + 2 * b), -1))}
+    if relation not in halves:
+        raise ValueError(f"unknown relation {relation}")
+    return all(_holds(p, (kind, a, None), (*mode, None), anti,
+                      [_apply(*rhs, p)], weight)
+               for kind, mode, anti, rhs, weight in halves[relation])
 
 
 def check_heisenberg_clifford(a, b, sample):
@@ -485,7 +459,7 @@ def _hatted(odd, i, p, shift, i_limit):
     for q, factor in parts(i, ring.one()):
         for key, c in q.terms.items():
             _add_term(ring, sums, key, c.terms, factor)
-    return FockPoly(ring, p.cap, finish_each(ring, sums))
+    return FockPoly(ring, finish_each(ring, sums))
 
 
 def check_airy_axioms(shift, i_max=3, probe_max=6):
@@ -499,8 +473,7 @@ def check_airy_axioms(shift, i_max=3, probe_max=6):
     tables are inconsistent).
     """
     ring = shift.ring
-    cap = probe_max + 2 * (i_max + shift.max_index) + shift.epsilon + 5
-    one = FockPoly.one(ring, cap)
+    one = FockPoly.one(ring)
     i_limit = i_max + (probe_max + shift.max_index) // 2 + 2
     failures = []
 
@@ -516,7 +489,7 @@ def check_airy_axioms(shift, i_max=3, probe_max=6):
                                            ("dtheta", "fer", 0, target_t)):
                 for b in range(low, probe_max + 1):
                     got = op(FockPoly.monomial(
-                        ring, cap, **{slot: (b,)})).component(hpow=1)
+                        ring, **{slot: (b,)})).component(hpow=1)
                     want = ring.one() if target == b else ring.zero()
                     if got != want:
                         failures.append(
@@ -524,7 +497,7 @@ def check_airy_axioms(shift, i_max=3, probe_max=6):
 
     # closure of the shifted quadratic operators (conjugated relations)
     eps = shift.epsilon
-    samples = [one] + [FockPoly.monomial(ring, cap, bos, fer) for bos, fer
+    samples = [one] + [FockPoly.monomial(ring, bos, fer) for bos, fer
                        in (((1,), ()), ((2,), ()), ((1, 2), ()), ((), (0, 2)),
                            ((1,), (1,)))]
     for i in range(1, i_max + 1):
@@ -564,10 +537,9 @@ def _mult_fact(bos):
     return out
 
 
-def exp_state(tensor, cap):
+def exp_state(tensor):
     """exp of the generating sum of a coefficient tensor, to the total
-    degree chi_max - 2 of its entries, over the tensor's ring, as a
-    polynomial on this index cap."""
+    degree chi_max - 2 of its entries, over the tensor's ring."""
     maxdeg, ring = tensor.chi_max - 2, tensor.ring
     fterms = {}
     for (g, bos, fer), val in tensor.entries.items():
@@ -593,18 +565,14 @@ def exp_state(tensor, cap):
                     acc = sums.setdefault((bm, fm, h1 + h2), {})
                     mul_into(ring, acc, v1.terms, v2.terms, sg, k)
         power = finish_each(ring, sums)
-    return FockPoly(ring, cap, z)
+    return FockPoly(ring, z)
 
 
 def annihilation_report(curve, tensor, i_max=4):
     """Nonzero exact residual components, through degree chi_max - 1, of
     the recombined constraints for i = 1..i_max on exp of the tensor."""
     shift = ShiftData.from_curve(curve)
-    # index_bound(chi_max) bounds every index of the state, and a mode of
-    # label l creates at most index a - l where it lowers an index a, or -l;
-    # the lowest labels checked are L_(1 - eps) and G_(2 - eps)
-    state = exp_state(tensor, index_bound(tensor.chi_max, tensor.epsilon)
-                      + shift.epsilon - 1)
+    state = exp_state(tensor)
     bad = {}
     for i in range(1, i_max + 1):
         for kind, label in (("L", 2 * i - curve.epsilon - 1),

@@ -23,17 +23,9 @@ from fractions import Fraction
 from .curve import CurveBases
 from .scalars import add_into, finish_each, mul_into
 from .series import FormalSeries, TruncationError
-from .store import (IndexBoundError, LazyTensor, canonical, deficit,
-                    distinct_splits, index_bound, insert_index,
+from .store import (IndexBoundError, LazyTensor, ParityError, canonical,
+                    deficit, distinct_splits, index_bound, insert_index,
                     iter_partitions, slot_ranges)
-
-
-class NonzeroEvenIndex(Exception):
-    """The bosonic extraction produced a nonzero even-index coefficient."""
-
-
-class NonzeroOddIndex(Exception):
-    """The fermionic extraction produced a nonzero odd-index coefficient."""
 
 
 class BothRoutesDisagree(Exception):
@@ -53,10 +45,11 @@ class KernelWeights:
         self.inv_delta = bases.delta_omega.invert()
         self.top = -2 - self.inv_delta.min_exp
 
-    def _column(self, q, expected_dz, kind_error, parity, bound):
+    def _column(self, q, expected_dz, parity, bound):
         """Column l -> coefficient, for l >= 1 of the given parity; bound is
         the largest index the entries of the column may take, so a nonzero
-        coefficient above it raises IndexBoundError."""
+        coefficient above it raises IndexBoundError, and one at the other
+        parity ParityError."""
         if (q.dz_weight, q.theta) != expected_dz:
             raise TruncationError(
                 f"assembled series has weight {(q.dz_weight, q.theta)}, "
@@ -73,7 +66,7 @@ class KernelWeights:
             if index < 1 or not val:
                 continue
             if index % 2 != parity:
-                raise kind_error(f"nonzero extraction at index {index}")
+                raise ParityError(f"nonzero extraction at index {index}")
             if index > bound:
                 raise IndexBoundError(
                     f"extraction index {index} beyond bound {bound}")
@@ -82,11 +75,11 @@ class KernelWeights:
 
     def extract_bosonic(self, q, bound):
         """Column l -> Res z^l q / delta-omega (nonzero only for odd l)."""
-        return self._column(q, (2, 0), NonzeroEvenIndex, 1, bound)
+        return self._column(q, (2, 0), 1, bound)
 
     def extract_fermionic(self, q, bound):
         """Column l -> Res eta_l q / delta-omega (nonzero only for even l)."""
-        return self._column(q, (1, 1), NonzeroOddIndex, 0, bound)
+        return self._column(q, (1, 1), 0, bound)
 
 
 class TrSolver(LazyTensor):

@@ -93,11 +93,6 @@ def _poly_at(ring, m_coeffs, x, trunc):
     return acc
 
 
-def _d_dz(fs):
-    coeffs = {k - 1: k * c for k, c in fs.coeffs.items() if k}
-    return FormalSeries(fs.ring, coeffs, fs.trunc - 1)
-
-
 # --- generators ----------------------------------------------------------------
 
 
@@ -164,7 +159,7 @@ def _build_fitted(spec):
     top = 2 * rect
     # exponent -> terms of each univariate coefficient
     u, du, uu = ({k: c.terms for k, c in fs.coeffs.items()}
-                 for fs in (u_series, _d_dz(u_series), u_series * u_series))
+                 for fs in (u_series, u_series.derive(), u_series * u_series))
     one = {0: ring.one().terms}
     # s^2 = (u1 - u2)^2 / (z1 - z2)^2 with s = (u1 - u2) / (z1 - z2)
     s2 = _fitted_numerator(ring, top + 2, (

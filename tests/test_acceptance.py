@@ -290,7 +290,6 @@ def test_criterion_6_genus_weighted_reduction():
 
 def test_criterion_7_operator_algebra():
     start = time.monotonic()
-    cap = 20
     # (check, a, b, failure line) in the order failures are reported
     checks = [(check_heisenberg_clifford, a, b,
                f"heisenberg-clifford at {(a, b)}")
@@ -307,7 +306,7 @@ def test_criterion_7_operator_algebra():
         for bos in combinations_with_replacement(range(1, 4), nb):
             for nf in range(min(3, 6 - nb) + 1):
                 for fer in combinations(range(0, 4), nf):
-                    p = FockPoly.monomial(RING, cap, bos, fer)
+                    p = FockPoly.monomial(RING, bos, fer)
                     samples += 1
                     for index, (check, a, b, _) in enumerate(checks):
                         if passed[index]:

@@ -88,13 +88,9 @@ UNREAD_PUBLIC = {
     "curve.pairing_F": "test oracle: the fermionic bilinear pairing",
     "curve.CurveBases.dxi": "test oracle: the pairing's bosonic basis",
     "curve.CurveBases.eta": "test oracle: the pairing's fermionic basis",
-    "scalars.Scalar.is_zero": "test oracle",
     "scalars.Scalar.as_rational": "test oracle: known values as Fractions",
-    "series.FormalSeries.is_zero": "test oracle",
     "series.FormalSeries.sigma":
         "perfbench: counted as series.sigma_calls",
-    "series.FormalSeries.derive":
-        "perfbench: counted as series.derive_calls",
     "store.partition_sign": "test oracle: the sign of a fermionic split",
     "store.CorrTensor.keys_at_chi": "test oracle: the keys of one level",
     "store.CorrTensor.nonzero_equal": "test oracle: tensor equality",

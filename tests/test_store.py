@@ -70,7 +70,7 @@ def test_antisymmetric_fermionic_lookup(tensor):
 
 
 def test_repeated_fermionic_index_is_zero(tensor):
-    assert tensor.get(1, (), (2, 2)).is_zero()
+    assert not tensor.get(1, (), (2, 2))
     tensor.set(1, (), (2, 2), RING.zero())  # allowed: consistent zero
     with pytest.raises(ParityError):
         tensor.set(1, (), (2, 2), RING.one())
@@ -232,7 +232,7 @@ def test_level_keys_are_canonical_candidates(bosonic_only):
             if bosonic_only:
                 assert keys == [key for key in full.level_keys(chi)
                                 if not key[2]]
-                assert lazy.flookup(0, (1,), (0, 2)).is_zero()
+                assert not lazy.flookup(0, (1,), (0, 2))
     # keys through chi 6 and 7 at epsilon 3: 145 of 5,157 and 353 of 44,453
     # of the box lie in the simplex
     if not bosonic_only:

@@ -26,16 +26,14 @@ from superrec.curve import CurveData
 from superrec.airyengine import run_airy
 from superrec.scalars import Ring, finish_each
 from superrec.store import CorrTensor, canonical
-from superrec.svir import (CapExceeded, FockPoly, ShiftData,
-                           annihilation_report, apply_mode, check_airy_axioms,
-                           check_commutator, check_heisenberg_clifford,
-                           dilaton_report)
+from superrec.svir import (FockPoly, ShiftData, annihilation_report,
+                           apply_mode, check_airy_axioms, check_commutator,
+                           check_heisenberg_clifford, dilaton_report)
 from superrec.trengine import run_tr
 from superrec.zoo import ZOO_NAMES, ZooSpec, zoo_build, zoo_truncation
 from test_acceptance import random_curve
 
 RING = Ring([])
-CAP = 20
 
 
 def rat(value):
@@ -43,7 +41,7 @@ def rat(value):
 
 
 def mono(bos=(), fer=(), hpow=0, coeff=1):
-    return FockPoly.monomial(RING, CAP, bos, fer, hpow, coeff)
+    return FockPoly.monomial(RING, bos, fer, hpow, coeff)
 
 
 def airy_curve():
@@ -87,7 +85,7 @@ def monomials(max_degree=6, max_index=3, max_bos=3, max_fer=3):
 
 def _fresh(p):
     """An equal polynomial that holds no images yet."""
-    return FockPoly(p.ring, p.cap, p.terms)
+    return FockPoly(p.ring, p.terms)
 
 
 # FockPoly has no arithmetic: the tests add and scale polynomials here, and
@@ -95,17 +93,17 @@ def _fresh(p):
 
 
 def ref_add(*polys):
-    """The sum of the polynomials, on the ring and cap of the first."""
+    """The sum of the polynomials, on the ring of the first."""
     terms = {}
     for q in polys:
         for key, val in q.terms.items():
             terms[key] = terms[key] + val if key in terms else val
-    return FockPoly(polys[0].ring, polys[0].cap, terms)
+    return FockPoly(polys[0].ring, terms)
 
 
 def ref_scale(p, factor):
     """p times a Scalar, int or Fraction."""
-    return FockPoly(p.ring, p.cap,
+    return FockPoly(p.ring,
                     {key: val * factor for key, val in p.terms.items()})
 
 
@@ -113,7 +111,7 @@ def ref_scale(p, factor):
 
 
 def test_pinned_mode_values():
-    one = FockPoly.one(RING, CAP)
+    one = FockPoly.one(RING)
     assert apply_mode("Gamma", 0, one).terms == \
         mono(fer=(0,), coeff=Fraction(1, 2)).terms
     assert apply_mode("L", 0, one).terms == \
@@ -128,6 +126,18 @@ def test_pinned_mode_values():
         mono(fer=(0,), hpow=1, coeff=-1).terms
     # annihilation beyond the monomial support vanishes
     assert apply_mode("J", 7, mono(bos=(1,))).terms == {}
+
+
+def test_creators_have_no_index_bound():
+    # a polynomial is a sparse dict of its terms, so a creator of any index
+    # acts; the shift data holds no index this high, so the tilde modes are
+    # the plain ones
+    x1, theta0 = mono(bos=(1,)), mono(fer=(0,))
+    for shift in (None, ShiftData.from_curve(rich_curve())):
+        assert apply_mode("J", -60, x1, shift).terms == \
+            ref_scale(ref_mul_x(x1, 60), 60).terms
+        assert apply_mode("Gamma", -61, theta0, shift).terms == \
+            ref_mul_theta(theta0, 61).terms
 
 
 def theta_times(p, a):
@@ -154,7 +164,7 @@ def test_theta_order_is_read_the_same_everywhere():
     assert mono(fer=(2, 0)).terms == mono(fer=(0, 2), coeff=-1).terms
     for size in range(5):
         for fer in permutations((0, 1, 3, 4), size):
-            written = FockPoly.one(RING, CAP)
+            written = FockPoly.one(RING)
             for a in reversed(fer):
                 written = theta_times(written, a)
             inversions = sum(a > b for i, a in enumerate(fer)
@@ -170,17 +180,6 @@ def test_theta_order_is_read_the_same_everywhere():
             mono(fer=fer)
 
 
-def test_cap_exceeded_only_for_live_creators():
-    small = FockPoly.monomial(RING, 2, bos=(1,))
-    with pytest.raises(CapExceeded):
-        apply_mode("J", -3, small)
-    # L_{-2} on a cap-2 polynomial needs creators of index <= 2 only
-    assert apply_mode("L", -2, FockPoly.one(RING, 2)).terms
-    # a creator paired with a vanishing annihilator is never built: this
-    # would overflow the cap-2 space only if some J_{k>2} acted nonzero
-    apply_mode("L", 0, FockPoly.monomial(RING, 2, bos=(2,)))
-
-
 def test_invalid_inputs_raise_under_optimized_python():
     # these checks guard public inputs, so they must not be asserts, which
     # `python -O` strips
@@ -189,7 +188,7 @@ def test_invalid_inputs_raise_under_optimized_python():
 from superrec.airyengine import run_airy
 from superrec.scalars import Ring
 from superrec.svir import FockPoly, ShiftData, apply_mode, check_commutator
-one = FockPoly.one(Ring([]), 4)
+one = FockPoly.one(Ring([]))
 unit = Ring([]).one()
 for make in (lambda: apply_mode("L", 3, one), lambda: apply_mode("G", 2, one),
              lambda: apply_mode("L", -4, one),
@@ -197,8 +196,8 @@ for make in (lambda: apply_mode("L", 3, one), lambda: apply_mode("G", 2, one),
              lambda: apply_mode("Q", 1, one),
              lambda: check_commutator("comm3", -2, 0, one),
              lambda: check_commutator("comm5", 0, -2, one),
-             lambda: FockPoly.monomial(Ring([]), 4, fer=(1, 1)),
-             lambda: FockPoly.monomial(Ring([]), 4, bos=(0,)),
+             lambda: FockPoly.monomial(Ring([]), fer=(1, 1)),
+             lambda: FockPoly.monomial(Ring([]), bos=(0,)),
              lambda: ShiftData(Ring([]), 2, {3: unit}, {}, {}),
              lambda: ShiftData(Ring([]), 3, {}, {}, {}),
              lambda: ShiftData(Ring([]), 1, {1: unit - unit}, {}, {})):
@@ -226,12 +225,10 @@ for make in (lambda: apply_mode("L", 3, one), lambda: apply_mode("G", 2, one),
 
 
 def ref_mul_x(p, a):
-    if a > p.cap and p.terms:
-        raise CapExceeded(f"x^{a} beyond cap {p.cap}")
     terms = {}
     for (bos, fer, h), val in p.terms.items():
         terms[(tuple(sorted(bos + (a,))), fer, h)] = val
-    return FockPoly(p.ring, p.cap, terms)
+    return FockPoly(p.ring, terms)
 
 
 def ref_diff_x(p, a):
@@ -242,20 +239,18 @@ def ref_diff_x(p, a):
             reduced = list(bos)
             reduced.remove(a)
             terms[(tuple(reduced), fer, h + 1)] = val * bos.count(a)
-    return FockPoly(p.ring, p.cap, terms)
+    return FockPoly(p.ring, terms)
 
 
 def ref_mul_theta(p, a):
     """theta^a multiplied from the left."""
-    if a > p.cap and p.terms:
-        raise CapExceeded(f"theta^{a} beyond cap {p.cap}")
     terms = {}
     for (bos, fer, h), val in p.terms.items():
         if a not in fer:
             below = sum(b < a for b in fer)
             key = (bos, tuple(sorted(fer + (a,))), h)
             terms[key] = -val if below % 2 else val
-    return FockPoly(p.ring, p.cap, terms)
+    return FockPoly(p.ring, terms)
 
 
 def ref_diff_theta(p, a):
@@ -266,12 +261,12 @@ def ref_diff_theta(p, a):
             pos = fer.index(a)
             terms[(bos, fer[:pos] + fer[pos + 1:], h + 1)] = \
                 -val if pos % 2 else val
-    return FockPoly(p.ring, p.cap, terms)
+    return FockPoly(p.ring, terms)
 
 
 def ref_times_hbar(p):
-    return FockPoly(p.ring, p.cap, {(bos, fer, h + 1): val
-                                    for (bos, fer, h), val in p.terms.items()})
+    return FockPoly(p.ring, {(bos, fer, h + 1): val
+                             for (bos, fer, h), val in p.terms.items()})
 
 
 def ref_plain(kind, index, p):
@@ -279,7 +274,7 @@ def ref_plain(kind, index, p):
         if index > 0:
             return ref_diff_x(p, index)
         if index == 0:
-            return FockPoly(p.ring, p.cap)
+            return FockPoly(p.ring)
         return ref_scale(ref_mul_x(p, -index), -index)
     if index > 0:
         return ref_diff_theta(p, index)
@@ -327,7 +322,7 @@ def ref_pair(kind1, i1, kind2, i2, p, shift):
 
 def test_reference_theta_signs_match_monomial():
     for fer in permutations((0, 1, 3), 3):
-        written = FockPoly.one(RING, CAP)
+        written = FockPoly.one(RING)
         for a in reversed(fer):
             written = ref_mul_theta(written, a)
         assert written.terms == mono(fer=fer).terms, fer
@@ -336,12 +331,13 @@ def test_reference_theta_signs_match_monomial():
 # --- the pair sums act only where the polynomial has support ------------------
 #
 # The fixed-window loops below are the reference: they apply every pair label
-# within cap + 2|n| + 3 (+ the shift's largest index) of zero, whatever the
-# polynomial holds.
+# within top + 2|n| + 3 (+ the shift's largest index) of zero, top the largest
+# index the polynomial holds, whatever variables it holds.
 
 
 def _window(p, n, shift):
-    reach = p.cap + 2 * abs(n) + 3
+    top = max((a for bos, fer, _ in p.terms for a in bos + fer), default=0)
+    reach = top + 2 * abs(n) + 3
     if shift is not None:
         reach += shift.max_index
     return range(-reach, reach + 1)
@@ -360,7 +356,7 @@ def _window_sum(p, pairs, shift, supported=False):
     whose two modes can act on the variables p holds."""
     held = {"J": {a for key in p.terms for a in key[0]},
             "Gamma": {a for key in p.terms for a in key[1]}}
-    out = FockPoly(p.ring, p.cap)
+    out = FockPoly(p.ring)
     for kind1, i1, kind2, i2, weight in pairs:
         if supported and not (_acts_on(kind1, i1, held)
                               and _acts_on(kind2, i2, held)):
@@ -392,7 +388,7 @@ def window_G(m, p, shift, supported=False):
 
 def window_rhs_LL(n, m, p, shift):
     if n == m:
-        return FockPoly(p.ring, p.cap)
+        return FockPoly(p.ring)
     total = 2 * n + 2 * m
     window = _window(p, abs(n) + abs(m), shift)
     out = ref_add(
@@ -406,7 +402,7 @@ def window_rhs_LL(n, m, p, shift):
 
 def window_rhs_LG(n, m, p, shift):
     if n - 2 * m - 1 == 0:
-        return FockPoly(p.ring, p.cap)
+        return FockPoly(p.ring)
     window = _window(p, abs(n) + abs(m), shift)
     out = ref_add(window_G(n + m, p, shift), _window_sum(
         p, [("J", -2 * j, "Gamma", 2 * n + 2 * m + 2 * j + 1, 2)
@@ -437,8 +433,7 @@ def window_samples():
                                         mono((3,), (0, 1)))]
 
 
-RHS = [(svir._rhs_LL, window_rhs_LL), (svir._rhs_LG, window_rhs_LG),
-       (svir._rhs_GG, window_rhs_GG)]
+RHS = [("LL", window_rhs_LL), ("LG", window_rhs_LG), ("GG", window_rhs_GG)]
 
 
 @pytest.mark.parametrize(
@@ -453,12 +448,12 @@ def test_support_sums_equal_window_sums(curve):
             assert apply_mode("G", 2 * n + 1, p, shift).terms == \
                 window_G(n, p, shift).terms, ("G", n, p.terms)
             for m in LABELS:
-                for fast, window in RHS:
-                    parts, weight = fast(n, m, p, shift)
-                    got = ref_add(FockPoly(p.ring, p.cap), *(
+                for name, window in RHS:
+                    parts, weight = svir._rhs(name, n, m, p, shift)
+                    got = ref_add(FockPoly(p.ring), *(
                         ref_scale(ref_times_hbar(q), weight) for q in parts))
                     assert got.terms == window(n, m, p, shift).terms, \
-                        (fast.__name__, n, m, p.terms)
+                        (name, n, m, p.terms)
 
 
 def test_pairs_apply_only_annihilators_in_support(monkeypatch):
@@ -467,13 +462,13 @@ def test_pairs_apply_only_annihilators_in_support(monkeypatch):
     calls = []
     inner = svir._pair_terms
 
-    def checked(kind1, i1, kind2, i2, key, cap, shift):
+    def checked(kind1, i1, kind2, i2, key, shift):
         calls.append(1)
         held = {"J": set(key[0]), "Gamma": set(key[1])}
         for kind, index in ((kind1, i1), (kind2, i2)):
             assert index <= 0 or index in held[kind], \
                 (kind1, i1, kind2, i2, key)
-        return inner(kind1, i1, kind2, i2, key, cap, shift)
+        return inner(kind1, i1, kind2, i2, key, shift)
 
     monkeypatch.setattr(svir, "_pair_terms", checked)
     for curve in (None, rich_curve()):
@@ -483,8 +478,8 @@ def test_pairs_apply_only_annihilators_in_support(monkeypatch):
                 apply_mode("L", 2 * n, p, shift)
                 apply_mode("G", 2 * n + 1, p, shift)
                 for m in LABELS:
-                    for fast, _ in RHS:
-                        fast(n, m, p, shift)
+                    for name, _ in RHS:
+                        svir._rhs(name, n, m, p, shift)
     assert calls
 
 
@@ -493,68 +488,19 @@ def test_pairs_apply_only_annihilators_in_support(monkeypatch):
 def test_closure_right_hand_sides_are_mirrored(curve):
     # verify-algebra checks [L_n, L_m] on n < m and {G_n, G_m} on n <= m
     # only: the residual of [L_m, L_n] is minus that of [L_n, L_m] because
-    # _rhs_LL hands back the same polynomials with the negated weight (and
-    # none on n == m), and {G_n, G_m} is symmetric like _rhs_GG
+    # _rhs hands back the same polynomials with the negated weight (and
+    # none on n == m), and {G_n, G_m} is symmetric like its _rhs
     shift = None if curve is None else ShiftData.from_curve(curve)
     for p in monomials()[::7]:
         for n in LABELS:
-            assert svir._rhs_LL(n, n, p, shift) == ((), 0)
+            assert svir._rhs("LL", n, n, p, shift) == ((), 0)
             for m in LABELS:
-                for rhs, sign in ((svir._rhs_LL, -1), (svir._rhs_GG, 1)):
-                    parts, weight = rhs(n, m, p, shift)
-                    mirror, mirror_weight = rhs(m, n, p, shift)
-                    assert mirror_weight == sign * weight, (rhs, n, m)
+                for name, sign in (("LL", -1), ("GG", 1)):
+                    parts, weight = svir._rhs(name, n, m, p, shift)
+                    mirror, mirror_weight = svir._rhs(name, m, n, p, shift)
+                    assert mirror_weight == sign * weight, (name, n, m)
                     assert len(mirror) == len(parts) and all(
-                        a is b for a, b in zip(parts, mirror)), (rhs, n, m)
-
-
-def raises_cap(compute):
-    try:
-        compute()
-    except CapExceeded:
-        return True
-    return False
-
-
-def cap_samples():
-    """Polynomials on caps 1 and 2 that hold variables at, below and above
-    the cap, and theta^0."""
-    out = []
-    for cap in (1, 2):
-        for bos, fer in (((), ()), ((1,), ()), ((), (0,)), ((2,), (1,)),
-                         ((1, 3), (0, 2)), ((), (1, 3))):
-            out.append(FockPoly.monomial(RING, cap, bos, fer))
-        out.append(ref_add(FockPoly.monomial(RING, cap, (1,), (0,)),
-                           FockPoly.monomial(RING, cap, (), (2,), 1, 3)))
-    return out
-
-
-@pytest.mark.parametrize("curve", [None, airy_curve(), rich_curve()],
-                         ids=["unshifted", "airy", "rich"])
-def test_cap_exceeded_on_the_same_inputs_as_whole_polynomial_modes(curve):
-    # a creator above the cap raises CapExceeded exactly when the reference
-    # raises it: when the polynomial it would act on, the input or the one
-    # returned by the mode applied first, is not zero; each quadratic mode
-    # against its pair labels that act on the support of the polynomial
-    shift = None if curve is None else ShiftData.from_curve(curve)
-    seen = set()
-    for p in cap_samples():
-        for kind in ("J", "Gamma"):
-            for index in range(-4, 4):
-                want = raises_cap(lambda: ref_shifted(kind, index, p, shift))
-                assert raises_cap(lambda: apply_mode(
-                    kind, index, _fresh(p), shift)) == want, \
-                    (kind, index, p.cap, p.terms)
-                seen.add(want)
-        for n in LABELS:
-            for kind, label, ref in (("L", 2 * n, window_L),
-                                     ("G", 2 * n + 1, window_G)):
-                want = raises_cap(lambda: ref(n, p, shift, supported=True))
-                assert raises_cap(lambda: apply_mode(
-                    kind, label, _fresh(p), shift)) == want, \
-                    (kind, label, p.cap, p.terms)
-                seen.add(want)
-    assert seen == {True, False}
+                        a is b for a, b in zip(parts, mirror)), (name, n, m)
 
 
 # --- each L/G image of a polynomial is computed once --------------------------
@@ -618,13 +564,13 @@ def test_mode_images_are_pinned(name):
 
 
 def test_the_zero_polynomial_is_its_own_image():
-    zero = FockPoly(RING, CAP)
+    zero = FockPoly(RING)
     plain = [(kind, label) for kind in ("J", "Gamma")
              for label in range(-3, 4)]
     for shift in (None, ShiftData.from_curve(rich_curve())):
         for kind, label in plain + MODES:
             assert apply_mode(kind, label, zero, shift) is zero, (kind, label)
-        assert all(q is zero for q in svir._rhs_tail(1, zero, shift))
+        assert all(q is zero for q in svir._rhs("LL", 1, 0, zero, shift)[0])
     assert zero.images is None
     # the labels are still checked first
     for kind, label in (("L", -4), ("G", -3), ("L", 1), ("G", 2), ("Q", 0)):
@@ -672,8 +618,8 @@ def ref_image(kind, label, q, shift):
     """apply_mode on each monomial of q alone, summed."""
     if kind in ("L", "G"):
         label = 2 * label + (kind == "G")
-    return ref_add(FockPoly(q.ring, q.cap), *(
-        apply_mode(kind, label, FockPoly(q.ring, q.cap, {key: c}), shift)
+    return ref_add(FockPoly(q.ring), *(
+        apply_mode(kind, label, FockPoly(q.ring, {key: c}), shift)
         for key, c in q.terms.items()))
 
 
@@ -890,7 +836,7 @@ def test_shift_tables_are_pinned(curve, phi, psi, max_index):
 
 def test_phi_shift_expands_negative_modes():
     shift = ShiftData.from_curve(rich_curve())
-    one = FockPoly.one(RING, CAP)
+    one = FockPoly.one(RING)
     # J_{-3} + tau_3 + sum_k phi_{3k}/k J_k ; phi_3k = 0 here
     assert apply_mode("J", -3, one, shift).terms == \
         ref_add(mono(bos=(3,), coeff=3), one).terms
@@ -932,7 +878,7 @@ HATTED_CURVES = {"airy": airy_curve, "rich": rich_curve,
 
 # sha256 of the sorted text of hat-H_i and hat-F_i (i = 1..3) on 1, x^1..x^6,
 # theta^0..theta^6 and the closure samples of check_airy_axioms, with the
-# cap and label limit check_airy_axioms uses at i_max 3, probe_max 6
+# label limit check_airy_axioms uses at i_max 3, probe_max 6
 HATTED_SHA256 = {
     "airy":
         "fdb2511a4cb13c83ded5760148676eb0a68af2b66c199aaf6dcbf605397fab4b",
@@ -951,9 +897,8 @@ HATTED_SHA256 = {
 def test_recombined_operators_are_pinned(name):
     shift = ShiftData.from_curve(HATTED_CURVES[name]())
     i_max, probe_max = 3, 6
-    cap = probe_max + 2 * (i_max + shift.max_index) + shift.epsilon + 5
     i_limit = i_max + (probe_max + shift.max_index) // 2 + 2
-    samples = [FockPoly.monomial(RING, cap, bos, fer) for bos, fer in (
+    samples = [FockPoly.monomial(RING, bos, fer) for bos, fer in (
         [((), ())] + [((b,), ()) for b in range(1, 7)]
         + [((), (b,)) for b in range(7)]
         + [((), ()), ((1,), ()), ((2,), ()), ((1, 2), ()), ((), (0, 2)),
@@ -1028,8 +973,8 @@ def test_constraints_annihilate_engine_state(curve, chi_max):
 
 
 def test_annihilation_state_holds_every_index_the_store_accepts():
-    # index_bound(15, 3) is 39, and L_-2 raises x^39 to x^41: the cap of
-    # the exp state follows chi_max, epsilon and the lowest label checked
+    # index_bound(15, 3) is 39, and L_-2 raises x^39 to x^41: the Fock
+    # space has no index cap, so the state and its images hold both
     tensor = CorrTensor(RING, 15, 3)
     tensor.set(7, (39,), (), RING.one())
     assert annihilation_report(airy_curve(), tensor)
@@ -1067,7 +1012,7 @@ def ref_exp_state(tensor):
 def test_exp_state_equals_its_definition(curve, chi_max):
     # exp_state visits only the F terms whose degree fits under chi_max - 2
     tensor = run_tr(curve, chi_max)
-    assert svir.exp_state(tensor, 40).terms == ref_exp_state(tensor)
+    assert svir.exp_state(tensor).terms == ref_exp_state(tensor)
 
 
 def test_annihilation_detects_corrupted_entry():

@@ -19,7 +19,7 @@ from superrec.curve import CurveBases, CurveData
 from superrec.scalars import Ring
 from superrec.series import FormalSeries, TruncationError
 from superrec.store import (IndexBoundError, LazyTensor, MissingDependency,
-                            distinct_splits, index_bound, insert_index,
+                            ParityError, distinct_splits, index_bound, insert_index,
                             iter_partitions, slot_ranges)
 from superrec.trengine import KernelWeights, TrSolver, run_tr
 from superrec.zoo import ZooSpec, zoo_build
@@ -427,3 +427,23 @@ def test_extraction_refuses_an_index_past_the_bound():
     q = FormalSeries(RING, {-2: rat(1)}, kernel.top, 2, 0)
     with pytest.raises(IndexBoundError):
         kernel.extract_bosonic(q, 1)
+
+
+def test_extraction_refuses_an_index_of_the_wrong_parity():
+    # on airy a z^e weight-(2, 0) series extracts to index 1 - e, and so
+    # does a z^e weight-(1, 1) one: z^-1 dz^2 reaches the even index 2,
+    # and z^-2 T dz the odd index 3
+    kernel = airy_kernel()
+    bosonic = FormalSeries(RING, {-1: rat(1)}, kernel.top, 2, 0)
+    with pytest.raises(ParityError, match="index 2"):
+        kernel.extract_bosonic(bosonic, 5)
+    fermionic = FormalSeries(RING, {-2: rat(1)}, kernel.top, 1, 1)
+    with pytest.raises(ParityError, match="index 3"):
+        kernel.extract_fermionic(fermionic, 5)
+    # the neighbouring exponent lands each on its own parity
+    assert kernel.extract_bosonic(
+        FormalSeries(RING, {-2: rat(1)}, kernel.top, 2, 0), 5) == \
+        {3: rat("1/2")}
+    assert kernel.extract_fermionic(
+        FormalSeries(RING, {-1: rat(1)}, kernel.top, 1, 1), 5) == \
+        {2: rat("1/2")}
