@@ -426,7 +426,9 @@ def cmd_verify_algebra(args):
     # One sample at a time, so that the L/G images it keeps (see
     # svir.FockPoly.images) are shared by every family and dropped with it.
     # Each relation applies its outer mode to a kept image straight into
-    # its residual (svir._holds), so no image keeps images of its own.
+    # its residual (svir._holds), so no image keeps images of its own. The
+    # mode tables (svir._add_mode) live on the ring and the shift data for
+    # the whole command, so every sample and the axioms share them.
     passed = dict.fromkeys(families, True)
     for p in _algebra_monomials(ring, args.degree, args.mode_range):
         for name, (checker, pairs) in families.items():

@@ -42,6 +42,9 @@ class Ring:
             self.squares[name] = square
         # (monomial, monomial) -> their reduced product and rational factor
         self._products = {}
+        # (kind, label, bos, fer) -> the terms of svir's plain mode on the
+        # monomial x^bos theta^fer, filled on first use (see svir._add_mode)
+        self.mode_table = {}
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.squares == other.squares

@@ -75,6 +75,10 @@ class FormalSeries:
             coeff = ring.rational(coeff)
         return cls(ring, {exp: coeff}, trunc, dz_weight, theta)
 
+    def __bool__(self):
+        """False on the zero series, as on a zero Scalar."""
+        return bool(self.coeffs)
+
     def coeff(self, exp):
         """Coefficient at z^exp; TruncationError if unknown."""
         if exp > self.trunc:

@@ -11,16 +11,24 @@ the algebra relations and the degree-one normalization of the recombined
 (hatted) operators pointwise on sample polynomials. The annihilation
 oracle checks a computed coefficient tensor against the constraints.
 
-Every mode acts one monomial at a time: a J or Gamma mode sends a monomial
-to (monomial, factor, denominator) terms, and a pair of them is the
-composition of two such calls. A quadratic mode sums only the pair labels
-whose annihilators find their variable in the monomial, so its cost
-follows the support. `_add_mode` adds a mode on a polynomial into a
-caller's raw sums, one per Fock key, and each sum is finished once: a mode
-image is those sums alone, and a relation residual applies its outer mode
-to the kept inner image straight into its own. `FockPoly` has no
-arithmetic. A polynomial keeps every mode image of itself that is computed
-(`FockPoly.images`); no image is asked for one of its own.
+Every mode acts one monomial at a time, through a table filled on first
+use: the entry (kind, label, bos, fer) holds the mode's terms on
+x^bos theta^fer, and x^bos theta^fer hbar^h reads it and adds h to each
+term's hbar power, since a mode acts alike at every power of hbar. The
+plain modes' table lives on the ring (`Ring.mode_table`), a shifted mode's
+on its ShiftData (`ShiftData.mode_table`), so each table lives exactly as
+long as what its entries depend on; `verify-algebra` builds one ring per
+command, and all its samples share that table. A J or Gamma mode sends a
+monomial to terms that keep their int weight and denominator apart from
+any shift-data Scalar, and a pair of them is the composition of two such
+calls. A quadratic mode sums only the pair labels whose annihilators find
+their variable in the monomial, so its cost follows the support.
+`_add_mode` adds a mode on a polynomial into a caller's raw sums, one per
+Fock key, and each sum is finished once: a mode image is those sums alone,
+and a relation residual applies its outer mode to the kept inner image
+straight into its own. `FockPoly` has no arithmetic. A polynomial keeps
+every mode image of itself that is computed (`FockPoly.images`); no image
+is asked for one of its own.
 Heisenberg-Clifford holds on all (a, b) once it holds on every a <= b.
 """
 
@@ -30,8 +38,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
 
-from .scalars import (Scalar, accumulate, add_into, finish, finish_each,
-                      mul_into)
+from .scalars import accumulate, add_into, finish, finish_each, mul_into
 from .store import canonical, insert_index, simplex_keys
 
 
@@ -105,6 +112,9 @@ class ShiftData:
         for (k, i), val in sorted(self.psi.items()):
             if k >= 0:
                 self.tilde["Gamma"].setdefault(i, []).append((k, val))
+        # (kind, label, bos, fer) -> the terms of the shifted mode on the
+        # monomial x^bos theta^fer, filled on first use (see `_add_mode`)
+        self.mode_table = {}
 
     @classmethod
     def from_curve(cls, curve):
@@ -117,9 +127,11 @@ class ShiftData:
 # --- modes on one monomial ---------------------------------------------------
 #
 # A mode sends the monomial of a key (bos, fer, h), taken with coefficient 1,
-# to a list of (key, factor, den) terms: factor / den times the monomial of
-# the key. A factor is an int, or a tau, phi or psi Scalar for a term of the
-# shift data; den is 2 for Gamma_0's theta^0 / 2 and 1 otherwise.
+# to a list of (key, scalars, weight, den) terms: weight / den times the
+# product of the shift-data Scalars in the tuple scalars (tau, phi or psi;
+# none on a plain term) times the monomial of the key. weight and den are
+# ints: the sign, the raising factor -index and the multiplicity mult, and
+# 2 for Gamma_0's theta^0 / 2 (1 otherwise).
 
 
 def _lowered(index, fermionic, key):
@@ -149,7 +161,8 @@ def _raised(index, fermionic, key):
 
 
 def _plain_terms(kind, index, key):
-    """The plain mode J or Gamma of this index on the monomial key."""
+    """The plain mode J or Gamma of this index on the monomial key, as
+    (key, weight, den) terms."""
     fermionic = kind == "Gamma"
     if index > 0:
         term = _lowered(index, fermionic, key)
@@ -172,14 +185,15 @@ def _mode_terms(kind, index, key, shift=None):
     J_-i + tau_i + sum_k phi_ik / k J_k, or Gamma_-i + sum_k psi_ki
     Gamma_k. J_0 stays unshifted: tau indices are >= 1, and the tilde
     table holds no J row 0."""
-    out = _plain_terms(kind, index, key)
+    out = [(new, (), weight, den)
+           for new, weight, den in _plain_terms(kind, index, key)]
     if shift is None or index > 0:
         return out
     if kind == "J" and -index in shift.tau:
-        out.append((key, shift.tau[-index], 1))
+        out.append((key, (shift.tau[-index],), 1, 1))
     for k, val in shift.tilde[kind].get(-index, ()):
-        out.extend((new, val * factor, den)
-                   for new, factor, den in _plain_terms(kind, k, key))
+        out.extend((new, (val,), weight, den)
+                   for new, weight, den in _plain_terms(kind, k, key))
     return out
 
 
@@ -197,9 +211,9 @@ def _pair_terms(kind1, i1, kind2, i2, key, shift):
     else:
         first, then = (kind2, i2), (kind1, i1)
         sign = 1
-    return [(end, sign * f1 * f2, d1 * d2)
-            for mid, f1, d1 in _mode_terms(*first, key, shift)
-            for end, f2, d2 in _mode_terms(*then, mid, shift)]
+    return [(end, s1 + s2, sign * w1 * w2, d1 * d2)
+            for mid, s1, w1, d1 in _mode_terms(*first, key, shift)
+            for end, s2, w2, d2 in _mode_terms(*then, mid, shift)]
 
 
 # A quadratic mode of label l is 1 / den times the sum over its families
@@ -218,37 +232,27 @@ _PAIRS = {  # kind -> (odd, den, families)
 }
 
 
-def _add_term(ring, sums, key, c, factor, weight=1, den=1):
-    """Add the terms c of a Scalar times a factor (an int or Scalar) and an
-    int weight, over an int denominator, into the raw sum sums[key]."""
-    acc = sums.get(key)
-    if acc is None:
-        acc = sums[key] = {}
-    if factor.__class__ is Scalar:
-        mul_into(ring, acc, c, factor.terms, weight, den)
-    else:
-        add_into(acc, c, factor * weight, den)
+def _tabulate(kind, label, bos, fer, shift):
+    """The mode (kind, label) with this shift data on x^bos theta^fer, as
+    the (bos', fer', dh, factor, weight, den) terms of one `_add_mode`
+    table entry: weight / den times factor (None for 1, else the terms of
+    a Scalar) times x^bos' theta^fer' hbar^dh. The plain terms of one
+    monomial and den are merged into one int weight; a shift-data term
+    keeps its Scalar, the product of two for a pair of tilde terms.
 
-
-def _add_mode(sums, kind, label, p, shift, weight=1):
-    """Add an int weight times the mode (kind, label) on p, with this shift
-    data, into the caller's raw sums (key -> raw sum), one monomial of p at
-    a time, and return them. A quadratic mode ("L", "G" or a tail; L_2n and
-    G_(2m+1) have labels n and m) sums only the pair labels that act on the
-    monomial: `_pair_terms` applies a positive mode before any creator, so
-    those are the labels whose positive mode holds one of the monomial's
-    variables, and total <= k <= 0, where neither mode is positive."""
-    ring = p.ring
+    A quadratic mode ("L", "G" or a tail; L_2n and G_(2m+1) have labels n
+    and m) sums only the pair labels that act on the monomial:
+    `_pair_terms` applies a positive mode before any creator, so those are
+    the labels whose positive mode holds one of the monomial's variables,
+    and total <= k <= 0, where neither mode is positive."""
+    key = (bos, fer, 0)
     if kind in ("J", "Gamma"):
-        for key, c in p.terms.items():
-            for new, factor, den in _mode_terms(kind, label, key, shift):
-                _add_term(ring, sums, new, c.terms, factor, weight, den)
-        return sums
-    odd, den, families = _PAIRS[kind]
-    total = 2 * label + odd
-    for key, c in p.terms.items():
-        bos, fer, h = key
+        parts = [(_mode_terms(kind, label, key, shift), 1, 1)]
+    else:  # each part is some terms, times an int weight over an int den
+        odd, den, families = _PAIRS[kind]
+        total = 2 * label + odd
         held = {"J": bos, "Gamma": fer}  # the variables it holds
+        parts = []
         for kind1, kind2, weigh in families:
             held1, held2 = held[kind1], held[kind2]
             for k in sorted({*range(total, 1), *held1,
@@ -258,12 +262,58 @@ def _add_mode(sums, kind, label, p, shift, weight=1):
                 k2 = total - k
                 if ((k in held1 if k > 0 else k or kind1 == "Gamma")
                         and (k2 in held2 if k2 > 0 else k2 or kind2 == "Gamma")
-                        and (w := weigh(label, k) * weight)):
-                    for new, factor, d in _pair_terms(kind1, k, kind2, k2,
-                                                      key, shift):
-                        _add_term(ring, sums, new, c.terms, factor, w, d * den)
+                        and (w := weigh(label, k))):
+                    parts.append((_pair_terms(kind1, k, kind2, k2, key, shift),
+                                  w, den))
         if kind == "L" and label == 0:
-            _add_term(ring, sums, (bos, fer, h + 1), c.terms, weight, 1, 4)
+            parts.append(([((bos, fer, 1), (), 1, 1)], 1, 4))
+    plain, entry = {}, []
+    for terms, w, d in parts:
+        for new, scalars, weight, den in terms:
+            weight, den = weight * w, den * d
+            if not scalars:
+                plain[new, den] = plain.get((new, den), 0) + weight
+            elif len(scalars) == 1:
+                entry.append((*new, scalars[0].terms, weight, den))
+            else:
+                entry.append((*new, (scalars[0] * scalars[1]).terms, weight,
+                              den))
+    entry += [(*new, None, weight, den)
+              for (new, den), weight in plain.items() if weight]
+    return tuple(entry)
+
+
+def _add_term(ring, sums, key, c, factor=None, weight=1, den=1):
+    """Add the terms c of a Scalar, times the terms factor of another (None
+    for 1) and an int weight, over an int denominator, into the raw sum
+    sums[key]."""
+    acc = sums.get(key)
+    if acc is None:
+        acc = sums[key] = {}
+    if factor is None:
+        add_into(acc, c, weight, den)
+    else:
+        mul_into(ring, acc, c, factor, weight, den)
+
+
+def _add_mode(sums, kind, label, p, shift, weight=1):
+    """Add an int weight times the mode (kind, label) on p, with this shift
+    data, into the caller's raw sums (key -> raw sum), one monomial of p at
+    a time, and return them. A monomial x^bos theta^fer hbar^h reads the
+    entry (kind, label, bos, fer) of the ring's or the shift data's mode
+    table, filled by `_tabulate` on first use, and adds h to the hbar power
+    of each of its terms."""
+    ring = p.ring
+    table = (ring if shift is None else shift).mode_table
+    for (bos, fer, h), c in p.terms.items():
+        entry = table.get((kind, label, bos, fer))
+        if entry is None:
+            entry = table[kind, label, bos, fer] = _tabulate(
+                kind, label, bos, fer, shift)
+        c = c.terms
+        for bos2, fer2, dh, factor, w, den in entry:
+            _add_term(ring, sums, (bos2, fer2, h + dh), c, factor,
+                      w * weight, den)
     return sums
 
 
@@ -343,7 +393,7 @@ def _residual(p, a, b, anti=False, rhs=(), weight=0):
               shift_b, 1 if anti else -1)
     for q in rhs:
         for (bos, fer, h), c in q.terms.items():
-            _add_term(ring, sums, (bos, fer, h + 1), c.terms, -weight)
+            _add_term(ring, sums, (bos, fer, h + 1), c.terms, None, -weight)
     return sums
 
 
@@ -436,29 +486,31 @@ def _hatted(odd, i, p, shift, i_limit):
     """
     eps, ring, sums = shift.epsilon, p.ring, {}
     off, inverse = (3 - eps) // 2, shift.tau[eps].invert()
-
-    def parts(i, factor):
-        # the (image, factor) parts of factor times hat-H_i (hat-F_i) on p;
-        # each factor is a product of taus and of 1/tau_eps once per level
+    # each (label, factor) of hat-H (hat-F) that the recursion reaches;
+    # each factor is a product of taus and of 1/tau_eps once per level. A
+    # worklist, not a nested recursive function: that one would close over
+    # itself, and the cycle would keep p, and through it the ring and the
+    # mode tables, alive until the cyclic collector runs.
+    pending = [(i, ring.one())]
+    while pending:
+        i, factor = pending.pop()
         if i > i_limit:
-            return []
+            continue
         factor = factor * inverse
         label = (2 * i - eps - 1) // 2
-        out = [(_apply_G(label, p, shift) if odd
-                else _apply_L(label, p, shift), factor)]
+        parts = [(_apply_G(label, p, shift) if odd
+                  else _apply_L(label, p, shift), factor)]
         for k, tau in shift.tau.items():
             if k % 2 == 0:
                 j = i + k // 2 - 2 + off + odd
                 if j > 0:
-                    out.append((_apply("Gamma" if odd else "J", 2 * j - odd,
-                                       p), factor * tau))
+                    parts.append((_apply("Gamma" if odd else "J", 2 * j - odd,
+                                         p), factor * tau))
             elif k > eps:
-                out += parts(i + (k - 1) // 2 - 1 + off, -(factor * tau))
-        return out
-
-    for q, factor in parts(i, ring.one()):
-        for key, c in q.terms.items():
-            _add_term(ring, sums, key, c.terms, factor)
+                pending.append((i + (k - 1) // 2 - 1 + off, -(factor * tau)))
+        for q, part_factor in parts:
+            for key, c in q.terms.items():
+                _add_term(ring, sums, key, c.terms, part_factor.terms)
     return FockPoly(ring, finish_each(ring, sums))
 
 

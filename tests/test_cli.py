@@ -6,11 +6,13 @@ round-trip of result documents, and the failure paths for bad specs,
 insufficient truncation, and engine mismatch.
 """
 
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -570,6 +572,54 @@ def test_verify_algebra_computes_each_closure_tail_once(monkeypatch, capsys):
     assert capsys.readouterr().out.count("pass") == 7
     assert len(calls) > 10
     assert set(calls.values()) == {1}
+
+
+def test_verify_algebra_fills_its_mode_tables_afresh(monkeypatch, capsys):
+    # the mode tables live on the command's ring and shift data, so each
+    # entry is filled once per run, and a second run in the same process
+    # fills as many again: a table that outlived the command would leave
+    # the second run less to fill
+    runs = []
+    held = []  # keeps each shift data alive, so that its id stays its own
+
+    def tabulate(kind, label, bos, fer, shift, inner=svir._tabulate):
+        held.append(shift)
+        runs[-1][(kind, label, bos, fer, id(shift))] += 1
+        return inner(kind, label, bos, fer, shift)
+
+    monkeypatch.setattr(svir, "_tabulate", tabulate)
+    for _ in range(2):
+        runs.append(Counter())
+        assert main(["verify-algebra", "--degree", "2", "--mode-range",
+                     "1"]) == 0
+    assert capsys.readouterr().out.count("pass") == 14
+    first, second = (sum(fills.values()) for fills in runs)
+    assert first == second > 0
+    assert {count for fills in runs for count in fills.values()} == {1}
+
+
+def test_verify_algebra_frees_its_ring_without_the_cyclic_collector(
+        monkeypatch, capsys):
+    # the mode tables live on the command's ring and shift data (whose
+    # Scalars hold the ring), so a reference cycle that reaches the ring
+    # would keep the tables alive after the command until a collection
+    made = []
+
+    def ring(*args, inner=cli.Ring):
+        out = inner(*args)
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(cli, "Ring", ring)
+    gc.disable()
+    try:
+        assert main(["verify-algebra", "--degree", "2", "--mode-range",
+                     "1"]) == 0
+        freed = [ref() is None for ref in made]
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out.count("pass") == 7
+    assert freed == [True]
 
 
 # what verify-algebra prints when every [L_n, L_m] closure is broken, as

@@ -118,6 +118,17 @@ def test_truncation_error_on_unknown_coeff():
     assert not a.coeff(3)
 
 
+def test_only_the_zero_series_is_falsy():
+    # as for a Scalar; (s - 2)(s + 2) = 0 on a ring with s^2 = 4
+    ring = Ring([("s", 4)])
+    s = ring.symbol("s")
+    assert not FormalSeries.zero(RING, 5, dz_weight=1, theta=1)
+    assert not make({-1: 1, 2: 3}, 5) - make({-1: 1, 2: 3}, 5)
+    assert not FormalSeries(ring, {1: s + 2}, 5).scale(s - 2)
+    assert make({3: 1}, 5, dz=1)
+    assert FormalSeries(ring, {0: s}, 0, theta=1)
+
+
 def test_constructor_rejects_bad_parity_and_range():
     with pytest.raises(WeightError):
         make({0: 1}, 3, theta=2)

@@ -55,6 +55,35 @@ def test_every_private_definition_is_read():
     assert [name for name in defined if name not in read] == []
 
 
+def builds_a_container(value):
+    """Whether an expression builds a dict, list or set."""
+    if isinstance(value, ast.Call):
+        func = value.func
+        return getattr(func, "id", getattr(func, "attr", None)) in {
+            "dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+    return isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                              ast.ListComp, ast.SetComp))
+
+
+def test_svir_keeps_no_mutable_module_state():
+    # svir's mode tables live on a ring or a ShiftData and go with it; one
+    # at module level would outlive the command that filled it and carry
+    # entries from one test to the next. The one module-level container is
+    # the constant _PAIRS; nor is there a global rebound in a function or
+    # a cache behind a decorator.
+    tree = ast.parse(
+        (pathlib.Path(superrec.__file__).parent / "svir.py").read_text())
+    bound = [target.id for node in tree.body
+             if isinstance(node, (ast.Assign, ast.AnnAssign))
+             and builds_a_container(node.value)
+             for target in (node.targets if isinstance(node, ast.Assign)
+                            else [node.target])
+             if isinstance(target, ast.Name)]
+    assert bound == ["_PAIRS"]
+    assert not any(isinstance(node, ast.Global) for node in ast.walk(tree))
+    assert not read_names(tree) & {"cache", "lru_cache", "cached_property"}
+
+
 def test_asserts_do_not_grow():
     # `python -O` strips asserts, so a check a spec can reach is a typed
     # error; this bound only ever goes down. The one left is the

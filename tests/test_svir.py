@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 from math import factorial, prod
@@ -48,9 +49,10 @@ def airy_curve():
     return CurveData(RING, 3, {3: rat(1)}, {}, {}, {}, 26)
 
 
-def rich_curve(lead=1):
+def rich_curve(lead=1, ring=RING):
+    rat = ring.rational
     return CurveData(
-        RING, 3,
+        ring, 3,
         {3: rat(lead), 5: rat("2/3"), 4: rat("1/2")},
         {(1, 1): rat("1/2"), (1, 2): rat(-3), (2, 2): rat("1/5")},
         {1: rat(2), 2: rat("-1/3")},
@@ -386,39 +388,42 @@ def window_G(m, p, shift, supported=False):
                            for j in _window(p, m, shift)], shift, supported)
 
 
+def window_tail(t, p, shift, reach):
+    """The pair sum of the L-L and G-G closure right-hand sides after
+    their L_t, over the window of _window(p, reach, shift)."""
+    window = _window(p, reach, shift)
+    return ref_add(
+        _window_sum(p, [("J", -2 * j, "J", 2 * t + 2 * j, 1)
+                        for j in window], shift),
+        _window_sum(p, [("Gamma", -2 * j - 1, "Gamma", 2 * j + 2 * t + 1,
+                         t + 2 * j + 1) for j in window], shift))
+
+
+def window_odd_tail(s, p, shift, reach):
+    """The pair sum of the L-G closure right-hand side after its G_s."""
+    return _window_sum(p, [("J", -2 * j, "Gamma", 2 * s + 2 * j + 1, 2)
+                           for j in _window(p, reach, shift)], shift)
+
+
 def window_rhs_LL(n, m, p, shift):
     if n == m:
         return FockPoly(p.ring)
-    total = 2 * n + 2 * m
-    window = _window(p, abs(n) + abs(m), shift)
-    out = ref_add(
-        window_L(total // 2, p, shift),
-        _window_sum(p, [("J", -2 * j, "J", total + 2 * j, 1)
-                        for j in window], shift),
-        _window_sum(p, [("Gamma", -2 * j - 1, "Gamma", 2 * j + total + 1,
-                         n + m + 2 * j + 1) for j in window], shift))
+    out = ref_add(window_L(n + m, p, shift),
+                  window_tail(n + m, p, shift, abs(n) + abs(m)))
     return ref_scale(ref_times_hbar(out), 2 * (n - m))
 
 
 def window_rhs_LG(n, m, p, shift):
     if n - 2 * m - 1 == 0:
         return FockPoly(p.ring)
-    window = _window(p, abs(n) + abs(m), shift)
-    out = ref_add(window_G(n + m, p, shift), _window_sum(
-        p, [("J", -2 * j, "Gamma", 2 * n + 2 * m + 2 * j + 1, 2)
-            for j in window], shift))
+    out = ref_add(window_G(n + m, p, shift),
+                  window_odd_tail(n + m, p, shift, abs(n) + abs(m)))
     return ref_scale(ref_times_hbar(out), n - 2 * m - 1)
 
 
 def window_rhs_GG(n, m, p, shift):
-    window = _window(p, abs(n) + abs(m) + 1, shift)
-    out = ref_add(
-        window_L(n + m + 1, p, shift),
-        _window_sum(p, [("J", -2 * j, "J", 2 * n + 2 * m + 2 * j + 2, 1)
-                        for j in window], shift),
-        _window_sum(p, [("Gamma", -2 * j - 1, "Gamma",
-                         2 * j + 2 * n + 2 * m + 3, n + m + 2 * j + 2)
-                        for j in window], shift))
+    out = ref_add(window_L(n + m + 1, p, shift),
+                  window_tail(n + m + 1, p, shift, abs(n) + abs(m) + 1))
     return ref_scale(ref_times_hbar(out), 2)
 
 
@@ -458,7 +463,12 @@ def test_support_sums_equal_window_sums(curve):
 
 def test_pairs_apply_only_annihilators_in_support(monkeypatch):
     # every positive J_a / Gamma_a a pair sum applies finds x^a / theta^a
-    # in the monomial, so no label window can come back unnoticed
+    # in the monomial, so no label window can come back unnoticed; the
+    # samples and the shift are on a fresh ring, so that no mode table an
+    # earlier test filled answers for _pair_terms
+    ring = Ring([])
+    samples = [FockPoly.monomial(ring, bos, fer)
+               for p in monomials()[::7] for bos, fer, _ in p.terms]
     calls = []
     inner = svir._pair_terms
 
@@ -471,9 +481,9 @@ def test_pairs_apply_only_annihilators_in_support(monkeypatch):
         return inner(kind1, i1, kind2, i2, key, shift)
 
     monkeypatch.setattr(svir, "_pair_terms", checked)
-    for curve in (None, rich_curve()):
+    for curve in (None, rich_curve(ring=ring)):
         shift = None if curve is None else ShiftData.from_curve(curve)
-        for p in monomials()[::7]:
+        for p in samples:
             for n in LABELS:
                 apply_mode("L", 2 * n, p, shift)
                 apply_mode("G", 2 * n + 1, p, shift)
@@ -481,6 +491,41 @@ def test_pairs_apply_only_annihilators_in_support(monkeypatch):
                     for name, _ in RHS:
                         svir._rhs(name, n, m, p, shift)
     assert calls
+
+
+# each mode kind of the mode tables, with labels as svir names them (L_2n and
+# G_(2m+1) have labels n and m) and its window reference
+TABLE_MODES = [
+    ("J", (-1, 0, 2), partial(ref_shifted, "J")),
+    ("Gamma", (-1, 0, 2), partial(ref_shifted, "Gamma")),
+    ("L", (-1, 0, 1), window_L),
+    ("G", (-1, 0, 1), window_G),
+    ("tail", (-1, 0, 1),
+     lambda t, p, shift: window_tail(t, p, shift, abs(t) + 1)),
+    ("odd tail", (-1, 0, 1),
+     lambda s, p, shift: window_odd_tail(s, p, shift, abs(s) + 1)),
+]
+
+
+@pytest.mark.parametrize("curve", [None, rich_curve()],
+                         ids=["unshifted", "rich"])
+def test_mode_tables_raise_the_hbar_power(curve):
+    # a table entry holds a mode on a monomial without its hbar power, and
+    # each term adds that power to its own: the image of m hbar^h is the
+    # image of m with every hbar power raised by h
+    shift = None if curve is None else ShiftData.from_curve(curve)
+    bos, fer = (1, 2), (0, 2)
+    nonzero = set()
+    for kind, labels, window in TABLE_MODES:
+        for label in labels:
+            want = window(label, mono(bos, fer), shift)
+            if want.terms:
+                nonzero.add(kind)
+            for h in range(1, 4):
+                want = ref_times_hbar(want)
+                got = svir._compute(kind, label, mono(bos, fer, h), shift)
+                assert got.terms == want.terms, (kind, label, h)
+    assert nonzero == {kind for kind, _, _ in TABLE_MODES}
 
 
 @pytest.mark.parametrize("curve", [None, rich_curve()],
