@@ -36,14 +36,16 @@ class ConstraintCoeffs:
     phi and psi are read from the curve (`CurveData.phi_at`/`psi_at`),
     which is zero at an index below 1 (phi) or 0 (psi); the bosonic zero
     mode is absent, so any table entry whose bosonic argument is 0
-    vanishes identically. `value` and `nonzero` evaluate each coefficient
-    once and keep the nonzero ones per range.
+    vanishes identically. Each coefficient is one raw sum of its terms,
+    finished once. `value` and `nonzero` evaluate each coefficient once
+    and keep the nonzero ones per range.
     """
 
     def __init__(self, curve):
         self.curve = curve
         self.ring = curve.ring
         self._half = self.ring.rational(Fraction(1, 2))
+        self._one = self.ring.one().terms
         self._values = {}
         self._tables = {}
 
@@ -70,63 +72,46 @@ class ConstraintCoeffs:
         """Coefficient of the ordered bosonic pair (j, k) in operator c."""
         if j == 0 or k == 0:
             return self.ring.zero()
-        ring, phi = self.ring, self.curve.phi_at
-        out = ring.zero()
+        phi, acc = self.curve.phi_at, {}
         sign_j = 1 if j % 2 else -1  # (-1)^(j-1)
         sign_k = 1 if k % 2 else -1
         if j + k == 2 * c - 4:
-            out = out + ring.rational(sign_j)
-        val = phi(j - 2 * c + 4, k)
-        if val:
-            out = out + val * ring.rational(Fraction(sign_j, k))
-        val = phi(j, k - 2 * c + 4)
-        if val:
-            out = out + val * ring.rational(Fraction(sign_k, j))
+            add_into(acc, self._one, sign_j)
+        add_into(acc, phi(j - 2 * c + 4, k).terms, sign_j, k)
+        add_into(acc, phi(j, k - 2 * c + 4).terms, sign_k, j)
         if c == 1:
-            val = phi(1, j) * phi(1, k)
-            if val:
-                out = out + val * ring.rational(Fraction(1, j * k))
-        return out
+            mul_into(self.ring, acc, phi(1, j).terms, phi(1, k).terms, 1,
+                     j * k)
+        return finish(self.ring, acc) or self.ring.zero()
 
     def c_ff(self, c, j, k):
         """Coefficient of the ordered fermionic pair (j, k) in operator c."""
-        ring, psi = self.ring, self.curve.psi_at
-        out = ring.zero()
+        psi, acc = self.curve.psi_at, {}
         sign_j = (-1) ** (j % 2)  # (-1)^j
         sign_k = (-1) ** (k % 2)
         if j + k == 2 * c - 4:
-            out = out + ring.rational(Fraction(sign_j * (k - j), 2))
+            add_into(acc, self._one, sign_j * (k - j), 2)
         if c == 1:
-            out = out + (psi(j, 2) * psi(k, 0) - psi(j, 0) * psi(k, 2))
-        val = psi(j, k - 2 * c + 4)
-        if val:
-            out = out + val * ring.rational(sign_k * (k - c + 2))
-        val = psi(k, j - 2 * c + 4)
-        if val:
-            out = out - val * ring.rational(sign_j * (j - c + 2))
-        return out
+            mul_into(self.ring, acc, psi(j, 2).terms, psi(k, 0).terms)
+            mul_into(self.ring, acc, psi(j, 0).terms, psi(k, 2).terms, -1)
+        add_into(acc, psi(j, k - 2 * c + 4).terms, sign_k * (k - c + 2))
+        add_into(acc, psi(k, j - 2 * c + 4).terms, -sign_j * (j - c + 2))
+        return finish(self.ring, acc) or self.ring.zero()
 
     def c_bf(self, c, j, k):
         """Coefficient of the bosonic/fermionic pair (j, k) in operator c."""
         if j == 0:
             return self.ring.zero()
-        ring, phi, psi = self.ring, self.curve.phi_at, self.curve.psi_at
-        out = ring.zero()
+        phi, psi, acc = self.curve.phi_at, self.curve.psi_at, {}
         sign_j = (-1) ** (j % 2)
         sign_k = (-1) ** (k % 2)
         if j + k == 2 * c - 3:
-            out = out + ring.rational(sign_k)
-        val = phi(j, k - 2 * c + 3)
-        if val:
-            out = out + val * ring.rational(Fraction(sign_k, j))
-        val = psi(k, j - 2 * c + 3)
-        if val:
-            out = out - val * ring.rational(sign_j)
+            add_into(acc, self._one, sign_k)
+        add_into(acc, phi(j, k - 2 * c + 3).terms, sign_k, j)
+        add_into(acc, psi(k, j - 2 * c + 3).terms, -sign_j)
         if c == 1:
-            val = phi(j, 1) * psi(k, 0)
-            if val:
-                out = out + val * ring.rational(Fraction(1, j))
-        return out
+            mul_into(self.ring, acc, phi(j, 1).terms, psi(k, 0).terms, 1, j)
+        return finish(self.ring, acc) or self.ring.zero()
 
     def d(self, c, bosonic_only=False):
         """Constant term of operator c (halved central part if bosonic)."""
@@ -220,7 +205,6 @@ class AirySolver(LazyTensor):
                 # indices beside its open slot
                 low = 0 if len(bos1) + len(fer1) > 1 else 1
                 high = g if len(bos2) + len(fer2) > 1 else g - 1
-                split_weight = sign * mult * weight
                 for g1 in range(low, high + 1):
                     firsts = self.slice(g1, bos1, fer1, k_fermionic)
                     if not firsts:
@@ -228,6 +212,7 @@ class AirySolver(LazyTensor):
                     seconds = self.slice(g - g1, bos2, fer2, l_fermionic)
                     if not seconds:
                         continue
+                    split_weight = sign * mult * weight
                     for k, a in firsts.items():
                         row = rows.get(k)
                         if row is not None:

@@ -43,7 +43,7 @@ class Ring:
         # (monomial, monomial) -> their reduced product and rational factor
         self._products = {}
         # (kind, label, bos, fer) -> the terms of svir's plain mode on the
-        # monomial x^bos theta^fer, filled on first use (see svir._add_mode)
+        # monomial x^bos theta^fer, filled on first use (see svir._entry)
         self.mode_table = {}
 
     def __eq__(self, other):

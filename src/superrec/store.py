@@ -150,29 +150,6 @@ def insert_index(index, fermionic, bos, fer):
     return (bos[:pos] + (index,) + bos[pos:], fer), 1
 
 
-def partition_sign(whole, part1, part2):
-    """Sign of the permutation rearranging `whole` into part1 + part2.
-
-    part1 and part2 must be positioned sub-sequences that interleave to
-    `whole` (elements taken in order, disjoint positions).
-    """
-    positions1, positions2 = [], []
-    it1, it2 = 0, 0
-    for pos, value in enumerate(whole):
-        if it1 < len(part1) and part1[it1] == value:
-            positions1.append(pos)
-            it1 += 1
-        elif it2 < len(part2) and part2[it2] == value:
-            positions2.append(pos)
-            it2 += 1
-        else:
-            raise ValueError(f"{part1}, {part2} do not interleave to {whole}")
-    if it1 != len(part1) or it2 != len(part2):
-        raise ValueError(f"{part1}, {part2} do not interleave to {whole}")
-    inversions = sum(1 for p1 in positions1 for p2 in positions2 if p1 > p2)
-    return -1 if inversions % 2 else 1
-
-
 def _gather(positions):
     """A function taking a sequence to the tuple of its items at
     `positions`, in order."""
@@ -208,8 +185,9 @@ def _split_table(n):
 def iter_partitions(seq):
     """All ways to split seq into two positioned sub-sequences.
 
-    Yields (part1, part2, sign) with sign = partition_sign(seq, p1, p2),
-    in the order of the bit mask choosing part1's positions.
+    Yields (part1, part2, sign), sign that of the permutation rearranging
+    seq into part1 + part2, in the order of the bit mask choosing part1's
+    positions.
     """
     for gather1, gather2, sign in _split_table(len(seq)):
         yield gather1(seq), gather2(seq), sign
@@ -306,15 +284,8 @@ class CorrTensor:
         else:
             self.entries.pop(key, None)
 
-    def keys_at_chi(self, chi):
-        return sorted(key for key in self.entries
-                      if self.chi(*key) == chi)
-
     def sorted_keys(self):
         return sorted(self.entries, key=lambda k: (self.chi(*k),) + k)
-
-    def nonzero_equal(self, other):
-        return self.entries == other.entries
 
 
 # the slice of a sector with no nonzero entry; read, never written

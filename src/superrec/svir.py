@@ -18,11 +18,14 @@ term's hbar power, since a mode acts alike at every power of hbar. The
 plain modes' table lives on the ring (`Ring.mode_table`), a shifted mode's
 on its ShiftData (`ShiftData.mode_table`), so each table lives exactly as
 long as what its entries depend on; `verify-algebra` builds one ring per
-command, and all its samples share that table. A J or Gamma mode sends a
-monomial to terms that keep their int weight and denominator apart from
-any shift-data Scalar, and a pair of them is the composition of two such
-calls. A quadratic mode sums only the pair labels whose annihilators find
-their variable in the monomial, so its cost follows the support.
+command, and all its samples share that table. A J or Gamma entry keeps
+each term's int weight and denominator apart from any shift-data Scalar.
+A quadratic entry (L, G or a closure tail) is composed from J and Gamma
+entries of the same table: the inner mode's entry on the monomial, then
+the outer mode's on each monomial that comes out. It sums only the pair
+labels whose annihilators find their variable in the monomial, so its
+cost follows the support. The L-L and G-G closure tail is applied once
+per sample, so its entries are not stored.
 `_add_mode` adds a mode on a polynomial into a caller's raw sums, one per
 Fock key, and each sum is finished once: a mode image is those sums alone,
 and a relation residual applies its outer mode to the kept inner image
@@ -113,7 +116,7 @@ class ShiftData:
             if k >= 0:
                 self.tilde["Gamma"].setdefault(i, []).append((k, val))
         # (kind, label, bos, fer) -> the terms of the shifted mode on the
-        # monomial x^bos theta^fer, filled on first use (see `_add_mode`)
+        # monomial x^bos theta^fer, filled on first use (see `_entry`)
         self.mode_table = {}
 
     @classmethod
@@ -126,94 +129,34 @@ class ShiftData:
 
 # --- modes on one monomial ---------------------------------------------------
 #
-# A mode sends the monomial of a key (bos, fer, h), taken with coefficient 1,
-# to a list of (key, scalars, weight, den) terms: weight / den times the
-# product of the shift-data Scalars in the tuple scalars (tau, phi or psi;
-# none on a plain term) times the monomial of the key. weight and den are
-# ints: the sign, the raising factor -index and the multiplicity mult, and
-# 2 for Gamma_0's theta^0 / 2 (1 otherwise).
+# A mode sends the monomial x^bos theta^fer, taken with coefficient 1, to the
+# (bos', fer', dh, factor, weight, den) terms of its table entry: weight / den
+# times factor (the terms of a shift-data Scalar, tau, phi, psi or a product
+# of two; None on a plain term) times x^bos' theta^fer' hbar^dh. weight and
+# den are ints: the sign, the raising factor -index and the multiplicity
+# mult, and 2 for Gamma_0's theta^0 / 2 (1 otherwise).
 
 
-def _lowered(index, fermionic, key):
-    """hbar d/dx^index (hbar times the left derivative d/dtheta^index when
-    fermionic) on the monomial key, as one term, or None when the monomial
-    does not hold the variable."""
-    bos, fer, h = key
-    if fermionic:
-        if index not in fer:
-            return None
-        pos = fer.index(index)
-        return (bos, fer[:pos] + fer[pos + 1:], h + 1), -1 if pos % 2 else 1, 1
-    mult = bos.count(index)
-    if not mult:
-        return None
-    pos = bos.index(index)
-    return (bos[:pos] + bos[pos + 1:], fer, h + 1), mult, 1
-
-
-def _raised(index, fermionic, key):
-    """x^index (theta^index when fermionic, multiplied from the left) times
-    the monomial key, as one (key, sign) pair, or None when theta^index is
-    already there."""
-    bos, fer, h = key
-    slots, sign = insert_index(index, fermionic, bos, fer)
-    return (slots + (h,), sign) if sign else None
-
-
-def _plain_terms(kind, index, key):
-    """The plain mode J or Gamma of this index on the monomial key, as
-    (key, weight, den) terms."""
+def _plain_terms(kind, index, bos, fer):
+    """The plain mode J or Gamma of this index on x^bos theta^fer, as entry
+    terms. A positive mode is hbar d/dx^index (hbar times the left
+    derivative d/dtheta^index), a negative one -index x^-index (theta^-index
+    multiplied from the left), J_0 is zero, and of Gamma_0 = theta^0 / 2 +
+    hbar d/dtheta^0 exactly one half acts: the first where theta^0 is
+    absent (it goes first, sign 1), the second where it is there."""
     fermionic = kind == "Gamma"
-    if index > 0:
-        term = _lowered(index, fermionic, key)
-        return [term] if term else []
-    if index < 0:
-        term = _raised(-index, fermionic, key)
-        return [(term[0], term[1] if fermionic else -index, 1)] if term else []
-    if not fermionic:
-        return []  # J_0
-    # Gamma_0 = theta^0 / 2 + hbar d/dtheta^0, and exactly one of the two
-    # acts: the first where theta^0 is absent (it goes first, sign 1), the
-    # second where it is there
-    term = _raised(0, True, key)
-    return [(term[0], 1, 2)] if term else [_lowered(0, True, key)]
-
-
-def _mode_terms(kind, index, key, shift=None):
-    """The mode J or Gamma of this index on the monomial key; with shift
-    data, a negative mode (and Gamma_0) is expanded into the tilde mode:
-    J_-i + tau_i + sum_k phi_ik / k J_k, or Gamma_-i + sum_k psi_ki
-    Gamma_k. J_0 stays unshifted: tau indices are >= 1, and the tilde
-    table holds no J row 0."""
-    out = [(new, (), weight, den)
-           for new, weight, den in _plain_terms(kind, index, key)]
-    if shift is None or index > 0:
-        return out
-    if kind == "J" and -index in shift.tau:
-        out.append((key, (shift.tau[-index],), 1, 1))
-    for k, val in shift.tilde[kind].get(-index, ()):
-        out.extend((new, (val,), weight, den)
-                   for new, weight, den in _plain_terms(kind, k, key))
-    return out
-
-
-def _pair_terms(kind1, i1, kind2, i2, key, shift):
-    """The normal-ordered product :A_i1 B_i2: of two modes on the monomial
-    key.
-
-    The annihilator-left/creator-right case is reordered (with a sign for
-    two odd modes); in every other case the written order already equals
-    the normal-ordered operator.
-    """
-    if i1 > 0 and i2 < 0:
-        first, then = (kind1, i1), (kind2, i2)
-        sign = -1 if kind1 == kind2 == "Gamma" else 1
-    else:
-        first, then = (kind2, i2), (kind1, i1)
-        sign = 1
-    return [(end, s1 + s2, sign * w1 * w2, d1 * d2)
-            for mid, s1, w1, d1 in _mode_terms(*first, key, shift)
-            for end, s2, w2, d2 in _mode_terms(*then, mid, shift)]
+    if index < 0 or fermionic and not index and 0 not in fer:
+        opened, sign = insert_index(-index, fermionic, bos, fer)
+        return [(*opened, 0, None, sign if fermionic else -index,
+                 1 if index else 2)] if sign else []
+    slot = fer if fermionic else bos
+    if index not in slot:  # also J_0: no x^0
+        return []
+    pos = slot.index(index)
+    rest = slot[:pos] + slot[pos + 1:]
+    if fermionic:
+        return [(bos, rest, 1, None, -1 if pos % 2 else 1, 1)]
+    return [(rest, fer, 1, None, slot.count(index), 1)]
 
 
 # A quadratic mode of label l is 1 / den times the sum over its families
@@ -232,54 +175,100 @@ _PAIRS = {  # kind -> (odd, den, families)
 }
 
 
-def _tabulate(kind, label, bos, fer, shift):
-    """The mode (kind, label) with this shift data on x^bos theta^fer, as
-    the (bos', fer', dh, factor, weight, den) terms of one `_add_mode`
-    table entry: weight / den times factor (None for 1, else the terms of
-    a Scalar) times x^bos' theta^fer' hbar^dh. The plain terms of one
-    monomial and den are merged into one int weight; a shift-data term
-    keeps its Scalar, the product of two for a pair of tilde terms.
+def _entry(table, kind, label, bos, fer, shift):
+    """The entry (kind, label, bos, fer) of the mode table, filled by
+    `_tabulate` on a miss. A "tail" entry is not stored: each sample keeps
+    its tail image, and verify-algebra's samples are distinct monomials.
+    The L-G "odd tail" is computed afresh for each (n, m), so its entries
+    are read again and stored."""
+    entry = table.get((kind, label, bos, fer))
+    if entry is None:
+        entry = _tabulate(table, kind, label, bos, fer, shift)
+        if kind != "tail":
+            table[kind, label, bos, fer] = entry
+    return entry
+
+
+def _pair(table, kind1, i1, kind2, i2, bos, fer, shift):
+    """The normal-ordered product :A_i1 B_i2: on x^bos theta^fer, as entry
+    terms: the table entry of the mode that acts first, then the other's on
+    each monomial that comes out. Weights and dens multiply, hbar powers
+    add, and two shift-data factors multiply (a product that a square
+    relation makes zero drops its term). The annihilator-left/creator-right
+    case is reordered (with a sign for two odd modes); in every other case
+    the written order already equals the normal-ordered operator."""
+    if i1 > 0 and i2 < 0:
+        sign = -1 if kind1 == kind2 == "Gamma" else 1
+    else:  # B_i2 acts first
+        kind1, i1, kind2, i2, sign = kind2, i2, kind1, i1, 1
+    out = []
+    for bos2, fer2, dh, f1, w1, d1 in _entry(table, kind1, i1, bos, fer,
+                                             shift):
+        w1 *= sign
+        for bos3, fer3, dh2, f2, w2, d2 in _entry(table, kind2, i2, bos2,
+                                                  fer2, shift):
+            if f2 is None:
+                f2 = f1
+            elif f1 is not None:
+                acc = {}
+                mul_into(shift.ring, acc, f1, f2)
+                if (f2 := finish(shift.ring, acc)) is None:
+                    continue
+                f2 = f2.terms
+            out.append((bos3, fer3, dh + dh2, f2, w1 * w2, d1 * d2))
+    return out
+
+
+def _tabulate(table, kind, label, bos, fer, shift):
+    """The entry of the mode (kind, label) with this shift data on x^bos
+    theta^fer. With shift data, a negative J or Gamma mode (and Gamma_0) is
+    the tilde mode J_-i + tau_i + sum_k phi_ik / k J_k, or Gamma_-i +
+    sum_k psi_ki Gamma_k; J_0 stays unshifted: tau indices are >= 1, and
+    the tilde table holds no J row 0.
 
     A quadratic mode ("L", "G" or a tail; L_2n and G_(2m+1) have labels n
-    and m) sums only the pair labels that act on the monomial:
-    `_pair_terms` applies a positive mode before any creator, so those are
-    the labels whose positive mode holds one of the monomial's variables,
-    and total <= k <= 0, where neither mode is positive."""
-    key = (bos, fer, 0)
+    and m) is composed from J and Gamma entries (see `_pair`), and its
+    plain terms of one monomial and den are merged into one int weight. It
+    sums only the pair labels that act on the monomial: `_pair` applies a
+    positive mode before any creator, so those are the labels whose
+    positive mode holds one of the monomial's variables, and total <= k <=
+    0, where neither mode is positive."""
     if kind in ("J", "Gamma"):
-        parts = [(_mode_terms(kind, label, key, shift), 1, 1)]
-    else:  # each part is some terms, times an int weight over an int den
-        odd, den, families = _PAIRS[kind]
-        total = 2 * label + odd
-        held = {"J": bos, "Gamma": fer}  # the variables it holds
-        parts = []
-        for kind1, kind2, weigh in families:
-            held1, held2 = held[kind1], held[kind2]
-            for k in sorted({*range(total, 1), *held1,
-                             *(total - a for a in held2)}):
-                # a positive mode needs its variable, J_0 is zero, and
-                # creators and Gamma_0 act on anything
-                k2 = total - k
-                if ((k in held1 if k > 0 else k or kind1 == "Gamma")
-                        and (k2 in held2 if k2 > 0 else k2 or kind2 == "Gamma")
-                        and (w := weigh(label, k))):
-                    parts.append((_pair_terms(kind1, k, kind2, k2, key, shift),
-                                  w, den))
-        if kind == "L" and label == 0:
-            parts.append(([((bos, fer, 1), (), 1, 1)], 1, 4))
+        entry = _plain_terms(kind, label, bos, fer)
+        if shift is not None and label <= 0:
+            if kind == "J" and -label in shift.tau:
+                entry.append((bos, fer, 0, shift.tau[-label].terms, 1, 1))
+            for k, val in shift.tilde[kind].get(-label, ()):
+                entry += [(*term[:3], val.terms, *term[4:])
+                          for term in _plain_terms(kind, k, bos, fer)]
+        return tuple(entry)
+    odd, den, families = _PAIRS[kind]
+    total = 2 * label + odd
+    held = {"J": bos, "Gamma": fer}  # the variables it holds
     plain, entry = {}, []
-    for terms, w, d in parts:
-        for new, scalars, weight, den in terms:
-            weight, den = weight * w, den * d
-            if not scalars:
-                plain[new, den] = plain.get((new, den), 0) + weight
-            elif len(scalars) == 1:
-                entry.append((*new, scalars[0].terms, weight, den))
-            else:
-                entry.append((*new, (scalars[0] * scalars[1]).terms, weight,
-                              den))
-    entry += [(*new, None, weight, den)
-              for (new, den), weight in plain.items() if weight]
+    if kind == "L" and label == 0:
+        plain[bos, fer, 1, 4] = 1
+    for kind1, kind2, weigh in families:
+        held1, held2 = held[kind1], held[kind2]
+        for k in sorted({*range(total, 1), *held1,
+                         *(total - a for a in held2)}):
+            # a positive mode needs its variable, J_0 is zero, and
+            # creators and Gamma_0 act on anything
+            k2 = total - k
+            if not ((k in held1 if k > 0 else k or kind1 == "Gamma")
+                    and (k2 in held2 if k2 > 0 else k2 or kind2 == "Gamma")
+                    and (w := weigh(label, k))):
+                continue
+            for bos2, fer2, dh, factor, weight, d in _pair(
+                    table, kind1, k, kind2, k2, bos, fer, shift):
+                if factor is None:
+                    key = bos2, fer2, dh, d * den
+                    plain[key] = plain.get(key, 0) + weight * w
+                else:
+                    entry.append((bos2, fer2, dh, factor, weight * w,
+                                  d * den))
+    entry += [(*key[:3], None, weight, key[3])
+              for key, weight in plain.items() if weight]
     return tuple(entry)
 
 
@@ -301,17 +290,14 @@ def _add_mode(sums, kind, label, p, shift, weight=1):
     data, into the caller's raw sums (key -> raw sum), one monomial of p at
     a time, and return them. A monomial x^bos theta^fer hbar^h reads the
     entry (kind, label, bos, fer) of the ring's or the shift data's mode
-    table, filled by `_tabulate` on first use, and adds h to the hbar power
-    of each of its terms."""
+    table (see `_entry`) and adds h to the hbar power of each of its
+    terms."""
     ring = p.ring
     table = (ring if shift is None else shift).mode_table
     for (bos, fer, h), c in p.terms.items():
-        entry = table.get((kind, label, bos, fer))
-        if entry is None:
-            entry = table[kind, label, bos, fer] = _tabulate(
-                kind, label, bos, fer, shift)
         c = c.terms
-        for bos2, fer2, dh, factor, w, den in entry:
+        for bos2, fer2, dh, factor, w, den in _entry(table, kind, label, bos,
+                                                     fer, shift):
             _add_term(ring, sums, (bos2, fer2, h + dh), c, factor,
                       w * weight, den)
     return sums

@@ -533,6 +533,25 @@ def test_verify_algebra_corrupt_operator_reports_closure_failures(capsys):
                        "closure-LL at (2, 1): mismatch"]
 
 
+# exit code and sha256 of the standard output of verify-algebra --degree 4
+# --mode-range 2, plain and with --corrupt-operator
+PINNED_VERIFY_ALGEBRA = [
+    ((), 0,
+     "2239bf18172374b0a3aa5f0e8b9026e2a8915116628c0547e161431a6a6be141"),
+    (("--corrupt-operator",), EXIT_MISMATCH,
+     "fdb5dca831e37c43d5594c336c9dffc9cd6a791c696b358b20787c83a9ebe239"),
+]
+
+
+@pytest.mark.parametrize("extra, code, sha256", PINNED_VERIFY_ALGEBRA,
+                         ids=["plain", "corrupt"])
+def test_verify_algebra_output_is_pinned(capsys, extra, code, sha256):
+    assert main(["verify-algebra", "--degree", "4", "--mode-range", "2",
+                 *extra]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_verify_algebra_computes_each_image_once(monkeypatch, capsys):
     # svir._compute computes the image of one polynomial under one mode;
     # every sample and every probe of the structure checks gets each of
@@ -578,14 +597,16 @@ def test_verify_algebra_fills_its_mode_tables_afresh(monkeypatch, capsys):
     # the mode tables live on the command's ring and shift data, so each
     # entry is filled once per run, and a second run in the same process
     # fills as many again: a table that outlived the command would leave
-    # the second run less to fill
+    # the second run less to fill. The L-L and G-G closure tail is kept
+    # among each sample's images, so its entries are filled once too, and
+    # none is stored.
     runs = []
-    held = []  # keeps each shift data alive, so that its id stays its own
+    held = []  # keeps each table alive, so that its id stays its own
 
-    def tabulate(kind, label, bos, fer, shift, inner=svir._tabulate):
-        held.append(shift)
-        runs[-1][(kind, label, bos, fer, id(shift))] += 1
-        return inner(kind, label, bos, fer, shift)
+    def tabulate(table, kind, label, bos, fer, shift, inner=svir._tabulate):
+        held.append(table)
+        runs[-1][(kind, label, bos, fer, id(table))] += 1
+        return inner(table, kind, label, bos, fer, shift)
 
     monkeypatch.setattr(svir, "_tabulate", tabulate)
     for _ in range(2):
@@ -596,6 +617,9 @@ def test_verify_algebra_fills_its_mode_tables_afresh(monkeypatch, capsys):
     first, second = (sum(fills.values()) for fills in runs)
     assert first == second > 0
     assert {count for fills in runs for count in fills.values()} == {1}
+    stored = {key[0] for table in held for key in table}
+    assert stored == {"J", "Gamma", "L", "G", "odd tail"}
+    assert any(key[0] == "tail" for fills in runs for key in fills)
 
 
 def test_verify_algebra_frees_its_ring_without_the_cyclic_collector(

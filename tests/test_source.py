@@ -120,9 +120,6 @@ UNREAD_PUBLIC = {
     "scalars.Scalar.as_rational": "test oracle: known values as Fractions",
     "series.FormalSeries.sigma":
         "perfbench: counted as series.sigma_calls",
-    "store.partition_sign": "test oracle: the sign of a fermionic split",
-    "store.CorrTensor.keys_at_chi": "test oracle: the keys of one level",
-    "store.CorrTensor.nonzero_equal": "test oracle: tensor equality",
     "svir.annihilation_report":
         "API: the partition-function annihilation oracle",
     "svir.dilaton_report": "API: the super dilaton equation on a tensor",

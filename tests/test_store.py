@@ -13,7 +13,7 @@ from superrec.scalars import Ring
 from superrec.store import (
     CorrTensor, IndexBoundError, LazyTensor, MissingDependency, ParityError,
     StabilityError, UnsolvedEntry, deficit, distinct_splits, index_bound,
-    iter_partitions, partition_sign, slot_ranges)
+    iter_partitions, slot_ranges)
 from superrec.trengine import TrSolver
 from test_acceptance import (airy_curve, irregular_curve, random_curve,
                              rich_curve)
@@ -105,6 +105,30 @@ def test_index_bound(tensor):
         with pytest.raises(IndexBoundError):
             tensor.set(0, bos, (), RING.one())
     tensor.set(0, (1, 1, 1), (), RING.one())
+
+
+def partition_sign(whole, part1, part2):
+    """Sign of the permutation rearranging `whole` into part1 + part2, the
+    test oracle for the signs of `iter_partitions`.
+
+    part1 and part2 must be positioned sub-sequences that interleave to
+    `whole` (elements taken in order, disjoint positions).
+    """
+    positions1, positions2 = [], []
+    it1, it2 = 0, 0
+    for pos, value in enumerate(whole):
+        if it1 < len(part1) and part1[it1] == value:
+            positions1.append(pos)
+            it1 += 1
+        elif it2 < len(part2) and part2[it2] == value:
+            positions2.append(pos)
+            it2 += 1
+        else:
+            raise ValueError(f"{part1}, {part2} do not interleave to {whole}")
+    if it1 != len(part1) or it2 != len(part2):
+        raise ValueError(f"{part1}, {part2} do not interleave to {whole}")
+    inversions = sum(1 for p1 in positions1 for p2 in positions2 if p1 > p2)
+    return -1 if inversions % 2 else 1
 
 
 def test_partition_sign_examples():
@@ -343,7 +367,7 @@ def test_lazy_queries_equal_run(curve, make):
     slices, which are complete only once those levels are solved in
     full; the query must agree with the level-by-level run."""
     tensor = make(curve, 6).run()
-    keys = tensor.keys_at_chi(6)
+    keys = sorted(key for key in tensor.entries if CorrTensor.chi(*key) == 6)
     sample = keys[::-(-len(keys) // 5)]
     assert len(sample) == 5
     for key in sample:

@@ -462,25 +462,25 @@ def test_support_sums_equal_window_sums(curve):
 
 
 def test_pairs_apply_only_annihilators_in_support(monkeypatch):
-    # every positive J_a / Gamma_a a pair sum applies finds x^a / theta^a
+    # every positive J_a / Gamma_a a pair sum composes finds x^a / theta^a
     # in the monomial, so no label window can come back unnoticed; the
     # samples and the shift are on a fresh ring, so that no mode table an
-    # earlier test filled answers for _pair_terms
+    # earlier test filled answers for _pair
     ring = Ring([])
     samples = [FockPoly.monomial(ring, bos, fer)
                for p in monomials()[::7] for bos, fer, _ in p.terms]
     calls = []
-    inner = svir._pair_terms
+    inner = svir._pair
 
-    def checked(kind1, i1, kind2, i2, key, shift):
+    def checked(table, kind1, i1, kind2, i2, bos, fer, shift):
         calls.append(1)
-        held = {"J": set(key[0]), "Gamma": set(key[1])}
+        held = {"J": set(bos), "Gamma": set(fer)}
         for kind, index in ((kind1, i1), (kind2, i2)):
             assert index <= 0 or index in held[kind], \
-                (kind1, i1, kind2, i2, key)
-        return inner(kind1, i1, kind2, i2, key, shift)
+                (kind1, i1, kind2, i2, bos, fer)
+        return inner(table, kind1, i1, kind2, i2, bos, fer, shift)
 
-    monkeypatch.setattr(svir, "_pair_terms", checked)
+    monkeypatch.setattr(svir, "_pair", checked)
     for curve in (None, rich_curve(ring=ring)):
         shift = None if curve is None else ShiftData.from_curve(curve)
         for p in samples:
