@@ -410,7 +410,7 @@ def cmd_verify_algebra(args):
     # {Gamma_a, Gamma_b} and its right-hand side symmetric, and
     # check_heisenberg_clifford checks both [J_a, Gamma_b] and [J_b, Gamma_a]:
     # the family runs over a <= b. The residual of [L_b, L_a] is minus that
-    # of [L_a, L_b] (svir._rhs returns the same polynomials with weight
+    # of [L_a, L_b] (svir._rhs returns the same modes with weight
     # 2(a - b), ((), 0) when a == b, where the commutator cancels
     # identically), and {G_a, G_b} and its svir._rhs are symmetric in (a, b):
     # comm3 and comm5 check each unordered pair once.
@@ -423,12 +423,11 @@ def cmd_verify_algebra(args):
                             ("comm5", [(a, b) for a, b in low if a <= b])):
         families[relation] = (functools.partial(check_commutator, relation),
                               pairs)
-    # One sample at a time, so that the L/G images it keeps (see
-    # svir.FockPoly.images) are shared by every family and dropped with it.
-    # Each relation applies its outer mode to a kept image straight into
-    # its residual (svir._holds), so no image keeps images of its own. The
-    # mode tables (svir._add_mode) live on the ring and the shift data for
-    # the whole command, so every sample and the axioms share them.
+    # Each relation composes the mode-table entries of its modes on each
+    # monomial of the sample straight into its residual (svir._residual),
+    # so it builds no polynomial and no sample keeps an image. The tables
+    # (svir._entry) are the one cache: they live on the ring and the shift
+    # data for the whole command, so every sample and the axioms share them.
     passed = dict.fromkeys(families, True)
     for p in _algebra_monomials(ring, args.degree, args.mode_range):
         for name, (checker, pairs) in families.items():

@@ -212,9 +212,6 @@ class CurveBases:
                 self.ring, coeffs, self.trunc, 1, 0, min_exp=-l - 1)
         return self._dxi_minus[l]
 
-    def dxi(self, l):
-        return self.dxi_plus(l) if l > 0 else self.dxi_minus(-l)
-
     def eta_plus(self, l):
         _check_index("eta_plus", l, 1)
         return FormalSeries.monomial(self.ring, 1, l - 1, self.trunc, 0, 1)
@@ -235,9 +232,6 @@ class CurveBases:
     @property
     def eta_zero(self):
         return self.eta_minus(0)
-
-    def eta(self, l):
-        return self.eta_plus(l) if l > 0 else self.eta_minus(-l)
 
 
 def _check_index(name, l, least):

@@ -220,16 +220,6 @@ class Scalar:
 
     # --- basic queries -------------------------------------------------
 
-    def is_rational(self):
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
-
-    def as_rational(self):
-        if not self.terms:
-            return Fraction(0)
-        if self.is_rational():
-            return self.terms[()]
-        raise ValueError(f"not a rational: {self}")
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -418,7 +408,10 @@ def _parse_scalar(ring, text):
         if not match:
             raise ScalarParseError(f"bad term {chunk!r} in {text!r}")
         coeff_text = match.group("coeff")
-        coeff = Fraction(coeff_text) if coeff_text else Fraction(1)
+        try:
+            coeff = Fraction(coeff_text) if coeff_text else Fraction(1)
+        except ZeroDivisionError:
+            raise ScalarParseError(f"zero denominator in {text!r}") from None
         mono = {}
         rest = match.group("rest") or ""
         for factor in re.findall(

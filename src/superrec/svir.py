@@ -18,20 +18,18 @@ term's hbar power, since a mode acts alike at every power of hbar. The
 plain modes' table lives on the ring (`Ring.mode_table`), a shifted mode's
 on its ShiftData (`ShiftData.mode_table`), so each table lives exactly as
 long as what its entries depend on; `verify-algebra` builds one ring per
-command, and all its samples share that table. A J or Gamma entry keeps
-each term's int weight and denominator apart from any shift-data Scalar.
-A quadratic entry (L, G or a closure tail) is composed from J and Gamma
-entries of the same table: the inner mode's entry on the monomial, then
-the outer mode's on each monomial that comes out. It sums only the pair
-labels whose annihilators find their variable in the monomial, so its
-cost follows the support. The L-L and G-G closure tail is applied once
-per sample, so its entries are not stored.
-`_add_mode` adds a mode on a polynomial into a caller's raw sums, one per
-Fock key, and each sum is finished once: a mode image is those sums alone,
-and a relation residual applies its outer mode to the kept inner image
-straight into its own. `FockPoly` has no arithmetic. A polynomial keeps
-every mode image of itself that is computed (`FockPoly.images`); no image
-is asked for one of its own.
+command, and all its samples share that table. It is the one cache: no
+polynomial keeps an image. A J or Gamma entry keeps each term's int
+weight and denominator apart from any shift-data Scalar. `_composed`
+composes two entries, the inner mode's on the monomial, then the outer
+mode's on each monomial that comes out. A quadratic entry (L, G or a
+closure tail) sums such compositions of J and Gamma entries, only over
+the pair labels whose annihilators find their variable in the monomial,
+so its cost follows the support. A relation is decided the same way: on
+each monomial of the sample, A after B, -+B after A and each right-hand
+side mode go straight into one raw sum per Fock key, so it builds no
+polynomial. `_add_mode` adds a mode on a polynomial into a caller's raw
+sums, and a mode image is those sums finished once.
 Heisenberg-Clifford holds on all (a, b) once it holds on every a <= b.
 """
 
@@ -52,19 +50,16 @@ class FockPoly:
     fermionic indices strictly ascending, hbar power); the coefficient is
     relative to the theta factors written in increasing order.
 
-    A polynomial is never changed after construction, which is what lets
-    `images` (None until the first one is stored) map (kind, label, shift)
-    to the J, Gamma, L or G image of this polynomial, or to the tail of
-    the L-L and G-G closure right-hand sides, and hand the same object
-    to every caller. Only the polynomials a check starts from keep any.
+    A polynomial is never changed after construction and keeps nothing
+    but its terms: every sum in the module is a raw sum, and the mode
+    tables, not the polynomials, hold what is reused.
     """
 
-    __slots__ = ("ring", "terms", "images")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms=None):
         self.ring = ring
         self.terms = {k: v for k, v in (terms or {}).items() if v}
-        self.images = None
 
     @classmethod
     def monomial(cls, ring, bos=(), fer=(), hpow=0, coeff=1):
@@ -175,56 +170,59 @@ _PAIRS = {  # kind -> (odd, den, families)
 }
 
 
-def _entry(table, kind, label, bos, fer, shift):
-    """The entry (kind, label, bos, fer) of the mode table, filled by
-    `_tabulate` on a miss. A "tail" entry is not stored: each sample keeps
-    its tail image, and verify-algebra's samples are distinct monomials.
-    The L-G "odd tail" is computed afresh for each (n, m), so its entries
-    are read again and stored."""
+def _entry(ring, mode, bos, fer):
+    """The entry (kind, label, bos, fer) of the mode (kind, label, shift):
+    read from the ring's mode table for a plain mode and from the shift
+    data's for a shifted one, and filled by `_tabulate` on a miss."""
+    kind, label, shift = mode
+    table = (ring if shift is None else shift).mode_table
     entry = table.get((kind, label, bos, fer))
     if entry is None:
-        entry = _tabulate(table, kind, label, bos, fer, shift)
-        if kind != "tail":
-            table[kind, label, bos, fer] = entry
+        entry = table[kind, label, bos, fer] = _tabulate(ring, mode, bos, fer)
     return entry
 
 
-def _pair(table, kind1, i1, kind2, i2, bos, fer, shift):
-    """The normal-ordered product :A_i1 B_i2: on x^bos theta^fer, as entry
-    terms: the table entry of the mode that acts first, then the other's on
-    each monomial that comes out. Weights and dens multiply, hbar powers
-    add, and two shift-data factors multiply (a product that a square
-    relation makes zero drops its term). The annihilator-left/creator-right
-    case is reordered (with a sign for two odd modes); in every other case
-    the written order already equals the normal-ordered operator."""
-    if i1 > 0 and i2 < 0:
-        sign = -1 if kind1 == kind2 == "Gamma" else 1
-    else:  # B_i2 acts first
-        kind1, i1, kind2, i2, sign = kind2, i2, kind1, i1, 1
+def _composed(ring, outer, inner, bos, fer, sign=1):
+    """The mode outer after the mode inner on x^bos theta^fer, times an int
+    sign, as entry terms, for modes given as (kind, label, shift): the
+    inner mode's entry, then the outer mode's on each monomial that comes
+    out. Weights and dens multiply, hbar powers add, and two shift-data
+    factors multiply (a product that a square relation makes zero drops
+    its term)."""
     out = []
-    for bos2, fer2, dh, f1, w1, d1 in _entry(table, kind1, i1, bos, fer,
-                                             shift):
+    for bos2, fer2, dh, f1, w1, d1 in _entry(ring, inner, bos, fer):
         w1 *= sign
-        for bos3, fer3, dh2, f2, w2, d2 in _entry(table, kind2, i2, bos2,
-                                                  fer2, shift):
+        for bos3, fer3, dh2, f2, w2, d2 in _entry(ring, outer, bos2, fer2):
             if f2 is None:
                 f2 = f1
             elif f1 is not None:
                 acc = {}
-                mul_into(shift.ring, acc, f1, f2)
-                if (f2 := finish(shift.ring, acc)) is None:
+                mul_into(ring, acc, f1, f2)
+                if (f2 := finish(ring, acc)) is None:
                     continue
                 f2 = f2.terms
             out.append((bos3, fer3, dh + dh2, f2, w1 * w2, d1 * d2))
     return out
 
 
-def _tabulate(table, kind, label, bos, fer, shift):
-    """The entry of the mode (kind, label) with this shift data on x^bos
-    theta^fer. With shift data, a negative J or Gamma mode (and Gamma_0) is
-    the tilde mode J_-i + tau_i + sum_k phi_ik / k J_k, or Gamma_-i +
-    sum_k psi_ki Gamma_k; J_0 stays unshifted: tau indices are >= 1, and
-    the tilde table holds no J row 0.
+def _pair(ring, kind1, i1, kind2, i2, bos, fer, shift):
+    """The normal-ordered product :A_i1 B_i2: on x^bos theta^fer, as entry
+    terms (see `_composed`). The annihilator-left/creator-right case is
+    reordered (with a sign for two odd modes); in every other case the
+    written order already equals the normal-ordered operator."""
+    a, b = (kind1, i1, shift), (kind2, i2, shift)
+    if i1 > 0 and i2 < 0:
+        return _composed(ring, b, a, bos, fer,
+                         -1 if kind1 == kind2 == "Gamma" else 1)
+    return _composed(ring, a, b, bos, fer)
+
+
+def _tabulate(ring, mode, bos, fer):
+    """The entry of the mode (kind, label, shift) on x^bos theta^fer. With
+    shift data, a negative J or Gamma mode (and Gamma_0) is the tilde mode
+    J_-i + tau_i + sum_k phi_ik / k J_k, or Gamma_-i + sum_k psi_ki
+    Gamma_k; J_0 stays unshifted: tau indices are >= 1, and the tilde
+    table holds no J row 0.
 
     A quadratic mode ("L", "G" or a tail; L_2n and G_(2m+1) have labels n
     and m) is composed from J and Gamma entries (see `_pair`), and its
@@ -233,6 +231,7 @@ def _tabulate(table, kind, label, bos, fer, shift):
     positive mode before any creator, so those are the labels whose
     positive mode holds one of the monomial's variables, and total <= k <=
     0, where neither mode is positive."""
+    kind, label, shift = mode
     if kind in ("J", "Gamma"):
         entry = _plain_terms(kind, label, bos, fer)
         if shift is not None and label <= 0:
@@ -260,7 +259,7 @@ def _tabulate(table, kind, label, bos, fer, shift):
                     and (w := weigh(label, k))):
                 continue
             for bos2, fer2, dh, factor, weight, d in _pair(
-                    table, kind1, k, kind2, k2, bos, fer, shift):
+                    ring, kind1, k, kind2, k2, bos, fer, shift):
                 if factor is None:
                     key = bos2, fer2, dh, d * den
                     plain[key] = plain.get(key, 0) + weight * w
@@ -285,68 +284,47 @@ def _add_term(ring, sums, key, c, factor=None, weight=1, den=1):
         mul_into(ring, acc, c, factor, weight, den)
 
 
-def _add_mode(sums, kind, label, p, shift, weight=1):
-    """Add an int weight times the mode (kind, label) on p, with this shift
-    data, into the caller's raw sums (key -> raw sum), one monomial of p at
-    a time, and return them. A monomial x^bos theta^fer hbar^h reads the
-    entry (kind, label, bos, fer) of the ring's or the shift data's mode
-    table (see `_entry`) and adds h to the hbar power of each of its
-    terms."""
-    ring = p.ring
-    table = (ring if shift is None else shift).mode_table
+def _add_mode(sums, kind, label, p, shift):
+    """Add the mode (kind, label) on p, with this shift data, into the
+    caller's raw sums (key -> raw sum), one monomial of p at a time, and
+    return them. A monomial x^bos theta^fer hbar^h reads the entry (kind,
+    label, bos, fer) of the mode table (see `_entry`) and adds h to the
+    hbar power of each of its terms."""
+    ring, mode = p.ring, (kind, label, shift)
     for (bos, fer, h), c in p.terms.items():
         c = c.terms
-        for bos2, fer2, dh, factor, w, den in _entry(table, kind, label, bos,
-                                                     fer, shift):
-            _add_term(ring, sums, (bos2, fer2, h + dh), c, factor,
-                      w * weight, den)
+        for bos2, fer2, dh, factor, w, den in _entry(ring, mode, bos, fer):
+            _add_term(ring, sums, (bos2, fer2, h + dh), c, factor, w, den)
     return sums
 
 
 def _compute(kind, label, p, shift):
-    """The image of p under the mode (kind, label), computed afresh."""
+    """The image of p under the mode (kind, label) with this shift data.
+    Every mode is linear, so the zero polynomial is its own image."""
+    if not p.terms:
+        return p
     return FockPoly(p.ring,
                     finish_each(p.ring, _add_mode({}, kind, label, p, shift)))
 
 
-def _image(kind, label, p, shift):
-    """The image of p under the mode (kind, label) with this shift data,
-    kept by p (keyed by the ShiftData object itself) and computed at most
-    once. Every mode is linear, so the zero polynomial is its own image,
-    and it stores none."""
-    if not p.terms:
-        return p
-    key = (kind, label, shift)
-    if p.images is None:
-        p.images = {}
-    elif key in p.images:
-        return p.images[key]
-    out = p.images[key] = _compute(kind, label, p, shift)
-    return out
-
-
 def _apply(kind, label, p, shift=None):
-    """The kept image of p under the mode (kind, label); an L or G image
-    through `_apply_L` or `_apply_G`, looked up when called."""
+    """The image of p under the mode (kind, label); an L or G image through
+    `_apply_L` or `_apply_G`, looked up when called."""
     if kind == "L":
         return _apply_L(label, p, shift)
     if kind == "G":
         return _apply_G(label, p, shift)
-    return _image(kind, label, p, shift)
+    return _compute(kind, label, p, shift)
 
 
 def _apply_L(n, p, shift):
     """L_2n on p, for n >= -1."""
-    if n < -1:
-        raise ValueError(f"L_{2 * n}: L labels are even and >= -2")
-    return _image("L", n, p, shift)
+    return _compute("L", n, p, shift)
 
 
 def _apply_G(m, p, shift):
     """G_(2m+1) on p, for m >= -1."""
-    if m < -1:
-        raise ValueError(f"G_{2 * m + 1}: G labels are odd and >= -1")
-    return _image("G", m, p, shift)
+    return _compute("G", m, p, shift)
 
 
 def apply_mode(kind, label, p, shift=None):
@@ -354,7 +332,7 @@ def apply_mode(kind, label, p, shift=None):
     polynomial; with shift data, the conjugated (tilde) mode."""
     odd = {"L": 0, "G": 1}.get(kind)
     if odd is not None:
-        if label % 2 != odd:
+        if label % 2 != odd or label < odd - 2:
             raise ValueError(f"{kind}_{label}: {kind} labels are "
                              f"{'odd and >= -1' if odd else 'even and >= -2'}")
         label //= 2  # L_2n and G_(2m+1) have labels n and m
@@ -368,18 +346,23 @@ def apply_mode(kind, label, p, shift=None):
 
 def _residual(p, a, b, anti=False, rhs=(), weight=0):
     """The raw sums per key of [A, B] ({A, B} when anti) minus weight hbar
-    times the polynomials rhs on p, for the modes a and b given as (kind,
-    label, shift): A goes into them from each monomial of the kept image
-    B(p), and -+B from each of A(p)."""
+    times the sum of the modes rhs on p, for modes given as (kind, label,
+    shift) and None for the identity: each monomial of p adds the terms of
+    A after B, of -+B after A (see `_composed`) and of each right-hand-side
+    mode, with its hbar power raised by one."""
     ring, sums = p.ring, {}
-    (kind_a, label_a, shift_a), (kind_b, label_b, shift_b) = a, b
-    _add_mode(sums, kind_a, label_a, _apply(kind_b, label_b, p, shift_b),
-              shift_a)
-    _add_mode(sums, kind_b, label_b, _apply(kind_a, label_a, p, shift_a),
-              shift_b, 1 if anti else -1)
-    for q in rhs:
-        for (bos, fer, h), c in q.terms.items():
-            _add_term(ring, sums, (bos, fer, h + 1), c.terms, None, -weight)
+    for (bos, fer, h), c in p.terms.items():
+        c = c.terms
+        # (terms, hbar power, weight) of each part on this monomial
+        parts = [(_composed(ring, a, b, bos, fer), h, 1),
+                 (_composed(ring, b, a, bos, fer, 1 if anti else -1), h, 1)]
+        parts += [([(bos, fer, 0, None, 1, 1)] if mode is None
+                   else _entry(ring, mode, bos, fer), h + 1, -weight)
+                  for mode in rhs]
+        for terms, h2, w1 in parts:
+            for bos2, fer2, dh, factor, w, den in terms:
+                _add_term(ring, sums, (bos2, fer2, h2 + dh), c, factor,
+                          w * w1, den)
     return sums
 
 
@@ -389,21 +372,20 @@ def _holds(p, *relation):
                for acc in _residual(p, *relation).values())
 
 
-def _rhs(name, n, m, p, shift=None):
+def _rhs(name, n, m, shift=None):
     """The closure right-hand side of [L_n, L_m], [L_n, G_m] or {G_n, G_m}
-    (name "LL", "LG" or "GG") on p, as (polynomials, weight): weight hbar
-    times their sum, and ((), 0) when the weight is zero. The L-L and G-G
-    sides are L_t and sum_k :J_k J_(2t-k): + sum_k (t-k) :Gamma_k
-    Gamma_(2t-k):, both kept among p's images, so [L_n, L_m] and [L_m, L_n]
-    read the same objects."""
+    (name "LL", "LG" or "GG") as (modes, weight): weight hbar times the sum
+    of the modes, and ((), 0) when the weight is zero. The L-L and G-G
+    sides are L_t and the tail sum_k :J_k J_(2t-k): + sum_k (t-k) :Gamma_k
+    Gamma_(2t-k):, the L-G side G_s and its odd tail, so [L_n, L_m] and
+    [L_m, L_n] name the same modes."""
     weight = {"LL": 2 * (n - m), "LG": n - 2 * m - 1, "GG": 2}[name]
     if not weight:
         return (), 0
     if name == "LG":
-        return (_apply_G(n + m, p, shift),
-                _compute("odd tail", n + m, p, shift)), weight
+        return (("G", n + m, shift), ("odd tail", n + m, shift)), weight
     t = n + m + (name == "GG")
-    return (_apply_L(t, p, shift), _image("tail", t, p, shift)), weight
+    return (("L", t, shift), ("tail", t, shift)), weight
 
 
 def _closes(name, n, m, p, shift=None):
@@ -411,7 +393,7 @@ def _closes(name, n, m, p, shift=None):
     "GG") equals its closure right-hand side on p."""
     a = ("G" if name == "GG" else "L", n, shift)
     b = ("L" if name == "LL" else "G", m, shift)
-    return _holds(p, a, b, name == "GG", *_rhs(name, n, m, p, shift))
+    return _holds(p, a, b, name == "GG", *_rhs(name, n, m, shift))
 
 
 def check_commutator(relation, a, b, sample):
@@ -424,11 +406,10 @@ def check_commutator(relation, a, b, sample):
     relation 'comm3': [L_2a, L_2b] closure
     relation 'comm4': [L_2a, G_{2b+1}] closure
     relation 'comm5': {G_{2a+1}, G_{2b+1}} closure
+
+    The labels a, and b in a closure, are >= -1.
     """
-    p = sample
     closure = {"comm3": "LL", "comm4": "LG", "comm5": "GG"}.get(relation)
-    if closure is not None:
-        return _closes(closure, a, b, p)
     J, gamma = ("J", 2 * b), ("Gamma", 2 * b - 1)
     # (L or G, linear mode, anti, right-hand-side mode, weight) of each half
     halves = {"comm1": (("L", J, False, ("J", 2 * a + 2 * b), 2 * b),
@@ -436,10 +417,15 @@ def check_commutator(relation, a, b, sample):
               "comm2": (("L", gamma, False, ("Gamma", 2 * a + 2 * b - 1),
                          a + 2 * b - 1),
                         ("G", gamma, True, ("J", 2 * a + 2 * b), -1))}
-    if relation not in halves:
+    if closure is None and relation not in halves:
         raise ValueError(f"unknown relation {relation}")
-    return all(_holds(p, (kind, a, None), (*mode, None), anti,
-                      [_apply(*rhs, p)], weight)
+    if a < -1 or closure and b < -1:
+        raise ValueError(f"{relation} at ({a}, {b}): L and G labels "
+                         "are >= -1")
+    if closure is not None:
+        return _closes(closure, a, b, sample)
+    return all(_holds(sample, (kind, a, None), (*mode, None), anti,
+                      [(*rhs, None)], weight)
                for kind, mode, anti, rhs, weight in halves[relation])
 
 
@@ -450,8 +436,8 @@ def check_heisenberg_clifford(a, b, sample):
     J_a, J_b = ("J", a, None), ("J", b, None)
     gamma_a, gamma_b = ("Gamma", a, None), ("Gamma", b, None)
     delta = int(a + b == 0)
-    return (_holds(p, J_a, J_b, False, [p], a * delta)
-            and _holds(p, gamma_a, gamma_b, True, [p], delta)
+    return (_holds(p, J_a, J_b, False, [None], a * delta)
+            and _holds(p, gamma_a, gamma_b, True, [None], delta)
             and _holds(p, J_a, gamma_b)
             and (a == b or _holds(p, J_b, gamma_a)))
 

@@ -98,10 +98,14 @@ def test_explicit_spec_and_csv_export(tmp_path, capsys):
 
 
 # exact rationals only: a decimal or a zero denominator in a symbol square,
-# a zoo weight or a zoo parameter, as a string or a JSON number
+# a coefficient (rational or symbolic), a zoo weight or a zoo parameter, as
+# a string or a JSON number
 DECIMAL_SPECS = (
     [dict(EXPLICIT_SPEC, symbols=[{"name": "s", "square": square}])
      for square in ("0.5", 1e-1, "1/0")]
+    + [dict(EXPLICIT_SPEC, tau={"3": "1/0"}),
+       dict(EXPLICIT_SPEC, phi={"1,1": "0/0"}),
+       dict(EXPLICIT_SPEC, tau={"3": "1", "5": "-2/0*s"})]
     + [{"zoo": {"name": "ramond", "M_coeffs": [coeff]}, "trunc": 12}
        for coeff in ("0.5", 1.5, "1e-1")]
     + [{"zoo": {"name": "super_jt", "params": {"t": value}}, "trunc": 12}
@@ -552,61 +556,22 @@ def test_verify_algebra_output_is_pinned(capsys, extra, code, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
-def test_verify_algebra_computes_each_image_once(monkeypatch, capsys):
-    # svir._compute computes the image of one polynomial under one mode;
-    # every sample and every probe of the structure checks gets each of
-    # its L and G images once
-    work = Counter()
-    held = []  # keeps each polynomial alive, so that its id stays its own
-
-    def compute(kind, label, p, shift, inner=svir._compute):
-        if kind in ("L", "G"):
-            held.append(p)
-            work[(id(p), kind, label, shift)] += 1
-        return inner(kind, label, p, shift)
-
-    monkeypatch.setattr(svir, "_compute", compute)
-    assert main(["verify-algebra", "--degree", "2", "--mode-range", "1"]) \
-        == 0
-    assert capsys.readouterr().out.count("pass") == 7
-    assert len(work) > 100
-    assert set(work.values()) == {1}
-
-
-def test_verify_algebra_computes_each_closure_tail_once(monkeypatch, capsys):
-    # [L_n, L_m] and [L_m, L_n] (and {G_n, G_m}, {G_m, G_n}) read the same
-    # right-hand side tail, which each polynomial keeps among its images
-    calls = Counter()
-    held = []
-
-    def compute(kind, t, p, shift, inner=svir._compute):
-        if kind == "tail":
-            held.append(p)
-            calls[(id(p), t, shift)] += 1
-        return inner(kind, t, p, shift)
-
-    monkeypatch.setattr(svir, "_compute", compute)
-    assert main(["verify-algebra", "--degree", "2", "--mode-range", "1"]) \
-        == 0
-    assert capsys.readouterr().out.count("pass") == 7
-    assert len(calls) > 10
-    assert set(calls.values()) == {1}
-
-
 def test_verify_algebra_fills_its_mode_tables_afresh(monkeypatch, capsys):
     # the mode tables live on the command's ring and shift data, so each
     # entry is filled once per run, and a second run in the same process
     # fills as many again: a table that outlived the command would leave
-    # the second run less to fill. The L-L and G-G closure tail is kept
-    # among each sample's images, so its entries are filled once too, and
-    # none is stored.
+    # the second run less to fill. Every entry is stored, the closure tails
+    # included: no sample keeps an image, so the tail entry of a monomial
+    # is what [L_n, L_m] and every other closure of the same n + m share.
     runs = []
     held = []  # keeps each table alive, so that its id stays its own
 
-    def tabulate(table, kind, label, bos, fer, shift, inner=svir._tabulate):
+    def tabulate(ring, mode, bos, fer, inner=svir._tabulate):
+        kind, label, shift = mode
+        table = (ring if shift is None else shift).mode_table
         held.append(table)
         runs[-1][(kind, label, bos, fer, id(table))] += 1
-        return inner(table, kind, label, bos, fer, shift)
+        return inner(ring, mode, bos, fer)
 
     monkeypatch.setattr(svir, "_tabulate", tabulate)
     for _ in range(2):
@@ -618,8 +583,7 @@ def test_verify_algebra_fills_its_mode_tables_afresh(monkeypatch, capsys):
     assert first == second > 0
     assert {count for fills in runs for count in fills.values()} == {1}
     stored = {key[0] for table in held for key in table}
-    assert stored == {"J", "Gamma", "L", "G", "odd tail"}
-    assert any(key[0] == "tail" for fills in runs for key in fills)
+    assert stored == {"J", "Gamma", "L", "G", "tail", "odd tail"}
 
 
 def test_verify_algebra_frees_its_ring_without_the_cyclic_collector(
@@ -670,8 +634,8 @@ structure-recombination  FAIL
 
 def test_verify_algebra_reports_each_failing_family(monkeypatch, capsys):
     inner = svir._rhs
-    monkeypatch.setattr(svir, "_rhs", lambda name, n, m, p, shift=None: (
-        ((), 0) if name == "LL" else inner(name, n, m, p, shift)))
+    monkeypatch.setattr(svir, "_rhs", lambda name, n, m, shift=None: (
+        ((), 0) if name == "LL" else inner(name, n, m, shift)))
     assert main(["verify-algebra", "--degree", "2", "--mode-range", "1"]) \
         == EXIT_MISMATCH
     out, err = capsys.readouterr()
@@ -683,7 +647,7 @@ def test_verify_algebra_fails_a_wrong_heisenberg_weight(monkeypatch, capsys):
     # the family runs over a <= b only; a weight of |a| hbar delta for
     # [J_a, J_b] is right on every pair a > b and must still fail
     def wrong(a, b, p):
-        return svir._holds(p, ("J", a, None), ("J", b, None), False, [p],
+        return svir._holds(p, ("J", a, None), ("J", b, None), False, [None],
                            abs(a) * (a + b == 0))
 
     samples = list(cli._algebra_monomials(Ring([]), 2, 1))

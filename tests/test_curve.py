@@ -14,7 +14,8 @@ from superrec.curve import (
 from superrec.scalars import Ring
 from superrec.series import FormalSeries, TruncationError
 from superrec.store import index_bound
-from test_acceptance import irregular_curve
+from test_acceptance import basis_dxi, basis_eta, irregular_curve
+from test_scalars import as_rational
 
 
 RING = Ring([])
@@ -120,7 +121,7 @@ def test_dxi_minus_trivial():
 # Basis getters called below their least index: dxi_plus and eta_plus
 # start at 1, dxi_minus at 1 and eta_minus at 0 (the zero mode)
 BAD_BASIS_INDICES = [("dxi_plus", 0), ("dxi_minus", 0), ("dxi_minus", -3),
-                     ("eta_plus", 0), ("eta_minus", -1), ("dxi", 0)]
+                     ("eta_plus", 0), ("eta_minus", -1)]
 
 
 def test_basis_index_below_range_is_refused():
@@ -184,7 +185,7 @@ def f0_diagonal_oracle(curve):
     z, z1, z2 = sympy.symbols("z z1 z2")
 
     def rational(val):
-        q = val.as_rational()
+        q = as_rational(val)
         return sympy.Rational(q.numerator, q.denominator)
     w = 1 / (z1 - z2) ** 2 + sum(
         rational(v) * z1 ** (k - 1) * z2 ** (l - 1)
@@ -231,11 +232,13 @@ def test_pairing_normalizations(curve):
             expect = RING.zero()
             if k + l == 0:
                 expect = rat(Fraction(1, k))
-            assert pairing_B(bases.dxi(k), bases.dxi(l)) == expect, (k, l)
+            assert pairing_B(basis_dxi(bases, k),
+                             basis_dxi(bases, l)) == expect, (k, l)
     for k in range(-bound, bound + 1):
         for l in range(-bound, bound + 1):
             expect = RING.one() if k + l == 0 else RING.zero()
-            assert pairing_F(bases.eta(k), bases.eta(l)) == expect, (k, l)
+            assert pairing_F(basis_eta(bases, k),
+                             basis_eta(bases, l)) == expect, (k, l)
 
 
 def test_bosonic_projection_property(rng_series=None):

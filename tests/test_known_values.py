@@ -21,6 +21,7 @@ from superrec.curve import CurveData, required_truncation
 from superrec.scalars import Ring
 from superrec.trengine import run_tr
 from superrec.zoo import ZooSpec, zoo_build, zoo_truncation
+from test_scalars import as_rational
 
 RING = Ring([])
 
@@ -120,7 +121,7 @@ def expected_entries(numbers, chi_max):
 def fermion_free(tensor, scale_by_genus):
     """{key: rational value} of the entries without fermions, each divided
     by 2^g when scale_by_genus."""
-    return {key: val.as_rational() / (2 ** key[0] if scale_by_genus else 1)
+    return {key: as_rational(val) / (2 ** key[0] if scale_by_genus else 1)
             for key, val in tensor.entries.items() if not key[2]}
 
 

@@ -11,6 +11,14 @@ from superrec.scalars import (
 from superrec.series import FormalSeries
 
 
+def as_rational(value):
+    """A Scalar without symbols as a Fraction; known values and oracles
+    compare in Fractions."""
+    if set(value.terms) - {()}:
+        raise ValueError(f"not a rational: {value}")
+    return value.terms.get((), Fraction(0))
+
+
 @pytest.fixture
 def ring():
     return Ring([("s", 2), ("im", -1), ("pi2", None)])
@@ -111,6 +119,10 @@ def test_parse_rejects_decimals(ring):
         ring.parse("1e3")
     with pytest.raises(ScalarParseError):
         ring.parse("x + 1")
+    # a zero denominator is a parse error, not an internal one
+    for text in ("1/0", "0/0", "-2/0*s", "1 + 3/0 pi2"):
+        with pytest.raises(ScalarParseError, match="zero denominator"):
+            ring.parse(text)
 
 
 _RING = Ring([("s", 2), ("im", -1), ("pi2", None)])

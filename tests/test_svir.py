@@ -85,11 +85,6 @@ def monomials(max_degree=6, max_index=3, max_bos=3, max_fer=3):
     return out
 
 
-def _fresh(p):
-    """An equal polynomial that holds no images yet."""
-    return FockPoly(p.ring, p.terms)
-
-
 # FockPoly has no arithmetic: the tests add and scale polynomials here, and
 # compare them by their terms
 
@@ -190,7 +185,7 @@ def test_invalid_inputs_raise_under_optimized_python():
 from superrec.airyengine import run_airy
 from superrec.scalars import Ring
 from superrec.svir import FockPoly, ShiftData, apply_mode, check_commutator
-one = FockPoly.one(Ring([]))
+one, zero = FockPoly.one(Ring([])), FockPoly(Ring([]))
 unit = Ring([]).one()
 for make in (lambda: apply_mode("L", 3, one), lambda: apply_mode("G", 2, one),
              lambda: apply_mode("L", -4, one),
@@ -198,6 +193,8 @@ for make in (lambda: apply_mode("L", 3, one), lambda: apply_mode("G", 2, one),
              lambda: apply_mode("Q", 1, one),
              lambda: check_commutator("comm3", -2, 0, one),
              lambda: check_commutator("comm5", 0, -2, one),
+             lambda: check_commutator("comm3", -2, 0, zero),
+             lambda: check_commutator("comm5", 0, -2, zero),
              lambda: FockPoly.monomial(Ring([]), fer=(1, 1)),
              lambda: FockPoly.monomial(Ring([]), bos=(0,)),
              lambda: ShiftData(Ring([]), 2, {3: unit}, {}, {}),
@@ -215,7 +212,7 @@ for make in (lambda: apply_mode("L", 3, one), lambda: apply_mode("G", 2, one),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 12 and all(line.startswith("ValueError: ")
+    assert len(lines) == 14 and all(line.startswith("ValueError: ")
                                    for line in lines), lines
 
 
@@ -454,9 +451,11 @@ def test_support_sums_equal_window_sums(curve):
                 window_G(n, p, shift).terms, ("G", n, p.terms)
             for m in LABELS:
                 for name, window in RHS:
-                    parts, weight = svir._rhs(name, n, m, p, shift)
+                    modes, weight = svir._rhs(name, n, m, shift)
                     got = ref_add(FockPoly(p.ring), *(
-                        ref_scale(ref_times_hbar(q), weight) for q in parts))
+                        ref_scale(ref_times_hbar(svir._compute(*mode[:2], p,
+                                                               mode[2])),
+                                  weight) for mode in modes))
                     assert got.terms == window(n, m, p, shift).terms, \
                         (name, n, m, p.terms)
 
@@ -472,13 +471,13 @@ def test_pairs_apply_only_annihilators_in_support(monkeypatch):
     calls = []
     inner = svir._pair
 
-    def checked(table, kind1, i1, kind2, i2, bos, fer, shift):
+    def checked(ring, kind1, i1, kind2, i2, bos, fer, shift):
         calls.append(1)
         held = {"J": set(bos), "Gamma": set(fer)}
         for kind, index in ((kind1, i1), (kind2, i2)):
             assert index <= 0 or index in held[kind], \
                 (kind1, i1, kind2, i2, bos, fer)
-        return inner(table, kind1, i1, kind2, i2, bos, fer, shift)
+        return inner(ring, kind1, i1, kind2, i2, bos, fer, shift)
 
     monkeypatch.setattr(svir, "_pair", checked)
     for curve in (None, rich_curve(ring=ring)):
@@ -489,7 +488,8 @@ def test_pairs_apply_only_annihilators_in_support(monkeypatch):
                 apply_mode("G", 2 * n + 1, p, shift)
                 for m in LABELS:
                     for name, _ in RHS:
-                        svir._rhs(name, n, m, p, shift)
+                        for mode in svir._rhs(name, n, m, shift)[0]:
+                            svir._compute(*mode[:2], p, mode[2])
     assert calls
 
 
@@ -533,42 +533,51 @@ def test_mode_tables_raise_the_hbar_power(curve):
 def test_closure_right_hand_sides_are_mirrored(curve):
     # verify-algebra checks [L_n, L_m] on n < m and {G_n, G_m} on n <= m
     # only: the residual of [L_m, L_n] is minus that of [L_n, L_m] because
-    # _rhs hands back the same polynomials with the negated weight (and
-    # none on n == m), and {G_n, G_m} is symmetric like its _rhs
+    # _rhs hands back the same modes with the negated weight (and none on
+    # n == m), and {G_n, G_m} is symmetric like its _rhs
     shift = None if curve is None else ShiftData.from_curve(curve)
-    for p in monomials()[::7]:
-        for n in LABELS:
-            assert svir._rhs("LL", n, n, p, shift) == ((), 0)
-            for m in LABELS:
-                for name, sign in (("LL", -1), ("GG", 1)):
-                    parts, weight = svir._rhs(name, n, m, p, shift)
-                    mirror, mirror_weight = svir._rhs(name, m, n, p, shift)
-                    assert mirror_weight == sign * weight, (name, n, m)
-                    assert len(mirror) == len(parts) and all(
-                        a is b for a, b in zip(parts, mirror)), (name, n, m)
+    for n in LABELS:
+        assert svir._rhs("LL", n, n, shift) == ((), 0)
+        for m in LABELS:
+            for name, sign in (("LL", -1), ("GG", 1)):
+                modes, weight = svir._rhs(name, n, m, shift)
+                mirror, mirror_weight = svir._rhs(name, m, n, shift)
+                assert mirror_weight == sign * weight, (name, n, m)
+                assert mirror == modes, (name, n, m)
+                assert all(mode[2] is shift for mode in modes), (name, n, m)
 
 
-# --- each L/G image of a polynomial is computed once --------------------------
+# --- each mode's entries live with the shift data they depend on -------------
 
 MODES = [(kind, 2 * n + (kind == "G")) for n in LABELS for kind in "LG"]
 
 
+def _refilled(shift):
+    """Equal shift data whose mode table is still empty."""
+    return None if shift is None else ShiftData(
+        shift.ring, shift.epsilon, shift.tau, shift.phi, shift.psi)
+
+
 def test_mode_images_are_keyed_by_shift():
     # two different shift objects, both with phi and psi, whose images
-    # differ from each other and from the unshifted ones: an image stored
-    # without its shift would be handed back for the wrong one
+    # differ from each other and from the unshifted ones: each fills the
+    # mode table of its own ShiftData, so an entry filled for one shift is
+    # never read for another, and the ring's table holds plain terms only
     shifts = [None, ShiftData.from_curve(rich_curve()),
               ShiftData.from_curve(irregular_curve())]
     p = ref_add(mono((1, 2), (0, 1)), mono((3,), (2,)))
     for shift in shifts + [None]:
         for kind, label in MODES:
             got = apply_mode(kind, label, p, shift)
-            assert got.terms == apply_mode(kind, label, _fresh(p),
-                                           shift).terms, (kind, label, shift)
-            assert apply_mode(kind, label, p, shift) is got
+            assert got.terms == apply_mode(kind, label, p,
+                                           _refilled(shift)).terms, \
+                (kind, label, shift)
+    assert all(shift.mode_table for shift in shifts[1:])
+    assert all(term[3] is None for entry in RING.mode_table.values()
+               for term in entry)
     distinct = [(kind, label) for kind, label in MODES
-                if len({frozenset(apply_mode(kind, label, _fresh(p),
-                                             shift).terms.items())
+                if len({frozenset(apply_mode(kind, label, p,
+                                             _refilled(shift)).terms.items())
                         for shift in shifts}) == 3]
     assert distinct
 
@@ -609,26 +618,36 @@ def test_mode_images_are_pinned(name):
 
 
 def test_the_zero_polynomial_is_its_own_image():
-    zero = FockPoly(RING)
+    # every mode is linear, so the zero polynomial is its own image and
+    # fills no table entry; on a fresh ring, so that no table is filled yet
+    ring = Ring([])
+    zero = FockPoly(ring)
     plain = [(kind, label) for kind in ("J", "Gamma")
              for label in range(-3, 4)]
-    for shift in (None, ShiftData.from_curve(rich_curve())):
+    shifts = (None, ShiftData.from_curve(rich_curve(ring=ring)))
+    for shift in shifts:
         for kind, label in plain + MODES:
             assert apply_mode(kind, label, zero, shift) is zero, (kind, label)
-        assert all(q is zero for q in svir._rhs("LL", 1, 0, zero, shift)[0])
-    assert zero.images is None
+        assert all(svir._compute(*mode[:2], zero, mode[2]) is zero
+                   for mode in svir._rhs("LL", 1, 0, shift)[0])
+        assert svir._closes("LL", 1, 0, zero, shift)
+    assert not ring.mode_table and not shifts[1].mode_table
     # the labels are still checked first
     for kind, label in (("L", -4), ("G", -3), ("L", 1), ("G", 2), ("Q", 0)):
         with pytest.raises(ValueError):
             apply_mode(kind, label, zero)
+    for relation, a, b in (("comm1", -2, 1), ("comm2", -2, 1),
+                           ("comm3", -2, 0), ("comm4", 0, -2),
+                           ("comm5", 0, -2)):
+        with pytest.raises(ValueError):
+            check_commutator(relation, a, b, zero)
+    assert not ring.mode_table
 
 
 def test_shared_images_are_not_changed_by_their_users():
-    # every caller of a mode gets the one image the polynomial keeps, so
-    # the functions that read images, the relation checks (_holds, through
-    # _closes) and the recombined operators (_hatted), must leave them as
-    # they are: afterwards each image kept by p equals a fresh one, and
-    # none of them keeps images of its own
+    # the relation checks (_holds, through _closes) and the recombined
+    # operators (_hatted) read the terms of the polynomial they are given,
+    # which its other users share, and must leave them as they are
     shift = ShiftData.from_curve(rich_curve())
     p = ref_add(mono((1, 2), (0, 1)), mono((3,), (2,)))
     before = dict(p.terms)
@@ -640,13 +659,6 @@ def test_shared_images_are_not_changed_by_their_users():
         for i in range(1, 4):
             svir._hatted(odd, i, p, shift, 6)
     assert p.terms == before
-
-    assert {kind for kind, _, _ in p.images} == \
-        {"J", "Gamma", "L", "G", "tail"}
-    for (kind, label, key_shift), image in p.images.items():
-        want = svir._compute(kind, label, _fresh(p), key_shift)
-        assert image.terms == want.terms, (kind, label)
-        assert image.images is None, (kind, label)
 
 
 # the closure samples of check_airy_axioms
@@ -671,9 +683,11 @@ def ref_image(kind, label, q, shift):
 @pytest.mark.parametrize("curve", [None, rich_curve()],
                          ids=["unshifted", "rich"])
 def test_composed_residuals_equal_images_of_images(curve):
-    # a relation applies its outer mode to each monomial of the kept inner
-    # image straight into its residual; here A(B(p)) and B(A(p)) are
-    # whole polynomials, built from apply_mode on one monomial at a time
+    # a relation composes the table entries of its two modes on each
+    # monomial of p straight into its residual, and adds each
+    # right-hand-side mode's entry (None: the identity) the same way; here
+    # A(B(p)), B(A(p)) and J_-1(p) are whole polynomials, built from
+    # apply_mode on one monomial at a time
     shift = None if curve is None else ShiftData.from_curve(curve)
     samples = list(_algebra_monomials(RING, 2, 2)) + [
         mono(bos, fer) for bos, fer in CLOSURE_SAMPLES]
@@ -681,43 +695,47 @@ def test_composed_residuals_equal_images_of_images(curve):
     for p in samples:
         for a, b in product(COMPOSED_MODES, repeat=2):
             anti = a[0] in ("Gamma", "G") and b[0] in ("Gamma", "G")
-            sums = svir._residual(p, (*a, shift), (*b, shift), anti, [p], 3)
+            sums = svir._residual(p, (*a, shift), (*b, shift), anti,
+                                  [None, ("J", -1, shift)], 3)
             want = ref_add(
                 ref_image(*a, ref_image(*b, p, shift), shift),
                 ref_scale(ref_image(*b, ref_image(*a, p, shift), shift),
                           1 if anti else -1),
-                ref_scale(ref_times_hbar(p), -3))
+                ref_scale(ref_times_hbar(p), -3),
+                ref_scale(ref_times_hbar(ref_image("J", -1, p, shift)), -3))
             assert finish_each(RING, sums) == want.terms, (a, b, p.terms)
             nonzero += bool(want.terms)
     assert nonzero
 
 
-def test_samples_keep_no_images_of_images():
-    # every family verify-algebra runs, on each degree-2 sample, and every
-    # closure and recombined operator of the structure checks, on their
-    # samples: each sample keeps images, and none of them keeps its own
+def test_relations_build_no_polynomial(monkeypatch):
+    # a relation composes table entries on each monomial of its sample
+    # straight into one raw sum per key, so no check builds a polynomial:
+    # no image, no image of an image and no right-hand side, plain or
+    # shifted
     shift = ShiftData.from_curve(airy_curve())
     span, low = range(-2, 3), range(-1, 3)
-    samples = []
-    for p in _algebra_monomials(RING, 2, 2):
+    samples = list(_algebra_monomials(RING, 2, 2)) + [
+        mono(bos, fer) for bos, fer in CLOSURE_SAMPLES]
+    built = []
+    inner = FockPoly.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(FockPoly, "__init__", counted)
+    for p in samples:
         assert all(check_heisenberg_clifford(a, b, p)
                    for a in span for b in span if a <= b)
         for relation in ("comm1", "comm2", "comm3", "comm4", "comm5"):
             assert all(check_commutator(relation, a, b, p)
                        for a in low for b in low)
-        samples.append(p)
-    for bos, fer in CLOSURE_SAMPLES:
-        p = mono(bos, fer)
-        for n, m in product(range(-1, 2), repeat=2):
-            assert all(svir._closes(name, n, m, p, shift)
-                       for name in ("LL", "LG", "GG"))
-        for odd, i in product((0, 1), range(1, 4)):
-            svir._hatted(odd, i, p, shift, 6)
-        samples.append(p)
-    for p in samples:
-        assert p.images, p.terms
-        for key, image in p.images.items():
-            assert image.images is None, (key, p.terms)
+        for key_shift in (None, shift):
+            assert all(svir._closes(name, n, m, p, key_shift)
+                       for name in ("LL", "LG", "GG")
+                       for n, m in product(low, repeat=2))
+    assert built == []
 
 
 # --- algebra relations --------------------------------------------------------
@@ -742,13 +760,13 @@ def test_heisenberg_clifford_pairs_are_mirrored(a):
         gamma_a, gamma_b = ("Gamma", a, None), ("Gamma", b, None)
         for p in monomials()[::3]:
             for w in (a * delta, a * delta + 1):
-                got = svir._holds(p, J_a, J_b, False, [p], w)
-                assert svir._holds(p, J_b, J_a, False, [p], -w) == got, \
+                got = svir._holds(p, J_a, J_b, False, [None], w)
+                assert svir._holds(p, J_b, J_a, False, [None], -w) == got, \
                     (a, b, w, p.terms)
                 verdicts.add(got)
             for w in (delta, delta - 1):
-                got = svir._holds(p, gamma_a, gamma_b, True, [p], w)
-                assert svir._holds(p, gamma_b, gamma_a, True, [p], w) \
+                got = svir._holds(p, gamma_a, gamma_b, True, [None], w)
+                assert svir._holds(p, gamma_b, gamma_a, True, [None], w) \
                     == got, (a, b, w, p.terms)
                 verdicts.add(got)
     assert verdicts == {True, False}
@@ -756,8 +774,6 @@ def test_heisenberg_clifford_pairs_are_mirrored(a):
 
 @pytest.mark.parametrize("relation", ["comm1", "comm2"])
 def test_linear_commutators(relation):
-    # one sample at a time, so that the L/G images it keeps are shared by
-    # every label and dropped with it
     for p in monomials():
         for n in range(-1, 4):
             for i in range(1, 4):
@@ -767,7 +783,6 @@ def test_linear_commutators(relation):
 
 @pytest.mark.parametrize("relation", ["comm3", "comm4", "comm5"])
 def test_quadratic_commutators(relation):
-    # one sample at a time, as in test_linear_commutators
     for p in monomials():
         for n in range(-1, 4):
             for m in range(-1, 4):
@@ -783,15 +798,15 @@ def test_linear_relations_fail_with_a_wrong_right_hand_side():
     # {G_1, Gamma_1} = -hbar J_2
     one, x2 = mono(), mono(bos=(2,))
     L0, G1 = ("L", 0, None), ("G", 0, None)
-    J2x2 = [svir._apply("J", 2, x2)]
+    J2 = [("J", 2, None)]
     for weight, holds in ((1, True), (2, False)):
         assert svir._holds(one, ("J", 1, None), ("J", -1, None), False,
-                           [one], weight) == holds
+                           [None], weight) == holds
     for weight, holds in ((2, True), (3, False)):
-        assert svir._holds(x2, L0, ("J", 2, None), False, J2x2,
+        assert svir._holds(x2, L0, ("J", 2, None), False, J2,
                            weight) == holds
     for weight, holds in ((-1, True), (1, False)):
-        assert svir._holds(x2, G1, ("Gamma", 1, None), True, J2x2,
+        assert svir._holds(x2, G1, ("Gamma", 1, None), True, J2,
                            weight) == holds
 
 
@@ -800,10 +815,10 @@ class Routed(Exception):
 
 
 def test_checks_look_up_quadratic_modes_when_called(monkeypatch):
-    # the benchmark counts quadratic mode applications by wrapping
-    # svir._apply_L and svir._apply_G, so a check that captured these
-    # functions earlier would go uncounted, and so would an L or G image
-    # computed past them
+    # the benchmark counts quadratic mode images by wrapping svir._apply_L
+    # and svir._apply_G, so a check that captured these functions earlier
+    # would go uncounted, and so would an L or G image computed past them.
+    # The relations build no image: they read table entries only.
     def stand_in(*_args):
         raise Routed
 
@@ -813,12 +828,10 @@ def test_checks_look_up_quadratic_modes_when_called(monkeypatch):
         patch.setattr(svir, "_apply_L", stand_in)
         patch.setattr(svir, "_apply_G", stand_in)
         for relation in ("comm1", "comm2", "comm3", "comm4", "comm5"):
-            with pytest.raises(Routed):
-                check_commutator(relation, 0, 1, p)
+            assert check_commutator(relation, 0, 1, p)
         assert check_heisenberg_clifford(1, -1, p)
         for name in ("LL", "LG", "GG"):
-            with pytest.raises(Routed):
-                svir._closes(name, 0, 1, p, shift)
+            assert svir._closes(name, 0, 1, p, shift)
         for odd in (0, 1):
             with pytest.raises(Routed):
                 svir._hatted(odd, 1, p, shift, 4)

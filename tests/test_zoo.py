@@ -27,6 +27,7 @@ from superrec.store import index_bound
 from superrec.trengine import run_tr
 from superrec.zoo import (ZOO_NAMES, ExpansionError, ZooSpec, zoo_build,
                           zoo_truncation, zoo_validate)
+from test_scalars import as_rational
 
 
 def build(name, trunc=24, **kw):
@@ -139,7 +140,7 @@ def test_ns_sign_flip_law():
     assert set(minus.tau) == set(plus.tau)
     for l, val in plus.tau.items():
         sign = (-1) ** ((l - 3) // 2)
-        assert minus.tau[l] == im * ring.rational(sign * val.as_rational()), l
+        assert minus.tau[l] == im * ring.rational(sign * as_rational(val)), l
 
     for table_p, table_m, rule in (
             (plus.phi, minus.phi, lambda k, l: (-1) ** ((k + l) // 2)),
@@ -148,12 +149,12 @@ def test_ns_sign_flip_law():
         for key, val in table_p.items():
             sign = rule(*key)
             assert table_m[key] == ring.rational(
-                sign * val.as_rational()), key
+                sign * as_rational(val)), key
 
     assert set(minus.psi0) == set(plus.psi0)
     for k, val in plus.psi0.items():
         sign = (-1) ** (k // 2)
-        assert minus.psi0[k] == ring.rational(sign * val.as_rational()), k
+        assert minus.psi0[k] == ring.rational(sign * as_rational(val)), k
 
 
 # --- involution identities --------------------------------------------------------
