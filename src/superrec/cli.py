@@ -424,10 +424,11 @@ def cmd_verify_algebra(args):
         families[relation] = (functools.partial(check_commutator, relation),
                               pairs)
     # Each relation composes the mode-table entries of its modes on each
-    # monomial of the sample straight into its residual (svir._residual),
-    # so it builds no polynomial and no sample keeps an image. The tables
-    # (svir._entry) are the one cache: they live on the ring and the shift
-    # data for the whole command, so every sample and the axioms share them.
+    # monomial of the sample into int weights per key (svir._residual), so
+    # it builds no polynomial, and only a shift-data term or a nonzero
+    # remainder reaches a Scalar raw sum. The tables (svir._entry) are the
+    # one cache: they live on the ring and the shift data for the whole
+    # command, so every sample and the axioms share them.
     passed = dict.fromkeys(families, True)
     for p in _algebra_monomials(ring, args.degree, args.mode_range):
         for name, (checker, pairs) in families.items():

@@ -1,4 +1,4 @@
-"""Local curve data: parameters, basis series, defining forms, pairings.
+"""Local curve data: parameters, basis series, defining forms, fitting.
 
 A curve is given by a leading index epsilon (1 or 3), dilaton-shift
 coefficients tau_l, a symmetric bosonic polarization phi_kl, and fermionic
@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import accumulate
-from .series import FormalSeries, TruncationError, WeightError
+from .series import FormalSeries, TruncationError
 from .store import index_bound
 
 
@@ -237,18 +237,6 @@ class CurveBases:
 def _check_index(name, l, least):
     if l < least:
         raise ValueError(f"{name} needs an index >= {least}, got {l}")
-
-
-def pairing_B(a, b):
-    """Res (antiderivative of a) * b for one-forms a, b."""
-    return (a.integrate() * b).residue()
-
-
-def pairing_F(a, b):
-    """Res a * b for odd-parity weight-0 series a, b."""
-    if a.theta != 1 or b.theta != 1 or a.dz_weight or b.dz_weight:
-        raise WeightError("fermionic pairing needs two odd half-forms")
-    return (a * b).residue()
 
 
 def phi_regular(curve):

@@ -13,31 +13,28 @@ oracle checks a computed coefficient tensor against the constraints.
 
 Every mode acts one monomial at a time, through a table filled on first
 use: the entry (kind, label, bos, fer) holds the mode's terms on
-x^bos theta^fer, and x^bos theta^fer hbar^h reads it and adds h to each
-term's hbar power, since a mode acts alike at every power of hbar. The
-plain modes' table lives on the ring (`Ring.mode_table`), a shifted mode's
-on its ShiftData (`ShiftData.mode_table`), so each table lives exactly as
-long as what its entries depend on; `verify-algebra` builds one ring per
-command, and all its samples share that table. It is the one cache: no
-polynomial keeps an image. A J or Gamma entry keeps each term's int
-weight and denominator apart from any shift-data Scalar. `_composed`
-composes two entries, the inner mode's on the monomial, then the outer
-mode's on each monomial that comes out. A quadratic entry (L, G or a
-closure tail) sums such compositions of J and Gamma entries, only over
-the pair labels whose annihilators find their variable in the monomial,
-so its cost follows the support. A relation is decided the same way: on
-each monomial of the sample, A after B, -+B after A and each right-hand
-side mode go straight into one raw sum per Fock key, so it builds no
-polynomial. `_add_mode` adds a mode on a polynomial into a caller's raw
-sums, and a mode image is those sums finished once.
+x^bos theta^fer, each an int weight and den apart from any shift-data
+Scalar, and x^bos theta^fer hbar^h adds h to each term's hbar power. The
+plain modes' table lives on the ring, a shifted mode's on its ShiftData,
+so each lives exactly as long as what its entries depend on; it is the
+one cache. One composition, `_compose_into`, reads the outer mode's entry
+on each monomial of the inner one's and adds the plain terms as int
+weights per key and den, keeping terms with a shift-data factor apart. A
+quadratic entry sums such compositions of J and Gamma entries over the
+pair labels that act on the monomial; a relation, on each monomial of its
+sample, A after B, -+B after A and its right-hand side. Only a shift-data
+term or a nonzero int remainder reaches a Scalar raw sum (a mode image,
+`_add_mode`, is such sums finished once).
 Heisenberg-Clifford holds on all (a, b) once it holds on every a <= b.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 from fractions import Fraction
 from functools import partial
+from math import lcm
 
 from .scalars import accumulate, add_into, finish, finish_each, mul_into
 from .store import canonical, insert_index, simplex_keys
@@ -182,18 +179,27 @@ def _entry(ring, mode, bos, fer):
     return entry
 
 
-def _composed(ring, outer, inner, bos, fer, sign=1):
-    """The mode outer after the mode inner on x^bos theta^fer, times an int
-    sign, as entry terms, for modes given as (kind, label, shift): the
-    inner mode's entry, then the outer mode's on each monomial that comes
-    out. Weights and dens multiply, hbar powers add, and two shift-data
-    factors multiply (a product that a square relation makes zero drops
-    its term)."""
-    out = []
+def _compose_into(ring, plain, factored, outer, inner, bos, fer, weight, h=0):
+    """Add weight times the mode outer after the mode inner (each (kind,
+    label, shift)) on x^bos theta^fer hbar^h: the inner entry, then the
+    outer entry on each monomial. A plain term adds its int weight to
+    plain[key][den] (plain is a defaultdict(dict)), a term with a shift-data
+    factor goes onto factored as (key, factor, weight, den); two factors
+    multiply, and a product that a square relation makes zero drops it."""
+    kind, label, shift = outer
+    table = (ring if shift is None else shift).mode_table
     for bos2, fer2, dh, f1, w1, d1 in _entry(ring, inner, bos, fer):
-        w1 *= sign
-        for bos3, fer3, dh2, f2, w2, d2 in _entry(ring, outer, bos2, fer2):
+        w1 *= weight
+        entry = table.get((kind, label, bos2, fer2))
+        if entry is None:
+            entry = _entry(ring, outer, bos2, fer2)
+        for bos3, fer3, dh2, f2, w2, d2 in entry:
+            key = bos3, fer3, h + dh + dh2
             if f2 is None:
+                if f1 is None:
+                    dens = plain[key]
+                    dens[d1 * d2] = dens.get(d1 * d2, 0) + w1 * w2
+                    continue
                 f2 = f1
             elif f1 is not None:
                 acc = {}
@@ -201,20 +207,33 @@ def _composed(ring, outer, inner, bos, fer, sign=1):
                 if (f2 := finish(ring, acc)) is None:
                     continue
                 f2 = f2.terms
-            out.append((bos3, fer3, dh + dh2, f2, w1 * w2, d1 * d2))
-    return out
+            factored.append((key, f2, w1 * w2, d1 * d2))
 
 
-def _pair(ring, kind1, i1, kind2, i2, bos, fer, shift):
-    """The normal-ordered product :A_i1 B_i2: on x^bos theta^fer, as entry
-    terms (see `_composed`). The annihilator-left/creator-right case is
-    reordered (with a sign for two odd modes); in every other case the
-    written order already equals the normal-ordered operator."""
+def _merged(plain):
+    """(key, None, weight, den), a factored term with no factor, for each
+    key of plain whose int weights do not cancel over the lcm of its dens."""
+    for key, dens in plain.items():
+        if len(dens) == 1:
+            (den, weight), = dens.items()
+        else:
+            den = lcm(*dens)
+            weight = sum(w * (den // d) for d, w in dens.items())
+        if weight:
+            yield key, None, weight, den
+
+
+def _pair(ring, plain, factored, kind1, i1, kind2, i2, bos, fer, shift,
+          weight):
+    """Add weight times :A_i1 B_i2: on x^bos theta^fer into plain and
+    factored (see `_compose_into`): an annihilator left of a creator is
+    reordered (with a sign for two odd modes), any other order is normal."""
     a, b = (kind1, i1, shift), (kind2, i2, shift)
     if i1 > 0 and i2 < 0:
-        return _composed(ring, b, a, bos, fer,
-                         -1 if kind1 == kind2 == "Gamma" else 1)
-    return _composed(ring, a, b, bos, fer)
+        _compose_into(ring, plain, factored, b, a, bos, fer,
+                      -weight if kind1 == kind2 == "Gamma" else weight)
+    else:
+        _compose_into(ring, plain, factored, a, b, bos, fer, weight)
 
 
 def _tabulate(ring, mode, bos, fer):
@@ -225,12 +244,11 @@ def _tabulate(ring, mode, bos, fer):
     table holds no J row 0.
 
     A quadratic mode ("L", "G" or a tail; L_2n and G_(2m+1) have labels n
-    and m) is composed from J and Gamma entries (see `_pair`), and its
-    plain terms of one monomial and den are merged into one int weight. It
-    sums only the pair labels that act on the monomial: `_pair` applies a
-    positive mode before any creator, so those are the labels whose
-    positive mode holds one of the monomial's variables, and total <= k <=
-    0, where neither mode is positive."""
+    and m) is composed from J and Gamma entries (see `_pair`), with one
+    plain term per monomial (see `_merged`). It sums only the pair labels
+    that act on the monomial: `_pair` applies a positive mode before any
+    creator, so those are the labels whose positive mode holds one of the
+    monomial's variables, and total <= k <= 0, where neither is positive."""
     kind, label, shift = mode
     if kind in ("J", "Gamma"):
         entry = _plain_terms(kind, label, bos, fer)
@@ -244,9 +262,9 @@ def _tabulate(ring, mode, bos, fer):
     odd, den, families = _PAIRS[kind]
     total = 2 * label + odd
     held = {"J": bos, "Gamma": fer}  # the variables it holds
-    plain, entry = {}, []
+    plain, factored = defaultdict(dict), []
     if kind == "L" and label == 0:
-        plain[bos, fer, 1, 4] = 1
+        plain[bos, fer, 1][2] = 1  # hbar / 4, before the common den 2
     for kind1, kind2, weigh in families:
         held1, held2 = held[kind1], held[kind2]
         for k in sorted({*range(total, 1), *held1,
@@ -254,21 +272,13 @@ def _tabulate(ring, mode, bos, fer):
             # a positive mode needs its variable, J_0 is zero, and
             # creators and Gamma_0 act on anything
             k2 = total - k
-            if not ((k in held1 if k > 0 else k or kind1 == "Gamma")
+            if ((k in held1 if k > 0 else k or kind1 == "Gamma")
                     and (k2 in held2 if k2 > 0 else k2 or kind2 == "Gamma")
                     and (w := weigh(label, k))):
-                continue
-            for bos2, fer2, dh, factor, weight, d in _pair(
-                    ring, kind1, k, kind2, k2, bos, fer, shift):
-                if factor is None:
-                    key = bos2, fer2, dh, d * den
-                    plain[key] = plain.get(key, 0) + weight * w
-                else:
-                    entry.append((bos2, fer2, dh, factor, weight * w,
-                                  d * den))
-    entry += [(*key[:3], None, weight, key[3])
-              for key, weight in plain.items() if weight]
-    return tuple(entry)
+                _pair(ring, plain, factored, kind1, k, kind2, k2, bos, fer,
+                      shift, w)
+    return tuple((*key, factor, weight, d * den)
+                 for key, factor, weight, d in [*factored, *_merged(plain)])
 
 
 def _add_term(ring, sums, key, c, factor=None, weight=1, den=1):
@@ -346,23 +356,28 @@ def apply_mode(kind, label, p, shift=None):
 
 def _residual(p, a, b, anti=False, rhs=(), weight=0):
     """The raw sums per key of [A, B] ({A, B} when anti) minus weight hbar
-    times the sum of the modes rhs on p, for modes given as (kind, label,
-    shift) and None for the identity: each monomial of p adds the terms of
-    A after B, of -+B after A (see `_composed`) and of each right-hand-side
-    mode, with its hbar power raised by one."""
+    times the sum of the modes rhs on p, for modes (kind, label, shift) and
+    None for the identity: on each monomial of p, A after B, -+B after A
+    (see `_compose_into`) and each right-hand-side entry. Only factored
+    terms and plain keys that do not cancel (`_merged`) reach a raw sum."""
     ring, sums = p.ring, {}
     for (bos, fer, h), c in p.terms.items():
-        c = c.terms
-        # (terms, hbar power, weight) of each part on this monomial
-        parts = [(_composed(ring, a, b, bos, fer), h, 1),
-                 (_composed(ring, b, a, bos, fer, 1 if anti else -1), h, 1)]
-        parts += [([(bos, fer, 0, None, 1, 1)] if mode is None
-                   else _entry(ring, mode, bos, fer), h + 1, -weight)
-                  for mode in rhs]
-        for terms, h2, w1 in parts:
-            for bos2, fer2, dh, factor, w, den in terms:
-                _add_term(ring, sums, (bos2, fer2, h2 + dh), c, factor,
-                          w * w1, den)
+        plain, factored = defaultdict(dict), []
+        _compose_into(ring, plain, factored, a, b, bos, fer, 1, h)
+        _compose_into(ring, plain, factored, b, a, bos, fer,
+                      1 if anti else -1, h)
+        for mode in rhs:
+            for bos2, fer2, dh, factor, w, d in (
+                    [(bos, fer, 0, None, 1, 1)] if mode is None
+                    else _entry(ring, mode, bos, fer)):
+                key, w = (bos2, fer2, h + 1 + dh), -weight * w
+                if factor is None:
+                    dens = plain[key]
+                    dens[d] = dens.get(d, 0) + w
+                else:
+                    factored.append((key, factor, w, d))
+        for key, factor, w, d in [*factored, *_merged(plain)]:
+            _add_term(ring, sums, key, c.terms, factor, w, d)
     return sums
 
 

@@ -17,7 +17,7 @@ from itertools import combinations, combinations_with_replacement, \
 import pytest
 
 from superrec.airyengine import run_airy, run_bosonic
-from superrec.curve import CurveBases, CurveData, pairing_B, pairing_F
+from superrec.curve import CurveBases, CurveData
 from superrec.scalars import Ring
 from superrec.series import FormalSeries
 from superrec.store import index_bound
@@ -26,6 +26,8 @@ from superrec.svir import (FockPoly, ShiftData, annihilation_report,
                            check_heisenberg_clifford)
 from superrec.trengine import TrSolver, run_tr
 from superrec.zoo import ZooSpec, zoo_build, zoo_validate
+from test_curve import (basis_dxi, basis_eta, irregular_curve, pairing_B,
+                        pairing_F)
 
 RING = Ring([])
 
@@ -44,18 +46,6 @@ def report(number, failures, detail):
         str(f) for f in failures[:10])
 
 
-def basis_dxi(bases, l):
-    """The bosonic basis one-form of the pairings: dxi_plus(l) for l > 0,
-    dxi_minus(-l) for l < 0."""
-    return bases.dxi_plus(l) if l > 0 else bases.dxi_minus(-l)
-
-
-def basis_eta(bases, l):
-    """The fermionic basis series of the pairings: eta_plus(l) for l > 0,
-    eta_minus(-l) for l <= 0 (eta_minus(0) is the zero mode)."""
-    return bases.eta_plus(l) if l > 0 else bases.eta_minus(-l)
-
-
 # --- shared curves and cached engine runs -----------------------------------
 
 
@@ -70,16 +60,6 @@ def rich_curve(trunc=30):
         {(1, 1): rat("1/2"), (1, 2): rat(-3), (2, 2): rat("1/5")},
         {1: rat(2), 2: rat("-1/3")},
         {(1, 2): rat("1/7"), (2, 3): rat(4)},
-        trunc)
-
-
-def irregular_curve(trunc=30):
-    return CurveData(
-        RING, 1,
-        {1: rat(1), 2: rat("1/2"), 3: rat("-1/3")},
-        {(1, 1): rat(1), (1, 3): rat("2/7")},
-        {1: rat("-1/2"), 3: rat(1)},
-        {(1, 2): rat(3)},
         trunc)
 
 

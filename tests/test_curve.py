@@ -9,12 +9,10 @@ import sympy
 import superrec
 from superrec.curve import (
     AdmissibilityError, CurveBases, CurveData, InconsistentPolarization,
-    ShapeError, fit_parameters, pairing_B, pairing_F, phi_regular,
-    psi_regular)
+    ShapeError, fit_parameters, phi_regular, psi_regular)
 from superrec.scalars import Ring
-from superrec.series import FormalSeries, TruncationError
+from superrec.series import FormalSeries, TruncationError, WeightError
 from superrec.store import index_bound
-from test_acceptance import basis_dxi, basis_eta, irregular_curve
 from test_scalars import as_rational
 
 
@@ -38,6 +36,43 @@ def rich_curve(trunc=24):
         {1: rat(2), 2: rat("-1/3")},
         {(1, 2): rat("1/7"), (2, 3): rat(4)},
         trunc)
+
+
+def irregular_curve(trunc=30):
+    return CurveData(
+        RING, 1,
+        {1: rat(1), 2: rat("1/2"), 3: rat("-1/3")},
+        {(1, 1): rat(1), (1, 3): rat("2/7")},
+        {1: rat("-1/2"), 3: rat(1)},
+        {(1, 2): rat(3)},
+        trunc)
+
+
+# --- the residue pairings, the oracle of the basis and projection tests ------
+
+
+def pairing_B(a, b):
+    """Res (antiderivative of a) * b for one-forms a, b."""
+    return (a.integrate() * b).residue()
+
+
+def pairing_F(a, b):
+    """Res a * b for odd-parity weight-0 series a, b."""
+    if a.theta != 1 or b.theta != 1 or a.dz_weight or b.dz_weight:
+        raise WeightError("fermionic pairing needs two odd half-forms")
+    return (a * b).residue()
+
+
+def basis_dxi(bases, l):
+    """The bosonic basis one-form of the pairings: dxi_plus(l) for l > 0,
+    dxi_minus(-l) for l < 0."""
+    return bases.dxi_plus(l) if l > 0 else bases.dxi_minus(-l)
+
+
+def basis_eta(bases, l):
+    """The fermionic basis series of the pairings: eta_plus(l) for l > 0,
+    eta_minus(-l) for l <= 0 (eta_minus(0) is the zero mode)."""
+    return bases.eta_plus(l) if l > 0 else bases.eta_minus(-l)
 
 
 def test_admissibility():

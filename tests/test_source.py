@@ -114,8 +114,10 @@ UNREAD_PUBLIC = {
         "perfbench: counted as airyengine.coeff_calls",
     "cli.document_entries":
         "perfbench: reads the entries of a result document back",
-    "curve.pairing_B": "test oracle: the bosonic bilinear pairing",
-    "curve.pairing_F": "test oracle: the fermionic bilinear pairing",
+    "series.FormalSeries.integrate":
+        "test oracle: the bosonic residue pairing of the curve tests",
+    "series.FormalSeries.residue":
+        "test oracle: the residue pairings of the curve tests",
     "series.FormalSeries.sigma":
         "perfbench: counted as series.sigma_calls",
     "svir.annihilation_report":

@@ -15,8 +15,8 @@ from superrec.store import (
     StabilityError, UnsolvedEntry, deficit, distinct_splits, index_bound,
     iter_partitions, slot_ranges)
 from superrec.trengine import TrSolver
-from test_acceptance import (airy_curve, irregular_curve, random_curve,
-                             rich_curve)
+from test_acceptance import airy_curve, random_curve, rich_curve
+from test_curve import irregular_curve
 
 
 RING = Ring([])

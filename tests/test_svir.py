@@ -471,13 +471,15 @@ def test_pairs_apply_only_annihilators_in_support(monkeypatch):
     calls = []
     inner = svir._pair
 
-    def checked(ring, kind1, i1, kind2, i2, bos, fer, shift):
+    def checked(ring, plain, factored, kind1, i1, kind2, i2, bos, fer, shift,
+                weight):
         calls.append(1)
         held = {"J": set(bos), "Gamma": set(fer)}
         for kind, index in ((kind1, i1), (kind2, i2)):
             assert index <= 0 or index in held[kind], \
                 (kind1, i1, kind2, i2, bos, fer)
-        return inner(ring, kind1, i1, kind2, i2, bos, fer, shift)
+        inner(ring, plain, factored, kind1, i1, kind2, i2, bos, fer, shift,
+              weight)
 
     monkeypatch.setattr(svir, "_pair", checked)
     for curve in (None, rich_curve(ring=ring)):
@@ -736,6 +738,41 @@ def test_relations_build_no_polynomial(monkeypatch):
                        for name in ("LL", "LG", "GG")
                        for n, m in product(low, repeat=2))
     assert built == []
+
+
+def test_plain_relations_that_hold_reach_no_scalar(monkeypatch):
+    # a relation adds its composed terms as int weights per key and den,
+    # and only a key whose weights do not cancel reaches a raw sum
+    # (svir._add_term): a plain relation that holds adds nothing there,
+    # and one that fails adds its remainder. The samples are on a fresh
+    # ring, so that its mode table holds only what these checks fill.
+    ring = Ring([])
+    span, low = range(-2, 3), range(-1, 3)
+    adds = []
+    inner = svir._add_term
+
+    def counted(*args):
+        adds.append(1)
+        inner(*args)
+
+    monkeypatch.setattr(svir, "_add_term", counted)
+    for p in _algebra_monomials(ring, 2, 2):
+        assert all(check_heisenberg_clifford(a, b, p)
+                   for a in span for b in span if a <= b)
+        for relation in ("comm1", "comm2", "comm3", "comm4", "comm5"):
+            assert all(check_commutator(relation, a, b, p)
+                       for a in low for b in low)
+    assert adds == []
+    assert not svir._holds(FockPoly.one(ring), ("J", 1, None),
+                           ("J", -1, None), False, [None], 2)
+    assert adds
+    # each plain quadratic entry holds one plain term per monomial
+    quadratic = [entry for (kind, *_), entry in ring.mode_table.items()
+                 if kind not in ("J", "Gamma")]
+    assert quadratic
+    for entry in quadratic:
+        monomials = [term[:3] for term in entry if term[3] is None]
+        assert len(monomials) == len(set(monomials)), entry
 
 
 # --- algebra relations --------------------------------------------------------
