@@ -26,10 +26,6 @@ from .store import (LazyTensor, UnsolvedEntry, deficit, distinct_splits,
                     insert_index, iter_partitions, slot_ranges)
 
 
-class SingularLeading(Exception):
-    pass
-
-
 class ConstraintCoeffs:
     """Tables C^{bb}, C^{ff}, C^{bf}, D derived from curve parameters.
 
@@ -142,10 +138,7 @@ class AirySolver(LazyTensor):
         self.dilaton = sorted(
             (p, tau_p if p % 2 else -tau_p)
             for p, tau_p in curve.tau.items() if p != self.epsilon)
-        self.tau_eps = curve.tau.get(self.epsilon)
-        if not self.tau_eps:
-            raise SingularLeading("leading dilaton-shift coefficient is zero")
-        self.inv_tau_eps = self.tau_eps.invert()
+        self.inv_tau_eps = curve.tau[self.epsilon].invert()
         self.coeffs = ConstraintCoeffs(curve)
 
     # --- quadratic combinations -------------------------------------------

@@ -31,7 +31,8 @@ class AdmissibilityError(Exception):
 class CurveData:
     """Curve parameters to truncation trunc. Data fitted from a truncated
     expansion is exact only through polarization index `resolved`; exact
-    data has resolved None."""
+    data has resolved None. Once validated, phi and psi are completed into
+    `phi_table` and `psi_table`; a CurveData is never changed after."""
 
     def __init__(self, ring, epsilon, tau, phi, psi0, psiA, trunc,
                  resolved=None):
@@ -56,6 +57,21 @@ class CurveData:
         self.trunc = trunc
         self.resolved = resolved
         self.validate()
+        self.zero = ring.zero()
+        self.phi_table = {key: v for (k, l), v in self.phi.items()
+                          for key in ((k, l), (l, k))}
+        # every nonzero psi_kl by the pairing constraints: psi_00 = 0,
+        # psi_0k = -psi_k0 = psi0_k, psi_kk = -psi0_k^2 / 2, and for
+        # 1 <= k < l, psi_kl = psiA_kl and psi_lk = -psiA_kl - psi0_k psi0_l
+        minus_half = ring.rational(Fraction(-1, 2))
+        psi = {}
+        for k, v in self.psi0.items():
+            psi.update({(0, k): v, (k, 0): -v, (k, k): minus_half * v * v})
+            psi.update({(l, k): -(v * w) for l, w in self.psi0.items()
+                        if k < l})
+        for (k, l), v in self.psiA.items():
+            psi[(k, l)], psi[(l, k)] = v, psi.get((l, k), self.zero) - v
+        self.psi_table = {key: v for key, v in psi.items() if v}
 
     def validate(self):
         if self.epsilon not in (1, 3):
@@ -101,48 +117,14 @@ class CurveData:
 
     def phi_at(self, k, l):
         """phi_kl, zero unless k, l >= 1 and within the curve's data."""
-        if k > l:
-            k, l = l, k
-        return self.phi.get((k, l), self.ring.zero())
+        return self.phi_table.get((k, l), self.zero)
 
     def psi_at(self, k, l):
-        """psi_kl, zero at a negative index and past the curve's data.
-
-        The pairing constraints fix every entry from psi0 and psiA:
-        psi_00 = 0, psi_0k = -psi_k0 = psi0_k, psi_kk = -psi0_k^2 / 2, and
-        for 1 <= k < l, psi_kl = psiA_kl and psi_lk = -psiA_kl - psi0_k
-        psi0_l.
-        """
-        zero = self.ring.zero()
-        if k < 0 or l < 0:
-            return zero
-        psi0 = self.psi0
-        if not k or not l:
-            val = psi0.get(k or l)
-            if val is None:
-                return zero
-            return -val if l == 0 else val
-        if k == l:
-            val = psi0.get(k)
-            if val is None:
-                return zero
-            return -self.ring.rational(Fraction(1, 2)) * val * val
-        if k < l:
-            return self.psiA.get((k, l), zero)
-        out = -self.psiA.get((l, k), zero)
-        if k in psi0 and l in psi0:
-            out = out - psi0[l] * psi0[k]
-        return out
+        """psi_kl, zero at a negative index and past the curve's data."""
+        return self.psi_table.get((k, l), self.zero)
 
     def max_polarization_index(self):
-        out = 0
-        for k, l in self.phi:
-            out = max(out, l)
-        for k in self.psi0:
-            out = max(out, k)
-        for k, l in self.psiA:
-            out = max(out, l)
-        return out
+        return max(map(max, [*self.phi_table, *self.psi_table]), default=0)
 
 
 def required_truncation(epsilon, chi_max):
@@ -165,9 +147,6 @@ class CurveBases:
         self._dxi_minus = {}
         self._eta_minus = {}
 
-        self.omega01 = FormalSeries(
-            ring, {l - 1: v for l, v in curve.tau.items()}, self.trunc, 1, 0,
-            min_exp=0)
         self.delta_omega = FormalSeries(
             ring, {l - 1: 2 * v for l, v in curve.tau.items() if l % 2},
             self.trunc, 1, 0, min_exp=epsilon - 1)
@@ -184,7 +163,7 @@ class CurveBases:
         # regular z1^(k-1) z2^(l-1) gives (-1)^l, and a fermionic regular
         # z1^(k-2) z2^(l-2) gives -(k-2)((-1)^k + (-1)^l)/2.
         coeffs = {-2: ring.rational(Fraction(-1, 2))}
-        for (k, l), val in phi_regular(curve).items():
+        for (k, l), val in curve.phi_table.items():
             if k + l - 2 <= self.trunc:
                 accumulate(coeffs, k + l - 2, -val if l % 2 else val)
         for (k, l), val in psi_regular(curve).items():
@@ -204,10 +183,9 @@ class CurveBases:
         if l not in self._dxi_minus:
             coeffs = {-l - 1: self.ring.one()}
             inv_l = self.ring.rational(Fraction(1, l))
-            for m in range(1, self.curve.max_polarization_index() + 1):
-                val = self.curve.phi_at(l, m) * inv_l
-                if val:
-                    accumulate(coeffs, m - 1, val)
+            for (k, m), val in self.curve.phi_table.items():
+                if k == l:
+                    accumulate(coeffs, m - 1, val * inv_l)
             self._dxi_minus[l] = FormalSeries(
                 self.ring, coeffs, self.trunc, 1, 0, min_exp=-l - 1)
         return self._dxi_minus[l]
@@ -221,9 +199,8 @@ class CurveBases:
         _check_index("eta_minus", l, 0)
         if l not in self._eta_minus:
             coeffs = {-l - 1: self.ring.one()}
-            for k in range(0, self.curve.max_polarization_index() + 1):
-                val = self.curve.psi_at(l, k)
-                if val:
+            for (j, k), val in self.curve.psi_table.items():
+                if j == l:
                     accumulate(coeffs, k - 1, val)
             self._eta_minus[l] = FormalSeries(
                 self.ring, coeffs, self.trunc, 0, 1, min_exp=-l - 1)
@@ -239,32 +216,20 @@ def _check_index(name, l, least):
         raise ValueError(f"{name} needs an index >= {least}, got {l}")
 
 
-def phi_regular(curve):
-    """Regular part of omega_{0,2}: (k, l) -> phi_kl, the coefficient of
-    z1^(k-1) z2^(l-1) dz1 dz2 once the double pole dz1 dz2/(z1-z2)^2 is
-    removed (symmetric)."""
-    out = {}
-    for (k, l), v in curve.phi.items():
-        out[(k, l)] = out[(l, k)] = v
-    return out
-
-
 def psi_regular(curve):
     """Regular part of omega_{0,0|2}: (l, k) -> the coefficient of
     z1^(l-1) z2^(k-1) T1 T2/(z1 z2) once the singular part
     -1/2 (z1+z2)/(z1-z2) T1 T2/(z1 z2) is removed (antisymmetric):
     -(psi_{k-1,l-1} - psi_{l-1,k-1}) / (2 (1 + delta_{(k-1)(l-1),0}))."""
-    top = curve.max_polarization_index() + 1
     psi_at = curve.psi_at
     quarter, half = (curve.ring.rational(Fraction(-1, d)) for d in (4, 2))
     out = {}
-    for l in range(1, top):
-        weight = quarter if l == 1 else half
-        for k in range(l + 1, top + 1):
-            val = (psi_at(k - 1, l - 1) - psi_at(l - 1, k - 1)) * weight
+    for a, b in sorted({tuple(sorted(key)) for key in curve.psi_table}):
+        if a < b:
+            val = (psi_at(b, a) - psi_at(a, b)) * (quarter if a == 0 else half)
             if val:
-                out[(l, k)] = val
-                out[(k, l)] = -val
+                out[(a + 1, b + 1)] = val
+                out[(b + 1, a + 1)] = -val
     return out
 
 

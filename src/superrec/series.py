@@ -179,20 +179,6 @@ class FormalSeries:
         return _series(self.ring, coeffs, self.trunc - 1,
                        self.dz_weight + 1, self.theta, self.min_exp - 1)
 
-    def integrate(self):
-        """Antiderivative with zero constant term; removes one dz."""
-        if self.dz_weight < 1:
-            raise WeightError("integrating a series without a dz factor")
-        coeffs = {}
-        for k, c in self.coeffs.items():
-            if k == -1:
-                if c:
-                    raise WeightError("nonzero residue has no antiderivative")
-                continue
-            coeffs[k + 1] = c * Fraction(1, k + 1)
-        return FormalSeries(self.ring, coeffs, self.trunc + 1,
-                            self.dz_weight - 1, self.theta, self.min_exp + 1)
-
     def invert(self):
         """Multiplicative inverse up to truncation; weight negated.
 
@@ -224,17 +210,6 @@ class FormalSeries:
                 b[n] = -(inv_lead * total)
         return _series(self.ring, {n - lead: c for n, c in b.items()},
                        self.trunc - 2 * lead, -self.dz_weight, 0, -lead)
-
-    def residue(self):
-        """Coefficient of z^-1 dz; requires a plain one-form."""
-        if self.dz_weight != 1 or self.theta != 0:
-            raise WeightError(
-                f"residue needs dz-weight 1, parity 0; got "
-                f"{self.dz_weight}, {self.theta}")
-        if -1 > self.trunc:
-            raise TruncationError("residue coefficient not resolved")
-        c = self.coeffs.get(-1)
-        return self.ring.zero() if c is None else c
 
     # --- misc ------------------------------------------------------------
 

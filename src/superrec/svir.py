@@ -113,10 +113,8 @@ class ShiftData:
 
     @classmethod
     def from_curve(cls, curve):
-        span = range(curve.max_polarization_index() + 1)
-        phi = {(i, k): curve.phi_at(i, k) for i in span for k in span}
-        psi = {(k, i): curve.psi_at(k, i) for k in span for i in span}
-        return cls(curve.ring, curve.epsilon, dict(curve.tau), phi, psi)
+        return cls(curve.ring, curve.epsilon, curve.tau, curve.phi_table,
+                   curve.psi_table)
 
 
 # --- modes on one monomial ---------------------------------------------------

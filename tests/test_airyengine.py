@@ -22,6 +22,7 @@ from superrec.series import FormalSeries
 from superrec.store import UnsolvedEntry, index_bound
 from superrec.trengine import run_tr
 from superrec.zoo import ZooSpec, zoo_build
+from oracles import residue
 
 RING = Ring([])
 
@@ -76,7 +77,7 @@ def kernel(bases, c, theta):
 def hat_c_bb(bases, c, j, k):
     a, b = dxi_of(bases, j), dxi_of(bases, k)
     prod = a * b.sigma() + a.sigma() * b
-    return -(kernel(bases, c, 0) * prod).residue() \
+    return -residue(kernel(bases, c, 0) * prod) \
         * RING.rational(Fraction(1, 2))
 
 
@@ -84,7 +85,7 @@ def hat_c_ff(bases, c, j, k):
     def half_term(u, v):
         du = u.derive()
         prod = du * v.sigma() + du.sigma() * v
-        return -(kernel(bases, c, 0) * prod).residue() \
+        return -residue(kernel(bases, c, 0) * prod) \
             * RING.rational(Fraction(1, 4))
     a, b = eta_of(bases, j), eta_of(bases, k)
     return half_term(a, b) - half_term(b, a)
@@ -93,12 +94,12 @@ def hat_c_ff(bases, c, j, k):
 def hat_c_bf(bases, c, j, k):
     a, b = dxi_of(bases, j), eta_of(bases, k)
     prod = a * b.sigma() + a.sigma() * b
-    return -(kernel(bases, c, 1) * prod).residue() \
+    return -residue(kernel(bases, c, 1) * prod) \
         * RING.rational(Fraction(1, 2))
 
 
 def hat_d(bases, c):
-    return -(kernel(bases, c, 0) * bases.f0_diagonal).residue() \
+    return -residue(kernel(bases, c, 0) * bases.f0_diagonal) \
         * RING.rational(Fraction(1, 2))
 
 

@@ -10,6 +10,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -25,7 +26,8 @@ from superrec.cli import (EXIT_INTERNAL, EXIT_MISMATCH, EXIT_PARSE,
                           document_entries, load_spec_document, main)
 from superrec.scalars import Ring
 from superrec.series import TruncationError
-from superrec.trengine import run_tr
+from superrec.trengine import BothRoutesDisagree, TrSolver, run_tr
+from superrec.zoo import ZooSpec, zoo_build
 
 EXPLICIT_SPEC = {
     "epsilon": 3,
@@ -399,6 +401,30 @@ def test_internal_error_prints_its_traceback(monkeypatch, capsys):
     assert "internal error: RuntimeError: deliberate fault" in err
     assert "Traceback (most recent call last)" in err
     assert "in broken" in err
+
+
+def test_route_disagreement_names_its_entry(monkeypatch, capsys):
+    # the residue engine solves each entry with both slot kinds on both
+    # routes; a fermionic route that is off on one such nonzero entry must
+    # stop the run with the entry's key, and the CLI report it as an
+    # internal error with its traceback
+    key = (0, (1,), (0, 2))
+    honest = TrSolver.fermionic_value
+
+    def skewed(self, g, J, fer):
+        val = honest(self, g, J, fer)
+        return val + self.ring.one() if (g, J, fer) == key else val
+    monkeypatch.setattr(TrSolver, "fermionic_value", skewed)
+    curve = zoo_build(ZooSpec("airy", trunc=20))
+    with pytest.raises(BothRoutesDisagree,
+                       match=re.escape("g=0, (1,)|(0, 2)")):
+        run_tr(curve, 4)
+    assert main(["compute", "--curve", "airy", "--chi-max", "4",
+                 "--engine", "tr"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "internal error: BothRoutesDisagree: entry g=0, (1,)|(0, 2)" \
+        in err
 
 
 def test_engine_mismatch_exit_code(tmp_path, monkeypatch, capsys):

@@ -9,10 +9,11 @@ import sympy
 import superrec
 from superrec.curve import (
     AdmissibilityError, CurveBases, CurveData, InconsistentPolarization,
-    ShapeError, fit_parameters, phi_regular, psi_regular)
+    ShapeError, fit_parameters, psi_regular)
 from superrec.scalars import Ring
 from superrec.series import FormalSeries, TruncationError, WeightError
 from superrec.store import index_bound
+from oracles import integrate, omega01, residue
 from test_scalars import as_rational
 
 
@@ -53,14 +54,14 @@ def irregular_curve(trunc=30):
 
 def pairing_B(a, b):
     """Res (antiderivative of a) * b for one-forms a, b."""
-    return (a.integrate() * b).residue()
+    return residue(integrate(a) * b)
 
 
 def pairing_F(a, b):
     """Res a * b for odd-parity weight-0 series a, b."""
     if a.theta != 1 or b.theta != 1 or a.dz_weight or b.dz_weight:
         raise WeightError("fermionic pairing needs two odd half-forms")
-    return (a * b).residue()
+    return residue(a * b)
 
 
 def basis_dxi(bases, l):
@@ -201,12 +202,12 @@ def literals(table):
 
 
 def test_regular_tables_are_pinned():
-    assert literals(phi_regular(rich_curve())) == {
+    assert literals(rich_curve().phi_table) == {
         (1, 1): "1/2", (1, 2): "-3", (2, 1): "-3", (2, 2): "1/5"}
     assert literals(psi_regular(rich_curve())) == {
         (1, 2): "1", (1, 3): "-1/6", (2, 1): "-1", (2, 3): "-4/21",
         (3, 1): "1/6", (3, 2): "4/21", (3, 4): "4", (4, 3): "-4"}
-    assert literals(phi_regular(irregular_curve())) == {
+    assert literals(irregular_curve().phi_table) == {
         (1, 1): "1", (1, 3): "2/7", (3, 1): "2/7"}
     assert literals(psi_regular(irregular_curve())) == {
         (1, 2): "-1/4", (1, 4): "1/2", (2, 1): "1/4", (2, 3): "3",
@@ -224,7 +225,7 @@ def f0_diagonal_oracle(curve):
         return sympy.Rational(q.numerator, q.denominator)
     w = 1 / (z1 - z2) ** 2 + sum(
         rational(v) * z1 ** (k - 1) * z2 ** (l - 1)
-        for (k, l), v in phi_regular(curve).items())
+        for (k, l), v in curve.phi_table.items())
     h = -(z1 + z2) / (2 * z1 * z2 * (z1 - z2)) + sum(
         rational(v) * z1 ** (k - 2) * z2 ** (l - 2)
         for (k, l), v in psi_regular(curve).items())
@@ -318,8 +319,8 @@ def test_fermionic_projection_property():
 
 def test_fit_roundtrip_on_curve_data():
     curve = rich_curve()
-    fitted = fit_parameters(RING, curve.epsilon, CurveBases(curve).omega01,
-                            phi_regular(curve), psi_regular(curve),
+    fitted = fit_parameters(RING, curve.epsilon, omega01(curve),
+                            curve.phi_table, psi_regular(curve),
                             curve.trunc)
     assert fitted.tau == curve.tau
     assert fitted.phi == curve.phi
@@ -358,10 +359,11 @@ def test_fit_shape_errors():
 
 
 def test_sigma_parity_of_omega01():
-    bases = CurveBases(rich_curve())
-    total = bases.omega01 + bases.omega01.sigma()
+    curve = rich_curve()
+    form = omega01(curve)
+    total = form + form.sigma()
     # the sigma-odd (odd-l) part cancels; delta_omega is exactly twice it
-    diff = bases.omega01 - bases.omega01.sigma()
-    assert diff == bases.delta_omega
+    diff = form - form.sigma()
+    assert diff == CurveBases(curve).delta_omega
     for k, v in total.coeffs.items():
         assert k % 2 == 1  # only even-l (odd exponent) terms survive

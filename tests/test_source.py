@@ -56,6 +56,29 @@ def test_every_private_definition_is_read():
     assert [name for name in defined if name not in read] == []
 
 
+def self_attributes(tree):
+    """Class.name of each attribute a class assigns on self."""
+    return [f"{cls.name}.{node.attr}"
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"]
+
+
+def test_every_attribute_is_read():
+    # an attribute that nothing in the package reads by name is state that
+    # only a test could want, so the test builds it, not the package
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    loaded = {node.attr for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    assigned = [name for tree in trees for name in self_attributes(tree)]
+    assert assigned
+    assert [name for name in assigned
+            if name.rsplit(".", 1)[1] not in loaded] == []
+
+
 def builds_a_container(value):
     """Whether an expression builds a dict, list or set."""
     if isinstance(value, ast.Call):
@@ -114,10 +137,6 @@ UNREAD_PUBLIC = {
         "perfbench: counted as airyengine.coeff_calls",
     "cli.document_entries":
         "perfbench: reads the entries of a result document back",
-    "series.FormalSeries.integrate":
-        "test oracle: the bosonic residue pairing of the curve tests",
-    "series.FormalSeries.residue":
-        "test oracle: the residue pairings of the curve tests",
     "series.FormalSeries.sigma":
         "perfbench: counted as series.sigma_calls",
     "svir.annihilation_report":
