@@ -410,10 +410,10 @@ def cmd_verify_algebra(args):
     # {Gamma_a, Gamma_b} and its right-hand side symmetric, and
     # check_heisenberg_clifford checks both [J_a, Gamma_b] and [J_b, Gamma_a]:
     # the family runs over a <= b. The residual of [L_b, L_a] is minus that
-    # of [L_a, L_b] (svir._rhs returns the same modes with weight
-    # 2(a - b), ((), 0) when a == b, where the commutator cancels
-    # identically), and {G_a, G_b} and its svir._rhs are symmetric in (a, b):
-    # comm3 and comm5 check each unordered pair once.
+    # of [L_a, L_b] (svir._closure returns the same closure bilinear with
+    # weight 2(a - b), zero when a == b, where the commutator cancels
+    # identically), and {G_a, G_b} and its svir._closure are symmetric in
+    # (a, b): comm3 and comm5 check each unordered pair once.
     families = {"heisenberg-clifford": (
         check_heisenberg_clifford, [(a, b) for a in full_span
                                     for b in full_span if a <= b])}

@@ -362,8 +362,6 @@ class LazyTensor:
         The slice is complete only once its level is solved, so a read
         above the solved levels first solves the levels it lacks.
         """
-        if g < 0:
-            return _NO_ENTRIES
         chi = 2 * g + len(bos) + len(fer) + 1
         if chi > self._solved_through:
             self._solve_through(chi)

@@ -22,9 +22,9 @@ on each monomial of the inner one's and adds the plain terms as int
 weights per key and den, keeping terms with a shift-data factor apart. A
 quadratic entry sums such compositions of J and Gamma entries over the
 pair labels that act on the monomial; a relation, on each monomial of its
-sample, A after B, -+B after A and its right-hand side. Only a shift-data
-term or a nonzero int remainder reaches a Scalar raw sum (a mode image,
-`_add_mode`, is such sums finished once).
+sample, A after B, -+B after A and its right-hand-side mode after the
+identity mode. Only a shift-data term or a nonzero int remainder reaches a
+Scalar raw sum (a mode image, `_compute`, is such sums finished once).
 Heisenberg-Clifford holds on all (a, b) once it holds on every a <= b.
 """
 
@@ -37,7 +37,7 @@ from functools import partial
 from math import lcm
 
 from .scalars import accumulate, add_into, finish, finish_each, mul_into
-from .store import canonical, insert_index, simplex_keys
+from .store import canonical, index_bound, insert_index, simplex_keys
 
 
 class FockPoly:
@@ -151,17 +151,17 @@ def _plain_terms(kind, index, bos, fer):
 
 # A quadratic mode of label l is 1 / den times the sum over its families
 # (kind1, kind2, weight) of sum_k weight(l, k) :A_k B_(2l + odd - k):, and
-# L_0 adds hbar / 4. "tail" is the pair sum of the L-L and G-G closure
-# right-hand sides after their L_t, "odd tail" that of the L-G one after
-# its G_s; both run over even labels k of J_k and odd labels of Gamma_k.
+# L_0 and "L closure" 0 add hbar / 4. The closure bilinears are the closure
+# right-hand sides over hbar, L_t or G_s plus a tail on even J_k and odd
+# Gamma_k that evens each weight out to 1 (J J, J Gamma) or t - k.
 _PAIRS = {  # kind -> (odd, den, families)
     "L": (0, 2, (("J", "J", lambda n, k: 1 if k % 2 else -1),
                  ("Gamma", "Gamma",
                   lambda n, k: k - n if k % 2 else n - k))),
     "G": (1, 1, (("J", "Gamma", lambda m, k: 1 if k % 2 else -1),)),
-    "tail": (0, 1, (("J", "J", lambda t, k: 0 if k % 2 else 1),
-                    ("Gamma", "Gamma", lambda t, k: t - k if k % 2 else 0))),
-    "odd tail": (1, 1, (("J", "Gamma", lambda s, k: 0 if k % 2 else 2),)),
+    "L closure": (0, 2, (("J", "J", lambda t, k: 1),
+                         ("Gamma", "Gamma", lambda t, k: t - k))),
+    "G closure": (1, 1, (("J", "Gamma", lambda s, k: 1),)),
 }
 
 
@@ -235,19 +235,22 @@ def _pair(ring, plain, factored, kind1, i1, kind2, i2, bos, fer, shift,
 
 
 def _tabulate(ring, mode, bos, fer):
-    """The entry of the mode (kind, label, shift) on x^bos theta^fer. With
-    shift data, a negative J or Gamma mode (and Gamma_0) is the tilde mode
-    J_-i + tau_i + sum_k phi_ik / k J_k, or Gamma_-i + sum_k psi_ki
-    Gamma_k; J_0 stays unshifted: tau indices are >= 1, and the tilde
-    table holds no J row 0.
+    """The entry of the mode (kind, label, shift) on x^bos theta^fer. The
+    identity is the mode ("1", 0, None). With shift data, a negative J or
+    Gamma mode (and Gamma_0) is the tilde mode J_-i + tau_i + sum_k phi_ik
+    / k J_k, or Gamma_-i + sum_k psi_ki Gamma_k; J_0 stays unshifted: tau
+    indices are >= 1, and the tilde table holds no J row 0.
 
-    A quadratic mode ("L", "G" or a tail; L_2n and G_(2m+1) have labels n
-    and m) is composed from J and Gamma entries (see `_pair`), with one
-    plain term per monomial (see `_merged`). It sums only the pair labels
-    that act on the monomial: `_pair` applies a positive mode before any
-    creator, so those are the labels whose positive mode holds one of the
-    monomial's variables, and total <= k <= 0, where neither is positive."""
+    A quadratic mode ("L", "G" or a closure bilinear; L_2n and G_(2m+1)
+    have labels n and m) is composed from J and Gamma entries (see
+    `_pair`), with one plain term per monomial (see `_merged`). It sums
+    only the pair labels that act on the monomial: `_pair` applies a
+    positive mode before any creator, so those are the labels whose
+    positive mode holds one of the monomial's variables, and total <= k <=
+    0, where neither is positive."""
     kind, label, shift = mode
+    if kind == "1":
+        return ((bos, fer, 0, None, 1, 1),)
     if kind in ("J", "Gamma"):
         entry = _plain_terms(kind, label, bos, fer)
         if shift is not None and label <= 0:
@@ -261,7 +264,7 @@ def _tabulate(ring, mode, bos, fer):
     total = 2 * label + odd
     held = {"J": bos, "Gamma": fer}  # the variables it holds
     plain, factored = defaultdict(dict), []
-    if kind == "L" and label == 0:
+    if kind in ("L", "L closure") and label == 0:
         plain[bos, fer, 1][2] = 1  # hbar / 4, before the common den 2
     for kind1, kind2, weigh in families:
         held1, held2 = held[kind1], held[kind2]
@@ -292,37 +295,21 @@ def _add_term(ring, sums, key, c, factor=None, weight=1, den=1):
         mul_into(ring, acc, c, factor, weight, den)
 
 
-def _add_mode(sums, kind, label, p, shift):
-    """Add the mode (kind, label) on p, with this shift data, into the
-    caller's raw sums (key -> raw sum), one monomial of p at a time, and
-    return them. A monomial x^bos theta^fer hbar^h reads the entry (kind,
-    label, bos, fer) of the mode table (see `_entry`) and adds h to the
-    hbar power of each of its terms."""
-    ring, mode = p.ring, (kind, label, shift)
+def _compute(kind, label, p, shift):
+    """The image of p under the mode (kind, label) with this shift data:
+    one raw sum per key, one monomial of p at a time, finished once. A
+    monomial x^bos theta^fer hbar^h reads the entry (kind, label, bos, fer)
+    of the mode table (see `_entry`) and adds h to the hbar power of each
+    of its terms. Every mode is linear, so the zero polynomial is its own
+    image."""
+    if not p.terms:
+        return p
+    ring, mode, sums = p.ring, (kind, label, shift), {}
     for (bos, fer, h), c in p.terms.items():
         c = c.terms
         for bos2, fer2, dh, factor, w, den in _entry(ring, mode, bos, fer):
             _add_term(ring, sums, (bos2, fer2, h + dh), c, factor, w, den)
-    return sums
-
-
-def _compute(kind, label, p, shift):
-    """The image of p under the mode (kind, label) with this shift data.
-    Every mode is linear, so the zero polynomial is its own image."""
-    if not p.terms:
-        return p
-    return FockPoly(p.ring,
-                    finish_each(p.ring, _add_mode({}, kind, label, p, shift)))
-
-
-def _apply(kind, label, p, shift=None):
-    """The image of p under the mode (kind, label); an L or G image through
-    `_apply_L` or `_apply_G`, looked up when called."""
-    if kind == "L":
-        return _apply_L(label, p, shift)
-    if kind == "G":
-        return _apply_G(label, p, shift)
-    return _compute(kind, label, p, shift)
+    return FockPoly(ring, finish_each(ring, sums))
 
 
 def _apply_L(n, p, shift):
@@ -337,43 +324,38 @@ def _apply_G(m, p, shift):
 
 def apply_mode(kind, label, p, shift=None):
     """Exact action of the mode J, Gamma, L or G of this label on a Fock
-    polynomial; with shift data, the conjugated (tilde) mode."""
+    polynomial; with shift data, the conjugated (tilde) mode. An L or G
+    image goes through `_apply_L` or `_apply_G`, looked up when called."""
     odd = {"L": 0, "G": 1}.get(kind)
     if odd is not None:
         if label % 2 != odd or label < odd - 2:
             raise ValueError(f"{kind}_{label}: {kind} labels are "
                              f"{'odd and >= -1' if odd else 'even and >= -2'}")
-        label //= 2  # L_2n and G_(2m+1) have labels n and m
-    elif kind not in ("J", "Gamma"):
+        # L_2n and G_(2m+1) have labels n and m
+        return (_apply_G if odd else _apply_L)(label // 2, p, shift)
+    if kind not in ("J", "Gamma"):
         raise ValueError(f"unknown mode kind {kind!r}")
-    return _apply(kind, label, p, shift)
+    return _compute(kind, label, p, shift)
 
 
 # --- relation checks ----------------------------------------------------------
 
 
-def _residual(p, a, b, anti=False, rhs=(), weight=0):
+def _residual(p, a, b, anti=False, rhs=("1", 0, None), weight=0):
     """The raw sums per key of [A, B] ({A, B} when anti) minus weight hbar
-    times the sum of the modes rhs on p, for modes (kind, label, shift) and
-    None for the identity: on each monomial of p, A after B, -+B after A
-    (see `_compose_into`) and each right-hand-side entry. Only factored
-    terms and plain keys that do not cancel (`_merged`) reach a raw sum."""
+    times rhs on p, for modes (kind, label, shift): on each monomial of p,
+    A after B, -+B after A and -weight hbar rhs after the identity (see
+    `_compose_into`). Only factored terms and plain keys that do not cancel
+    (`_merged`) reach a raw sum."""
     ring, sums = p.ring, {}
     for (bos, fer, h), c in p.terms.items():
         plain, factored = defaultdict(dict), []
         _compose_into(ring, plain, factored, a, b, bos, fer, 1, h)
         _compose_into(ring, plain, factored, b, a, bos, fer,
                       1 if anti else -1, h)
-        for mode in rhs:
-            for bos2, fer2, dh, factor, w, d in (
-                    [(bos, fer, 0, None, 1, 1)] if mode is None
-                    else _entry(ring, mode, bos, fer)):
-                key, w = (bos2, fer2, h + 1 + dh), -weight * w
-                if factor is None:
-                    dens = plain[key]
-                    dens[d] = dens.get(d, 0) + w
-                else:
-                    factored.append((key, factor, w, d))
+        if weight:
+            _compose_into(ring, plain, factored, rhs, ("1", 0, None), bos,
+                          fer, -weight, h + 1)
         for key, factor, w, d in [*factored, *_merged(plain)]:
             _add_term(ring, sums, key, c.terms, factor, w, d)
     return sums
@@ -385,28 +367,19 @@ def _holds(p, *relation):
                for acc in _residual(p, *relation).values())
 
 
-def _rhs(name, n, m, shift=None):
-    """The closure right-hand side of [L_n, L_m], [L_n, G_m] or {G_n, G_m}
-    (name "LL", "LG" or "GG") as (modes, weight): weight hbar times the sum
-    of the modes, and ((), 0) when the weight is zero. The L-L and G-G
-    sides are L_t and the tail sum_k :J_k J_(2t-k): + sum_k (t-k) :Gamma_k
-    Gamma_(2t-k):, the L-G side G_s and its odd tail, so [L_n, L_m] and
-    [L_m, L_n] name the same modes."""
+def _closure(name, n, m, shift=None):
+    """The closure [L_n, L_m], [L_n, G_m] or {G_n, G_m} (name "LL", "LG"
+    or "GG") as the relation (A, B, anti, rhs, weight) of `_residual`: its
+    right-hand side is weight hbar times the closure bilinear rhs, "L
+    closure" of label n + m (n + m + 1 for G-G) or "G closure" of label n
+    + m, so [L_n, L_m] and [L_m, L_n] name the same bilinear."""
     weight = {"LL": 2 * (n - m), "LG": n - 2 * m - 1, "GG": 2}[name]
-    if not weight:
-        return (), 0
-    if name == "LG":
-        return (("G", n + m, shift), ("odd tail", n + m, shift)), weight
-    t = n + m + (name == "GG")
-    return (("L", t, shift), ("tail", t, shift)), weight
-
-
-def _closes(name, n, m, p, shift=None):
-    """True iff [L_n, L_m], [L_n, G_m] or {G_n, G_m} (name "LL", "LG" or
-    "GG") equals its closure right-hand side on p."""
     a = ("G" if name == "GG" else "L", n, shift)
     b = ("L" if name == "LL" else "G", m, shift)
-    return _holds(p, a, b, name == "GG", *_rhs(name, n, m, shift))
+    if name == "LG":
+        return a, b, False, ("G closure", n + m, shift), weight
+    t = n + m + (name == "GG")
+    return a, b, name == "GG", ("L closure", t, shift), weight
 
 
 def check_commutator(relation, a, b, sample):
@@ -436,21 +409,21 @@ def check_commutator(relation, a, b, sample):
         raise ValueError(f"{relation} at ({a}, {b}): L and G labels "
                          "are >= -1")
     if closure is not None:
-        return _closes(closure, a, b, sample)
+        return _holds(sample, *_closure(closure, a, b))
     return all(_holds(sample, (kind, a, None), (*mode, None), anti,
-                      [(*rhs, None)], weight)
+                      (*rhs, None), weight)
                for kind, mode, anti, rhs, weight in halves[relation])
 
 
 def check_heisenberg_clifford(a, b, sample):
     """[J_a,J_b] = a hbar delta, {Gamma_a,Gamma_b} = hbar delta and
     [J_a,Gamma_b] = [J_b,Gamma_a] = 0: the pairs a <= b cover every (a, b)."""
-    p = sample
+    p, one = sample, ("1", 0, None)
     J_a, J_b = ("J", a, None), ("J", b, None)
     gamma_a, gamma_b = ("Gamma", a, None), ("Gamma", b, None)
     delta = int(a + b == 0)
-    return (_holds(p, J_a, J_b, False, [None], a * delta)
-            and _holds(p, gamma_a, gamma_b, True, [None], delta)
+    return (_holds(p, J_a, J_b, False, one, a * delta)
+            and _holds(p, gamma_a, gamma_b, True, one, delta)
             and _holds(p, J_a, gamma_b)
             and (a == b or _holds(p, J_b, gamma_a)))
 
@@ -489,8 +462,9 @@ def _hatted(odd, i, p, shift, i_limit):
             if k % 2 == 0:
                 j = i + k // 2 - 2 + off + odd
                 if j > 0:
-                    parts.append((_apply("Gamma" if odd else "J", 2 * j - odd,
-                                         p), factor * tau))
+                    parts.append((_compute("Gamma" if odd else "J",
+                                           2 * j - odd, p, None),
+                                  factor * tau))
             elif k > eps:
                 pending.append((i + (k - 1) // 2 - 1 + off, -(factor * tau)))
         for q, part_factor in parts:
@@ -542,7 +516,8 @@ def check_airy_axioms(shift, i_max=3, probe_max=6):
             n, m = (2 * i - eps - 1) // 2, (2 * j - eps - 1) // 2
             for p in samples:
                 failed = next((name for name in ("LL", "LG", "GG")
-                               if not _closes(name, n, m, p, shift)), None)
+                               if not _holds(p, *_closure(name, n, m,
+                                                          shift))), None)
                 if failed:
                     failures.append((f"closure-{failed}", (i, j), "mismatch"))
                     break
@@ -605,15 +580,16 @@ def exp_state(tensor):
     return FockPoly(ring, z)
 
 
-def annihilation_report(curve, tensor, i_max=4):
+def annihilation_report(curve, tensor):
     """Nonzero exact residual components, through degree chi_max - 1, of
-    the recombined constraints for i = 1..i_max on exp of the tensor."""
+    the recombined constraints on exp of the tensor, for i = 1 up to the
+    engines' last constraint (B(chi_max) + 4 - eps) // 2, and at least 4."""
     shift = ShiftData.from_curve(curve)
     state = exp_state(tensor)
-    bad = {}
+    bad, eps = {}, curve.epsilon
+    i_max = max(4, (index_bound(tensor.chi_max, eps) + 4 - eps) // 2)
     for i in range(1, i_max + 1):
-        for kind, label in (("L", 2 * i - curve.epsilon - 1),
-                            ("G", 2 * i - curve.epsilon)):
+        for kind, label in (("L", 2 * i - eps - 1), ("G", 2 * i - eps)):
             res = apply_mode(kind, label, state, shift)
             hits = {k: v for k, v in res.terms.items()
                     if _deg(k) < tensor.chi_max}

@@ -167,15 +167,16 @@ def test_criterion_2_bosonic_free_coefficient():
         failures.append(f"took {elapsed:.0f}s >= 5min")
     # The annihilation oracle of superrec.svir settles the coefficient
     # without either engine: the recombined L and G constraints for
-    # i = 1..4 annihilate exp of the engine tensor through degree
-    # chi_max - 2. Substituting a coefficient c * t^3 for this entry leaves
-    # exactly three residuals, all at hbar^2 and each (15/8 - c) * t^3 up
-    # to sign: on theta0 theta4 theta6 in G_{-1}, theta0 theta2 theta6 in
-    # G_1 and theta0 theta2 theta4 in G_3. So 15/8 is the only value the
-    # constraints allow, and the unit coefficient c = 1 is checked here as
-    # false, with residuals of 7/8 * t^3. PAPER.md holds only the abstract;
-    # whether the paper states 1 under another normalisation of the
-    # fermionic modes cannot be settled from this repository.
+    # i = 1..9, every constraint the engines solve at chi 8, annihilate
+    # exp of the engine tensor through degree chi_max - 2. Substituting a
+    # coefficient c * t^3 for this entry leaves exactly three residuals,
+    # all at hbar^2 and each (15/8 - c) * t^3 up to sign: on theta0 theta4
+    # theta6 in G_{-1}, theta0 theta2 theta6 in G_1 and theta0 theta2
+    # theta4 in G_3. So 15/8 is the only value the constraints allow, and
+    # the unit coefficient c = 1 is checked here as false, with residuals
+    # of 7/8 * t^3. PAPER.md holds only the abstract; whether the paper
+    # states 1 under another normalisation of the fermionic modes cannot be
+    # settled from this repository.
     residuals = annihilation_report(curve, tensor)
     if residuals:
         failures.append(f"constraints leave residuals {residuals} on the "

@@ -20,7 +20,7 @@ import pytest
 
 import superrec
 from superrec import cli, svir
-from superrec.airyengine import run_bosonic
+from superrec.airyengine import run_airy, run_bosonic
 from superrec.cli import (EXIT_INTERNAL, EXIT_MISMATCH, EXIT_PARSE,
                           EXIT_TRUNCATION, build_curve, canonical_bytes,
                           document_entries, load_spec_document, main)
@@ -392,6 +392,102 @@ def test_cache_entry_from_other_code_is_a_miss(tmp_path, monkeypatch):
     assert runs == [4]
 
 
+def test_cache_entry_with_an_edited_payload_is_evicted(tmp_path, monkeypatch):
+    # a payload whose value was edited and whose sha256 was left as it was
+    # is a digest mismatch: the entry is evicted, never served
+    out = tmp_path / "r.json"
+    args = ["compute", "--curve", "airy", "--chi-max", "4", "--out",
+            str(out)]
+    assert main(args) == 0
+    first = out.read_bytes()
+    [entry] = (tmp_path / "cache").iterdir()
+    wrapper = json.loads(entry.read_text())
+    payload = wrapper["payload"]
+    assert payload["entries"][0]["value"] != "7"
+    payload["entries"][0]["value"] = "7"
+    entry.write_bytes(canonical_bytes(wrapper))
+    assert cli.cache_load(payload["curve_hash"], 4, "tr") is None
+    assert not entry.exists()
+
+    entry.write_bytes(canonical_bytes(wrapper))
+    runs = []
+
+    def counted(curve, chi_max):
+        runs.append(chi_max)
+        return run_tr(curve, chi_max)
+    monkeypatch.setattr("superrec.cli.run_tr", counted)
+    assert main(args) == 0
+    assert runs == [4]
+    assert out.read_bytes() == first
+    assert json.loads(entry.read_text())["sha256"] == \
+        hashlib.sha256(first).hexdigest()
+
+
+def test_cache_entry_under_another_key_is_evicted(tmp_path, monkeypatch):
+    # a valid entry copied to the file name of another key (here the same
+    # curve and chi_max under the other engine) is a key mismatch: the
+    # entry is evicted and the other key's result recomputed
+    args = ["compute", "--curve", "airy", "--chi-max", "4", "--out"]
+    assert main(args + [str(tmp_path / "tr.json")]) == 0
+    [entry] = (tmp_path / "cache").iterdir()
+    digest = json.loads(entry.read_text())["payload"]["curve_hash"]
+    moved = entry.with_name(f"{digest}-4-airy.json")
+    moved.write_bytes(entry.read_bytes())
+    assert cli.cache_load(digest, 4, "airy") is None
+    assert not moved.exists() and entry.exists()
+
+    moved.write_bytes(entry.read_bytes())
+    runs = []
+
+    def counted(curve, chi_max):
+        runs.append(chi_max)
+        return run_airy(curve, chi_max)
+    monkeypatch.setattr("superrec.cli.run_airy", counted)
+    out = tmp_path / "airy.json"
+    assert main(args + [str(out), "--engine", "airy"]) == 0
+    assert runs == [4]
+    assert json.loads(out.read_text())["engine"] == "airy"
+    assert json.loads(moved.read_text())["payload"]["engine"] == "airy"
+    assert main(args + [str(tmp_path / "again.json"), "--engine", "airy"]) \
+        == 0
+    assert runs == [4]
+    assert (tmp_path / "again.json").read_bytes() == out.read_bytes()
+
+
+def test_no_cache_overwrites_a_differing_entry(tmp_path, monkeypatch,
+                                               capsys):
+    # a self-consistent entry (fresh sha256, current code) with another
+    # value is served until --no-cache recomputes it, warns and overwrites
+    # it; the cache then serves the recomputed bytes
+    out = tmp_path / "r.json"
+    args = ["compute", "--curve", "airy", "--chi-max", "4", "--out",
+            str(out)]
+    assert main(args) == 0
+    first = out.read_bytes()
+    [entry] = (tmp_path / "cache").iterdir()
+    payload = json.loads(entry.read_text())["payload"]
+    payload["entries"][0]["value"] = "7"
+    entry.write_bytes(canonical_bytes(
+        {"payload": payload, "code": cli.code_digest(),
+         "sha256": hashlib.sha256(canonical_bytes(payload)).hexdigest()}))
+    assert main(args) == 0
+    assert out.read_bytes() == canonical_bytes(payload) != first
+    capsys.readouterr()
+
+    assert main(args + ["--no-cache"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: recomputed result differs from the cached copy; "
+        "overwriting\n")
+    assert out.read_bytes() == first
+
+    def boom(curve, chi_max):
+        raise AssertionError("engine must not run on a cache hit")
+    monkeypatch.setattr("superrec.cli.run_tr", boom)
+    assert main(args) == 0
+    assert out.read_bytes() == first
+    assert capsys.readouterr().err == ""
+
+
 def test_internal_error_prints_its_traceback(monkeypatch, capsys):
     def broken(_args):
         raise RuntimeError("deliberate fault")
@@ -586,9 +682,10 @@ def test_verify_algebra_fills_its_mode_tables_afresh(monkeypatch, capsys):
     # the mode tables live on the command's ring and shift data, so each
     # entry is filled once per run, and a second run in the same process
     # fills as many again: a table that outlived the command would leave
-    # the second run less to fill. Every entry is stored, the closure tails
-    # included: no sample keeps an image, so the tail entry of a monomial
-    # is what [L_n, L_m] and every other closure of the same n + m share.
+    # the second run less to fill. Every entry is stored, the closure
+    # bilinears and the identity included: no sample keeps an image, so the
+    # closure-bilinear entry of a monomial is what [L_n, L_m] and every
+    # other closure of the same n + m share.
     runs = []
     held = []  # keeps each table alive, so that its id stays its own
 
@@ -609,7 +706,7 @@ def test_verify_algebra_fills_its_mode_tables_afresh(monkeypatch, capsys):
     assert first == second > 0
     assert {count for fills in runs for count in fills.values()} == {1}
     stored = {key[0] for table in held for key in table}
-    assert stored == {"J", "Gamma", "L", "G", "tail", "odd tail"}
+    assert stored == {"1", "J", "Gamma", "L", "G", "L closure", "G closure"}
 
 
 def test_verify_algebra_frees_its_ring_without_the_cyclic_collector(
@@ -659,9 +756,10 @@ structure-recombination  FAIL
 
 
 def test_verify_algebra_reports_each_failing_family(monkeypatch, capsys):
-    inner = svir._rhs
-    monkeypatch.setattr(svir, "_rhs", lambda name, n, m, shift=None: (
-        ((), 0) if name == "LL" else inner(name, n, m, shift)))
+    inner = svir._closure
+    monkeypatch.setattr(svir, "_closure", lambda name, n, m, shift=None: (
+        *inner(name, n, m, shift)[:4], 0) if name == "LL"
+        else inner(name, n, m, shift))
     assert main(["verify-algebra", "--degree", "2", "--mode-range", "1"]) \
         == EXIT_MISMATCH
     out, err = capsys.readouterr()
@@ -673,8 +771,8 @@ def test_verify_algebra_fails_a_wrong_heisenberg_weight(monkeypatch, capsys):
     # the family runs over a <= b only; a weight of |a| hbar delta for
     # [J_a, J_b] is right on every pair a > b and must still fail
     def wrong(a, b, p):
-        return svir._holds(p, ("J", a, None), ("J", b, None), False, [None],
-                           abs(a) * (a + b == 0))
+        return svir._holds(p, ("J", a, None), ("J", b, None), False,
+                           ("1", 0, None), abs(a) * (a + b == 0))
 
     samples = list(cli._algebra_monomials(Ring([]), 2, 1))
     assert all(wrong(a, b, p) for a in (-1, 0, 1) for b in (-1, 0, 1)

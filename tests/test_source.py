@@ -189,3 +189,29 @@ def test_unread_public_reasons_name_their_readers():
                 rf"\b{name.rsplit('.', 1)[1]}\b", texts[tag]):
             unread.append(name)
     assert unread == []
+
+
+
+def test_readme_names_only_private_names_the_source_defines():
+    # a private name in backticks (`_x`, or `module._x` inside a longer
+    # span) must still name a function, class, module-level name or
+    # attribute in the package, so the README cannot describe removed
+    # code; ROADMAP.md keeps removed names on purpose and is not checked
+    readme = pathlib.Path(superrec.__file__).resolve().parents[2] \
+        / "README.md"
+    defined = {path.stem for path in MODULES}
+    for tree in (ast.parse(path.read_text()) for path in MODULES):
+        defined.update(private_definitions(tree))
+        defined.update(name.rsplit(".", 1)[1]
+                       for name in self_attributes(tree))
+        defined.update(target.id for node in tree.body
+                       if isinstance(node, (ast.Assign, ast.AnnAssign))
+                       for target in (node.targets
+                                      if isinstance(node, ast.Assign)
+                                      else [node.target])
+                       if isinstance(target, ast.Name))
+    text = re.sub(r"```.*?```", "", readme.read_text(), flags=re.S)
+    named = {name for span in re.findall(r"`([^`\n]+)`", text)
+             for name in re.findall(r"(?<!\w)_[A-Za-z]\w*", span)}
+    assert named
+    assert sorted(named - defined) == []

@@ -25,7 +25,7 @@ from superrec import svir
 from superrec.cli import _algebra_monomials
 from superrec.curve import CurveData
 from superrec.airyengine import run_airy
-from superrec.scalars import Ring, finish_each
+from superrec.scalars import Ring, finish, finish_each, mul_into
 from superrec.store import CorrTensor, canonical
 from superrec.svir import (FockPoly, ShiftData, annihilation_report,
                            apply_mode, check_airy_axioms, check_commutator,
@@ -43,6 +43,10 @@ def rat(value):
 
 def mono(bos=(), fer=(), hpow=0, coeff=1):
     return FockPoly.monomial(RING, bos, fer, hpow, coeff)
+
+
+# the identity mode, the right-hand side of [J_a, J_b] and {Gamma_a, Gamma_b}
+ONE = ("1", 0, None)
 
 
 def airy_curve():
@@ -451,11 +455,10 @@ def test_support_sums_equal_window_sums(curve):
                 window_G(n, p, shift).terms, ("G", n, p.terms)
             for m in LABELS:
                 for name, window in RHS:
-                    modes, weight = svir._rhs(name, n, m, shift)
-                    got = ref_add(FockPoly(p.ring), *(
-                        ref_scale(ref_times_hbar(svir._compute(*mode[:2], p,
-                                                               mode[2])),
-                                  weight) for mode in modes))
+                    *_, rhs, weight = svir._closure(name, n, m, shift)
+                    got = ref_scale(ref_times_hbar(svir._compute(
+                        *rhs[:2], p, rhs[2])), weight) if weight \
+                        else FockPoly(p.ring)
                     assert got.terms == window(n, m, p, shift).terms, \
                         (name, n, m, p.terms)
 
@@ -490,22 +493,24 @@ def test_pairs_apply_only_annihilators_in_support(monkeypatch):
                 apply_mode("G", 2 * n + 1, p, shift)
                 for m in LABELS:
                     for name, _ in RHS:
-                        for mode in svir._rhs(name, n, m, shift)[0]:
-                            svir._compute(*mode[:2], p, mode[2])
+                        rhs = svir._closure(name, n, m, shift)[3]
+                        svir._compute(*rhs[:2], p, rhs[2])
     assert calls
 
 
 # each mode kind of the mode tables, with labels as svir names them (L_2n and
-# G_(2m+1) have labels n and m) and its window reference
+# G_(2m+1) have labels n and m) and its window reference: a closure bilinear
+# is L_t and the tail, or G_s and the odd tail
 TABLE_MODES = [
     ("J", (-1, 0, 2), partial(ref_shifted, "J")),
     ("Gamma", (-1, 0, 2), partial(ref_shifted, "Gamma")),
     ("L", (-1, 0, 1), window_L),
     ("G", (-1, 0, 1), window_G),
-    ("tail", (-1, 0, 1),
-     lambda t, p, shift: window_tail(t, p, shift, abs(t) + 1)),
-    ("odd tail", (-1, 0, 1),
-     lambda s, p, shift: window_odd_tail(s, p, shift, abs(s) + 1)),
+    ("L closure", (-1, 0, 1), lambda t, p, shift: ref_add(
+        window_L(t, p, shift), window_tail(t, p, shift, abs(t) + 1))),
+    ("G closure", (-1, 0, 1), lambda s, p, shift: ref_add(
+        window_G(s, p, shift), window_odd_tail(s, p, shift, abs(s) + 1))),
+    ("1", (0,), lambda _, p, shift: p),
 ]
 
 
@@ -535,18 +540,18 @@ def test_mode_tables_raise_the_hbar_power(curve):
 def test_closure_right_hand_sides_are_mirrored(curve):
     # verify-algebra checks [L_n, L_m] on n < m and {G_n, G_m} on n <= m
     # only: the residual of [L_m, L_n] is minus that of [L_n, L_m] because
-    # _rhs hands back the same modes with the negated weight (and none on
-    # n == m), and {G_n, G_m} is symmetric like its _rhs
+    # _closure hands back the same closure bilinear with the negated weight
+    # (zero on n == m), and {G_n, G_m} is symmetric like its _closure
     shift = None if curve is None else ShiftData.from_curve(curve)
     for n in LABELS:
-        assert svir._rhs("LL", n, n, shift) == ((), 0)
+        assert svir._closure("LL", n, n, shift)[4] == 0
         for m in LABELS:
             for name, sign in (("LL", -1), ("GG", 1)):
-                modes, weight = svir._rhs(name, n, m, shift)
-                mirror, mirror_weight = svir._rhs(name, m, n, shift)
-                assert mirror_weight == sign * weight, (name, n, m)
-                assert mirror == modes, (name, n, m)
-                assert all(mode[2] is shift for mode in modes), (name, n, m)
+                a, b, anti, rhs, weight = svir._closure(name, n, m, shift)
+                mirror = svir._closure(name, m, n, shift)
+                assert mirror[4] == sign * weight, (name, n, m)
+                assert mirror[:4] == (b, a, anti, rhs), (name, n, m)
+                assert rhs[2] is shift, (name, n, m)
 
 
 # --- each mode's entries live with the shift data they depend on -------------
@@ -590,14 +595,15 @@ def _image_lines(name, p, image):
 
 
 # sha256 of the sorted text of every J/Gamma image (labels -2..2), L/G
-# image and closure tail (labels -1..2) of each verify-algebra sample of
-# degree <= 4 over x^1, x^2, theta^0..theta^2, unshifted and with the rich
-# curve's shift data
+# image and closure-bilinear image (labels -1..2) of each verify-algebra
+# sample of degree <= 4 over x^1, x^2, theta^0..theta^2, unshifted and with
+# the rich curve's shift data; each closure-bilinear image was recorded as
+# the sum of its L or G image and a separate tail image
 IMAGES_SHA256 = {
     "rich":
-        "6dd887288fb94487b5788f1d6654f4db374e990c88152438f23538b43809a84e",
+        "d65de47e82411f1ace352148d4a2e4c4bd59f67fef3f775baef0cf4698ac0efb",
     "unshifted":
-        "39c04ff675799de5dab5c48d9ecec3510ca332d0618f45e1b52859a16553aee4",
+        "d6a9b31a5ed9eacae9c67374dc9661c755aa5ea015beb12929e016c271eff661",
 }
 
 
@@ -611,9 +617,11 @@ def test_mode_images_are_pinned(name):
                 lines += _image_lines(
                     f"{kind}{label}", p, apply_mode(kind, label, p, shift))
         for n in range(-1, 3):
-            for mode, image in (("L", svir._apply_L(n, p, shift)),
-                                ("G", svir._apply_G(n, p, shift)),
-                                ("tail", svir._compute("tail", n, p, shift))):
+            for mode, image in (
+                    ("L", svir._apply_L(n, p, shift)),
+                    ("G", svir._apply_G(n, p, shift)),
+                    ("L closure", svir._compute("L closure", n, p, shift)),
+                    ("G closure", svir._compute("G closure", n, p, shift))):
                 lines += _image_lines(f"{mode}{n}", p, image)
     text = "\n".join(sorted(lines))
     assert hashlib.sha256(text.encode()).hexdigest() == IMAGES_SHA256[name]
@@ -630,9 +638,9 @@ def test_the_zero_polynomial_is_its_own_image():
     for shift in shifts:
         for kind, label in plain + MODES:
             assert apply_mode(kind, label, zero, shift) is zero, (kind, label)
-        assert all(svir._compute(*mode[:2], zero, mode[2]) is zero
-                   for mode in svir._rhs("LL", 1, 0, shift)[0])
-        assert svir._closes("LL", 1, 0, zero, shift)
+        relation = svir._closure("LL", 1, 0, shift)
+        assert svir._compute(*relation[3][:2], zero, shift) is zero
+        assert svir._holds(zero, *relation)
     assert not ring.mode_table and not shifts[1].mode_table
     # the labels are still checked first
     for kind, label in (("L", -4), ("G", -3), ("L", 1), ("G", 2), ("Q", 0)):
@@ -647,7 +655,7 @@ def test_the_zero_polynomial_is_its_own_image():
 
 
 def test_shared_images_are_not_changed_by_their_users():
-    # the relation checks (_holds, through _closes) and the recombined
+    # the relation checks (_holds, on each _closure) and the recombined
     # operators (_hatted) read the terms of the polynomial they are given,
     # which its other users share, and must leave them as they are
     shift = ShiftData.from_curve(rich_curve())
@@ -656,7 +664,7 @@ def test_shared_images_are_not_changed_by_their_users():
     for n in LABELS:
         for m in LABELS:
             for name in ("LL", "LG", "GG"):
-                svir._closes(name, n, m, p, shift)
+                svir._holds(p, *svir._closure(name, n, m, shift))
     for odd in (0, 1):
         for i in range(1, 4):
             svir._hatted(odd, i, p, shift, 6)
@@ -686,8 +694,8 @@ def ref_image(kind, label, q, shift):
                          ids=["unshifted", "rich"])
 def test_composed_residuals_equal_images_of_images(curve):
     # a relation composes the table entries of its two modes on each
-    # monomial of p straight into its residual, and adds each
-    # right-hand-side mode's entry (None: the identity) the same way; here
+    # monomial of p straight into its residual, and adds its
+    # right-hand-side mode after the identity mode the same way; here
     # A(B(p)), B(A(p)) and J_-1(p) are whole polynomials, built from
     # apply_mode on one monomial at a time
     shift = None if curve is None else ShiftData.from_curve(curve)
@@ -695,19 +703,84 @@ def test_composed_residuals_equal_images_of_images(curve):
         mono(bos, fer) for bos, fer in CLOSURE_SAMPLES]
     nonzero = 0
     for p in samples:
-        for a, b in product(COMPOSED_MODES, repeat=2):
-            anti = a[0] in ("Gamma", "G") and b[0] in ("Gamma", "G")
-            sums = svir._residual(p, (*a, shift), (*b, shift), anti,
-                                  [None, ("J", -1, shift)], 3)
-            want = ref_add(
-                ref_image(*a, ref_image(*b, p, shift), shift),
-                ref_scale(ref_image(*b, ref_image(*a, p, shift), shift),
-                          1 if anti else -1),
-                ref_scale(ref_times_hbar(p), -3),
-                ref_scale(ref_times_hbar(ref_image("J", -1, p, shift)), -3))
-            assert finish_each(RING, sums) == want.terms, (a, b, p.terms)
-            nonzero += bool(want.terms)
+        for rhs, image in ((ONE, p), (("J", -1, shift),
+                                      ref_image("J", -1, p, shift))):
+            for a, b in product(COMPOSED_MODES, repeat=2):
+                anti = a[0] in ("Gamma", "G") and b[0] in ("Gamma", "G")
+                sums = svir._residual(p, (*a, shift), (*b, shift), anti,
+                                      rhs, 3)
+                want = ref_add(
+                    ref_image(*a, ref_image(*b, p, shift), shift),
+                    ref_scale(ref_image(*b, ref_image(*a, p, shift), shift),
+                              1 if anti else -1),
+                    ref_scale(ref_times_hbar(image), -3))
+                assert finish_each(RING, sums) == want.terms, \
+                    (a, b, rhs, p.terms)
+                nonzero += bool(want.terms)
     assert nonzero
+
+
+def test_compositions_drop_products_a_square_relation_makes_zero(
+        monkeypatch):
+    # on a ring with s^2 = 4, shift data with entries s - 2 and s + 2 makes
+    # some products of two shift-data factors zero, and _compose_into drops
+    # those terms: the residuals they touch still equal their images of
+    # images, and every verdict is the one reached when each zero product
+    # is kept as a factored term with no terms
+    ring = Ring([("s", 4)])
+    s = ring.symbol("s")
+
+    def shift_data():
+        return ShiftData(ring, 3, {1: s - 2, 2: s + 2, 3: ring.one()},
+                         {(1, 1): s + 2, (1, 2): s - 2, (2, 1): s - 2},
+                         {(0, 1): s + 2, (1, 0): s - 2, (1, 1): s + 2})
+
+    products, dropped = {}, []
+
+    def product_into(ring, acc, left, right, *rest):
+        if not rest:  # two factors of one composed term, not a raw sum
+            products[id(acc)] = acc
+        mul_into(ring, acc, left, right, *rest)
+
+    def finished(ring, acc, keep):
+        out = finish(ring, acc)
+        if out is None and products.get(id(acc)) is acc:
+            dropped.append(acc)
+            return ring.zero() if keep else None
+        return out
+
+    monkeypatch.setattr(svir, "mul_into", product_into)
+    samples = [FockPoly.monomial(ring, bos, fer)
+               for bos, fer in CLOSURE_SAMPLES]
+    linear = [(kind, label) for kind in ("J", "Gamma")
+              for label in range(-2, 3)]
+    verdicts, affected = {}, []
+    for keep in (False, True):
+        monkeypatch.setattr(svir, "finish", partial(finished, keep=keep))
+        shift, run = shift_data(), []
+        for p in samples:
+            for a, b in product(linear, repeat=2):
+                relation = ((*a, shift), (*b, shift), a[0] == b[0] == "Gamma")
+                before = len(dropped)
+                sums = svir._residual(p, *relation)
+                want = ref_add(
+                    ref_image(*a, ref_image(*b, p, shift), shift),
+                    ref_scale(ref_image(*b, ref_image(*a, p, shift), shift),
+                              1 if relation[2] else -1))
+                assert finish_each(ring, sums) == want.terms, \
+                    (keep, a, b, p.terms)
+                if not keep and len(dropped) > before:
+                    affected.append((a, b, p.terms))
+                run.append(svir._holds(p, *relation))
+                assert run[-1] == (not want.terms), (keep, a, b, p.terms)
+            for name in ("LL", "LG", "GG"):
+                for n, m in product(range(-1, 2), repeat=2):
+                    run.append(svir._holds(p, *svir._closure(name, n, m,
+                                                             shift)))
+        verdicts[keep] = run
+    assert affected
+    assert verdicts[False] == verdicts[True]
+    assert set(verdicts[False]) == {True, False}
 
 
 def test_relations_build_no_polynomial(monkeypatch):
@@ -734,7 +807,7 @@ def test_relations_build_no_polynomial(monkeypatch):
             assert all(check_commutator(relation, a, b, p)
                        for a in low for b in low)
         for key_shift in (None, shift):
-            assert all(svir._closes(name, n, m, p, key_shift)
+            assert all(svir._holds(p, *svir._closure(name, n, m, key_shift))
                        for name in ("LL", "LG", "GG")
                        for n, m in product(low, repeat=2))
     assert built == []
@@ -764,7 +837,7 @@ def test_plain_relations_that_hold_reach_no_scalar(monkeypatch):
                        for a in low for b in low)
     assert adds == []
     assert not svir._holds(FockPoly.one(ring), ("J", 1, None),
-                           ("J", -1, None), False, [None], 2)
+                           ("J", -1, None), False, ONE, 2)
     assert adds
     # each plain quadratic entry holds one plain term per monomial
     quadratic = [entry for (kind, *_), entry in ring.mode_table.items()
@@ -797,13 +870,13 @@ def test_heisenberg_clifford_pairs_are_mirrored(a):
         gamma_a, gamma_b = ("Gamma", a, None), ("Gamma", b, None)
         for p in monomials()[::3]:
             for w in (a * delta, a * delta + 1):
-                got = svir._holds(p, J_a, J_b, False, [None], w)
-                assert svir._holds(p, J_b, J_a, False, [None], -w) == got, \
+                got = svir._holds(p, J_a, J_b, False, ONE, w)
+                assert svir._holds(p, J_b, J_a, False, ONE, -w) == got, \
                     (a, b, w, p.terms)
                 verdicts.add(got)
             for w in (delta, delta - 1):
-                got = svir._holds(p, gamma_a, gamma_b, True, [None], w)
-                assert svir._holds(p, gamma_b, gamma_a, True, [None], w) \
+                got = svir._holds(p, gamma_a, gamma_b, True, ONE, w)
+                assert svir._holds(p, gamma_b, gamma_a, True, ONE, w) \
                     == got, (a, b, w, p.terms)
                 verdicts.add(got)
     assert verdicts == {True, False}
@@ -835,10 +908,10 @@ def test_linear_relations_fail_with_a_wrong_right_hand_side():
     # {G_1, Gamma_1} = -hbar J_2
     one, x2 = mono(), mono(bos=(2,))
     L0, G1 = ("L", 0, None), ("G", 0, None)
-    J2 = [("J", 2, None)]
+    J2 = ("J", 2, None)
     for weight, holds in ((1, True), (2, False)):
         assert svir._holds(one, ("J", 1, None), ("J", -1, None), False,
-                           [None], weight) == holds
+                           ONE, weight) == holds
     for weight, holds in ((2, True), (3, False)):
         assert svir._holds(x2, L0, ("J", 2, None), False, J2,
                            weight) == holds
@@ -868,7 +941,7 @@ def test_checks_look_up_quadratic_modes_when_called(monkeypatch):
             assert check_commutator(relation, 0, 1, p)
         assert check_heisenberg_clifford(1, -1, p)
         for name in ("LL", "LG", "GG"):
-            assert svir._closes(name, 0, 1, p, shift)
+            assert svir._holds(p, *svir._closure(name, 0, 1, shift))
         for odd in (0, 1):
             with pytest.raises(Routed):
                 svir._hatted(odd, 1, p, shift, 4)
@@ -1035,7 +1108,7 @@ def test_theta_probe_failures_name_the_derivative(monkeypatch):
     def wrong(odd, i, p, shift, i_limit):
         out = inner(odd, i, p, shift, i_limit)
         if (odd, i) == (0, 1):
-            return ref_add(out, svir._apply("Gamma", 2, p))
+            return ref_add(out, svir._compute("Gamma", 2, p, None))
         return out
 
     monkeypatch.setattr(svir, "_hatted", wrong)
