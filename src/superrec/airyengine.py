@@ -5,9 +5,10 @@ the curve data, seeds the level chi = 3 entries from the closed-form base
 equations, and then solves each level chi >= 4 equation for its unique
 leading-index unknown. Each such equation is one sparse contraction: the
 coefficients are evaluated once per solver into tables of their nonzero
-values, whose (k, l) pairs drive the lookups of lower-level entries, and
-each partition of the remaining indices is enumerated once per entry.
-The lower-level factors of each product are read as slices of the sector
+values, whose (k, l) pairs drive the lookups of lower-level entries. The
+splits of the remaining indices come once per entry from
+store.factor_splits, the enumeration the residue solver reads too. The
+lower-level factors of each product are read as slices of the sector
 index (see store.LazyTensor): the nonzero entries with the k or l slot
 open, joined with the coefficient table by index, so no index up to the
 level bound is probed. Entries are computed lazily with memoization; a
@@ -22,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import add_into, finish, mul_into
-from .store import (LazyTensor, UnsolvedEntry, deficit, distinct_splits,
+from .store import (LazyTensor, UnsolvedEntry, deficit, factor_splits,
                     insert_index, iter_partitions, slot_ranges)
 
 
@@ -142,17 +143,6 @@ class AirySolver(LazyTensor):
         self.coeffs = ConstraintCoeffs(curve)
 
     # --- quadratic combinations -------------------------------------------
-    #
-    # Each xi2_* sums, over a table of nonzero coefficients (k, l, C), C
-    # times the quadratic term with k and l in their slots. The lower
-    # entries are read as slices, so every factor is a nonzero entry of a
-    # solved level. Partition terms with an unstable factor are never
-    # formed. This is not just an optimization: a same-level factor in a
-    # product always comes paired with an unstable one, and its level is
-    # still being solved. So every product factor is at level <= chi - 2
-    # and the F_{g-1} term at chi - 1; the only same-level lookups are the
-    # leading-sum and single-F terms, whose solved index strictly
-    # increases, and the dependency graph is acyclic.
 
     def xi2_bb(self, acc, g, pairs, bos, fer, weight):
         """Sum of C * [F_{g-1}(k,l,J|K) + signed F(k,J1|K1)F(l,J2|K2)]."""
@@ -171,8 +161,8 @@ class AirySolver(LazyTensor):
         """Add into the raw sum acc weight times the quadratic sum over
         pairs (k, l, C) with k and l in the given (fermionic or bosonic)
         slots: C times the F_{g-1} lead term plus the signed products
-        F_{g1}(k, J1|K1) F_{g-g1}(l, J2|K2) over partitions of J and K, for
-        canonical J = bos and K = fer.
+        F_{g1}(k, J1|K1) F_{g-g1}(l, J2|K2) over the splits of J and K (see
+        store.factor_splits), for canonical J = bos and K = fer.
 
         The lead term is read with l opened in front of k: that is
         F_{g-1}(k, l, ...) for a bosonic k or l, and F_{g-1}(J|l,k,K) =
@@ -189,32 +179,24 @@ class AirySolver(LazyTensor):
                 if sign:
                     _contract(ring, row, self.slice(
                         g - 1, *opened, l_fermionic), acc, sign * weight)
-        # the bosonic split sign is never used: each distinct split is
-        # formed once and weighted by its multiplicity
-        fer_splits = list(iter_partitions(fer))
-        for bos1, bos2, mult in distinct_splits(bos):
-            for fer1, fer2, sign in fer_splits:
-                # a factor is stable (chi >= 3) at genus >= 1 or with two
-                # indices beside its open slot
-                low = 0 if len(bos1) + len(fer1) > 1 else 1
-                high = g if len(bos2) + len(fer2) > 1 else g - 1
-                for g1 in range(low, high + 1):
-                    firsts = self.slice(g1, bos1, fer1, k_fermionic)
-                    if not firsts:
-                        continue
-                    seconds = self.slice(g - g1, bos2, fer2, l_fermionic)
-                    if not seconds:
-                        continue
-                    split_weight = sign * mult * weight
-                    for k, a in firsts.items():
-                        row = rows.get(k)
-                        if row is not None:
-                            inner = {}
-                            _contract(ring, row, seconds, inner)
-                            inner = finish(ring, inner)
-                            if inner is not None:
-                                mul_into(ring, acc, a.terms, inner.terms,
-                                         split_weight)
+        for _, bos1, fer1, bos2, fer2, split_weight, genera in factor_splits(
+                g, bos, iter_partitions(fer), (k_fermionic,)):
+            for g1 in genera:
+                firsts = self.slice(g1, bos1, fer1, k_fermionic)
+                if not firsts:
+                    continue
+                seconds = self.slice(g - g1, bos2, fer2, l_fermionic)
+                if not seconds:
+                    continue
+                for k, a in firsts.items():
+                    row = rows.get(k)
+                    if row is not None:
+                        inner = {}
+                        _contract(ring, row, seconds, inner)
+                        inner = finish(ring, inner)
+                        if inner is not None:
+                            mul_into(ring, acc, a.terms, inner.terms,
+                                     split_weight * weight)
 
     # --- level equations ---------------------------------------------------
 

@@ -9,6 +9,7 @@ both solvers share: the enumeration of each level's candidate keys over the
 index simplex (see `index_bound`), the memoized, zero-filtered lookup that
 computes an entry on first use, and the sector index that hands a solver
 every nonzero entry of a lower level with one slot left open.
+`factor_splits` lists the splits of both solvers' quadratic terms.
 """
 
 from __future__ import annotations
@@ -227,6 +228,38 @@ def distinct_splits(seq):
             for parts, (gather1, gather2) in gathers.items())
     return [(gather1(seq), gather2(seq), mult)
             for gather1, gather2, mult in table]
+
+
+def factor_splits(g, bos, fer_splits, kinds):
+    """The factor splits of a quadratic term: the (k kind, J1, K1, J2, K2,
+    weight, g1 range) of each product F_{g1}(k, J1|K1) F_{g-g1}(l, J2|K2)
+    over the splits of canonical J = bos and K, for each kind of k slot in
+    kinds (True: fermionic).
+
+    fer_splits are K's signed splits (see `iter_partitions`). J's split
+    sign is never used, so each distinct split of J is listed once and
+    weight is the int sign times multiplicity. F(k, J1|K1) is zero unless
+    |K1| is even beside a bosonic k and odd beside a fermionic one, so the
+    splits are filed by that parity once and each kind reads its own, and
+    (J2, K2) then has the parity of l's slot.
+
+    The g1 range leaves out the one-point line factor, genus 0 with nothing
+    beside its slot. The factor levels, each counting its open slot, sum to
+    chi + 1 for an entry at level chi, so the line factor's partner would
+    sit at level chi, which is being solved. Any other factor has level
+    >= 2 and its partner level <= chi - 1, so the dependency graph is
+    acyclic. A level-2 factor is unstable, so its slice is empty; the
+    residue engine gives it in closed form.
+    """
+    by_parity = [], []
+    for split in fer_splits:
+        by_parity[len(split[0]) % 2].append(split)
+    bos_splits = distinct_splits(bos)
+    return [(fermionic, bos1, fer1, bos2, fer2, sign * mult,
+             range(0 if bos1 or fer1 else 1, g + 1 if bos2 or fer2 else g))
+            for fermionic in kinds
+            for bos1, bos2, mult in bos_splits
+            for fer1, fer2, sign in by_parity[fermionic]]
 
 
 class CorrTensor:

@@ -24,7 +24,7 @@ from .curve import CurveBases
 from .scalars import add_into, finish_each, mul_into
 from .series import FormalSeries, TruncationError
 from .store import (IndexBoundError, LazyTensor, ParityError, canonical,
-                    deficit, distinct_splits, index_bound, insert_index,
+                    deficit, factor_splits, index_bound, insert_index,
                     iter_partitions, slot_ranges)
 
 
@@ -238,10 +238,10 @@ class TrSolver(LazyTensor):
         the factors with z in each slot and an integer weight. First the
         F_{g-1} terms with both slots open (but not the two-point ones),
         weighted by the sign of opening the first; then the products over
-        the splits of g, J and K, weighted by sign and multiplicity. A
-        (B, B) split and its swap give x.sigma(y) and its sigma-image with
-        one weight when both K parts are even, so only the lower of the two
-        is listed, as mirrored, and a split that is its own swap once."""
+        the splits of g, J and K (see `store.factor_splits`). A (B, B)
+        split and its swap give x.sigma(y) and its sigma-image with one
+        weight, as both K parts are even, so only the lower of the two is
+        listed, as mirrored, and a split that is its own swap once."""
         if g > 1 or g == 1 and (J or K):
             # the F_{g-1} entries have level 2g + |J| + |K|, and their
             # indices beside J and K share what J and K leave of its bound
@@ -256,33 +256,23 @@ class TrSolver(LazyTensor):
                         y = self.eval_lower(g - 1, *opened, second)
                         if y is not None:
                             yield first, first or second, basis(a), y, sign
-        # a z-slot factor needs an even remaining fermion count beside a
-        # bosonic slot and an odd one beside a fermionic slot
-        splits = _splits_by_parity(K)
-        for J1, J2, mult in distinct_splits(J):
-            for g1 in range(g + 1):
-                g2 = g - g1
-                for first, second in pairs:
-                    for K1, K2, rho in splits[first]:
-                        # a bosonic factor of genus 0 and no remaining
-                        # index is the one-point line factor, excluded from
-                        # the series; the other factor is then the entry
-                        # being solved, so neither slice may be read
-                        if not (first or g1 or J1 or K1) or \
-                                not (second or g2 or J2 or K2):
-                            continue
-                        mirrored = first or second
-                        if not mirrored and not (len(K1) % 2 or len(K2) % 2):
-                            side, swap = (g1, J1, K1), (g2, J2, K2)
-                            if side > swap:
-                                continue
-                            mirrored = side < swap
-                        x = self.eval_lower(g1, J1, K1, first)
-                        if x is None:
-                            continue
-                        y = self.eval_lower(g2, J2, K2, second)
-                        if y is not None:
-                            yield first, mirrored, x, y, rho * mult
+        seconds = dict(pairs)  # the second z-slot's kind by the first's
+        for first, J1, K1, J2, K2, weight, genera in factor_splits(
+                g, J, iter_partitions(K), seconds):
+            second = seconds[first]
+            for g1 in genera:
+                mirrored = first or second
+                if not mirrored:
+                    side, swap = (g1, J1, K1), (g - g1, J2, K2)
+                    if side > swap:
+                        continue
+                    mirrored = side < swap
+                x = self.eval_lower(g1, J1, K1, first)
+                if x is None:
+                    continue
+                y = self.eval_lower(g - g1, J2, K2, second)
+                if y is not None:
+                    yield first, mirrored, x, y, weight
 
     # --- extraction columns ---------------------------------------------------
 
@@ -350,15 +340,6 @@ class TrSolver(LazyTensor):
                         f"fermionic route {alt}")
             return val
         return self.fermionic_value(g, bos, fer)
-
-
-def _splits_by_parity(K):
-    """The signed splits of K, listed once: those with an even first part,
-    then those with an odd one."""
-    even, odd = [], []
-    for split in iter_partitions(K):
-        (odd if len(split[0]) % 2 else even).append(split)
-    return even, odd
 
 
 def run_tr(curve, chi_max):

@@ -12,8 +12,8 @@ from superrec.curve import CurveData
 from superrec.scalars import Ring
 from superrec.store import (
     CorrTensor, IndexBoundError, LazyTensor, MissingDependency, ParityError,
-    StabilityError, UnsolvedEntry, deficit, distinct_splits, index_bound,
-    iter_partitions, slot_ranges)
+    StabilityError, UnsolvedEntry, deficit, distinct_splits, factor_splits,
+    index_bound, iter_partitions, slot_ranges)
 from superrec.trengine import TrSolver
 from test_acceptance import airy_curve, random_curve, rich_curve
 from test_curve import irregular_curve
@@ -185,6 +185,43 @@ def test_distinct_splits_count_the_positioned_splits(seq):
     assert sum(mult for _, _, mult in splits) == 2 ** len(seq)
     assert {(p1, p2): mult for p1, p2, mult in splits} == Counter(
         (p1, p2) for p1, p2, _ in iter_partitions(seq))
+
+
+def _bitmask_factor_splits(g, J, K, fermionic):
+    """Reference for `factor_splits`: (g1, J1, K1, J2, K2) -> summed weight
+    over every bit mask of J's and of K's positions and every genus g1,
+    keeping a first fermionic part of the slot's parity (odd beside a
+    fermionic slot) and no factor of genus 0 with nothing beside its
+    slot."""
+    weights = Counter()
+    for J1, J2, _ in _bitmask_partitions(J):
+        for K1, K2, sign in _bitmask_partitions(K):
+            if len(K1) % 2 != fermionic:
+                continue
+            for g1 in range(g + 1):
+                if not (g1 or J1 or K1) or not (g - g1 or J2 or K2):
+                    continue
+                weights[g1, J1, K1, J2, K2] += sign
+    return weights
+
+
+@pytest.mark.parametrize("fermionic", [False, True])
+def test_factor_splits_match_bitmask_enumeration(fermionic):
+    for J in ((), (1,), (1, 1), (1, 1, 3), (1, 3, 3, 3), (1, 1, 3, 5, 5)):
+        for K in ((), (0,), (0, 2), (0, 2, 4), (0, 2, 4, 6),
+                  (0, 2, 4, 6, 8)):
+            for g in range(3):
+                splits = factor_splits(g, J, iter_partitions(K),
+                                       (fermionic,))
+                # each split is listed once, with its genus range
+                assert len({split[:5] for split in splits}) == len(splits)
+                weights = Counter()
+                for kind, J1, K1, J2, K2, weight, genera in splits:
+                    assert kind == fermionic and isinstance(weight, int)
+                    for g1 in genera:
+                        weights[g1, J1, K1, J2, K2] += weight
+                assert weights == _bitmask_factor_splits(
+                    g, J, K, fermionic), (g, J, K)
 
 
 @given(st.permutations(list(range(6))))
