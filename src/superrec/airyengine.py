@@ -7,13 +7,14 @@ leading-index unknown. Each such equation is one sparse contraction: the
 coefficients are evaluated once per solver into tables of their nonzero
 values, whose (k, l) pairs drive the lookups of lower-level entries. The
 splits of the remaining indices come once per entry from
-store.factor_splits, the enumeration the residue solver reads too. The
-lower-level factors of each product are read as slices of the sector
-index (see store.LazyTensor): the nonzero entries with the k or l slot
-open, joined with the coefficient table by index, so no index up to the
-level bound is probed. Entries are computed lazily with memoization; a
-slice is complete only once its level is, so a single high-level query
-first solves every lower level in full.
+store.factor_splits, the enumeration the residue solver reads too, each
+with an int weight over the constraint's denominator. The lower-level
+factors of each product are read as slices of the sector index (see
+store.LazyTensor): the nonzero entries with the k or l slot open, joined
+with the coefficient table by index, so no index up to the level bound is
+probed. Entries are computed lazily with memoization; a slice is complete
+only once its level is, so a single high-level query first solves every
+lower level in full.
 A bosonic-only mode (fermionic content dropped, halved central constant)
 supports the genus-scaling reduction checks.
 """
@@ -144,21 +145,20 @@ class AirySolver(LazyTensor):
 
     # --- quadratic combinations -------------------------------------------
 
-    def xi2_bb(self, acc, g, pairs, bos, fer, weight):
+    def xi2_bb(self, acc, g, pairs, bos, fer, den):
         """Sum of C * [F_{g-1}(k,l,J|K) + signed F(k,J1|K1)F(l,J2|K2)]."""
-        self._xi2(acc, g, pairs, bos, fer, weight, False, False)
+        self._xi2(acc, g, pairs, bos, fer, den, False, False)
 
-    def xi2_ff(self, acc, g, pairs, bos, fer, weight):
+    def xi2_ff(self, acc, g, pairs, bos, fer, den):
         """Sum of C * [-F_{g-1}(J|k,l,K) + signed F(J1|k,K1)F(J2|l,K2)]."""
-        self._xi2(acc, g, pairs, bos, fer, weight, True, True)
+        self._xi2(acc, g, pairs, bos, fer, den, True, True)
 
-    def xi2_bf(self, acc, g, pairs, bos, fer, weight):
+    def xi2_bf(self, acc, g, pairs, bos, fer, den):
         """Sum of C * [F_{g-1}(k,J|l,K) + signed F(k,J1|K1)F(J2|l,K2)]."""
-        self._xi2(acc, g, pairs, bos, fer, weight, False, True)
+        self._xi2(acc, g, pairs, bos, fer, den, False, True)
 
-    def _xi2(self, acc, g, pairs, bos, fer, weight, k_fermionic,
-             l_fermionic):
-        """Add into the raw sum acc weight times the quadratic sum over
+    def _xi2(self, acc, g, pairs, bos, fer, den, k_fermionic, l_fermionic):
+        """Add into the raw sum acc 1/den times the quadratic sum over
         pairs (k, l, C) with k and l in the given (fermionic or bosonic)
         slots: C times the F_{g-1} lead term plus the signed products
         F_{g1}(k, J1|K1) F_{g-g1}(l, J2|K2) over the splits of J and K (see
@@ -178,8 +178,8 @@ class AirySolver(LazyTensor):
                 opened, sign = insert_index(k, k_fermionic, bos, fer)
                 if sign:
                     _contract(ring, row, self.slice(
-                        g - 1, *opened, l_fermionic), acc, sign * weight)
-        for _, bos1, fer1, bos2, fer2, split_weight, genera in factor_splits(
+                        g - 1, *opened, l_fermionic), acc, sign, den)
+        for _, bos1, fer1, bos2, fer2, weight, genera in factor_splits(
                 g, bos, iter_partitions(fer), (k_fermionic,)):
             for g1 in genera:
                 firsts = self.slice(g1, bos1, fer1, k_fermionic)
@@ -192,11 +192,11 @@ class AirySolver(LazyTensor):
                     row = rows.get(k)
                     if row is not None:
                         inner = {}
-                        _contract(ring, row, seconds, inner)
+                        _contract(ring, row, seconds, inner, 1, 1)
                         inner = finish(ring, inner)
                         if inner is not None:
-                            mul_into(ring, acc, a.terms, inner.terms,
-                                     split_weight * weight)
+                            mul_into(ring, acc, a.terms, inner.terms, weight,
+                                     den)
 
     # --- level equations ---------------------------------------------------
 
@@ -263,10 +263,10 @@ class AirySolver(LazyTensor):
                 # operators (it cancels only in the mixed single-F terms,
                 # by index symmetry)
                 self.xi2_bb(acc, g, coeffs.nonzero("bb", c, odd, odd),
-                            *rest, Fraction(1, 2))
+                            *rest, 2)
                 if not self.bosonic_only:
                     self.xi2_ff(acc, g, coeffs.nonzero("ff", c, even, even),
-                                *rest, Fraction(1, 2))
+                                *rest, 2)
                 kind_pairs = ((False, False), (True, True))
             for kinds in kind_pairs:
                 self._single_f(acc, g, c, *rest, *kinds)
@@ -327,13 +327,13 @@ def _place(index, fermionic, bos, fer):
     return (bos, (index,) + fer) if fermionic else ((index,) + bos, fer)
 
 
-def _contract(ring, row, entries, acc, weight=1):
-    """Add weight * C * entries[l] over the (l, C) of a coefficient row into
-    the raw sum acc (see scalars.mul_into)."""
+def _contract(ring, row, entries, acc, weight, den):
+    """Add weight/den * C * entries[l] over the (l, C) of a coefficient row
+    into the raw sum acc (see scalars.mul_into)."""
     for l, val in row:
         entry = entries.get(l)
         if entry is not None:
-            mul_into(ring, acc, val.terms, entry.terms, weight)
+            mul_into(ring, acc, val.terms, entry.terms, weight, den)
 
 
 def run_airy(curve, chi_max):
