@@ -136,13 +136,11 @@ class CurveBases:
     """Basis series, defining one-forms and the F_0 diagonal of a curve,
     built to truncation."""
 
-    def __init__(self, curve, chi_max=None):
+    def __init__(self, curve):
         ring = curve.ring
         self.curve = curve
         self.ring = ring
         epsilon = curve.epsilon
-        if chi_max is not None:
-            curve.check_depth(chi_max)
         self.trunc = curve.trunc
         self._dxi_minus = {}
         self._eta_minus = {}

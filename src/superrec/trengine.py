@@ -90,8 +90,9 @@ class TrSolver(LazyTensor):
     run = LazyTensor.run
 
     def __init__(self, curve, chi_max):
+        curve.check_depth(chi_max)
         super().__init__(curve.ring, chi_max, curve.epsilon)
-        self.bases = CurveBases(curve, chi_max)
+        self.bases = CurveBases(curve)
         self.kernel = KernelWeights(self.bases)
         # _assemble reads a factor through kernel.top minus the lowest
         # exponent of its partner. A slot basis series of index c starts at

@@ -13,6 +13,7 @@ from superrec.curve import (
 from superrec.scalars import Ring
 from superrec.series import FormalSeries, TruncationError, WeightError
 from superrec.store import index_bound
+from superrec.trengine import TrSolver
 from oracles import integrate, omega01, residue
 from test_scalars import as_rational
 
@@ -253,8 +254,8 @@ def test_f0_diagonal_matches_sympy_oracle(curve):
 
 def test_truncation_guard():
     with pytest.raises(TruncationError):
-        CurveBases(airy_curve(trunc=5), chi_max=6)
-    CurveBases(airy_curve(trunc=index_bound(6) + 3 + 2), chi_max=6)
+        TrSolver(airy_curve(trunc=5), 6)
+    TrSolver(airy_curve(trunc=index_bound(6) + 3 + 2), 6)
 
 
 @pytest.mark.parametrize("curve", [airy_curve(), rich_curve()],

@@ -409,7 +409,7 @@ def test_assembly_stops_at_the_kernel_top():
 
 
 def airy_kernel():
-    return KernelWeights(CurveBases(airy_curve(), 5))
+    return KernelWeights(CurveBases(airy_curve()))
 
 
 def test_extraction_refuses_a_series_cut_below_the_top():
