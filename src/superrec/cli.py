@@ -42,7 +42,8 @@ CHI_WARN = 9
 
 
 class SpecError(Exception):
-    """A curve spec or result file cannot be parsed."""
+    """A curve spec or result file cannot be parsed, or an output file
+    cannot be written."""
 
 
 class MismatchError(Exception):
@@ -214,16 +215,21 @@ def document_entries(doc, ring):
 
 
 def write_bytes(path, data):
+    """Write data to path through a temporary file beside it, so a reader
+    never sees part of it; a failed write leaves no temporary file and is
+    a SpecError."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise SpecError(f"cannot write {path}: {exc.strerror}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def write_csv(path, doc):
@@ -298,7 +304,10 @@ def cache_load(digest, chi_max, engine):
 
 def cache_store(doc):
     directory = cache_directory()
-    os.makedirs(directory, exist_ok=True)
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise SpecError(f"cannot write {directory}: {exc.strerror}") from exc
     wrapper = {"payload": doc,
                "sha256": hashlib.sha256(canonical_bytes(doc)).hexdigest(),
                "code": code_digest()}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import accumulate
+from .scalars import NotInvertible, accumulate
 from .series import FormalSeries, TruncationError
 from .store import index_bound
 
@@ -84,6 +84,11 @@ class CurveData:
             raise AdmissibilityError("epsilon=3 requires tau_1 = 0")
         if self.epsilon == 3 and not tau3:
             raise AdmissibilityError("epsilon=3 requires tau_3 != 0")
+        try:
+            self.tau[self.epsilon].invert()
+        except NotInvertible as exc:
+            raise AdmissibilityError(
+                f"tau_{self.epsilon} must be invertible: {exc}") from exc
         if any(l < 1 for l in self.tau):
             raise ShapeError("tau indices must be >= 1")
         if any(k < 1 for k in self.psi0):

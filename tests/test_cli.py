@@ -113,8 +113,16 @@ DECIMAL_SPECS = (
     + [{"zoo": {"name": "super_jt", "params": {"t": value}}, "trunc": 12}
        for value in ("0.5", 1.5)])
 
+# a tau_epsilon with no inverse in the spec's ring: a free symbol, a sum
+# with a free symbol, and a zero divisor under s^2 = 4
+NOT_INVERTIBLE_SPECS = (
+    [dict(EXPLICIT_SPEC, symbols=[{"name": "t"}], tau={"3": tau}, psi0={})
+     for tau in ("t", "1+t")]
+    + [dict(EXPLICIT_SPEC, symbols=[{"name": "s", "square": "4"}],
+            tau={"3": "s-2"})])
 
-def test_parse_errors(tmp_path, capsys):
+
+def test_parse_errors(tmp_path, monkeypatch, capsys):
     assert main(["compute", "--curve", "airy", "--chi-max", "2"]) \
         == EXIT_PARSE
     bad = tmp_path / "bad.json"
@@ -139,7 +147,7 @@ def test_parse_errors(tmp_path, capsys):
               {"zoo": {"name": "airy", "params": []}, "trunc": 12},
               {"zoo": {"name": "ramond", "M_coeffs": "12"}, "trunc": 12},
               {"zoo": {"name": "airy"}, "trunc": 12.7}]
-    wrong += DECIMAL_SPECS
+    wrong += DECIMAL_SPECS + NOT_INVERTIBLE_SPECS
     for doc in wrong:
         spec = write_spec(tmp_path, doc, "w.json")
         assert main(["compute", "--curve", spec, "--chi-max", "3",
@@ -154,6 +162,25 @@ def test_parse_errors(tmp_path, capsys):
     assert main(["export", "--result", str(result), "--out",
                  str(tmp_path / "r.csv")]) == EXIT_PARSE
     assert not (tmp_path / "r.csv").exists()
+    # a failed write: an output path in a missing directory, one naming a
+    # directory, and a cache directory naming a file; each is one error
+    # line and leaves no temporary file behind
+    capsys.readouterr()
+    (tmp_path / "d").mkdir()
+    (tmp_path / "f").write_text("")
+    compute = ["compute", "--curve", "airy", "--chi-max", "3"]
+    for out in (tmp_path / "missing" / "r.json", tmp_path / "d"):
+        assert main(compute + ["--out", str(out)]) == EXIT_PARSE, out
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") \
+            and err.count("\n") == 1, err
+    monkeypatch.setenv("SUPERREC_CACHE_DIR", str(tmp_path / "f"))
+    assert main(compute + ["--no-cache"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / 'f'}: ") \
+        and err.count("\n") == 1, err
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert os.listdir(tmp_path / "d") == []
 
 
 # each zoo curve at every truncation too small to hold its leading dilaton
@@ -184,7 +211,7 @@ def test_spec_errors_under_optimized_python(tmp_path):
             for name, trunc in ZOO_TOO_SHALLOW
             if trunc == -1 or name == "ramond"]
     docs += [dict(EXPLICIT_SPEC, trunc=12.7), dict(EXPLICIT_SPEC, tau=[])]
-    docs += DECIMAL_SPECS
+    docs += DECIMAL_SPECS + NOT_INVERTIBLE_SPECS
     commands = [["verify-curve", "--curve", write_spec(tmp_path, doc,
                                                        f"o{i}.json")]
                 for i, doc in enumerate(docs)]
