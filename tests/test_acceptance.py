@@ -405,11 +405,35 @@ def test_criterion_8_structural_invariants():
                 failures.append(f"phi11(t) entry {(g, bos, fer)} = {value} "
                                 f"is not c*t^({deficit}/2)")
             homogeneous += 1
+    # the same with one symbol per kind of curve datum, fermionic entries
+    # included: tau_p weighs p - epsilon, phi_kl and psiA_kl k + l, and
+    # psi0_k k, and every entry has weight D in its deficit D
+    weights = {"tau5": 2, "phi11": 2, "phi13": 4, "psi02": 2, "psiA24": 6}
+    ring = Ring([(name, None) for name in weights])
+    x = ring.symbol
+    curve = CurveData(ring, 3, {3: ring.one(), 5: x("tau5")},
+                      {(1, 1): x("phi11"), (1, 3): x("phi13")},
+                      {2: x("psi02")}, {(2, 4): x("psiA24")}, 20)
+    seen, multi = set(), 0
+    for run in (run_tr, run_airy):
+        for (g, bos, fer), value in run(curve, 7).entries.items():
+            deficit = index_bound(2 * g + len(bos) + len(fer)) \
+                - sum(bos) - sum(fer)
+            for mono in value.terms:
+                seen.update(name for name, _ in mono)
+                if sum(weights[name] * exp for name, exp in mono) \
+                        != deficit:
+                    failures.append(f"entry {(g, bos, fer)} = {value} is "
+                                    f"not of weight {deficit}")
+            multi += 1
+    if seen != set(weights):
+        failures.append(f"symbols {set(weights) - seen} in no entry")
     report(8, failures,
            f"pairings to index {bound}, projections, parity, "
-           f"{sym_checked} slot permutations all exact, and "
+           f"{sym_checked} slot permutations all exact, "
            f"{homogeneous} phi11(t) entries of both engines through chi 8 "
-           "weighted-homogeneous of degree D")
+           f"and {multi} entries through chi 7 of a curve with a symbol "
+           "per datum weighted-homogeneous of degree D")
 
 
 def test_criterion_9_curve_zoo_identities():
