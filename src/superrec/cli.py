@@ -274,14 +274,16 @@ def _cache_path(digest, chi_max, engine):
 
 
 def cache_load(digest, chi_max, engine):
+    """The canonical bytes of the cached result document of this key, or
+    None on a miss."""
     path = _cache_path(digest, chi_max, engine)
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
         wrapper = json.loads(raw)
         payload = wrapper["payload"]
-        if wrapper["sha256"] != hashlib.sha256(
-                canonical_bytes(payload)).hexdigest():
+        data = canonical_bytes(payload)
+        if wrapper["sha256"] != hashlib.sha256(data).hexdigest():
             raise ValueError("digest mismatch")
         if wrapper["code"] != code_digest():
             raise ValueError("code mismatch")
@@ -289,7 +291,7 @@ def cache_load(digest, chi_max, engine):
                 or payload["chi_max"] != chi_max \
                 or payload["engine"] != engine:
             raise ValueError("key mismatch")
-        return payload
+        return data
     except OSError:
         return None
     except (ValueError, KeyError, TypeError):
@@ -302,18 +304,19 @@ def cache_load(digest, chi_max, engine):
         return None
 
 
-def cache_store(doc):
+def cache_store(data, digest, chi_max, engine):
+    """Store the canonical bytes of a result document under its key, as
+    the canonical bytes of {"code", "payload", "sha256"}, assembled around
+    data without encoding the document again."""
     directory = cache_directory()
     try:
         os.makedirs(directory, exist_ok=True)
     except OSError as exc:
         raise SpecError(f"cannot write {directory}: {exc.strerror}") from exc
-    wrapper = {"payload": doc,
-               "sha256": hashlib.sha256(canonical_bytes(doc)).hexdigest(),
-               "code": code_digest()}
-    write_bytes(_cache_path(doc["curve_hash"], doc["chi_max"],
-                            doc["engine"]),
-                canonical_bytes(wrapper))
+    write_bytes(_cache_path(digest, chi_max, engine), b"".join((
+        b'{"code":"', code_digest().encode("ascii"), b'","payload":',
+        data[:-1], b',"sha256":"', hashlib.sha256(data).hexdigest().encode(
+            "ascii"), b'"}\n')))
 
 
 # --- computation ------------------------------------------------------------
@@ -330,34 +333,24 @@ def _diff_report(tensor_tr, tensor_airy):
     return lines
 
 
-def engine_document(curve, digest, chi_max, engine):
-    """Result document of one engine, or of both after an entry-for-entry
-    diff ("both"); never touches the cache."""
-    if engine != "both":
-        run = run_tr if engine == "tr" else run_airy
-        return tensor_document(run(curve, chi_max), digest, chi_max, engine)
+def crosschecked(curve, chi_max):
+    """The residue engine's tensor once the constraint engine's agrees
+    with it entry for entry."""
     tensor = run_tr(curve, chi_max)
     diff = _diff_report(tensor, run_airy(curve, chi_max))
     if diff:
         raise MismatchError("engine outputs differ:\n" + "\n".join(diff))
-    return tensor_document(tensor, digest, chi_max, "both")
+    return tensor
 
 
-def compute_document(curve, canonical, chi_max, engine, use_cache=True):
-    digest = curve_hash(canonical)
-    if use_cache:
-        cached = cache_load(digest, chi_max, engine)
-        if cached is not None:
-            return cached
-    doc = engine_document(curve, digest, chi_max, engine)
-    if not use_cache:
-        cached = cache_load(digest, chi_max, engine)
-        if cached is not None and canonical_bytes(cached) \
-                != canonical_bytes(doc):
-            print("warning: recomputed result differs from the cached "
-                  "copy; overwriting", file=sys.stderr)
-    cache_store(doc)
-    return doc
+def engine_document(curve, digest, chi_max, engine):
+    """Result document of one engine, or of both after an entry-for-entry
+    diff ("both"); never touches the cache."""
+    if engine == "both":
+        tensor = crosschecked(curve, chi_max)
+    else:
+        tensor = (run_tr if engine == "tr" else run_airy)(curve, chi_max)
+    return tensor_document(tensor, digest, chi_max, engine)
 
 
 # --- commands ---------------------------------------------------------------
@@ -373,15 +366,27 @@ def cmd_compute(args):
         raise SpecError("--csv requires --out")
     curve, canonical = build_curve(
         load_spec_document(args.curve, args.chi_max))
-    doc = compute_document(curve, canonical, args.chi_max, args.engine,
-                           use_cache=not args.no_cache)
-    data = canonical_bytes(doc)
+    digest = curve_hash(canonical)
+    key = digest, args.chi_max, args.engine
+    # the result is encoded once: its bytes are the output, the cached
+    # payload and the input of its sha256
+    data = None if args.no_cache else cache_load(*key)
+    computed = data is None
+    if computed:
+        data = canonical_bytes(engine_document(curve, *key))
     if args.out:
         write_bytes(args.out, data)
     else:
         sys.stdout.write(data.decode("utf-8"))
     if args.csv:
-        write_csv(args.out + ".csv", doc)
+        write_csv(args.out + ".csv", json.loads(data))
+    # stored only once the result is out, so a failed store loses nothing;
+    # --no-cache still stores, replacing any entry it disagrees with
+    if computed:
+        if args.no_cache and cache_load(*key) not in (None, data):
+            print("warning: recomputed result differs from the cached "
+                  "copy; overwriting", file=sys.stderr)
+        cache_store(data, *key)
     return 0
 
 
@@ -391,8 +396,8 @@ def cmd_crosscheck(args):
     curve, canonical = build_curve(
         load_spec_document(args.curve, args.chi_max))
     digest = curve_hash(canonical)
-    doc = engine_document(curve, digest, args.chi_max, "both")
-    print(f"crosscheck ok: {len(doc['entries'])} entries, "
+    tensor = crosschecked(curve, args.chi_max)
+    print(f"crosscheck ok: {len(tensor.entries)} entries, "
           f"chi_max={args.chi_max}, curve {digest[:12]}")
     return 0
 

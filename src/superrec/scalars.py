@@ -122,10 +122,11 @@ def _scalar(ring, terms):
 
 # A raw sum maps each monomial to {denominator: numerator} of plain ints:
 # a term n/d is added to bucket d with no gcd, and `finish` makes one
-# Fraction per monomial. Only mul_into, add_into, finish and finish_each
-# read one; besides mul_into and add_into, only BiSeries.divide_z1_minus_z2
-# writes one, a single bucket per monomial over its running sum's common
-# denominator.
+# Fraction per monomial. Only mul_into, mul_ints_into, add_into, finish and
+# finish_each read one; besides the three that add into it, only
+# BiSeries.divide_z1_minus_z2 writes one, a single bucket per monomial over
+# its running sum's common denominator. A term dict listed once by
+# `int_terms` is multiplied by mul_ints_into with no Fraction property read.
 
 
 def mul_into(ring, acc, left, right, weight=1, den=1):
@@ -140,6 +141,34 @@ def mul_into(ring, acc, left, right, weight=1, den=1):
         n1, d1 = c1.numerator * wn, c1.denominator * wd
         for m2, c2 in right.items():
             n, d = n1 * c2.numerator, d1 * c2.denominator
+            if not m1:
+                mono = m2
+            elif not m2:
+                mono = m1
+            else:
+                mono, factor = _monomial_product(ring, m1, m2)
+                if factor is not None:
+                    n, d = n * factor[0], d * factor[1]
+            buckets = acc.get(mono)
+            if buckets is None:
+                acc[mono] = {d: n}
+            else:
+                buckets[d] = buckets.get(d, 0) + n
+
+
+def int_terms(terms):
+    """A term dict (monomial -> Fraction) as a tuple of (monomial,
+    numerator, denominator), the operand of `mul_ints_into`."""
+    return tuple((mono, c.numerator, c.denominator)
+                 for mono, c in terms.items())
+
+
+def mul_ints_into(ring, acc, left, right, weight):
+    """`mul_into` over two `int_terms` tuples and an int weight."""
+    for m1, n1, d1 in left:
+        n1 *= weight
+        for m2, n2, d2 in right:
+            n, d = n1 * n2, d1 * d2
             if not m1:
                 mono = m2
             elif not m2:

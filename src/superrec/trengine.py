@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .curve import CurveBases
-from .scalars import add_into, finish_each, mul_into
+from .scalars import add_into, finish_each, int_terms, mul_ints_into, mul_into
 from .series import FormalSeries, TruncationError
 from .store import (IndexBoundError, LazyTensor, ParityError, canonical,
                     deficit, factor_splits, index_bound, insert_index,
@@ -104,6 +104,7 @@ class TrSolver(LazyTensor):
                                                       self.epsilon) + 1
         self._half = self.ring.rational(Fraction(1, 2))
         self._factors = {}
+        self._rows = {}
         self._columns = {}
 
     # --- lower correlation series in the recursion variable -----------------
@@ -114,17 +115,17 @@ class TrSolver(LazyTensor):
         when it is zero: a two-point bilinear in closed form, else the
         basis series weighted by the entries of the slice with that slot
         open."""
+        key = (g, bos, fer, fermionic)
+        if key in self._factors:
+            return self._factors[key]
         closed = not g and (len(bos), len(fer)) == \
             ((0, 1) if fermionic else (1, 0))
+        bases = self.bases
+        # the slice read solves the factor's level, so an empty one is final
         row = None if closed else self.slice(g, bos, fer, fermionic)
         if not (closed or row):
-            return None
-        key = (g, bos, fer, fermionic)
-        out = self._factors.get(key)
-        if out is not None:
-            return out
-        bases = self.bases
-        if not closed:
+            out = None
+        elif not closed:
             basis = (bases.dxi_minus, bases.eta_minus)[fermionic]
             ring = self.ring
             sums = {}  # exponent -> raw sum of the weighted basis terms
@@ -159,6 +160,20 @@ class TrSolver(LazyTensor):
         """Quadratic series with one bosonic and one fermionic z-slot: the
         weight-(dz, odd) series whose extraction is l -> F(J | l, Kx)."""
         return self._assemble(g, J, Kx, True)
+
+    def _int_rows(self, series):
+        """The coefficients of a lower factor or slot basis series, listed
+        once per solver as (even rows, odd rows) by the parity of the
+        exponent k, each row (k, int_terms of its coefficient) in rising
+        k; the series is kept beside its rows, so its id is never reused."""
+        rows = self._rows.get(id(series))
+        if rows is None:
+            by_parity = ([], [])
+            for k in sorted(series.coeffs):
+                by_parity[k % 2].append(
+                    (k, int_terms(series.coeffs[k].terms)))
+            rows = self._rows[id(series)] = series, by_parity
+        return rows[1]
 
     def _assemble(self, g, J, K, fermionic):
         """The quadratic series for a fermionic (else bosonic) output slot:
@@ -207,29 +222,31 @@ class TrSolver(LazyTensor):
                 if k <= trunc:
                     add_into(sums.setdefault(k, {}), val.terms)
         for x, y, odd, weight, derived, mirrored in terms:
-            # y's coefficients by the parity of k2 + odd, on which the
-            # sign sigma gives them depends
-            seconds = ([], [])
-            for k2 in sorted(y.coeffs):
-                seconds[(k2 + odd) % 2].append((k2 + odd, y.coeffs[k2].terms))
-            flip = (y.dz_weight + odd) % 2
-            for k1, c1 in x.coeffs.items():
-                w = weight
-                if derived:  # x' has k1 c at k1 - 1
-                    if not k1:
-                        continue
-                    w, k1 = weight * k1, k1 - 1
-                left = c1.terms
-                for parity in ((dz_weight - k1) % 2,) if mirrored else (0, 1):
-                    signed = -w if (parity + flip) % 2 else w
-                    for k2, right in seconds[parity]:
-                        k = k1 + k2
-                        if k > trunc:
-                            break
-                        acc = sums.get(k)
-                        if acc is None:
-                            acc = sums[k] = {}
-                        mul_into(ring, acc, left, right, signed)
+            # sigma gives y's coefficient at k2 the sign (-1)^(k2 + y's dz
+            # weight), so y's rows are read by the parity of k2
+            seconds = self._int_rows(y)
+            flip = y.dz_weight % 2
+            for rows in self._int_rows(x):
+                for k1, left in rows:
+                    w = weight
+                    if derived:  # x' has k1 c at k1 - 1
+                        if not k1:
+                            continue
+                        w, k1 = weight * k1, k1 - 1
+                    k1 += odd  # two T factors give one z: T^2 = z dz
+                    # a mirrored term keeps the exponents k1 + k2 of the
+                    # parity of dz_weight
+                    parities = ((dz_weight - k1) % 2,) if mirrored else (0, 1)
+                    for parity in parities:
+                        signed = -w if (parity + flip) % 2 else w
+                        for k2, right in seconds[parity]:
+                            k = k1 + k2
+                            if k > trunc:
+                                break
+                            acc = sums.get(k)
+                            if acc is None:
+                                acc = sums[k] = {}
+                            mul_ints_into(ring, acc, left, right, signed)
         return FormalSeries(ring, finish_each(ring, sums), trunc, dz_weight,
                             int(fermionic), min_exp)
 

@@ -176,9 +176,13 @@ def test_parse_errors(tmp_path, monkeypatch, capsys):
             and err.count("\n") == 1, err
     monkeypatch.setenv("SUPERREC_CACHE_DIR", str(tmp_path / "f"))
     assert main(compute + ["--no-cache"]) == EXIT_PARSE
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith(f"error: cannot write {tmp_path / 'f'}: ") \
         and err.count("\n") == 1, err
+    # the result is written out before the store that fails
+    curve, canonical = build_curve(load_spec_document("airy", 3))
+    assert out.encode("utf-8") == canonical_bytes(cli.engine_document(
+        curve, cli.curve_hash(canonical), 3, "tr"))
     assert not list(tmp_path.rglob("*.tmp"))
     assert os.listdir(tmp_path / "d") == []
 
@@ -315,12 +319,21 @@ PINNED_CHI5_SHA256 = [
 ]
 
 
+# the benchmark's cold compute (residue-deep), recorded before the
+# residue assembly read its factors as int rows
+PINNED_SHA256 = [(engine, spec, 5, sha256)
+                 for engine, spec, sha256 in PINNED_CHI5_SHA256] + [
+    ("tr", PHI11_T_SPEC, 7,
+     "afc325ad738cfbcb2dbf80a3fcedf88d0b18146486488e5805f47eb8262dc5ee")]
+
+
 @pytest.mark.parametrize(
-    "engine, spec, sha256", PINNED_CHI5_SHA256,
-    ids=["tr", "airy", "psi-tr", "psi-airy", "ramond-tr", "ramond-airy"])
-def test_result_bytes_are_pinned(tmp_path, engine, spec, sha256):
+    "engine, spec, chi_max, sha256", PINNED_SHA256,
+    ids=["tr", "airy", "psi-tr", "psi-airy", "ramond-tr", "ramond-airy",
+         "tr-chi7"])
+def test_result_bytes_are_pinned(tmp_path, engine, spec, chi_max, sha256):
     out = tmp_path / "r.json"
-    assert main(["compute", "--engine", engine, "--chi-max", "5",
+    assert main(["compute", "--engine", engine, "--chi-max", str(chi_max),
                  "--curve", write_spec(tmp_path, spec),
                  "--no-cache", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
@@ -428,6 +441,11 @@ def test_cache_entry_with_an_edited_payload_is_evicted(tmp_path, monkeypatch):
     assert main(args) == 0
     first = out.read_bytes()
     [entry] = (tmp_path / "cache").iterdir()
+    # the stored wrapper, assembled around the result's bytes, is the
+    # canonical encoding of the wrapper document
+    assert entry.read_bytes() == canonical_bytes(
+        {"payload": json.loads(first), "code": cli.code_digest(),
+         "sha256": hashlib.sha256(first).hexdigest()})
     wrapper = json.loads(entry.read_text())
     payload = wrapper["payload"]
     assert payload["entries"][0]["value"] != "7"
