@@ -324,13 +324,21 @@ PINNED_CHI5_SHA256 = [
 PINNED_SHA256 = [(engine, spec, 5, sha256)
                  for engine, spec, sha256 in PINNED_CHI5_SHA256] + [
     ("tr", PHI11_T_SPEC, 7,
-     "afc325ad738cfbcb2dbf80a3fcedf88d0b18146486488e5805f47eb8262dc5ee")]
+     "afc325ad738cfbcb2dbf80a3fcedf88d0b18146486488e5805f47eb8262dc5ee"),
+    # crosscheck-fitted's depth, and the psi curve at a depth whose psi0
+    # and psiA reach the fermionic single-F rows; recorded before the
+    # single-F terms read sector slices and the quadratic terms multiplied
+    # raw inner sums
+    ("airy", RAMOND_SPEC, 6,
+     "0a526603df7d83d8b84373ba46c2988fb6470346578feb2bf8dedc27ecb7aca3"),
+    ("airy", PSI_SPEC, 7,
+     "5ed2526f68b1fc09b565a49f477bae2d7b9b82ee2858da1d0f6a3996acc8f0a7")]
 
 
 @pytest.mark.parametrize(
     "engine, spec, chi_max, sha256", PINNED_SHA256,
     ids=["tr", "airy", "psi-tr", "psi-airy", "ramond-tr", "ramond-airy",
-         "tr-chi7"])
+         "tr-chi7", "ramond-airy-chi6", "psi-airy-chi7"])
 def test_result_bytes_are_pinned(tmp_path, engine, spec, chi_max, sha256):
     out = tmp_path / "r.json"
     assert main(["compute", "--engine", engine, "--chi-max", str(chi_max),
