@@ -108,6 +108,9 @@ def _rational(value, what):
 
 
 def _parse_indexed(ring, mapping, pair, what):
+    """{index: Scalar} from a spec object of "k" (pair: "k,l") keys and
+    literal values: a JSON string or integer, never coerced from another
+    JSON type."""
     out = {}
     for key, literal in mapping.items():
         try:
@@ -118,6 +121,9 @@ def _parse_indexed(ring, mapping, pair, what):
                 index = int(key)
         except ValueError as exc:
             raise SpecError(f"bad {what} index {key!r}") from exc
+        if isinstance(literal, bool) or not isinstance(literal, (str, int)):
+            raise SpecError(f"{what} value at index {key!r} must be a "
+                            f"literal string or an integer, got {literal!r}")
         out[index] = ring.parse(str(literal))
     return out
 

@@ -26,6 +26,11 @@ class ScalarParseError(Exception):
     pass
 
 
+# a symbol name: the identifier of the literal grammar (see Ring.parse)
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_NAME_RE = re.compile(_NAME)
+
+
 class Ring:
     """A set of named symbols, each with an optional square relation."""
 
@@ -33,6 +38,9 @@ class Ring:
         # symbols: iterable of (name, square) with square a Fraction or None
         self.squares = {}
         for name, square in symbols:
+            if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+                raise ValueError(f"symbol name {name!r} is not an "
+                                 f"identifier {_NAME}")
             if name in self.squares:
                 raise ValueError(f"duplicate symbol {name!r}")
             if square is not None:
@@ -398,10 +406,10 @@ class Scalar:
 
 
 _TERM_RE = re.compile(
-    r"""^\s*
+    rf"""^\s*
         (?P<coeff>[+-]?\d+(?:/\d+)?)?
-        (?P<rest>(?:\s*\*\s*[A-Za-z_][A-Za-z_0-9]*(?:\^\d+)?
-                   |\s*[A-Za-z_][A-Za-z_0-9]*(?:\^\d+)?)*)
+        (?P<rest>(?:\s*\*\s*{_NAME}(?:\^\d+)?
+                   |\s*{_NAME}(?:\^\d+)?)*)
         \s*$""",
     re.VERBOSE,
 )
@@ -443,8 +451,7 @@ def _parse_scalar(ring, text):
             raise ScalarParseError(f"zero denominator in {text!r}") from None
         mono = {}
         rest = match.group("rest") or ""
-        for factor in re.findall(
-                r"[A-Za-z_][A-Za-z_0-9]*(?:\^\d+)?", rest):
+        for factor in re.findall(_NAME + r"(?:\^\d+)?", rest):
             if "^" in factor:
                 name, exp_text = factor.split("^")
                 exp = int(exp_text)

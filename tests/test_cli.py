@@ -121,6 +121,24 @@ NOT_INVERTIBLE_SPECS = (
     + [dict(EXPLICIT_SPEC, symbols=[{"name": "s", "square": "4"}],
             tau={"3": "s-2"})])
 
+# literals that read no symbol, so that a spec's symbols can be anything
+NO_SYMBOL_SPEC = dict(EXPLICIT_SPEC, tau={"3": "1"}, psi0={"1": "2"})
+
+# a symbol name no literal can read: not a JSON string (beside a string
+# name, whose sort once raised), or not an identifier
+UNNAMEABLE_SPECS = [dict(NO_SYMBOL_SPEC, symbols=symbols) for symbols in (
+    [{"name": 5}, {"name": "t"}], [{"name": 5}], [{"name": "2t"}])]
+
+# a coefficient that is neither a literal string nor a JSON integer, which
+# is never coerced to a string, not even beside a symbol of its name
+NOT_LITERAL_SPECS = [
+    dict(NO_SYMBOL_SPEC, tau={"3": "1", "5": True}),
+    dict(NO_SYMBOL_SPEC, symbols=[{"name": "True"}],
+         tau={"3": "1", "5": True}),
+    dict(NO_SYMBOL_SPEC, symbols=[{"name": "None"}], phi={"1,1": None}),
+    dict(NO_SYMBOL_SPEC, psiA={"1,2": 0.5}),
+    dict(NO_SYMBOL_SPEC, psi0={"1": ["2"]})]
+
 
 def test_parse_errors(tmp_path, monkeypatch, capsys):
     assert main(["compute", "--curve", "airy", "--chi-max", "2"]) \
@@ -148,14 +166,29 @@ def test_parse_errors(tmp_path, monkeypatch, capsys):
               {"zoo": {"name": "ramond", "M_coeffs": "12"}, "trunc": 12},
               {"zoo": {"name": "airy"}, "trunc": 12.7}]
     wrong += DECIMAL_SPECS + NOT_INVERTIBLE_SPECS
+    wrong += UNNAMEABLE_SPECS + NOT_LITERAL_SPECS
+    capsys.readouterr()
     for doc in wrong:
         spec = write_spec(tmp_path, doc, "w.json")
         assert main(["compute", "--curve", spec, "--chi-max", "3",
                      "--no-cache"]) == EXIT_PARSE, doc
-    # JSON integers and integer strings are both accepted
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    # the error names the symbol, or the field and the index
+    for doc, words in zip(UNNAMEABLE_SPECS + NOT_LITERAL_SPECS[:3],
+                          ("name 5", "name 5", "name '2t'", "tau value at "
+                           "index '5'", "tau value at index '5'",
+                           "phi value at index '1,1'")):
+        main(["compute", "--curve", write_spec(tmp_path, doc, "w.json"),
+              "--chi-max", "3", "--no-cache"])
+        assert words in capsys.readouterr().err, (doc, words)
+    # JSON integers and integer strings are both accepted, and a JSON
+    # integer coefficient reads as its string
     doc = dict(EXPLICIT_SPEC, epsilon="3", trunc="20")
     assert main(["compute", "--curve", write_spec(tmp_path, doc, "i.json"),
                  "--chi-max", "3", "--no-cache"]) == 0
+    assert build_curve(dict(EXPLICIT_SPEC, tau={"3": 1, "5": "1/2*s"}))[1] \
+        == build_curve(EXPLICIT_SPEC)[1]
     # a result file whose entries lack fields
     result = tmp_path / "r.json"
     result.write_text(json.dumps({"entries": [{"g": 1}]}))
@@ -216,6 +249,7 @@ def test_spec_errors_under_optimized_python(tmp_path):
             if trunc == -1 or name == "ramond"]
     docs += [dict(EXPLICIT_SPEC, trunc=12.7), dict(EXPLICIT_SPEC, tau=[])]
     docs += DECIMAL_SPECS + NOT_INVERTIBLE_SPECS
+    docs += UNNAMEABLE_SPECS + NOT_LITERAL_SPECS
     commands = [["verify-curve", "--curve", write_spec(tmp_path, doc,
                                                        f"o{i}.json")]
                 for i, doc in enumerate(docs)]
