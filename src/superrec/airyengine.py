@@ -12,9 +12,13 @@ with an int weight over the constraint's denominator. The lower-level
 factors of each product are read as slices of the sector index (see
 store.LazyTensor): the nonzero entries with the k or l slot open, joined
 with the coefficient table by index, so no index up to the level bound is
-probed. Entries are computed lazily with memoization; a slice is complete
-only once its level is, so a single high-level query first solves every
-lower level in full.
+probed. Each inner contraction over l stays a raw sum, which multiplies
+its k factor with no Fraction made (scalars.mul_raw_into). The single-F
+terms read their entries of the level below as slices too, one per removed
+index; only the same-level leading sum looks entries up one by one.
+Entries are computed lazily with memoization; a slice is complete only
+once its level is, so a single high-level query first solves every lower
+level in full.
 A bosonic-only mode (fermionic content dropped, halved central constant)
 supports the genus-scaling reduction checks.
 """
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import add_into, finish, mul_into
+from .scalars import add_into, finish, mul_into, mul_raw_into
 from .store import (LazyTensor, UnsolvedEntry, deficit, factor_splits,
                     insert_index, iter_partitions, slot_ranges)
 
@@ -193,10 +197,7 @@ class AirySolver(LazyTensor):
                     if row is not None:
                         inner = {}
                         _contract(ring, row, seconds, inner, 1, 1)
-                        inner = finish(ring, inner)
-                        if inner is not None:
-                            mul_into(ring, acc, a.terms, inner.terms, weight,
-                                     den)
+                        mul_raw_into(ring, acc, a.terms, inner, weight, den)
 
     # --- level equations ---------------------------------------------------
 
@@ -276,32 +277,41 @@ class AirySolver(LazyTensor):
     def _single_f(self, acc, g, c, bos, fer, removed_fermionic,
                   added_fermionic):
         """Add into the raw sum acc the single-F terms of operator c beside
-        remaining indices bos and fer: each index j of the removed kind
-        replaced by each k of the added kind, times C(c, -j, k) (C^bf reads
-        its bosonic argument first) and j, or the position sign of a
-        fermionic j, halved at j = 0."""
+        canonical remaining indices bos and fer: each index j of the
+        removed kind replaced by each k of the added kind, times C(c, -j, k)
+        (C^bf reads its bosonic argument first) and j, or the position sign
+        of a fermionic j, halved at j = 0.
+
+        The entries F(k, ...) beside each j are one slice with the added
+        slot open, joined with the coefficient row of j by k. They sit at
+        level chi - 1, for the entry at chi = 2g + len(bos) + len(fer) + 1,
+        so the slice is complete when read."""
         removed = fer if removed_fermionic else bos
-        coeffs = self.coeffs
+        ring, coeffs = self.ring, self.coeffs
         kind = "ff" if removed_fermionic and added_fermionic else \
             "bf" if removed_fermionic or added_fermionic else "bb"
         transposed = removed_fermionic and not added_fermionic
-        # the entry read has level chi - 1, for the entry at chi = 2g +
-        # len(bos) + len(fer) + 1, and k takes what the indices beside it
-        # leave of that level's bound
+        # k takes what the indices beside it leave of the bound of level
+        # chi - 1
         budget = deficit(g, bos, fer, self.epsilon)
         for pos, j in enumerate(removed):
             sub = removed[:pos] + removed[pos + 1:]
+            if removed_fermionic:
+                rest = bos, sub
+                weight, den = (-1 if pos % 2 else 1), (2 if j == 0 else 1)
+            else:
+                rest, weight, den = (sub, fer), j, 1
+            entries = self.slice(g, *rest, added_fermionic)
+            if not entries:
+                continue
             added = slot_ranges(budget + j)[added_fermionic]
-            weight = Fraction((-1) ** pos, 2 if j == 0 else 1) \
-                if removed_fermionic else j
-            rest = (bos, sub) if removed_fermionic else (sub, fer)
-            for first, second, val in (
-                    coeffs.nonzero(kind, c, added, (-j,)) if transposed
-                    else coeffs.nonzero(kind, c, (-j,), added)):
-                term = self.flookup(g, *_place(
-                    first if transposed else second, added_fermionic, *rest))
-                if term:
-                    mul_into(self.ring, acc, val.terms, term.terms, weight)
+            if transposed:
+                row = [(k, val) for k, _, val in coeffs.nonzero(
+                    kind, c, added, (-j,))]
+            else:
+                row = [(k, val) for _, k, val in coeffs.nonzero(
+                    kind, c, (-j,), added)]
+            _contract(ring, row, entries, acc, weight, den)
 
     # --- driver ------------------------------------------------------------
 

@@ -130,11 +130,13 @@ def _scalar(ring, terms):
 
 # A raw sum maps each monomial to {denominator: numerator} of plain ints:
 # a term n/d is added to bucket d with no gcd, and `finish` makes one
-# Fraction per monomial. Only mul_into, mul_ints_into, add_into, finish and
-# finish_each read one; besides the three that add into it, only
-# BiSeries.divide_z1_minus_z2 writes one, a single bucket per monomial over
-# its running sum's common denominator. A term dict listed once by
-# `int_terms` is multiplied by mul_ints_into with no Fraction property read.
+# Fraction per monomial. Only mul_into, mul_ints_into, mul_raw_into,
+# add_into, finish and finish_each read one; besides the four that add into
+# it, only BiSeries.divide_z1_minus_z2 writes one, a single bucket per
+# monomial over its running sum's common denominator. A term dict listed
+# once by `int_terms` is multiplied by mul_ints_into with no Fraction
+# property read, and mul_raw_into multiplies a term dict by a raw sum bucket
+# by bucket, so an inner sum is never finished only to be taken apart.
 
 
 def mul_into(ring, acc, left, right, weight=1, den=1):
@@ -190,6 +192,35 @@ def mul_ints_into(ring, acc, left, right, weight):
                 acc[mono] = {d: n}
             else:
                 buckets[d] = buckets.get(d, 0) + n
+
+
+def mul_raw_into(ring, acc, terms, raw, weight, den):
+    """Add the product of a term dict and the raw sum raw, times an int
+    weight and over an int denominator, into the raw sum acc, bucket by
+    bucket, so raw is never finished.
+
+    raw may hold zero sums, which add only zeros (see `mul_into`)."""
+    for m1, c1 in terms.items():
+        n1, d1 = c1.numerator * weight, c1.denominator * den
+        for m2, buckets in raw.items():
+            if not m1:
+                mono, factor = m2, None
+            elif not m2:
+                mono, factor = m1, None
+            else:
+                mono, factor = _monomial_product(ring, m1, m2)
+            out = acc.get(mono)
+            if out is None:
+                out = acc[mono] = {}
+            if factor is None:
+                for d2, n2 in buckets.items():
+                    d = d1 * d2
+                    out[d] = out.get(d, 0) + n1 * n2
+            else:
+                fn, fd = factor
+                for d2, n2 in buckets.items():
+                    d = d1 * d2 * fd
+                    out[d] = out.get(d, 0) + n1 * n2 * fn
 
 
 def add_into(acc, terms, weight=1, den=1):

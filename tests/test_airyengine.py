@@ -353,3 +353,30 @@ def test_no_lookup_above_the_index_simplex(monkeypatch, curve):
     monkeypatch.setattr(AirySolver, "flookup", flookup)
     assert run_airy(curve, 6).entries
     assert above == []
+
+
+def test_single_f_terms_read_slices_only(monkeypatch):
+    # the single-F terms read each removed index's entries as one slice of
+    # the level below, so no flookup is made while they run; run() solves
+    # level by level, so no slice read solves a level from inside them
+    depth, inside = [0], []
+    single_f, flookup = AirySolver._single_f, AirySolver.flookup
+
+    def counted_single_f(solver, *args):
+        depth[0] += 1
+        try:
+            single_f(solver, *args)
+        finally:
+            depth[0] -= 1
+
+    def counted_flookup(solver, g, bos, fer):
+        if depth[0]:
+            inside.append((g, bos, fer))
+        return flookup(solver, g, bos, fer)
+
+    monkeypatch.setattr(AirySolver, "_single_f", counted_single_f)
+    monkeypatch.setattr(AirySolver, "flookup", counted_flookup)
+    curve = rich_curve()
+    tensor = run_airy(curve, 6)
+    assert inside == []
+    assert tensor.entries == run_tr(curve, 6).entries

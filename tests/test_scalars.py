@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from superrec.biseries import BiSeries
 from superrec.scalars import (
     NotInvertible, Ring, RingMismatch, Scalar, ScalarParseError, add_into,
-    finish, mul_into)
+    finish, mul_into, mul_raw_into)
 from superrec.series import FormalSeries
 
 
@@ -372,6 +372,57 @@ def test_raw_accumulation_drops_a_product_that_vanishes():
     mul_into(ring, acc, (s - 2).terms, (s + 2).terms)
     assert finish(ring, acc) is None
     assert ((s - 2) * (s + 2)).terms == {}
+
+
+@st.composite
+def ring_and_raw_operand(draw):
+    """A ring of FAST_PATH_RINGS, a left factor, the (a, b, weight)
+    products of a raw inner sum, and an int weight and denominator; an
+    inner product is sometimes repeated with the opposite weight, so that
+    the inner sum often cancels, to zero buckets on the s^2 = 4 ring."""
+    ring = Ring(FAST_PATH_RINGS[draw(st.sampled_from(
+        sorted(FAST_PATH_RINGS)))])
+    elements = st.sampled_from(_pool(ring, draw(st.sampled_from(
+        [DYADIC, NON_DYADIC]))))
+    inner = []
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(elements), draw(elements)
+        weight = draw(st.sampled_from([1, -1, 3]))
+        inner.append((a, b, weight))
+        if draw(st.booleans()):
+            inner.append((b, a, -weight))
+    return (ring, draw(elements), inner, draw(st.sampled_from([1, -1, 2, -3])),
+            draw(st.sampled_from([1, 2, 3])))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(ring_and_raw_operand())
+def test_raw_operand_product_equals_the_finished_product(drawn):
+    ring, left, inner, weight, den = drawn
+    raw = {}
+    for a, b, w in inner:
+        mul_into(ring, raw, a.terms, b.terms, w)
+    before = {mono: dict(buckets) for mono, buckets in raw.items()}
+    finished = finish(ring, raw)
+    got, want = {}, {}
+    for acc in (got, want):
+        add_into(acc, left.terms, 1, 3)  # a raw sum that holds a term
+    mul_raw_into(ring, got, left.terms, raw, weight, den)
+    if finished is not None:
+        mul_into(ring, want, left.terms, finished.terms, weight, den)
+    assert finish(ring, got) == finish(ring, want), (left, inner)
+    assert raw == before  # read, never written
+
+
+def test_raw_operand_that_cancels_adds_only_zeros():
+    ring = Ring([("s", 4)])
+    s = ring.symbol("s")
+    raw = {}
+    mul_into(ring, raw, (s - 2).terms, (s + 2).terms)
+    assert raw and finish(ring, raw) is None  # zero buckets, no Scalar
+    acc = {}
+    mul_raw_into(ring, acc, (s + 1).terms, raw, 3, 2)
+    assert acc and finish(ring, acc) is None
 
 
 def _series_elements(ring):
