@@ -124,8 +124,8 @@ NOT_INVERTIBLE_SPECS = (
 # literals that read no symbol, so that a spec's symbols can be anything
 NO_SYMBOL_SPEC = dict(EXPLICIT_SPEC, tau={"3": "1"}, psi0={"1": "2"})
 
-# a symbol name no literal can read: not a JSON string (beside a string
-# name, whose sort once raised), or not an identifier
+# a symbol name no literal can read: not a JSON string (alone, and beside
+# a string name it cannot be sorted with), or not an identifier
 UNNAMEABLE_SPECS = [dict(NO_SYMBOL_SPEC, symbols=symbols) for symbols in (
     [{"name": 5}, {"name": "t"}], [{"name": 5}], [{"name": "2t"}])]
 
