@@ -366,13 +366,21 @@ PINNED_SHA256 = [(engine, spec, 5, sha256)
     ("airy", RAMOND_SPEC, 6,
      "0a526603df7d83d8b84373ba46c2988fb6470346578feb2bf8dedc27ecb7aca3"),
     ("airy", PSI_SPEC, 7,
-     "5ed2526f68b1fc09b565a49f477bae2d7b9b82ee2858da1d0f6a3996acc8f0a7")]
+     "5ed2526f68b1fc09b565a49f477bae2d7b9b82ee2858da1d0f6a3996acc8f0a7"),
+    # the residue engine where 1/delta-omega is more than a shift: 13
+    # coefficients on ramond, and the psi curve's tau_4 and tau_5; recorded
+    # before the kernel division multiplied raw sums
+    ("tr", RAMOND_SPEC, 6,
+     "665cae7e6e3a20e27be46f93d31b004fd7621bd91d7f55e7c94a5dd5f4538da1"),
+    ("tr", PSI_SPEC, 7,
+     "e855effe3c7ef03702cb06a328b0188f0d2e8f26738388178dc4abe70a68d081")]
 
 
 @pytest.mark.parametrize(
     "engine, spec, chi_max, sha256", PINNED_SHA256,
     ids=["tr", "airy", "psi-tr", "psi-airy", "ramond-tr", "ramond-airy",
-         "tr-chi7", "ramond-airy-chi6", "psi-airy-chi7"])
+         "tr-chi7", "ramond-airy-chi6", "psi-airy-chi7", "ramond-tr-chi6",
+         "psi-tr-chi7"])
 def test_result_bytes_are_pinned(tmp_path, engine, spec, chi_max, sha256):
     out = tmp_path / "r.json"
     assert main(["compute", "--engine", engine, "--chi-max", str(chi_max),
