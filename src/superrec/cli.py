@@ -69,8 +69,6 @@ def load_spec_document(curve_arg, chi_max=CHI_DEFAULT):
         raise SpecError(f"cannot read curve spec: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"curve spec is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SpecError("curve spec must be a JSON object")
     return doc
 
 
@@ -87,6 +85,16 @@ def _field(doc, key, kind, default=None):
     if not isinstance(value, kind) or isinstance(value, bool):
         name = {dict: "object", list: "array", int: "integer"}[kind]
         raise SpecError(f"{key} must be a JSON {name}, got {value!r}")
+    return value
+
+
+def _object(value, keys, what):
+    """value, which must be a JSON object with no key outside keys: a
+    misspelt key is a spec error, never ignored."""
+    if not isinstance(value, dict):
+        raise SpecError(f"{what} must be a JSON object, got {value!r}")
+    if unknown := sorted(set(value) - set(keys)):
+        raise SpecError(f"{what} has unknown key(s) {unknown}")
     return value
 
 
@@ -128,16 +136,16 @@ def _parse_indexed(ring, mapping, pair, what):
     return out
 
 
+# each indexed field of an explicit spec, and whether "k,l" pairs key it
+_INDEXED = (("tau", False), ("phi", True), ("psi0", False), ("psiA", True))
+
+
 def build_curve(doc):
     """(CurveData, canonical document) from a parsed spec document."""
-    explicit = [key for key in ("epsilon", "tau", "phi", "psi0", "psiA",
-                                "symbols") if key in doc]
-    if "zoo" in doc:
-        if explicit:
-            raise SpecError(
-                "spec must give either explicit parameters or a zoo "
-                f"reference, not both (saw {explicit} next to 'zoo')")
-        zref = doc["zoo"]
+    if isinstance(doc, dict) and "zoo" in doc:
+        # explicit parameters beside a zoo reference are unknown keys too
+        _object(doc, ("zoo", "trunc"), "spec with a zoo reference")
+        zref = _object(doc["zoo"], ("name", "M_coeffs", "params"), "zoo")
         try:
             name = zref["name"]
             m_coeffs = tuple(_rational(c, "M_coeffs entry") for c in
@@ -157,19 +165,20 @@ def build_curve(doc):
                     "params": {k: str(v) for k, v in sorted(params.items())}},
             "trunc": trunc}
         return curve, canonical
+    _object(doc, ("epsilon", "symbols", "trunc", *dict(_INDEXED)),
+            "curve spec")
     try:
+        entries = [_object(entry, ("name", "square"), "symbols entry")
+                   for entry in _field(doc, "symbols", list, [])]
         symbols = [(entry["name"],
                     _rational(entry["square"], f"square of {entry['name']}")
-                    if "square" in entry else None)
-                   for entry in _field(doc, "symbols", list, [])]
+                    if "square" in entry else None) for entry in entries]
         ring = Ring(symbols)
         epsilon = _field(doc, "epsilon", int)
         trunc = _field(doc, "trunc", int)
-        tau, phi, psi0, psiA = (
+        curve = CurveData(ring, epsilon, *(
             _parse_indexed(ring, _field(doc, key, dict, {}), pair, key)
-            for key, pair in (("tau", False), ("phi", True),
-                              ("psi0", False), ("psiA", True)))
-        curve = CurveData(ring, epsilon, tau, phi, psi0, psiA, trunc)
+            for key, pair in _INDEXED), trunc)
     except (KeyError, ValueError, TypeError, ScalarParseError, ShapeError,
             AdmissibilityError) as exc:
         raise SpecError(f"bad curve spec: {exc}") from exc
@@ -178,14 +187,11 @@ def build_curve(doc):
         "symbols": [{"name": name} if square is None
                     else {"name": name, "square": str(square)}
                     for name, square in sorted(symbols)],
-        "tau": {str(l): v.literal() for l, v in sorted(curve.tau.items())},
-        "phi": {f"{k},{l}": v.literal()
-                for (k, l), v in sorted(curve.phi.items())},
-        "psi0": {str(k): v.literal()
-                 for k, v in sorted(curve.psi0.items())},
-        "psiA": {f"{k},{l}": v.literal()
-                 for (k, l), v in sorted(curve.psiA.items())},
         "trunc": trunc}
+    for key, pair in _INDEXED:
+        canonical[key] = {
+            ",".join(map(str, index)) if pair else str(index): v.literal()
+            for index, v in sorted(getattr(curve, key).items())}
     return curve, canonical
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 class RingMismatch(Exception):
@@ -131,12 +131,13 @@ def _scalar(ring, terms):
 # A raw sum maps each monomial to {denominator: numerator} of plain ints:
 # a term n/d is added to bucket d with no gcd, and `finish` makes one
 # Fraction per monomial. Only mul_into, mul_ints_into, mul_raw_into,
-# add_into, finish and finish_each read one; besides the four that add into
-# it, only BiSeries.divide_z1_minus_z2 writes one, a single bucket per
-# monomial over its running sum's common denominator. A term dict listed
-# once by `int_terms` is multiplied by mul_ints_into with no Fraction
-# property read, and mul_raw_into multiplies a term dict by a raw sum bucket
-# by bucket, so an inner sum is never finished only to be taken apart.
+# add_into, finish, finish_each and finish_ints read one; besides the four
+# that add into it, only BiSeries.divide_z1_minus_z2 writes one, a single
+# bucket per monomial over its running sum's common denominator. A term
+# dict listed once by `int_terms` (or a raw sum by `finish_ints`) is
+# multiplied by mul_ints_into with no Fraction made or read, and
+# mul_raw_into multiplies a term dict by a raw sum bucket by bucket, so an
+# inner sum is never finished only to be taken apart.
 
 
 def mul_into(ring, acc, left, right, weight=1, den=1):
@@ -249,6 +250,23 @@ def finish(ring, acc):
         if n:
             terms[mono] = Fraction(n, d)
     return _scalar(ring, terms) if terms else None
+
+
+def finish_ints(acc):
+    """The raw sum acc as reduced (monomial, numerator, denominator)
+    triples, the zero sums dropped: `int_terms` of its `finish`, with no
+    Fraction made (empty when it is zero)."""
+    out = []
+    for mono, buckets in acc.items():
+        if len(buckets) == 1:
+            (d, n), = buckets.items()
+        else:
+            d = lcm(*buckets)
+            n = sum(num * (d // den) for den, num in buckets.items())
+        if n:
+            common = gcd(n, d) if d > 0 else -gcd(n, d)
+            out.append((mono, n // common, d // common))
+    return tuple(out)
 
 
 def finish_each(ring, sums):

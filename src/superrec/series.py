@@ -153,15 +153,6 @@ class FormalSeries:
 
     __rmul__ = __mul__
 
-    def cut(self, top):
-        """The series known only through exponent top (itself when it is
-        known no further); min_exp is kept."""
-        if top >= self.trunc:
-            return self
-        return _series(self.ring,
-                       {k: c for k, c in self.coeffs.items() if k <= top},
-                       top, self.dz_weight, self.theta, self.min_exp)
-
     def sigma(self):
         """Substitute z -> -z (each z and each dz flips sign; T invariant)."""
         flip = self.dz_weight % 2

@@ -19,10 +19,12 @@ the other half. A (B, B) split and its swap are such a pair too.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
 
 from .curve import CurveBases
-from .scalars import add_into, finish_each, int_terms, mul_ints_into, mul_into
-from .series import FormalSeries, TruncationError
+from .scalars import (add_into, finish, finish_ints, int_terms,
+                      mul_ints_into, mul_raw_into)
+from .series import TruncationError
 from .store import (IndexBoundError, LazyTensor, ParityError, canonical,
                     deficit, factor_splits, index_bound, insert_index,
                     iter_partitions, slot_ranges)
@@ -32,39 +34,71 @@ class BothRoutesDisagree(Exception):
     """Bosonic-slot and fermionic-slot routes gave different values."""
 
 
+def _rows(coeffs, trunc, min_exp, dz_weight, theta):
+    """A series in z held as int rows: ((even rows, odd rows), trunc,
+    min_exp, dz_weight, theta), one row per nonzero (k, int triples) pair
+    of coeffs, filed by the parity of k in rising k."""
+    by_parity = ([], [])
+    for k, terms in sorted(coeffs):
+        if terms:
+            by_parity[k % 2].append((k, terms))
+    return by_parity, trunc, min_exp, dz_weight, theta
+
+
+def _series_rows(series, top=inf):
+    """The int rows (see `_rows`) of a FormalSeries read through top."""
+    return _rows(((k, int_terms(c.terms)) for k, c in series.coeffs.items()
+                  if k <= top), min(series.trunc, top), series.min_exp,
+                 series.dz_weight, series.theta)
+
+
 class KernelWeights:
     """Extraction weights z^l / delta-omega and eta_l / delta-omega.
 
-    Extraction is the residue pairing of the assembled quadratic series
-    against these weights; a column of coefficients (one per output index
-    l) is read off from a single series division. It reads the quotient
-    only at exponents <= -2, so the quadratic series only through `top`.
+    Extraction is the residue pairing of the assembled quadratic against
+    these weights; a column of coefficients (one per output index l) is
+    read off from a single division of its raw sums. It reads the quotient
+    only at exponents <= -2, so the quadratic only through `top`.
     """
 
     def __init__(self, bases):
         self.inv_delta = bases.delta_omega.invert()
         self.top = -2 - self.inv_delta.min_exp
+        self._inv_rows = sorted(self.inv_delta.coeffs.items())
 
     def _column(self, q, expected_dz, parity, bound):
-        """Column l -> coefficient, for l >= 1 of the given parity; bound is
-        the largest index the entries of the column may take, so a nonzero
-        coefficient above it raises IndexBoundError, and one at the other
-        parity ParityError."""
-        if (q.dz_weight, q.theta) != expected_dz:
+        """Column l -> coefficient, for l >= 1 of the given parity, from the
+        raw quadratic q of `TrSolver._assemble`; bound is the largest index
+        the entries of the column may take, so a nonzero coefficient above
+        it raises IndexBoundError, and one at the other parity ParityError."""
+        sums, trunc, min_exp, dz_weight, theta = q
+        if (dz_weight, theta) != expected_dz:
             raise TruncationError(
-                f"assembled series has weight {(q.dz_weight, q.theta)}, "
+                f"assembled series has weight {(dz_weight, theta)}, "
                 f"expected {expected_dz}")
         # the residue against the weight of output index l sits at exponent
-        # -l-1 of r (for the odd weight eta_l = z^(l-1) T via T^2 = z dz)
-        r = q * self.inv_delta
-        if r.min_exp <= -2 and r.trunc < -2:
+        # -l-1 of r = q / delta-omega (for the odd weight eta_l = z^(l-1) T
+        # via T^2 = z dz); r is known through r_trunc
+        inv = self.inv_delta
+        r_trunc = min(trunc + inv.min_exp, inv.trunc + min_exp)
+        if min_exp + inv.min_exp <= -2 and r_trunc < -2:
             raise TruncationError(
-                f"extraction column unresolved: truncation {r.trunc}")
+                f"extraction column unresolved: truncation {r_trunc}")
+        ring, top = inv.ring, min(r_trunc, -2)
+        quotient = {}  # exponent <= top of r -> raw sum of its products
+        for k1, acc in sums.items():
+            for k2, val in self._inv_rows:
+                k = k1 + k2
+                if k > top:
+                    break
+                mul_raw_into(ring, quotient.setdefault(k, {}), val.terms, acc,
+                             1, 1)
         column = {}
-        for exp, val in r.coeffs.items():
-            index = -exp - 1
-            if index < 1 or not val:
+        for exp, acc in quotient.items():
+            val = finish(ring, acc)
+            if val is None:
                 continue
+            index = -exp - 1
             if index % 2 != parity:
                 raise ParityError(f"nonzero extraction at index {index}")
             if index > bound:
@@ -102,18 +136,28 @@ class TrSolver(LazyTensor):
         # lifts the cut by one): each row sum stops there.
         self._row_top = self.kernel.top + index_bound(chi_max,
                                                       self.epsilon) + 1
-        self._half = self.ring.rational(Fraction(1, 2))
         self._factors = {}
-        self._rows = {}
+        self._slots = {}
         self._columns = {}
 
     # --- lower correlation series in the recursion variable -----------------
 
+    def _slot_rows(self, fermionic, c, cut):
+        """Int rows (see `_rows`) of the slot basis series of index c, dxi_c
+        or eta_c, cut at the row top when cut; listed once per solver."""
+        key = (fermionic, c, cut)
+        rows = self._slots.get(key)
+        if rows is None:
+            rows = self._slots[key] = _series_rows(
+                (self.bases.dxi_minus, self.bases.eta_minus)[fermionic](c),
+                self._row_top if cut else inf)
+        return rows
+
     def eval_lower(self, g, bos, fer, fermionic):
-        """Slot series of a lower correlation form with z in one (bosonic
-        or fermionic) slot beside the canonical indices bos/fer, or None
-        when it is zero: a two-point bilinear in closed form, else the
-        basis series weighted by the entries of the slice with that slot
+        """Int rows (see `_rows`) of a lower correlation form with z in one
+        (bosonic or fermionic) slot beside the canonical indices bos/fer,
+        or None when it is zero: a two-point bilinear in closed form, else
+        the sum of the basis series weighted by the slice with that slot
         open."""
         key = (g, bos, fer, fermionic)
         if key in self._factors:
@@ -126,58 +170,44 @@ class TrSolver(LazyTensor):
         if not (closed or row):
             out = None
         elif not closed:
-            basis = (bases.dxi_minus, bases.eta_minus)[fermionic]
             ring = self.ring
             sums = {}  # exponent -> raw sum of the weighted basis terms
             trunc, min_exp = bases.trunc, bases.trunc + 1
             for c, val in row.items():
-                series = basis(c).cut(self._row_top)
-                trunc, min_exp = series.trunc, min(min_exp, series.min_exp)
-                for k, coeff in series.coeffs.items():
+                rows, trunc, low, _, _ = self._slot_rows(fermionic, c, True)
+                min_exp, right = min(min_exp, low), int_terms(val.terms)
+                for k, left in rows[0] + rows[1]:
                     acc = sums.get(k)
                     if acc is None:
                         acc = sums[k] = {}
-                    mul_into(ring, acc, coeff.terms, val.terms)
-            out = FormalSeries(ring, finish_each(ring, sums), trunc,
-                               int(not fermionic), int(fermionic), min_exp)
+                    mul_ints_into(ring, acc, left, right, 1)
+            out = _rows(((k, finish_ints(acc)) for k, acc in sums.items()),
+                        trunc, min_exp, int(not fermionic), int(fermionic))
         elif fermionic:
             k = fer[0]
-            out = bases.eta_plus(k) if k else bases.eta_zero.scale(self._half)
+            out = _series_rows(bases.eta_plus(k) if k else
+                               bases.eta_zero.scale(Fraction(1, 2)))
         else:
-            out = bases.dxi_plus(bos[0]).scale(bos[0])
+            out = _series_rows(bases.dxi_plus(bos[0]).scale(bos[0]))
         self._factors[key] = out
         return out
 
     # --- assembly ------------------------------------------------------------
 
     def assemble_QBB_FF(self, g, J, K):
-        """Quadratic series with two bosonic or two fermionic z-slots: the
-        weight-(dz^2) series whose extraction is the column l -> F(l, J|K).
-        """
+        """Raw quadratic with two bosonic or two fermionic z-slots, of
+        weight dz^2, whose extraction is the column l -> F(l, J|K)."""
         return self._assemble(g, J, K, False)
 
     def assemble_QFB(self, g, J, Kx):
-        """Quadratic series with one bosonic and one fermionic z-slot: the
-        weight-(dz, odd) series whose extraction is l -> F(J | l, Kx)."""
+        """Raw quadratic with one bosonic and one fermionic z-slot, of
+        weight (dz, odd), whose extraction is l -> F(J | l, Kx)."""
         return self._assemble(g, J, Kx, True)
 
-    def _int_rows(self, series):
-        """The coefficients of a lower factor or slot basis series, listed
-        once per solver as (even rows, odd rows) by the parity of the
-        exponent k, each row (k, int_terms of its coefficient) in rising
-        k; the series is kept beside its rows, so its id is never reused."""
-        rows = self._rows.get(id(series))
-        if rows is None:
-            by_parity = ([], [])
-            for k in sorted(series.coeffs):
-                by_parity[k % 2].append(
-                    (k, int_terms(series.coeffs[k].terms)))
-            rows = self._rows[id(series)] = series, by_parity
-        return rows[1]
-
     def _assemble(self, g, J, K, fermionic):
-        """The quadratic series for a fermionic (else bosonic) output slot:
-        one product form per pair of z-slot kinds, (B, B) and (F, F) for a
+        """The quadratic for a fermionic (else bosonic) output slot, as
+        (exponent -> raw sum, trunc, min_exp, dz_weight, theta): one
+        product form per pair of z-slot kinds, (B, B) and (F, F) for a
         bosonic output and (B, F) for a fermionic one. Factors x and y give
         x.sigma(y) for (B, B), x.sigma(y) + sigma(x).y for (B, F), and
         (1/2)(x'.sigma(y) + sigma(x').y) for (F, F).
@@ -187,7 +217,7 @@ class TrSolver(LazyTensor):
         splits, is m + sigma(m) for m = x.sigma(y) (x' for (F, F)): that is
         2m at the exponents k = dz_weight (mod 2) and zero at the others,
         so it is summed at those exponents only, with twice its weight
-        (the 1/2 of (F, F) cancels). The series is known through the
+        (the 1/2 of (F, F) cancels). The quadratic is known through the
         kernel's top exponent, or less where a product is known less far,
         and each product is summed only that far."""
         pairs = ((False, True),) if fermionic else \
@@ -200,17 +230,19 @@ class TrSolver(LazyTensor):
         terms = []
         for first, mirrored, x, y, weight in self._factor_pairs(g, J, K,
                                                                 pairs):
-            odd = x.theta and y.theta
+            x_rows, x_trunc, x_low, _, x_theta = x
+            y_rows, y_trunc, y_low, y_dz_weight, y_theta = y
+            odd = x_theta and y_theta
             # the product x.sigma(y) (x' for a first fermionic slot) is
             # known through the lower of its factors' truncations, each
             # lifted by the other's lowest exponent
-            x_trunc, x_low = x.trunc - first, x.min_exp - first
-            trunc = min(trunc, x_trunc + y.min_exp + odd,
-                        y.trunc + x_low + odd)
-            min_exp = min(min_exp, x_low + y.min_exp + odd)
+            x_trunc, x_low = x_trunc - first, x_low - first
+            trunc = min(trunc, x_trunc + y_low + odd, y_trunc + x_low + odd)
+            min_exp = min(min_exp, x_low + y_low + odd)
             if mirrored and not first:
                 weight *= 2  # for (F, F) the 1/2 cancels the 2
-            terms.append((x, y, odd, weight, first, mirrored))
+            terms.append((x_rows, y_rows, y_dz_weight % 2, odd, weight,
+                          first, mirrored))
         sums = {}  # exponent -> raw sum of its terms
         if g == 1 and not J and not K:
             # (bosonic output only) the F_0 terms of both pairs are the
@@ -221,12 +253,10 @@ class TrSolver(LazyTensor):
             for k, val in diagonal.coeffs.items():
                 if k <= trunc:
                     add_into(sums.setdefault(k, {}), val.terms)
-        for x, y, odd, weight, derived, mirrored in terms:
+        for x_rows, seconds, flip, odd, weight, derived, mirrored in terms:
             # sigma gives y's coefficient at k2 the sign (-1)^(k2 + y's dz
             # weight), so y's rows are read by the parity of k2
-            seconds = self._int_rows(y)
-            flip = y.dz_weight % 2
-            for rows in self._int_rows(x):
+            for rows in x_rows:
                 for k1, left in rows:
                     w = weight
                     if derived:  # x' has k1 c at k1 - 1
@@ -247,25 +277,23 @@ class TrSolver(LazyTensor):
                             if acc is None:
                                 acc = sums[k] = {}
                             mul_ints_into(ring, acc, left, right, signed)
-        return FormalSeries(ring, finish_each(ring, sums), trunc, dz_weight,
-                            int(fermionic), min_exp)
+        return sums, trunc, min_exp, dz_weight, int(fermionic)
 
     def _factor_pairs(self, g, J, K, pairs):
         """Each term as (first, mirrored, x, y, weight): whether the first
         z-slot is fermionic, whether the term's mirror is added by sigma,
-        the factors with z in each slot and an integer weight. First the
-        F_{g-1} terms with both slots open (but not the two-point ones),
-        weighted by the sign of opening the first; then the products over
-        the splits of g, J and K (see `store.factor_splits`). A (B, B)
-        split and its swap give x.sigma(y) and its sigma-image with one
-        weight, as both K parts are even, so only the lower of the two is
-        listed, as mirrored, and a split that is its own swap once."""
+        the int rows of the factors with z in each slot and an integer
+        weight. First the F_{g-1} terms with both slots open (but not the
+        two-point ones), weighted by the sign of opening the first; then the
+        products over the splits of g, J and K (see `store.factor_splits`).
+        A (B, B) split and its swap give x.sigma(y) and its sigma-image with
+        one weight, as both K parts are even, so only the lower of the two
+        is listed, as mirrored, and a split that is its own swap once."""
         if g > 1 or g == 1 and (J or K):
             # the F_{g-1} entries have level 2g + |J| + |K|, and their
             # indices beside J and K share what J and K leave of its bound
             ranges = slot_ranges(deficit(g, J, K, self.epsilon))
             for first, second in pairs:
-                basis = (self.bases.dxi_minus, self.bases.eta_minus)[first]
                 for a in ranges[first]:
                     # for (F, F) the slice holds F(J|b,a,K) = -F(J|a,b,K) up
                     # to the sign of sorting a into K
@@ -273,7 +301,8 @@ class TrSolver(LazyTensor):
                     if sign:
                         y = self.eval_lower(g - 1, *opened, second)
                         if y is not None:
-                            yield first, first or second, basis(a), y, sign
+                            yield (first, first or second,
+                                   self._slot_rows(first, a, False), y, sign)
         seconds = dict(pairs)  # the second z-slot's kind by the first's
         for first, J1, K1, J2, K2, weight, genera in factor_splits(
                 g, J, iter_partitions(K), seconds):

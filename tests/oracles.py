@@ -2,11 +2,14 @@
 
 The residue pairings of the basis tests need an antiderivative and the
 coefficient of z^-1 dz, and the fitting tests need a curve's one-form
-omega_{0,1}; the package itself computes none of them.
+omega_{0,1}; the package itself computes none of them. The residue engine
+holds its factors as int rows and its quadratics as raw sums, which the
+engine tests read back as series.
 """
 
 from fractions import Fraction
 
+from superrec.scalars import Scalar, add_into, finish
 from superrec.series import FormalSeries, TruncationError, WeightError
 
 
@@ -40,3 +43,28 @@ def omega01(curve):
     return FormalSeries(
         curve.ring, {l - 1: v for l, v in curve.tau.items()}, curve.trunc,
         1, 0, min_exp=0)
+
+
+def as_series(ring, held):
+    """The FormalSeries of a residue factor's int rows or of a raw
+    quadratic, each held as (data, trunc, min_exp, dz_weight, theta), with
+    data (even rows, odd rows) of (k, int triples) or exponent -> raw sum;
+    the constructor checks that no coefficient lies past trunc."""
+    data, trunc, min_exp, dz_weight, theta = held
+    if isinstance(data, dict):
+        coeffs = {k: finish(ring, acc) for k, acc in data.items()}
+    else:
+        coeffs = {k: Scalar(ring, {mono: Fraction(n, d)
+                                   for mono, n, d in terms})
+                  for rows in data for k, terms in rows}
+    return FormalSeries(ring, {k: c for k, c in coeffs.items() if c}, trunc,
+                        dz_weight, theta, min_exp)
+
+
+def as_raw(series):
+    """A series held as a raw quadratic of the residue engine, the operand
+    of its kernel division."""
+    sums = {}
+    for k, c in series.coeffs.items():
+        add_into(sums.setdefault(k, {}), c.terms)
+    return sums, series.trunc, series.min_exp, series.dz_weight, series.theta

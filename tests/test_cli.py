@@ -139,6 +139,24 @@ NOT_LITERAL_SPECS = [
     dict(NO_SYMBOL_SPEC, psiA={"1,2": 0.5}),
     dict(NO_SYMBOL_SPEC, psi0={"1": ["2"]})]
 
+# a misspelt key of the spec, of a zoo reference or of a symbol entry, an
+# explicit parameter beside a zoo reference, and a zoo reference or symbol
+# entry that is not a JSON object: each used to be ignored or to fail with
+# Python's own words; the error names the key or the field
+UNKNOWN_KEY_SPECS = [
+    ({"epsilon": 3, "tau": {"3": "1"}, "trunc": 24, "psia": {"1,2": "4"}},
+     "curve spec has unknown key(s) ['psia']"),
+    ({"zoo": {"name": "ramond", "M_coefs": ["3"]}, "trunc": 27},
+     "zoo has unknown key(s) ['M_coefs']"),
+    (dict(EXPLICIT_SPEC, symbols=[{"name": "s", "sqaure": "2"}]),
+     "symbols entry has unknown key(s) ['sqaure']"),
+    ({"zoo": {"name": "airy"}, "trunc": 12, "tau": {"3": "1"}},
+     "reference has unknown key(s) ['tau']"),
+    ({"zoo": "ramond", "trunc": 27},
+     "zoo must be a JSON object, got 'ramond'"),
+    (dict(EXPLICIT_SPEC, symbols=["s"]),
+     "symbols entry must be a JSON object, got 's'")]
+
 
 def test_parse_errors(tmp_path, monkeypatch, capsys):
     assert main(["compute", "--curve", "airy", "--chi-max", "2"]) \
@@ -167,6 +185,7 @@ def test_parse_errors(tmp_path, monkeypatch, capsys):
               {"zoo": {"name": "airy"}, "trunc": 12.7}]
     wrong += DECIMAL_SPECS + NOT_INVERTIBLE_SPECS
     wrong += UNNAMEABLE_SPECS + NOT_LITERAL_SPECS
+    wrong += [doc for doc, _ in UNKNOWN_KEY_SPECS]
     capsys.readouterr()
     for doc in wrong:
         spec = write_spec(tmp_path, doc, "w.json")
@@ -175,10 +194,11 @@ def test_parse_errors(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
     # the error names the symbol, or the field and the index
-    for doc, words in zip(UNNAMEABLE_SPECS + NOT_LITERAL_SPECS[:3],
-                          ("name 5", "name 5", "name '2t'", "tau value at "
-                           "index '5'", "tau value at index '5'",
-                           "phi value at index '1,1'")):
+    named = list(zip(UNNAMEABLE_SPECS + NOT_LITERAL_SPECS[:3],
+                     ("name 5", "name 5", "name '2t'", "tau value at "
+                      "index '5'", "tau value at index '5'",
+                      "phi value at index '1,1'")))
+    for doc, words in named + UNKNOWN_KEY_SPECS:
         main(["compute", "--curve", write_spec(tmp_path, doc, "w.json"),
               "--chi-max", "3", "--no-cache"])
         assert words in capsys.readouterr().err, (doc, words)
@@ -250,6 +270,7 @@ def test_spec_errors_under_optimized_python(tmp_path):
     docs += [dict(EXPLICIT_SPEC, trunc=12.7), dict(EXPLICIT_SPEC, tau=[])]
     docs += DECIMAL_SPECS + NOT_INVERTIBLE_SPECS
     docs += UNNAMEABLE_SPECS + NOT_LITERAL_SPECS
+    docs += [doc for doc, _ in UNKNOWN_KEY_SPECS]
     commands = [["verify-curve", "--curve", write_spec(tmp_path, doc,
                                                        f"o{i}.json")]
                 for i, doc in enumerate(docs)]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from superrec.biseries import BiSeries
 from superrec.scalars import (
     NotInvertible, Ring, RingMismatch, Scalar, ScalarParseError, add_into,
-    finish, mul_into, mul_raw_into)
+    finish, finish_ints, int_terms, mul_into, mul_raw_into)
 from superrec.series import FormalSeries
 
 
@@ -363,6 +363,35 @@ def test_raw_accumulation_equals_the_sum_of_scalar_products(drawn):
                    for coeff in got.terms.values()), terms
     else:
         assert got is None, terms
+
+
+@settings(derandomize=True, max_examples=300)
+@given(ring_and_raw_terms())
+def test_finished_int_triples_equal_the_finished_scalar(drawn):
+    ring, terms = drawn
+    acc = {}
+    for kind, a, b, weight in terms:
+        if kind == "mul":
+            mul_into(ring, acc, a.terms, b.terms, weight)
+        else:
+            add_into(acc, a.terms, weight)
+    finished = finish(ring, acc)
+    assert finish_ints(acc) == (
+        () if finished is None else int_terms(finished.terms)), terms
+
+
+def test_finished_int_triples_are_reduced_and_drop_zero_sums():
+    ring = Ring([("s", 4)])
+    s = ring.symbol("s")
+    acc = {}
+    mul_into(ring, acc, (s - 2).terms, (s + 2).terms)
+    assert acc and finish_ints(acc) == ()  # zero buckets only
+    # 1/6 + 1/3 over their lcm, 6/4 in one bucket, and a bucket whose
+    # denominator is negative, as Fraction reads them
+    acc = {(): {6: 1, 3: 1}, (("s", 1),): {4: 6},
+           (("t", 1),): {-4: 2}}
+    assert finish_ints(acc) == (((), 1, 2), ((("s", 1),), 3, 2),
+                                ((("t", 1),), -1, 2))
 
 
 def test_raw_accumulation_drops_a_product_that_vanishes():

@@ -10,6 +10,7 @@ are checked directly.
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from math import inf
 
 import pytest
 
@@ -19,10 +20,12 @@ from superrec.curve import CurveBases, CurveData
 from superrec.scalars import Ring
 from superrec.series import FormalSeries, TruncationError
 from superrec.store import (IndexBoundError, LazyTensor, MissingDependency,
-                            ParityError, distinct_splits, index_bound, insert_index,
-                            iter_partitions, slot_ranges)
+                            ParityError, distinct_splits, index_bound,
+                            insert_index, iter_partitions, slot_ranges)
 from superrec.trengine import KernelWeights, TrSolver, run_tr
 from superrec.zoo import ZooSpec, zoo_build
+
+from oracles import as_raw, as_series
 
 RING = Ring([])
 
@@ -203,24 +206,27 @@ def test_ff_lead_slice_sign():
 
 def test_ff_lead_term_of_the_assembly():
     """Each (F, F) F_{g-1} term that trengine assembles, weight times
-    factor, is sum_b F(J | b, a, K) eta_b, with both slots open."""
+    factor, is sum_b F(J | b, a, K) eta_b, with both slots open, beside
+    the uncut eta_a."""
     solver = HandFilledTr(airy_curve(), 7)
     eta = solver.bases.eta_minus
     odd_seen = 0
     for g, J, K in FF_CASES:
         budget = _budget(g, J, K)
         g += 1
-        lead = {id(eta(a)): a for a in slot_ranges(budget)[1]}
+        lead = {id(solver._slot_rows(True, a, False)): a
+                for a in slot_ranges(budget)[1]}
         for _, _, x, y, weight in solver._factor_pairs(
                 g, J, K, [(1, 1)]):
             a = lead.get(id(x))
             if a is None:
                 continue  # a split product, not an F_{g-1} term
+            assert as_series(RING, x) == eta(a)
             want = FormalSeries.zero(RING, solver.bases.trunc, 0, 1)
             for b in slot_ranges(budget - a)[1]:
                 entry = solver.flookup(g - 1, J, (b, a) + K)
                 want = want + eta(b).scale(entry)
-            assert y.scale(weight) == want, (g, J, K, a)
+            assert as_series(RING, y).scale(weight) == want, (g, J, K, a)
             odd_seen += weight < 0
     assert odd_seen
 
@@ -237,18 +243,67 @@ CUT_CASES = [
 
 @pytest.mark.parametrize("make, chi_max", CUT_CASES,
                          ids=["psi", "ramond", "phi11_t", "bessel"])
-def test_assembly_cut_keeps_every_column(monkeypatch, make, chi_max):
-    """The quadratic series is assembled only through the kernel's top
-    exponent; every extraction column equals the one from uncut factors."""
+def test_assembly_cut_keeps_every_column(make, chi_max):
+    """The quadratic is assembled only through the kernel's top exponent,
+    from factors summed only through the row top; every extraction column
+    equals the one from uncut factors."""
     curve = make()
     cut = TrSolver(curve, chi_max)
     cut.run()
-    assert cut.kernel.top < cut.bases.trunc
-    monkeypatch.setattr(FormalSeries, "cut", lambda series, top: series)
+    assert cut.kernel.top < cut._row_top < cut.bases.trunc
     whole = TrSolver(curve, chi_max)
+    whole._row_top = inf  # each slot basis row is read to its truncation
     whole.run()
     assert cut._columns == whole._columns
     assert sum(map(len, cut._columns.values())) > 20
+
+
+@pytest.mark.parametrize("make, chi_max", CUT_CASES,
+                         ids=["psi", "ramond", "phi11_t", "bessel"])
+def test_raw_division_equals_the_series_quotient(make, chi_max):
+    """Every column, divided by delta-omega on the quadratic's raw sums,
+    equals the column read off the finished quadratic times the series
+    1/delta-omega, at each exponent -l-1 <= -2 that product knows."""
+    solver = TrSolver(make(), chi_max)
+    solver.run()
+    inv_delta = solver.bases.delta_omega.invert()
+    assert inv_delta.coeffs
+    read = 0
+    for (g, J, K, fermionic), column in solver._columns.items():
+        q = as_series(solver.ring, solver._assemble(g, J, K, fermionic))
+        r = q * inv_delta
+        assert r.trunc >= -2 or r.min_exp > -2
+        assert column == {-k - 1: c for k, c in r.coeffs.items() if k <= -2}
+        read += len(column)
+    assert read > 20
+
+
+def test_perfbench_names_stay_on_the_path(monkeypatch):
+    """Each column is one call of assemble_QBB_FF or assemble_QFB and one
+    of extract_bosonic or extract_fermionic, the names perfbench times as
+    trengine.assemble_s and trengine.extract_s."""
+    calls = Counter()
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for name in ("assemble_QBB_FF", "assemble_QFB"):
+        counted(TrSolver, name)
+    for name in ("extract_bosonic", "extract_fermionic"):
+        counted(KernelWeights, name)
+    solver = TrSolver(rich_curve(), 5)
+    solver.run()
+    kinds = Counter(key[3] for key in solver._columns)
+    assert kinds[False] and kinds[True]
+    assert calls == {"assemble_QBB_FF": kinds[False],
+                     "extract_bosonic": kinds[False],
+                     "assemble_QFB": kinds[True],
+                     "extract_fermionic": kinds[True]}
 
 
 def ordered_bb_splits(solver, g, J, K):
@@ -271,7 +326,7 @@ def ordered_bb_splits(solver, g, J, K):
 
 def factor_keys(solver):
     """id of each memoized lower factor -> its (g, bos, fer)."""
-    return {id(series): key[:3] for key, series in solver._factors.items()}
+    return {id(rows): key[:3] for key, rows in solver._factors.items()}
 
 
 @pytest.mark.parametrize("make, chi_max", CUT_CASES,
@@ -301,6 +356,7 @@ def test_each_assembly_is_the_sum_of_its_mirrored_terms(make, chi_max):
                                                                (pair,)):
                 if pair == (False, False) and id(x) in keys:
                     continue  # a (B, B) split: summed in both orders below
+                x, y = as_series(ring, x), as_series(ring, y)
                 if first:
                     x, weight = x.derive(), half * weight
                 term = x * y.sigma()
@@ -310,10 +366,10 @@ def test_each_assembly_is_the_sum_of_its_mirrored_terms(make, chi_max):
         if not fermionic:
             for g1, J1, K1, g2, J2, K2, weight in ordered_bb_splits(
                     solver, g, J, K):
-                x = solver.eval_lower(g1, J1, K1, False)
-                y = solver.eval_lower(g2, J2, K2, False)
+                x = as_series(ring, solver.eval_lower(g1, J1, K1, False))
+                y = as_series(ring, solver.eval_lower(g2, J2, K2, False))
                 want = want + (x * y.sigma()).scale(weight)
-        got = solver._assemble(g, J, K, fermionic)
+        got = as_series(ring, solver._assemble(g, J, K, fermionic))
         assert got == want, (g, J, K, fermionic)
         assert (got.trunc, got.min_exp) == (want.trunc, want.min_exp)
         kinds.add(fermionic)
@@ -374,11 +430,12 @@ def test_mirrored_terms_are_summed_at_one_parity(monkeypatch):
                                                     (True, True))
         dz_weight = 1 if fermionic else 2
         calls[0] = 0
-        trunc = solver._assemble(g, J, K, fermionic).trunc
+        trunc = solver._assemble(g, J, K, fermionic)[1]
         made = calls[0]
         want = 0
         for first, mirrored, x, y, _ in solver._factor_pairs(g, J, K,
                                                              pairs):
+            x, y = as_series(RING, x), as_series(RING, y)
             if first:
                 x = x.derive()
             odd = x.theta and y.theta
@@ -404,7 +461,7 @@ def test_assembly_stops_at_the_kernel_top():
     top = solver.kernel.top
     assert top == 0  # -2 plus the epsilon - 1 pole order of 1/delta-omega
     for g, J, K, fermionic in ((1, (), (), False), (0, (1,), (0,), True)):
-        q = solver._assemble(g, J, K, fermionic)
+        q = as_series(RING, solver._assemble(g, J, K, fermionic))
         assert q.trunc == top and q.coeffs
 
 
@@ -416,17 +473,17 @@ def test_extraction_refuses_a_series_cut_below_the_top():
     kernel = airy_kernel()
     low = FormalSeries(RING, {-2: rat(1)}, kernel.top - 1, 2, 0)
     with pytest.raises(TruncationError):
-        kernel.extract_bosonic(low, 5)
+        kernel.extract_bosonic(as_raw(low), 5)
     # the same series known through top is read
     at_top = FormalSeries(RING, {-2: rat(1)}, kernel.top, 2, 0)
-    assert kernel.extract_bosonic(at_top, 5) == {3: rat("1/2")}
+    assert kernel.extract_bosonic(as_raw(at_top), 5) == {3: rat("1/2")}
 
 
 def test_extraction_refuses_an_index_past_the_bound():
     kernel = airy_kernel()
     q = FormalSeries(RING, {-2: rat(1)}, kernel.top, 2, 0)
     with pytest.raises(IndexBoundError):
-        kernel.extract_bosonic(q, 1)
+        kernel.extract_bosonic(as_raw(q), 1)
 
 
 def test_extraction_refuses_an_index_of_the_wrong_parity():
@@ -436,14 +493,14 @@ def test_extraction_refuses_an_index_of_the_wrong_parity():
     kernel = airy_kernel()
     bosonic = FormalSeries(RING, {-1: rat(1)}, kernel.top, 2, 0)
     with pytest.raises(ParityError, match="index 2"):
-        kernel.extract_bosonic(bosonic, 5)
+        kernel.extract_bosonic(as_raw(bosonic), 5)
     fermionic = FormalSeries(RING, {-2: rat(1)}, kernel.top, 1, 1)
     with pytest.raises(ParityError, match="index 3"):
-        kernel.extract_fermionic(fermionic, 5)
+        kernel.extract_fermionic(as_raw(fermionic), 5)
     # the neighbouring exponent lands each on its own parity
-    assert kernel.extract_bosonic(
-        FormalSeries(RING, {-2: rat(1)}, kernel.top, 2, 0), 5) == \
+    assert kernel.extract_bosonic(as_raw(
+        FormalSeries(RING, {-2: rat(1)}, kernel.top, 2, 0)), 5) == \
         {3: rat("1/2")}
-    assert kernel.extract_fermionic(
-        FormalSeries(RING, {-1: rat(1)}, kernel.top, 1, 1), 5) == \
+    assert kernel.extract_fermionic(as_raw(
+        FormalSeries(RING, {-1: rat(1)}, kernel.top, 1, 1)), 5) == \
         {2: rat("1/2")}
