@@ -356,6 +356,10 @@ PSI_SPEC = {"epsilon": 3, "tau": {"3": "1", "4": "1/2", "5": "2/3"},
             "psiA": {"1,2": "1/7", "2,3": "4"}, "trunc": 30}
 RAMOND_SPEC = {"zoo": {"name": "ramond", "M_coeffs": ["1"], "params": {}},
                "trunc": 27}
+SUPER_JT_SPEC = {"zoo": {"name": "super_jt", "M_coeffs": ["1"],
+                         "params": {}}, "trunc": 12}
+BESSEL_SPEC = {"zoo": {"name": "bessel", "M_coeffs": ["1"], "params": {}},
+               "trunc": 12}
 PINNED_CHI5_SHA256 = [
     ("tr", PHI11_T_SPEC,
      "c4aabe5c7cb82825130f722e0d55a242e6ba4f6ac1265c33c086772b6d72e6ec"),
@@ -394,14 +398,22 @@ PINNED_SHA256 = [(engine, spec, 5, sha256)
     ("tr", RAMOND_SPEC, 6,
      "665cae7e6e3a20e27be46f93d31b004fd7621bd91d7f55e7c94a5dd5f4538da1"),
     ("tr", PSI_SPEC, 7,
-     "e855effe3c7ef03702cb06a328b0188f0d2e8f26738388178dc4abe70a68d081")]
+     "e855effe3c7ef03702cb06a328b0188f0d2e8f26738388178dc4abe70a68d081"),
+    # the residue engine on the epsilon-1 curves, where the kernel's top
+    # exponent is -2: super_jt (38 entries) and bessel (37); recorded
+    # before the factor rows dropped their weight fields
+    ("tr", SUPER_JT_SPEC, 8,
+     "cfa9d33bde08511db99c1af6d32364280d10b4cd67e5aa660175dfa8e6c3d1e5"),
+    ("tr", BESSEL_SPEC, 9,
+     "7ad5cce8cf82492cf9666619067e6d39e3306cc06e58998b804d529a94d07bee")]
 
 
+@pytest.mark.filterwarnings("ignore:the cosine one-form")
 @pytest.mark.parametrize(
     "engine, spec, chi_max, sha256", PINNED_SHA256,
     ids=["tr", "airy", "psi-tr", "psi-airy", "ramond-tr", "ramond-airy",
          "tr-chi7", "ramond-airy-chi6", "psi-airy-chi7", "ramond-tr-chi6",
-         "psi-tr-chi7"])
+         "psi-tr-chi7", "super-jt-tr-chi8", "bessel-tr-chi9"])
 def test_result_bytes_are_pinned(tmp_path, engine, spec, chi_max, sha256):
     out = tmp_path / "r.json"
     assert main(["compute", "--engine", engine, "--chi-max", str(chi_max),

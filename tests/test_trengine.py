@@ -7,6 +7,7 @@ of output slot yields the same entry), and the sector vanishing statements
 are checked directly.
 """
 
+import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -231,18 +232,27 @@ def test_ff_lead_term_of_the_assembly():
     assert odd_seen
 
 
+def super_jt_curve():
+    """super_jt at trunc 12: epsilon 1, with its seven dilaton coefficients
+    in the symbols sqrt2 and pi2."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "the cosine one-form")
+        return zoo_build(ZooSpec("super_jt", trunc=12))
+
+
 # (curve, chi_max) on which the assembly cut must not change a column: the
-# psi curve, the fitted ramond curve, phi11(t) and an epsilon-1 curve
+# psi curve, the fitted ramond curve, phi11(t) and two epsilon-1 curves
 CUT_CASES = [
     (lambda: rich_curve(), 5),
     (lambda: zoo_build(ZooSpec("ramond", trunc=27)), 6),
     (lambda: zoo_build(ZooSpec("phi11", trunc=24)), 6),
     (lambda: zoo_build(ZooSpec("bessel", trunc=20)), 7),
+    (super_jt_curve, 8),
 ]
+CUT_IDS = ["psi", "ramond", "phi11_t", "bessel", "super_jt"]
 
 
-@pytest.mark.parametrize("make, chi_max", CUT_CASES,
-                         ids=["psi", "ramond", "phi11_t", "bessel"])
+@pytest.mark.parametrize("make, chi_max", CUT_CASES, ids=CUT_IDS)
 def test_assembly_cut_keeps_every_column(make, chi_max):
     """The quadratic is assembled only through the kernel's top exponent,
     from factors summed only through the row top; every extraction column
@@ -258,8 +268,7 @@ def test_assembly_cut_keeps_every_column(make, chi_max):
     assert sum(map(len, cut._columns.values())) > 20
 
 
-@pytest.mark.parametrize("make, chi_max", CUT_CASES,
-                         ids=["psi", "ramond", "phi11_t", "bessel"])
+@pytest.mark.parametrize("make, chi_max", CUT_CASES, ids=CUT_IDS)
 def test_raw_division_equals_the_series_quotient(make, chi_max):
     """Every column, divided by delta-omega on the quadratic's raw sums,
     equals the column read off the finished quadratic times the series
@@ -329,8 +338,7 @@ def factor_keys(solver):
     return {id(rows): key[:3] for key, rows in solver._factors.items()}
 
 
-@pytest.mark.parametrize("make, chi_max", CUT_CASES,
-                         ids=["psi", "ramond", "phi11_t", "bessel"])
+@pytest.mark.parametrize("make, chi_max", CUT_CASES, ids=CUT_IDS)
 def test_each_assembly_is_the_sum_of_its_mirrored_terms(make, chi_max):
     """Every quadratic series equals the sum, term by term, of x.sigma(y)
     for (B, B), over both orders of each split, x.sigma(y) + sigma(x).y for
@@ -376,8 +384,7 @@ def test_each_assembly_is_the_sum_of_its_mirrored_terms(make, chi_max):
     assert kinds == {False, True}
 
 
-@pytest.mark.parametrize("make, chi_max", CUT_CASES,
-                         ids=["psi", "ramond", "phi11_t", "bessel"])
+@pytest.mark.parametrize("make, chi_max", CUT_CASES, ids=CUT_IDS)
 def test_bb_splits_are_listed_once_per_swap(make, chi_max):
     """The (B, B) split terms of each assembly, a mirrored one together
     with its swap, are exactly the ordered splits, weights included, and
