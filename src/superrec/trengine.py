@@ -19,7 +19,6 @@ the other half. A (B, B) split and its swap are such a pair too.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
 
 from .curve import CurveBases
 from .scalars import (add_into, finish, finish_ints, int_terms,
@@ -34,22 +33,22 @@ class BothRoutesDisagree(Exception):
     """Bosonic-slot and fermionic-slot routes gave different values."""
 
 
-def _rows(coeffs, trunc, min_exp, dz_weight, theta):
+def _rows(coeffs, trunc, min_exp):
     """A series in z held as int rows: ((even rows, odd rows), trunc,
-    min_exp, dz_weight, theta), one row per nonzero (k, int triples) pair
-    of coeffs, filed by the parity of k in rising k."""
+    min_exp), one row per nonzero (k, int triples) pair of coeffs, filed by
+    the parity of k in rising k. Its weight is that of its z-slot: dz for
+    a bosonic slot, T for a fermionic one."""
     by_parity = ([], [])
     for k, terms in sorted(coeffs):
         if terms:
             by_parity[k % 2].append((k, terms))
-    return by_parity, trunc, min_exp, dz_weight, theta
+    return by_parity, trunc, min_exp
 
 
-def _series_rows(series, top=inf):
+def _series_rows(series, top):
     """The int rows (see `_rows`) of a FormalSeries read through top."""
     return _rows(((k, int_terms(c.terms)) for k, c in series.coeffs.items()
-                  if k <= top), min(series.trunc, top), series.min_exp,
-                 series.dz_weight, series.theta)
+                  if k <= top), min(series.trunc, top), series.min_exp)
 
 
 class KernelWeights:
@@ -66,16 +65,12 @@ class KernelWeights:
         self.top = -2 - self.inv_delta.min_exp
         self._inv_rows = sorted(self.inv_delta.coeffs.items())
 
-    def _column(self, q, expected_dz, parity, bound):
+    def _column(self, q, parity, bound):
         """Column l -> coefficient, for l >= 1 of the given parity, from the
         raw quadratic q of `TrSolver._assemble`; bound is the largest index
         the entries of the column may take, so a nonzero coefficient above
         it raises IndexBoundError, and one at the other parity ParityError."""
-        sums, trunc, min_exp, dz_weight, theta = q
-        if (dz_weight, theta) != expected_dz:
-            raise TruncationError(
-                f"assembled series has weight {(dz_weight, theta)}, "
-                f"expected {expected_dz}")
+        sums, trunc, min_exp = q
         # the residue against the weight of output index l sits at exponent
         # -l-1 of r = q / delta-omega (for the odd weight eta_l = z^(l-1) T
         # via T^2 = z dz); r is known through r_trunc
@@ -109,11 +104,11 @@ class KernelWeights:
 
     def extract_bosonic(self, q, bound):
         """Column l -> Res z^l q / delta-omega (nonzero only for odd l)."""
-        return self._column(q, (2, 0), 1, bound)
+        return self._column(q, 1, bound)
 
     def extract_fermionic(self, q, bound):
         """Column l -> Res eta_l q / delta-omega (nonzero only for even l)."""
-        return self._column(q, (1, 1), 0, bound)
+        return self._column(q, 0, bound)
 
 
 class TrSolver(LazyTensor):
@@ -133,7 +128,7 @@ class TrSolver(LazyTensor):
         # -c - 1, and c is at most the index bound B of chi_max, so a
         # factor is read through kernel.top + B + 1 at most (a derived
         # partner starts one lower, but beside two T factors, whose product
-        # lifts the cut by one): each row sum stops there.
+        # lifts the cut by one): every factor's rows stop there.
         self._row_top = self.kernel.top + index_bound(chi_max,
                                                       self.epsilon) + 1
         self._factors = {}
@@ -142,15 +137,15 @@ class TrSolver(LazyTensor):
 
     # --- lower correlation series in the recursion variable -----------------
 
-    def _slot_rows(self, fermionic, c, cut):
+    def _slot_rows(self, fermionic, c):
         """Int rows (see `_rows`) of the slot basis series of index c, dxi_c
-        or eta_c, cut at the row top when cut; listed once per solver."""
-        key = (fermionic, c, cut)
+        or eta_c, cut at the row top; listed once per solver."""
+        key = (fermionic, c)
         rows = self._slots.get(key)
         if rows is None:
             rows = self._slots[key] = _series_rows(
                 (self.bases.dxi_minus, self.bases.eta_minus)[fermionic](c),
-                self._row_top if cut else inf)
+                self._row_top)
         return rows
 
     def eval_lower(self, g, bos, fer, fermionic):
@@ -174,7 +169,7 @@ class TrSolver(LazyTensor):
             sums = {}  # exponent -> raw sum of the weighted basis terms
             trunc, min_exp = bases.trunc, bases.trunc + 1
             for c, val in row.items():
-                rows, trunc, low, _, _ = self._slot_rows(fermionic, c, True)
+                rows, trunc, low = self._slot_rows(fermionic, c)
                 min_exp, right = min(min_exp, low), int_terms(val.terms)
                 for k, left in rows[0] + rows[1]:
                     acc = sums.get(k)
@@ -182,13 +177,15 @@ class TrSolver(LazyTensor):
                         acc = sums[k] = {}
                     mul_ints_into(ring, acc, left, right, 1)
             out = _rows(((k, finish_ints(acc)) for k, acc in sums.items()),
-                        trunc, min_exp, int(not fermionic), int(fermionic))
+                        trunc, min_exp)
         elif fermionic:
             k = fer[0]
             out = _series_rows(bases.eta_plus(k) if k else
-                               bases.eta_zero.scale(Fraction(1, 2)))
+                               bases.eta_zero.scale(Fraction(1, 2)),
+                               self._row_top)
         else:
-            out = _series_rows(bases.dxi_plus(bos[0]).scale(bos[0]))
+            out = _series_rows(bases.dxi_plus(bos[0]).scale(bos[0]),
+                               self._row_top)
         self._factors[key] = out
         return out
 
@@ -201,13 +198,13 @@ class TrSolver(LazyTensor):
 
     def assemble_QFB(self, g, J, Kx):
         """Raw quadratic with one bosonic and one fermionic z-slot, of
-        weight (dz, odd), whose extraction is l -> F(J | l, Kx)."""
+        weight dz T, whose extraction is l -> F(J | l, Kx)."""
         return self._assemble(g, J, Kx, True)
 
     def _assemble(self, g, J, K, fermionic):
         """The quadratic for a fermionic (else bosonic) output slot, as
-        (exponent -> raw sum, trunc, min_exp, dz_weight, theta): one
-        product form per pair of z-slot kinds, (B, B) and (F, F) for a
+        (exponent -> raw sum, trunc, min_exp), of weight dz T (else dz^2):
+        one product form per pair of z-slot kinds, (B, B) and (F, F) for a
         bosonic output and (B, F) for a fermionic one. Factors x and y give
         x.sigma(y) for (B, B), x.sigma(y) + sigma(x).y for (B, F), and
         (1/2)(x'.sigma(y) + sigma(x').y) for (F, F).
@@ -215,33 +212,33 @@ class TrSolver(LazyTensor):
         Every term is summed into one raw sum per exponent. A mirrored
         term, (B, F), (F, F) or the lower of a swapped pair of (B, B)
         splits, is m + sigma(m) for m = x.sigma(y) (x' for (F, F)): that is
-        2m at the exponents k = dz_weight (mod 2) and zero at the others,
-        so it is summed at those exponents only, with twice its weight
-        (the 1/2 of (F, F) cancels). The quadratic is known through the
-        kernel's top exponent, or less where a product is known less far,
-        and each product is summed only that far."""
+        2m at the exponents k that sigma fixes, odd for dz T and even for
+        dz^2, and zero at the others, so it is summed at those exponents
+        only, with twice its weight (the 1/2 of (F, F) cancels). The
+        quadratic is known through the kernel's top exponent, or less where
+        a product is known less far, and each product is summed only that
+        far."""
         pairs = ((False, True),) if fermionic else \
             ((False, False), (True, True))
         ring = self.ring
-        top = self.kernel.top
-        dz_weight = 1 if fermionic else 2
-        trunc = min(self.bases.trunc, top)
+        trunc = min(self.bases.trunc, self.kernel.top)
         min_exp = trunc + 1
         terms = []
         for first, mirrored, x, y, weight in self._factor_pairs(g, J, K,
                                                                 pairs):
-            x_rows, x_trunc, x_low, _, x_theta = x
-            y_rows, y_trunc, y_low, y_dz_weight, y_theta = y
-            odd = x_theta and y_theta
-            # the product x.sigma(y) (x' for a first fermionic slot) is
-            # known through the lower of its factors' truncations, each
-            # lifted by the other's lowest exponent
-            x_trunc, x_low = x_trunc - first, x_low - first
-            trunc = min(trunc, x_trunc + y_low + odd, y_trunc + x_low + odd)
-            min_exp = min(min_exp, x_low + y_low + odd)
+            x_rows, x_trunc, x_low = x
+            y_rows, y_trunc, y_low = y
+            # the product x.sigma(y) is known through the lower of its
+            # factors' truncations, each lifted by the other's lowest
+            # exponent; for (F, F) the derivative lowers x by one exponent
+            # and its T times y's T lifts the product by one: T^2 = z dz
+            trunc = min(trunc, x_trunc + y_low, y_trunc + x_low)
+            min_exp = min(min_exp, x_low + y_low)
             if mirrored and not first:
                 weight *= 2  # for (F, F) the 1/2 cancels the 2
-            terms.append((x_rows, y_rows, y_dz_weight % 2, odd, weight,
+            # sigma gives y's coefficient at k2 the sign (-1)^k2, times -1
+            # for y's dz in a bosonic slot (sigma fixes T)
+            terms.append((x_rows, y_rows, not (first or fermionic), weight,
                           first, mirrored))
         sums = {}  # exponent -> raw sum of its terms
         if g == 1 and not J and not K:
@@ -253,20 +250,18 @@ class TrSolver(LazyTensor):
             for k, val in diagonal.coeffs.items():
                 if k <= trunc:
                     add_into(sums.setdefault(k, {}), val.terms)
-        for x_rows, seconds, flip, odd, weight, derived, mirrored in terms:
-            # sigma gives y's coefficient at k2 the sign (-1)^(k2 + y's dz
-            # weight), so y's rows are read by the parity of k2
+        for x_rows, seconds, flip, weight, derived, mirrored in terms:
+            # y's rows are read by the parity of k2, which fixes their sign
             for rows in x_rows:
                 for k1, left in rows:
                     w = weight
-                    if derived:  # x' has k1 c at k1 - 1
+                    if derived:  # x' has k1 c at k1 - 1, lifted back by T^2
                         if not k1:
                             continue
-                        w, k1 = weight * k1, k1 - 1
-                    k1 += odd  # two T factors give one z: T^2 = z dz
-                    # a mirrored term keeps the exponents k1 + k2 of the
-                    # parity of dz_weight
-                    parities = ((dz_weight - k1) % 2,) if mirrored else (0, 1)
+                        w = weight * k1
+                    # a mirrored term keeps the exponents k1 + k2 that sigma
+                    # fixes
+                    parities = ((k1 + fermionic) % 2,) if mirrored else (0, 1)
                     for parity in parities:
                         signed = -w if (parity + flip) % 2 else w
                         for k2, right in seconds[parity]:
@@ -277,7 +272,7 @@ class TrSolver(LazyTensor):
                             if acc is None:
                                 acc = sums[k] = {}
                             mul_ints_into(ring, acc, left, right, signed)
-        return sums, trunc, min_exp, dz_weight, int(fermionic)
+        return sums, trunc, min_exp
 
     def _factor_pairs(self, g, J, K, pairs):
         """Each term as (first, mirrored, x, y, weight): whether the first
@@ -302,7 +297,7 @@ class TrSolver(LazyTensor):
                         y = self.eval_lower(g - 1, *opened, second)
                         if y is not None:
                             yield (first, first or second,
-                                   self._slot_rows(first, a, False), y, sign)
+                                   self._slot_rows(first, a), y, sign)
         seconds = dict(pairs)  # the second z-slot's kind by the first's
         for first, J1, K1, J2, K2, weight, genera in factor_splits(
                 g, J, iter_partitions(K), seconds):

@@ -45,26 +45,40 @@ def omega01(curve):
         1, 0, min_exp=0)
 
 
-def as_series(ring, held):
-    """The FormalSeries of a residue factor's int rows or of a raw
-    quadratic, each held as (data, trunc, min_exp, dz_weight, theta), with
-    data (even rows, odd rows) of (k, int triples) or exponent -> raw sum;
-    the constructor checks that no coefficient lies past trunc."""
-    data, trunc, min_exp, dz_weight, theta = held
-    if isinstance(data, dict):
+def _weight(quadratic, fermionic):
+    """(dz_weight, theta) of a residue factor in a bosonic (dz) or
+    fermionic (T) slot, or of a quadratic for a bosonic (dz^2) or
+    fermionic (dz T) output slot."""
+    return (2 if quadratic else 1) - fermionic, int(fermionic)
+
+
+def as_series(ring, held, fermionic):
+    """The FormalSeries of a residue factor's int rows, in a fermionic
+    (else bosonic) slot, or of a raw quadratic for a fermionic (else
+    bosonic) output slot, each held as (data, trunc, min_exp), with data
+    (even rows, odd rows) of (k, int triples) or exponent -> raw sum; the
+    constructor checks that no coefficient lies past trunc."""
+    data, trunc, min_exp = held
+    quadratic = isinstance(data, dict)
+    if quadratic:
         coeffs = {k: finish(ring, acc) for k, acc in data.items()}
     else:
         coeffs = {k: Scalar(ring, {mono: Fraction(n, d)
                                    for mono, n, d in terms})
                   for rows in data for k, terms in rows}
     return FormalSeries(ring, {k: c for k, c in coeffs.items() if c}, trunc,
-                        dz_weight, theta, min_exp)
+                        *_weight(quadratic, fermionic), min_exp)
 
 
-def as_raw(series):
-    """A series held as a raw quadratic of the residue engine, the operand
+def as_raw(series, fermionic):
+    """A series of weight dz T (else dz^2) held as a raw quadratic of the
+    residue engine for a fermionic (else bosonic) output slot, the operand
     of its kernel division."""
+    if (series.dz_weight, series.theta) != _weight(True, fermionic):
+        raise WeightError(
+            f"series of weight {(series.dz_weight, series.theta)} is no "
+            f"{'fermionic' if fermionic else 'bosonic'} quadratic")
     sums = {}
     for k, c in series.coeffs.items():
         add_into(sums.setdefault(k, {}), c.terms)
-    return sums, series.trunc, series.min_exp, series.dz_weight, series.theta
+    return sums, series.trunc, series.min_exp

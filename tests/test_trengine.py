@@ -208,26 +208,28 @@ def test_ff_lead_slice_sign():
 def test_ff_lead_term_of_the_assembly():
     """Each (F, F) F_{g-1} term that trengine assembles, weight times
     factor, is sum_b F(J | b, a, K) eta_b, with both slots open, beside
-    the uncut eta_a."""
+    eta_a; both factors are cut at the row top."""
     solver = HandFilledTr(airy_curve(), 7)
     eta = solver.bases.eta_minus
     odd_seen = 0
     for g, J, K in FF_CASES:
         budget = _budget(g, J, K)
         g += 1
-        lead = {id(solver._slot_rows(True, a, False)): a
+        lead = {id(solver._slot_rows(True, a)): a
                 for a in slot_ranges(budget)[1]}
         for _, _, x, y, weight in solver._factor_pairs(
                 g, J, K, [(1, 1)]):
             a = lead.get(id(x))
             if a is None:
                 continue  # a split product, not an F_{g-1} term
-            assert as_series(RING, x) == eta(a)
+            x, y = as_series(RING, x, True), as_series(RING, y, True)
+            assert x == eta(a)
             want = FormalSeries.zero(RING, solver.bases.trunc, 0, 1)
             for b in slot_ranges(budget - a)[1]:
                 entry = solver.flookup(g - 1, J, (b, a) + K)
                 want = want + eta(b).scale(entry)
-            assert as_series(RING, y).scale(weight) == want, (g, J, K, a)
+            assert y.scale(weight) == want, (g, J, K, a)
+            assert x.trunc == y.trunc == solver._row_top < want.trunc
             odd_seen += weight < 0
     assert odd_seen
 
@@ -279,7 +281,8 @@ def test_raw_division_equals_the_series_quotient(make, chi_max):
     assert inv_delta.coeffs
     read = 0
     for (g, J, K, fermionic), column in solver._columns.items():
-        q = as_series(solver.ring, solver._assemble(g, J, K, fermionic))
+        q = as_series(solver.ring, solver._assemble(g, J, K, fermionic),
+                      fermionic)
         r = q * inv_delta
         assert r.trunc >= -2 or r.min_exp > -2
         assert column == {-k - 1: c for k, c in r.coeffs.items() if k <= -2}
@@ -364,7 +367,7 @@ def test_each_assembly_is_the_sum_of_its_mirrored_terms(make, chi_max):
                                                                (pair,)):
                 if pair == (False, False) and id(x) in keys:
                     continue  # a (B, B) split: summed in both orders below
-                x, y = as_series(ring, x), as_series(ring, y)
+                x, y = as_series(ring, x, first), as_series(ring, y, pair[1])
                 if first:
                     x, weight = x.derive(), half * weight
                 term = x * y.sigma()
@@ -374,10 +377,13 @@ def test_each_assembly_is_the_sum_of_its_mirrored_terms(make, chi_max):
         if not fermionic:
             for g1, J1, K1, g2, J2, K2, weight in ordered_bb_splits(
                     solver, g, J, K):
-                x = as_series(ring, solver.eval_lower(g1, J1, K1, False))
-                y = as_series(ring, solver.eval_lower(g2, J2, K2, False))
+                x = as_series(ring, solver.eval_lower(g1, J1, K1, False),
+                              False)
+                y = as_series(ring, solver.eval_lower(g2, J2, K2, False),
+                              False)
                 want = want + (x * y.sigma()).scale(weight)
-        got = as_series(ring, solver._assemble(g, J, K, fermionic))
+        got = as_series(ring, solver._assemble(g, J, K, fermionic),
+                        fermionic)
         assert got == want, (g, J, K, fermionic)
         assert (got.trunc, got.min_exp) == (want.trunc, want.min_exp)
         kinds.add(fermionic)
@@ -442,7 +448,8 @@ def test_mirrored_terms_are_summed_at_one_parity(monkeypatch):
         want = 0
         for first, mirrored, x, y, _ in solver._factor_pairs(g, J, K,
                                                              pairs):
-            x, y = as_series(RING, x), as_series(RING, y)
+            x = as_series(RING, x, first)
+            y = as_series(RING, y, dict(pairs)[first])
             if first:
                 x = x.derive()
             odd = x.theta and y.theta
@@ -468,7 +475,7 @@ def test_assembly_stops_at_the_kernel_top():
     top = solver.kernel.top
     assert top == 0  # -2 plus the epsilon - 1 pole order of 1/delta-omega
     for g, J, K, fermionic in ((1, (), (), False), (0, (1,), (0,), True)):
-        q = as_series(RING, solver._assemble(g, J, K, fermionic))
+        q = as_series(RING, solver._assemble(g, J, K, fermionic), fermionic)
         assert q.trunc == top and q.coeffs
 
 
@@ -480,17 +487,17 @@ def test_extraction_refuses_a_series_cut_below_the_top():
     kernel = airy_kernel()
     low = FormalSeries(RING, {-2: rat(1)}, kernel.top - 1, 2, 0)
     with pytest.raises(TruncationError):
-        kernel.extract_bosonic(as_raw(low), 5)
+        kernel.extract_bosonic(as_raw(low, False), 5)
     # the same series known through top is read
     at_top = FormalSeries(RING, {-2: rat(1)}, kernel.top, 2, 0)
-    assert kernel.extract_bosonic(as_raw(at_top), 5) == {3: rat("1/2")}
+    assert kernel.extract_bosonic(as_raw(at_top, False), 5) == {3: rat("1/2")}
 
 
 def test_extraction_refuses_an_index_past_the_bound():
     kernel = airy_kernel()
     q = FormalSeries(RING, {-2: rat(1)}, kernel.top, 2, 0)
     with pytest.raises(IndexBoundError):
-        kernel.extract_bosonic(as_raw(q), 1)
+        kernel.extract_bosonic(as_raw(q, False), 1)
 
 
 def test_extraction_refuses_an_index_of_the_wrong_parity():
@@ -500,14 +507,14 @@ def test_extraction_refuses_an_index_of_the_wrong_parity():
     kernel = airy_kernel()
     bosonic = FormalSeries(RING, {-1: rat(1)}, kernel.top, 2, 0)
     with pytest.raises(ParityError, match="index 2"):
-        kernel.extract_bosonic(as_raw(bosonic), 5)
+        kernel.extract_bosonic(as_raw(bosonic, False), 5)
     fermionic = FormalSeries(RING, {-2: rat(1)}, kernel.top, 1, 1)
     with pytest.raises(ParityError, match="index 3"):
-        kernel.extract_fermionic(as_raw(fermionic), 5)
+        kernel.extract_fermionic(as_raw(fermionic, True), 5)
     # the neighbouring exponent lands each on its own parity
     assert kernel.extract_bosonic(as_raw(
-        FormalSeries(RING, {-2: rat(1)}, kernel.top, 2, 0)), 5) == \
+        FormalSeries(RING, {-2: rat(1)}, kernel.top, 2, 0), False), 5) == \
         {3: rat("1/2")}
     assert kernel.extract_fermionic(as_raw(
-        FormalSeries(RING, {-1: rat(1)}, kernel.top, 1, 1)), 5) == \
+        FormalSeries(RING, {-1: rat(1)}, kernel.top, 1, 1), True), 5) == \
         {2: rat("1/2")}
