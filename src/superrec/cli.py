@@ -88,13 +88,17 @@ def _field(doc, key, kind, default=None):
     return value
 
 
-def _object(value, keys, what):
-    """value, which must be a JSON object with no key outside keys: a
-    misspelt key is a spec error, never ignored."""
+def _object(value, keys, what, required=()):
+    """value, which must be a JSON object with each key of required and no
+    key outside keys: a misspelt or missing key is a spec error, never
+    ignored."""
     if not isinstance(value, dict):
         raise SpecError(f"{what} must be a JSON object, got {value!r}")
     if unknown := sorted(set(value) - set(keys)):
         raise SpecError(f"{what} has unknown key(s) {unknown}")
+    for key in required:
+        if key not in value:
+            raise SpecError(f"{what} is missing key {key!r}")
     return value
 
 
@@ -145,7 +149,8 @@ def build_curve(doc):
     if isinstance(doc, dict) and "zoo" in doc:
         # explicit parameters beside a zoo reference are unknown keys too
         _object(doc, ("zoo", "trunc"), "spec with a zoo reference")
-        zref = _object(doc["zoo"], ("name", "M_coeffs", "params"), "zoo")
+        zref = _object(doc["zoo"], ("name", "M_coeffs", "params"), "zoo",
+                       ("name",))
         try:
             name = zref["name"]
             m_coeffs = tuple(_rational(c, "M_coeffs entry") for c in
@@ -168,7 +173,8 @@ def build_curve(doc):
     _object(doc, ("epsilon", "symbols", "trunc", *dict(_INDEXED)),
             "curve spec")
     try:
-        entries = [_object(entry, ("name", "square"), "symbols entry")
+        entries = [_object(entry, ("name", "square"), "symbols entry",
+                           ("name",))
                    for entry in _field(doc, "symbols", list, [])]
         symbols = [(entry["name"],
                     _rational(entry["square"], f"square of {entry['name']}")

@@ -157,6 +157,13 @@ UNKNOWN_KEY_SPECS = [
     (dict(EXPLICIT_SPEC, symbols=["s"]),
      "symbols entry must be a JSON object, got 's'")]
 
+# a symbol entry or a zoo reference without its name: the error names the
+# field and the key, not only the key
+MISSING_KEY_SPECS = [
+    (dict(EXPLICIT_SPEC, symbols=[{"square": "2"}]),
+     "symbols entry is missing key 'name'"),
+    ({"zoo": {}, "trunc": 12}, "zoo is missing key 'name'")]
+
 
 def test_parse_errors(tmp_path, monkeypatch, capsys):
     assert main(["compute", "--curve", "airy", "--chi-max", "2"]) \
@@ -185,7 +192,7 @@ def test_parse_errors(tmp_path, monkeypatch, capsys):
               {"zoo": {"name": "airy"}, "trunc": 12.7}]
     wrong += DECIMAL_SPECS + NOT_INVERTIBLE_SPECS
     wrong += UNNAMEABLE_SPECS + NOT_LITERAL_SPECS
-    wrong += [doc for doc, _ in UNKNOWN_KEY_SPECS]
+    wrong += [doc for doc, _ in UNKNOWN_KEY_SPECS + MISSING_KEY_SPECS]
     capsys.readouterr()
     for doc in wrong:
         spec = write_spec(tmp_path, doc, "w.json")
@@ -198,7 +205,7 @@ def test_parse_errors(tmp_path, monkeypatch, capsys):
                      ("name 5", "name 5", "name '2t'", "tau value at "
                       "index '5'", "tau value at index '5'",
                       "phi value at index '1,1'")))
-    for doc, words in named + UNKNOWN_KEY_SPECS:
+    for doc, words in named + UNKNOWN_KEY_SPECS + MISSING_KEY_SPECS:
         main(["compute", "--curve", write_spec(tmp_path, doc, "w.json"),
               "--chi-max", "3", "--no-cache"])
         assert words in capsys.readouterr().err, (doc, words)
@@ -270,7 +277,7 @@ def test_spec_errors_under_optimized_python(tmp_path):
     docs += [dict(EXPLICIT_SPEC, trunc=12.7), dict(EXPLICIT_SPEC, tau=[])]
     docs += DECIMAL_SPECS + NOT_INVERTIBLE_SPECS
     docs += UNNAMEABLE_SPECS + NOT_LITERAL_SPECS
-    docs += [doc for doc, _ in UNKNOWN_KEY_SPECS]
+    docs += [doc for doc, _ in UNKNOWN_KEY_SPECS + MISSING_KEY_SPECS]
     commands = [["verify-curve", "--curve", write_spec(tmp_path, doc,
                                                        f"o{i}.json")]
                 for i, doc in enumerate(docs)]
