@@ -90,15 +90,13 @@ def _field(doc, key, kind, default=None):
 
 def _object(value, keys, what, required=()):
     """value, which must be a JSON object with each key of required and no
-    key outside keys: a misspelt or missing key is a spec error, never
-    ignored."""
+    key outside keys: a misspelt or missing key is a spec error."""
     if not isinstance(value, dict):
         raise SpecError(f"{what} must be a JSON object, got {value!r}")
     if unknown := sorted(set(value) - set(keys)):
         raise SpecError(f"{what} has unknown key(s) {unknown}")
-    for key in required:
-        if key not in value:
-            raise SpecError(f"{what} is missing key {key!r}")
+    if missing := [key for key in required if key not in value]:
+        raise SpecError(f"{what} is missing key {missing[0]!r}")
     return value
 
 

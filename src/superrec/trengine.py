@@ -259,8 +259,7 @@ class TrSolver(LazyTensor):
                         if not k1:
                             continue
                         w = weight * k1
-                    # a mirrored term keeps the exponents k1 + k2 that sigma
-                    # fixes
+                    # a mirrored term keeps only the exponents sigma fixes
                     parities = ((k1 + fermionic) % 2,) if mirrored else (0, 1)
                     for parity in parities:
                         signed = -w if (parity + flip) % 2 else w

@@ -4,7 +4,7 @@ The residue pairings of the basis tests need an antiderivative and the
 coefficient of z^-1 dz, and the fitting tests need a curve's one-form
 omega_{0,1}; the package itself computes none of them. The residue engine
 holds its factors as int rows and its quadratics as raw sums, which the
-engine tests read back as series.
+engine tests read back as series, at the weight their slot kinds fix.
 """
 
 from fractions import Fraction

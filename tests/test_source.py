@@ -132,7 +132,7 @@ def test_asserts_do_not_grow():
 # it to check the package). A public definition is read in the package or
 # listed here, and a listed one that the package reads or no longer defines
 # leaves the list. A method whose name another class also defines is read
-# only as Class.name or when a traced command runs it.
+# only as Class.name or when the traced command runs it.
 UNREAD_PUBLIC = {
     "airyengine.run_bosonic":
         "API: the fermion-free solve, checked against known values",
@@ -171,32 +171,26 @@ def public_definitions(module, tree):
     return out
 
 
-# commands that between them run every public method the package reads
+# a command that runs every public method the package reads, unqualified,
 # under a name that another class defines too: both engines on a fitted
-# curve, the curve checks with and without the ramond excess, and the
-# algebra check
-TRACED_COMMANDS = [
-    ["crosscheck", "--curve", "ramond", "--chi-max", "5"],
-    ["verify-curve", "--curve", "ramond"],
-    ["verify-curve", "--curve", "ns_plus"],
-    ["verify-algebra", "--degree", "2", "--mode-range", "1"]]
+# curve, whose fit runs the zoo's series
+TRACED_COMMAND = ["crosscheck", "--curve", "ramond", "--chi-max", "5"]
 
 
-def traced_codes(commands):
-    """The code objects of every Python function the commands call."""
+def traced_codes(command):
+    """The code objects of every Python function the command calls."""
     called = set()
 
     def hook(frame, event, _arg):
         if event == "call":
             called.add(frame.f_code)
 
-    for command in commands:
-        sys.setprofile(hook)
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(command) == 0, command
-        finally:
-            sys.setprofile(None)
+    sys.setprofile(hook)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(command) == 0
+    finally:
+        sys.setprofile(None)
     return called
 
 
@@ -230,7 +224,7 @@ def test_every_public_definition_is_read_or_listed():
     shared = [name for name in public if name.count(".") == 2
               and methods[name.rsplit(".", 1)[1]] > 1]
     assert shared
-    run = traced_codes(TRACED_COMMANDS)
+    run = traced_codes(TRACED_COMMAND)
     unread = {name for name in public if name.rsplit(".", 1)[1] not in read}
     unread |= {name for name in shared
                if name.split(".", 1)[1] not in qualified
