@@ -82,8 +82,8 @@ class ConstraintCoeffs:
         add_into(acc, phi(j - 2 * c + 4, k).terms, sign_j, k)
         add_into(acc, phi(j, k - 2 * c + 4).terms, sign_k, j)
         if c == 1:
-            mul_into(self.ring, acc, phi(1, j).terms, phi(1, k).terms, 1,
-                     j * k)
+            mul_into(self.ring, acc, phi(1, j).terms.items(),
+                     phi(1, k).terms.items(), 1, j * k)
         return finish(self.ring, acc) or self.ring.zero()
 
     def c_ff(self, c, j, k):
@@ -94,8 +94,10 @@ class ConstraintCoeffs:
         if j + k == 2 * c - 4:
             add_into(acc, self._one, sign_j * (k - j), 2)
         if c == 1:
-            mul_into(self.ring, acc, psi(j, 2).terms, psi(k, 0).terms)
-            mul_into(self.ring, acc, psi(j, 0).terms, psi(k, 2).terms, -1)
+            mul_into(self.ring, acc, psi(j, 2).terms.items(),
+                     psi(k, 0).terms.items())
+            mul_into(self.ring, acc, psi(j, 0).terms.items(),
+                     psi(k, 2).terms.items(), -1)
         add_into(acc, psi(j, k - 2 * c + 4).terms, sign_k * (k - c + 2))
         add_into(acc, psi(k, j - 2 * c + 4).terms, -sign_j * (j - c + 2))
         return finish(self.ring, acc) or self.ring.zero()
@@ -112,7 +114,8 @@ class ConstraintCoeffs:
         add_into(acc, phi(j, k - 2 * c + 3).terms, sign_k, j)
         add_into(acc, psi(k, j - 2 * c + 3).terms, -sign_j)
         if c == 1:
-            mul_into(self.ring, acc, phi(j, 1).terms, psi(k, 0).terms, 1, j)
+            mul_into(self.ring, acc, phi(j, 1).terms.items(),
+                     psi(k, 0).terms.items(), 1, j)
         return finish(self.ring, acc) or self.ring.zero()
 
     def d(self, c, bosonic_only=False):
@@ -233,21 +236,22 @@ class AirySolver(LazyTensor):
                 break
             val = self.flookup(g, *_place(lead - eps + p, fermionic, *rest))
             if val:
-                mul_into(ring, acc, signed_tau.terms, val.terms)
+                mul_into(ring, acc, signed_tau.terms.items(),
+                         val.terms.items())
         if 2 * g + len(bos) + len(fer) == 3:
             # base level: the quadratic terms collapse to constants
             if fermionic:
                 # one bosonic and one trailing fermionic slot
                 (j,), (k,) = rest
                 add_into(acc, coeffs.value("bf", c, -j, -k).terms,
-                         Fraction(j, 2 if k == 0 else 1))
+                         j, 2 if k == 0 else 1)
             elif len(bos) == 3:
                 j, k = rest[0]
                 add_into(acc, coeffs.value("bb", c, -j, -k).terms, j * k)
             elif fer:
                 j, k = fer
                 add_into(acc, coeffs.value("ff", c, -j, -k).terms,
-                         Fraction(1, 1 + (j == 0) + (k == 0)))
+                         1, 1 + (j == 0) + (k == 0))
             else:
                 add_into(acc, coeffs.d(c, self.bosonic_only).terms)
         else:
@@ -343,7 +347,8 @@ def _contract(ring, row, entries, acc, weight, den):
     for l, val in row:
         entry = entries.get(l)
         if entry is not None:
-            mul_into(ring, acc, val.terms, entry.terms, weight, den)
+            mul_into(ring, acc, val.terms.items(), entry.terms.items(),
+                     weight, den)
 
 
 def run_airy(curve, chi_max):

@@ -79,7 +79,7 @@ class BiSeries:
                     other.trunc + self.min_total())
         sums = {}  # (i, j) -> raw sum of its products
         for (i1, j1), c1 in self.coeffs.items():
-            left = c1.terms
+            left = c1.terms.items()
             for (i2, j2), c2 in other.coeffs.items():
                 key = (i1 + i2, j1 + j2)
                 if key[0] + key[1] > trunc:
@@ -87,7 +87,7 @@ class BiSeries:
                 acc = sums.get(key)
                 if acc is None:
                     acc = sums[key] = {}
-                mul_into(ring, acc, left, c2.terms)
+                mul_into(ring, acc, left, c2.terms.items())
         return BiSeries(ring, finish_each(ring, sums), trunc)
 
     def quotient_on_square(self, other, rect):
@@ -115,7 +115,7 @@ class BiSeries:
         rest = [[] for _ in range(rect)]
         for (k, l), val in sorted(other.coeffs.items()):
             if (k or l) and k < rect and l < rect:
-                rest[k].append((l, val.terms))
+                rest[k].append((l, val.terms.items()))
         q = [[None] * rect for _ in range(rect)]
         # column by column, so every q_(i-k, j-l) is known when read
         for j in range(rect):
@@ -129,7 +129,8 @@ class BiSeries:
                         if l > j:
                             break
                         if row[j - l] is not None:
-                            mul_into(ring, acc, left, row[j - l].terms, -1)
+                            mul_into(ring, acc, left,
+                                     row[j - l].terms.items(), -1)
                 val = finish(ring, acc)
                 if val is not None:
                     val = q[i][j] = val * inv
@@ -153,7 +154,8 @@ class BiSeries:
         Truncation drops by times (unknown top coefficients would leak into
         every total degree >= trunc of the quotient).
         """
-        # degree n -> monomial -> {i: the Fraction at z1^i z2^(n-i)}
+        # degree n -> monomial -> {i: the (numerator, denominator) at
+        # z1^i z2^(n-i)}
         diagonals = {}
         for (i, j), val in self.coeffs.items():
             by_mono = diagonals.setdefault(i + j, {})
@@ -162,10 +164,10 @@ class BiSeries:
         columns = []  # (n, monomial, denominator, ints from z1^n to z2^n)
         for n, by_mono in diagonals.items():
             for mono, column in by_mono.items():
-                den = lcm(*(c.denominator for c in column.values()))
+                den = lcm(*(d for _, d in column.values()))
                 ints = [0] * (n + 1)
-                for i, c in column.items():
-                    ints[n - i] = c.numerator * (den // c.denominator)
+                for i, (num, d) in column.items():
+                    ints[n - i] = num * (den // d)
                 columns.append((n, mono, den, ints))
         # (z1 - z2)^times is mirror-symmetric for an even times, and so is
         # the quotient of a mirror-symmetric p: only its coefficients with
@@ -219,7 +221,7 @@ def _mirror_sign(coeffs, rect):
         symmetric = symmetric and terms == mirror
         antisymmetric = antisymmetric and i != j \
             and len(terms) == len(mirror) and all(
-                mirror.get(mono) == -coeff for mono, coeff in terms.items())
+                mirror.get(mono) == (-n, d) for mono, (n, d) in terms.items())
         if not (symmetric or antisymmetric):
             return 0
     return 1 if symmetric else -1

@@ -1,10 +1,13 @@
 """Exact coefficient ring: rationals extended by named symbols.
 
 Each symbol may carry a quadratic relation (symbol^2 = rational); symbols
-without one are free (transcendental). Values are sparse sums of monomials
-with Fraction coefficients, kept in a reduced canonical form: exponents of
-relation-bearing symbols are always 0 or 1, and zero coefficients are never
-stored.
+without one are free (transcendental). Values are sparse sums of monomials,
+each coefficient a reduced (numerator, denominator) int pair with a positive
+denominator, kept in a canonical form: exponents of relation-bearing symbols
+are always 0 or 1, and zero coefficients are never stored. A Fraction is
+made only where a literal is parsed, a rational is taken in
+(Ring.rational, the public Scalar constructor), a rational is hashed, or a
+value is inverted.
 """
 
 from __future__ import annotations
@@ -75,12 +78,13 @@ class Ring:
     def rational(self, value):
         if value.__class__ is not Fraction:
             value = Fraction(value)
-        return _scalar(self, {(): value} if value else {})
+        return _scalar(self, {(): (value.numerator, value.denominator)}
+                       if value else {})
 
     def symbol(self, name):
         if name not in self.squares:
             raise KeyError(f"unknown symbol {name!r}")
-        return _scalar(self, {((name, 1),): Fraction(1)})
+        return _scalar(self, {((name, 1),): (1, 1)})
 
     def parse(self, text):
         return _parse_scalar(self, text)
@@ -129,56 +133,25 @@ def _scalar(ring, terms):
 
 
 # A raw sum maps each monomial to {denominator: numerator} of plain ints:
-# a term n/d is added to bucket d with no gcd, and `finish` makes one
-# Fraction per monomial. Only mul_into, mul_ints_into, mul_raw_into,
-# add_into, finish, finish_each and finish_ints read one; besides the four
-# that add into it, only BiSeries.divide_z1_minus_z2 writes one, a single
-# bucket per monomial over its running sum's common denominator. A term
-# dict listed once by `int_terms` (or a raw sum by `finish_ints`) is
-# multiplied by mul_ints_into with no Fraction made or read, and
-# mul_raw_into multiplies a term dict by a raw sum bucket by bucket, so an
-# inner sum is never finished only to be taken apart.
+# a term n/d is added to bucket d with no gcd, and `finish` reduces each
+# monomial's sum with one gcd. Only mul_into, mul_raw_into, add_into,
+# finish and finish_each read one; besides the three that add into it,
+# only BiSeries.divide_z1_minus_z2 writes one, a single bucket per monomial
+# over its running sum's common denominator. mul_raw_into multiplies a term
+# dict by a raw sum bucket by bucket, so an inner sum is never finished
+# only to be taken apart.
 
 
 def mul_into(ring, acc, left, right, weight=1, den=1):
-    """Add the product of two term dicts (monomial -> Fraction), times an
-    int or Fraction weight and over an int denominator, into the raw sum
-    acc, monomial by monomial.
-
-    acc may hold zero sums until `finish` adopts it; left and right may
-    hold zero coefficients, which add only zeros."""
-    wn, wd = weight.numerator, weight.denominator * den
-    for m1, c1 in left.items():
-        n1, d1 = c1.numerator * wn, c1.denominator * wd
-        for m2, c2 in right.items():
-            n, d = n1 * c2.numerator, d1 * c2.denominator
-            if not m1:
-                mono = m2
-            elif not m2:
-                mono = m1
-            else:
-                mono, factor = _monomial_product(ring, m1, m2)
-                if factor is not None:
-                    n, d = n * factor[0], d * factor[1]
-            buckets = acc.get(mono)
-            if buckets is None:
-                acc[mono] = {d: n}
-            else:
-                buckets[d] = buckets.get(d, 0) + n
-
-
-def int_terms(terms):
-    """A term dict (monomial -> Fraction) as a tuple of (monomial,
-    numerator, denominator), the operand of `mul_ints_into`."""
-    return tuple((mono, c.numerator, c.denominator)
-                 for mono, c in terms.items())
-
-
-def mul_ints_into(ring, acc, left, right, weight):
-    """`mul_into` over two `int_terms` tuples and an int weight."""
-    for m1, n1, d1 in left:
-        n1 *= weight
-        for m2, n2, d2 in right:
+    """Add the product of two term listings, (monomial, (numerator,
+    denominator)) items such as `terms.items()` of a Scalar or a tuple of
+    them, times an int weight and over an int denominator, into the raw
+    sum acc, monomial by monomial; right is read once per item of left, so
+    it is a view or a tuple, never an iterator, and acc may hold zero sums
+    until `finish` adopts it."""
+    for m1, (n1, d1) in left:
+        n1, d1 = n1 * weight, d1 * den
+        for m2, (n2, d2) in right:
             n, d = n1 * n2, d1 * d2
             if not m1:
                 mono = m2
@@ -201,8 +174,8 @@ def mul_raw_into(ring, acc, terms, raw, weight, den):
     bucket, so raw is never finished.
 
     raw may hold zero sums, which add only zeros (see `mul_into`)."""
-    for m1, c1 in terms.items():
-        n1, d1 = c1.numerator * weight, c1.denominator * den
+    for m1, (n1, d1) in terms.items():
+        n1, d1 = n1 * weight, d1 * den
         for m2, buckets in raw.items():
             if not m1:
                 mono, factor = m2, None
@@ -225,11 +198,10 @@ def mul_raw_into(ring, acc, terms, raw, weight, den):
 
 
 def add_into(acc, terms, weight=1, den=1):
-    """Add a term dict times an int or Fraction weight, over an int
-    denominator, into the raw sum acc."""
-    wn, wd = weight.numerator, weight.denominator * den
-    for mono, coeff in terms.items():
-        n, d = coeff.numerator * wn, coeff.denominator * wd
+    """Add a term dict times an int weight, over an int denominator, into
+    the raw sum acc."""
+    for mono, (n, d) in terms.items():
+        n, d = n * weight, d * den
         buckets = acc.get(mono)
         if buckets is None:
             acc[mono] = {d: n}
@@ -238,8 +210,9 @@ def add_into(acc, terms, weight=1, den=1):
 
 
 def finish(ring, acc):
-    """The Scalar of the raw sum acc, one Fraction per monomial with the
-    zero sums dropped, or None when it is zero."""
+    """The Scalar of the raw sum acc, or None when it is zero: each
+    monomial's sum over the lcm of its buckets, reduced by one gcd to a
+    positive denominator, with the zero sums dropped."""
     terms = {}
     for mono, buckets in acc.items():
         if len(buckets) == 1:
@@ -248,25 +221,9 @@ def finish(ring, acc):
             d = lcm(*buckets)
             n = sum(num * (d // den) for den, num in buckets.items())
         if n:
-            terms[mono] = Fraction(n, d)
-    return _scalar(ring, terms) if terms else None
-
-
-def finish_ints(acc):
-    """The raw sum acc as reduced (monomial, numerator, denominator)
-    triples, the zero sums dropped: `int_terms` of its `finish`, with no
-    Fraction made (empty when it is zero)."""
-    out = []
-    for mono, buckets in acc.items():
-        if len(buckets) == 1:
-            (d, n), = buckets.items()
-        else:
-            d = lcm(*buckets)
-            n = sum(num * (d // den) for den, num in buckets.items())
-        if n:
             common = gcd(n, d) if d > 0 else -gcd(n, d)
-            out.append((mono, n // common, d // common))
-    return tuple(out)
+            terms[mono] = n // common, d // common
+    return _scalar(ring, terms) if terms else None
 
 
 def finish_each(ring, sums):
@@ -292,17 +249,22 @@ def accumulate(terms, key, value):
 
 
 class Scalar:
-    """An element of the ring: Fraction-linear combination of monomials.
+    """An element of the ring: a rational linear combination of monomials,
+    held as terms, monomial -> reduced (numerator, denominator).
 
-    A product of two Scalars is one raw sum (`mul_into`) and one `finish`;
-    monomials are merged and reduced only when both factors carry symbols.
+    A sum or product of two Scalars is one raw sum (`add_into`,
+    `mul_into`) and one `finish`; monomials are merged and reduced only
+    when both factors carry symbols.
     """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
+        """The Scalar of terms, monomial -> int or Fraction coefficient,
+        with the zero coefficients dropped."""
         self.ring = ring
-        self.terms = dict(terms)
+        self.terms = {mono: (c.numerator, c.denominator)
+                      for mono, c in terms.items() if c}
 
     # --- basic queries -------------------------------------------------
 
@@ -314,7 +276,8 @@ class Scalar:
             terms = self.terms
             if not terms:
                 return other == 0
-            return len(terms) == 1 and terms.get(()) == other
+            return len(terms) == 1 and \
+                terms.get(()) == (other.numerator, other.denominator)
         if not isinstance(other, Scalar):
             return NotImplemented
         return ((self.ring is other.ring or self.ring == other.ring)
@@ -326,7 +289,7 @@ class Scalar:
         if not terms:
             return hash(0)
         if len(terms) == 1 and () in terms:
-            return hash(terms[()])
+            return hash(Fraction(*terms[()]))
         return hash(frozenset(terms.items()))
 
     # --- arithmetic ----------------------------------------------------
@@ -344,15 +307,16 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            accumulate(terms, mono, coeff)
-        return _scalar(self.ring, terms)
+        acc = {}
+        add_into(acc, self.terms)
+        add_into(acc, other.terms)
+        return finish(self.ring, acc) or _scalar(self.ring, {})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _scalar(self.ring, {m: -c for m, c in self.terms.items()})
+        return _scalar(self.ring,
+                       {m: (-n, d) for m, (n, d) in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -367,17 +331,15 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other):
-        ring = self.ring
-        if other.__class__ is not Scalar:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            if not other:
-                return _scalar(ring, {})
-            return _scalar(ring, {m: c * other for m, c in self.terms.items()})
-        other = self._coerce(other)
-        terms = {}
-        mul_into(ring, terms, self.terms, other.terms)
-        return finish(ring, terms) or _scalar(ring, {})
+        ring, acc = self.ring, {}
+        if other.__class__ is Scalar:
+            mul_into(ring, acc, self.terms.items(),
+                     self._coerce(other).terms.items())
+        elif isinstance(other, (int, Fraction)):
+            add_into(acc, self.terms, other.numerator, other.denominator)
+        else:
+            return NotImplemented
+        return finish(ring, acc) or _scalar(ring, {})
 
     __rmul__ = __mul__
 
@@ -391,6 +353,7 @@ class Scalar:
         if not self.terms:
             raise NotInvertible("zero is not invertible")
         ring = self.ring
+        terms = {mono: Fraction(n, d) for mono, (n, d) in self.terms.items()}
 
         def monomial_square(mono):
             # rational value of M^2, or None if M contains a free symbol
@@ -402,19 +365,19 @@ class Scalar:
                 value *= square  # exp is 1 in reduced form
             return value
 
-        if len(self.terms) == 1:
-            (mono, coeff), = self.terms.items()
+        if len(terms) == 1:
+            (mono, coeff), = terms.items()
             if not mono:
                 return ring.rational(1 / coeff)
             square = monomial_square(mono)
             if square is None:
                 raise NotInvertible(f"free symbol in {self}")
             # 1/(c*M) = M/(c*M^2)
-            return _scalar(ring, {mono: 1 / (coeff * square)})
-        if len(self.terms) == 2 and () in self.terms:
-            u = self.terms[()]
-            mono = next(m for m in self.terms if m != ())
-            v = self.terms[mono]
+            return Scalar(ring, {mono: 1 / (coeff * square)})
+        if len(terms) == 2 and () in terms:
+            u = terms[()]
+            mono = next(m for m in terms if m != ())
+            v = terms[mono]
             square = monomial_square(mono)
             if square is None:
                 raise NotInvertible(f"free symbol in {self}")
@@ -422,7 +385,7 @@ class Scalar:
             if norm == 0:
                 raise NotInvertible(f"zero norm: {self}")
             # (u + vM)(u - vM) = u^2 - v^2 M^2
-            return _scalar(ring, {(): u / norm, mono: -v / norm})
+            return Scalar(ring, {(): u / norm, mono: -v / norm})
         raise NotInvertible(f"shape not invertible: {self}")
 
     def __truediv__(self, other):
@@ -437,7 +400,8 @@ class Scalar:
         """Each term as coeff*name^exp text, in canonical monomial order."""
         parts = []
         for mono in sorted(self.terms, key=lambda m: (len(m), m)):
-            factors = [str(self.terms[mono])]
+            n, d = self.terms[mono]
+            factors = [f"{n}/{d}" if d != 1 else str(n)]
             for name, exp in mono:
                 factors.append(name if exp == 1 else f"{name}^{exp}")
             parts.append("*".join(factors))
@@ -514,5 +478,5 @@ def _parse_scalar(ring, text):
         reduced, value = _reduce_monomial(
             ring, tuple(mono.items()), sign * coeff)
         if value:
-            result = result + _scalar(ring, {reduced: value})
+            result = result + Scalar(ring, {reduced: value})
     return result

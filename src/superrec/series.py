@@ -79,15 +79,6 @@ class FormalSeries:
         """False on the zero series, as on a zero Scalar."""
         return bool(self.coeffs)
 
-    def coeff(self, exp):
-        """Coefficient at z^exp; TruncationError if unknown."""
-        if exp > self.trunc:
-            raise TruncationError(
-                f"coefficient at exponent {exp} beyond truncation "
-                f"{self.trunc}")
-        c = self.coeffs.get(exp)
-        return self.ring.zero() if c is None else c
-
     # --- ring operations -----------------------------------------------
 
     def __add__(self, other):
@@ -132,14 +123,14 @@ class FormalSeries:
         min_exp = self.min_exp + other.min_exp
         sums = {}  # exponent -> raw sum of its products
         for k1, c1 in self.coeffs.items():
-            left = c1.terms
+            left = c1.terms.items()
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
                 if k <= trunc:
                     acc = sums.get(k)
                     if acc is None:
                         acc = sums[k] = {}
-                    mul_into(ring, acc, left, c2.terms)
+                    mul_into(ring, acc, left, c2.terms.items())
         coeffs = finish_each(ring, sums)
         if self.theta and other.theta:
             # T*T = z dz: shift every exponent up by one
@@ -194,7 +185,8 @@ class FormalSeries:
                     break
                 b_rest = b.get(n - k)
                 if b_rest is not None:
-                    mul_into(ring, acc, a_k.terms, b_rest.terms)
+                    mul_into(ring, acc, a_k.terms.items(),
+                             b_rest.terms.items())
             # b_0 is a unit, so b_n is zero only when the sum is
             total = finish(ring, acc)
             if total is not None:

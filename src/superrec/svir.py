@@ -201,7 +201,7 @@ def _compose_into(ring, plain, factored, outer, inner, bos, fer, weight, h=0):
                 f2 = f1
             elif f1 is not None:
                 acc = {}
-                mul_into(ring, acc, f1, f2)
+                mul_into(ring, acc, f1.items(), f2.items())
                 if (f2 := finish(ring, acc)) is None:
                     continue
                 f2 = f2.terms
@@ -292,7 +292,7 @@ def _add_term(ring, sums, key, c, factor=None, weight=1, den=1):
     if factor is None:
         add_into(acc, c, weight, den)
     else:
-        mul_into(ring, acc, c, factor, weight, den)
+        mul_into(ring, acc, c.items(), factor.items(), weight, den)
 
 
 def _compute(kind, label, p, shift):
@@ -575,7 +575,8 @@ def exp_state(tensor):
                 bm, fm, sg = canonical(b1 + b2, f1 + f2)
                 if sg:
                     acc = sums.setdefault((bm, fm, h1 + h2), {})
-                    mul_into(ring, acc, v1.terms, v2.terms, sg, k)
+                    mul_into(ring, acc, v1.terms.items(), v2.terms.items(),
+                             sg, k)
         power = finish_each(ring, sums)
     return FockPoly(ring, z)
 

@@ -21,8 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .curve import CurveBases
-from .scalars import (add_into, finish, finish_ints, int_terms,
-                      mul_ints_into, mul_raw_into)
+from .scalars import add_into, finish, finish_each, mul_into, mul_raw_into
 from .series import TruncationError
 from .store import (IndexBoundError, LazyTensor, ParityError, canonical,
                     deficit, factor_splits, index_bound, insert_index,
@@ -34,10 +33,11 @@ class BothRoutesDisagree(Exception):
 
 
 def _rows(coeffs, trunc, min_exp):
-    """A series in z held as int rows: ((even rows, odd rows), trunc,
-    min_exp), one row per nonzero (k, int triples) pair of coeffs, filed by
-    the parity of k in rising k. Its weight is that of its z-slot: dz for
-    a bosonic slot, T for a fermionic one."""
+    """A series in z held as rows: ((even rows, odd rows), trunc,
+    min_exp), one row per nonzero (k, terms) pair of coeffs, terms the
+    tuple of a coefficient's `terms.items()` (the operand of
+    `scalars.mul_into`), filed by the parity of k in rising k. Its weight
+    is that of its z-slot: dz for a bosonic slot, T for a fermionic one."""
     by_parity = ([], [])
     for k, terms in sorted(coeffs):
         if terms:
@@ -46,9 +46,10 @@ def _rows(coeffs, trunc, min_exp):
 
 
 def _series_rows(series, top):
-    """The int rows (see `_rows`) of a FormalSeries read through top."""
-    return _rows(((k, int_terms(c.terms)) for k, c in series.coeffs.items()
-                  if k <= top), min(series.trunc, top), series.min_exp)
+    """The rows (see `_rows`) of a FormalSeries read through top."""
+    return _rows(((k, tuple(c.terms.items()))
+                  for k, c in series.coeffs.items() if k <= top),
+                 min(series.trunc, top), series.min_exp)
 
 
 class KernelWeights:
@@ -138,7 +139,7 @@ class TrSolver(LazyTensor):
     # --- lower correlation series in the recursion variable -----------------
 
     def _slot_rows(self, fermionic, c):
-        """Int rows (see `_rows`) of the slot basis series of index c, dxi_c
+        """Rows (see `_rows`) of the slot basis series of index c, dxi_c
         or eta_c, cut at the row top; listed once per solver."""
         key = (fermionic, c)
         rows = self._slots.get(key)
@@ -149,7 +150,7 @@ class TrSolver(LazyTensor):
         return rows
 
     def eval_lower(self, g, bos, fer, fermionic):
-        """Int rows (see `_rows`) of a lower correlation form with z in one
+        """Rows (see `_rows`) of a lower correlation form with z in one
         (bosonic or fermionic) slot beside the canonical indices bos/fer,
         or None when it is zero: a two-point bilinear in closed form, else
         the sum of the basis series weighted by the slice with that slot
@@ -170,13 +171,14 @@ class TrSolver(LazyTensor):
             trunc, min_exp = bases.trunc, bases.trunc + 1
             for c, val in row.items():
                 rows, trunc, low = self._slot_rows(fermionic, c)
-                min_exp, right = min(min_exp, low), int_terms(val.terms)
+                min_exp, right = min(min_exp, low), val.terms.items()
                 for k, left in rows[0] + rows[1]:
                     acc = sums.get(k)
                     if acc is None:
                         acc = sums[k] = {}
-                    mul_ints_into(ring, acc, left, right, 1)
-            out = _rows(((k, finish_ints(acc)) for k, acc in sums.items()),
+                    mul_into(ring, acc, left, right)
+            out = _rows(((k, tuple(total.terms.items()))
+                         for k, total in finish_each(ring, sums).items()),
                         trunc, min_exp)
         elif fermionic:
             k = fer[0]
@@ -270,13 +272,13 @@ class TrSolver(LazyTensor):
                             acc = sums.get(k)
                             if acc is None:
                                 acc = sums[k] = {}
-                            mul_ints_into(ring, acc, left, right, signed)
+                            mul_into(ring, acc, left, right, signed)
         return sums, trunc, min_exp
 
     def _factor_pairs(self, g, J, K, pairs):
         """Each term as (first, mirrored, x, y, weight): whether the first
         z-slot is fermionic, whether the term's mirror is added by sigma,
-        the int rows of the factors with z in each slot and an integer
+        the rows of the factors with z in each slot and an integer
         weight. First the F_{g-1} terms with both slots open (but not the
         two-point ones), weighted by the sign of opening the first; then the
         products over the splits of g, J and K (see `store.factor_splits`).

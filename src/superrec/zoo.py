@@ -157,10 +157,10 @@ def _build_fitted(spec):
     # degree further; u is known to z^(trunc + 2) and u' to z^(trunc + 1),
     # and 2 rect + 2 <= trunc + 1
     top = 2 * rect
-    # exponent -> terms of each univariate coefficient
-    u, du, uu = ({k: c.terms for k, c in fs.coeffs.items()}
+    # exponent -> term listing of each univariate coefficient
+    u, du, uu = ({k: c.terms.items() for k, c in fs.coeffs.items()}
                  for fs in (u_series, u_series.derive(), u_series * u_series))
-    one = {0: ring.one().terms}
+    one = {0: ring.one().terms.items()}
     # s^2 = (u1 - u2)^2 / (z1 - z2)^2 with s = (u1 - u2) / (z1 - z2)
     s2 = _fitted_numerator(ring, top + 2, (
         (1, uu, one, 0, 0), (1, one, uu, 0, 0), (-2, u, u, 0, 0)),
@@ -174,13 +174,13 @@ def _build_fitted(spec):
                               symmetric=True) \
         .divide_z1_minus_z2(2).quotient_on_square(s2, rect)
     if spec.name == "ramond":
-        half = Fraction(1, 2)
         # (z1 - z2) times the numerator (z1 + z2) s - (u1 + u2)(1 - u1 u2),
-        # halved: z2 u1 - z1 u2 + (z1 - z2)(u1^2 u2 + u1 u2^2) / 2
+        # halved: z2 u1 - z1 u2 + (z1 - z2)(u1^2 u2 + u1 u2^2) / 2, over
+        # the denominator 2
         num = _fitted_numerator(ring, top, (
-            (1, u, one, 0, 1), (-1, one, u, 1, 0),
-            (half, uu, u, 1, 0), (half, u, uu, 1, 0),
-            (-half, uu, u, 0, 1), (-half, u, uu, 0, 1)))
+            (2, u, one, 0, 1), (-2, one, u, 1, 0),
+            (1, uu, u, 1, 0), (1, u, uu, 1, 0),
+            (-1, uu, u, 0, 1), (-1, u, uu, 0, 1)), den=2)
         # s_ij = u_(i+j+1), as (z1^n - z2^n) / (z1 - z2) = sum_(i+j=n-1)
         # z1^i z2^j; on the square, and s_00 when the square is empty
         side = range(max(rect, 1))
@@ -213,13 +213,15 @@ def _build_fitted(spec):
                           spec.trunc, rect - 1)
 
 
-def _fitted_numerator(ring, top, products, sums=None, symmetric=False):
+def _fitted_numerator(ring, top, products, sums=None, symmetric=False,
+                      den=1):
     """The BiSeries through total degree top of the raw sums (i, j) -> {...}
     given plus the outer products (weight, x, y, di, dj): each adds
-    weight x_i y_j at z1^(i+di) z2^(j+dj), x and y mapping an exponent to
-    the terms of a univariate coefficient. Each key is one raw sum,
-    finished once. A symmetric sum is mirror-symmetric: only its keys with
-    i >= j are summed, and the others mirrored."""
+    weight x_i y_j / den at z1^(i+di) z2^(j+dj), with an int weight and
+    den, x and y mapping an exponent to the term listing of a univariate
+    coefficient. Each key is one raw sum, finished once. A symmetric sum is
+    mirror-symmetric: only its keys with i >= j are summed, and the others
+    mirrored."""
     sums = {} if sums is None else sums
     for weight, x, y, di, dj in products:
         for i, left in x.items():
@@ -231,7 +233,7 @@ def _fitted_numerator(ring, top, products, sums=None, symmetric=False):
                 acc = sums.get((i, j))
                 if acc is None:
                     acc = sums[i, j] = {}
-                mul_into(ring, acc, left, right, weight)
+                mul_into(ring, acc, left, right, weight, den)
     coeffs = finish_each(ring, sums)
     if symmetric:
         for (i, j), val in list(coeffs.items()):

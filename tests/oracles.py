@@ -1,10 +1,11 @@
 """Series operations that only the tests read.
 
 The residue pairings of the basis tests need an antiderivative and the
-coefficient of z^-1 dz, and the fitting tests need a curve's one-form
-omega_{0,1}; the package itself computes none of them. The residue engine
-holds its factors as int rows and its quadratics as raw sums, which the
-engine tests read back as series, at the weight their slot kinds fix.
+coefficient of z^-1 dz, the series and basis tests read one coefficient
+at a time, and the fitting tests need a curve's one-form omega_{0,1}; the
+package itself computes none of them. The residue engine holds its factors
+as rows of term listings and its quadratics as raw sums, which the engine
+tests read back as series, at the weight their slot kinds fix.
 """
 
 from fractions import Fraction
@@ -25,6 +26,16 @@ def integrate(series):
     return FormalSeries(series.ring, coeffs, series.trunc + 1,
                         series.dz_weight - 1, series.theta,
                         series.min_exp + 1)
+
+
+def coeff(series, exp):
+    """Coefficient at z^exp; TruncationError if unknown."""
+    if exp > series.trunc:
+        raise TruncationError(
+            f"coefficient at exponent {exp} beyond truncation "
+            f"{series.trunc}")
+    c = series.coeffs.get(exp)
+    return series.ring.zero() if c is None else c
 
 
 def residue(series):
@@ -53,18 +64,18 @@ def _weight(quadratic, fermionic):
 
 
 def as_series(ring, held, fermionic):
-    """The FormalSeries of a residue factor's int rows, in a fermionic
-    (else bosonic) slot, or of a raw quadratic for a fermionic (else
-    bosonic) output slot, each held as (data, trunc, min_exp), with data
-    (even rows, odd rows) of (k, int triples) or exponent -> raw sum; the
-    constructor checks that no coefficient lies past trunc."""
+    """The FormalSeries of a residue factor's rows, in a fermionic (else
+    bosonic) slot, or of a raw quadratic for a fermionic (else bosonic)
+    output slot, each held as (data, trunc, min_exp), with data (even rows,
+    odd rows) of (k, term listing) or exponent -> raw sum; the constructor
+    checks that no coefficient lies past trunc."""
     data, trunc, min_exp = held
     quadratic = isinstance(data, dict)
     if quadratic:
         coeffs = {k: finish(ring, acc) for k, acc in data.items()}
     else:
         coeffs = {k: Scalar(ring, {mono: Fraction(n, d)
-                                   for mono, n, d in terms})
+                                   for mono, (n, d) in terms})
                   for rows in data for k, terms in rows}
     return FormalSeries(ring, {k: c for k, c in coeffs.items() if c}, trunc,
                         *_weight(quadratic, fermionic), min_exp)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from superrec.biseries import BiSeries
 from superrec.scalars import (
     NotInvertible, Ring, RingMismatch, Scalar, ScalarParseError, add_into,
-    finish, finish_ints, int_terms, mul_into, mul_raw_into)
+    finish, mul_into, mul_raw_into)
 from superrec.series import FormalSeries
 
 
@@ -16,7 +16,20 @@ def as_rational(value):
     compare in Fractions."""
     if set(value.terms) - {()}:
         raise ValueError(f"not a rational: {value}")
-    return value.terms.get((), Fraction(0))
+    return Fraction(*value.terms.get((), (0, 1)))
+
+
+def as_pairs(terms):
+    """Terms monomial -> Fraction as a Scalar stores them: monomial ->
+    (numerator, denominator)."""
+    return {mono: (c.numerator, c.denominator) for mono, c in terms.items()}
+
+
+def pairs_are_reduced(value):
+    """Every stored coefficient of a Scalar is an int pair in lowest terms
+    with a positive denominator and a nonzero numerator."""
+    return all(n.__class__ is int and d.__class__ is int and n and d > 0
+               and gcd(n, d) == 1 for n, d in value.terms.values())
 
 
 @pytest.fixture
@@ -163,7 +176,7 @@ def test_invert_when_possible(a):
 
 @given(scalars())
 def test_canonical_no_zero_terms(a):
-    assert all(coeff != 0 for coeff in a.terms.values())
+    assert all(n != 0 for n, _ in a.terms.values())
     # re-normalizing by adding zero changes nothing (idempotent canonical form)
     assert (a + _RING.zero()).terms == a.terms
 
@@ -209,7 +222,8 @@ def _reference(squares, pairs):
 
 
 def reference_add(a, b):
-    return _reference(a.ring.squares, [(dict(m), c) for x in (a, b)
+    return _reference(a.ring.squares, [(dict(m), Fraction(*c))
+                                       for x in (a, b)
                                        for m, c in x.terms.items()])
 
 
@@ -220,7 +234,7 @@ def reference_mul(a, b):
             exps = dict(m1)
             for name, exp in m2:
                 exps[name] = exps.get(name, 0) + exp
-            pairs.append((exps, c1 * c2))
+            pairs.append((exps, Fraction(*c1) * Fraction(*c2)))
     return _reference(a.ring.squares, pairs)
 
 
@@ -242,7 +256,7 @@ def ring_and_scalars(draw):
 
 def _canonical(value):
     squares = value.ring.squares
-    return all(value.terms.values()) and all(
+    return pairs_are_reduced(value) and all(
         exp == 1 or squares[name] is None
         for mono in value.terms for name, exp in mono)
 
@@ -258,7 +272,7 @@ def test_fast_path_matches_monomial_merge(drawn, q):
                       (a * q, reference_mul(a, ring.rational(q))),
                       (q * a, reference_mul(a, ring.rational(q))),
                       (a + q, reference_add(a, ring.rational(q)))):
-        assert out.terms == want, (a, b, q)
+        assert out.terms == as_pairs(want), (a, b, q)
         assert _canonical(out)
         assert out.ring is ring
     # results adopt fresh dicts: the operands are left as they were
@@ -313,8 +327,9 @@ def ring_and_raw_terms(draw):
     """A ring of RAW_RINGS and the terms of one raw sum, each either
     ("mul", a, b, weight) or ("add", a, None, weight), whose operands are
     dyadic or have many distinct denominators, with an int or Fraction
-    weight; a term is sometimes repeated with the opposite weight (and its
-    factors swapped), so that sums often cancel."""
+    weight, which the raw sum takes as an int over an int denominator; a
+    term is sometimes repeated with the opposite weight (and its factors
+    swapped), so that sums often cancel."""
     ring = Ring(RAW_RINGS[draw(st.sampled_from(sorted(RAW_RINGS)))])
     values = draw(st.sampled_from([DYADIC, NON_DYADIC]))
     pool = _pool(ring, values)
@@ -346,59 +361,61 @@ def test_raw_accumulation_equals_the_sum_of_scalar_products(drawn):
     ring, terms = drawn
     acc, want = {}, ring.zero()
     for kind, a, b, weight in terms:
+        ratio = weight.numerator, weight.denominator
         if kind == "mul":
-            mul_into(ring, acc, a.terms, b.terms, weight)
+            mul_into(ring, acc, a.terms.items(), b.terms.items(), *ratio)
             want = want + a * b * weight
         else:
-            add_into(acc, a.terms, weight)
+            add_into(acc, a.terms, *ratio)
             want = want + a * weight
     got = finish(ring, acc)
     if want:
         assert got.terms == want.terms and _canonical(got), terms
         assert got.ring is ring
-        # one Fraction per monomial, nonzero and in lowest terms
-        assert all(coeff.__class__ is Fraction and coeff
-                   and gcd(coeff.numerator, coeff.denominator) == 1
-                   and coeff.denominator > 0
-                   for coeff in got.terms.values()), terms
+        # one int pair per monomial, nonzero and in lowest terms
+        assert pairs_are_reduced(got), terms
     else:
         assert got is None, terms
 
 
 @settings(derandomize=True, max_examples=300)
 @given(ring_and_raw_terms())
-def test_finished_int_triples_equal_the_finished_scalar(drawn):
+def test_finished_pairs_equal_the_fraction_sum_of_each_monomial(drawn):
+    # each finished pair is the Fraction sum of its monomial's buckets
     ring, terms = drawn
     acc = {}
     for kind, a, b, weight in terms:
+        ratio = weight.numerator, weight.denominator
         if kind == "mul":
-            mul_into(ring, acc, a.terms, b.terms, weight)
+            mul_into(ring, acc, a.terms.items(), b.terms.items(), *ratio)
         else:
-            add_into(acc, a.terms, weight)
+            add_into(acc, a.terms, *ratio)
+    want = {mono: sum(Fraction(n, d) for d, n in buckets.items())
+            for mono, buckets in acc.items()}
     finished = finish(ring, acc)
-    assert finish_ints(acc) == (
-        () if finished is None else int_terms(finished.terms)), terms
+    assert (finished.terms if finished else {}) == as_pairs(
+        {mono: c for mono, c in want.items() if c}), terms
 
 
-def test_finished_int_triples_are_reduced_and_drop_zero_sums():
-    ring = Ring([("s", 4)])
+def test_finished_pairs_are_reduced_and_drop_zero_sums():
+    ring = Ring([("s", 4), ("t", None)])
     s = ring.symbol("s")
     acc = {}
-    mul_into(ring, acc, (s - 2).terms, (s + 2).terms)
-    assert acc and finish_ints(acc) == ()  # zero buckets only
+    mul_into(ring, acc, (s - 2).terms.items(), (s + 2).terms.items())
+    assert acc and finish(ring, acc) is None  # zero buckets only
     # 1/6 + 1/3 over their lcm, 6/4 in one bucket, and a bucket whose
     # denominator is negative, as Fraction reads them
     acc = {(): {6: 1, 3: 1}, (("s", 1),): {4: 6},
            (("t", 1),): {-4: 2}}
-    assert finish_ints(acc) == (((), 1, 2), ((("s", 1),), 3, 2),
-                                ((("t", 1),), -1, 2))
+    assert finish(ring, acc).terms == {(): (1, 2), (("s", 1),): (3, 2),
+                                       (("t", 1),): (-1, 2)}
 
 
 def test_raw_accumulation_drops_a_product_that_vanishes():
     ring = Ring([("s", 4)])
     s = ring.symbol("s")
     acc = {}
-    mul_into(ring, acc, (s - 2).terms, (s + 2).terms)
+    mul_into(ring, acc, (s - 2).terms.items(), (s + 2).terms.items())
     assert finish(ring, acc) is None
     assert ((s - 2) * (s + 2)).terms == {}
 
@@ -430,7 +447,7 @@ def test_raw_operand_product_equals_the_finished_product(drawn):
     ring, left, inner, weight, den = drawn
     raw = {}
     for a, b, w in inner:
-        mul_into(ring, raw, a.terms, b.terms, w)
+        mul_into(ring, raw, a.terms.items(), b.terms.items(), w)
     before = {mono: dict(buckets) for mono, buckets in raw.items()}
     finished = finish(ring, raw)
     got, want = {}, {}
@@ -438,7 +455,8 @@ def test_raw_operand_product_equals_the_finished_product(drawn):
         add_into(acc, left.terms, 1, 3)  # a raw sum that holds a term
     mul_raw_into(ring, got, left.terms, raw, weight, den)
     if finished is not None:
-        mul_into(ring, want, left.terms, finished.terms, weight, den)
+        mul_into(ring, want, left.terms.items(), finished.terms.items(),
+                 weight, den)
     assert finish(ring, got) == finish(ring, want), (left, inner)
     assert raw == before  # read, never written
 
@@ -447,7 +465,7 @@ def test_raw_operand_that_cancels_adds_only_zeros():
     ring = Ring([("s", 4)])
     s = ring.symbol("s")
     raw = {}
-    mul_into(ring, raw, (s - 2).terms, (s + 2).terms)
+    mul_into(ring, raw, (s - 2).terms.items(), (s + 2).terms.items())
     assert raw and finish(ring, raw) is None  # zero buckets, no Scalar
     acc = {}
     mul_raw_into(ring, acc, (s + 1).terms, raw, 3, 2)
@@ -496,7 +514,67 @@ def test_products_store_no_zero_coefficient(drawn):
     quotient = a.quotient_on_square(
         BiSeries(ring, b.coeffs | {(0, 0): ring.one()}, 8), 5)
     assert all(quotient.values())
-    assert all(value.terms and all(value.terms.values())
+    assert all(value.terms and pairs_are_reduced(value)
                for value in list((x * y).coeffs.values())
                + list((a * b).coeffs.values())
                + list(quotient.values()))
+
+
+# --- the stored pairs against a Fraction oracle ------------------------------
+
+
+@st.composite
+def ring_and_oracle(draw):
+    """A ring of RAW_RINGS and the canonical terms (monomial -> Fraction)
+    of two of its elements, each sometimes a rational or zero."""
+    ring = Ring(RAW_RINGS[draw(st.sampled_from(sorted(RAW_RINGS)))])
+    names = sorted(ring.squares)
+
+    def element():
+        exps = st.fixed_dictionaries(
+            {name: st.integers(0, 3) for name in names})
+        if draw(st.booleans()):
+            exps = st.just({})
+        coeffs = st.fractions(min_value=-20, max_value=20,
+                              max_denominator=12)
+        pairs = draw(st.lists(st.tuples(exps, coeffs), max_size=3))
+        return _reference(ring.squares, pairs)
+    return ring, element(), element()
+
+
+@settings(derandomize=True, max_examples=300)
+@given(ring_and_oracle(), st.integers(-6, 6),
+       st.fractions(min_value=-5, max_value=5, max_denominator=9))
+def test_stored_pairs_match_a_fraction_oracle(drawn, n, q):
+    ring, fa, fb = drawn
+    a, b = Scalar(ring, fa), Scalar(ring, fb)
+    assert a.terms == as_pairs(fa) and b.terms == as_pairs(fb)
+    negated = {mono: -c for mono, c in fa.items()}
+    scaled = {}
+    for k in (n, q):
+        scaled[k] = {mono: c * k for mono, c in fa.items() if c * k}
+    outs = [(a + b, reference_add(a, b)), (a - b, reference_add(a, -b)),
+            (-a, negated), (a * b, reference_mul(a, b)),
+            (a * n, scaled[n]), (n * a, scaled[n]),
+            (a * q, scaled[q]), (q * a, scaled[q]),
+            (a + q, reference_add(a, ring.rational(q)))]
+    for out, want in outs:
+        assert out.terms == as_pairs(want), (fa, fb, n, q)
+        assert pairs_are_reduced(out) and out.ring is ring
+        # the literal parses back to the same stored pairs
+        assert ring.parse(out.literal()).terms == out.terms
+    # a rational equals, and hashes like, its Fraction and its int
+    for value in (n, q, sum(fa.values(), Fraction(0))):
+        rational = ring.rational(value)
+        assert rational == value and rational == Fraction(value)
+        assert rational != value + 1 and rational != Fraction(value) - 1
+        assert hash(rational) == hash(value) == hash(Fraction(value))
+        assert pairs_are_reduced(rational)
+    assert (a == q) == (fa == ({(): q} if q else {}))
+    try:
+        inverse = a.invert()
+    except NotInvertible:
+        return
+    assert pairs_are_reduced(inverse) and a * inverse == 1
+    if set(fa) == {()}:
+        assert inverse.terms == as_pairs({(): 1 / fa[()]})

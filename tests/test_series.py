@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import superrec
 from superrec.scalars import NotInvertible, Ring
 from superrec.series import FormalSeries, TruncationError, WeightError
-from oracles import integrate, residue
+from oracles import coeff, integrate, residue
 
 
 RING = Ring([("s", 2)])
@@ -27,15 +27,15 @@ def test_mul_weights_add():
     b = make({1: 1}, 5, dz=1)
     c = a * b
     assert c.dz_weight == 2 and c.theta == 0
-    assert c.coeff(0) == RING.one()
+    assert coeff(c, 0) == RING.one()
 
 
 def test_theta_square_is_z_dz():
     t = make({0: 1}, 5, dz=0, theta=1)
     sq = t * t
     assert sq.theta == 0 and sq.dz_weight == 1
-    assert sq.coeff(1) == RING.one()
-    assert not sq.coeff(0)
+    assert coeff(sq, 1) == RING.one()
+    assert not coeff(sq, 0)
 
 
 def test_theta_over_z_squared_residue():
@@ -64,15 +64,15 @@ def test_invert_monomial():
     a = make({2: 2}, 8, dz=1)
     inv = a.invert()
     assert inv.dz_weight == -1
-    assert inv.coeff(-2) == RING.rational(Fraction(1, 2))
-    assert (a * inv).coeff(0) == RING.one()
+    assert coeff(inv, -2) == RING.rational(Fraction(1, 2))
+    assert coeff(a * inv, 0) == RING.one()
 
 
 def test_invert_geometric():
     a = make({0: 1, 1: 1}, 6)
     inv = a.invert()
     for k in range(7):
-        assert inv.coeff(k) == RING.rational((-1) ** k)
+        assert coeff(inv, k) == RING.rational((-1) ** k)
 
 
 def test_invert_airy_denominator():
@@ -80,7 +80,7 @@ def test_invert_airy_denominator():
     a = make({2: 2}, 9, dz=1)
     inv = a.invert()
     assert inv.trunc == 9 - 4
-    assert inv.coeff(-2) == RING.rational(Fraction(1, 2))
+    assert coeff(inv, -2) == RING.rational(Fraction(1, 2))
 
 
 def test_invert_errors():
@@ -115,8 +115,8 @@ def test_integrate_roundtrip():
 def test_truncation_error_on_unknown_coeff():
     a = make({0: 1}, 3)
     with pytest.raises(TruncationError):
-        a.coeff(4)
-    assert not a.coeff(3)
+        coeff(a, 4)
+    assert not coeff(a, 3)
 
 
 def test_only_the_zero_series_is_falsy():
@@ -234,9 +234,9 @@ def test_invert_mul_is_one(coeffs):
     except NotInvertible:
         return
     prod = a * inv
-    assert prod.coeff(0) == RING.one()
+    assert coeff(prod, 0) == RING.one()
     for k in range(1, prod.trunc + 1):
-        assert not prod.coeff(k)
+        assert not coeff(prod, k)
 
 
 # seeded random series over Q, a ring with a square relation and a ring with

@@ -85,6 +85,17 @@ def test_every_attribute_is_read():
             if name.rsplit(".", 1)[1] not in loaded] == []
 
 
+def test_only_scalars_reads_a_fraction():
+    # a Scalar holds each coefficient as a reduced (numerator, denominator)
+    # pair, and only scalars turns a Fraction into one: a module that reads
+    # .numerator or .denominator would be a second coefficient format
+    readers = {path.name for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute)
+               and node.attr in ("numerator", "denominator")}
+    assert readers == {"scalars.py"}
+
+
 def builds_a_container(value):
     """Whether an expression builds a dict, list or set."""
     if isinstance(value, ast.Call):
@@ -145,9 +156,6 @@ UNREAD_PUBLIC = {
     "biseries.BiSeries.scale": "perfbench: wrapped by layers.BISERIES_OPS",
     "cli.document_entries":
         "perfbench: reads the entries of a result document back",
-    "series.FormalSeries.coeff":
-        "test oracle: one coefficient of a series, refused past its "
-        "truncation",
     "series.FormalSeries.sigma":
         "perfbench: counted as series.sigma_calls",
     "svir.annihilation_report":

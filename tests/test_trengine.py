@@ -425,18 +425,18 @@ def test_mirrored_terms_are_summed_at_one_parity(monkeypatch):
     """A mirrored term m + sigma(m), for (B, F), (F, F) and the lower of
     a swapped pair of (B, B) splits, vanishes at the exponents of the
     other parity than the assembly's dz weight: each assembly makes one
-    `mul_ints_into` call per coefficient pair of a plain term, and per pair
+    `mul_into` call per coefficient pair of a plain term, and per pair
     of a mirrored term at that parity only, below its truncation."""
     solver = TrSolver(rich_curve(), 5)
     solver.run()
     calls = [0]
-    counted = trengine.mul_ints_into
+    counted = trengine.mul_into
 
     def counting(*args):
         calls[0] += 1
         counted(*args)
 
-    monkeypatch.setattr(trengine, "mul_ints_into", counting)
+    monkeypatch.setattr(trengine, "mul_into", counting)
     kept = skipped = 0
     for g, J, K, fermionic in list(solver._columns):
         pairs = ((False, True),) if fermionic else ((False, False),
