@@ -25,8 +25,6 @@ supports the genus-scaling reduction checks.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalars import add_into, finish, mul_into, mul_raw_into
 from .store import (LazyTensor, UnsolvedEntry, deficit, factor_splits,
                     insert_index, iter_partitions, slot_ranges)
@@ -46,7 +44,6 @@ class ConstraintCoeffs:
     def __init__(self, curve):
         self.curve = curve
         self.ring = curve.ring
-        self._half = self.ring.rational(Fraction(1, 2))
         self._one = self.ring.one().terms
         self._values = {}
         self._tables = {}
@@ -120,16 +117,14 @@ class ConstraintCoeffs:
 
     def d(self, c, bosonic_only=False):
         """Constant term of operator c (halved central part if bosonic)."""
-        ring = self.ring
-        out = ring.zero()
+        acc = {}
         if c == 2:
-            out = out + ring.rational(
-                Fraction(1, 8) if bosonic_only else Fraction(1, 4))
+            add_into(acc, self._one, 1, 8 if bosonic_only else 4)
         if c == 1:
-            out = out + self._half * self.curve.phi_at(1, 1)
+            add_into(acc, self.curve.phi_at(1, 1).terms, 1, 2)
             if not bosonic_only:
-                out = out + self._half * self.curve.psi_at(0, 2)
-        return out
+                add_into(acc, self.curve.psi_at(0, 2).terms, 1, 2)
+        return finish(self.ring, acc) or self.ring.zero()
 
 
 class AirySolver(LazyTensor):

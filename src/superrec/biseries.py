@@ -10,8 +10,7 @@ from __future__ import annotations
 import itertools
 from math import lcm
 
-from .scalars import (NotInvertible, accumulate, add_into, finish,
-                      finish_each, mul_into)
+from .scalars import NotInvertible, add_into, finish, finish_each, mul_into
 from .series import TruncationError, WeightError
 
 
@@ -54,12 +53,12 @@ class BiSeries:
 
     def __add__(self, other):
         trunc = min(self.trunc, other.trunc)
-        coeffs = {k: v for k, v in self.coeffs.items() if k[0] + k[1] <= trunc}
-        for key, val in other.coeffs.items():
-            if key[0] + key[1] > trunc:
-                continue
-            accumulate(coeffs, key, val)
-        return BiSeries(self.ring, coeffs, trunc)
+        sums = {}
+        for series in (self, other):
+            for key, val in series.coeffs.items():
+                if key[0] + key[1] <= trunc:
+                    add_into(sums.setdefault(key, {}), val.terms)
+        return BiSeries(self.ring, finish_each(self.ring, sums), trunc)
 
     def __neg__(self):
         return BiSeries(self.ring, {k: -v for k, v in self.coeffs.items()},

@@ -64,7 +64,7 @@ def load_spec_document(curve_arg, chi_max=CHI_DEFAULT):
         return _zoo_document(curve_arg, chi_max)
     try:
         with open(curve_arg, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise SpecError(f"cannot read curve spec: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -72,16 +72,31 @@ def load_spec_document(curve_arg, chi_max=CHI_DEFAULT):
     return doc
 
 
+def _unique_keys(pairs):
+    """The dict of a JSON object's pairs; a key given twice is a spec
+    error, not a silent overwrite."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise SpecError(f"curve spec repeats key {key!r}")
+        out[key] = value
+    return out
+
+
+# an integer string, and a "k,l" pair of them: ASCII digits with an
+# optional minus, so " 3", "+3", "1_0" and non-ASCII digits are not integers
+_INTEGER = r"-?[0-9]+"
+_PAIR = rf"{_INTEGER},{_INTEGER}"
+
+
 def _field(doc, key, kind, default=None):
     """doc[key] (default when absent), which must be a JSON object, array
     or integer (an integer string counts) by kind; any other JSON type is
     a spec error, never coerced."""
     value = doc.get(key, default)
-    if kind is int and isinstance(value, str):
-        try:
-            value = int(value)
-        except ValueError:
-            pass
+    if (kind is int and isinstance(value, str)
+            and re.fullmatch(_INTEGER, value)):
+        value = int(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         name = {dict: "object", list: "array", int: "integer"}[kind]
         raise SpecError(f"{key} must be a JSON {name}, got {value!r}")
@@ -120,17 +135,14 @@ def _rational(value, what):
 def _parse_indexed(ring, mapping, pair, what):
     """{index: Scalar} from a spec object of "k" (pair: "k,l") keys and
     literal values: a JSON string or integer, never coerced from another
-    JSON type."""
+    JSON type; two keys that name one index ("3" and "03") are an error."""
     out = {}
     for key, literal in mapping.items():
-        try:
-            if pair:
-                k, l = (int(part) for part in key.split(","))
-                index = (k, l)
-            else:
-                index = int(key)
-        except ValueError as exc:
-            raise SpecError(f"bad {what} index {key!r}") from exc
+        if not re.fullmatch(_PAIR if pair else _INTEGER, key):
+            raise SpecError(f"bad {what} index {key!r}")
+        index = tuple(map(int, key.split(","))) if pair else int(key)
+        if index in out:
+            raise SpecError(f"repeated {what} index {key!r}")
         if isinstance(literal, bool) or not isinstance(literal, (str, int)):
             raise SpecError(f"{what} value at index {key!r} must be a "
                             f"literal string or an integer, got {literal!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import NotInvertible, accumulate
+from .scalars import NotInvertible, add_into, finish_each
 from .series import FormalSeries, TruncationError
 from .store import index_bound
 
@@ -165,15 +165,18 @@ class CurveBases:
         # omega_{0,0|2}. Each singular part gives -1/4 z^-2 dz^2; a bosonic
         # regular z1^(k-1) z2^(l-1) gives (-1)^l, and a fermionic regular
         # z1^(k-2) z2^(l-2) gives -(k-2)((-1)^k + (-1)^l)/2.
-        coeffs = {-2: ring.rational(Fraction(-1, 2))}
+        sums = {}
+        add_into(sums.setdefault(-2, {}), ring.one().terms, -1, 2)
         for (k, l), val in curve.phi_table.items():
             if k + l - 2 <= self.trunc:
-                accumulate(coeffs, k + l - 2, -val if l % 2 else val)
+                add_into(sums.setdefault(k + l - 2, {}), val.terms,
+                         -1 if l % 2 else 1)
         for (k, l), val in psi_regular(curve).items():
             weight = (k - 2) * (-1) ** (k + 1) if (k - l) % 2 == 0 else 0
             if weight and k + l - 4 <= self.trunc:
-                accumulate(coeffs, k + l - 4, val * weight)
-        self.f0_diagonal = FormalSeries(ring, coeffs, self.trunc, 2, 0, -2)
+                add_into(sums.setdefault(k + l - 4, {}), val.terms, weight)
+        self.f0_diagonal = FormalSeries(ring, finish_each(ring, sums),
+                                        self.trunc, 2, 0, -2)
 
     # --- basis series ----------------------------------------------------
 
@@ -185,10 +188,8 @@ class CurveBases:
         _check_index("dxi_minus", l, 1)
         if l not in self._dxi_minus:
             coeffs = {-l - 1: self.ring.one()}
-            inv_l = self.ring.rational(Fraction(1, l))
-            for (k, m), val in self.curve.phi_table.items():
-                if k == l:
-                    accumulate(coeffs, m - 1, val * inv_l)
+            coeffs.update((m - 1, val * Fraction(1, l)) for (k, m), val
+                          in self.curve.phi_table.items() if k == l)
             self._dxi_minus[l] = FormalSeries(
                 self.ring, coeffs, self.trunc, 1, 0, min_exp=-l - 1)
         return self._dxi_minus[l]
@@ -202,9 +203,8 @@ class CurveBases:
         _check_index("eta_minus", l, 0)
         if l not in self._eta_minus:
             coeffs = {-l - 1: self.ring.one()}
-            for (j, k), val in self.curve.psi_table.items():
-                if j == l:
-                    accumulate(coeffs, k - 1, val)
+            coeffs.update((k - 1, val) for (j, k), val
+                          in self.curve.psi_table.items() if j == l)
             self._eta_minus[l] = FormalSeries(
                 self.ring, coeffs, self.trunc, 0, 1, min_exp=-l - 1)
         return self._eta_minus[l]

@@ -4,10 +4,10 @@ Each symbol may carry a quadratic relation (symbol^2 = rational); symbols
 without one are free (transcendental). Values are sparse sums of monomials,
 each coefficient a reduced (numerator, denominator) int pair with a positive
 denominator, kept in a canonical form: exponents of relation-bearing symbols
-are always 0 or 1, and zero coefficients are never stored. A Fraction is
-made only where a literal is parsed, a rational is taken in
-(Ring.rational, the public Scalar constructor), a rational is hashed, or a
-value is inverted.
+are always 0 or 1, and zero coefficients are never stored. A sum of any
+number of Scalars is one raw sum (add_into, mul_into) and one finish. A
+Fraction is made only where a literal is parsed, a rational is taken in
+(Ring.rational, the public Scalar constructor) or a rational is hashed.
 """
 
 from __future__ import annotations
@@ -136,10 +136,10 @@ def _scalar(ring, terms):
 # a term n/d is added to bucket d with no gcd, and `finish` reduces each
 # monomial's sum with one gcd. Only mul_into, mul_raw_into, add_into,
 # finish and finish_each read one; besides the three that add into it,
-# only BiSeries.divide_z1_minus_z2 writes one, a single bucket per monomial
-# over its running sum's common denominator. mul_raw_into multiplies a term
-# dict by a raw sum bucket by bucket, so an inner sum is never finished
-# only to be taken apart.
+# only Scalar.invert and BiSeries.divide_z1_minus_z2 write one, a single
+# bucket per monomial over a common denominator. mul_raw_into multiplies a
+# term dict by a raw sum bucket by bucket, so an inner sum is never
+# finished only to be taken apart.
 
 
 def mul_into(ring, acc, left, right, weight=1, den=1):
@@ -237,17 +237,6 @@ def finish_each(ring, sums):
     return out
 
 
-def accumulate(terms, key, value):
-    """Add value to terms[key] in place; a zero result leaves no entry."""
-    old = terms.get(key)
-    if old is not None:
-        value = old + value
-    if value:
-        terms[key] = value
-    elif old is not None:
-        del terms[key]
-
-
 class Scalar:
     """An element of the ring: a rational linear combination of monomials,
     held as terms, monomial -> reduced (numerator, denominator).
@@ -319,16 +308,10 @@ class Scalar:
                        {m: (-n, d) for m, (n, d) in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
         ring, acc = self.ring, {}
@@ -346,47 +329,32 @@ class Scalar:
     def invert(self):
         """Multiplicative inverse where decidable; NotInvertible otherwise.
 
-        Invertible shapes: a nonzero rational; c*M with every symbol in the
-        monomial M carrying a square relation; and binomials u + v*M with
-        u, v rational, M^2 rational, u^2 - v^2*M^2 != 0.
+        A nonzero rational n/d inverts to d/n, its pair swapped. c*M and
+        u + v*M, with u, v rational and every symbol of the monomial M
+        carrying a square relation, share one formula, (u - v*M) /
+        (u^2 - v^2*M^2), which needs u^2 - v^2*M^2 != 0.
         """
-        if not self.terms:
+        ring, terms = self.ring, self.terms
+        if not terms:
             raise NotInvertible("zero is not invertible")
-        ring = self.ring
-        terms = {mono: Fraction(n, d) for mono, (n, d) in self.terms.items()}
-
-        def monomial_square(mono):
-            # rational value of M^2, or None if M contains a free symbol
-            value = Fraction(1)
-            for name, exp in mono:
-                square = ring.squares[name]
-                if square is None:
-                    return None
-                value *= square  # exp is 1 in reduced form
-            return value
-
-        if len(terms) == 1:
-            (mono, coeff), = terms.items()
-            if not mono:
-                return ring.rational(1 / coeff)
-            square = monomial_square(mono)
-            if square is None:
-                raise NotInvertible(f"free symbol in {self}")
-            # 1/(c*M) = M/(c*M^2)
-            return Scalar(ring, {mono: 1 / (coeff * square)})
-        if len(terms) == 2 and () in terms:
-            u = terms[()]
-            mono = next(m for m in terms if m != ())
-            v = terms[mono]
-            square = monomial_square(mono)
-            if square is None:
-                raise NotInvertible(f"free symbol in {self}")
-            norm = u * u - v * v * square
-            if norm == 0:
-                raise NotInvertible(f"zero norm: {self}")
-            # (u + vM)(u - vM) = u^2 - v^2 M^2
-            return Scalar(ring, {(): u / norm, mono: -v / norm})
-        raise NotInvertible(f"shape not invertible: {self}")
+        if len(terms) > 2 or len(terms) == 2 and () not in terms:
+            raise NotInvertible(f"shape not invertible: {self}")
+        mono = max(terms)  # the monomial M, or () on a rational
+        if not mono:
+            n, d = terms[()]
+            return _scalar(ring, {(): (d, n) if n > 0 else (-d, -n)})
+        # M^2 is a rational sn/sd unless M holds a free symbol
+        left, square = _monomial_product(ring, mono, mono)
+        if left:
+            raise NotInvertible(f"free symbol in {self}")
+        sn, sd = square or (1, 1)
+        (un, ud), (vn, vd) = terms.get((), (0, 1)), terms[mono]
+        # numerator and denominator of the formula times ud^2 vd^2 sd
+        norm = (un * vd) ** 2 * sd - (vn * ud) ** 2 * sn
+        if not norm:
+            raise NotInvertible(f"zero norm: {self}")
+        return finish(ring, {(): {norm: un * ud * vd * vd * sd},
+                             mono: {norm: -vn * vd * ud * ud * sd}})
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -420,7 +388,7 @@ class Scalar:
 
 _TERM_RE = re.compile(
     rf"""^\s*
-        (?P<coeff>[+-]?\d+(?:/\d+)?)?
+        (?P<coeff>\d+(?:/\d+)?)?
         (?P<rest>(?:\s*\*\s*{_NAME}(?:\^\d+)?
                    |\s*{_NAME}(?:\^\d+)?)*)
         \s*$""",
@@ -434,25 +402,12 @@ def _parse_scalar(ring, text):
         raise ScalarParseError("empty scalar literal")
     if "." in text:
         raise ScalarParseError(f"decimals not accepted: {text!r}")
-    # split into signed terms at top level
-    terms = []
-    pos = 0
-    sign = 1
-    if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        pos = 1
-    start = pos
-    while pos <= len(text):
-        if pos == len(text) or text[pos] in "+-":
-            chunk = text[start:pos]
-            if not chunk.strip():
-                raise ScalarParseError(f"bad literal: {text!r}")
-            terms.append((sign, chunk))
-            if pos < len(text):
-                sign = -1 if text[pos] == "-" else 1
-            start = pos + 1
-        pos += 1
-    result = ring.zero()
+    # (sign, term) pairs; a literal without a leading sign starts with +
+    parts = re.split(r"([+-])", text if text[0] in "+-" else "+" + text)
+    terms = list(zip(parts[1::2], parts[2::2]))
+    if any(not chunk.strip() for _, chunk in terms):
+        raise ScalarParseError(f"bad literal: {text!r}")
+    acc = {}
     for sign, chunk in terms:
         match = _TERM_RE.match(chunk)
         if not match:
@@ -465,18 +420,14 @@ def _parse_scalar(ring, text):
         mono = {}
         rest = match.group("rest") or ""
         for factor in re.findall(_NAME + r"(?:\^\d+)?", rest):
-            if "^" in factor:
-                name, exp_text = factor.split("^")
-                exp = int(exp_text)
-            else:
-                name, exp = factor, 1
+            name, _, exp_text = factor.partition("^")
+            exp = int(exp_text or 1)
             if name not in ring.squares:
                 raise ScalarParseError(f"unknown symbol {name!r}")
             mono[name] = mono.get(name, 0) + exp
         if not coeff_text and not mono:
             raise ScalarParseError(f"bad term {chunk!r}")
         reduced, value = _reduce_monomial(
-            ring, tuple(mono.items()), sign * coeff)
-        if value:
-            result = result + Scalar(ring, {reduced: value})
-    return result
+            ring, tuple(mono.items()), -coeff if sign == "-" else coeff)
+        add_into(acc, {reduced: (value.numerator, value.denominator)})
+    return finish(ring, acc) or ring.zero()

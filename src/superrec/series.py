@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import (NotInvertible, Scalar, accumulate, finish,
-                      finish_each, mul_into)
+from .scalars import (NotInvertible, Scalar, add_into, finish, finish_each,
+                      mul_into)
 
 
 class TruncationError(Exception):
@@ -87,11 +87,13 @@ class FormalSeries:
         if (self.dz_weight, self.theta) != (other.dz_weight, other.theta):
             raise WeightError("adding series of different weight/parity")
         trunc = min(self.trunc, other.trunc)
-        coeffs = {k: c for k, c in self.coeffs.items() if k <= trunc}
-        for k, c in other.coeffs.items():
-            if k <= trunc:
-                accumulate(coeffs, k, c)
-        return _series(self.ring, coeffs, trunc, self.dz_weight, self.theta,
+        sums = {}
+        for series in (self, other):
+            for k, c in series.coeffs.items():
+                if k <= trunc:
+                    add_into(sums.setdefault(k, {}), c.terms)
+        return _series(self.ring, finish_each(self.ring, sums), trunc,
+                       self.dz_weight, self.theta,
                        min(self.min_exp, other.min_exp))
 
     def __neg__(self):
@@ -106,10 +108,8 @@ class FormalSeries:
         if not scalar:
             return FormalSeries.zero(self.ring, self.trunc, self.dz_weight,
                                      self.theta)
-        coeffs = {}
-        for k, c in self.coeffs.items():
-            # s^2 = 4 makes (s - 2)(s + 2) = 0: a product can vanish
-            accumulate(coeffs, k, c * scalar)
+        # s^2 = 4 makes (s - 2)(s + 2) = 0: a product can vanish
+        coeffs = {k: v for k, c in self.coeffs.items() if (v := c * scalar)}
         return _series(self.ring, coeffs, self.trunc, self.dz_weight,
                        self.theta, self.min_exp)
 

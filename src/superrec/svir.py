@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import partial
 from math import lcm
 
-from .scalars import accumulate, add_into, finish, finish_each, mul_into
+from .scalars import add_into, finish, finish_each, mul_into
 from .store import canonical, index_bound, insert_index, simplex_keys
 
 
@@ -553,20 +553,19 @@ def exp_state(tensor):
     """exp of the generating sum of a coefficient tensor, to the total
     degree chi_max - 2 of its entries, over the tensor's ring."""
     maxdeg, ring = tensor.chi_max - 2, tensor.ring
-    fterms = {}
-    for (g, bos, fer), val in tensor.entries.items():
-        accumulate(fterms, (bos, fer, g - 1),
-                   val * Fraction(1, _mult_fact(bos)))
+    fterms = {(bos, fer, g - 1): val * Fraction(1, _mult_fact(bos))
+              for (g, bos, fer), val in tensor.entries.items()}
     # the F terms by degree: a power term of degree d meets the prefix of
     # degree <= maxdeg - d; each power is one raw sum per key
     ordered = sorted(fterms.items(), key=lambda item: _deg(item[0]))
     degrees = [_deg(key) for key, _ in ordered]
-    z = {((), (), 0): ring.one()}
-    power = dict(fterms)
+    z = {}
+    add_into(z.setdefault(((), (), 0), {}), ring.one().terms)
+    power = fterms
     k = 1
     while power:
         for key, val in power.items():
-            accumulate(z, key, val)
+            add_into(z.setdefault(key, {}), val.terms)
         k += 1
         sums = {}
         for (b1, f1, h1), v1 in power.items():
@@ -578,7 +577,7 @@ def exp_state(tensor):
                     mul_into(ring, acc, v1.terms.items(), v2.terms.items(),
                              sg, k)
         power = finish_each(ring, sums)
-    return FockPoly(ring, z)
+    return FockPoly(ring, finish_each(ring, z))
 
 
 def annihilation_report(curve, tensor):
@@ -614,10 +613,11 @@ def dilaton_report(curve, tensor):
     bad = {}
     for chi in range(3, tensor.chi_max):
         for g, bos, fer in simplex_keys(chi, tensor.epsilon):
-            left = tensor.zero
+            acc = {}
             for p, tau in curve.tau.items():
-                left = left + tau * Fraction(1, p) * tensor.get(
-                    g, bos + (p,), fer)
+                mul_into(tensor.ring, acc, tau.terms.items(),
+                         tensor.get(g, bos + (p,), fer).terms.items(), 1, p)
+            left = finish(tensor.ring, acc) or tensor.zero
             right = tensor.get(g, bos, fer) * -(2 * g - 2 + len(bos)
                                                 + len(fer))
             if left != right:

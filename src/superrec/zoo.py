@@ -24,8 +24,7 @@ from math import factorial
 
 from .biseries import BiSeries
 from .curve import CurveData, fit_parameters, psi_regular
-from .scalars import (Ring, accumulate, add_into, finish, finish_each,
-                      mul_into)
+from .scalars import Ring, add_into, finish, finish_each, mul_into
 from .series import FormalSeries, TruncationError
 from .store import index_bound
 
@@ -284,12 +283,9 @@ def zoo_build(spec):
 def _sigma_sum_fermionic(curve, order):
     """(z1^2-z2^2) * regular part of the kernel sigma-sum, as a biseries."""
     ring = curve.ring
-    coeffs = {}
-    for (l, k), val in psi_regular(curve).items():
-        if l % 2 == 0:  # only these survive the involution sum (doubled)
-            key = (l - 1, k - 1)
-            accumulate(coeffs, key, 2 * val)
-    d = BiSeries(ring, coeffs, order)
+    # only the even l survive the involution sum, doubled
+    d = BiSeries(ring, {(l - 1, k - 1): 2 * val for (l, k), val
+                        in psi_regular(curve).items() if l % 2 == 0}, order)
     z1sq = BiSeries(ring, {(2, 0): ring.one()}, order)
     z2sq = BiSeries(ring, {(0, 2): ring.one()}, order)
     return (z1sq - z2sq) * d

@@ -291,6 +291,69 @@ def test_spec_errors_under_optimized_python(tmp_path):
         assert proc.returncode == EXIT_PARSE, (command, proc.stderr)
 
 
+def _spec_text(doc, old=None, new=None):
+    text = json.dumps(doc)
+    return text if old is None else text.replace(old, new, 1)
+
+
+# a spec that gives one index or key twice used to keep the last value: an
+# index or integer string is ASCII digits with an optional minus, so other
+# spellings of an index are errors, and so is a repeated index or JSON key;
+# each error is one line that names the field, index or key
+REPEATED_SPECS = [
+    (_spec_text(dict(EXPLICIT_SPEC, tau={"3": "1", "+3": "2"})),
+     "bad tau index '+3'"),
+    (_spec_text(dict(EXPLICIT_SPEC, tau={"3": "1", " 3": "2"})),
+     "bad tau index ' 3'"),
+    (_spec_text(dict(EXPLICIT_SPEC, tau={"3": "1", "٣": "2"})),
+     "bad tau index '٣'"),
+    (_spec_text(dict(EXPLICIT_SPEC, tau={"3": "1", "1_0": "2"})),
+     "bad tau index '1_0'"),
+    (_spec_text(dict(EXPLICIT_SPEC, phi={"1,1": "1", "1, 1": "5"})),
+     "bad phi index '1, 1'"),
+    (_spec_text(dict(EXPLICIT_SPEC, tau={"3": "1", "03": "2"})),
+     "repeated tau index '03'"),
+    (_spec_text(dict(EXPLICIT_SPEC, psiA={"1,2": "1", "1,02": "2"})),
+     "repeated psiA index '1,02'"),
+    (_spec_text(EXPLICIT_SPEC, '"3": "1"', '"3": "1", "3": "2"'),
+     "curve spec repeats key '3'"),
+    (_spec_text(EXPLICIT_SPEC, '"trunc": 20', '"trunc": 20, "trunc": 24'),
+     "curve spec repeats key 'trunc'"),
+    (_spec_text(dict(EXPLICIT_SPEC, trunc=" 20")),
+     "trunc must be a JSON integer, got ' 20'"),
+    (_spec_text(dict(EXPLICIT_SPEC, epsilon="+3")),
+     "epsilon must be a JSON integer, got '+3'"),
+    (_spec_text(dict(EXPLICIT_SPEC, trunc="2_0")),
+     "trunc must be a JSON integer, got '2_0'"),
+    (_spec_text({"zoo": {"name": "airy"}, "trunc": "١٢"}),
+     "trunc must be a JSON integer, got '١٢'")]
+
+
+def test_a_spec_that_names_an_index_twice_is_rejected(tmp_path, capsys):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(superrec.__file__)))
+    paths = []
+    for i, (text, words) in enumerate(REPEATED_SPECS):
+        path = tmp_path / f"twice{i}.json"
+        path.write_text(text)
+        paths.append(str(path))
+        assert main(["verify-curve", "--curve", str(path)]) == EXIT_PARSE, \
+            text
+        err = capsys.readouterr().err
+        assert err == f"error: {words}\n", (text, err)
+    # the checks are not asserts, which `python -O` strips
+    script = ("import sys\nfrom superrec.cli import main\n"
+              "print([main(['verify-curve', '--curve', path])"
+              " for path in sys.argv[1:]])")
+    proc = subprocess.run([sys.executable, "-O", "-c", script, *paths],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.stdout.strip() == str([EXIT_PARSE] * len(paths)), proc.stderr
+    # a valid spelling of each index keeps the canonical document
+    respelt = dict(EXPLICIT_SPEC, tau={"03": "1", "5": "1/2*s"},
+                   psiA={"01,2": "-1/3"}, trunc="20")
+    assert build_curve(respelt)[1] == build_curve(EXPLICIT_SPEC)[1]
+
+
 # a zoo parameter the curve does not read: phi11 reads only t, and the other
 # names read none
 UNREAD_PARAM_SPECS = [({"zoo": {"name": "phi11", "params": {"tt": "5"}},

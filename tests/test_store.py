@@ -1,8 +1,27 @@
+"""Tests of the shared index store that both engines read.
+
+Each function of `superrec.store` that an engine reads is checked against
+an oracle that shares none of its code:
+
+- `iter_partitions`: `test_iter_partitions_matches_bitmask_enumeration`
+  (one bit mask per split) and `test_iter_partitions_signs_match`
+  (`partition_sign`, the inversions between two position lists);
+- `factor_splits`: `test_factor_splits_match_bitmask_enumeration`;
+- `canonical`: `test_canonical_matches_an_inversion_count`;
+- `insert_index`: `test_insert_index_matches_a_linear_insertion`;
+- `deficit`, and `index_bound` through it:
+  `test_deficit_matches_its_definition`;
+- `slot_ranges`: `test_slot_ranges_match_a_parity_filter`;
+- `LazyTensor`'s lookups, slices and level keys: `test_slices_match_a_scan`,
+  `test_lazy_queries_equal_run`, `test_level_keys_are_canonical_candidates`
+  (a box scan, `_box_keys`) and `test_no_nonzero_entry_outside_the_simplex`.
+"""
+
 import inspect
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,8 +31,8 @@ from superrec.curve import CurveData
 from superrec.scalars import Ring
 from superrec.store import (
     CorrTensor, IndexBoundError, LazyTensor, MissingDependency, ParityError,
-    StabilityError, UnsolvedEntry, deficit, distinct_splits, factor_splits,
-    index_bound, iter_partitions, slot_ranges)
+    StabilityError, UnsolvedEntry, canonical, deficit, distinct_splits,
+    factor_splits, index_bound, insert_index, iter_partitions, slot_ranges)
 from superrec.trengine import TrSolver
 from test_acceptance import airy_curve, random_curve, rich_curve
 from test_curve import irregular_curve
@@ -222,6 +241,67 @@ def test_factor_splits_match_bitmask_enumeration(fermionic):
                         weights[g1, J1, K1, J2, K2] += weight
                 assert weights == _bitmask_factor_splits(
                     g, J, K, fermionic), (g, J, K)
+
+
+def test_canonical_matches_an_inversion_count():
+    # every fermionic sequence of length <= 4 over four indices, repeats
+    # included: the sign is that of the inversion count, 0 on a repeat
+    for n in range(5):
+        for fer in product(range(0, 8, 2), repeat=n):
+            inversions = sum(1 for a in range(n) for b in range(a + 1, n)
+                             if fer[a] > fer[b])
+            sign = 0 if len(set(fer)) < n else (-1) ** inversions
+            bos = tuple(reversed(fer)) + (1,)
+            assert canonical(bos, fer) == (
+                tuple(sorted(bos)), tuple(sorted(fer)), sign), fer
+
+
+def _linear_insertion(index, fermionic, bos, fer):
+    """Reference for `insert_index`: walk the slot from its front to the
+    first index not below the new one, passing one sign per fermion."""
+    slot = fer if fermionic else bos
+    pos = 0
+    while pos < len(slot) and slot[pos] < index:
+        pos += 1
+    if fermionic and pos < len(slot) and slot[pos] == index:
+        return None, 0
+    grown = slot[:pos] + (index,) + slot[pos:]
+    if not fermionic:
+        return (grown, fer), 1
+    return (bos, grown), (-1) ** pos
+
+
+def test_insert_index_matches_a_linear_insertion():
+    for k in range(4):
+        for fer in combinations(range(0, 10, 2), k):
+            for bos in combinations_with_replacement((1, 3, 5), k):
+                for index in range(10):
+                    for fermionic in (False, True):
+                        assert insert_index(index, fermionic, bos, fer) == \
+                            _linear_insertion(index, fermionic, bos, fer), \
+                            (index, fermionic, bos, fer)
+
+
+def test_deficit_matches_its_definition():
+    # D = B(chi) - sum of the indices, B(chi) = epsilon (chi - 2) at the
+    # level chi = 2g + n + m of an entry with n bosonic and m fermionic ones
+    for epsilon in (1, 3):
+        for g in range(3):
+            for n, m in product(range(4), repeat=2):
+                for bos in combinations_with_replacement((1, 3, 5, 7), n):
+                    for fer in combinations((0, 2, 4, 6), m):
+                        chi = 2 * g + n + m
+                        total = sum(bos) + sum(fer)
+                        assert deficit(g, bos, fer, epsilon) \
+                            == epsilon * (chi - 2) - total
+
+
+def test_slot_ranges_match_a_parity_filter():
+    for bound in range(-2, 12):
+        bosonic, fermionic = slot_ranges(bound)
+        indices = [i for i in range(-4, bound + 1) if i >= 0]
+        assert list(bosonic) == [i for i in indices if i % 2]
+        assert list(fermionic) == [i for i in indices if i % 2 == 0]
 
 
 @given(st.permutations(list(range(6))))
