@@ -465,10 +465,11 @@ def cmd_verify_algebra(args):
                             ("comm5", [(a, b) for a, b in low if a <= b])):
         families[relation] = (functools.partial(check_commutator, relation),
                               pairs)
-    # Each relation composes the mode-table entries of its modes on each
-    # monomial of the sample into int weights per key (svir._residual), so
-    # it builds no polynomial, and only a shift-data term or a nonzero
-    # remainder reaches a Scalar raw sum. The tables (svir._entry) are the
+    # Each relation reads the mode-table entries of its two modes on each
+    # monomial of the sample once and composes both orders into one int
+    # weight per key over one fixed den (svir._residual), so it builds no
+    # polynomial, and only a shift-data term or a nonzero remainder reaches
+    # a Scalar raw sum. The tables (svir._entry) are the
     # one cache: they live on the ring and the shift data for the whole
     # command, so every sample and the axioms share them.
     passed = dict.fromkeys(families, True)

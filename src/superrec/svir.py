@@ -13,28 +13,26 @@ oracle checks a computed coefficient tensor against the constraints.
 
 Every mode acts one monomial at a time, through a table filled on first
 use: the entry (kind, label, bos, fer) holds the mode's terms on
-x^bos theta^fer, each an int weight and den apart from any shift-data
-Scalar, and x^bos theta^fer hbar^h adds h to each term's hbar power. The
-plain modes' table lives on the ring, a shifted mode's on its ShiftData,
-so each lives exactly as long as what its entries depend on; it is the
-one cache. One composition, `_compose_into`, reads the outer mode's entry
-on each monomial of the inner one's and adds the plain terms as int
-weights per key and den, keeping terms with a shift-data factor apart. A
-quadratic entry sums such compositions of J and Gamma entries over the
-pair labels that act on the monomial; a relation, on each monomial of its
-sample, A after B, -+B after A and its right-hand-side mode after the
-identity mode. Only a shift-data term or a nonzero int remainder reaches a
-Scalar raw sum (a mode image, `_compute`, is such sums finished once).
-Heisenberg-Clifford holds on all (a, b) once it holds on every a <= b.
+x^bos theta^fer, each an int weight over the one den _DEN apart from any
+shift-data Scalar, and x^bos theta^fer hbar^h adds h to each term's hbar
+power. The plain modes' table lives on the ring, a shifted mode's on its
+ShiftData, so each lives exactly as long as what its entries depend on; it
+is the one cache. One composition, `_compose_into`, reads the outer mode's
+entry on each term of an inner entry and adds the plain terms as one int
+weight per key, keeping shift-data terms apart. A quadratic entry sums such
+compositions of J and Gamma entries over the pair labels that act on the
+monomial; a relation reads the entries of A and B on each monomial of its
+sample once and composes A after B, -+B after A and its right-hand side
+after the identity. Only a shift-data term or a nonzero int remainder
+reaches a Scalar raw sum (a mode image, `_compute`, is such sums finished
+once). Heisenberg-Clifford holds on all (a, b) once it holds on a <= b.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
 from fractions import Fraction
 from functools import partial
-from math import lcm
 
 from .scalars import add_into, finish, finish_each, mul_into
 from .store import canonical, index_bound, insert_index, simplex_keys
@@ -61,11 +59,15 @@ class FockPoly:
     @classmethod
     def monomial(cls, ring, bos=(), fer=(), hpow=0, coeff=1):
         """coeff x^bos theta^fer hbar^hpow, theta factors in given order."""
+        for name, values in (("bos", bos), ("fer", fer), ("hpow", [hpow])):
+            if bad := [a for a in values if type(a) is not int]:
+                raise ValueError(f"{name}: {bad[0]!r} is not an int")
         if isinstance(coeff, (int, Fraction)):
             coeff = ring.rational(coeff)
-        if any(a < 1 for a in bos) or any(a < 0 for a in fer):
-            raise ValueError(f"no variable x^a for a < 1 or theta^a for "
-                             f"a < 0 (got x{tuple(bos)}, theta{tuple(fer)})")
+        if any(a < 1 for a in bos) or any(a < 0 for a in fer) or hpow < 0:
+            raise ValueError(f"no x^a for a < 1, theta^a for a < 0 or "
+                             f"hbar^h for h < 0 (got x{tuple(bos)}, "
+                             f"theta{tuple(fer)}, hpow {hpow})")
         bos, fer_sorted, sign = canonical(bos, fer)
         if not sign:
             raise ValueError(f"repeated theta factor in {tuple(fer)}")
@@ -120,11 +122,16 @@ class ShiftData:
 # --- modes on one monomial ---------------------------------------------------
 #
 # A mode sends the monomial x^bos theta^fer, taken with coefficient 1, to the
-# (bos', fer', dh, factor, weight, den) terms of its table entry: weight / den
+# (bos', fer', dh, factor, weight) terms of its table entry: weight / _DEN
 # times factor (the terms of a shift-data Scalar, tau, phi, psi or a product
-# of two; None on a plain term) times x^bos' theta^fer' hbar^dh. weight and
-# den are ints: the sign, the raising factor -index and the multiplicity
-# mult, and 2 for Gamma_0's theta^0 / 2 (1 otherwise).
+# of two; None on a plain term) times x^bos' theta^fer' hbar^dh. The int
+# weight (the sign, the raising factor -index, the multiplicity mult) is over
+# one den for all: J and Gamma have den 1 or 2 (Gamma_0's theta^0 / 2), a
+# pair den <= 2 (the one pair of two Gamma_0s, at total 0, has weight 0 in L
+# and L closure), and L's 1/2 and L_0's hbar / 4 give den <= 4, which each
+# quadratic entry checks (`_tabulate`). Two entries compose in ints over
+# _DEN^2, as a relation does for both its orders in one pass (`_residual`).
+_DEN = 4
 
 
 def _plain_terms(kind, index, bos, fer):
@@ -137,16 +144,16 @@ def _plain_terms(kind, index, bos, fer):
     fermionic = kind == "Gamma"
     if index < 0 or fermionic and not index and 0 not in fer:
         opened, sign = insert_index(-index, fermionic, bos, fer)
-        return [(*opened, 0, None, sign if fermionic else -index,
-                 1 if index else 2)] if sign else []
+        return [(*opened, 0, None, (sign if fermionic else -index)
+                 * (_DEN if index else _DEN // 2))] if sign else []
     slot = fer if fermionic else bos
     if index not in slot:  # also J_0: no x^0
         return []
     pos = slot.index(index)
     rest = slot[:pos] + slot[pos + 1:]
     if fermionic:
-        return [(bos, rest, 1, None, -1 if pos % 2 else 1, 1)]
-    return [(rest, fer, 1, None, slot.count(index), 1)]
+        return [(bos, rest, 1, None, -_DEN if pos % 2 else _DEN)]
+    return [(rest, fer, 1, None, slot.count(index) * _DEN)]
 
 
 # A quadratic mode of label l is 1 / den times the sum over its families
@@ -177,26 +184,24 @@ def _entry(ring, mode, bos, fer):
     return entry
 
 
-def _compose_into(ring, plain, factored, outer, inner, bos, fer, weight, h=0):
-    """Add weight times the mode outer after the mode inner (each (kind,
-    label, shift)) on x^bos theta^fer hbar^h: the inner entry, then the
-    outer entry on each monomial. A plain term adds its int weight to
-    plain[key][den] (plain is a defaultdict(dict)), a term with a shift-data
-    factor goes onto factored as (key, factor, weight, den); two factors
+def _compose_into(ring, plain, factored, outer, inner, weight, h=0):
+    """Add weight hbar^h times the mode outer (kind, label, shift) after the
+    entry terms inner: its entry on each term's monomial. A plain term adds
+    its int weight, over _DEN^2, to plain[key], a term with a shift-data
+    factor goes onto factored as (key, factor, weight); two factors
     multiply, and a product that a square relation makes zero drops it."""
     kind, label, shift = outer
     table = (ring if shift is None else shift).mode_table
-    for bos2, fer2, dh, f1, w1, d1 in _entry(ring, inner, bos, fer):
+    for bos2, fer2, dh, f1, w1 in inner:
         w1 *= weight
         entry = table.get((kind, label, bos2, fer2))
         if entry is None:
             entry = _entry(ring, outer, bos2, fer2)
-        for bos3, fer3, dh2, f2, w2, d2 in entry:
+        for bos3, fer3, dh2, f2, w2 in entry:
             key = bos3, fer3, h + dh + dh2
             if f2 is None:
                 if f1 is None:
-                    dens = plain[key]
-                    dens[d1 * d2] = dens.get(d1 * d2, 0) + w1 * w2
+                    plain[key] = plain.get(key, 0) + w1 * w2
                     continue
                 f2 = f1
             elif f1 is not None:
@@ -205,20 +210,7 @@ def _compose_into(ring, plain, factored, outer, inner, bos, fer, weight, h=0):
                 if (f2 := finish(ring, acc)) is None:
                     continue
                 f2 = f2.terms
-            factored.append((key, f2, w1 * w2, d1 * d2))
-
-
-def _merged(plain):
-    """(key, None, weight, den), a factored term with no factor, for each
-    key of plain whose int weights do not cancel over the lcm of its dens."""
-    for key, dens in plain.items():
-        if len(dens) == 1:
-            (den, weight), = dens.items()
-        else:
-            den = lcm(*dens)
-            weight = sum(w * (den // d) for d, w in dens.items())
-        if weight:
-            yield key, None, weight, den
+            factored.append((key, f2, w1 * w2))
 
 
 def _pair(ring, plain, factored, kind1, i1, kind2, i2, bos, fer, shift,
@@ -228,10 +220,8 @@ def _pair(ring, plain, factored, kind1, i1, kind2, i2, bos, fer, shift,
     reordered (with a sign for two odd modes), any other order is normal."""
     a, b = (kind1, i1, shift), (kind2, i2, shift)
     if i1 > 0 and i2 < 0:
-        _compose_into(ring, plain, factored, b, a, bos, fer,
-                      -weight if kind1 == kind2 == "Gamma" else weight)
-    else:
-        _compose_into(ring, plain, factored, a, b, bos, fer, weight)
+        a, b, weight = b, a, -weight if kind1 == kind2 == "Gamma" else weight
+    _compose_into(ring, plain, factored, a, _entry(ring, b, bos, fer), weight)
 
 
 def _tabulate(ring, mode, bos, fer):
@@ -242,30 +232,30 @@ def _tabulate(ring, mode, bos, fer):
     indices are >= 1, and the tilde table holds no J row 0.
 
     A quadratic mode ("L", "G" or a closure bilinear; L_2n and G_(2m+1)
-    have labels n and m) is composed from J and Gamma entries (see
-    `_pair`), with one plain term per monomial (see `_merged`). It sums
-    only the pair labels that act on the monomial: `_pair` applies a
-    positive mode before any creator, so those are the labels whose
-    positive mode holds one of the monomial's variables, and total <= k <=
-    0, where neither is positive."""
+    have labels n and m) is composed from J and Gamma entries over _DEN^2
+    (see `_pair`), one plain term per monomial, and divided by _DEN times
+    its den; a remainder raises ValueError. It sums only the pair labels
+    that act on the monomial: `_pair` applies a positive mode before any
+    creator, so those are the labels whose positive mode holds one of the
+    monomial's variables, and total <= k <= 0, where neither is positive."""
     kind, label, shift = mode
     if kind == "1":
-        return ((bos, fer, 0, None, 1, 1),)
+        return ((bos, fer, 0, None, _DEN),)
     if kind in ("J", "Gamma"):
         entry = _plain_terms(kind, label, bos, fer)
         if shift is not None and label <= 0:
             if kind == "J" and -label in shift.tau:
-                entry.append((bos, fer, 0, shift.tau[-label].terms, 1, 1))
+                entry.append((bos, fer, 0, shift.tau[-label].terms, _DEN))
             for k, val in shift.tilde[kind].get(-label, ()):
-                entry += [(*term[:3], val.terms, *term[4:])
+                entry += [(*term[:3], val.terms, term[4])
                           for term in _plain_terms(kind, k, bos, fer)]
         return tuple(entry)
     odd, den, families = _PAIRS[kind]
     total = 2 * label + odd
     held = {"J": bos, "Gamma": fer}  # the variables it holds
-    plain, factored = defaultdict(dict), []
+    plain, factored = {}, []
     if kind in ("L", "L closure") and label == 0:
-        plain[bos, fer, 1][2] = 1  # hbar / 4, before the common den 2
+        plain[bos, fer, 1] = _DEN * _DEN // 2  # hbar / 4, before den 2
     for kind1, kind2, weigh in families:
         held1, held2 = held[kind1], held[kind2]
         for k in sorted({*range(total, 1), *held1,
@@ -278,8 +268,12 @@ def _tabulate(ring, mode, bos, fer):
                     and (w := weigh(label, k))):
                 _pair(ring, plain, factored, kind1, k, kind2, k2, bos, fer,
                       shift, w)
-    return tuple((*key, factor, weight, d * den)
-                 for key, factor, weight, d in [*factored, *_merged(plain)])
+    den *= _DEN
+    factored += [(key, None, w) for key, w in plain.items() if w]
+    if any(w % den for _, _, w in factored):
+        raise ValueError(f"{kind} {label} on x{bos} theta{fer}: a weight "
+                         f"is not a multiple of 1 / {_DEN}")
+    return tuple((*key, factor, w // den) for key, factor, w in factored)
 
 
 def _add_term(ring, sums, key, c, factor=None, weight=1, den=1):
@@ -297,18 +291,16 @@ def _add_term(ring, sums, key, c, factor=None, weight=1, den=1):
 
 def _compute(kind, label, p, shift):
     """The image of p under the mode (kind, label) with this shift data:
-    one raw sum per key, one monomial of p at a time, finished once. A
-    monomial x^bos theta^fer hbar^h reads the entry (kind, label, bos, fer)
-    of the mode table (see `_entry`) and adds h to the hbar power of each
-    of its terms. Every mode is linear, so the zero polynomial is its own
-    image."""
+    the entry (see `_entry`) of each monomial x^bos theta^fer hbar^h, with
+    h added to each hbar power, in one raw sum per key, finished once.
+    Every mode is linear, so the zero polynomial is its own image."""
     if not p.terms:
         return p
     ring, mode, sums = p.ring, (kind, label, shift), {}
     for (bos, fer, h), c in p.terms.items():
         c = c.terms
-        for bos2, fer2, dh, factor, w, den in _entry(ring, mode, bos, fer):
-            _add_term(ring, sums, (bos2, fer2, h + dh), c, factor, w, den)
+        for bos2, fer2, dh, factor, w in _entry(ring, mode, bos, fer):
+            _add_term(ring, sums, (bos2, fer2, h + dh), c, factor, w, _DEN)
     return FockPoly(ring, finish_each(ring, sums))
 
 
@@ -344,27 +336,36 @@ def apply_mode(kind, label, p, shift=None):
 def _residual(p, a, b, anti=False, rhs=("1", 0, None), weight=0):
     """The raw sums per key of [A, B] ({A, B} when anti) minus weight hbar
     times rhs on p, for modes (kind, label, shift): on each monomial of p,
-    A after B, -+B after A and -weight hbar rhs after the identity (see
-    `_compose_into`). Only factored terms and plain keys that do not cancel
-    (`_merged`) reach a raw sum."""
-    ring, sums = p.ring, {}
+    A after the entry of B, -+B after that of A and -weight hbar rhs after
+    the identity's (see `_compose_into`), each read once and skipped when
+    empty. Only factored terms and plain keys whose int weights do not
+    cancel reach a raw sum, over _DEN^2."""
+    ring, sums, den, back = p.ring, {}, _DEN * _DEN, 1 if anti else -1
     for (bos, fer, h), c in p.terms.items():
-        plain, factored = defaultdict(dict), []
-        _compose_into(ring, plain, factored, a, b, bos, fer, 1, h)
-        _compose_into(ring, plain, factored, b, a, bos, fer,
-                      1 if anti else -1, h)
+        plain, factored = {}, []
+        for outer, inner, sign in ((a, b, 1), (b, a, back)):
+            if entry := _entry(ring, inner, bos, fer):
+                _compose_into(ring, plain, factored, outer, entry, sign, h)
         if weight:
-            _compose_into(ring, plain, factored, rhs, ("1", 0, None), bos,
-                          fer, -weight, h + 1)
-        for key, factor, w, d in [*factored, *_merged(plain)]:
-            _add_term(ring, sums, key, c.terms, factor, w, d)
+            _compose_into(ring, plain, factored, rhs,
+                          _entry(ring, ("1", 0, None), bos, fer), -weight,
+                          h + 1)
+        c = c.terms
+        for key, factor, w in factored:
+            _add_term(ring, sums, key, c, factor, w, den)
+        for key, w in plain.items():
+            if w:
+                _add_term(ring, sums, key, c, None, w, den)
     return sums
 
 
 def _holds(p, *relation):
-    """True iff the relation's residual cancels on p (see `_residual`)."""
-    return all(finish(p.ring, acc) is None
-               for acc in _residual(p, *relation).values())
+    """True iff the relation's residual cancels on p (see `_residual`):
+    False at the first sum that finishes nonzero."""
+    for acc in _residual(p, *relation).values():
+        if finish(p.ring, acc) is not None:
+            return False
+    return True
 
 
 def _closure(name, n, m, shift=None):
@@ -386,42 +387,41 @@ def check_commutator(relation, a, b, sample):
     """True iff the named relation holds exactly on the sample polynomial.
 
     relation 'comm1': [L_2a, J_2b] = 2b hbar J_{2a+2b} and
-                      [G_{2a+1}, J_2b] = 2b hbar Gamma_{2b+2a+1}  (b >= 1)
+                      [G_{2a+1}, J_2b] = 2b hbar Gamma_{2b+2a+1}
     relation 'comm2': [L_2a, Gamma_{2b-1}] = (a+2b-1) hbar Gamma_{2a+2b-1}
                       and {G_{2a+1}, Gamma_{2b-1}} = -hbar J_{2b+2a}
     relation 'comm3': [L_2a, L_2b] closure
     relation 'comm4': [L_2a, G_{2b+1}] closure
     relation 'comm5': {G_{2a+1}, G_{2b+1}} closure
 
-    The labels a, and b in a closure, are >= -1.
+    The labels a, and b in a closure, are >= -1; comm1 and comm2 hold
+    for every integer b, the creators J_2b and Gamma_(2b-1) included.
     """
     closure = {"comm3": "LL", "comm4": "LG", "comm5": "GG"}.get(relation)
-    J, gamma = ("J", 2 * b), ("Gamma", 2 * b - 1)
-    # (L or G, linear mode, anti, right-hand-side mode, weight) of each half
-    halves = {"comm1": (("L", J, False, ("J", 2 * a + 2 * b), 2 * b),
-                        ("G", J, False, ("Gamma", 2 * a + 2 * b + 1), 2 * b)),
-              "comm2": (("L", gamma, False, ("Gamma", 2 * a + 2 * b - 1),
-                         a + 2 * b - 1),
-                        ("G", gamma, True, ("J", 2 * a + 2 * b), -1))}
-    if closure is None and relation not in halves:
+    if closure is None and relation not in ("comm1", "comm2"):
         raise ValueError(f"unknown relation {relation}")
     if a < -1 or closure and b < -1:
         raise ValueError(f"{relation} at ({a}, {b}): L and G labels "
                          "are >= -1")
     if closure is not None:
         return _holds(sample, *_closure(closure, a, b))
-    return all(_holds(sample, (kind, a, None), (*mode, None), anti,
-                      (*rhs, None), weight)
-               for kind, mode, anti, rhs, weight in halves[relation])
+    # the L and G halves: (A, linear mode, anti, right-hand-side mode, weight)
+    p, c, L, G = sample, 2 * a + 2 * b, ("L", a, None), ("G", a, None)
+    if relation == "comm1":
+        J = ("J", 2 * b, None)
+        return (_holds(p, L, J, False, ("J", c, None), 2 * b)
+                and _holds(p, G, J, False, ("Gamma", c + 1, None), 2 * b))
+    gamma = ("Gamma", 2 * b - 1, None)
+    return (_holds(p, L, gamma, False, ("Gamma", c - 1, None), a + 2 * b - 1)
+            and _holds(p, G, gamma, True, ("J", c, None), -1))
 
 
 def check_heisenberg_clifford(a, b, sample):
     """[J_a,J_b] = a hbar delta, {Gamma_a,Gamma_b} = hbar delta and
     [J_a,Gamma_b] = [J_b,Gamma_a] = 0: the pairs a <= b cover every (a, b)."""
-    p, one = sample, ("1", 0, None)
+    p, one, delta = sample, ("1", 0, None), int(a + b == 0)
     J_a, J_b = ("J", a, None), ("J", b, None)
     gamma_a, gamma_b = ("Gamma", a, None), ("Gamma", b, None)
-    delta = int(a + b == 0)
     return (_holds(p, J_a, J_b, False, one, a * delta)
             and _holds(p, gamma_a, gamma_b, True, one, delta)
             and _holds(p, J_a, gamma_b)

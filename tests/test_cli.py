@@ -907,6 +907,32 @@ def test_verify_algebra_fills_its_mode_tables_afresh(monkeypatch, capsys):
     assert stored == {"1", "J", "Gamma", "L", "G", "L closure", "G closure"}
 
 
+# the mode-table entries one `verify-algebra --degree 4 --mode-range 2` fills,
+# by kind: each quadratic entry sums only the pair labels that act on its
+# monomial, and each relation reads only the entries its compositions reach
+VERIFY_ALGEBRA_FILLS = {"1": 66, "J": 2477, "Gamma": 2486, "L": 1272,
+                        "G": 1368, "L closure": 504, "G closure": 432}
+
+
+def test_verify_algebra_fills_a_pinned_number_of_entries(monkeypatch,
+                                                         capsys):
+    # a change that fills more entries (a wider pair window, an order
+    # composed that a relation does not need) fails here, as one that fills
+    # fewer would have to show that its output is still the pinned one
+    fills = Counter()
+
+    def tabulate(ring, mode, bos, fer, inner=svir._tabulate):
+        fills[mode[0]] += 1
+        return inner(ring, mode, bos, fer)
+
+    monkeypatch.setattr(svir, "_tabulate", tabulate)
+    assert main(["verify-algebra", "--degree", "4", "--mode-range",
+                 "2"]) == 0
+    assert capsys.readouterr().out.count("pass") == 7
+    assert dict(fills) == VERIFY_ALGEBRA_FILLS
+    assert sum(fills.values()) == 8605
+
+
 def test_verify_algebra_frees_its_ring_without_the_cyclic_collector(
         monkeypatch, capsys):
     # the mode tables live on the command's ring and shift data (whose

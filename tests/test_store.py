@@ -12,6 +12,8 @@ an oracle that shares none of its code:
 - `deficit`, and `index_bound` through it:
   `test_deficit_matches_its_definition`;
 - `slot_ranges`: `test_slot_ranges_match_a_parity_filter`;
+- `CorrTensor.set`: `test_set_matches_its_definition` (the error or the
+  sorted key and inversion-count sign of each key of a small box);
 - `LazyTensor`'s lookups, slices and level keys: `test_slices_match_a_scan`,
   `test_lazy_queries_equal_run`, `test_level_keys_are_canonical_candidates`
   (a box scan, `_box_keys`) and `test_no_nonzero_entry_outside_the_simplex`.
@@ -294,6 +296,73 @@ def test_deficit_matches_its_definition():
                         total = sum(bos) + sum(fer)
                         assert deficit(g, bos, fer, epsilon) \
                             == epsilon * (chi - 2) - total
+
+
+def _set_by_definition(g, bos, fer, nonzero, epsilon):
+    """Reference for `CorrTensor.set`: the error that storing a zero or a
+    nonzero value at (g, bos, fer) raises, None where a zero at a repeated
+    fermion stores nothing, or the sorted key and the sign of the fermions'
+    inversion count that the value is stored at."""
+    n, m = len(bos), len(fer)
+    chi = 2 * g + n + m
+    if chi <= 2:
+        return StabilityError
+    if len(set(fer)) < m:
+        return ParityError if nonzero else None
+    if m % 2:
+        return ParityError
+    if nonzero and (any(b % 2 == 0 for b in bos) or any(f % 2 for f in fer)):
+        return ParityError
+    if nonzero and epsilon * (chi - 2) < sum(bos) + sum(fer):
+        return IndexBoundError
+    inversions = sum(1 for a in range(m) for b in range(a + 1, m)
+                     if fer[a] > fer[b])
+    return (g, tuple(sorted(bos)), tuple(sorted(fer))), (-1) ** inversions
+
+
+@pytest.mark.parametrize("epsilon", [1, 3])
+def test_set_matches_its_definition(epsilon):
+    # every key of genus <= 2 with up to three bosonic indices 0..6 (repeats
+    # allowed, written in falling order) and up to three fermionic indices
+    # 0..4 in any order, repeats included; each is set to a zero and to a
+    # nonzero value in a tensor that holds one other entry, and a zero
+    # first finds the entry it removes
+    tensor, value, other = CorrTensor(RING, 8, epsilon), rat(3), rat(5)
+    seen = Counter()
+    for g in range(3):
+        for n, m in product(range(4), repeat=2):
+            for bos in combinations_with_replacement(range(6, -1, -1), n):
+                for fer in product(range(5), repeat=m):
+                    for nonzero in (False, True):
+                        want = _set_by_definition(g, bos, fer, nonzero,
+                                                  epsilon)
+                        tensor.entries = {"other": other}
+                        if isinstance(want, tuple) and not nonzero:
+                            tensor.entries[want[0]] = other
+                        if isinstance(want, type):
+                            with pytest.raises(want):
+                                tensor.set(g, bos, fer, value if nonzero
+                                           else RING.zero())
+                            assert tensor.entries == {"other": other}
+                            seen[want.__name__] += 1
+                            continue
+                        tensor.set(g, bos, fer,
+                                   value if nonzero else RING.zero())
+                        if want is not None and nonzero:
+                            key, sign = want
+                            assert tensor.entries == {
+                                "other": other, key: value * sign}, \
+                                (g, bos, fer)
+                            seen[f"stored with sign {sign}"] += 1
+                        else:
+                            assert tensor.entries == {"other": other}, \
+                                (g, bos, fer, nonzero)
+                            seen["nothing" if want is None
+                                 else "removed"] += 1
+    # every branch of the definition is reached
+    assert set(seen) == {"StabilityError", "ParityError", "IndexBoundError",
+                         "stored with sign 1", "stored with sign -1",
+                         "nothing", "removed"}, seen
 
 
 def test_slot_ranges_match_a_parity_filter():

@@ -181,6 +181,30 @@ def test_theta_order_is_read_the_same_everywhere():
             mono(fer=fer)
 
 
+# (bos, fer, hpow, the argument the error names): each is outside the Fock
+# space, whose indices are ints (x^a for a >= 1, theta^a for a >= 0) and
+# whose hbar powers are ints >= 0; a bool is not taken for an int
+NOT_IN_THE_FOCK_SPACE = [
+    ((1,), (), -1, "hpow"), ((), (0,), -3, "hpow"), ((1,), (), 1.0, "hpow"),
+    ((), (), True, "hpow"), ((1.5,), (), 0, "bos"), ((True,), (), 0, "bos"),
+    ((1, 2.0), (0,), 0, "bos"), ((), (0.5,), 0, "fer"),
+    ((), (True,), 0, "fer"), ((1,), (2, Fraction(4)), 1, "fer"),
+]
+
+
+def test_monomial_builds_only_fock_space_monomials():
+    for bos, fer, hpow, name in NOT_IN_THE_FOCK_SPACE:
+        with pytest.raises(ValueError, match=name):
+            FockPoly.monomial(RING, bos, fer, hpow)
+    # valid monomials are stored as before: the sorted key and its sign
+    for bos, fer, hpow, key, sign in (
+            ((), (), 0, ((), (), 0), 1),
+            ((3, 1, 1), (), 2, ((1, 1, 3), (), 2), 1),
+            ((2,), (4, 0), 1, ((2,), (0, 4), 1), -1)):
+        assert FockPoly.monomial(RING, bos, fer, hpow).terms == {
+            key: rat(sign)}, (bos, fer, hpow)
+
+
 def test_invalid_inputs_raise_under_optimized_python():
     # these checks guard public inputs, so they must not be asserts, which
     # `python -O` strips
@@ -814,8 +838,8 @@ def test_relations_build_no_polynomial(monkeypatch):
 
 
 def test_plain_relations_that_hold_reach_no_scalar(monkeypatch):
-    # a relation adds its composed terms as int weights per key and den,
-    # and only a key whose weights do not cancel reaches a raw sum
+    # a relation adds its composed terms as one int weight per key, over
+    # one den, and only a key whose weight does not cancel reaches a raw sum
     # (svir._add_term): a plain relation that holds adds nothing there,
     # and one that fails adds its remainder. The samples are on a fresh
     # ring, so that its mode table holds only what these checks fill.
@@ -884,9 +908,11 @@ def test_heisenberg_clifford_pairs_are_mirrored(a):
 
 @pytest.mark.parametrize("relation", ["comm1", "comm2"])
 def test_linear_commutators(relation):
+    # b <= 0 gives J_0 and creators, b >= 1 annihilators: both relations
+    # hold for every b
     for p in monomials():
         for n in range(-1, 4):
-            for i in range(1, 4):
+            for i in range(-3, 4):
                 assert check_commutator(relation, n, i, p), \
                     (relation, n, i, p.terms)
 
